@@ -14,8 +14,14 @@
 //! 3. `assemble_alm` — reduce the monomial sums
 //!    and assemble the shell coefficients `a_ℓm`;
 //! 4. `accumulate_zeta` — accumulate
-//!    `ζ^m_{ℓℓ'}(r₁, r₂) += w_i · a_ℓm(r₁) · conj(a_ℓ'm(r₂))` (minus
-//!    the degenerate self-pair terms when enabled).
+//!    `ζ^m_{ℓℓ'}(r₁, r₂) += w_i · a_ℓm(r₁) · conj(a_ℓ'm(r₂))` for
+//!    `ℓ ≤ ℓ'` only, a contiguous row of `r₂` at a time; `w_i` is real,
+//!    so `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))` and `ℓ > ℓ'` is
+//!    filled once per worker partial. With self-pair subtraction on,
+//!    the `j = k` term `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))` of each
+//!    diagonal bin is removed: it has no φ-dependence, so it is the
+//!    Legendre series `Σ_L C^L_{ℓℓ'm} S_L` over the `2ℓmax+1` sums
+//!    `S_L = Σ_j w_j² P_L(μ_j)` of stage 2 ([`SelfPairTable`]).
 //!
 //! Primaries are distributed over threads by the shared
 //! [`crate::schedule`] driver — dynamic (work stealing) or static
@@ -34,8 +40,8 @@ use crate::timing::{Stage, StageTimer};
 use crate::traversal::{LeafInfo, TraversalKind, Tree};
 use galactos_catalog::{Catalog, Galaxy};
 use galactos_math::monomial::MonomialBasis;
-use galactos_math::ylm::{YlmPairProductTable, YlmTable};
-use galactos_math::{lm_count, lm_index, Complex64, Mat3, Vec3};
+use galactos_math::ylm::{SelfPairTable, YlmTable};
+use galactos_math::{lm_index, Mat3, Vec3};
 // The engine's clock reads go through the registered obs gate: zero
 // reads when instrumentation is off, and every real read is counted so
 // tests can pin the zero-cost contract (no local lint:allow needed —
@@ -62,10 +68,9 @@ pub struct Engine {
     /// [`EstimatorChoice`](crate::estimator::EstimatorChoice) resolved
     /// once, like the backend and the traversal.
     estimator: ResolvedEstimator,
-    /// Degree-2ℓmax machinery for the self-pair (degenerate triangle)
+    /// Legendre coefficients of the self-pair (degenerate triangle)
     /// correction; present only when enabled.
-    self_basis: Option<MonomialBasis>,
-    self_table: Option<YlmPairProductTable>,
+    self_pairs: Option<SelfPairTable>,
 }
 
 /// Per-primary context produced by the gather stage and consumed by the
@@ -87,13 +92,9 @@ impl Engine {
         let backend = config.kernel_backend.resolve().backend();
         let traversal = config.traversal.resolve();
         let estimator = config.estimator.resolve();
-        let (self_basis, self_table) = if config.subtract_self_pairs {
-            let b2 = MonomialBasis::new(2 * config.lmax);
-            let t2 = YlmPairProductTable::new(config.lmax, &b2);
-            (Some(b2), Some(t2))
-        } else {
-            (None, None)
-        };
+        let self_pairs = config
+            .subtract_self_pairs
+            .then(|| SelfPairTable::new(config.lmax));
         Engine {
             config,
             basis,
@@ -101,8 +102,7 @@ impl Engine {
             backend,
             traversal,
             estimator,
-            self_basis,
-            self_table,
+            self_pairs,
         }
     }
 
@@ -333,7 +333,7 @@ impl Engine {
             // Zero-cost contract: clock reads happen only when some
             // form of timing was actually requested.
             timer.is_some() || want_native,
-            &mut |l, lp, m, b1, b2, v| zeta.add_to(l, lp, m, b1, b2, v),
+            &mut |l, lp, m, b1, b2, v| zeta.block_mut(l, lp, m)[b1 * bins.nbins() + b2] += v,
         );
         zeta.total_primary_weight = catalog.total_weight();
         zeta.num_primaries = catalog.len() as u64;
@@ -478,8 +478,7 @@ impl Engine {
     /// Allocate worker scratch sized for this engine's configuration,
     /// with accumulation state from the resolved kernel backend.
     pub fn new_scratch(&self) -> ComputeScratch {
-        let nmono2 = self.self_basis.as_ref().map_or(0, |b| b.len());
-        ComputeScratch::new(&self.config, &self.basis, nmono2, self.backend)
+        ComputeScratch::new(&self.config, &self.basis, self.backend)
     }
 
     /// Drain a finished worker's instrumentation into the shared
@@ -498,10 +497,9 @@ impl Engine {
         if let Some(f) = flops {
             f.record(scratch.binned_pairs, scratch.candidate_pairs);
         }
-        // Sole owner of the ζ-side pair counter (besides
-        // [`ComputeScratch::partial`] for manual stage drivers): the
-        // stage methods only bump the scratch-side counter.
-        scratch.zeta.binned_pairs = scratch.binned_pairs;
+        // The stage methods fill only the ℓ ≤ ℓ' blocks and the
+        // scratch-side pair counter; `partial` completes both.
+        scratch.partial();
         scratch.zeta
     }
 
@@ -607,12 +605,7 @@ impl Engine {
     /// Reset the accumulation state a primary's stage 2 writes into.
     fn begin_binning(&self, scratch: &mut ComputeScratch) {
         scratch.acc.reset();
-        if let Some(b2) = &self.self_basis {
-            let nbins = self.config.bins.nbins();
-            scratch.self_sums[..nbins * b2.len()]
-                .iter_mut()
-                .for_each(|v| *v = 0.0);
-        }
+        scratch.self_sums.fill(0.0);
     }
 
     /// Sweep partially filled buckets, complete deferred accumulation,
@@ -640,7 +633,7 @@ impl Engine {
 
     /// The per-pair tail every traversal mode shares: radial cut,
     /// binning, line-of-sight rotation, normalization, bucket push with
-    /// kernel flush, and the degree-2ℓmax self-pair sums. `delta`,
+    /// kernel flush, and the self-pair Legendre sums. `delta`,
     /// `r = |delta|` and `inv_r = 1/r` are computed by the caller (they
     /// differ only in where the secondary's coordinates are loaded from
     /// and whether the sqrt/divide ran in a vector lane — both ops are
@@ -683,24 +676,18 @@ impl Engine {
             scratch.buckets.clear_bin(bin);
             *kernel_nanos += nanos_since(tk);
         }
-        if let Some(b2) = &self.self_basis {
-            // Degenerate-triangle sums: weight w² at degree ≤ 2ℓmax.
-            let n2 = b2.len();
-            b2.accumulate_into(
-                ux,
-                uy,
-                uz,
-                wj * wj,
-                &mut scratch.self_scratch,
-                &mut scratch.self_sums[bin * n2..(bin + 1) * n2],
-            );
+        if let Some(table) = &self.self_pairs {
+            // Degenerate-triangle sums S_L(bin) += w² P_L(μ), μ = û·ẑ.
+            let n = table.num_sums();
+            let sums = &mut scratch.self_sums[bin * n..(bin + 1) * n];
+            table.accumulate(uz, wj * wj, &mut scratch.self_scratch, sums);
         }
     }
 
     /// Stage 2 — rotate each gathered separation into the line-of-sight
     /// frame, bin it into a radial shell, push it through the pair
     /// buckets, and flush full buckets through the multipole kernel
-    /// (plus the degree-2ℓmax self-pair sums when enabled).
+    /// (plus the self-pair Legendre sums when enabled).
     fn bin_and_bucket(
         &self,
         scratch: &mut ComputeScratch,
@@ -796,60 +783,63 @@ impl Engine {
         // (idempotent) after the bin-and-bucket stage's own finish.
         scratch.acc.finish(self.basis.schedule());
         let nbins = self.config.bins.nbins();
-        let nmono = self.basis.len();
-        let nlm = lm_count(self.config.lmax);
         for bin in 0..nbins {
-            scratch
-                .acc
-                .reduce_bin(bin, &mut scratch.sums[bin * nmono..(bin + 1) * nmono]);
-            self.ylm.assemble_alm(
-                &scratch.sums[bin * nmono..(bin + 1) * nmono],
-                &mut scratch.alm[bin * nlm..(bin + 1) * nlm],
-            );
+            scratch.acc.reduce_bin(bin, &mut scratch.sums);
+            self.ylm.assemble_alm(&scratch.sums, &mut scratch.alm);
+            // Stored bin-minor and split: stage 4 streams rows of bins.
+            for (i, a) in scratch.alm.iter().enumerate() {
+                scratch.alm_re[i * nbins + bin] = a.re;
+                scratch.alm_im[i * nbins + bin] = a.im;
+            }
         }
         scratch.t_assembly += nanos_since(t2);
     }
 
-    /// Stage 4 — accumulate the primary's ζ contribution from the shell
-    /// coefficients, subtract the degenerate self-pair terms from
-    /// diagonal bins when enabled, and fold in the primary's weight.
+    /// Stage 4 — accumulate the primary's ζ contribution to the
+    /// `ℓ ≤ ℓ'` blocks ([`ComputeScratch::partial`] fills the rest),
+    /// subtract the degenerate self-pair terms from diagonal bins when
+    /// enabled, and fold in the primary's weight.
     fn accumulate_zeta(&self, scratch: &mut ComputeScratch, ctx: &PrimaryContext) {
         let t3 = now_if(scratch.instrument);
         let nbins = self.config.bins.nbins();
-        let nlm = lm_count(self.config.lmax);
         let wi = ctx.weight;
         let lmax = self.config.lmax;
+        let shell = |i: usize| i * nbins..(i + 1) * nbins;
         for l in 0..=lmax {
-            for lp in 0..=lmax {
-                for m in 0..=l.min(lp) {
-                    let i1 = lm_index(l, m);
-                    let i2 = lm_index(lp, m);
-                    for b1 in 0..nbins {
-                        let a1 = scratch.alm[b1 * nlm + i1];
-                        if a1 == Complex64::ZERO {
-                            continue;
+            for lp in l..=lmax {
+                for m in 0..=l {
+                    let (i1, i2) = (lm_index(l, m), lm_index(lp, m));
+                    let a1_re = &scratch.alm_re[shell(i1)];
+                    let a1_im = &scratch.alm_im[shell(i1)];
+                    let a2_re = &scratch.alm_re[shell(i2)];
+                    let a2_im = &scratch.alm_im[shell(i2)];
+                    let rows = scratch.zeta.block_mut(l, lp, m).chunks_exact_mut(nbins);
+                    for ((row, &re1), &im1) in rows.zip(a1_re).zip(a1_im) {
+                        if re1 == 0.0 && im1 == 0.0 {
+                            continue; // empty shell
                         }
-                        for b2 in 0..nbins {
-                            let a2 = scratch.alm[b2 * nlm + i2];
-                            let v = a1 * a2.conj() * wi;
-                            scratch.zeta.add_to(l, lp, m, b1, b2, v);
+                        // (a₁·conj(a₂))·w in this order conjugates
+                        // exactly under a₁ ↔ a₂, so the ℓ = ℓ' blocks
+                        // are Hermitian bit for bit, like mirrored ones.
+                        for ((z, &re2), &im2) in row.iter_mut().zip(a2_re).zip(a2_im) {
+                            z.re += (re1 * re2 + im1 * im2) * wi;
+                            z.im += (im1 * re2 - re1 * im2) * wi;
                         }
                     }
                 }
             }
         }
         // Remove the degenerate j = k terms from diagonal bins.
-        if let (Some(b2), Some(t2b)) = (&self.self_basis, &self.self_table) {
-            let n2 = b2.len();
-            for bin in 0..nbins {
-                let sums = &scratch.self_sums[bin * n2..(bin + 1) * n2];
-                for l in 0..=lmax {
-                    for lp in 0..=lmax {
-                        for m in 0..=l.min(lp) {
-                            let v = t2b.assemble(l, lp, m, sums) * wi;
-                            scratch.zeta.add_to(l, lp, m, bin, bin, -v);
-                        }
-                    }
+        if let Some(table) = &self.self_pairs {
+            let n = table.num_sums();
+            for block in table.blocks() {
+                let slab = scratch.zeta.block_mut(block.l, block.lp, block.m);
+                for (z, sums) in slab
+                    .iter_mut()
+                    .step_by(nbins + 1)
+                    .zip(scratch.self_sums.chunks_exact(n))
+                {
+                    z.re -= block.contract(sums) * wi;
                 }
             }
         }
@@ -1125,5 +1115,52 @@ mod tests {
             assert_eq!(scratch.partial().binned_pairs, want, "after primary {i}");
         }
         assert!(want > 0, "test catalog must produce pairs");
+    }
+
+    #[test]
+    fn zero_weight_primary_leaves_zeta_untouched() {
+        let mut cat = small_catalog(40, 10.0, 41);
+        cat.galaxies[1].weight = 0.0;
+        let mut config = EngineConfig::test_default(5.0, 3, 3);
+        config.subtract_self_pairs = true;
+        config.traversal = crate::traversal::TraversalChoice::Fixed(TraversalKind::PerPrimary);
+        let engine = Engine::new(config);
+
+        let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
+        let tree = Tree::build(&positions, engine.config().precision);
+        let mut scratch = engine.new_scratch();
+        let mut snapshots = Vec::new();
+        for i in 0..2 {
+            let ctx = engine
+                .gather(&mut scratch, &cat.galaxies, &tree, i, None)
+                .unwrap();
+            engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
+            engine.assemble_alm(&mut scratch);
+            engine.accumulate_zeta(&mut scratch, &ctx);
+            snapshots.push(scratch.partial().clone());
+        }
+        let (before, after) = (&snapshots[0], &snapshots[1]);
+        assert!(before.max_abs() > 0.0 && after.binned_pairs > before.binned_pairs);
+        assert_eq!(after.max_difference(before), 0.0);
+        assert_eq!(after.total_primary_weight, before.total_primary_weight);
+        assert_eq!(after.num_primaries, 2);
+    }
+
+    #[test]
+    fn single_bin_and_monopole_only_shapes_run() {
+        let cat = small_catalog(60, 10.0, 43);
+        for (lmax, nbins) in [(0, 1), (0, 3), (3, 1)] {
+            let mut config = EngineConfig::test_default(5.0, lmax, nbins);
+            config.subtract_self_pairs = true;
+            let zeta = Engine::new(config.clone()).compute(&cat);
+            assert_eq!(zeta.num_primaries, 60);
+            let oracle = crate::naive::naive_anisotropic(&cat.galaxies, &config, None, false);
+            let scale = oracle.max_abs().max(1.0);
+            assert!(
+                zeta.max_difference(&oracle) < 1e-9 * scale,
+                "lmax={lmax} nbins={nbins}: {}",
+                zeta.max_difference(&oracle)
+            );
+        }
     }
 }

@@ -4,10 +4,18 @@
 //! spins follow from `ζ^{−m}_{ℓℓ'} = conj(ζ^m_{ℓℓ'})` (a consequence of
 //! `a_{ℓ,−m} = (−1)^m conj(a_{ℓm})` for real-weighted point sets) and
 //! are not stored. The radial dependence is a full `nbins × nbins`
-//! matrix in `(r₁, r₂)`.
+//! matrix in `(r₁, r₂)`, one contiguous row-major slab per `(ℓ, ℓ', m)`
+//! block ([`ZetaLayout::block`]).
+//!
+//! Every term of the estimator is `w·a_ℓm(r₁)·conj(a_ℓ'm(r₂))` with
+//! real `w`, so also `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))`. Both
+//! halves are stored, but the tree engine accumulates only `ℓ ≤ ℓ'`
+//! and fills `ℓ > ℓ'` once per worker partial, so its output obeys the
+//! identity bit for bit.
 
 use galactos_math::legendre::legendre_p;
 use galactos_math::Complex64;
+use std::ops::Range;
 
 /// Number of `(ℓ, m≥0)` entries for a given `lmax` (re-export shim for
 /// internal use).
@@ -72,14 +80,21 @@ impl ZetaLayout {
         self.len() == 0
     }
 
+    /// Flat range of the `nbins²` slab of block `(ℓ, ℓ', m)`, row-major
+    /// in `(b₁, b₂)`: hot loops resolve it once per block.
+    #[inline]
+    pub fn block(&self, l: usize, lp: usize, m: usize) -> Range<usize> {
+        debug_assert!(l <= self.lmax && lp <= self.lmax && m <= l.min(lp));
+        let slab = self.nbins * self.nbins;
+        let start = (self.lm_offsets[l * (self.lmax + 1) + lp] + m) * slab;
+        start..start + slab
+    }
+
     /// Flat index of `(ℓ, ℓ', m, b₁, b₂)`.
     #[inline]
     pub fn index(&self, l: usize, lp: usize, m: usize, b1: usize, b2: usize) -> usize {
-        debug_assert!(l <= self.lmax && lp <= self.lmax);
-        debug_assert!(m <= l.min(lp));
         debug_assert!(b1 < self.nbins && b2 < self.nbins);
-        let lm = self.lm_offsets[l * (self.lmax + 1) + lp] + m;
-        (lm * self.nbins + b1) * self.nbins + b2
+        self.block(l, lp, m).start + b1 * self.nbins + b2
     }
 }
 
@@ -147,6 +162,33 @@ impl AnisotropicZeta {
     pub fn add_to(&mut self, l: usize, lp: usize, m: usize, b1: usize, b2: usize, v: Complex64) {
         let idx = self.layout.index(l, lp, m, b1, b2);
         self.data[idx] += v;
+    }
+
+    /// The `nbins²` slab of block `(ℓ, ℓ', m)` ([`ZetaLayout::block`]).
+    #[inline]
+    pub fn block_mut(&mut self, l: usize, lp: usize, m: usize) -> &mut [Complex64] {
+        &mut self.data[self.layout.block(l, lp, m)]
+    }
+
+    /// Assign every `ℓ > ℓ'` block from its `ℓ < ℓ'` partner:
+    /// `ζ^m_{ℓ'ℓ}(b₂, b₁) = conj(ζ^m_{ℓℓ'}(b₁, b₂))`. Completes a partial
+    /// of the tree engine; an assignment, so calling it twice is safe.
+    pub(crate) fn mirror(&mut self) {
+        let (lmax, nbins) = (self.layout.lmax, self.layout.nbins);
+        for l in 0..=lmax {
+            for lp in l + 1..=lmax {
+                for m in 0..=l {
+                    let src = self.layout.block(l, lp, m).start;
+                    let dst = self.layout.block(lp, l, m).start;
+                    for b1 in 0..nbins {
+                        for b2 in 0..nbins {
+                            self.data[dst + b2 * nbins + b1] =
+                                self.data[src + b1 * nbins + b2].conj();
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[inline]

@@ -4,10 +4,11 @@
 //! One [`ComputeScratch`] holds everything a worker needs to process
 //! primaries without allocating: the neighbor id buffer, the pair
 //! buckets, the SIMD/scalar kernel accumulator, reduced monomial sums,
-//! shell coefficients, the self-pair correction buffers, and the
-//! worker's private ζ partial plus instrumentation counters. Workers
-//! own their scratch exclusively ("maximum independent work for each
-//! thread"); partials are merged once at the end of a run.
+//! shell coefficients (and their bin-minor transpose), the self-pair
+//! Legendre sums, and the worker's private ζ partial plus
+//! instrumentation counters. Workers own their scratch exclusively
+//! ("maximum independent work for each thread"); partials are merged
+//! once at the end of a run.
 //!
 //! The scratch is reusable: [`ComputeScratch::reset`] returns it to the
 //! freshly-constructed state so callers that manage their own workers
@@ -32,15 +33,20 @@ pub struct ComputeScratch {
     pub(crate) buckets: PairBuckets,
     /// Deferred-reduction multipole accumulator (§3.3.2).
     pub(crate) acc: KernelAccumulator,
-    /// Reduced monomial sums, `nbins × nmono`.
+    /// Reduced monomial sums of the bin being assembled, `nmono`.
     pub(crate) sums: Vec<f64>,
-    /// Shell coefficients, `nbins × lm_count`.
+    /// Shell coefficients of the bin being assembled, `lm_count`.
     pub(crate) alm: Vec<Complex64>,
-    /// Monomial evaluation scratch for the self-pair basis.
+    /// Shell coefficients of every bin, bin-minor and split re/im
+    /// (`lm_count × nbins` each): contiguous rows for the ζ product.
+    pub(crate) alm_re: Vec<f64>,
+    pub(crate) alm_im: Vec<f64>,
+    /// `P_0(μ) … P_{2ℓmax}(μ)` of the pair being binned (empty when
+    /// self-pair subtraction is off).
     pub(crate) self_scratch: Vec<f64>,
-    /// Self-pair monomial sums (degree ≤ 2ℓmax), `nbins × nmono2`.
+    /// Self-pair sums `Σ_j w_j² P_L(μ_j)`, `nbins × (2ℓmax+1)`.
     pub(crate) self_sums: Vec<f64>,
-    /// This worker's ζ partial.
+    /// This worker's ζ partial (`ℓ ≤ ℓ'` blocks only until `partial`).
     pub(crate) zeta: AnisotropicZeta,
     pub(crate) binned_pairs: u64,
     pub(crate) candidate_pairs: u64,
@@ -57,30 +63,33 @@ pub struct ComputeScratch {
 }
 
 impl ComputeScratch {
-    /// Allocate scratch sized for `config`, with monomial counts taken
-    /// from the engine's bases (`nmono2` = 0 when self-pair subtraction
-    /// is off) and the kernel accumulation state built by `backend` —
-    /// the engine resolves its configured [`BackendChoice`](
-    /// crate::kernel::BackendChoice) once at construction and passes
-    /// the resolved backend here for every worker.
+    /// Allocate scratch sized for `config`, with the monomial count
+    /// taken from the engine's basis and the kernel accumulation state
+    /// built by `backend` — the engine resolves its configured
+    /// [`BackendChoice`](crate::kernel::BackendChoice) once at
+    /// construction and passes the resolved backend here for every
+    /// worker.
     pub(crate) fn new(
         config: &EngineConfig,
         basis: &MonomialBasis,
-        nmono2: usize,
         backend: &dyn KernelBackend,
     ) -> Self {
         let nbins = config.bins.nbins();
         let nmono = basis.len();
+        let nlm = lm_count(config.lmax);
+        let nself = usize::from(config.subtract_self_pairs) * (2 * config.lmax + 1);
         let acc = backend.new_accumulator(nbins, nmono);
         ComputeScratch {
             neighbors: Vec::with_capacity(1024),
             block: CandidateBlock::new(),
             buckets: PairBuckets::new(nbins, config.bucket_size),
             acc,
-            sums: vec![0.0; nbins * nmono],
-            alm: vec![Complex64::ZERO; nbins * lm_count(config.lmax)],
-            self_scratch: vec![0.0; nmono2],
-            self_sums: vec![0.0; nbins * nmono2],
+            sums: vec![0.0; nmono],
+            alm: vec![Complex64::ZERO; nlm],
+            alm_re: vec![0.0; nlm * nbins],
+            alm_im: vec![0.0; nlm * nbins],
+            self_scratch: vec![0.0; nself],
+            self_sums: vec![0.0; nbins * nself],
             zeta: AnisotropicZeta::zeros(config.lmax, nbins),
             binned_pairs: 0,
             candidate_pairs: 0,
@@ -108,6 +117,8 @@ impl ComputeScratch {
         self.acc.reset();
         self.sums.iter_mut().for_each(|v| *v = 0.0);
         self.alm.iter_mut().for_each(|v| *v = Complex64::ZERO);
+        self.alm_re.iter_mut().for_each(|v| *v = 0.0);
+        self.alm_im.iter_mut().for_each(|v| *v = 0.0);
         self.self_scratch.iter_mut().for_each(|v| *v = 0.0);
         self.self_sums.iter_mut().for_each(|v| *v = 0.0);
         self.zeta
@@ -126,13 +137,12 @@ impl ComputeScratch {
     }
 
     /// The ζ partial accumulated so far (primarily for tests and
-    /// callers driving stages manually).
-    ///
-    /// The pair counter lives on the scratch while stages run and is
-    /// copied onto the ζ partial exactly once, here and in the
-    /// engine's end-of-worker `finish_scratch` — the stage methods
-    /// themselves never touch `zeta.binned_pairs`.
+    /// callers driving stages manually), as the engine's end-of-worker
+    /// `finish_scratch` hands it to the reduction. The stage methods
+    /// fill only the `ℓ ≤ ℓ'` blocks and the scratch-side pair counter;
+    /// both are completed here, idempotently.
     pub fn partial(&mut self) -> &AnisotropicZeta {
+        self.zeta.mirror();
         self.zeta.binned_pairs = self.binned_pairs;
         &self.zeta
     }

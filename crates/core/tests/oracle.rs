@@ -69,17 +69,25 @@ fn engine_equals_triplet_oracle_radial_los() {
 
 #[test]
 fn engine_self_subtraction_equals_oracle_without_self() {
+    // ℓmax 6 reaches Legendre orders L ≤ 12 of the self-pair series; the
+    // radial case rotates every pair, so μ is not just Δz/r.
     let galaxies = random_weighted_galaxies(25, 8.0, 5);
-    let mut config = engine_config(5.0, 3, 2);
-    config.subtract_self_pairs = true;
-    let engine = Engine::new(config.clone()).compute(&Catalog::new(galaxies.clone()));
-    let oracle = naive_anisotropic(&galaxies, &config, None, false);
-    let scale = oracle.max_abs().max(1.0);
-    assert!(
-        engine.max_difference(&oracle) < 1e-9 * scale,
-        "self-subtracted engine vs oracle: {}",
-        engine.max_difference(&oracle)
-    );
+    let radial = LineOfSight::Radial {
+        observer: Vec3::new(-25.0, 30.0, -40.0),
+    };
+    for line_of_sight in [LineOfSight::Fixed(Vec3::Z), radial] {
+        let mut config = engine_config(5.0, 6, 2);
+        config.subtract_self_pairs = true;
+        config.line_of_sight = line_of_sight;
+        let engine = Engine::new(config.clone()).compute(&Catalog::new(galaxies.clone()));
+        let oracle = naive_anisotropic(&galaxies, &config, None, false);
+        let scale = oracle.max_abs().max(1.0);
+        assert!(
+            engine.max_difference(&oracle) < 1e-9 * scale,
+            "self-subtracted engine vs oracle ({line_of_sight:?}): {}",
+            engine.max_difference(&oracle)
+        );
+    }
 }
 
 #[test]

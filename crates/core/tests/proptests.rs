@@ -80,6 +80,39 @@ proptest! {
     }
 
     #[test]
+    fn tree_output_is_hermitian_bit_for_bit(
+        galaxies in arb_galaxies(50),
+        lmax in 0usize..5,
+        nbins in 1usize..4,
+        self_pairs in proptest::bool::ANY,
+        traversal_idx in 0usize..2,
+    ) {
+        // ζ^m_{ℓ'ℓ}(b₂,b₁) = conj ζ^m_{ℓℓ'}(b₁,b₂), exactly: the engine
+        // mirrors ℓ > ℓ' per worker partial and the merge adds both
+        // halves in the same order.
+        let mut config = base_config(lmax, nbins, 8.0);
+        config.subtract_self_pairs = self_pairs;
+        config.traversal = TraversalChoice::Fixed(TraversalKind::ALL[traversal_idx]);
+        let zeta = Engine::new(config).compute(&Catalog::new(galaxies));
+        for l in 0..=lmax {
+            for lp in 0..=lmax {
+                for m in 0..=l.min(lp) {
+                    for b1 in 0..nbins {
+                        for b2 in 0..nbins {
+                            let a = zeta.get(l, lp, m, b1, b2);
+                            let b = zeta.get(lp, l, m, b2, b1);
+                            prop_assert!(
+                                a.re == b.re && a.im == -b.im,
+                                "({l},{lp},{m},{b1},{b2}): {a} vs {b}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn scheduling_never_changes_results(
         galaxies in arb_galaxies(60),
         lmax in 0usize..4,

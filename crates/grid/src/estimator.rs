@@ -41,7 +41,7 @@ use crate::assign::MassAssignment;
 use crate::mesh::DensityMesh;
 use galactos_catalog::Catalog;
 use galactos_math::fft::{signed_mode, Direction, Mesh3};
-use galactos_math::ylm::YlmPairProductTable;
+use galactos_math::ylm::SelfPairTable;
 use galactos_math::{Complex64, Mat3, MonomialBasis, Vec3, YlmTable};
 use rayon::prelude::*;
 
@@ -365,9 +365,10 @@ pub fn accumulate_zeta_multipoles(
 /// `Σ_j w_j² Y_ℓm(û_ij) conj(Y_ℓ'm(û_ij)) Θ_b(r_ij)`. On the mesh that
 /// is `Σ_u P_{ℓℓ'm}(u)·Θ_b(|u|)·R(u)` with the pair correlation
 /// `R(u) = Σ_x n(x)·n₂(x+u)` of the weight mesh against a `w²`-painted
-/// mesh — a single FFT cross-correlation, after which the per-cell
-/// harmonic products are assembled through the shared degree-2ℓmax
-/// [`YlmPairProductTable`], exactly like the tree's correction.
+/// mesh — a single FFT cross-correlation. The harmonic product depends
+/// on `u` only through `μ = û·ẑ`, so each bin needs just the `2ℓmax+1`
+/// sums `S_L(b) = Σ_u R(u) Θ_b(|u|) P_L(μ)`, contracted with the shared
+/// [`SelfPairTable`] exactly like the tree's correction.
 fn subtract_self_pair_terms(
     catalog: &Catalog,
     cfg: &GridConfig,
@@ -388,20 +389,18 @@ fn subtract_self_pair_terms(
     corr.pointwise_conj_mul(&sq.fourier(cfg.deconvolve));
     let r_u = corr.inverse_real();
 
-    let basis2 = MonomialBasis::new(2 * lmax);
-    let table = YlmPairProductTable::new(lmax, &basis2);
-    let nmono = basis2.len();
-    // Per-bin monomial sums, accumulated in fixed-size shell chunks and
+    let table = SelfPairTable::new(lmax);
+    let nsums = table.num_sums();
+    // Per-bin Legendre sums, accumulated in fixed-size shell chunks and
     // merged in chunk order — the decomposition does not depend on the
     // thread count, so the result is bit-stable across pool sizes.
     const SELF_CHUNK: usize = 4096;
-    let basis2_ref = &basis2;
     let r_u_ref = &r_u;
     let sums: Vec<f64> = shells
         .par_chunks(SELF_CHUNK)
         .map(|chunk| {
-            let mut local = vec![0.0f64; nbins * nmono];
-            let mut scratch = vec![0.0f64; nmono];
+            let mut local = vec![0.0f64; nbins * nsums];
+            let mut legendre = vec![0.0f64; nsums];
             for cell in chunk {
                 let w = r_u_ref[cell.idx as usize];
                 if w == 0.0 {
@@ -410,19 +409,13 @@ fn subtract_self_pair_terms(
                 // The pair direction is the *unreflected* û (primary at
                 // x, secondary at x + u).
                 let b = cell.bin as usize;
-                basis2_ref.accumulate_into(
-                    cell.u[0],
-                    cell.u[1],
-                    cell.u[2],
-                    w,
-                    &mut scratch,
-                    &mut local[b * nmono..(b + 1) * nmono],
-                );
+                let sums = &mut local[b * nsums..(b + 1) * nsums];
+                table.accumulate(cell.u[2], w, &mut legendre, sums);
             }
             local
         })
         .reduce(
-            || vec![0.0f64; nbins * nmono],
+            || vec![0.0f64; nbins * nsums],
             |mut a, b| {
                 for (x, y) in a.iter_mut().zip(b.iter()) {
                     *x += *y;
@@ -430,13 +423,13 @@ fn subtract_self_pair_terms(
                 a
             },
         );
-    for b in 0..nbins {
-        let s = &sums[b * nmono..(b + 1) * nmono];
-        for l in 0..=lmax {
-            for lp in 0..=lmax {
-                for m in 0..=l.min(lp) {
-                    sink(l, lp, m, b, b, -table.assemble(l, lp, m, s));
-                }
+    for (b, s) in sums.chunks_exact(nsums).enumerate() {
+        for block in table.blocks() {
+            // The product is real, so (ℓ', ℓ, m) takes the same value.
+            let v = Complex64::real(-block.contract(s));
+            sink(block.l, block.lp, block.m, b, b, v);
+            if block.l != block.lp {
+                sink(block.lp, block.l, block.m, b, b, v);
             }
         }
     }

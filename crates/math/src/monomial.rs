@@ -191,23 +191,6 @@ impl MonomialBasis {
             out[i + 1] = out[step.parent as usize] * coords[step.axis.index()];
         }
     }
-
-    /// Accumulating variant used by the scalar kernel:
-    /// `acc[i] += weight * monomial_i(x, y, z)`.
-    pub fn accumulate_into(
-        &self,
-        x: f64,
-        y: f64,
-        z: f64,
-        weight: f64,
-        scratch: &mut [f64],
-        acc: &mut [f64],
-    ) {
-        self.eval_into(x, y, z, scratch);
-        for (a, s) in acc.iter_mut().zip(scratch.iter()) {
-            *a += weight * s;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -276,20 +259,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn accumulate_adds_weighted_values() {
-        let b = MonomialBasis::new(3);
-        let mut scratch = vec![0.0; b.len()];
-        let mut acc = vec![0.0; b.len()];
-        b.accumulate_into(0.5, 0.5, 0.5, 2.0, &mut scratch, &mut acc);
-        b.accumulate_into(1.0, 0.0, 0.0, 1.0, &mut scratch, &mut acc);
-        // constant term: 2*1 + 1*1 = 3
-        assert!((acc[0] - 3.0).abs() < 1e-14);
-        // x term: 2*0.5 + 1*1 = 2
-        let ix = b.index_of(1, 0, 0);
-        assert!((acc[ix] - 2.0).abs() < 1e-14);
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //! are real.
 
 use crate::complex::Complex64;
-use crate::legendre::legendre_derivative_coefficients;
+use crate::legendre::{legendre_all, legendre_derivative_coefficients};
 use crate::monomial::MonomialBasis;
 use crate::poly3::{r_squared_pow, x_plus_iy_pow, Poly3};
 use crate::sphharm::ylm_norm;
 use crate::vec3::Vec3;
+use crate::wigner::Wigner3j;
 use crate::{lm_count, lm_index};
 
 /// One `(monomial index, coefficient)` entry of a `Y_ℓm` expansion.
@@ -144,125 +145,102 @@ impl YlmTable {
     }
 }
 
-/// Expansion of the *products* `Y_ℓm(û) · conj(Y_ℓ'm(û))` in the
-/// monomial basis (each product is a homogeneous polynomial of degree
-/// `ℓ+ℓ'` on the unit sphere, so the basis must extend to `2·ℓmax`).
+/// The degenerate-triangle (self-pair) products
+/// `Y_ℓm(û)·conj(Y_ℓ'm(û))` as Legendre series in `μ = û·ẑ`.
 ///
-/// Used for the degenerate-triangle (self-pair) correction: the product
-/// `a_ℓm(b)·a*_ℓ'm(b)` on a diagonal radial bin contains the `j = k`
-/// terms `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))`, which the engine removes
-/// by accumulating one extra monomial table (degree ≤ 2ℓmax) with
-/// weights `w²` and assembling it through this table.
+/// Both factors carry the same `e^{imφ}`, so the product has no
+/// φ-dependence: it is the *real* polynomial
+/// `N_ℓm N_ℓ'm P_ℓ^m(μ) P_ℓ'^m(μ)` of degree `ℓ+ℓ'`, and the Gaunt
+/// contraction of `Y_ℓm Y_ℓ',−m` onto `Y_L0` gives its Legendre form
+///
+/// ```text
+/// Y_ℓm conj(Y_ℓ'm) = Σ_L C^L_{ℓℓ'm} P_L(μ),
+/// C^L_{ℓℓ'm} = (−1)^m √((2ℓ+1)(2ℓ'+1))/(4π) · (2L+1)
+///              · (ℓ ℓ' L; 0 0 0)(ℓ ℓ' L; m −m 0),
+/// ```
+///
+/// non-zero only for `L = ℓ'−ℓ, ℓ'−ℓ+2, …, ℓ'+ℓ`. The product
+/// `a_ℓm(b)·conj(a_ℓ'm(b))` on a diagonal radial bin contains the
+/// `j = k` terms `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))`; both estimators
+/// remove them by accumulating the `2ℓmax+1` sums
+/// `S_L = Σ_j w_j² P_L(μ_j)` ([`SelfPairTable::accumulate`]) and
+/// contracting them with this table. Only `ℓ ≤ ℓ'` is stored: the
+/// product is real, so `(ℓ', ℓ, m)` has the same value.
 #[derive(Clone, Debug)]
-pub struct YlmPairProductTable {
+pub struct SelfPairTable {
     lmax: usize,
-    /// Indexed by `pair_index(l, lp, m)`.
-    entries: Vec<Vec<YlmTerm>>,
+    /// The `ℓ+1` non-zero coefficients of every `(ℓ ≤ ℓ', m)` block,
+    /// blocks in ℓ-major, ℓ'-next, m-last order.
+    coeffs: Vec<f64>,
 }
 
-impl YlmPairProductTable {
-    /// Flat index for `(ℓ, ℓ', m)` with `0 ≤ m ≤ min(ℓ, ℓ')`.
-    /// Layout: ℓ major, ℓ' next, m last.
-    pub fn pair_index(lmax: usize, l: usize, lp: usize, m: usize) -> usize {
-        debug_assert!(l <= lmax && lp <= lmax && m <= l.min(lp));
-        // offset of (l, lp) block: sum over previous (a, b) of min(a,b)+1
-        let mut off = 0usize;
-        for a in 0..=lmax {
-            for b in 0..=lmax {
-                if (a, b) == (l, lp) {
-                    return off + m;
-                }
-                off += a.min(b) + 1;
-            }
-        }
-        unreachable!("pair_index out of range");
-    }
+/// One `(ℓ ≤ ℓ', m)` product of a [`SelfPairTable`].
+#[derive(Clone, Copy, Debug)]
+pub struct SelfPairBlock<'a> {
+    pub l: usize,
+    pub lp: usize,
+    pub m: usize,
+    /// `C^L` at `L = ℓ'−ℓ, ℓ'−ℓ+2, …, ℓ'+ℓ`.
+    coeffs: &'a [f64],
+}
 
-    /// Total number of `(ℓ, ℓ', m≥0)` combinations for `lmax`.
-    pub fn pair_count(lmax: usize) -> usize {
-        let mut n = 0;
-        for a in 0..=lmax {
-            for b in 0..=lmax {
-                n += a.min(b) + 1;
-            }
-        }
-        n
+impl SelfPairBlock<'_> {
+    /// `Σ_L C^L_{ℓℓ'm} S_L` for Legendre sums `S_0 … S_{2ℓmax}`.
+    #[inline]
+    pub fn contract(&self, legendre_sums: &[f64]) -> f64 {
+        let sums = legendre_sums[self.lp - self.l..].iter().step_by(2);
+        self.coeffs.iter().zip(sums).map(|(c, s)| c * s).sum()
     }
+}
 
-    /// Build the product table. `basis` must span degree `2·lmax`.
-    pub fn new(lmax: usize, basis: &MonomialBasis) -> Self {
-        assert!(
-            basis.lmax() >= 2 * lmax,
-            "basis must span degree 2·lmax = {}",
-            2 * lmax
-        );
-        let mut entries = Vec::with_capacity(Self::pair_count(lmax));
-        for l in 0..=lmax {
-            for lp in 0..=lmax {
-                for m in 0..=l.min(lp) {
-                    entries.push(Self::expand_product(l, lp, m, basis));
+impl SelfPairTable {
+    pub fn new(lmax: usize) -> Self {
+        let w3j = Wigner3j::new(2 * lmax);
+        let mut coeffs = Vec::new();
+        for l in 0..=lmax as i64 {
+            for lp in l..=lmax as i64 {
+                let norm =
+                    (((2 * l + 1) * (2 * lp + 1)) as f64).sqrt() / (4.0 * std::f64::consts::PI);
+                for m in 0..=l {
+                    let sign = if m % 2 == 0 { norm } else { -norm };
+                    coeffs.extend((lp - l..=lp + l).step_by(2).map(|big_l| {
+                        sign * (2 * big_l + 1) as f64
+                            * w3j.eval(l, lp, big_l, 0, 0, 0)
+                            * w3j.eval(l, lp, big_l, m, -m, 0)
+                    }));
                 }
             }
         }
-        YlmPairProductTable { lmax, entries }
+        SelfPairTable { lmax, coeffs }
     }
 
-    fn expand_product(l: usize, lp: usize, m: usize, basis: &MonomialBasis) -> Vec<YlmTerm> {
-        let a = Self::ylm_poly(l, m);
-        let b = Self::ylm_poly(lp, m);
-        // conj in monomial space: conjugate the coefficients (the
-        // monomials themselves are real).
-        let mut b_conj = Poly3::zero();
-        for (e, c) in b.terms() {
-            b_conj.add_term(e, c.conj());
+    /// Number of Legendre sums `S_0 … S_{2ℓmax}` a contraction reads.
+    #[inline]
+    pub fn num_sums(&self) -> usize {
+        2 * self.lmax + 1
+    }
+
+    /// One pair's share of the sums: `sums[L] += weight · P_L(μ)` for
+    /// `L = 0 … 2ℓmax` (`legendre` is scratch of the same length).
+    #[inline]
+    pub fn accumulate(&self, mu: f64, weight: f64, legendre: &mut [f64], sums: &mut [f64]) {
+        legendre_all(2 * self.lmax, mu, legendre);
+        for (s, p) in sums.iter_mut().zip(legendre.iter()) {
+            *s += weight * p;
         }
-        a.mul(&b_conj)
-            .terms()
-            .map(|((k, p, q), c)| YlmTerm {
-                monomial: basis.index_of(k, p, q) as u32,
-                coeff: c,
+    }
+
+    /// Every `(ℓ ≤ ℓ', m)` block, ℓ-major, ℓ'-next, m-last.
+    pub fn blocks(&self) -> impl Iterator<Item = SelfPairBlock<'_>> {
+        let lmax = self.lmax;
+        let mut rest = self.coeffs.as_slice();
+        (0..=lmax)
+            .flat_map(move |l| (l..=lmax).flat_map(move |lp| (0..=l).map(move |m| (l, lp, m))))
+            .map(move |(l, lp, m)| {
+                let (coeffs, tail) = rest.split_at(l + 1);
+                rest = tail;
+                SelfPairBlock { l, lp, m, coeffs }
             })
-            .collect()
-    }
-
-    /// The homogeneous polynomial for one `Y_ℓm` (same construction as
-    /// `YlmTable::expand_ylm`, kept in raw `Poly3` form).
-    fn ylm_poly(l: usize, m: usize) -> Poly3 {
-        let d = legendre_derivative_coefficients(l, m);
-        let mut poly = Poly3::zero();
-        for (j, &dj) in d.iter().enumerate() {
-            if dj == 0.0 {
-                continue;
-            }
-            let rem = l - m - j;
-            let term = Poly3::monomial((0, 0, j as u32), Complex64::real(dj))
-                .mul(&r_squared_pow((rem / 2) as u32));
-            poly = poly.add(&term);
-        }
-        let sign = if m.is_multiple_of(2) { 1.0 } else { -1.0 };
-        let prefactor = Complex64::real(sign * ylm_norm(l, m));
-        x_plus_iy_pow(m as u32).mul(&poly).scale(prefactor)
-    }
-
-    #[inline]
-    pub fn lmax(&self) -> usize {
-        self.lmax
-    }
-
-    /// Terms of the `(ℓ, ℓ', m)` product.
-    #[inline]
-    pub fn terms(&self, l: usize, lp: usize, m: usize) -> &[YlmTerm] {
-        &self.entries[Self::pair_index(self.lmax, l, lp, m)]
-    }
-
-    /// Assemble `Σ_j w_j Y_ℓm(û_j) conj(Y_ℓ'm(û_j))` from the weighted
-    /// monomial sums (degree ≤ 2ℓmax) over those points.
-    pub fn assemble(&self, l: usize, lp: usize, m: usize, monomial_sums: &[f64]) -> Complex64 {
-        let mut acc = Complex64::ZERO;
-        for t in self.terms(l, lp, m) {
-            acc += t.coeff * monomial_sums[t.monomial as usize];
-        }
-        acc
     }
 }
 
@@ -345,9 +323,10 @@ mod tests {
             Vec3::new(0.5, -0.5, 0.707).normalized().unwrap(),
         ];
         let mut sums = vec![0.0; basis.len()];
-        let mut scratch = vec![0.0; basis.len()];
+        let mut vals = vec![0.0; basis.len()];
         for u in us {
-            basis.accumulate_into(u.x, u.y, u.z, 1.0, &mut scratch, &mut sums);
+            basis.eval_into(u.x, u.y, u.z, &mut vals);
+            sums.iter_mut().zip(&vals).for_each(|(s, v)| *s += v);
         }
         let alm = table.alm_from_sums(&sums);
         for l in 0..=lmax {
@@ -362,50 +341,40 @@ mod tests {
     }
 
     #[test]
-    fn product_table_matches_direct_products() {
-        let lmax = 4;
-        let basis = MonomialBasis::new(2 * lmax);
-        let table = YlmPairProductTable::new(lmax, &basis);
-        let dirs = [
-            Vec3::new(0.3, -0.5, 0.8).normalized().unwrap(),
-            Vec3::new(-0.7, 0.2, 0.3).normalized().unwrap(),
-        ];
-        let mut sums = vec![0.0; basis.len()];
-        let mut scratch = vec![0.0; basis.len()];
+    fn self_pair_table_matches_direct_products() {
+        use rand::{Rng, SeedableRng};
+        let lmax = 10;
+        let table = SelfPairTable::new(lmax);
+        assert_eq!(table.num_sums(), 2 * lmax + 1);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1709);
+        let mut dirs = vec![Vec3::Z, -Vec3::Z, Vec3::X];
+        while dirs.len() < 24 {
+            let v = Vec3::new(
+                rng.random_range(-1.0..1.0),
+                rng.random_range(-1.0..1.0),
+                rng.random_range(-1.0..1.0),
+            );
+            dirs.extend(v.normalized());
+        }
+        let mut legendre = vec![0.0; table.num_sums()];
         for u in dirs {
-            basis.accumulate_into(u.x, u.y, u.z, 1.0, &mut scratch, &mut sums);
-        }
-        for l in 0..=lmax {
-            for lp in 0..=lmax {
-                for m in 0..=l.min(lp) {
-                    let via_table = table.assemble(l, lp, m, &sums);
-                    let mut direct = Complex64::ZERO;
-                    for u in dirs {
-                        direct +=
-                            ylm_cartesian(l, m as i64, u) * ylm_cartesian(lp, m as i64, u).conj();
-                    }
-                    assert!(
-                        via_table.dist_inf(direct) < 1e-10,
-                        "l={l} lp={lp} m={m}: {via_table} vs {direct}"
-                    );
-                }
+            legendre_all(2 * lmax, u.z, &mut legendre);
+            let mut expect = (0..=lmax)
+                .flat_map(|l| (l..=lmax).flat_map(move |lp| (0..=l).map(move |m| (l, lp, m))));
+            for block in table.blocks() {
+                let (l, lp, m) = (block.l, block.lp, block.m);
+                assert_eq!(expect.next(), Some((l, lp, m)));
+                let direct = ylm_cartesian(l, m as i64, u) * ylm_cartesian(lp, m as i64, u).conj();
+                // The product is a real series in μ: no φ-dependence.
+                assert!(direct.im.abs() <= 1e-13, "l={l} lp={lp} m={m}: {direct}");
+                let via_table = block.contract(&legendre);
+                assert!(
+                    (via_table - direct.re).abs() < 1e-11,
+                    "l={l} lp={lp} m={m} u={u:?}: {via_table} vs {direct}"
+                );
             }
+            assert_eq!(expect.next(), None);
         }
-    }
-
-    #[test]
-    fn pair_index_is_dense_and_ordered() {
-        let lmax = 5;
-        let mut next = 0usize;
-        for l in 0..=lmax {
-            for lp in 0..=lmax {
-                for m in 0..=l.min(lp) {
-                    assert_eq!(YlmPairProductTable::pair_index(lmax, l, lp, m), next);
-                    next += 1;
-                }
-            }
-        }
-        assert_eq!(YlmPairProductTable::pair_count(lmax), next);
     }
 
     #[test]

@@ -10,23 +10,15 @@ use galactos_mocks::scaled::{
 /// 225,000 galaxies in a ~146 Mpc/h box; we default to a smaller cut of
 /// the same density so Rmax-scaled physics carries over).
 pub fn node_dataset(n: usize, clustered: bool, seed: u64) -> Catalog {
-    let mut cat = periodic_node_dataset(n, clustered, seed);
-    cat.periodic = None; // open box, like the paper's per-node domain
-    cat
-}
-
-/// Periodic-box variant of [`node_dataset`]: the same density-matched
-/// mock with its simulation-box topology kept, which is what the
-/// gridded (FFT) estimator requires and what `grid_estimator`
-/// benchmarks against the tree.
-pub fn periodic_node_dataset(n: usize, clustered: bool, seed: u64) -> Catalog {
     let ds = scaled_dataset(1, n as f64, OUTER_RIM_DENSITY);
     let kind = if clustered {
         MockKind::Clustered
     } else {
         MockKind::Poisson
     };
-    generate_scaled_catalog(&ds, 1.0, kind, seed)
+    let mut cat = generate_scaled_catalog(&ds, 1.0, kind, seed);
+    cat.periodic = None; // open box, like the paper's per-node domain
+    cat
 }
 
 /// The Rmax that plays the role of the paper's 200 Mpc/h for a scaled

@@ -1,26 +1,21 @@
-//! Shared infrastructure for the paper-reproduction benchmark binaries.
+//! Shared infrastructure for the paper-reproduction binaries.
 //!
-//! Each table/figure of the paper's evaluation has a binary under
-//! `src/bin/` (run with `cargo run --release -p galactos-bench --bin
-//! <name>`); kernel microbenchmarks live in `benches/` (run with
-//! `cargo bench`). This library provides what they share:
+//! Each binary under `src/bin/` (run with `cargo run --release -p
+//! galactos-bench --bin <name>`) prints one paper figure or table that
+//! no repo-benchmark workload produces. Nothing here measures
+//! performance for the record: that is `BENCHMARK.json` + `benchmark/`.
+//! This library provides what the binaries share:
 //!
 //! * [`costmodel`] — the measured-throughput cost model that converts
 //!   exact per-rank pair counts into simulated times for rank counts far
 //!   beyond the host (the Cori substitution documented in DESIGN.md §1);
 //! * [`datasets`] — catalog generation wrappers at paper-scaled sizes;
-//! * [`tables`] — aligned console table printing;
-//! * [`peak`] — an FMA micro-benchmark measuring the host's achievable
-//!   peak FLOP rate, the denominator of the paper's "39% of peak";
-//! * [`json`] — a minimal JSON builder for machine-readable outputs
-//!   like `perf_baseline`'s `BENCH_kernels.json`.
+//! * [`tables`] — aligned console table printing.
 
 #![forbid(unsafe_code)]
 
 pub mod costmodel;
 pub mod datasets;
-pub mod json;
-pub mod peak;
 pub mod tables;
 
 /// Standard random seed used by the benchmark binaries so runs are

@@ -62,8 +62,9 @@ pub struct EngineConfig {
     /// how benchmarks and equivalence tests compare them. Resolved once
     /// at [`Engine::new`](crate::engine::Engine::new). All backends
     /// produce results equal to the scalar reference up to
-    /// floating-point reassociation (≲ 1e-11 relative; enforced by
-    /// tests and CI's bench-smoke job).
+    /// floating-point reassociation (≲ 1e-11 relative in the kernel
+    /// unit tests, 1e-10 through the full engine in
+    /// `tests/backends.rs`).
     pub kernel_backend: BackendChoice,
     /// How secondaries are found for each primary — one tree descent
     /// per primary, or the paper's §3.2 node-to-node walk gathering
@@ -75,8 +76,8 @@ pub struct EngineConfig {
     /// benchmark and equivalence tests compare them. Resolved once at
     /// [`Engine::new`](crate::engine::Engine::new). Both modes bin
     /// exactly the same pairs and agree to floating-point
-    /// reassociation (≤ 1e-9 relative; enforced by the equivalence
-    /// suite and CI's bench-smoke gate).
+    /// reassociation (≤ 1e-9 relative; enforced by
+    /// `tests/traversal_equivalence.rs`).
     pub traversal: TraversalChoice,
     /// Which *estimator* evaluates ζ — the exact tree traversal or the
     /// FFT grid (`galactos-grid`), whose cost scales with mesh size
@@ -89,8 +90,8 @@ pub struct EngineConfig {
     /// path requires a periodic catalog and a fixed line of sight, and
     /// its answer converges to the tree's as the mesh is refined (the
     /// convergence gate — relative ζ difference decreasing across mesh
-    /// resolutions, tightest ≤ 1e-2 — is enforced by the
-    /// `grid_equivalence` tests and the `grid_estimator` bench).
+    /// resolutions, tightest ≤ 1e-2 — is enforced by
+    /// `tests/grid_equivalence.rs`).
     /// Distributed/subset entry points always run the tree.
     pub estimator: EstimatorChoice,
 }

@@ -29,14 +29,12 @@
 //! that is merged once at the end: "this approach ensures maximum
 //! independent work for each thread".
 
-use crate::config::{EngineConfig, Scheduling};
+use crate::config::EngineConfig;
 use crate::estimator::{EstimatorKind, ResolvedEstimator};
-use crate::flops::FlopCounter;
 use crate::kernel::{BackendKind, KernelBackend};
 use crate::result::AnisotropicZeta;
 use crate::schedule::{self, Merge};
 use crate::scratch::ComputeScratch;
-use crate::timing::{Stage, StageTimer};
 use crate::traversal::{LeafInfo, TraversalKind, Tree};
 use galactos_catalog::{Catalog, Galaxy};
 use galactos_math::monomial::MonomialBasis;
@@ -134,29 +132,7 @@ impl Engine {
     /// dispatching to the resolved estimator — the tree traversal or
     /// the FFT grid.
     pub fn compute(&self, catalog: &Catalog) -> AnisotropicZeta {
-        self.compute_instrumented(catalog, None, None)
-    }
-
-    /// [`Engine::compute`] with an explicit scheduling policy, ignoring
-    /// the configured one. Lets ablations compare schedules on one
-    /// engine instead of rebuilding the (ℓmax-sized) tables per run.
-    /// Always runs the tree path — primary scheduling is a traversal
-    /// concept with no grid counterpart.
-    pub fn compute_with_scheduling(
-        &self,
-        catalog: &Catalog,
-        scheduling: Scheduling,
-    ) -> AnisotropicZeta {
-        self.check_periodic(catalog);
-        self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            scheduling,
-            None,
-            None,
-            None,
-        )
+        self.compute_observed(catalog, &ObsSession::disabled())
     }
 
     /// [`Engine::compute`] recording spans and metrics into an
@@ -165,8 +141,7 @@ impl Engine {
     /// worker spans (one obs track per worker thread) carrying the
     /// search/bin/kernel/assembly stage breakdown as aggregate slices;
     /// the grid path emits a `grid` span with the native paint / fields
-    /// / contract / self-pair breakdown — the split the legacy
-    /// [`StageTimer`] mapping folds into Assembly.
+    /// / contract / self-pair breakdown.
     ///
     /// With a disabled session this is exactly [`Engine::compute`]:
     /// zero clock reads, bit-identical results (test-pinned).
@@ -174,75 +149,10 @@ impl Engine {
         self.check_periodic(catalog);
         if let ResolvedEstimator::Grid(grid) = &self.estimator {
             let _g = obs.tracer.span("grid");
-            return self
-                .compute_grid_obs(catalog, grid, None, obs.is_enabled(), Some(obs))
-                .0;
+            return self.compute_grid(catalog, grid, obs);
         }
         let _g = obs.tracer.span("engine");
-        self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            self.config.scheduling,
-            None,
-            None,
-            Some(obs),
-        )
-    }
-
-    /// [`Engine::compute`] with stage timing and FLOP counting. The
-    /// grid estimator maps its stages onto the timer (painting →
-    /// tree-build, kernels/FFTs → multipole, ζ contraction → assembly)
-    /// and leaves the FLOP counter untouched (it never enumerates
-    /// pairs).
-    pub fn compute_instrumented(
-        &self,
-        catalog: &Catalog,
-        timer: Option<&StageTimer>,
-        flops: Option<&FlopCounter>,
-    ) -> AnisotropicZeta {
-        self.check_periodic(catalog);
-        if let ResolvedEstimator::Grid(grid) = &self.estimator {
-            return self.compute_grid_obs(catalog, grid, timer, false, None).0;
-        }
-        self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            self.config.scheduling,
-            timer,
-            flops,
-            None,
-        )
-    }
-
-    /// [`Engine::compute_instrumented`] exposing the grid estimator's
-    /// native stage breakdown alongside the result. On the tree path
-    /// the second element is `None`; on the grid path it carries the
-    /// raw [`galactos_grid::GridTimings`] (paint / field / contraction
-    /// / self-pair nanos) that the [`StageTimer`] mapping aggregates.
-    pub fn compute_with_grid_timings(
-        &self,
-        catalog: &Catalog,
-        timer: Option<&StageTimer>,
-    ) -> (AnisotropicZeta, Option<galactos_grid::GridTimings>) {
-        self.check_periodic(catalog);
-        if let ResolvedEstimator::Grid(grid) = &self.estimator {
-            // The native breakdown was explicitly requested, so the
-            // grid run is always instrumented here.
-            let (zeta, timings) = self.compute_grid_obs(catalog, grid, timer, true, None);
-            return (zeta, Some(timings));
-        }
-        let zeta = self.run(
-            &catalog.galaxies,
-            catalog.len(),
-            catalog.periodic,
-            self.config.scheduling,
-            timer,
-            None,
-            None,
-        );
-        (zeta, None)
+        self.run(&catalog.galaxies, catalog.len(), catalog.periodic, obs)
     }
 
     fn check_periodic(&self, catalog: &Catalog) {
@@ -258,17 +168,6 @@ impl Engine {
         }
     }
 
-    /// Compute the *isotropic* multipoles of a catalog through the full
-    /// anisotropic machinery plus the addition-theorem compression —
-    /// "Galactos, a scalable algorithm and highly optimized
-    /// implementation for both the isotropic and anisotropic 3PCF"
-    /// (paper §3). Matches the independent Legendre baseline in
-    /// [`crate::isotropic`] (tests enforce it) while using the fast
-    /// monomial kernel.
-    pub fn compute_isotropic(&self, catalog: &Catalog) -> crate::result::IsotropicZeta {
-        self.compute(catalog).compress_isotropic()
-    }
-
     /// Compute with only the first `n_primaries` galaxies acting as
     /// primaries; the remainder participate as secondaries only. This is
     /// the per-rank entry point of the distributed pipeline ("ignoring
@@ -278,15 +177,7 @@ impl Engine {
     /// cannot represent.
     pub fn compute_subset(&self, galaxies: &[Galaxy], n_primaries: usize) -> AnisotropicZeta {
         assert!(n_primaries <= galaxies.len());
-        self.run(
-            galaxies,
-            n_primaries,
-            None,
-            self.config.scheduling,
-            None,
-            None,
-            None,
-        )
+        self.run(galaxies, n_primaries, None, &ObsSession::disabled())
     }
 
     /// The gridded estimator path: paint → FFT shell convolutions → ζ
@@ -297,14 +188,12 @@ impl Engine {
     /// uniform — the two geometric assumptions of the periodic
     /// convolution formulation. `binned_pairs` stays 0 on the result:
     /// the grid path never enumerates pairs.
-    fn compute_grid_obs(
+    fn compute_grid(
         &self,
         catalog: &Catalog,
         grid: &galactos_grid::GridConfig,
-        timer: Option<&StageTimer>,
-        want_native: bool,
-        obs: Option<&ObsSession>,
-    ) -> (AnisotropicZeta, galactos_grid::GridTimings) {
+        obs: &ObsSession,
+    ) -> AnisotropicZeta {
         assert!(
             catalog.periodic.is_some(),
             "the grid estimator requires a periodic catalog \
@@ -330,73 +219,55 @@ impl Engine {
             rotation,
             &|r| bins.bin_of(r),
             self.config.subtract_self_pairs,
-            // Zero-cost contract: clock reads happen only when some
-            // form of timing was actually requested.
-            timer.is_some() || want_native,
+            // Zero-cost contract: clock reads happen only under an
+            // enabled session.
+            obs.is_enabled(),
             &mut |l, lp, m, b1, b2, v| zeta.block_mut(l, lp, m)[b1 * bins.nbins() + b2] += v,
         );
         zeta.total_primary_weight = catalog.total_weight();
         zeta.num_primaries = catalog.len() as u64;
-        if let Some(t) = timer {
-            t.add(Stage::TreeBuild, timings.paint_nanos);
-            t.add(Stage::Multipole, timings.field_nanos);
-            // Assembly covers both the ζ contraction and the self-pair
-            // correction; the *native* four-way split stays recoverable
-            // through [`Engine::compute_with_grid_timings`] and the obs
-            // counters below.
-            t.add(Stage::Assembly, timings.zeta_nanos + timings.selfpair_nanos);
-        }
-        if let Some(o) = obs {
-            // Native breakdown as aggregate slices under the open grid
-            // span and as registry counters — nothing is folded.
-            o.tracer.add_aggregate("paint", 1, timings.paint_nanos);
-            o.tracer.add_aggregate("fields", 1, timings.field_nanos);
-            o.tracer.add_aggregate("contract", 1, timings.zeta_nanos);
-            o.tracer
-                .add_aggregate("selfpair", 1, timings.selfpair_nanos);
-            o.registry.add("grid.paint_nanos", timings.paint_nanos);
-            o.registry.add("grid.field_nanos", timings.field_nanos);
-            o.registry.add("grid.zeta_nanos", timings.zeta_nanos);
-            o.registry
-                .add("grid.selfpair_nanos", timings.selfpair_nanos);
-            o.registry.add("grid.primaries", catalog.len() as u64);
-        }
-        (zeta, timings)
+        // Native breakdown as aggregate slices under the open grid span
+        // and as registry counters (no-ops on a disabled session).
+        obs.tracer.add_aggregate("paint", 1, timings.paint_nanos);
+        obs.tracer.add_aggregate("fields", 1, timings.field_nanos);
+        obs.tracer.add_aggregate("contract", 1, timings.zeta_nanos);
+        obs.tracer
+            .add_aggregate("selfpair", 1, timings.selfpair_nanos);
+        obs.registry.add("grid.paint_nanos", timings.paint_nanos);
+        obs.registry.add("grid.field_nanos", timings.field_nanos);
+        obs.registry.add("grid.zeta_nanos", timings.zeta_nanos);
+        obs.registry
+            .add("grid.selfpair_nanos", timings.selfpair_nanos);
+        obs.registry.add("grid.primaries", catalog.len() as u64);
+        zeta
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
         galaxies: &[Galaxy],
         n_primaries: usize,
         periodic: Option<f64>,
-        scheduling: Scheduling,
-        timer: Option<&StageTimer>,
-        flops: Option<&FlopCounter>,
-        obs: Option<&ObsSession>,
+        obs: &ObsSession,
     ) -> AnisotropicZeta {
-        let observing = obs.is_some_and(|o| o.is_enabled());
         let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
         let tree = {
-            let _g = obs.map(|o| o.tracer.span("tree_build"));
-            let t0 = now_if(timer.is_some());
-            let tree = Tree::build(&positions, self.config.precision);
-            if let Some(t) = timer {
-                t.add(Stage::TreeBuild, nanos_since(t0));
-            }
-            tree
+            let _g = obs.tracer.span("tree_build");
+            Tree::build(&positions, self.config.precision)
         };
 
-        // An enabled session needs the scratch nano counters even when
-        // no StageTimer was passed: the per-chunk stage aggregates are
-        // drained from them.
-        let instrument = timer.is_some() || observing;
+        // The per-chunk stage aggregates are drained from the scratch
+        // nano counters, which only an enabled session fills.
         let make_state = || {
             let mut scratch = self.new_scratch();
-            scratch.instrument = instrument;
+            scratch.instrument = obs.is_enabled();
             scratch
         };
-        let finish = |scratch| Self::finish_scratch(scratch, timer, flops);
+        // The stage methods fill only the ℓ ≤ ℓ' blocks and the
+        // scratch-side pair counter; `partial` completes both.
+        let finish = |mut scratch: ComputeScratch| {
+            scratch.partial();
+            scratch.zeta
+        };
         let merge = || Merge {
             zero: || AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins()),
             merge: |mut a: AnisotropicZeta, b| {
@@ -407,18 +278,16 @@ impl Engine {
 
         match self.traversal {
             TraversalKind::PerPrimary => schedule::run_partitioned(
-                scheduling,
+                self.config.scheduling,
                 n_primaries,
                 make_state,
                 |scratch, range| {
-                    let _g = obs.map(|o| o.tracer.span("chunk"));
+                    let _g = obs.tracer.span("chunk");
                     let n_items = range.len() as u64;
                     for i in range {
                         self.process_primary(scratch, galaxies, &tree, i, periodic);
                     }
-                    if let Some(o) = obs {
-                        Self::emit_chunk_obs(o, scratch, n_items);
-                    }
+                    Self::emit_chunk_obs(obs, scratch, n_items);
                 },
                 finish,
                 merge(),
@@ -431,11 +300,11 @@ impl Engine {
             TraversalKind::LeafBlocked => {
                 let leaves = tree.leaf_blocks();
                 schedule::run_partitioned(
-                    scheduling,
+                    self.config.scheduling,
                     leaves.len(),
                     make_state,
                     |scratch, range| {
-                        let _g = obs.map(|o| o.tracer.span("chunk"));
+                        let _g = obs.tracer.span("chunk");
                         let n_items = range.len() as u64;
                         for li in range {
                             self.process_leaf(
@@ -447,9 +316,7 @@ impl Engine {
                                 periodic,
                             );
                         }
-                        if let Some(o) = obs {
-                            Self::emit_chunk_obs(o, scratch, n_items);
-                        }
+                        Self::emit_chunk_obs(obs, scratch, n_items);
                     },
                     finish,
                     merge(),
@@ -479,28 +346,6 @@ impl Engine {
     /// with accumulation state from the resolved kernel backend.
     pub fn new_scratch(&self) -> ComputeScratch {
         ComputeScratch::new(&self.config, &self.basis, self.backend)
-    }
-
-    /// Drain a finished worker's instrumentation into the shared
-    /// collectors and return its ζ partial.
-    fn finish_scratch(
-        mut scratch: ComputeScratch,
-        timer: Option<&StageTimer>,
-        flops: Option<&FlopCounter>,
-    ) -> AnisotropicZeta {
-        if let Some(t) = timer {
-            t.add(Stage::TreeSearch, scratch.t_search);
-            t.add(Stage::Binning, scratch.t_bin);
-            t.add(Stage::Multipole, scratch.t_kernel);
-            t.add(Stage::Assembly, scratch.t_assembly);
-        }
-        if let Some(f) = flops {
-            f.record(scratch.binned_pairs, scratch.candidate_pairs);
-        }
-        // The stage methods fill only the ℓ ≤ ℓ' blocks and the
-        // scratch-side pair counter; `partial` completes both.
-        scratch.partial();
-        scratch.zeta
     }
 
     /// Run all four stages for primary `i`.
@@ -852,7 +697,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EngineConfig, TreePrecision};
+    use crate::config::{EngineConfig, Scheduling, TreePrecision};
     use galactos_catalog::uniform_box;
     use galactos_math::LineOfSight;
 
@@ -962,19 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_override_matches_configured_scheduling() {
-        let cat = small_catalog(80, 10.0, 29);
-        let mut config = EngineConfig::test_default(5.0, 2, 3);
-        config.scheduling = Scheduling::Dynamic;
-        let engine = Engine::new(config.clone());
-        let via_override = engine.compute_with_scheduling(&cat, Scheduling::Static);
-        config.scheduling = Scheduling::Static;
-        let via_config = Engine::new(config).compute(&cat);
-        assert_eq!(via_override.max_difference(&via_config), 0.0);
-        assert_eq!(via_override.binned_pairs, via_config.binned_pairs);
-    }
-
-    #[test]
     fn subset_restricts_primaries() {
         let cat = small_catalog(60, 10.0, 13);
         let config = EngineConfig::test_default(5.0, 2, 2);
@@ -1015,25 +847,6 @@ mod tests {
         let z = engine.compute(&cat);
         // 29 usable primaries (the one at the observer is skipped).
         assert_eq!(z.num_primaries, 29);
-    }
-
-    #[test]
-    fn instrumentation_reports_stages_and_flops() {
-        let cat = small_catalog(200, 10.0, 19);
-        let config = EngineConfig::test_default(4.0, 3, 3);
-        let engine = Engine::new(config);
-        let timer = StageTimer::new();
-        let flops = FlopCounter::new();
-        let z = engine.compute_instrumented(&cat, Some(&timer), Some(&flops));
-        assert!(timer.get(Stage::TreeBuild) > 0);
-        assert!(timer.get(Stage::Multipole) > 0);
-        assert_eq!(
-            flops
-                .binned_pairs
-                .load(std::sync::atomic::Ordering::Relaxed),
-            z.binned_pairs
-        );
-        assert!(flops.kernel_flops(3) > 0);
     }
 
     #[test]
@@ -1089,10 +902,9 @@ mod tests {
     #[test]
     fn manual_stage_driving_reports_binned_pairs() {
         // Regression for the duplicated `zeta.binned_pairs` bookkeeping:
-        // the counter is now copied onto the ζ partial only by
-        // `finish_scratch` and `ComputeScratch::partial`, so driving
-        // stages by hand (never reaching finish_scratch) must still
-        // observe the correct count after every primary.
+        // the counter is copied onto the ζ partial only by
+        // `ComputeScratch::partial`, so driving stages by hand must
+        // still observe the correct count after every primary.
         let cat = small_catalog(40, 10.0, 37);
         let mut config = EngineConfig::test_default(5.0, 1, 2);
         config.traversal = crate::traversal::TraversalChoice::Fixed(TraversalKind::PerPrimary);

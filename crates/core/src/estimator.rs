@@ -13,9 +13,8 @@
 //!   cells. Cost scales with mesh size rather than pair count, which
 //!   wins for dense periodic boxes; accuracy is set by the mesh
 //!   resolution and converges to the tree answer as it is refined
-//!   (pinned by the `grid_equivalence` suite and the `grid_estimator`
-//!   bench's convergence gate). Requires a periodic catalog and a
-//!   uniform (fixed) line of sight.
+//!   (pinned by the `grid_equivalence` suite). Requires a periodic
+//!   catalog and a uniform (fixed) line of sight.
 //!
 //! Selection mirrors the kernel-backend and traversal patterns:
 //! [`EstimatorChoice`] on the config, an [`ESTIMATOR_ENV`] override
@@ -65,53 +64,10 @@ impl fmt::Display for EstimatorKind {
 /// The tree is exact in the pair sums and accepts any catalog, so it is
 /// the unconditional default; the grid path is opt-in (config or
 /// environment) because its answer carries mesh-resolution error and it
-/// only accepts periodic boxes. The `grid_estimator` bench records the
-/// catalog sizes where the grid path is *faster*, but speed alone does
-/// not flip a default whose output is approximate. For a speed-based
-/// *advisory* answer, see [`recommended_estimator`].
+/// only accepts periodic boxes. Speed alone does not flip a default
+/// whose output is approximate.
 pub fn detect_estimator() -> EstimatorKind {
     EstimatorKind::Tree
-}
-
-/// Single-thread catalog size at which the default-mesh grid estimator's
-/// wall time crosses below the tree traversal's, as measured by the
-/// `grid_estimator` bench's crossover sweep (`crossover_n` in
-/// `BENCH_grid.json`, uniform periodic box at paper-scale density,
-/// ℓmax 4, 5 bins). Below this the direct pair sum is both exact *and*
-/// faster; above it the mesh path wins on wall time.
-pub const GRID_CROSSOVER_GALAXIES: usize = 8000;
-
-/// Galaxy count below which the grid is never recommended regardless of
-/// thread count: mesh paint + FFT fixed costs dominate tiny catalogs.
-const MIN_GRID_GALAXIES: usize = 2000;
-
-/// Speed-based *advisory* estimator recommendation — what the bench
-/// data says would be fastest for `n_galaxies`, given the current rayon
-/// thread pool. Unlike [`detect_estimator`] this never changes what
-/// [`EstimatorChoice::Auto`] resolves to (the grid's answer carries
-/// mesh-resolution error, so it stays opt-in); callers that accept the
-/// documented accuracy trade can consult it and pin
-/// [`EstimatorChoice::Grid`] themselves.
-///
-/// Thread awareness: [`GRID_CROSSOVER_GALAXIES`] is the single-thread
-/// crossover. With `T` pool threads the grid's dominant stage (one
-/// independent FFT field per `(ℓ, bin)` pair, batched across the pool)
-/// scales near-linearly, while the tree's per-primary traversal is
-/// increasingly memory-bound on shared candidate gathers — so the
-/// crossover shifts *down* roughly with `T`, floored at the fixed-cost
-/// regime where painting a mesh for a tiny catalog can never pay off.
-pub fn recommended_estimator(n_galaxies: usize, periodic: bool) -> EstimatorKind {
-    if !periodic {
-        // The mesh formulation requires a periodic box; no contest.
-        return EstimatorKind::Tree;
-    }
-    let threads = rayon::current_num_threads().max(1);
-    let threshold = (GRID_CROSSOVER_GALAXIES / threads).max(MIN_GRID_GALAXIES);
-    if n_galaxies >= threshold {
-        EstimatorKind::Grid
-    } else {
-        EstimatorKind::Tree
-    }
 }
 
 /// A fully resolved estimator selection, carrying the grid parameters
@@ -253,50 +209,6 @@ mod tests {
             ResolvedEstimator::Grid(cfg)
         );
         assert_eq!(EstimatorChoice::default(), EstimatorChoice::Auto);
-    }
-
-    #[test]
-    fn recommendation_is_advisory_and_thread_aware() {
-        // Non-periodic catalogs can never use the grid.
-        assert_eq!(
-            recommended_estimator(usize::MAX, false),
-            EstimatorKind::Tree
-        );
-        // Single thread: the measured crossover is the threshold.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            assert_eq!(
-                recommended_estimator(GRID_CROSSOVER_GALAXIES - 1, true),
-                EstimatorKind::Tree
-            );
-            assert_eq!(
-                recommended_estimator(GRID_CROSSOVER_GALAXIES, true),
-                EstimatorKind::Grid
-            );
-        });
-        // More threads lower the crossover (but never below the
-        // fixed-cost floor): a catalog between floor and measured
-        // crossover flips to Grid on a wide pool.
-        let wide = rayon::ThreadPoolBuilder::new()
-            .num_threads(GRID_CROSSOVER_GALAXIES)
-            .build()
-            .unwrap();
-        wide.install(|| {
-            assert_eq!(
-                recommended_estimator(GRID_CROSSOVER_GALAXIES / 2, true),
-                EstimatorKind::Grid
-            );
-            // The floor holds even with absurd parallelism.
-            assert_eq!(recommended_estimator(10, true), EstimatorKind::Tree);
-        });
-        // The advisory never changes Auto resolution.
-        assert_eq!(
-            EstimatorChoice::Auto.resolve_with(None),
-            ResolvedEstimator::Tree
-        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! * 8.17×10¹⁵ pairs for the full 1.951×10⁹-galaxy run.
 
 use galactos_math::monomial::monomial_count;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FLOPs per pair spent in the multipole kernel at a given `ℓmax`
 /// (1 multiply + 1 add per monomial).
@@ -44,37 +43,6 @@ pub fn working_set_bytes(bucket_size: usize, lmax: usize) -> usize {
     3 * bucket_size * 8 + monomial_count(lmax) * 8 * 8
 }
 
-/// Runtime FLOP/pair counters, shared across engine threads.
-#[derive(Debug, Default)]
-pub struct FlopCounter {
-    /// Pairs that landed in a radial bin (multipole kernel executions).
-    pub binned_pairs: AtomicU64,
-    /// Pairs examined by the neighbor search (tree-cost pairs).
-    pub candidate_pairs: AtomicU64,
-}
-
-impl FlopCounter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&self, binned: u64, candidates: u64) {
-        self.binned_pairs.fetch_add(binned, Ordering::Relaxed);
-        self.candidate_pairs
-            .fetch_add(candidates, Ordering::Relaxed);
-    }
-
-    /// Total kernel FLOPs implied by the recorded pair counts.
-    pub fn kernel_flops(&self, lmax: usize) -> u64 {
-        self.binned_pairs.load(Ordering::Relaxed) * kernel_flops_per_pair(lmax)
-    }
-
-    /// Total FLOPs including the tree-search estimate.
-    pub fn total_flops(&self, lmax: usize) -> u64 {
-        self.kernel_flops(lmax) + self.candidate_pairs.load(Ordering::Relaxed) * TREE_FLOPS_PER_PAIR
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,15 +60,6 @@ mod tests {
         // Working set at the paper's parameters: 21.4 kB.
         let ws = working_set_bytes(128, 10);
         assert!((ws as f64 / 1000.0 - 21.4).abs() < 0.5, "{ws} bytes"); // paper quotes decimal kB
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let c = FlopCounter::new();
-        c.record(100, 150);
-        c.record(50, 75);
-        assert_eq!(c.kernel_flops(10), 150 * 572);
-        assert_eq!(c.total_flops(10), 150 * 572 + 225 * 37);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   [`batched`](crate::kernel::batched) (SIMD plus cross-bucket tail
 //!   batching);
 //! * [`KernelBackend`] — the object-safe trait the engine, scratch
-//!   allocation, and the bench harness program against;
+//!   allocation, and the repo benchmark program against;
 //! * [`BackendChoice`] — what sits in [`EngineConfig`](
 //!   crate::config::EngineConfig): either a pinned kind or `Auto`,
 //!   which consults the [`BACKEND_ENV`] environment variable and falls
@@ -120,9 +120,9 @@ impl FromStr for BackendKind {
 /// 2. **Other vector targets** (baseline x86-64 = SSE2, aarch64 =
 ///    NEON, wasm simd128): [`BackendKind::Simd`]. An `F64x8` spans
 ///    several narrow registers here, so running four chains at once
-///    spills; `perf_baseline` measures the one-chunk-per-bucket kernel
-///    fastest on such builds, and `BENCH_kernels.json` tracks the
-///    ranking PR over PR in case codegen shifts it.
+///    spills, and the one-chunk-per-bucket kernel is the faster one
+///    on such builds. The benchmark's `core.kernel.*` layer
+///    (`BENCHMARK.json`) times whichever backend this resolves to.
 /// 3. **Everything else**: the scalar reference, rather than paying
 ///    8-lane bookkeeping with no vector registers to map it onto.
 pub fn detect() -> BackendKind {

@@ -27,9 +27,9 @@
 //!   `GALACTOS_KERNEL_BACKEND` environment variable, or hardware
 //!   detection.
 //!
-//! [`testutil`] carries the deterministic input generators and
-//! against-scalar checkers shared by every backend's tests and the
-//! `perf_baseline` benchmark harness.
+//! The test-only `testutil` module carries the deterministic input
+//! generators and against-scalar checkers shared by every backend's
+//! tests.
 
 pub mod accumulator;
 pub mod backend;
@@ -37,6 +37,7 @@ pub mod batched;
 pub mod buckets;
 pub mod scalar;
 pub mod simd;
+#[cfg(test)]
 pub mod testutil;
 
 pub use accumulator::KernelAccumulator;

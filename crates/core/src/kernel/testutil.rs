@@ -1,13 +1,10 @@
 //! Deterministic input generation and cross-backend checking shared by
-//! every kernel backend's tests, the criterion microbenchmarks, and the
-//! `perf_baseline` harness.
+//! every kernel backend's tests.
 //!
-//! Before this module existed, `random_bucket` and the
-//! check-against-scalar helper were duplicated between the SIMD kernel's
-//! unit tests and the bench crate. The generators here are
-//! dependency-free (a SplitMix64 stream instead of the dev-only `rand`
-//! crates) so they can live in the library proper and be driven from
-//! benchmark binaries as well as `#[cfg(test)]` code.
+//! The generators are a SplitMix64 stream, so every backend's test
+//! sees the same inputs for a seed. Compiled under `cfg(test)` only:
+//! the last caller outside this crate's unit tests went with
+//! `crates/bench`'s kernel benches.
 
 use crate::kernel::backend::BackendKind;
 use crate::kernel::scalar::accumulate_bucket_scalar;

@@ -17,7 +17,9 @@
 //!   hardware detection;
 //! * [`engine`] — the staged per-primary pipeline (gather →
 //!   bin/bucket → a_ℓm assembly → ζ accumulation), thread-parallel
-//!   over primaries (§3.3);
+//!   over primaries (§3.3); the Figure 4 stage breakdown is what
+//!   [`Engine::compute_observed`](engine::Engine::compute_observed)
+//!   records into a `galactos-obs` session — there is no other timer;
 //! * [`estimator`] — the estimator-selection knob dispatching
 //!   [`Engine::compute`](engine::Engine::compute) between the tree
 //!   traversal and the FFT-based gridded a_ℓm estimator of
@@ -47,7 +49,6 @@
 //!   edge-correction solve, behind the [`SurveyCompute`] entry point;
 //! * [`flops`] — FLOP accounting reproducing the paper's §3.3.2/§5.1
 //!   arithmetic (286 monomials, 572 FLOPs/pair, flop/byte 9.6);
-//! * [`timing`] — stage timers for the Figure 4 runtime breakdown;
 //! * [`pipeline`] — the distributed run: partition, halo exchange,
 //!   per-rank compute, global reduction over `galactos-cluster`.
 
@@ -68,17 +69,14 @@ pub mod result;
 pub mod schedule;
 pub mod scratch;
 pub mod survey;
-pub mod timing;
 pub mod traversal;
 pub mod xismu;
 
 pub use bins::RadialBins;
 pub use config::{EngineConfig, Scheduling, TreePrecision};
 pub use engine::Engine;
-pub use estimator::{
-    recommended_estimator, EstimatorChoice, EstimatorKind, GRID_CROSSOVER_GALAXIES,
-};
-pub use galactos_grid::{GridConfig, GridTimings, MassAssignment};
+pub use estimator::{EstimatorChoice, EstimatorKind};
+pub use galactos_grid::{GridConfig, MassAssignment};
 pub use galactos_obs::{ObsSession, Registry, Tracer};
 pub use kernel::{BackendChoice, BackendKind, KernelBackend};
 pub use pipeline::{

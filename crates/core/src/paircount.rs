@@ -127,8 +127,7 @@ impl BucketedHistogram {
 }
 
 /// Auto pair counts through the bucketed histogram path — identical
-/// results to [`auto_pair_counts`], different update pattern (the
-/// `bucketing` criterion bench compares their throughput).
+/// results to [`auto_pair_counts`], different update pattern.
 pub fn auto_pair_counts_bucketed(
     catalog: &Catalog,
     bins: &RadialBins,

@@ -16,9 +16,7 @@
 //! accumulator comes from the engine's resolved
 //! [`KernelBackend`](crate::kernel::KernelBackend) (resolution happens
 //! once, before the parallel region, so workers never consult the
-//! environment). The `perf_baseline` benchmark drives bare backend
-//! accumulators through the same driver to measure multi-thread kernel
-//! throughput without the rest of the engine.
+//! environment).
 
 use crate::config::Scheduling;
 use rayon::prelude::*;

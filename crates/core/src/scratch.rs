@@ -51,10 +51,10 @@ pub struct ComputeScratch {
     pub(crate) binned_pairs: u64,
     pub(crate) candidate_pairs: u64,
     /// Whether stage timings are being collected. When `false` (the
-    /// default — a run with no [`StageTimer`](crate::timing::
-    /// StageTimer)) the engine's stage methods skip every clock read,
-    /// so uninstrumented runs pay zero timing overhead on the hot
-    /// path; the `t_*` counters then stay 0.
+    /// default — a run without an enabled `ObsSession`) the engine's
+    /// stage methods skip every clock read, so unobserved runs pay
+    /// zero timing overhead on the hot path; the `t_*` counters then
+    /// stay 0.
     pub(crate) instrument: bool,
     pub(crate) t_search: u64,
     pub(crate) t_bin: u64,
@@ -101,13 +101,6 @@ impl ComputeScratch {
         }
     }
 
-    /// Enable (or disable) stage-timing collection for this worker.
-    /// Off by default: untimed runs perform no clock reads at all in
-    /// the per-pair and per-bucket hot paths.
-    pub fn set_instrumented(&mut self, on: bool) {
-        self.instrument = on;
-    }
-
     /// Return the scratch to its freshly-constructed state (buffers
     /// keep their capacity) so it can be reused for another run.
     pub fn reset(&mut self) {
@@ -137,8 +130,8 @@ impl ComputeScratch {
     }
 
     /// The ζ partial accumulated so far (primarily for tests and
-    /// callers driving stages manually), as the engine's end-of-worker
-    /// `finish_scratch` hands it to the reduction. The stage methods
+    /// callers driving stages manually), as the engine hands it to the
+    /// reduction at the end of each chunk. The stage methods
     /// fill only the `ℓ ≤ ℓ'` blocks and the scratch-side pair counter;
     /// both are completed here, idempotently.
     pub fn partial(&mut self) -> &AnisotropicZeta {

@@ -17,7 +17,7 @@
 //! # Conventions
 //!
 //! Stated once, here, for every consumer (the `survey_pipeline`
-//! example, the `survey_workload` bench, downstream analysis). They
+//! example, downstream analysis). They
 //! compose with the ingestion conventions of `galactos_catalog::sky`
 //! and the geometry conventions of `galactos_catalog::survey`:
 //!

@@ -34,8 +34,8 @@
 //! the gather criterion per pair in the tree's own precision,
 //! including the periodic image-center rounding order — and differ
 //! only in accumulation order, so results agree to floating-point
-//! reassociation (≤ 1e-9 relative, enforced by the equivalence suite
-//! and CI's bench-smoke gate). The one caveat: the per-primary
+//! reassociation (≤ 1e-9 relative, enforced by
+//! `tests/traversal_equivalence.rs`). The one caveat: the per-primary
 //! search's whole-subtree acceptance tests a *box* distance instead of
 //! the per-point distance, so a pair within one rounding ulp of the
 //! search boundary *and* of a bbox corner can in principle be decided
@@ -125,12 +125,9 @@ impl FromStr for TraversalKind {
 ///
 /// Leaf blocking amortizes one pruned tree walk over a whole leaf of
 /// primaries and streams candidates from a contiguous SoA block
-/// instead of per-pair `galaxies[j]` gathers; `perf_baseline`'s
-/// traversal section measures it ahead of per-primary traversal on the
-/// committed baseline host at the paper point (ℓmax 10, 10 bins, 50k
-/// clustered galaxies), and `BENCH_kernels.json` tracks that ranking
-/// PR over PR. There is currently no measured configuration where
-/// per-primary wins, so detection is unconditional; the env override
+/// instead of per-pair `galaxies[j]` gathers. There is no measured
+/// configuration where per-primary wins, so detection is unconditional
+/// and every `BENCHMARK.json` tree workload runs it; the env override
 /// and [`TraversalChoice::Fixed`] exist for A/B timing and for ruling
 /// traversal in or out when debugging.
 pub fn detect_traversal() -> TraversalKind {

@@ -2,8 +2,9 @@
 //!
 //! An *enabled* session must (a) produce the documented span tree for
 //! both estimators, (b) report pair-count telemetry that agrees with
-//! the engine's own instrumented counters, and (c) — the contract that
-//! makes counters diffable PR over PR — produce **bit-identical counter
+//! the ζ result's own counter, (c) leave ζ bit-identical to the
+//! unobserved [`Engine::compute`], and (d) — the contract that makes
+//! counters diffable PR over PR — produce **bit-identical counter
 //! totals on any thread pool**, because integer adds commute exactly.
 
 use galactos_catalog::{uniform_box, Catalog};
@@ -38,6 +39,11 @@ fn observed_tree_run_produces_span_tree_and_counters() {
     let obs = ObsSession::enabled();
     let zeta = engine.compute_observed(&cat, &obs);
     assert!(zeta.max_abs() > 0.0);
+    assert_eq!(
+        zeta.max_difference(&engine.compute(&cat)),
+        0.0,
+        "observing must not change a single bit of the result"
+    );
 
     let paths: BTreeSet<String> = obs.tracer.finished().into_iter().map(|s| s.path).collect();
     for expected in [
@@ -56,7 +62,11 @@ fn observed_tree_run_produces_span_tree_and_counters() {
     }
 
     assert!(obs.registry.counter_value("engine.chunks") > 0);
-    assert!(obs.registry.counter_value("engine.binned_pairs") > 0);
+    assert!(zeta.binned_pairs > 0);
+    assert_eq!(
+        obs.registry.counter_value("engine.binned_pairs"),
+        zeta.binned_pairs
+    );
     assert!(
         obs.registry.counter_value("engine.candidate_pairs")
             >= obs.registry.counter_value("engine.binned_pairs"),
@@ -69,18 +79,36 @@ fn observed_grid_run_produces_stage_spans_and_counters() {
     let cat = uniform_box(300, 12.0, 5);
     let mut config = EngineConfig::test_default(3.0, 2, 3);
     config.estimator = EstimatorChoice::Grid(GridConfig::with_mesh(16));
-    let obs = ObsSession::enabled();
-    let zeta = Engine::new(config).compute_observed(&cat, &obs);
-    assert!(zeta.max_abs() > 0.0);
-
-    let paths: BTreeSet<String> = obs.tracer.finished().into_iter().map(|s| s.path).collect();
-    for expected in ["grid", "grid/paint", "grid/fields", "grid/contract"] {
-        assert!(
-            paths.contains(expected),
-            "missing span path {expected}; have {paths:?}"
+    // The self-pair correction is timed on its own, not folded into the
+    // contraction: a nonzero slice with it on, a zero one with it off.
+    for subtract in [true, false] {
+        config.subtract_self_pairs = subtract;
+        let engine = Engine::new(config.clone());
+        let obs = ObsSession::enabled();
+        let zeta = engine.compute_observed(&cat, &obs);
+        assert!(zeta.max_abs() > 0.0);
+        assert_eq!(zeta.binned_pairs, 0, "the grid never enumerates pairs");
+        assert_eq!(
+            zeta.max_difference(&engine.compute(&cat)),
+            0.0,
+            "observing must not change a single bit of the result"
         );
+
+        let spans = obs.tracer.finished();
+        let slice_nanos = |path: &str| {
+            spans
+                .iter()
+                .find(|s| s.path == path)
+                .unwrap_or_else(|| panic!("missing span path {path}"))
+                .duration_nanos()
+        };
+        assert!(slice_nanos("grid") > 0);
+        for stage in ["grid/paint", "grid/fields", "grid/contract"] {
+            assert!(slice_nanos(stage) > 0, "{stage} not timed");
+        }
+        assert_eq!(slice_nanos("grid/selfpair") > 0, subtract);
+        assert_eq!(obs.registry.counter_value("grid.primaries"), 300);
     }
-    assert_eq!(obs.registry.counter_value("grid.primaries"), 300);
 }
 
 /// Counter totals must not depend on the pool the engine ran on:

@@ -176,8 +176,7 @@ fn degenerate_catalogs_agree() {
 #[test]
 fn blocked_is_the_measured_default() {
     // Auto resolves to the measured-fastest mode (leaf-blocked; see
-    // detect_traversal and the perf_baseline traversal section) unless
-    // the environment overrides it.
+    // detect_traversal) unless the environment overrides it.
     assert_eq!(
         TraversalChoice::Auto.resolve_with(None),
         TraversalKind::LeafBlocked

@@ -45,7 +45,8 @@
 //!   shard, not by rank, and partials are reduced in shard order.
 //!
 //! The contract is enforced end to end by this crate's integration
-//! tests and by the `mock_ensemble` bench gate in CI.
+//! tests (`tests/ensemble.rs`; CI repeats the kill and resume cases in
+//! release mode).
 
 #![forbid(unsafe_code)]
 

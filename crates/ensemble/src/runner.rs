@@ -377,8 +377,8 @@ impl MockEnsemble {
         Ok(zeta_to_vector(&run.zeta))
     }
 
-    /// The supervised run behind `compute_realization`, exposed so
-    /// the bench can report per-realization failure/retry counts.
+    /// The supervised run behind `compute_realization`, exposed so a
+    /// caller can read per-realization failure/retry counts.
     pub fn supervised_run(&self, k: usize) -> Result<SupervisedRun, EnsembleError> {
         self.supervised_run_observed(k, &ObsSession::disabled())
     }

@@ -19,8 +19,7 @@
 //! the reflected kernel `g(u) = K(−u)`). The ζ multipoles are then the
 //! mesh inner products `ζ^m_{ℓℓ'}(b₁,b₂) = Σ_x n(x) A_ℓm,b₁(x)
 //! conj(A_ℓ'm,b₂(x))`, restricted to occupied cells. Cost scales with
-//! the mesh, not the pair count — the crossover against the tree
-//! traversal is measured by the `grid_estimator` bench.
+//! the mesh, not the pair count.
 //!
 //! # Conventions
 //!

@@ -11,8 +11,7 @@
 //! mesh size (FFTs) rather than the pair count, which wins for dense
 //! periodic-box mocks; accuracy is set by the mesh resolution and
 //! converges to the tree answer as the mesh is refined (the convergence
-//! gate is enforced by `galactos-core`'s equivalence tests and the
-//! `grid_estimator` bench).
+//! gate is enforced by `galactos-core`'s `tests/grid_equivalence.rs`).
 //!
 //! * [`assign`] — NGP/CIC/TSC periodic mass assignment with exact
 //!   weight conservation, plus each scheme's Fourier window;

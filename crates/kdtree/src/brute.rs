@@ -1,9 +1,6 @@
 //! Brute-force reference searcher.
 //!
-//! O(N) per query; the ground truth against which the tree is tested and
-//! the baseline in the `neighbor_search` criterion bench (the crossover
-//! between brute force and tree search is one of the design-choice
-//! ablations listed in DESIGN.md).
+//! O(N) per query; the ground truth against which the tree is tested.
 
 use galactos_math::Vec3;
 

@@ -11,8 +11,7 @@
 //! string token can never be mistaken for code.
 //!
 //! This is a scanner, not a parser: no macro expansion, no cfg
-//! evaluation. That is the documented altitude of the whole tool — the
-//! same hand-rolled spirit as the bench crate's JSON writer.
+//! evaluation. That is the documented altitude of the whole tool.
 
 /// One lexical token.
 #[derive(Clone, Debug, PartialEq)]

@@ -1,9 +1,8 @@
 //! Machine-readable output: `LINT_REPORT.json`.
 //!
-//! Hand-rolled in the same spirit as the bench crate's JSON module —
-//! insertion-ordered keys, stable formatting, no dependencies — so the
-//! committed report diffs cleanly and CI can archive it next to the
-//! bench artifacts.
+//! Hand-rolled — insertion-ordered keys, stable formatting, no
+//! dependencies — so the committed report diffs cleanly and CI can
+//! archive it.
 
 use crate::rules::LintOutcome;
 

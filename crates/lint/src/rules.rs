@@ -371,9 +371,8 @@ fn fn_contexts(toks: &[Token]) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// W-CLOCK — Instant::now only in bench code, the obs clock gate,
-// core::timing, tests, examples, or behind a reasoned suppression at an
-// instrument gate.
+// W-CLOCK — Instant::now only in bench code, the obs clock gate, tests,
+// examples, or behind a reasoned suppression at an instrument gate.
 // ---------------------------------------------------------------------------
 
 fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
@@ -383,7 +382,6 @@ fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
     // clock.rs is sanctioned — the rest of crates/obs must route
     // through it like everyone else.
     if f.path.starts_with("crates/bench/")
-        || f.path == "crates/core/src/timing.rs"
         || f.path == "crates/obs/src/clock.rs"
         || is_test_or_example(&f.path)
     {
@@ -395,8 +393,8 @@ fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
             &f.path,
             lexed.tokens[i].line,
             "Instant::now() on a compute path: clock reads must live in \
-             crates/bench, obs::clock, core::timing, or behind an \
-             instrument gate (now_if) carrying a reasoned lint:allow"
+             crates/bench, obs::clock, or behind an instrument gate \
+             (now_if) carrying a reasoned lint:allow"
                 .to_string(),
         ));
     }
@@ -634,7 +632,6 @@ mod tests {
     fn clock_allowed_in_bench_timing_tests_examples() {
         for path in [
             "crates/bench/src/main.rs",
-            "crates/core/src/timing.rs",
             "crates/obs/src/clock.rs",
             "crates/core/tests/perf.rs",
             "examples/quickstart.rs",

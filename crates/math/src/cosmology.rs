@@ -15,7 +15,7 @@
 //! # Conventions
 //!
 //! Stated once, here, for every consumer (the sky-catalog reader in
-//! `galactos-catalog`, the survey walkthroughs, the bench bins):
+//! `galactos-catalog`, the survey walkthroughs):
 //!
 //! * **Units are h⁻¹ Mpc** by default, matching every distance in the
 //!   engine (`Galaxy::pos` is a comoving position in Mpc/h). In these

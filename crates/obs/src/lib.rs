@@ -1,11 +1,12 @@
 //! # galactos-obs — unified metrics and tracing
 //!
 //! The paper's headline result is a throughput claim (5.06 PF/s
-//! sustained on Cori), yet measuring a whole Galactos run used to mean
-//! stitching together three ad-hoc mechanisms: `StageTimer` in
-//! `galactos-core`, `GridTimings` in the grid estimator, and hand-rolled
-//! per-bin JSON in `galactos-bench`. This crate is the single substrate
-//! all of them now sit on:
+//! sustained on Cori), so where a run's time went needs one answer.
+//! This crate is the workspace's only instrument — the engine, the grid
+//! estimator, the supervised pipeline and the ensemble runner record
+//! into the [`ObsSession`] they are handed, and the repo benchmark
+//! (`BENCHMARK.json` + `benchmark/`) reads its per-layer ladder from
+//! those same spans and counters:
 //!
 //! * [`Registry`] — named, atomics-backed [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s. Integer adds commute exactly, so every
@@ -24,8 +25,8 @@
 //! `ComputeScratch.instrument` gate: **a disabled session performs zero
 //! clock reads and leaves results bit-identical**. Every clock read in
 //! the workspace funnels through [`clock`] — the one module sanctioned
-//! by galactos-lint's W-CLOCK rule outside `crates/bench` and
-//! `core::timing` — and each real read bumps a global counter that
+//! by galactos-lint's W-CLOCK rule outside `crates/bench` — and each
+//! real read bumps a global counter that
 //! tests use to pin "uninstrumented ⇒ zero reads".
 //!
 //! ```

@@ -1,15 +1,8 @@
-//! Minimal JSON value builder and parser for machine-readable
-//! benchmark outputs.
+//! Minimal JSON parser, local to the Chrome-trace round-trip test.
 //!
-//! The container builds without crates.io access, so rather than
-//! vendoring a serializer the bench crate hand-rolls the tiny subset it
-//! needs: objects, arrays, strings, numbers, booleans, null. Key order
-//! is preserved (insertion order) so emitted files diff cleanly PR over
-//! PR. The parser exists so tooling (`bench_compare`, `trace_profile`)
-//! can read back the files the bench bins emit — it accepts any
-//! standard JSON document, not just our own output.
-
-use std::fmt::Write as _;
+//! `galactos-obs` hand-emits its trace JSON and is dependency-free, so
+//! the test that pins the emitted format hand-rolls the reader too. It
+//! accepts any standard JSON document, not just our own output.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,7 +11,6 @@ pub enum Json {
     Bool(bool),
     /// Integers are kept exact (`u64` covers every counter we emit).
     Int(u64),
-    /// Non-finite floats serialize as `null` (JSON has no NaN/inf).
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -26,28 +18,6 @@ pub enum Json {
 }
 
 impl Json {
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Convenience object builder preserving field order.
-    pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Serialize with two-space indentation and a trailing newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
     /// Look up a field on an object (`None` for non-objects or missing
     /// keys). First match wins, mirroring most JSON readers.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -72,91 +42,6 @@ impl Json {
         }
         Ok(value)
     }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // `{}` prints the shortest roundtrip form; force a
-                    // decimal point so consumers always see a float.
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, depth + 1);
-                    item.write(out, depth + 1);
-                }
-                newline_indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                newline_indent(out, depth);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, depth: usize) {
-    out.push('\n');
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A JSON parse failure: a message plus the byte offset it occurred at.
@@ -362,8 +247,7 @@ impl<'a> Parser<'a> {
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if !is_float {
-            // Non-negative integers load exactly, matching the `Int`
-            // variant the writer emits for counters.
+            // Non-negative integers load exactly.
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::Int(n));
             }
@@ -378,59 +262,6 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_nested_structures() {
-        let v = Json::obj([
-            ("name", Json::str("batched")),
-            ("speedup", Json::Num(1.5)),
-            ("pairs", Json::Int(1024)),
-            ("ok", Json::Bool(true)),
-            ("grid", Json::Arr(vec![Json::Int(2), Json::Int(10)])),
-            ("empty", Json::Arr(vec![])),
-        ]);
-        let s = v.to_pretty();
-        assert!(s.starts_with("{\n"));
-        assert!(s.contains("\"name\": \"batched\""));
-        assert!(s.contains("\"speedup\": 1.5"));
-        assert!(s.contains("\"grid\": [\n"));
-        assert!(s.contains("\"empty\": []"));
-        assert!(s.ends_with("}\n"));
-    }
-
-    #[test]
-    fn whole_floats_keep_a_decimal_point() {
-        assert_eq!(Json::Num(2.0).to_pretty(), "2.0\n");
-        assert_eq!(Json::Num(f64::NAN).to_pretty(), "null\n");
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let s = Json::str("a\"b\\c\nd").to_pretty();
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"\n");
-    }
-
-    #[test]
-    fn parse_round_trips_writer_output() {
-        let v = Json::obj([
-            ("schema", Json::str("bench/v1")),
-            ("pass", Json::Bool(true)),
-            ("pairs", Json::Int(1024)),
-            ("speedup", Json::Num(1.5)),
-            ("nan", Json::Num(f64::NAN)),
-            ("grid", Json::Arr(vec![Json::Int(2), Json::Int(10)])),
-            ("empty", Json::Arr(vec![])),
-            ("note", Json::str("a\"b\\c\nd")),
-        ]);
-        let parsed = Json::parse(&v.to_pretty()).unwrap();
-        // NaN serializes as null, so the round trip maps it to Null;
-        // everything else must match exactly (including key order).
-        let mut expect = v;
-        if let Json::Obj(fields) = &mut expect {
-            fields[4].1 = Json::Null;
-        }
-        assert_eq!(parsed, expect);
-    }
 
     #[test]
     fn parse_handles_standard_json() {

@@ -1,14 +1,16 @@
-//! Chrome-trace export round-trips through the bench JSON parser.
+//! Chrome-trace export round-trips through a standard JSON parser.
 //!
-//! `galactos-obs` hand-emits Chrome Trace Event JSON; `galactos-bench`
-//! hand-rolls a JSON parser for the drift gate. Feeding the first to
-//! the second pins both: the emitted trace is well-formed standard
-//! JSON, and the structure (metadata events, complete events,
-//! microsecond timestamps, span args) is what Perfetto expects.
+//! `galactos-obs` hand-emits Chrome Trace Event JSON; the test-local
+//! [`json`] module hand-rolls a parser. Feeding the first to the second
+//! pins that the emitted trace is well-formed standard JSON, and that
+//! the structure (metadata events, complete events, microsecond
+//! timestamps, span args) is what Perfetto expects.
 
-use galactos_bench::json::Json;
+mod json;
+
 use galactos_obs::chrome::chrome_trace_json;
 use galactos_obs::ObsSession;
+use json::Json;
 
 fn str_field<'a>(event: &'a Json, key: &str) -> Option<&'a str> {
     match event.get(key) {

@@ -20,20 +20,6 @@ pub enum TreePrecision {
     Double,
 }
 
-/// How primaries are distributed over threads.
-///
-/// "We use OpenMP dynamic scheduling to allocate primaries to threads …
-/// a dynamic schedule gives a significant performance boost over using a
-/// static schedule" (§3.3). Both are provided so the ablation benchmark
-/// can reproduce that comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Work-stealing over small chunks of primaries (rayon default).
-    Dynamic,
-    /// One contiguous block of primaries per thread.
-    Static,
-}
-
 /// Full configuration of the anisotropic 3PCF engine.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -49,44 +35,34 @@ pub struct EngineConfig {
     pub bucket_size: usize,
     /// Neighbor-search precision.
     pub precision: TreePrecision,
-    /// Thread scheduling of primaries.
-    pub scheduling: Scheduling,
     /// Remove the degenerate `j = k` (self-pair) terms from diagonal
     /// `r₁ = r₂` bins so that ζ counts only genuine triangles.
     pub subtract_self_pairs: bool,
     /// Which a_ℓm accumulation kernel runs — the hottest code in the
-    /// engine. [`BackendChoice::Auto`] (the default) honors the
-    /// `GALACTOS_KERNEL_BACKEND` environment variable (`scalar`,
-    /// `simd`, `batched`) and otherwise picks by hardware detection;
-    /// `BackendChoice::Fixed(kind)` pins a specific backend, which is
-    /// how benchmarks and equivalence tests compare them. Resolved once
-    /// at [`Engine::new`](crate::engine::Engine::new). All backends
-    /// produce results equal to the scalar reference up to
-    /// floating-point reassociation (≲ 1e-11 relative in the kernel
-    /// unit tests, 1e-10 through the full engine in
-    /// `tests/backends.rs`).
+    /// engine. [`BackendChoice::Auto`] (the default) is the SIMD
+    /// kernel on every vector build target (a compile-time `cfg!`
+    /// ladder, [`detect`](crate::kernel::detect));
+    /// `BackendChoice::Fixed(kind)` pins one, which is how the
+    /// equivalence tests and the benchmark's differential check run
+    /// the scalar reference. The backends agree up to floating-point
+    /// reassociation (≲ 1e-11 relative in the kernel unit tests, 1e-10
+    /// through the full engine in `tests/backends.rs`).
     pub kernel_backend: BackendChoice,
     /// How secondaries are found for each primary — one tree descent
     /// per primary, or the paper's §3.2 node-to-node walk gathering
     /// candidates once per primary *leaf* into a SoA block.
-    /// [`TraversalChoice::Auto`] (the default) honors the
-    /// `GALACTOS_TRAVERSAL` environment variable (`per-primary`,
-    /// `leaf-blocked`) and otherwise picks the measured-fastest mode;
+    /// [`TraversalChoice::Auto`] (the default) is leaf-blocked;
     /// `TraversalChoice::Fixed(kind)` pins one, which is how the
-    /// benchmark and equivalence tests compare them. Resolved once at
-    /// [`Engine::new`](crate::engine::Engine::new). Both modes bin
-    /// exactly the same pairs and agree to floating-point
-    /// reassociation (≤ 1e-9 relative; enforced by
-    /// `tests/traversal_equivalence.rs`).
+    /// equivalence tests and the benchmark's differential check run
+    /// the per-primary reference. Both modes bin exactly the same
+    /// pairs and agree to floating-point reassociation (≤ 1e-9
+    /// relative; enforced by `tests/traversal_equivalence.rs`).
     pub traversal: TraversalChoice,
-    /// Which *estimator* evaluates ζ — the exact tree traversal or the
-    /// FFT grid (`galactos-grid`), whose cost scales with mesh size
-    /// instead of pair count. [`EstimatorChoice::Auto`] (the default)
-    /// honors the `GALACTOS_ESTIMATOR` environment variable (`tree`,
-    /// `grid`, `grid:<mesh>`) and otherwise picks the tree;
-    /// [`EstimatorChoice::Grid`] pins the mesh path with explicit
-    /// [`GridConfig`](galactos_grid::GridConfig) parameters. Resolved
-    /// once at [`Engine::new`](crate::engine::Engine::new). The grid
+    /// Which *estimator* evaluates ζ — the exact tree traversal (the
+    /// default) or the FFT grid (`galactos-grid`), whose cost scales
+    /// with mesh size instead of pair count and which
+    /// [`EstimatorChoice::Grid`] selects with explicit
+    /// [`GridConfig`](galactos_grid::GridConfig) parameters. The grid
     /// path requires a periodic catalog and a fixed line of sight, and
     /// its answer converges to the tree's as the mesh is refined (the
     /// convergence gate — relative ζ difference decreasing across mesh
@@ -99,7 +75,7 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// A configuration mirroring the paper's production run, scaled to a
     /// given Rmax: ℓmax = 10, 10 linear bins up to `rmax`, fixed ẑ line
-    /// of sight, bucket 128, mixed precision, dynamic scheduling.
+    /// of sight, bucket 128, mixed precision.
     pub fn paper_default(rmax: f64) -> Self {
         EngineConfig {
             lmax: 10,
@@ -107,11 +83,10 @@ impl EngineConfig {
             line_of_sight: LineOfSight::Fixed(Vec3::Z),
             bucket_size: 128,
             precision: TreePrecision::Mixed,
-            scheduling: Scheduling::Dynamic,
             subtract_self_pairs: true,
             kernel_backend: BackendChoice::Auto,
             traversal: TraversalChoice::Auto,
-            estimator: EstimatorChoice::Auto,
+            estimator: EstimatorChoice::Tree,
         }
     }
 
@@ -123,11 +98,10 @@ impl EngineConfig {
             line_of_sight: LineOfSight::Fixed(Vec3::Z),
             bucket_size: 16,
             precision: TreePrecision::Double,
-            scheduling: Scheduling::Dynamic,
             subtract_self_pairs: false,
             kernel_backend: BackendChoice::Auto,
             traversal: TraversalChoice::Auto,
-            estimator: EstimatorChoice::Auto,
+            estimator: EstimatorChoice::Tree,
         }
     }
 
@@ -149,16 +123,29 @@ mod tests {
     #[test]
     fn paper_default_matches_paper_numbers() {
         let c = EngineConfig::paper_default(200.0);
-        assert_eq!(c.lmax, 10);
-        assert_eq!(c.bucket_size, 128);
-        assert_eq!(c.bins.nbins(), 10);
-        assert_eq!(c.bins.rmax(), 200.0);
-        assert_eq!(c.precision, TreePrecision::Mixed);
-        assert_eq!(c.scheduling, Scheduling::Dynamic);
-        assert_eq!(c.kernel_backend, BackendChoice::Auto);
-        assert_eq!(c.traversal, TraversalChoice::Auto);
-        assert_eq!(c.estimator, EstimatorChoice::Auto);
         c.validate();
+        // Exhaustive on purpose: a tenth field fails to compile here.
+        let EngineConfig {
+            lmax,
+            bins,
+            line_of_sight,
+            bucket_size,
+            precision,
+            subtract_self_pairs,
+            kernel_backend,
+            traversal,
+            estimator,
+        } = c;
+        assert_eq!(lmax, 10);
+        assert_eq!(bucket_size, 128);
+        assert_eq!(bins.nbins(), 10);
+        assert_eq!(bins.rmax(), 200.0);
+        assert_eq!(line_of_sight, LineOfSight::Fixed(Vec3::Z));
+        assert_eq!(precision, TreePrecision::Mixed);
+        assert!(subtract_self_pairs);
+        assert_eq!(kernel_backend, BackendChoice::Auto);
+        assert_eq!(traversal, TraversalChoice::Auto);
+        assert_eq!(estimator, EstimatorChoice::Tree);
     }
 
     #[test]

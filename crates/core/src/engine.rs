@@ -24,13 +24,16 @@
 //!    `S_L = Σ_j w_j² P_L(μ_j)` of stage 2 ([`SelfPairTable`]).
 //!
 //! Primaries are distributed over threads by the shared
-//! [`crate::schedule`] driver — dynamic (work stealing) or static
-//! chunking — with each worker owning a private [`ComputeScratch`]
-//! that is merged once at the end: "this approach ensures maximum
-//! independent work for each thread".
+//! [`crate::schedule`] driver — constant-size chunks handed out by
+//! work stealing — with each worker owning a private
+//! [`ComputeScratch`] that is merged once at the end: "this approach
+//! ensures maximum independent work for each thread". ζ bits are a
+//! function of the [`EngineConfig`] and the build target only: nothing
+//! here reads the process environment, and neither the chunking nor
+//! the merge order depends on the pool width.
 
 use crate::config::EngineConfig;
-use crate::estimator::{EstimatorKind, ResolvedEstimator};
+use crate::estimator::{EstimatorChoice, EstimatorKind};
 use crate::kernel::{BackendKind, KernelBackend};
 use crate::result::AnisotropicZeta;
 use crate::schedule::{self, Merge};
@@ -55,17 +58,13 @@ pub struct Engine {
     basis: MonomialBasis,
     ylm: YlmTable,
     /// The kernel backend every worker accumulates with — the
-    /// configured [`BackendChoice`](crate::kernel::BackendChoice)
-    /// resolved once (environment consulted here, not per worker).
+    /// configured [`BackendChoice`](crate::kernel::BackendChoice),
+    /// resolved once.
     backend: &'static dyn KernelBackend,
     /// The traversal mode every run uses — the configured
-    /// [`TraversalChoice`](crate::traversal::TraversalChoice) resolved
-    /// once, like the backend.
+    /// [`TraversalChoice`](crate::traversal::TraversalChoice), resolved
+    /// once.
     traversal: TraversalKind,
-    /// The estimator [`Engine::compute`] dispatches to — the configured
-    /// [`EstimatorChoice`](crate::estimator::EstimatorChoice) resolved
-    /// once, like the backend and the traversal.
-    estimator: ResolvedEstimator,
     /// Legendre coefficients of the self-pair (degenerate triangle)
     /// correction; present only when enabled.
     self_pairs: Option<SelfPairTable>,
@@ -89,7 +88,6 @@ impl Engine {
         let ylm = YlmTable::new(config.lmax, &basis);
         let backend = config.kernel_backend.resolve().backend();
         let traversal = config.traversal.resolve();
-        let estimator = config.estimator.resolve();
         let self_pairs = config
             .subtract_self_pairs
             .then(|| SelfPairTable::new(config.lmax));
@@ -99,7 +97,6 @@ impl Engine {
             ylm,
             backend,
             traversal,
-            estimator,
             self_pairs,
         }
     }
@@ -121,15 +118,18 @@ impl Engine {
         self.traversal
     }
 
-    /// The estimator this engine resolved at construction.
+    /// The estimator [`Engine::compute`] dispatches to.
     #[inline]
     pub fn estimator_kind(&self) -> EstimatorKind {
-        self.estimator.kind()
+        match self.config.estimator {
+            EstimatorChoice::Tree => EstimatorKind::Tree,
+            EstimatorChoice::Grid(_) => EstimatorKind::Grid,
+        }
     }
 
     /// Compute the anisotropic 3PCF of a catalog (every galaxy acts as a
     /// primary; periodic boxes use minimum-image separations),
-    /// dispatching to the resolved estimator — the tree traversal or
+    /// dispatching to the configured estimator — the tree traversal or
     /// the FFT grid.
     pub fn compute(&self, catalog: &Catalog) -> AnisotropicZeta {
         self.compute_observed(catalog, &ObsSession::disabled())
@@ -147,7 +147,7 @@ impl Engine {
     /// zero clock reads, bit-identical results (test-pinned).
     pub fn compute_observed(&self, catalog: &Catalog, obs: &ObsSession) -> AnisotropicZeta {
         self.check_periodic(catalog);
-        if let ResolvedEstimator::Grid(grid) = &self.estimator {
+        if let EstimatorChoice::Grid(grid) = &self.config.estimator {
             let _g = obs.tracer.span("grid");
             return self.compute_grid(catalog, grid, obs);
         }
@@ -197,7 +197,7 @@ impl Engine {
         assert!(
             catalog.periodic.is_some(),
             "the grid estimator requires a periodic catalog \
-             (EstimatorChoice::Grid / GALACTOS_ESTIMATOR=grid on survey data: use the tree)"
+             (EstimatorChoice::Grid on survey data: use the tree)"
         );
         assert!(
             self.config.line_of_sight.is_uniform(),
@@ -278,7 +278,6 @@ impl Engine {
 
         match self.traversal {
             TraversalKind::PerPrimary => schedule::run_partitioned(
-                self.config.scheduling,
                 n_primaries,
                 make_state,
                 |scratch, range| {
@@ -300,7 +299,6 @@ impl Engine {
             TraversalKind::LeafBlocked => {
                 let leaves = tree.leaf_blocks();
                 schedule::run_partitioned(
-                    self.config.scheduling,
                     leaves.len(),
                     make_state,
                     |scratch, range| {
@@ -453,8 +451,8 @@ impl Engine {
         scratch.self_sums.fill(0.0);
     }
 
-    /// Sweep partially filled buckets, complete deferred accumulation,
-    /// and fold the primary's counters/timings into the scratch.
+    /// Sweep partially filled buckets and fold the primary's
+    /// counters/timings into the scratch.
     fn end_binning(
         &self,
         scratch: &mut ComputeScratch,
@@ -462,14 +460,10 @@ impl Engine {
         mut kernel_nanos: u64,
         binned: u64,
     ) {
-        // Final sweep of partially filled buckets, then complete any
-        // accumulation the backend deferred (the batched backend pools
-        // the sweep's ragged tails and drains them across buckets here).
         let tk = now_if(scratch.instrument);
         scratch
             .acc
             .flush_residual(self.basis.schedule(), &mut scratch.buckets);
-        scratch.acc.finish(self.basis.schedule());
         kernel_nanos += nanos_since(tk);
         scratch.binned_pairs += binned;
         scratch.t_kernel += kernel_nanos;
@@ -623,10 +617,6 @@ impl Engine {
     /// accumulator and assemble the shell coefficients `a_ℓm`.
     fn assemble_alm(&self, scratch: &mut ComputeScratch) {
         let t2 = now_if(scratch.instrument);
-        // Guard for callers driving stages by hand: reduction must not
-        // observe accumulation a backend is still deferring. A no-op
-        // (idempotent) after the bin-and-bucket stage's own finish.
-        scratch.acc.finish(self.basis.schedule());
         let nbins = self.config.bins.nbins();
         for bin in 0..nbins {
             scratch.acc.reduce_bin(bin, &mut scratch.sums);
@@ -697,7 +687,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EngineConfig, Scheduling, TreePrecision};
+    use crate::config::{EngineConfig, TreePrecision};
     use galactos_catalog::uniform_box;
     use galactos_math::LineOfSight;
 
@@ -749,31 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn all_kernel_backends_agree_on_zeta() {
-        use crate::kernel::BackendChoice;
-        let cat = small_catalog(120, 12.0, 7);
-        let mut config = EngineConfig::test_default(6.0, 4, 4);
-        // Small bucket so every backend sees full flushes AND ragged
-        // tails (and the batched backend real cross-bucket chunks).
-        config.bucket_size = 12;
-        config.kernel_backend = BackendChoice::Fixed(BackendKind::Scalar);
-        let scalar = Engine::new(config.clone()).compute(&cat);
-        for kind in [BackendKind::Simd, BackendKind::BatchedSimd] {
-            config.kernel_backend = BackendChoice::Fixed(kind);
-            let engine = Engine::new(config.clone());
-            assert_eq!(engine.backend_kind(), kind);
-            let got = engine.compute(&cat);
-            let scale = scalar.max_abs().max(1.0);
-            assert!(
-                got.max_difference(&scalar) < 1e-9 * scale,
-                "{kind:?} diff {}",
-                got.max_difference(&scalar)
-            );
-            assert_eq!(got.binned_pairs, scalar.binned_pairs);
-        }
-    }
-
-    #[test]
     fn mixed_precision_close_to_double() {
         let cat = small_catalog(150, 15.0, 9);
         let mut config = EngineConfig::test_default(6.0, 3, 3);
@@ -790,20 +755,6 @@ mod tests {
             "diff {}",
             mixed.max_difference(&double)
         );
-    }
-
-    #[test]
-    fn static_and_dynamic_scheduling_agree() {
-        let cat = small_catalog(100, 10.0, 11);
-        let mut config = EngineConfig::test_default(5.0, 3, 3);
-        config.scheduling = Scheduling::Dynamic;
-        let dynamic = Engine::new(config.clone()).compute(&cat);
-        config.scheduling = Scheduling::Static;
-        let fixed = Engine::new(config).compute(&cat);
-        let scale = dynamic.max_abs().max(1.0);
-        assert!(dynamic.max_difference(&fixed) < 1e-9 * scale);
-        assert_eq!(dynamic.num_primaries, fixed.num_primaries);
-        assert_eq!(dynamic.binned_pairs, fixed.binned_pairs);
     }
 
     #[test]

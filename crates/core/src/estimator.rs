@@ -16,19 +16,11 @@
 //!   (pinned by the `grid_equivalence` suite). Requires a periodic
 //!   catalog and a uniform (fixed) line of sight.
 //!
-//! Selection mirrors the kernel-backend and traversal patterns:
-//! [`EstimatorChoice`] on the config, an [`ESTIMATOR_ENV`] override
-//! (`tree`, `grid`, or `grid:<mesh>`), and a [`detect_estimator`]
-//! default — resolved once at [`Engine::new`](crate::engine::Engine::new).
+//! Selection is [`EstimatorChoice`] on the config and nothing else:
+//! the tree unless the grid is asked for by name, with its parameters.
 
 use galactos_grid::GridConfig;
 use std::fmt;
-
-/// Environment variable consulted by [`EstimatorChoice::Auto`]:
-/// `tree`, `grid` (default [`GridConfig`]) or `grid:<mesh>` (a
-/// power-of-two mesh side, e.g. `grid:128`), case-insensitive.
-/// Unparsable values fall back to [`detect_estimator`].
-pub const ESTIMATOR_ENV: &str = "GALACTOS_ESTIMATOR";
 
 /// The closed set of estimator implementations (payload-free — the
 /// grid's parameters live in [`GridConfig`]).
@@ -44,7 +36,7 @@ impl EstimatorKind {
     /// Every kind, reference first.
     pub const ALL: [EstimatorKind; 2] = [EstimatorKind::Tree, EstimatorKind::Grid];
 
-    /// Stable lowercase name (also the accepted [`ESTIMATOR_ENV`] value).
+    /// Stable lowercase name (for reports and run manifests).
     pub fn name(self) -> &'static str {
         match self {
             EstimatorKind::Tree => "tree",
@@ -59,102 +51,18 @@ impl fmt::Display for EstimatorKind {
     }
 }
 
-/// Pick the estimator expected to be correct everywhere.
-///
-/// The tree is exact in the pair sums and accepts any catalog, so it is
-/// the unconditional default; the grid path is opt-in (config or
-/// environment) because its answer carries mesh-resolution error and it
-/// only accepts periodic boxes. Speed alone does not flip a default
-/// whose output is approximate.
-pub fn detect_estimator() -> EstimatorKind {
-    EstimatorKind::Tree
-}
-
-/// A fully resolved estimator selection, carrying the grid parameters
-/// when the mesh path was chosen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResolvedEstimator {
-    Tree,
-    Grid(GridConfig),
-}
-
-impl ResolvedEstimator {
-    #[inline]
-    pub fn kind(&self) -> EstimatorKind {
-        match self {
-            ResolvedEstimator::Tree => EstimatorKind::Tree,
-            ResolvedEstimator::Grid(_) => EstimatorKind::Grid,
-        }
-    }
-}
-
 /// Estimator selection as configured on [`EngineConfig`](
-/// crate::config::EngineConfig), mirroring the kernel-backend and
-/// traversal patterns.
-///
-/// Resolution order: a pinned choice ([`Tree`](EstimatorChoice::Tree) /
-/// [`Grid`](EstimatorChoice::Grid)) always wins; [`Auto`](
-/// EstimatorChoice::Auto) consults the [`ESTIMATOR_ENV`] environment
-/// variable, then falls back to [`detect_estimator`]. Resolution
-/// happens once, at [`Engine::new`](crate::engine::Engine::new) — not
-/// per worker or per call.
+/// crate::config::EngineConfig).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EstimatorChoice {
-    /// Environment override if set and valid, else [`detect_estimator`].
+    /// The tree traversal: exact in the pair sums and accepts any
+    /// catalog, so it is the default. Speed alone does not flip a
+    /// default whose alternative is approximate.
     #[default]
-    Auto,
-    /// Always the tree traversal, ignoring environment and detection.
     Tree,
-    /// Always the gridded estimator with these parameters, ignoring
-    /// environment and detection.
+    /// The gridded estimator with these parameters. Its answer carries
+    /// mesh-resolution error and it only accepts periodic boxes.
     Grid(GridConfig),
-}
-
-impl EstimatorChoice {
-    /// Resolve against the process environment. A pinned choice never
-    /// touches the environment; only [`Auto`](EstimatorChoice::Auto)
-    /// reads [`ESTIMATOR_ENV`].
-    pub fn resolve(self) -> ResolvedEstimator {
-        match self {
-            EstimatorChoice::Auto => {
-                self.resolve_with(std::env::var(ESTIMATOR_ENV).ok().as_deref())
-            }
-            _ => self.resolve_with(None),
-        }
-    }
-
-    /// Resolution with an explicit environment value, so the fallback
-    /// order is testable without mutating process state. `None` means
-    /// the variable is unset; unparsable values fall back to
-    /// [`detect_estimator`].
-    pub fn resolve_with(self, env: Option<&str>) -> ResolvedEstimator {
-        match self {
-            EstimatorChoice::Tree => ResolvedEstimator::Tree,
-            EstimatorChoice::Grid(cfg) => ResolvedEstimator::Grid(cfg),
-            EstimatorChoice::Auto => {
-                env.and_then(parse_env)
-                    .unwrap_or_else(|| match detect_estimator() {
-                        EstimatorKind::Tree => ResolvedEstimator::Tree,
-                        EstimatorKind::Grid => ResolvedEstimator::Grid(GridConfig::default()),
-                    })
-            }
-        }
-    }
-}
-
-/// Parse an [`ESTIMATOR_ENV`] value: `tree`, `grid`, or `grid:<mesh>`
-/// with a power-of-two mesh side. Returns `None` for anything else.
-fn parse_env(s: &str) -> Option<ResolvedEstimator> {
-    let s = s.trim().to_ascii_lowercase();
-    match s.as_str() {
-        "tree" => Some(ResolvedEstimator::Tree),
-        "grid" => Some(ResolvedEstimator::Grid(GridConfig::default())),
-        _ => {
-            let mesh: usize = s.strip_prefix("grid:")?.trim().parse().ok()?;
-            (mesh.is_power_of_two() && (2..=GridConfig::MAX_MESH).contains(&mesh))
-                .then(|| ResolvedEstimator::Grid(GridConfig::with_mesh(mesh)))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,52 +79,7 @@ mod tests {
     }
 
     #[test]
-    fn resolution_order_is_env_then_detect() {
-        let auto = EstimatorChoice::Auto;
-        assert_eq!(auto.resolve_with(Some("tree")), ResolvedEstimator::Tree);
-        assert_eq!(
-            auto.resolve_with(Some("grid")),
-            ResolvedEstimator::Grid(GridConfig::default())
-        );
-        assert_eq!(
-            auto.resolve_with(Some("GRID:128")),
-            ResolvedEstimator::Grid(GridConfig::with_mesh(128))
-        );
-        // Unset or unparsable: detection (tree).
-        assert_eq!(auto.resolve_with(None), ResolvedEstimator::Tree);
-        for bad in [
-            "mesh",
-            "grid:",
-            "grid:0",
-            "grid:100",
-            "grid:-8",
-            "grid:2048",
-        ] {
-            assert_eq!(
-                auto.resolve_with(Some(bad)),
-                ResolvedEstimator::Tree,
-                "{bad}"
-            );
-        }
-        // Pinned choices beat the environment.
-        assert_eq!(
-            EstimatorChoice::Tree.resolve_with(Some("grid")),
-            ResolvedEstimator::Tree
-        );
-        let cfg = GridConfig::with_mesh(32);
-        assert_eq!(
-            EstimatorChoice::Grid(cfg).resolve_with(Some("tree")),
-            ResolvedEstimator::Grid(cfg)
-        );
-        assert_eq!(EstimatorChoice::default(), EstimatorChoice::Auto);
-    }
-
-    #[test]
-    fn resolved_kind_matches_variant() {
-        assert_eq!(ResolvedEstimator::Tree.kind(), EstimatorKind::Tree);
-        assert_eq!(
-            ResolvedEstimator::Grid(GridConfig::default()).kind(),
-            EstimatorKind::Grid
-        );
+    fn default_choice_is_the_tree() {
+        assert_eq!(EstimatorChoice::default(), EstimatorChoice::Tree);
     }
 }

@@ -7,17 +7,15 @@
 //! worker-state construction time.
 
 use crate::kernel::backend::BackendKind;
-use crate::kernel::batched::{accumulate_tails, drain_staged_tails, load_tail, TailStaging};
 use crate::kernel::buckets::PairBuckets;
 use crate::kernel::scalar::accumulate_bucket_scalar;
 use crate::kernel::simd::accumulate_bucket_simd;
 use galactos_math::monomial::UpdateStep;
-use galactos_simd::{F64x8, F64_LANES, ILP_BATCHES};
+use galactos_simd::{F64x8, ILP_BATCHES};
 
 /// Per-(bin, monomial) accumulation state for one thread: 8-lane
-/// vectors with a deferred reduction (the paper's layout), the same
-/// plus a cross-bucket tail staging area, or plain scalar sums (the
-/// reference path).
+/// vectors with a deferred reduction (the paper's layout), or plain
+/// scalar sums (the reference path).
 #[derive(Clone, Debug)]
 pub enum KernelAccumulator {
     Simd {
@@ -26,18 +24,6 @@ pub enum KernelAccumulator {
         /// `lanes[bin * nmono + mono]`
         lanes: Vec<F64x8>,
         scratch: Vec<F64x8>,
-    },
-    /// The SIMD layout plus a [`TailStaging`] buffer: ragged bucket
-    /// tails are deferred and drained across bucket boundaries
-    /// ([`crate::kernel::batched`]). Callers must [`finish`](
-    /// KernelAccumulator::finish) before reducing.
-    Batched {
-        nbins: usize,
-        nmono: usize,
-        /// `lanes[bin * nmono + mono]`
-        lanes: Vec<F64x8>,
-        scratch: Vec<F64x8>,
-        staging: TailStaging,
     },
     Scalar {
         nbins: usize,
@@ -58,16 +44,6 @@ impl KernelAccumulator {
         }
     }
 
-    pub fn new_batched(nbins: usize, nmono: usize) -> Self {
-        KernelAccumulator::Batched {
-            nbins,
-            nmono,
-            lanes: vec![F64x8::ZERO; nbins * nmono],
-            scratch: vec![F64x8::ZERO; ILP_BATCHES * nmono],
-            staging: TailStaging::new(),
-        }
-    }
-
     pub fn new_scalar(nbins: usize, nmono: usize) -> Self {
         KernelAccumulator::Scalar {
             nbins,
@@ -82,7 +58,6 @@ impl KernelAccumulator {
     pub fn kind(&self) -> BackendKind {
         match self {
             KernelAccumulator::Simd { .. } => BackendKind::Simd,
-            KernelAccumulator::Batched { .. } => BackendKind::BatchedSimd,
             KernelAccumulator::Scalar { .. } => BackendKind::Scalar,
         }
     }
@@ -91,7 +66,6 @@ impl KernelAccumulator {
     pub fn nmono(&self) -> usize {
         match self {
             KernelAccumulator::Simd { nmono, .. } => *nmono,
-            KernelAccumulator::Batched { nmono, .. } => *nmono,
             KernelAccumulator::Scalar { nmono, .. } => *nmono,
         }
     }
@@ -102,10 +76,6 @@ impl KernelAccumulator {
             KernelAccumulator::Simd { lanes, .. } => {
                 lanes.iter_mut().for_each(|v| *v = F64x8::ZERO);
             }
-            KernelAccumulator::Batched { lanes, staging, .. } => {
-                lanes.iter_mut().for_each(|v| *v = F64x8::ZERO);
-                staging.clear();
-            }
             KernelAccumulator::Scalar { sums, .. } => {
                 sums.iter_mut().for_each(|v| *v = 0.0);
             }
@@ -113,11 +83,6 @@ impl KernelAccumulator {
     }
 
     /// Flush one bucket of pairs into `bin`'s accumulators.
-    ///
-    /// The scalar and SIMD backends accumulate immediately; the batched
-    /// backend accumulates the lane-aligned prefix immediately and
-    /// stages the ragged tail for a later cross-bucket drain (forced
-    /// here only if the staging area is full).
     pub fn flush_bucket(
         &mut self,
         schedule: &[UpdateStep],
@@ -137,41 +102,6 @@ impl KernelAccumulator {
                 let acc = &mut lanes[bin * *nmono..(bin + 1) * *nmono];
                 accumulate_bucket_simd(schedule, dx, dy, dz, w, scratch, acc);
             }
-            KernelAccumulator::Batched {
-                nmono,
-                lanes,
-                scratch,
-                staging,
-                ..
-            } => {
-                let nmono = *nmono;
-                let aligned = dx.len() - dx.len() % F64_LANES;
-                if aligned > 0 {
-                    let acc = &mut lanes[bin * nmono..(bin + 1) * nmono];
-                    accumulate_bucket_simd(
-                        schedule,
-                        &dx[..aligned],
-                        &dy[..aligned],
-                        &dz[..aligned],
-                        &w[..aligned],
-                        scratch,
-                        acc,
-                    );
-                }
-                if aligned < dx.len() {
-                    let tail = dx.len() - aligned;
-                    if staging.remaining() < tail {
-                        drain_staged_tails(schedule, staging, scratch, lanes, nmono);
-                    }
-                    staging.push_tail(
-                        bin,
-                        &dx[aligned..],
-                        &dy[aligned..],
-                        &dz[aligned..],
-                        &w[aligned..],
-                    );
-                }
-            }
             KernelAccumulator::Scalar {
                 nmono,
                 sums,
@@ -187,67 +117,7 @@ impl KernelAccumulator {
     /// Flush every non-empty (typically partially filled) bucket — the
     /// end-of-primary sweep: "the buckets are swept once more, as they
     /// likely are only partially filled". All buckets are cleared.
-    ///
-    /// For the batched backend this is where the cross-bucket win
-    /// lands: after each bucket's lane-aligned prefix, the ragged tails
-    /// are accumulated [`ILP_BATCHES`] buckets per group kernel call —
-    /// independent monomial chains in flight, loaded straight from the
-    /// bucket SoA with no staging copy — instead of one serial padded
-    /// chunk per bin.
     pub fn flush_residual(&mut self, schedule: &[UpdateStep], buckets: &mut PairBuckets) {
-        if let KernelAccumulator::Batched {
-            nmono,
-            lanes,
-            scratch,
-            ..
-        } = self
-        {
-            let nmono = *nmono;
-            // Pass 1: each bucket's lane-aligned prefix through the
-            // aligned kernel.
-            for bin in 0..buckets.nbins() {
-                if buckets.is_empty(bin) {
-                    continue;
-                }
-                let (dx, dy, dz, w) = buckets.slices(bin);
-                let aligned = dx.len() - dx.len() % F64_LANES;
-                if aligned > 0 {
-                    let acc = &mut lanes[bin * nmono..(bin + 1) * nmono];
-                    accumulate_bucket_simd(
-                        schedule,
-                        &dx[..aligned],
-                        &dy[..aligned],
-                        &dz[..aligned],
-                        &w[..aligned],
-                        scratch,
-                        acc,
-                    );
-                }
-            }
-            // Pass 2: the ragged tails, ILP_BATCHES buckets per group
-            // kernel call, loaded straight from the bucket SoA.
-            accumulate_tails(
-                schedule,
-                (0..buckets.nbins()).filter_map(|bin| {
-                    let (dx, dy, dz, w) = buckets.slices(bin);
-                    let aligned = dx.len() - dx.len() % F64_LANES;
-                    (aligned < dx.len()).then(|| {
-                        load_tail(
-                            bin,
-                            &dx[aligned..],
-                            &dy[aligned..],
-                            &dz[aligned..],
-                            &w[aligned..],
-                        )
-                    })
-                }),
-                scratch,
-                lanes,
-                nmono,
-            );
-            buckets.clear_all();
-            return;
-        }
         for bin in 0..buckets.nbins() {
             if buckets.is_empty(bin) {
                 continue;
@@ -260,49 +130,16 @@ impl KernelAccumulator {
         }
     }
 
-    /// Complete all deferred accumulation so that [`reduce_bin`](
-    /// KernelAccumulator::reduce_bin) sees every flushed pair. A no-op
-    /// for the scalar and SIMD backends; the batched backend drains its
-    /// tail staging. Idempotent.
-    pub fn finish(&mut self, schedule: &[UpdateStep]) {
-        if let KernelAccumulator::Batched {
-            nmono,
-            lanes,
-            scratch,
-            staging,
-            ..
-        } = self
-        {
-            if !staging.is_empty() {
-                drain_staged_tails(schedule, staging, scratch, lanes, *nmono);
-            }
-        }
-    }
+    /// Does nothing: every flush accumulates immediately. Only the
+    /// frozen `benchmark/src/ladder.rs` calls it; remove it together
+    /// with that call in the next benchmark-kind PR.
+    pub fn finish(&mut self, _schedule: &[UpdateStep]) {}
 
     /// Reduce a bin's accumulators into plain sums — the single deferred
     /// reduction per multipole of §3.3.2.
     pub fn reduce_bin(&self, bin: usize, out: &mut [f64]) {
         match self {
             KernelAccumulator::Simd { nmono, lanes, .. } => {
-                debug_assert_eq!(out.len(), *nmono);
-                let acc = &lanes[bin * *nmono..(bin + 1) * *nmono];
-                for (o, v) in out.iter_mut().zip(acc.iter()) {
-                    *o = v.horizontal_sum();
-                }
-            }
-            KernelAccumulator::Batched {
-                nmono,
-                lanes,
-                staging,
-                ..
-            } => {
-                // Hard assert: reducing past staged tails would
-                // silently drop up to 7 pairs per stale tail, and the
-                // bool check is nothing next to the reductions below.
-                assert!(
-                    staging.is_empty(),
-                    "reduce_bin with staged tails — call finish() first"
-                );
                 debug_assert_eq!(out.len(), *nmono);
                 let acc = &lanes[bin * *nmono..(bin + 1) * *nmono];
                 for (o, v) in out.iter_mut().zip(acc.iter()) {
@@ -339,7 +176,6 @@ mod tests {
         for acc in &mut accs {
             acc.flush_bucket(basis.schedule(), 1, &dx, &dy, &dz, &w);
             acc.flush_bucket(basis.schedule(), 0, &dx[..2], &dy[..2], &dz[..2], &w[..2]);
-            acc.finish(basis.schedule());
         }
         let mut reference = vec![0.0; nmono];
         let mut got = vec![0.0; nmono];
@@ -377,13 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_staging_overflow_drains_mid_primary() {
-        // Many tiny ragged flushes into few bins: total staged tails far
-        // exceed STAGING_PAIRS, forcing in-flush drains.
-        check_backend_stream_vs_scalar(BackendKind::BatchedSimd, 3, 2, 3, 2000, 5, 1e-11);
-    }
-
-    #[test]
     fn reset_zeroes_state_for_all_backends() {
         let basis = MonomialBasis::new(3);
         let nmono = basis.len();
@@ -391,26 +220,10 @@ mod tests {
             let mut acc = kind.backend().new_accumulator(1, nmono);
             acc.flush_bucket(basis.schedule(), 0, &[0.5], &[0.5], &[0.707], &[1.0]);
             acc.reset();
-            acc.finish(basis.schedule());
             let mut out = vec![1.0; nmono];
             acc.reduce_bin(0, &mut out);
             assert!(out.iter().all(|&v| v == 0.0), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn finish_is_idempotent() {
-        let basis = MonomialBasis::new(3);
-        let nmono = basis.len();
-        let mut acc = KernelAccumulator::new_batched(1, nmono);
-        acc.flush_bucket(basis.schedule(), 0, &[0.6], &[0.0], &[0.8], &[1.5]);
-        acc.finish(basis.schedule());
-        let mut once = vec![0.0; nmono];
-        acc.reduce_bin(0, &mut once);
-        acc.finish(basis.schedule());
-        let mut twice = vec![0.0; nmono];
-        acc.reduce_bin(0, &mut twice);
-        assert_eq!(once, twice);
     }
 
     #[test]
@@ -423,7 +236,6 @@ mod tests {
             buckets.push(0, 1.0, 0.0, 0.0, 1.0);
             buckets.push(2, 0.0, 0.0, 1.0, 2.0);
             acc.flush_residual(basis.schedule(), &mut buckets);
-            acc.finish(basis.schedule());
             assert_eq!(buckets.non_empty_bins().count(), 0, "{kind:?}");
             let mut out = vec![0.0; nmono];
             acc.reduce_bin(0, &mut out);

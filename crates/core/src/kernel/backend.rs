@@ -1,32 +1,24 @@
-//! Runtime-dispatched kernel backends.
+//! Kernel backend selection.
 //!
 //! The a_ℓm accumulation kernel is the hottest path in Galactos (the
-//! paper's Knights Landing kernel reaches ~39% of peak), so which
-//! implementation runs must be a *runtime* decision — benchmarks compare
-//! backends on one binary, operators can force the scalar reference on
-//! exotic targets, and tests drive all backends through one engine. The
-//! pieces:
+//! paper's Knights Landing kernel reaches ~39% of peak). One
+//! implementation is the path and one is its oracle:
 //!
-//! * [`BackendKind`] — the closed set of implementations: [`scalar`](
-//!   crate::kernel::scalar), [`simd`](crate::kernel::simd), and
-//!   [`batched`](crate::kernel::batched) (SIMD plus cross-bucket tail
-//!   batching);
+//! * [`BackendKind`] — the closed set of implementations:
+//!   [`simd`](crate::kernel::simd), the paper's §3.3.2 kernel, and
+//!   [`scalar`](crate::kernel::scalar), the reference arithmetic the
+//!   equivalence tests and the benchmark's differential check compare
+//!   it against;
 //! * [`KernelBackend`] — the object-safe trait the engine, scratch
 //!   allocation, and the repo benchmark program against;
 //! * [`BackendChoice`] — what sits in [`EngineConfig`](
 //!   crate::config::EngineConfig): either a pinned kind or `Auto`,
-//!   which consults the [`BACKEND_ENV`] environment variable and falls
-//!   back to [`detect`].
+//!   which is [`detect`]. Nothing here reads the process environment:
+//!   the backend is a function of the configuration and the build
+//!   target.
 
 use crate::kernel::KernelAccumulator;
 use std::fmt;
-use std::str::FromStr;
-
-/// Environment variable consulted by [`BackendChoice::Auto`]:
-/// `scalar`, `simd`, or `batched` (case-insensitive; `batched-simd` and
-/// `batched_simd` are accepted aliases). Unparsable values fall back to
-/// [`detect`].
-pub const BACKEND_ENV: &str = "GALACTOS_KERNEL_BACKEND";
 
 /// The closed set of kernel implementations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -35,27 +27,18 @@ pub enum BackendKind {
     Scalar,
     /// 8-lane vectors, 4 chains in flight, one bucket per call (§3.3.2).
     Simd,
-    /// The SIMD path plus cross-bucket tail batching: ragged bucket
-    /// tails are staged and accumulated many buckets per call, with
-    /// lane-width chunks spanning bucket boundaries.
-    BatchedSimd,
 }
 
 impl BackendKind {
-    /// Every backend, in scalar-first order (the order benchmark tables
-    /// and equivalence sweeps use).
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Scalar,
-        BackendKind::Simd,
-        BackendKind::BatchedSimd,
-    ];
+    /// Every backend, reference first (the order equivalence sweeps
+    /// use).
+    pub const ALL: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
 
-    /// Stable lowercase name, also the accepted [`BACKEND_ENV`] value.
+    /// Stable lowercase name (for reports and run manifests).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-            BackendKind::BatchedSimd => "batched",
         }
     }
 
@@ -64,7 +47,6 @@ impl BackendKind {
         match self {
             BackendKind::Scalar => &ScalarBackend,
             BackendKind::Simd => &SimdBackend,
-            BackendKind::BatchedSimd => &BatchedSimdBackend,
         }
     }
 }
@@ -75,60 +57,21 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// Error returned when a backend name cannot be parsed; lists the
-/// accepted values.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseBackendError(String);
-
-impl fmt::Display for ParseBackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown kernel backend {:?} (expected one of: scalar, simd, batched)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseBackendError {}
-
-impl FromStr for BackendKind {
-    type Err = ParseBackendError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Ok(BackendKind::Scalar),
-            "simd" => Ok(BackendKind::Simd),
-            "batched" | "batched-simd" | "batched_simd" => Ok(BackendKind::BatchedSimd),
-            _ => Err(ParseBackendError(s.to_string())),
-        }
-    }
-}
-
-/// Pick the fastest backend this build can be expected to profit from.
+/// The backend [`BackendChoice::Auto`] runs: a `cfg!` ladder over the
+/// *build target*, decided at compile time. It does not probe the
+/// machine the binary runs on.
 ///
 /// The lane types in `galactos-simd` are portable (plain arrays that
-/// LLVM autovectorizes), so every backend is *correct* everywhere; this
-/// probe only decides which is likely *fastest*. The ladder:
+/// LLVM autovectorizes), so both backends are *correct* everywhere;
+/// the ladder only avoids paying 8-lane bookkeeping on targets with no
+/// vector registers to map it onto:
 ///
-/// 1. **AVX-512 builds** (`-C target-cpu` enabling `avx512f`, as on
-///    the paper's Knights Landing nodes): [`BackendKind::BatchedSimd`].
-///    One [`F64x8`](galactos_simd::F64x8) is one 512-bit register and
-///    there are 32 of them, so the batched backend's 4-interleaved-
-///    chain tail groups fit without spilling — the same ILP budget the
-///    paper's aligned kernel is built around.
-/// 2. **Other vector targets** (baseline x86-64 = SSE2, aarch64 =
-///    NEON, wasm simd128): [`BackendKind::Simd`]. An `F64x8` spans
-///    several narrow registers here, so running four chains at once
-///    spills, and the one-chunk-per-bucket kernel is the faster one
-///    on such builds. The benchmark's `core.kernel.*` layer
-///    (`BENCHMARK.json`) times whichever backend this resolves to.
-/// 3. **Everything else**: the scalar reference, rather than paying
-///    8-lane bookkeeping with no vector registers to map it onto.
+/// 1. **x86-64, aarch64, wasm with `simd128`** — every build of these
+///    has a vector unit (SSE2 / NEON / simd128 at baseline, wider with
+///    `-C target-cpu`): [`BackendKind::Simd`].
+/// 2. **Everything else**: the scalar reference.
 pub fn detect() -> BackendKind {
-    if cfg!(target_feature = "avx512f") {
-        BackendKind::BatchedSimd
-    } else if cfg!(any(
+    if cfg!(any(
         target_arch = "x86_64",
         target_arch = "aarch64",
         target_feature = "simd128"
@@ -140,43 +83,23 @@ pub fn detect() -> BackendKind {
 }
 
 /// Backend selection as configured on [`EngineConfig`](
-/// crate::config::EngineConfig).
-///
-/// Resolution order: a [`Fixed`](BackendChoice::Fixed) choice always
-/// wins; [`Auto`](BackendChoice::Auto) consults the [`BACKEND_ENV`]
-/// environment variable, then falls back to [`detect`]. Resolution
-/// happens once, at [`Engine::new`](crate::engine::Engine::new) — not
-/// per worker or per call.
+/// crate::config::EngineConfig). Resolved once, at [`Engine::new`](
+/// crate::engine::Engine::new) — not per worker or per call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// Environment override if set and valid, else [`detect`].
+    /// [`detect`]: the SIMD kernel on every vector build target.
     #[default]
     Auto,
-    /// Always this backend, ignoring environment and detection.
+    /// Always this backend — how the equivalence tests and the
+    /// benchmark's differential check run the scalar reference.
     Fixed(BackendKind),
 }
 
 impl BackendChoice {
-    /// Resolve against the process environment. A [`Fixed`](
-    /// BackendChoice::Fixed) choice never touches the environment (so
-    /// pinned-backend engines are safe to build while another thread
-    /// mutates env vars); only [`Auto`](BackendChoice::Auto) reads
-    /// [`BACKEND_ENV`].
     pub fn resolve(self) -> BackendKind {
         match self {
             BackendChoice::Fixed(kind) => kind,
-            BackendChoice::Auto => self.resolve_with(std::env::var(BACKEND_ENV).ok().as_deref()),
-        }
-    }
-
-    /// Resolution with an explicit environment value, so the fallback
-    /// order is testable without mutating process state. `None` means
-    /// the variable is unset; unparsable values fall back to
-    /// [`detect`].
-    pub fn resolve_with(self, env: Option<&str>) -> BackendKind {
-        match self {
-            BackendChoice::Fixed(kind) => kind,
-            BackendChoice::Auto => env.and_then(|s| s.parse().ok()).unwrap_or_else(detect),
+            BackendChoice::Auto => detect(),
         }
     }
 }
@@ -189,7 +112,7 @@ pub trait KernelBackend: Send + Sync {
     /// Which implementation this is.
     fn kind(&self) -> BackendKind;
 
-    /// Stable lowercase name (for reports, JSON, env values).
+    /// Stable lowercase name (for reports and run manifests).
     fn name(&self) -> &'static str {
         self.kind().name()
     }
@@ -225,83 +148,25 @@ impl KernelBackend for SimdBackend {
     }
 }
 
-/// The SIMD backend with cross-bucket tail batching.
-pub struct BatchedSimdBackend;
-
-impl KernelBackend for BatchedSimdBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::BatchedSimd
-    }
-
-    fn new_accumulator(&self, nbins: usize, nmono: usize) -> KernelAccumulator {
-        KernelAccumulator::new_batched(nbins, nmono)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn names_parse_back_to_themselves() {
+    fn fixed_choice_resolves_to_itself_and_auto_to_detect() {
         for kind in BackendKind::ALL {
-            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
-            assert_eq!(format!("{kind}"), kind.name());
+            assert_eq!(BackendChoice::Fixed(kind).resolve(), kind);
         }
-    }
-
-    #[test]
-    fn parsing_accepts_aliases_and_case() {
-        for s in ["batched", "BATCHED-SIMD", "Batched_Simd", " batched "] {
-            assert_eq!(s.parse::<BackendKind>().unwrap(), BackendKind::BatchedSimd);
-        }
-        assert_eq!(
-            "SCALAR".parse::<BackendKind>().unwrap(),
-            BackendKind::Scalar
-        );
-        assert_eq!("Simd".parse::<BackendKind>().unwrap(), BackendKind::Simd);
-    }
-
-    #[test]
-    fn parsing_rejects_garbage_with_helpful_error() {
-        let err = "avx9000".parse::<BackendKind>().unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("avx9000"), "{msg}");
-        assert!(msg.contains("scalar"), "{msg}");
-    }
-
-    #[test]
-    fn fixed_choice_ignores_environment() {
-        let c = BackendChoice::Fixed(BackendKind::Scalar);
-        assert_eq!(c.resolve_with(Some("simd")), BackendKind::Scalar);
-        assert_eq!(c.resolve_with(None), BackendKind::Scalar);
-    }
-
-    #[test]
-    fn auto_fallback_order_is_env_then_detect() {
-        let auto = BackendChoice::Auto;
-        // 1. Valid env value wins.
-        assert_eq!(auto.resolve_with(Some("scalar")), BackendKind::Scalar);
-        assert_eq!(auto.resolve_with(Some("simd")), BackendKind::Simd);
-        // 2. Unset env falls back to detection.
-        assert_eq!(auto.resolve_with(None), detect());
-        // 3. Unparsable env also falls back to detection.
-        assert_eq!(auto.resolve_with(Some("not-a-backend")), detect());
+        assert_eq!(BackendChoice::Auto.resolve(), detect());
     }
 
     #[test]
     fn detect_never_picks_scalar_on_vector_targets() {
-        // The test suite runs on x86-64 or aarch64 hosts; both have
-        // vector units, so detection must not demote to scalar there.
-        // Which SIMD flavor wins depends on the register file: batched
-        // needs the AVX-512 register budget for its 4-chain groups.
+        // The test suite runs on x86-64 or aarch64 hosts; both build
+        // targets have vector units, so the ladder must not demote to
+        // scalar there.
         if cfg!(any(target_arch = "x86_64", target_arch = "aarch64")) {
-            let expected = if cfg!(target_feature = "avx512f") {
-                BackendKind::BatchedSimd
-            } else {
-                BackendKind::Simd
-            };
-            assert_eq!(detect(), expected);
+            assert_eq!(detect(), BackendKind::Simd);
         }
     }
 
@@ -316,6 +181,7 @@ mod tests {
             let b = kind.backend();
             assert_eq!(b.kind(), kind);
             assert_eq!(b.name(), kind.name());
+            assert_eq!(format!("{kind}"), kind.name());
             let acc = b.new_accumulator(2, 4);
             assert_eq!(acc.kind(), kind);
             assert_eq!(acc.nmono(), 4);

@@ -15,17 +15,13 @@
 //!   with 4 independent batches in flight for instruction-level
 //!   parallelism.
 //! * **Scalar reference** ([`scalar`]): the same arithmetic one lane
-//!   wide; tests require bit-level-close agreement, and the
-//!   vectorization ablation benchmarks the two against each other.
-//! * **Cross-bucket batching** ([`batched`]): ragged bucket tails are
-//!   staged with their bin ids and accumulated many buckets per call,
-//!   lane-width chunks spanning bucket boundaries, so the
-//!   end-of-primary sweep stops paying one padded vector chunk per bin.
-//! * **Runtime dispatch** ([`backend`]): the three implementations
-//!   behind one [`KernelBackend`] trait, selected per engine via
-//!   [`EngineConfig`](crate::config::EngineConfig), the
-//!   `GALACTOS_KERNEL_BACKEND` environment variable, or hardware
-//!   detection.
+//!   wide — the oracle the SIMD kernel is held to (≲ 1e-11 relative in
+//!   the unit tests, 1e-10 through the full engine in
+//!   `tests/backends.rs`).
+//! * **Selection** ([`backend`]): the two implementations behind one
+//!   [`KernelBackend`] trait, chosen per engine by
+//!   [`EngineConfig::kernel_backend`](crate::config::EngineConfig) —
+//!   pinned, or [`detect`]'s build-target `cfg!` ladder.
 //!
 //! The test-only `testutil` module carries the deterministic input
 //! generators and against-scalar checkers shared by every backend's
@@ -33,7 +29,6 @@
 
 pub mod accumulator;
 pub mod backend;
-pub mod batched;
 pub mod buckets;
 pub mod scalar;
 pub mod simd;
@@ -41,5 +36,5 @@ pub mod simd;
 pub mod testutil;
 
 pub use accumulator::KernelAccumulator;
-pub use backend::{detect, BackendChoice, BackendKind, KernelBackend, BACKEND_ENV};
+pub use backend::{detect, BackendChoice, BackendKind, KernelBackend};
 pub use buckets::PairBuckets;

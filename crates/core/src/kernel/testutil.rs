@@ -125,7 +125,6 @@ pub fn check_backend_vs_scalar(kind: BackendKind, lmax: usize, n: usize, seed: u
 
     let mut acc = kind.backend().new_accumulator(1, nmono);
     acc.flush_bucket(basis.schedule(), 0, &dx, &dy, &dz, &w);
-    acc.finish(basis.schedule());
     let mut got = vec![0.0; nmono];
     acc.reduce_bin(0, &mut got);
     for i in 0..nmono {
@@ -140,10 +139,9 @@ pub fn check_backend_vs_scalar(kind: BackendKind, lmax: usize, n: usize, seed: u
 
 /// Push a random binned pair stream through `PairBuckets` + an
 /// accumulator of `kind` exactly the way the engine's bin-and-bucket
-/// stage does (flush on full, residual sweep, finish), and assert every
-/// bin's monomial sums match a scalar per-bin reference to relative
-/// `tol`. Exercises full-bucket flushes, ragged tails, and (for the
-/// batched backend) lane chunks spanning bucket boundaries.
+/// stage does (flush on full, residual sweep), and assert every bin's
+/// monomial sums match a scalar per-bin reference to relative `tol`.
+/// Exercises full-bucket flushes and ragged tails.
 pub fn check_backend_stream_vs_scalar(
     kind: BackendKind,
     lmax: usize,
@@ -184,7 +182,6 @@ pub fn check_backend_stream_vs_scalar(
         }
     }
     acc.flush_residual(basis.schedule(), &mut buckets);
-    acc.finish(basis.schedule());
 
     let mut got = vec![0.0; nmono];
     for b in 0..nbins {

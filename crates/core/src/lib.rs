@@ -6,35 +6,35 @@
 //!
 //! * [`bins`] — radial binning of triangle side lengths;
 //! * [`config`] — engine configuration (ℓmax, bins, line of sight,
-//!   bucket size, precision, scheduling);
+//!   bucket size, precision, and the backend / traversal / estimator
+//!   choices);
 //! * [`result`] — the `ζ^m_{ℓℓ'}(r₁, r₂)` container, its isotropic
 //!   compression, and merge/normalize operations;
-//! * [`kernel`] — the bucketed multipole accumulation kernel behind a
-//!   runtime-dispatched backend trait: per-bin pair buckets
-//!   (pre-binning, §3.3.1), 8-lane deferred-reduction accumulators with
-//!   4-way ILP (§3.3.2), cross-bucket tail batching, and a scalar
-//!   reference path — selected per engine via config, environment, or
-//!   hardware detection;
+//! * [`kernel`] — the bucketed multipole accumulation kernel: per-bin
+//!   pair buckets (pre-binning, §3.3.1), 8-lane deferred-reduction
+//!   accumulators with 4-way ILP (§3.3.2), and the scalar reference
+//!   they are tested against — the SIMD kernel on every vector build
+//!   target unless the config pins the reference;
 //! * [`engine`] — the staged per-primary pipeline (gather →
 //!   bin/bucket → a_ℓm assembly → ζ accumulation), thread-parallel
 //!   over primaries (§3.3); the Figure 4 stage breakdown is what
 //!   [`Engine::compute_observed`](engine::Engine::compute_observed)
 //!   records into a `galactos-obs` session — there is no other timer;
-//! * [`estimator`] — the estimator-selection knob dispatching
+//! * [`estimator`] — the estimator choice dispatching
 //!   [`Engine::compute`](engine::Engine::compute) between the tree
 //!   traversal and the FFT-based gridded a_ℓm estimator of
 //!   `galactos-grid` (mass assignment + Fourier-space shell
 //!   convolutions), whose cost scales with mesh size instead of pair
 //!   count;
 //! * [`traversal`] — the precision-erased k-d tree (mixed-precision
-//!   search, §5.4) and the two traversal modes behind one config knob:
-//!   per-primary gathering and the §3.2 node-to-node leaf-blocked walk
-//!   with SoA candidate blocks;
+//!   search, §5.4) and the two traversal modes: the §3.2 node-to-node
+//!   leaf-blocked walk with SoA candidate blocks, and per-primary
+//!   gathering as its reference;
 //! * [`scratch`] — reusable per-worker compute state (buckets,
 //!   accumulators, ζ partials, instrumentation counters);
-//! * [`schedule`] — the shared chunk/map/reduce driver implementing
-//!   dynamic (work-stealing) and static primary scheduling for the
-//!   engine and the distributed pipeline's rank reduction;
+//! * [`schedule`] — the shared chunk/map/reduce driver (constant-size
+//!   chunks, work stealing, ordered merge) for the engine and the
+//!   distributed pipeline's rank reduction;
 //! * [`naive`] — O(N³) triplet-counting and O(N²·lm) direct-Yₗₘ
 //!   baselines used as correctness oracles and benchmark comparators;
 //! * [`isotropic`] — the Slepian–Eisenstein (2015) isotropic Legendre
@@ -73,7 +73,7 @@ pub mod traversal;
 pub mod xismu;
 
 pub use bins::RadialBins;
-pub use config::{EngineConfig, Scheduling, TreePrecision};
+pub use config::{EngineConfig, TreePrecision};
 pub use engine::Engine;
 pub use estimator::{EstimatorChoice, EstimatorKind};
 pub use galactos_grid::{GridConfig, MassAssignment};

@@ -18,7 +18,7 @@
 //! match the single-process engine to floating-point accuracy for any
 //! rank count, on both ingestion paths.
 
-use crate::config::{EngineConfig, Scheduling};
+use crate::config::EngineConfig;
 use crate::engine::Engine;
 use crate::result::AnisotropicZeta;
 use crate::schedule::{self, Merge};
@@ -146,7 +146,6 @@ fn reduce_rank_partials(
     let lmax = config.lmax;
     let nbins = config.bins.nbins();
     let zeta = schedule::run_partitioned(
-        Scheduling::Dynamic,
         results.len(),
         || AnisotropicZeta::zeros(lmax, nbins),
         |acc: &mut AnisotropicZeta, range| {

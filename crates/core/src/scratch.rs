@@ -67,8 +67,7 @@ impl ComputeScratch {
     /// taken from the engine's basis and the kernel accumulation state
     /// built by `backend` — the engine resolves its configured
     /// [`BackendChoice`](crate::kernel::BackendChoice) once at
-    /// construction and passes the resolved backend here for every
-    /// worker.
+    /// construction and passes the result here for every worker.
     pub(crate) fn new(
         config: &EngineConfig,
         basis: &MonomialBasis,

@@ -43,7 +43,7 @@
 //!   correction degenerates to dividing by `R₀`.
 //! * **Tree path only**: the gridded FFT estimator asserts a periodic
 //!   catalog and a uniform line of sight, both false on a cut sky, so
-//!   [`SurveyCompute::new`] rejects configurations that resolve to the
+//!   [`SurveyCompute::new`] rejects configurations that select the
 //!   grid. This is a documented scope boundary, not a missing feature
 //!   flag.
 
@@ -60,7 +60,7 @@ use galactos_math::{LineOfSight, Vec3};
 #[derive(Clone, Debug)]
 pub struct SurveyConfig {
     /// Engine configuration shared by the D−R and randoms-only runs.
-    /// Must resolve to the tree estimator (see module docs).
+    /// Must select the tree estimator (see module docs).
     pub engine: EngineConfig,
     /// Highest window multipole `f_ℓ` retained in the mixing matrix;
     /// must be ≤ `engine.lmax`. 0 reduces the correction to plain
@@ -123,7 +123,7 @@ pub struct SurveyCompute {
 
 impl SurveyCompute {
     /// Build the estimator. Panics if the configuration is invalid or
-    /// resolves to the grid estimator (periodic-only; see module docs).
+    /// selects the grid estimator (periodic-only; see module docs).
     pub fn new(config: SurveyConfig) -> Self {
         config.validate();
         let window_lmax = config.window_lmax;

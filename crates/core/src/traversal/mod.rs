@@ -41,10 +41,8 @@
 //! search boundary *and* of a bbox corner can in principle be decided
 //! differently; no such coincidence exists in the committed test or
 //! benchmark catalogs, and a flip would shift ζ well below the
-//! equivalence tolerance. Selection mirrors the
-//! kernel-backend pattern: [`TraversalChoice`] on the config, a
-//! [`TRAVERSAL_ENV`] override, and a measured [`detect_traversal`]
-//! default.
+//! equivalence tolerance. Selection is [`TraversalChoice`] on the
+//! config: leaf-blocked unless the reference is pinned.
 
 mod block;
 
@@ -55,13 +53,6 @@ use crate::config::TreePrecision;
 use galactos_kdtree::{KdTree, TreeConfig};
 use galactos_math::Vec3;
 use std::fmt;
-use std::str::FromStr;
-
-/// Environment variable consulted by [`TraversalChoice::Auto`]:
-/// `per-primary` or `leaf-blocked` (case-insensitive; underscores
-/// accepted, as is the short alias `blocked`). Unparsable values fall
-/// back to [`detect_traversal`].
-pub const TRAVERSAL_ENV: &str = "GALACTOS_TRAVERSAL";
 
 /// The closed set of traversal implementations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,10 +65,10 @@ pub enum TraversalKind {
 }
 
 impl TraversalKind {
-    /// Every mode, reference first (the order benchmark tables use).
+    /// Every mode, reference first (the order equivalence sweeps use).
     pub const ALL: [TraversalKind; 2] = [TraversalKind::PerPrimary, TraversalKind::LeafBlocked];
 
-    /// Stable lowercase name, also the accepted [`TRAVERSAL_ENV`] value.
+    /// Stable lowercase name (for reports and run manifests).
     pub fn name(self) -> &'static str {
         match self {
             TraversalKind::PerPrimary => "per-primary",
@@ -92,88 +83,28 @@ impl fmt::Display for TraversalKind {
     }
 }
 
-/// Error returned when a traversal name cannot be parsed; lists the
-/// accepted values.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseTraversalError(String);
-
-impl fmt::Display for ParseTraversalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown traversal mode {:?} (expected one of: per-primary, leaf-blocked)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseTraversalError {}
-
-impl FromStr for TraversalKind {
-    type Err = ParseTraversalError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().replace('_', "-").as_str() {
-            "per-primary" | "perprimary" => Ok(TraversalKind::PerPrimary),
-            "leaf-blocked" | "leafblocked" | "blocked" => Ok(TraversalKind::LeafBlocked),
-            _ => Err(ParseTraversalError(s.to_string())),
-        }
-    }
-}
-
-/// Pick the traversal expected to be fastest.
-///
-/// Leaf blocking amortizes one pruned tree walk over a whole leaf of
-/// primaries and streams candidates from a contiguous SoA block
-/// instead of per-pair `galaxies[j]` gathers. There is no measured
-/// configuration where per-primary wins, so detection is unconditional
-/// and every `BENCHMARK.json` tree workload runs it; the env override
-/// and [`TraversalChoice::Fixed`] exist for A/B timing and for ruling
-/// traversal in or out when debugging.
-pub fn detect_traversal() -> TraversalKind {
-    TraversalKind::LeafBlocked
-}
-
 /// Traversal selection as configured on [`EngineConfig`](
-/// crate::config::EngineConfig), mirroring the kernel-backend pattern.
-///
-/// Resolution order: a [`Fixed`](TraversalChoice::Fixed) choice always
-/// wins; [`Auto`](TraversalChoice::Auto) consults the [`TRAVERSAL_ENV`]
-/// environment variable, then falls back to [`detect_traversal`].
-/// Resolution happens once, at [`Engine::new`](
+/// crate::config::EngineConfig). Resolved once, at [`Engine::new`](
 /// crate::engine::Engine::new) — not per worker or per call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraversalChoice {
-    /// Environment override if set and valid, else [`detect_traversal`].
+    /// [`TraversalKind::LeafBlocked`]: it amortizes one pruned tree
+    /// walk over a whole leaf of primaries and streams candidates from
+    /// a contiguous SoA block instead of per-pair `galaxies[j]`
+    /// gathers. There is no measured configuration where per-primary
+    /// wins, and every `BENCHMARK.json` tree workload runs this.
     #[default]
     Auto,
-    /// Always this mode, ignoring environment and detection.
+    /// Always this mode — how the equivalence tests and the
+    /// benchmark's differential check run the per-primary reference.
     Fixed(TraversalKind),
 }
 
 impl TraversalChoice {
-    /// Resolve against the process environment. A [`Fixed`](
-    /// TraversalChoice::Fixed) choice never touches the environment;
-    /// only [`Auto`](TraversalChoice::Auto) reads [`TRAVERSAL_ENV`].
     pub fn resolve(self) -> TraversalKind {
         match self {
             TraversalChoice::Fixed(kind) => kind,
-            TraversalChoice::Auto => {
-                self.resolve_with(std::env::var(TRAVERSAL_ENV).ok().as_deref())
-            }
-        }
-    }
-
-    /// Resolution with an explicit environment value, so the fallback
-    /// order is testable without mutating process state. `None` means
-    /// the variable is unset; unparsable values fall back to
-    /// [`detect_traversal`].
-    pub fn resolve_with(self, env: Option<&str>) -> TraversalKind {
-        match self {
-            TraversalChoice::Fixed(kind) => kind,
-            TraversalChoice::Auto => env
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(detect_traversal),
+            TraversalChoice::Auto => TraversalKind::LeafBlocked,
         }
     }
 }
@@ -321,41 +252,13 @@ mod tests {
     }
 
     #[test]
-    fn traversal_names_parse_back_to_themselves() {
+    fn fixed_choice_resolves_to_itself_and_auto_to_leaf_blocked() {
         for kind in TraversalKind::ALL {
-            assert_eq!(kind.name().parse::<TraversalKind>().unwrap(), kind);
+            assert_eq!(TraversalChoice::Fixed(kind).resolve(), kind);
             assert_eq!(format!("{kind}"), kind.name());
         }
-        for s in ["LEAF_BLOCKED", "blocked", " leaf-blocked "] {
-            assert_eq!(
-                s.parse::<TraversalKind>().unwrap(),
-                TraversalKind::LeafBlocked
-            );
-        }
-        let err = "quadtree".parse::<TraversalKind>().unwrap_err();
-        assert!(err.to_string().contains("quadtree"));
-        assert!(err.to_string().contains("per-primary"));
-    }
-
-    #[test]
-    fn traversal_resolution_order_is_env_then_detect() {
-        let auto = TraversalChoice::Auto;
-        assert_eq!(
-            auto.resolve_with(Some("per-primary")),
-            TraversalKind::PerPrimary
-        );
-        assert_eq!(
-            auto.resolve_with(Some("leaf-blocked")),
-            TraversalKind::LeafBlocked
-        );
-        assert_eq!(auto.resolve_with(None), detect_traversal());
-        assert_eq!(auto.resolve_with(Some("bogus")), detect_traversal());
-        let fixed = TraversalChoice::Fixed(TraversalKind::PerPrimary);
-        assert_eq!(
-            fixed.resolve_with(Some("leaf-blocked")),
-            TraversalKind::PerPrimary
-        );
         assert_eq!(TraversalChoice::default(), TraversalChoice::Auto);
+        assert_eq!(TraversalChoice::Auto.resolve(), TraversalKind::LeafBlocked);
     }
 
     #[test]

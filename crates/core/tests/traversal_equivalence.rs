@@ -175,14 +175,12 @@ fn degenerate_catalogs_agree() {
 
 #[test]
 fn blocked_is_the_measured_default() {
-    // Auto resolves to the measured-fastest mode (leaf-blocked; see
-    // detect_traversal) unless the environment overrides it.
+    // The shipped configuration runs the mode every BENCHMARK.json
+    // tree workload measures.
+    let config = EngineConfig::paper_default(10.0);
+    assert_eq!(config.traversal, TraversalChoice::Auto);
     assert_eq!(
-        TraversalChoice::Auto.resolve_with(None),
+        Engine::new(config).traversal_kind(),
         TraversalKind::LeafBlocked
-    );
-    assert_eq!(
-        TraversalChoice::Auto.resolve_with(Some("per-primary")),
-        TraversalKind::PerPrimary
     );
 }

@@ -117,18 +117,17 @@ impl EnsembleConfig {
     /// checkpoint from a faulted run is interchangeable with one from
     /// a clean run.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(96);
+        let mut bytes = Vec::new();
         bytes.extend_from_slice(&(self.realizations as u64).to_le_bytes());
         bytes.extend_from_slice(&self.base_seed.to_le_bytes());
         bytes.extend_from_slice(&(self.mesh_n as u64).to_le_bytes());
         bytes.extend_from_slice(&self.box_len.to_bits().to_le_bytes());
         bytes.extend_from_slice(&(self.n_target as u64).to_le_bytes());
         self.spectrum.digest_bytes(&mut bytes);
-        bytes.extend_from_slice(&(self.engine.lmax as u64).to_le_bytes());
-        bytes.extend_from_slice(&(self.engine.bins.nbins() as u64).to_le_bytes());
-        for &edge in self.engine.bins.edges() {
-            bytes.extend_from_slice(&edge.to_bits().to_le_bytes());
-        }
+        // The whole engine configuration, as text: ζ bits are a
+        // function of it and the build target alone (no environment
+        // variable, no pool width), and `{:?}` of an `f64` round-trips.
+        bytes.extend_from_slice(format!("{:?}", self.engine).as_bytes());
         bytes.extend_from_slice(&(self.num_shards as u64).to_le_bytes());
         // num_ranks and retry are absent on purpose: shard-ordered
         // reduction makes ζ independent of both.

@@ -3,6 +3,7 @@
 //! or injected rank kills.
 
 use galactos_cluster::fault::FaultPlan;
+use galactos_core::SurveyConfig;
 use galactos_ensemble::{EnsembleConfig, EnsembleError, MockEnsemble};
 use std::path::PathBuf;
 
@@ -117,14 +118,32 @@ fn corrupt_checkpoint_is_recomputed_not_trusted() {
 #[test]
 fn stale_config_digest_forces_recompute() {
     let dir = scratch("digest");
-    MockEnsemble::new(smoke_config(), &dir).run().unwrap();
+    let mut config = smoke_config();
+    MockEnsemble::new(config.clone(), &dir).run().unwrap();
     // Same directory, different physics: the old checkpoints must not
-    // be mistaken for this ensemble's realizations.
-    let mut other = smoke_config();
-    other.n_target += 8;
-    let run = MockEnsemble::new(other, &dir).run().unwrap();
-    assert_eq!(run.status.skipped, 0);
-    assert_eq!(run.status.recomputed, K);
+    // be mistaken for this ensemble's realizations. Each step differs
+    // from the configuration whose checkpoints are on disk in exactly
+    // one field.
+    type Change = fn(&mut EnsembleConfig);
+    let changes: [(&str, Change); 4] = [
+        ("n_target", |c| c.n_target += 8),
+        ("subtract_self_pairs", |c| {
+            c.engine.subtract_self_pairs = !c.engine.subtract_self_pairs
+        }),
+        ("bucket_size", |c| c.engine.bucket_size += 1),
+        // Radial about the box corner instead of fixed ẑ.
+        ("line_of_sight", |c| {
+            c.engine.line_of_sight = SurveyConfig::survey_default(Default::default(), 3.0, 1, 2)
+                .engine
+                .line_of_sight
+        }),
+    ];
+    for (field, change) in changes {
+        change(&mut config);
+        let run = MockEnsemble::new(config.clone(), &dir).run().unwrap();
+        assert_eq!(run.status.skipped, 0, "{field}");
+        assert_eq!(run.status.recomputed, K, "{field}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

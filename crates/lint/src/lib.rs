@@ -1,8 +1,8 @@
 //! `galactos-lint` — the workspace invariant checker.
 //!
 //! The repo's correctness contracts (thread-count bit-stability,
-//! zero-cost uninstrumented hot paths, single-point env-knob
-//! resolution, checked header parsing, audited `unsafe`) are enforced
+//! zero-cost uninstrumented hot paths, no environment reads in
+//! library code, checked header parsing, audited `unsafe`) are enforced
 //! here as build-breaking static analysis, not just rustdoc prose and
 //! runtime tests. The tool is offline and dependency-free by design:
 //! a small hand-rolled lexer (no `syn`, no crates.io) feeds a rule
@@ -15,7 +15,7 @@
 //! |------|----------|
 //! | `W-UNSAFE` | every `unsafe` fn/block/impl carries a `SAFETY` justification **and** matches the committed [`registry::REGISTRY_FILE`] |
 //! | `W-CLOCK` | `Instant::now` only in `crates/bench`, `obs::clock`, tests/examples, or instrument-gated code |
-//! | `W-ENV` | `GALACTOS_*` knob reads only in the three designated resolution modules |
+//! | `W-ENV` | no `env::var*` read and no `GALACTOS_*` literal in any non-test, non-example source |
 //! | `W-DETERMINISM` | parallel float reductions go through the ordered two-arg `fold`/`reduce` helpers |
 //! | `W-CAST` | no bare `as` narrowing in `catalog::io` / `shard.rs` header parsing |
 //!

@@ -5,8 +5,8 @@
 //! so nothing ever fires inside a string, char literal, or comment.
 //! Scoping is by path: each rule documents exactly which files it
 //! watches and which it deliberately ignores (bench code, tests,
-//! examples are allowed clocks; the three knob-resolution modules are
-//! allowed env reads; and so on).
+//! examples are allowed clocks; no library source is allowed an env
+//! read; and so on).
 //!
 //! # Suppressions
 //!
@@ -401,17 +401,13 @@ fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// W-ENV — GALACTOS_* knob resolution happens in exactly three modules.
+// W-ENV — no non-test, non-example source reads the process
+// environment or names a GALACTOS_* knob: ζ is a function of the
+// EngineConfig and the build target.
 // ---------------------------------------------------------------------------
 
-const ENV_ALLOWED: [&str; 3] = [
-    "crates/core/src/kernel/backend.rs",
-    "crates/core/src/estimator.rs",
-    "crates/core/src/traversal/mod.rs",
-];
-
 fn rule_env(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
-    if ENV_ALLOWED.contains(&f.path.as_str()) || is_test_or_example(&f.path) {
+    if is_test_or_example(&f.path) {
         return;
     }
     for reader in ["var", "var_os", "vars", "vars_os"] {
@@ -420,11 +416,7 @@ fn rule_env(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
                 "W-ENV",
                 &f.path,
                 lexed.tokens[i].line,
-                format!(
-                    "env::{reader} outside the designated knob-resolution \
-                     modules ({})",
-                    ENV_ALLOWED.join(", ")
-                ),
+                format!("env::{reader} read outside tests and examples"),
             ));
         }
     }
@@ -436,8 +428,7 @@ fn rule_env(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
                 &f.path,
                 t.line,
                 format!(
-                    "`{}` knob name referenced outside the designated \
-                     knob-resolution modules",
+                    "`{}` knob name referenced outside tests and examples",
                     t.text
                 ),
             ));
@@ -708,19 +699,15 @@ mod tests {
 
     #[test]
     fn env_fires_outside_designated_modules() {
-        let out = run(
+        // No module is designated: the former backend resolver is
+        // watched like any other source.
+        for path in [
             "crates/grid/src/mesh.rs",
-            "fn f() { let v = std::env::var(\"GALACTOS_MESH\"); }",
-        );
-        // Both the read and the knob literal fire.
-        assert_eq!(rules_of(&out), ["W-ENV", "W-ENV"]);
-    }
-
-    #[test]
-    fn env_allowed_in_resolution_modules() {
-        for path in ENV_ALLOWED {
-            let out = run(path, "fn f() { let v = std::env::var(\"GALACTOS_X\"); }");
-            assert!(out.is_clean(), "{path} is a designated resolver");
+            "crates/core/src/kernel/backend.rs",
+        ] {
+            let out = run(path, "fn f() { let v = std::env::var(\"GALACTOS_MESH\"); }");
+            // Both the read and the knob literal fire.
+            assert_eq!(rules_of(&out), ["W-ENV", "W-ENV"], "{path}");
         }
     }
 

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use galactos_catalog::sky::{read_sky_csv, write_sky_csv};
     pub use galactos_catalog::{uniform_box, Cap, Catalog, Galaxy, SurveyGeometry};
     pub use galactos_core::bins::RadialBins;
-    pub use galactos_core::config::{EngineConfig, Scheduling, TreePrecision};
+    pub use galactos_core::config::{EngineConfig, TreePrecision};
     pub use galactos_core::engine::Engine;
     pub use galactos_core::estimator::{EstimatorChoice, EstimatorKind};
     pub use galactos_core::kernel::{BackendChoice, BackendKind};

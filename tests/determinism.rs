@@ -20,33 +20,50 @@ fn repeated_runs_are_bitwise_identical() {
 
 #[test]
 fn thread_count_does_not_change_results_beyond_roundoff() {
+    // Stronger than the name: the schedule's chunks and merge order
+    // are independent of the pool width, so every ζ bit is identical
+    // (README § Threading).
     let mut cat = NeymanScott {
         parent_density: 1e-3,
         mean_children: 8.0,
         sigma: 1.5,
     }
-    .generate(30.0, 5);
+    .generate(60.0, 5);
     cat.periodic = None;
-    let config = EngineConfig::test_default(8.0, 3, 3);
-    let engine = Engine::new(config);
-    let pool1 = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    let pool4 = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let a = pool1.install(|| engine.compute(&cat));
-    let b = pool4.install(|| engine.compute(&cat));
-    let scale = a.max_abs().max(1.0);
+    // A chunk for every thread of the widest pool below, so each pool
+    // splits the run differently.
+    let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
+    let leaves = galactos::core::traversal::Tree::build(&positions, TreePrecision::Double)
+        .leaf_blocks()
+        .len();
     assert!(
-        a.max_difference(&b) < 1e-10 * scale,
-        "thread-count dependence: {}",
-        a.max_difference(&b)
+        leaves >= 4 * galactos::core::schedule::DYNAMIC_CHUNK,
+        "{leaves} leaves"
     );
-    assert_eq!(a.binned_pairs, b.binned_pairs);
-    assert_eq!(a.num_primaries, b.num_primaries);
+
+    for config in [
+        EngineConfig::test_default(8.0, 3, 3),
+        EngineConfig::paper_default(4.0),
+    ] {
+        let engine = Engine::new(config);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| engine.compute(&cat))
+        };
+        let one = run(1);
+        assert!(one.binned_pairs > 0);
+        for threads in [2, 4] {
+            let many = run(threads);
+            assert_eq!(one.binned_pairs, many.binned_pairs);
+            assert_eq!(one.num_primaries, many.num_primaries);
+            for (i, (a, b)) in one.to_f64_vec().iter().zip(many.to_f64_vec()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads, value {i}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! [`FaultHarness`] — into a structured
 //! [`RankFailure`] so a driver can retry or reassign the lost work.
 
-use crate::fault::{classify_panic, DeliveryVerdict, FaultHarness, RankFailure};
+use crate::fault::{classify_panic, FaultHarness, RankFailure};
 use crate::payload::Payload;
 use crate::stats::{ClusterStats, TrafficStats};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -44,15 +44,6 @@ enum Envelope {
     Terminated { world_rank: usize, clean: bool },
 }
 
-/// A message delayed by a fault: delivered after `remaining` further
-/// messages have been drained (or when the receiver would block).
-struct Delayed {
-    remaining: u64,
-    key: MsgKey,
-    bytes: usize,
-    data: Box<dyn Any + Send>,
-}
-
 /// Per-world-rank mailbox: one channel receiver plus a buffer for
 /// messages that arrived before they were asked for.
 struct Mailbox {
@@ -60,8 +51,6 @@ struct Mailbox {
     pending: Mutex<HashMap<MsgKey, VecDeque<Parcel>>>,
     /// World ranks known to have terminated (`true` = clean return).
     dead: Mutex<HashMap<usize, bool>>,
-    /// Messages held back by a delay fault, in arrival order.
-    delayed: Mutex<VecDeque<Delayed>>,
 }
 
 /// A buffered message: its wire size plus the boxed payload.
@@ -71,8 +60,6 @@ struct Fabric {
     senders: Vec<Sender<Envelope>>,
     mailboxes: Vec<Arc<Mailbox>>,
     stats: ClusterStats,
-    /// Fault-injection harness; `None` outside supervised runs.
-    harness: Option<Arc<FaultHarness>>,
 }
 
 /// Failure returned by [`Comm::recv_result`] when the message can never
@@ -158,17 +145,6 @@ impl Comm {
         &self.fabric.stats
     }
 
-    /// Declare that this rank enters `phase`. Purely observational
-    /// outside supervised runs; under a
-    /// [`FaultHarness`] it records the phase
-    /// for [`RankFailure`] attribution and fires any phase kill aimed at
-    /// this world rank.
-    pub fn set_phase(&self, phase: &str) {
-        if let Some(h) = &self.fabric.harness {
-            h.enter_phase(self.group[self.my_local], phase);
-        }
-    }
-
     /// Asynchronously send `value` to local rank `dest` under `tag`.
     pub fn send<T: Payload>(&self, dest: usize, tag: u64, value: T) {
         assert!(
@@ -187,9 +163,6 @@ impl Comm {
         let bytes = value.wire_bytes();
         let src_world = self.group[self.my_local];
         let dest_world = self.group[dest];
-        if let Some(h) = &self.fabric.harness {
-            h.note_send(src_world);
-        }
         self.fabric.stats.rank(src_world).record_send(bytes);
         self.fabric.senders[dest_world]
             .send(Envelope::Message {
@@ -231,9 +204,6 @@ impl Comm {
         );
         let src_world = self.group[src];
         let my_world = self.group[self.my_local];
-        if let Some(h) = &self.fabric.harness {
-            h.note_recv(my_world);
-        }
         let want: MsgKey = (self.comm_id, tag, src_world);
         let mailbox = &self.fabric.mailboxes[my_world];
         loop {
@@ -242,16 +212,11 @@ impl Comm {
             // termination notice is drained only after all of its
             // messages, so "dead and not buffered" means "never coming".
             while let Some(env) = mailbox.rx.try_recv() {
-                self.absorb(mailbox, my_world, env);
+                Self::absorb(mailbox, env);
             }
             if let Some((bytes, data)) = Self::take_pending(mailbox, &want) {
                 self.fabric.stats.rank(my_world).record_recv(bytes);
                 return Ok(Self::downcast::<T>(data));
-            }
-            // Force-release delayed messages rather than block on a
-            // channel that may never produce the ticks to free them.
-            if Self::release_oldest_delayed(mailbox) {
-                continue;
             }
             if let Some(&clean) = mailbox.dead.lock().get(&src_world) {
                 return Err(RecvError {
@@ -266,7 +231,7 @@ impl Comm {
                 });
             }
             match mailbox.rx.recv() {
-                Ok(env) => self.absorb(mailbox, my_world, env),
+                Ok(env) => Self::absorb(mailbox, env),
                 Err(_) => {
                     return Err(RecvError {
                         source: src,
@@ -279,88 +244,21 @@ impl Comm {
         }
     }
 
-    /// File one drained envelope: termination notices mark the peer
-    /// dead; messages pass through the fault harness (drop / delay /
-    /// corrupt) and land in the pending buffer. Each absorbed message
-    /// also ages the delay buffer by one delivery.
-    fn absorb(&self, mailbox: &Mailbox, my_world: usize, env: Envelope) {
+    /// File one drained envelope: a termination notice marks the peer
+    /// dead, a message lands in the pending buffer.
+    fn absorb(mailbox: &Mailbox, env: Envelope) {
         match env {
             Envelope::Terminated { world_rank, clean } => {
                 mailbox.dead.lock().entry(world_rank).or_insert(clean);
             }
-            Envelope::Message {
-                key,
-                bytes,
-                mut data,
-            } => {
-                let verdict = match &self.fabric.harness {
-                    Some(h) => h.on_deliver(key.0, key.1, key.2, my_world, &mut data),
-                    None => DeliveryVerdict::Deliver,
-                };
-                match verdict {
-                    DeliveryVerdict::Deliver => {
-                        mailbox
-                            .pending
-                            .lock()
-                            .entry(key)
-                            .or_default()
-                            .push_back((bytes, data));
-                        Self::tick_delayed(mailbox);
-                    }
-                    DeliveryVerdict::Drop => {
-                        Self::tick_delayed(mailbox);
-                    }
-                    DeliveryVerdict::Delay(deliveries) => {
-                        mailbox.delayed.lock().push_back(Delayed {
-                            remaining: deliveries,
-                            key,
-                            bytes,
-                            data,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Age every delayed message by one delivery; expired ones move to
-    /// the pending buffer in arrival order.
-    fn tick_delayed(mailbox: &Mailbox) {
-        let mut delayed = mailbox.delayed.lock();
-        if delayed.is_empty() {
-            return;
-        }
-        let mut pending = mailbox.pending.lock();
-        let mut still = VecDeque::with_capacity(delayed.len());
-        while let Some(mut d) = delayed.pop_front() {
-            d.remaining = d.remaining.saturating_sub(1);
-            if d.remaining == 0 {
-                pending
-                    .entry(d.key)
-                    .or_default()
-                    .push_back((d.bytes, d.data));
-            } else {
-                still.push_back(d);
-            }
-        }
-        *delayed = still;
-    }
-
-    /// Deliver the oldest delayed message immediately (liveness when the
-    /// receiver would otherwise block). Returns whether one was moved.
-    fn release_oldest_delayed(mailbox: &Mailbox) -> bool {
-        let mut delayed = mailbox.delayed.lock();
-        match delayed.pop_front() {
-            Some(d) => {
+            Envelope::Message { key, bytes, data } => {
                 mailbox
                     .pending
                     .lock()
-                    .entry(d.key)
+                    .entry(key)
                     .or_default()
-                    .push_back((d.bytes, d.data));
-                true
+                    .push_back((bytes, data));
             }
-            None => false,
         }
     }
 
@@ -560,9 +458,10 @@ where
         .collect()
 }
 
-/// Run `f` on `num_ranks` ranks under a fault harness, converting each
-/// rank's panic (organic or injected) into a [`RankFailure`] instead of
-/// propagating it. Surviving ranks keep running: a receive aimed at a
+/// Run `f` on `num_ranks` ranks, converting each rank's panic (organic
+/// or injected) into a [`RankFailure`] instead of propagating it;
+/// `harness` is read only for the phase the failed rank last entered.
+/// Surviving ranks keep running: a receive aimed at a
 /// dead peer fails with [`RecvError`] rather than hanging, so failures
 /// cascade *visibly* through collectives and the supervisor gets one
 /// `Result` per rank.
@@ -603,14 +502,12 @@ where
             rx,
             pending: Mutex::new(HashMap::new()),
             dead: Mutex::new(HashMap::new()),
-            delayed: Mutex::new(VecDeque::new()),
         }));
     }
     let fabric = Arc::new(Fabric {
         senders,
         mailboxes,
         stats: ClusterStats::new(num_ranks),
-        harness: harness.clone(),
     });
     let world: Arc<Vec<usize>> = Arc::new((0..num_ranks).collect());
 
@@ -670,7 +567,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FailureCause, FaultAction, FaultPlan, KillSpec, MessageSelector};
+    use crate::fault::{FailureCause, FaultPlan, KillSpec};
 
     #[test]
     fn ping_pong() {
@@ -887,10 +784,10 @@ mod tests {
 
     #[test]
     fn injected_kill_reports_phase_and_cause() {
-        let plan = FaultPlan::none().with_phase_kill(1, "compute", 1);
-        let results = run_cluster_supervised(3, harness(plan, 3), |comm| {
-            comm.set_phase("ingest");
-            comm.set_phase("compute");
+        let h = harness(FaultPlan::none().with_phase_kill(1, "compute", 1), 3);
+        let results = run_cluster_supervised(3, Arc::clone(&h), |comm| {
+            h.enter_phase(comm.rank(), "ingest");
+            h.enter_phase(comm.rank(), "compute");
             comm.rank()
         });
         assert!(results[0].is_ok() && results[2].is_ok());
@@ -901,100 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn kill_after_n_sends_fires_mid_stream() {
-        let plan = FaultPlan::none().with_send_kill(0, 2, 1);
-        let results = run_cluster_supervised(2, harness(plan, 2), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, 10u64);
-                comm.send(1, 1, 20u64); // killed here, before delivery
-                comm.send(1, 1, 30u64);
-                return 0;
-            }
-            let first = comm.recv_result::<u64>(0, 1).unwrap();
-            let rest = comm.recv_result::<u64>(0, 1);
-            assert_eq!(first, 10);
-            assert!(rest.is_err(), "second message was never sent");
-            1
-        });
-        assert!(results[0].is_err());
-        assert!(results[1].is_ok());
-    }
-
-    #[test]
-    fn drop_fault_loses_exactly_the_selected_message() {
-        let plan = FaultPlan::none().with_message_fault(
-            MessageSelector {
-                tag: Some(5),
-                source: Some(0),
-                dest: Some(1),
-                index: 0,
-                comm_id: Some(0),
-            },
-            FaultAction::DropMessage,
-        );
-        let results = run_cluster_supervised(2, harness(plan, 2), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 5, 111u64);
-                comm.send(1, 5, 222u64);
-                return 0;
-            }
-            comm.recv_result::<u64>(0, 5).unwrap()
-        });
-        // The first tag-5 message is dropped; the receiver sees the second.
-        assert_eq!(*results[1].as_ref().unwrap(), 222);
-    }
-
-    #[test]
-    fn delay_fault_reorders_same_tag_messages() {
-        let plan = FaultPlan::none().with_message_fault(
-            MessageSelector {
-                tag: Some(6),
-                source: Some(0),
-                index: 0,
-                ..Default::default()
-            },
-            FaultAction::Delay { deliveries: 1 },
-        );
-        let results = run_cluster_supervised(2, harness(plan, 2), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 6, 1u64);
-                comm.send(1, 6, 2u64);
-                return 0;
-            }
-            let a = comm.recv_result::<u64>(0, 6).unwrap();
-            let b = comm.recv_result::<u64>(0, 6).unwrap();
-            a * 10 + b
-        });
-        // Message 1 is delayed past message 2: arrival order is 2, 1.
-        assert_eq!(*results[1].as_ref().unwrap(), 21);
-    }
-
-    #[test]
-    fn corrupt_fault_flips_payload_bits_deterministically() {
-        let plan = FaultPlan::none().with_message_fault(
-            MessageSelector {
-                tag: Some(4),
-                source: Some(0),
-                index: 0,
-                ..Default::default()
-            },
-            FaultAction::CorruptF64 { xor_bits: 1 << 63 },
-        );
-        let results = run_cluster_supervised(2, harness(plan, 2), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 4, vec![1.5f64, -2.5]);
-                return vec![];
-            }
-            comm.recv_result::<Vec<f64>>(0, 4).unwrap()
-        });
-        assert_eq!(*results[1].as_ref().unwrap(), vec![-1.5, 2.5]);
-    }
-
-    #[test]
     fn collective_with_dead_rank_fails_structurally_not_by_hanging() {
-        let plan = FaultPlan::none().with_phase_kill(2, "pre-barrier", 1);
-        let results = run_cluster_supervised(3, harness(plan, 3), |comm| {
-            comm.set_phase("pre-barrier");
+        let h = harness(FaultPlan::none().with_phase_kill(2, "pre-barrier", 1), 3);
+        let results = run_cluster_supervised(3, Arc::clone(&h), |comm| {
+            h.enter_phase(comm.rank(), "pre-barrier");
             comm.barrier();
             comm.rank()
         });
@@ -1009,14 +816,14 @@ mod tests {
         let plan = FaultPlan::none().with_phase_kill(0, "work", 1);
         let h = harness(plan, 2);
         let first = run_cluster_supervised(2, Arc::clone(&h), |comm| {
-            comm.set_phase("work");
+            h.enter_phase(comm.rank(), "work");
             comm.rank()
         });
         assert!(first[0].is_err());
         assert!(first[1].is_ok());
         // Same harness, second round: the kill budget is spent.
         let second = run_cluster_supervised(2, Arc::clone(&h), |comm| {
-            comm.set_phase("work");
+            h.enter_phase(comm.rank(), "work");
             comm.rank()
         });
         assert!(second[0].is_ok());
@@ -1024,18 +831,11 @@ mod tests {
 
     #[test]
     fn permanent_kill_fires_every_round() {
-        let plan = FaultPlan {
-            kills: vec![KillSpec {
-                rank: 1,
-                point: crate::fault::KillPoint::AtPhase("work".to_string()),
-                times: KillSpec::ALWAYS,
-            }],
-            messages: vec![],
-        };
+        let plan = FaultPlan::none().with_phase_kill(1, "work", KillSpec::ALWAYS);
         let h = harness(plan, 2);
         for _ in 0..3 {
             let round = run_cluster_supervised(2, Arc::clone(&h), |comm| {
-                comm.set_phase("work");
+                h.enter_phase(comm.rank(), "work");
                 comm.rank()
             });
             assert!(round[1].is_err());

@@ -1,32 +1,22 @@
-//! Deterministic fault injection for the cluster fabric.
+//! Deterministic fault injection for the cluster.
 //!
 //! At the paper's scale — 9,636 KNL nodes held for the full 2-billion-
 //! galaxy O(N²) run — rank failure is the expected case, not the
 //! exception. This module gives the simulator a *failure model* that is
 //! reproducible down to the bit: a [`FaultPlan`] names, ahead of time,
-//! exactly which messages to drop/delay/corrupt and which ranks to kill
-//! at which point, and a [`FaultHarness`] executes the plan with
-//! deterministic counters. No randomness at runtime, no clocks: a plan
-//! replayed against the same program produces the same failure at the
-//! same operation.
+//! exactly which ranks to kill at which point, and a [`FaultHarness`]
+//! executes the plan with deterministic counters. No randomness at
+//! runtime, no clocks: a plan replayed against the same program
+//! produces the same failure at the same operation.
 //!
-//! Two kinds of fault:
-//!
-//! * **Message faults** ([`MessageFault`]) select a message by any
-//!   combination of communicator id, tag, source world rank, destination
-//!   world rank, and *delivery index* (the nth message matching the
-//!   other filters, counted in the receiving mailbox's drain order), and
-//!   apply an action: drop it, delay it past the next `n` deliveries, or
-//!   corrupt `Vec<f64>` payloads by XORing the bit pattern of every
-//!   element. With source and tag pinned, the per-sender FIFO of the
-//!   fabric makes the delivery index deterministic.
-//! * **Kills** ([`KillSpec`]) terminate a chosen rank when it reaches a
-//!   send count, a receive count, or a named *phase* (see
-//!   [`Comm::set_phase`](crate::comm::Comm::set_phase)). A kill fires at
-//!   most [`KillSpec::times`] times across the whole run — counters
-//!   persist across supervised retries, so `times: 1` models a transient
-//!   fault (the retry succeeds) and [`KillSpec::ALWAYS`] models a
-//!   permanently dead node (retries exhaust and work is reassigned).
+//! There is one kind of fault: a [`KillSpec`] terminates a chosen rank
+//! when it enters a named *phase* ([`FaultHarness::enter_phase`]). A
+//! kill fires at most [`KillSpec::times`] times across the whole run —
+//! counters persist across supervised retries, so `times: 1` models a
+//! transient fault (the retry succeeds) and [`KillSpec::ALWAYS`] models
+//! a permanently dead node (retries exhaust and work is reassigned).
+//! The fabric moves messages and the harness kills ranks: no fault
+//! touches a message.
 //!
 //! A fired kill raises a panic with an [`InjectedKill`] payload;
 //! [`run_cluster_supervised`](crate::comm::run_cluster_supervised)
@@ -35,80 +25,15 @@
 
 use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// What to do with a selected message.
-#[derive(Clone, Debug)]
-pub enum FaultAction {
-    /// Never deliver the message (the bytes count as sent, never as
-    /// received — exactly what a lost packet looks like to the stats).
-    DropMessage,
-    /// Hold the message back until `deliveries` further messages have
-    /// been drained by the same mailbox (or the receiver would
-    /// otherwise block, which force-releases the oldest delayed message
-    /// to preserve liveness). Models reordering.
-    Delay { deliveries: u64 },
-    /// XOR `xor_bits` into the bit pattern of every element of a
-    /// `Vec<f64>` payload. Payloads of any other type are delivered
-    /// unchanged (the simulator moves typed values, not wire bytes, so
-    /// corruption is only meaningful where a byte-level flip would
-    /// land: the f64 arrays that carry multipole partials).
-    CorruptF64 { xor_bits: u64 },
-}
-
-/// Which message a [`MessageFault`] applies to. `None` filters match
-/// everything; `index` picks the nth (0-based) message matching the
-/// other filters, counted in mailbox drain order.
-#[derive(Clone, Debug, Default)]
-pub struct MessageSelector {
-    /// Communicator id (`0` is the world communicator).
-    pub comm_id: Option<u64>,
-    /// Message tag, as passed to `send` (internal collective traffic
-    /// carries the top bit and can be matched by that raw value).
-    pub tag: Option<u64>,
-    /// Sending world rank.
-    pub source: Option<usize>,
-    /// Receiving world rank.
-    pub dest: Option<usize>,
-    /// The nth matching message (0-based).
-    pub index: u64,
-}
-
-impl MessageSelector {
-    fn matches(&self, comm_id: u64, tag: u64, source: usize, dest: usize) -> bool {
-        self.comm_id.is_none_or(|c| c == comm_id)
-            && self.tag.is_none_or(|t| t == tag)
-            && self.source.is_none_or(|s| s == source)
-            && self.dest.is_none_or(|d| d == dest)
-    }
-}
-
-/// A message fault: selector plus action.
-#[derive(Clone, Debug)]
-pub struct MessageFault {
-    pub selector: MessageSelector,
-    pub action: FaultAction,
-}
-
-/// When a [`KillSpec`] fires.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KillPoint {
-    /// The rank calls [`Comm::set_phase`](crate::comm::Comm::set_phase)
-    /// (or the pipeline calls [`FaultHarness::enter_phase`]) with this
-    /// phase name.
-    AtPhase(String),
-    /// The rank's cumulative send count reaches this value.
-    AfterSends(u64),
-    /// The rank's cumulative receive count reaches this value.
-    AfterRecvs(u64),
-}
-
-/// Kill one rank at a chosen point, at most `times` times.
+/// Kill one rank on entering a phase, at most `times` times.
 #[derive(Clone, Debug)]
 pub struct KillSpec {
     /// World rank of the victim (the top-level cluster's numbering).
     pub rank: usize,
-    pub point: KillPoint,
+    /// The phase name, as passed to [`FaultHarness::enter_phase`].
+    pub phase: String,
     /// How many times this kill may fire across the whole run,
     /// *including supervised retries*. `1` = transient fault;
     /// [`KillSpec::ALWAYS`] = permanently dead node.
@@ -123,18 +48,7 @@ impl KillSpec {
 /// A complete, deterministic fault schedule.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    pub messages: Vec<MessageFault>,
     pub kills: Vec<KillSpec>,
-}
-
-/// SplitMix64 step — the seed mixer used for seeded plans (dependency-
-/// free, same construction as `core::kernel::testutil`).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
@@ -147,48 +61,10 @@ impl FaultPlan {
     pub fn with_phase_kill(mut self, rank: usize, phase: &str, times: u32) -> Self {
         self.kills.push(KillSpec {
             rank,
-            point: KillPoint::AtPhase(phase.to_string()),
+            phase: phase.to_string(),
             times,
         });
         self
-    }
-
-    /// Add a kill of `rank` at its `n`th send, firing `times` times.
-    pub fn with_send_kill(mut self, rank: usize, n: u64, times: u32) -> Self {
-        self.kills.push(KillSpec {
-            rank,
-            point: KillPoint::AfterSends(n),
-            times,
-        });
-        self
-    }
-
-    /// Add a kill of `rank` at its `n`th receive, firing `times` times.
-    pub fn with_recv_kill(mut self, rank: usize, n: u64, times: u32) -> Self {
-        self.kills.push(KillSpec {
-            rank,
-            point: KillPoint::AfterRecvs(n),
-            times,
-        });
-        self
-    }
-
-    /// Add a message fault.
-    pub fn with_message_fault(mut self, selector: MessageSelector, action: FaultAction) -> Self {
-        self.messages.push(MessageFault { selector, action });
-        self
-    }
-
-    /// A seeded one-kill plan: a SplitMix64 stream over `seed` picks the
-    /// victim rank and the phase (from `phases`), so sweeps over seeds
-    /// cover the failure space deterministically.
-    pub fn seeded_kill(seed: u64, num_ranks: usize, phases: &[&str], times: u32) -> Self {
-        assert!(num_ranks > 0 && !phases.is_empty());
-        let mut s = seed;
-        let rank = usize::try_from(splitmix64(&mut s) % num_ranks as u64).expect("rank fits");
-        let phase = phases
-            [usize::try_from(splitmix64(&mut s) % phases.len() as u64).expect("phase index fits")];
-        FaultPlan::none().with_phase_kill(rank, phase, times)
     }
 }
 
@@ -225,7 +101,7 @@ impl std::fmt::Display for FailureCause {
 #[derive(Clone, Debug)]
 pub struct RankFailure {
     pub rank: usize,
-    /// The last phase the rank entered via `set_phase`/`enter_phase`
+    /// The last phase the rank entered via `enter_phase`
     /// (empty if it never declared one).
     pub phase: String,
     pub cause: FailureCause,
@@ -254,14 +130,6 @@ pub fn classify_panic(payload: &(dyn Any + Send)) -> FailureCause {
     }
 }
 
-/// What the fabric should do with a drained message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DeliveryVerdict {
-    Deliver,
-    Drop,
-    Delay(u64),
-}
-
 /// Executes a [`FaultPlan`] with deterministic counters. One harness
 /// spans an entire supervised run — kill fire-counts persist across
 /// retries, which is what lets `times` distinguish transient from
@@ -269,13 +137,8 @@ pub(crate) enum DeliveryVerdict {
 /// cluster.
 pub struct FaultHarness {
     plan: FaultPlan,
-    /// Per message-fault: how many matching messages have been seen.
-    msg_seen: Vec<AtomicU64>,
     /// Per kill spec: how many times it has fired.
     kill_fired: Vec<AtomicU32>,
-    /// Per rank: cumulative send / recv operation counts.
-    sends: Vec<AtomicU64>,
-    recvs: Vec<AtomicU64>,
     /// Per rank: last phase entered.
     phases: Vec<Mutex<String>>,
 }
@@ -289,27 +152,16 @@ impl FaultHarness {
                 k.rank
             );
         }
-        let msg_seen = (0..plan.messages.len())
-            .map(|_| AtomicU64::new(0))
-            .collect();
         let kill_fired = (0..plan.kills.len()).map(|_| AtomicU32::new(0)).collect();
         FaultHarness {
             plan,
-            msg_seen,
             kill_fired,
-            sends: (0..num_ranks).map(|_| AtomicU64::new(0)).collect(),
-            recvs: (0..num_ranks).map(|_| AtomicU64::new(0)).collect(),
             phases: (0..num_ranks).map(|_| Mutex::new(String::new())).collect(),
         }
     }
 
-    /// A harness over the empty plan (pure supervision, no injection).
-    pub fn unfaulted(num_ranks: usize) -> Self {
-        FaultHarness::new(FaultPlan::none(), num_ranks)
-    }
-
     pub fn num_ranks(&self) -> usize {
-        self.sends.len()
+        self.phases.len()
     }
 
     /// The last phase `rank` entered (empty string if none).
@@ -333,102 +185,21 @@ impl FaultHarness {
         }
     }
 
-    /// Record that `rank` enters `phase`; fires matching phase kills.
-    /// Usable with or without a live communicator — the supervised
-    /// pipeline calls it directly when retrying a rank's work outside
-    /// the fabric.
+    /// Record that `rank` enters `phase`; fires matching kills. The
+    /// one way a rank declares a phase, on or off a rank thread.
     pub fn enter_phase(&self, rank: usize, phase: &str) {
         *self.phases[rank].lock() = phase.to_string();
         for (i, spec) in self.plan.kills.iter().enumerate() {
-            if spec.rank == rank {
-                if let KillPoint::AtPhase(p) = &spec.point {
-                    if p == phase {
-                        self.fire(i, rank);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Count a send by `rank`; fires matching send-count kills.
-    pub(crate) fn note_send(&self, rank: usize) {
-        let count = self.sends[rank].fetch_add(1, Ordering::Relaxed) + 1;
-        for (i, spec) in self.plan.kills.iter().enumerate() {
-            if spec.rank == rank && spec.point == KillPoint::AfterSends(count) {
+            if spec.rank == rank && spec.phase == phase {
                 self.fire(i, rank);
             }
         }
-    }
-
-    /// Count a receive call by `rank`; fires matching recv-count kills.
-    pub(crate) fn note_recv(&self, rank: usize) {
-        let count = self.recvs[rank].fetch_add(1, Ordering::Relaxed) + 1;
-        for (i, spec) in self.plan.kills.iter().enumerate() {
-            if spec.rank == rank && spec.point == KillPoint::AfterRecvs(count) {
-                self.fire(i, rank);
-            }
-        }
-    }
-
-    /// Decide the fate of a message drained by `dest`'s mailbox,
-    /// mutating the payload in place for corruption faults. Called once
-    /// per message (releases from the delay buffer bypass it).
-    pub(crate) fn on_deliver(
-        &self,
-        comm_id: u64,
-        tag: u64,
-        source: usize,
-        dest: usize,
-        data: &mut Box<dyn Any + Send>,
-    ) -> DeliveryVerdict {
-        let mut verdict = DeliveryVerdict::Deliver;
-        for (i, fault) in self.plan.messages.iter().enumerate() {
-            if !fault.selector.matches(comm_id, tag, source, dest) {
-                continue;
-            }
-            let idx = self.msg_seen[i].fetch_add(1, Ordering::Relaxed);
-            if idx != fault.selector.index {
-                continue;
-            }
-            match &fault.action {
-                FaultAction::DropMessage => verdict = DeliveryVerdict::Drop,
-                FaultAction::Delay { deliveries } => {
-                    verdict = DeliveryVerdict::Delay(*deliveries);
-                }
-                FaultAction::CorruptF64 { xor_bits } => {
-                    if let Some(vec) = data.downcast_mut::<Vec<f64>>() {
-                        for v in vec.iter_mut() {
-                            *v = f64::from_bits(v.to_bits() ^ xor_bits);
-                        }
-                    }
-                }
-            }
-        }
-        verdict
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selector_filters_compose() {
-        let all = MessageSelector::default();
-        assert!(all.matches(0, 7, 1, 2));
-        let pinned = MessageSelector {
-            comm_id: Some(0),
-            tag: Some(7),
-            source: Some(1),
-            dest: Some(2),
-            index: 0,
-        };
-        assert!(pinned.matches(0, 7, 1, 2));
-        assert!(!pinned.matches(0, 8, 1, 2));
-        assert!(!pinned.matches(0, 7, 0, 2));
-        assert!(!pinned.matches(0, 7, 1, 3));
-        assert!(!pinned.matches(1, 7, 1, 2));
-    }
 
     #[test]
     fn kill_fires_exactly_times() {
@@ -444,63 +215,6 @@ mod tests {
         // A different rank or phase never fires.
         h.enter_phase(0, "compute");
         h.enter_phase(1, "reduce");
-    }
-
-    #[test]
-    fn send_count_kill_is_cumulative_across_checks() {
-        let plan = FaultPlan::none().with_send_kill(0, 3, 1);
-        let h = FaultHarness::new(plan, 2);
-        h.note_send(0);
-        h.note_send(0);
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            h.note_send(0);
-        }))
-        .is_err());
-        // Fired once; the counter keeps advancing without re-firing.
-        h.note_send(0);
-        h.note_send(0);
-    }
-
-    #[test]
-    fn seeded_kill_is_deterministic_and_in_range() {
-        let a = FaultPlan::seeded_kill(42, 5, &["ingest", "compute", "reduce"], 1);
-        let b = FaultPlan::seeded_kill(42, 5, &["ingest", "compute", "reduce"], 1);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(a.kills.len(), 1);
-        assert!(a.kills[0].rank < 5);
-        // Different seeds explore different cells.
-        let c = FaultPlan::seeded_kill(43, 5, &["ingest", "compute", "reduce"], 1);
-        let d = FaultPlan::seeded_kill(44, 5, &["ingest", "compute", "reduce"], 1);
-        let cells: std::collections::HashSet<String> = [a, c, d]
-            .iter()
-            .map(|p| format!("{:?}", p.kills[0]))
-            .collect();
-        assert!(cells.len() >= 2);
-    }
-
-    #[test]
-    fn corrupt_action_flips_f64_bits() {
-        let plan = FaultPlan::none().with_message_fault(
-            MessageSelector {
-                tag: Some(9),
-                ..Default::default()
-            },
-            FaultAction::CorruptF64 { xor_bits: 1 << 63 },
-        );
-        let h = FaultHarness::new(plan, 2);
-        let mut data: Box<dyn Any + Send> = Box::new(vec![1.0f64, -2.0]);
-        assert_eq!(
-            h.on_deliver(0, 9, 0, 1, &mut data),
-            DeliveryVerdict::Deliver
-        );
-        assert_eq!(
-            data.downcast_ref::<Vec<f64>>().unwrap(),
-            &vec![-1.0f64, 2.0]
-        );
-        // Index 1 of the same selector no longer matches (index 0 only).
-        let mut again: Box<dyn Any + Send> = Box::new(vec![1.0f64]);
-        h.on_deliver(0, 9, 0, 1, &mut again);
-        assert_eq!(again.downcast_ref::<Vec<f64>>().unwrap(), &vec![1.0f64]);
     }
 
     #[test]

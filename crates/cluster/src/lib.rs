@@ -21,10 +21,10 @@
 //! machine.
 //!
 //! The [`fault`] module adds a deterministic failure model on top:
-//! seeded [`FaultPlan`]s that drop/delay/corrupt chosen messages or kill
-//! chosen ranks, and [`run_cluster_supervised`] which converts rank
-//! panics into structured [`RankFailure`]s so a driver can retry or
-//! reassign lost work instead of losing the whole run.
+//! [`FaultPlan`]s that kill chosen ranks on entering a named phase, and
+//! [`run_cluster_supervised`] which converts rank panics into
+//! structured [`RankFailure`]s so a driver can retry or reassign lost
+//! work instead of losing the whole run.
 
 #![forbid(unsafe_code)]
 
@@ -36,9 +36,6 @@ pub mod stats;
 pub use comm::{
     run_cluster, run_cluster_supervised, run_cluster_with_stacks, Comm, RecvError, RecvErrorKind,
 };
-pub use fault::{
-    FailureCause, FaultAction, FaultHarness, FaultPlan, InjectedKill, KillPoint, KillSpec,
-    MessageFault, MessageSelector, RankFailure,
-};
+pub use fault::{FailureCause, FaultHarness, FaultPlan, InjectedKill, KillSpec, RankFailure};
 pub use payload::Payload;
 pub use stats::{ClusterStats, TrafficStats};

@@ -49,8 +49,10 @@
 //!   edge-correction solve, behind the [`SurveyCompute`] entry point;
 //! * [`flops`] — FLOP accounting reproducing the paper's §3.3.2/§5.1
 //!   arithmetic (286 monomials, 572 FLOPs/pair, flop/byte 9.6);
-//! * [`pipeline`] — the distributed run: partition, halo exchange,
-//!   per-rank compute, global reduction over `galactos-cluster`.
+//! * [`pipeline`] — the distributed run over `galactos-cluster`: the
+//!   in-memory scatter + halo exchange, and the supervised run over
+//!   on-disk shards (retry, reassignment), both ending in the global
+//!   reduction.
 
 #![forbid(unsafe_code)]
 
@@ -70,7 +72,6 @@ pub mod schedule;
 pub mod scratch;
 pub mod survey;
 pub mod traversal;
-pub mod xismu;
 
 pub use bins::RadialBins;
 pub use config::{EngineConfig, TreePrecision};
@@ -80,9 +81,8 @@ pub use galactos_grid::{GridConfig, MassAssignment};
 pub use galactos_obs::{ObsSession, Registry, Tracer};
 pub use kernel::{BackendChoice, BackendKind, KernelBackend};
 pub use pipeline::{
-    compute_distributed, compute_distributed_sharded, compute_distributed_supervised,
-    compute_distributed_supervised_observed, NoSleep, RankReport, RetryPolicy, Sleeper,
-    SupervisedError, SupervisedRun,
+    compute_distributed, compute_distributed_supervised, compute_distributed_supervised_observed,
+    NoSleep, RankReport, RetryPolicy, Sleeper, SupervisedError, SupervisedRun,
 };
 pub use result::{AnisotropicZeta, IsotropicZeta};
 pub use schedule::run_partitioned;

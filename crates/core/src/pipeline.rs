@@ -4,19 +4,22 @@
 //! over owned+ghosts, run the engine with *owned galaxies only* as
 //! primaries, and reduce the multipole arrays across ranks ("the
 //! remainder of the 3PCF calculation (besides a final reduction) is
-//! strongly parallel"). Ingestion comes in two flavors:
+//! strongly parallel"). The galaxies reach a rank one of two ways:
 //!
-//! * [`compute_distributed`] — rank 0 holds the catalog and scatters it
-//!   through the recursive scatter/halo exchange (the paper's setup,
-//!   fine while one node can hold the data);
-//! * [`compute_distributed_sharded`] — the out-of-core path: each rank
-//!   streams its owned GCAT v2 shards plus halo-intersecting neighbor
-//!   shards straight from disk, so peak resident galaxies per rank are
-//!   `owned + ghosts`, never the catalog size.
+//! * [`compute_distributed`] — in memory: rank 0 holds the catalog and
+//!   scatters it through the recursive scatter/halo exchange (the
+//!   paper's setup, fine while one node can hold the data);
+//! * [`compute_distributed_supervised`] — from disk: each rank streams
+//!   its owned GCAT v2 shards plus halo-intersecting neighbor shards,
+//!   one tree per shard, so resident galaxies per piece of work are
+//!   `owned + ghosts`, never the catalog size. No message is sent, so
+//!   a shard's ζ partial is a pure function of (shard files, config) —
+//!   which is what lets the supervisor retry or reassign it after a
+//!   rank failure without moving a bit of the result.
 //!
 //! The integration tests require the reduced distributed result to
 //! match the single-process engine to floating-point accuracy for any
-//! rank count, on both ingestion paths.
+//! rank count, on both paths.
 
 use crate::config::EngineConfig;
 use crate::engine::Engine;
@@ -25,14 +28,13 @@ use crate::schedule::{self, Merge};
 use galactos_catalog::io::CatalogIoError;
 use galactos_catalog::shard::ShardManifest;
 use galactos_catalog::{Catalog, Galaxy};
-use galactos_cluster::fault::{FailureCause, FaultHarness, FaultPlan, RankFailure};
-use galactos_cluster::run_cluster_with_stacks;
+use galactos_cluster::fault::{classify_panic, FailureCause, FaultHarness, FaultPlan, RankFailure};
+use galactos_cluster::{run_cluster, run_cluster_with_stacks};
 use galactos_domain::exchange::{distribute, tagged_from_catalog};
-use galactos_domain::shard::{
-    distribute_from_shards, distribute_shard_range, shard_range_for_rank,
-};
+use galactos_domain::shard::{distribute_shard_range, shard_range_for_rank, ShardRankData};
 use galactos_math::Aabb;
 use galactos_obs::ObsSession;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Per-rank execution summary.
@@ -46,13 +48,14 @@ pub struct RankReport {
     pub bytes_sent: u64,
     /// Messages this rank sent.
     pub messages_sent: u64,
-    /// Shard records this rank streamed from disk (sharded ingestion
-    /// only; zero on the scatter path).
+    /// Shard records this rank streamed from disk (zero on the scatter
+    /// path).
     pub records_read: u64,
-    /// Bytes this rank read from shard files (sharded ingestion only).
+    /// Bytes this rank read from shard files (zero on the scatter
+    /// path).
     pub bytes_read: u64,
     /// How many attempts this work took under supervision (1 = first
-    /// try; always 1 on the unsupervised paths).
+    /// try; always 1 on the scatter path).
     pub attempts: u32,
     /// When this work was reassigned from a dead rank, the rank that
     /// originally owned it (`rank` is then the survivor that ran it).
@@ -173,76 +176,6 @@ fn reduce_rank_partials(
     }
 }
 
-/// Compute the anisotropic 3PCF of a GCAT v2 sharded catalog on a
-/// simulated cluster of `num_ranks` ranks, without any rank ever
-/// holding the full catalog.
-///
-/// `manifest_path` points at the shard directory's manifest (see
-/// [`galactos_catalog::shard`]); shard files are resolved next to it.
-/// Each rank streams its own shards as primaries plus the neighbor
-/// shards intersecting its `rmax` halo as ghost candidates — the
-/// out-of-core replacement for [`compute_distributed`]'s rank-0
-/// scatter. The reduced result matches the single-process engine to
-/// floating-point accuracy for any rank count (tests enforce 1e-9
-/// relative), and per-rank [`RankReport::records_read`] /
-/// [`RankReport::bytes_read`] quantify the ingestion I/O.
-///
-/// Like [`compute_distributed`], the catalog must be non-periodic —
-/// but since the flag comes from a file rather than a caller-built
-/// [`Catalog`], a periodic manifest is a
-/// [`CatalogIoError::Unsupported`] error, not a panic.
-pub fn compute_distributed_sharded(
-    manifest_path: impl AsRef<Path>,
-    config: &EngineConfig,
-    num_ranks: usize,
-) -> Result<DistributedRun, CatalogIoError> {
-    let manifest_path = manifest_path.as_ref();
-    let dir = manifest_path
-        .parent()
-        .unwrap_or_else(|| Path::new("."))
-        .to_path_buf();
-    let manifest = ShardManifest::read(manifest_path)?;
-    // `distribute_from_shards` rejects periodic manifests too; checking
-    // here as well fails fast before any rank threads are spawned.
-    if let Some(box_len) = manifest.periodic {
-        return Err(CatalogIoError::Unsupported(format!(
-            "distributed pipeline treats catalogs as open boxes (like the \
-             paper); manifest declares a periodic box of length {box_len}"
-        )));
-    }
-    let rmax = config.bins.rmax();
-
-    let results = run_cluster_with_stacks(num_ranks, 8 << 20, |comm| {
-        let rank = comm.rank();
-        let rd = distribute_from_shards(&dir, &manifest, rank, num_ranks, rmax)?;
-
-        // Local galaxy array: owned first (primaries), ghosts after.
-        let mut local: Vec<Galaxy> = Vec::with_capacity(rd.resident());
-        local.extend_from_slice(&rd.owned);
-        local.extend_from_slice(&rd.ghosts);
-
-        let engine = Engine::new(config.clone());
-        let zeta = engine.compute_subset(&local, rd.owned.len());
-
-        let report = RankReport {
-            rank,
-            owned: rd.owned.len(),
-            ghosts: rd.ghosts.len(),
-            binned_pairs: zeta.binned_pairs,
-            bytes_sent: 0,
-            messages_sent: 0,
-            records_read: rd.records_read,
-            bytes_read: rd.bytes_read,
-            attempts: 1,
-            reassigned_from: None,
-        };
-        Ok::<_, CatalogIoError>((zeta.to_f64_vec(), report))
-    });
-
-    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(reduce_rank_partials(config, results))
-}
-
 // ---------------------------------------------------------------------
 // Supervised execution: retry, reassignment, structured failures.
 // ---------------------------------------------------------------------
@@ -343,8 +276,13 @@ pub struct SupervisedRun {
     pub dead_ranks: Vec<usize>,
 }
 
-/// Flattened ζ partials labeled by the shard that produced them.
-type ShardPartials = Vec<(usize, Vec<f64>)>;
+/// ζ partials labeled by the shard that produced them.
+type ShardPartials = Vec<(usize, AnisotropicZeta)>;
+
+/// What one attempt at a piece of work came to: its report and
+/// partials, a disk-level error no retry can fix, or the failure of the
+/// rank that ran it.
+type AttemptOutcome = Result<Result<(RankReport, ShardPartials), CatalogIoError>, RankFailure>;
 
 /// Per-shard ζ partial: the shard's galaxies as primaries, everything
 /// within `rmax` of the shard region as ghosts. Summing these over all
@@ -358,7 +296,7 @@ fn shard_partial(
     worker: usize,
     shard: usize,
     engine: &Engine,
-) -> Result<(Vec<f64>, galactos_domain::shard::ShardRankData), CatalogIoError> {
+) -> Result<(AnisotropicZeta, ShardRankData), CatalogIoError> {
     let rmax = config.bins.rmax();
     let rd = distribute_shard_range(dir, manifest, worker, shard, shard + 1, rmax)?;
     let zeta = if rd.owned.is_empty() {
@@ -369,77 +307,172 @@ fn shard_partial(
         local.extend_from_slice(&rd.ghosts);
         engine.compute_subset(&local, rd.owned.len())
     };
-    Ok((zeta.to_f64_vec(), rd))
+    Ok((zeta, rd))
 }
 
-/// One worker's pass over a list of shards, with phase announcements so
-/// injected phase kills (and failure attribution) see ingest / compute /
-/// reduce boundaries. Used identically by the first parallel round, the
-/// retry path, and the reassignment path — same code, same bits.
-fn shard_task(
-    dir: &Path,
-    manifest: &ShardManifest,
-    config: &EngineConfig,
-    worker: usize,
-    shards: &[usize],
-    phase: &dyn Fn(&str),
-) -> Result<(RankReport, ShardPartials), CatalogIoError> {
-    phase("ingest");
-    // Ingestion is re-validated per shard at compute time; entering the
-    // phase here keeps the {ingest, compute, reduce} kill surface even
-    // though streaming is interleaved with compute below.
-    let engine = Engine::new(config.clone());
-    let mut report = RankReport {
-        rank: worker,
-        owned: 0,
-        ghosts: 0,
-        binned_pairs: 0,
-        bytes_sent: 0,
-        messages_sent: 0,
-        records_read: 0,
-        bytes_read: 0,
-        attempts: 1,
-        reassigned_from: None,
-    };
-    let mut partials = Vec::with_capacity(shards.len());
-    phase("compute");
-    for &s in shards {
-        let (partial, rd) = shard_partial(dir, manifest, config, worker, s, &engine)?;
-        report.owned += rd.owned.len();
-        report.ghosts += rd.ghosts.len();
-        report.records_read += rd.records_read;
-        report.bytes_read += rd.bytes_read;
-        report.binned_pairs +=
-            AnisotropicZeta::from_f64_vec(config.lmax, config.bins.nbins(), &partial).binned_pairs;
-        partials.push((s, partial));
+/// The state of one supervised run: what every attempt needs to run,
+/// and the result being built from what the attempts come to. Round 0,
+/// the retries and the reassignments differ only in who runs which
+/// shards after how many earlier attempts.
+struct Supervisor<'a> {
+    dir: &'a Path,
+    manifest: ShardManifest,
+    config: &'a EngineConfig,
+    policy: &'a RetryPolicy,
+    harness: FaultHarness,
+    obs: &'a ObsSession,
+    run: SupervisedRun,
+    /// One ζ partial per shard computed so far, in shard order.
+    partials: BTreeMap<usize, AnisotropicZeta>,
+}
+
+impl Supervisor<'_> {
+    /// One worker's pass over a list of shards, entering the ingest /
+    /// compute / reduce phases so injected kills (and failure
+    /// attribution) see those boundaries.
+    fn shard_task(
+        &self,
+        worker: usize,
+        shards: &[usize],
+    ) -> Result<(RankReport, ShardPartials), CatalogIoError> {
+        self.harness.enter_phase(worker, "ingest");
+        // Ingestion is re-validated per shard at compute time; entering
+        // the phase here keeps the {ingest, compute, reduce} kill surface
+        // even though streaming is interleaved with compute below.
+        let engine = Engine::new(self.config.clone());
+        let mut report = RankReport {
+            rank: worker,
+            owned: 0,
+            ghosts: 0,
+            binned_pairs: 0,
+            bytes_sent: 0,
+            messages_sent: 0,
+            records_read: 0,
+            bytes_read: 0,
+            attempts: 1,
+            reassigned_from: None,
+        };
+        let mut partials = Vec::with_capacity(shards.len());
+        self.harness.enter_phase(worker, "compute");
+        for &s in shards {
+            let (partial, rd) =
+                shard_partial(self.dir, &self.manifest, self.config, worker, s, &engine)?;
+            report.owned += rd.owned.len();
+            report.ghosts += rd.ghosts.len();
+            report.records_read += rd.records_read;
+            report.bytes_read += rd.bytes_read;
+            report.binned_pairs += partial.binned_pairs;
+            partials.push((s, partial));
+        }
+        self.harness.enter_phase(worker, "reduce");
+        Ok((report, partials))
     }
-    phase("reduce");
-    Ok((report, partials))
+
+    /// One attempt by `worker` at `shards`, in a span named `span` on
+    /// the calling thread's track. A panic — organic, or a kill the
+    /// harness injects on entering a phase — comes back as the
+    /// [`RankFailure`] it represents; the span of a failed attempt is
+    /// still recorded (truncated), its guard dropping during unwinding.
+    fn attempt(&self, worker: usize, shards: &[usize], span: &str) -> AttemptOutcome {
+        self.obs.registry.add("supervised.attempts", 1);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _g = self.obs.tracer.span(span);
+            self.shard_task(worker, shards)
+        }))
+        .map_err(|payload| RankFailure {
+            rank: worker,
+            phase: self.harness.phase_of(worker),
+            cause: classify_panic(payload.as_ref()),
+        })
+    }
+
+    /// Absorb a successful attempt (`Ok(true)`) or record a failed one
+    /// (`Ok(false)`); `attempts` counts this one.
+    fn settle(
+        &mut self,
+        outcome: AttemptOutcome,
+        attempts: u32,
+        reassigned_from: Option<usize>,
+    ) -> Result<bool, SupervisedError> {
+        match outcome {
+            Ok(Ok((mut report, partials))) => {
+                report.attempts = attempts;
+                report.reassigned_from = reassigned_from;
+                if reassigned_from.is_some() {
+                    self.obs.registry.add("supervised.reassignments", 1);
+                }
+                for (s, partial) in partials {
+                    let prev = self.partials.insert(s, partial);
+                    assert!(prev.is_none(), "shard {s} computed twice");
+                }
+                self.run.ranks.push(report);
+                Ok(true)
+            }
+            Ok(Err(io)) => Err(io.into()),
+            Err(failure) => {
+                self.obs.registry.add("supervised.failures", 1);
+                if matches!(failure.cause, FailureCause::InjectedKill) {
+                    self.obs.registry.add("supervised.injected_faults", 1);
+                }
+                self.run.failures.push(failure);
+                Ok(false)
+            }
+        }
+    }
+
+    /// Spend what is left of the policy's budget on `worker` running
+    /// `shards`, `done` attempts having failed already; every attempt
+    /// but the work's first waits out its backoff. The harness keeps
+    /// its counters, so a `times: 1` kill is transient and the retry
+    /// passes, while a permanent kill keeps firing until the budget is
+    /// spent. Returns whether the work was absorbed.
+    fn retry(
+        &mut self,
+        worker: usize,
+        shards: &[usize],
+        done: u32,
+        span: &str,
+        reassigned_from: Option<usize>,
+    ) -> Result<bool, SupervisedError> {
+        for failed in done..self.policy.max_attempts {
+            if failed > 0 {
+                let units = self.policy.backoff_base << (failed - 1).min(62);
+                self.obs.registry.add("supervised.backoff_units", units);
+                self.policy.sleeper.sleep(units);
+            }
+            let outcome = self.attempt(worker, shards, span);
+            if self.settle(outcome, failed + 1, reassigned_from)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
-/// Run `f`, converting a panic into the failure it represents.
-fn catch_failure<T>(
-    rank: usize,
-    harness: &FaultHarness,
-    f: impl FnOnce() -> T,
-) -> Result<T, RankFailure> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| RankFailure {
-        rank,
-        phase: harness.phase_of(rank),
-        cause: galactos_cluster::fault::classify_panic(payload.as_ref()),
-    })
-}
-
-/// [`compute_distributed_sharded`] under supervision: per-rank failures
-/// (organic panics or faults injected through `plan`) are caught as
-/// [`RankFailure`]s, failed ranks are retried under `policy`'s bounded
-/// exponential backoff, and ranks that exhaust their retries have their
-/// shard range reassigned across the survivors.
+/// The out-of-core distributed run, under supervision: each rank
+/// streams its owned GCAT v2 shards plus the neighbor shards
+/// intersecting their `rmax` halo straight from disk, so no piece of
+/// work ever holds the catalog. Per-rank failures (organic panics or
+/// faults injected through `plan`) are caught as [`RankFailure`]s,
+/// failed ranks are retried under `policy`'s bounded exponential
+/// backoff, and ranks that exhaust their retries have their shard range
+/// reassigned across the survivors. With [`FaultPlan::none`] and the
+/// default policy this is the plain run.
+///
+/// `manifest_path` points at the shard directory's manifest (see
+/// [`galactos_catalog::shard`]); shard files are resolved next to it.
+/// Like [`compute_distributed`], the catalog must be non-periodic — but
+/// since the flag comes from a file rather than a caller-built
+/// [`Catalog`], a periodic manifest is a
+/// [`CatalogIoError::Unsupported`] error, not a panic.
 ///
 /// ζ is assembled from *per-shard* partials reduced in shard order, so
 /// the result is bit-identical to the failure-free run — and to any
 /// rank count — no matter which rank ends up computing which shard:
-/// primaries are partitioned by shard, not by rank identity.
+/// primaries are partitioned by shard, not by rank identity. It matches
+/// the single-process engine to floating-point accuracy (tests enforce
+/// 1e-9 relative), and [`RankReport::records_read`] /
+/// [`RankReport::bytes_read`] quantify the ingestion I/O.
 pub fn compute_distributed_supervised(
     manifest_path: impl AsRef<Path>,
     config: &EngineConfig,
@@ -479,10 +512,6 @@ pub fn compute_distributed_supervised_observed(
 ) -> Result<SupervisedRun, SupervisedError> {
     assert!(policy.max_attempts >= 1, "need at least one attempt");
     let manifest_path = manifest_path.as_ref();
-    let dir = manifest_path
-        .parent()
-        .unwrap_or_else(|| Path::new("."))
-        .to_path_buf();
     let manifest = ShardManifest::read(manifest_path)?;
     if let Some(box_len) = manifest.periodic {
         return Err(CatalogIoError::Unsupported(format!(
@@ -492,108 +521,50 @@ pub fn compute_distributed_supervised_observed(
         .into());
     }
     let num_shards = manifest.num_shards();
-    let harness = std::sync::Arc::new(FaultHarness::new(plan, num_ranks));
-
     let range_of = |rank: usize| {
         let (lo, hi) = shard_range_for_rank(num_shards, num_ranks, rank);
         (lo..hi).collect::<Vec<usize>>()
     };
-
-    // Round 0: every rank in parallel on the supervised cluster. Each
-    // rank thread is its own obs track, so the trace shows the rank
-    // fan-out; a failed attempt still records its (truncated) span —
-    // the guard drops during unwinding, before the harness catches it.
-    let round0 = galactos_cluster::run_cluster_supervised(
-        num_ranks,
-        std::sync::Arc::clone(&harness),
-        |comm| {
-            let rank = comm.rank();
-            obs.tracer.name_track(&format!("rank {rank}"));
-            let _g = obs.tracer.span("shard_task");
-            obs.registry.add("supervised.attempts", 1);
-            shard_task(&dir, &manifest, config, rank, &range_of(rank), &|p| {
-                comm.set_phase(p)
-            })
+    let mut sup = Supervisor {
+        dir: manifest_path.parent().unwrap_or_else(|| Path::new(".")),
+        manifest,
+        config,
+        policy,
+        harness: FaultHarness::new(plan, num_ranks),
+        obs,
+        run: SupervisedRun {
+            zeta: AnisotropicZeta::zeros(config.lmax, config.bins.nbins()),
+            ranks: Vec::new(),
+            failures: Vec::new(),
+            dead_ranks: Vec::new(),
         },
-    );
-
-    let record_failure = |failure: &RankFailure| {
-        obs.registry.add("supervised.failures", 1);
-        if matches!(failure.cause, FailureCause::InjectedKill) {
-            obs.registry.add("supervised.injected_faults", 1);
-        }
+        partials: BTreeMap::new(),
     };
 
-    let mut failures: Vec<RankFailure> = Vec::new();
-    let mut reports: Vec<RankReport> = Vec::new();
-    let mut partials: std::collections::BTreeMap<usize, Vec<f64>> =
-        std::collections::BTreeMap::new();
+    // Round 0: every rank in parallel, one thread each. Each rank
+    // thread is its own obs track, so the trace shows the rank fan-out.
+    let round0 = run_cluster(num_ranks, |comm| {
+        let rank = comm.rank();
+        obs.tracer.name_track(&format!("rank {rank}"));
+        sup.attempt(rank, &range_of(rank), "shard_task")
+    });
     let mut failed_ranks: Vec<usize> = Vec::new();
     let mut survivors: Vec<usize> = Vec::new();
-
-    let absorb_success = |reports: &mut Vec<RankReport>,
-                          partials: &mut std::collections::BTreeMap<usize, Vec<f64>>,
-                          report: RankReport,
-                          parts: Vec<(usize, Vec<f64>)>| {
-        for (s, p) in parts {
-            let prev = partials.insert(s, p);
-            assert!(prev.is_none(), "shard {s} computed twice");
-        }
-        reports.push(report);
-    };
-
     for (rank, outcome) in round0.into_iter().enumerate() {
-        match outcome {
-            Ok(Ok((report, parts))) => {
-                absorb_success(&mut reports, &mut partials, report, parts);
-                survivors.push(rank);
-            }
-            Ok(Err(io)) => return Err(io.into()),
-            Err(failure) => {
-                record_failure(&failure);
-                failures.push(failure);
-                failed_ranks.push(rank);
-            }
+        if sup.settle(outcome, 1, None)? {
+            survivors.push(rank);
+        } else {
+            failed_ranks.push(rank);
         }
     }
 
-    // Retry each failed rank under the policy; the harness keeps its
-    // counters, so a `times: 1` kill is transient and the retry passes,
-    // while a permanent kill keeps firing until the budget is spent.
-    let mut dead_ranks: Vec<usize> = Vec::new();
+    // Retry each failed rank on its own range under the policy.
     for rank in failed_ranks {
-        let mut recovered = false;
-        let mut attempt = 1u32;
-        while attempt < policy.max_attempts {
-            let units = policy.backoff_base << (attempt - 1).min(62);
-            obs.registry.add("supervised.backoff_units", units);
-            policy.sleeper.sleep(units);
-            attempt += 1;
-            obs.registry.add("supervised.attempts", 1);
-            let outcome = catch_failure(rank, &harness, || {
-                let _g = obs.tracer.span("retry");
-                shard_task(&dir, &manifest, config, rank, &range_of(rank), &|p| {
-                    harness.enter_phase(rank, p)
-                })
-            });
-            match outcome {
-                Ok(Ok((mut report, parts))) => {
-                    report.attempts = attempt;
-                    absorb_success(&mut reports, &mut partials, report, parts);
-                    survivors.push(rank);
-                    recovered = true;
-                    break;
-                }
-                Ok(Err(io)) => return Err(io.into()),
-                Err(failure) => {
-                    record_failure(&failure);
-                    failures.push(failure);
-                }
-            }
-        }
-        if !recovered {
+        if sup.retry(rank, &range_of(rank), 1, "retry", None)? {
+            survivors.push(rank);
+        } else {
             obs.registry.add("supervised.dead_ranks", 1);
-            dead_ranks.push(rank);
+            sup.run.dead_ranks.push(rank);
         }
     }
 
@@ -604,49 +575,21 @@ pub fn compute_distributed_supervised_observed(
     // invisible in ζ.
     survivors.sort_unstable();
     let mut rr = 0usize;
-    for &dead in &dead_ranks {
+    for dead in sup.run.dead_ranks.clone() {
         for s in range_of(dead) {
-            if survivors.is_empty() {
-                return Err(SupervisedError::Exhausted { failures });
-            }
-            let mut done = false;
-            'survivor: for k in 0..survivors.len() {
-                let surv = survivors[(rr + k) % survivors.len()];
-                let mut attempt = 0u32;
-                while attempt < policy.max_attempts {
-                    if attempt > 0 {
-                        let units = policy.backoff_base << (attempt - 1).min(62);
-                        obs.registry.add("supervised.backoff_units", units);
-                        policy.sleeper.sleep(units);
-                    }
-                    attempt += 1;
-                    obs.registry.add("supervised.attempts", 1);
-                    let outcome = catch_failure(surv, &harness, || {
-                        let _g = obs.tracer.span("reassign");
-                        shard_task(&dir, &manifest, config, surv, &[s], &|p| {
-                            harness.enter_phase(surv, p)
-                        })
-                    });
-                    match outcome {
-                        Ok(Ok((mut report, parts))) => {
-                            report.attempts = attempt;
-                            report.reassigned_from = Some(dead);
-                            absorb_success(&mut reports, &mut partials, report, parts);
-                            obs.registry.add("supervised.reassignments", 1);
-                            done = true;
-                            rr += 1;
-                            break 'survivor;
-                        }
-                        Ok(Err(io)) => return Err(io.into()),
-                        Err(failure) => {
-                            record_failure(&failure);
-                            failures.push(failure);
-                        }
-                    }
+            let mut taken = false;
+            for k in 0..survivors.len() {
+                let survivor = survivors[(rr + k) % survivors.len()];
+                if sup.retry(survivor, &[s], 0, "reassign", Some(dead))? {
+                    taken = true;
+                    rr += 1;
+                    break;
                 }
             }
-            if !done {
-                return Err(SupervisedError::Exhausted { failures });
+            if !taken {
+                return Err(SupervisedError::Exhausted {
+                    failures: sup.run.failures,
+                });
             }
         }
     }
@@ -654,25 +597,15 @@ pub fn compute_distributed_supervised_observed(
     // The reduction: every shard exactly once, in shard order. This is
     // the bit-identity anchor — nothing above may change it.
     assert_eq!(
-        partials.len(),
+        sup.partials.len(),
         num_shards,
         "every shard must contribute exactly one partial"
     );
-    let mut zeta = AnisotropicZeta::zeros(config.lmax, config.bins.nbins());
-    for partial in partials.values() {
-        zeta.merge(&AnisotropicZeta::from_f64_vec(
-            config.lmax,
-            config.bins.nbins(),
-            partial,
-        ));
+    let mut run = sup.run;
+    for partial in sup.partials.values() {
+        run.zeta.merge(partial);
     }
-
-    Ok(SupervisedRun {
-        zeta,
-        ranks: reports,
-        failures,
-        dead_ranks,
-    })
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -696,6 +629,16 @@ mod tests {
             .join(format!("{name}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    /// The plain out-of-core run: no faults, default policy.
+    fn sharded(
+        manifest_path: impl AsRef<Path>,
+        config: &EngineConfig,
+        ranks: usize,
+    ) -> Result<SupervisedRun, SupervisedError> {
+        let policy = RetryPolicy::default();
+        compute_distributed_supervised(manifest_path, config, ranks, &policy, FaultPlan::none())
     }
 
     #[test]
@@ -751,7 +694,7 @@ mod tests {
         write_sharded(&cat, 7, &dir).unwrap();
         let manifest_path = dir.join(MANIFEST_FILE);
         for ranks in [1usize, 2, 3, 5] {
-            let dist = compute_distributed_sharded(&manifest_path, &config, ranks).unwrap();
+            let dist = sharded(&manifest_path, &config, ranks).unwrap();
             let scale = single.max_abs().max(1.0);
             assert!(
                 dist.zeta.max_difference(&single) < 1e-9 * scale,
@@ -762,19 +705,22 @@ mod tests {
             assert_eq!(dist.zeta.binned_pairs, single.binned_pairs);
             let owned_total: usize = dist.ranks.iter().map(|r| r.owned).sum();
             assert_eq!(owned_total, 250);
-            // The sharded path moves no bytes through the fabric.
-            assert_eq!(dist.total_bytes_sent, 0);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_no_rank_holds_the_full_catalog() {
-        // The point of v2: for multi-rank runs, no rank's resident
-        // galaxies (owned + ghosts) nor its streamed shard records may
-        // reach the catalog size. An elongated box (survey-slab
-        // geometry) makes the bisection cut slabs along x, so even
-        // interior ranks have shards beyond their halo.
+        // The point of v2: no piece of work's resident galaxies (owned
+        // + ghosts) nor its streamed shard records may reach the
+        // catalog size. The unit of work is the shard (one tree each)
+        // and a `RankReport` sums a rank's shards, so this runs at one
+        // shard per rank: at 2 ranks over these 20 shards rank 0's
+        // `records_read` is 720 > 300 (ten shards, each re-reading its
+        // neighbors), although nothing ever held the catalog. An
+        // elongated box (survey-slab geometry) makes the bisection cut
+        // slabs along x, so even interior shards have shards beyond
+        // their halo.
         let n = 300;
         let mut cat = open_catalog(n, 24.0, 19);
         for g in &mut cat.galaxies {
@@ -786,25 +732,24 @@ mod tests {
         let dir = shard_dir("bounded_residency");
         write_sharded(&cat, 20, &dir).unwrap();
         let manifest_path = dir.join(MANIFEST_FILE);
-        for ranks in [2usize, 3, 5] {
-            let dist = compute_distributed_sharded(&manifest_path, &config, ranks).unwrap();
-            let scale = single.max_abs().max(1.0);
-            assert!(dist.zeta.max_difference(&single) < 1e-9 * scale);
-            for r in &dist.ranks {
-                assert!(
-                    r.owned + r.ghosts < n,
-                    "rank {} resident {} galaxies = full catalog",
-                    r.rank,
-                    r.owned + r.ghosts
-                );
-                assert!(
-                    r.records_read < n as u64,
-                    "rank {} streamed {} records = full catalog",
-                    r.rank,
-                    r.records_read
-                );
-                assert!(r.bytes_read > 0, "rank {} read nothing", r.rank);
-            }
+        let dist = sharded(&manifest_path, &config, 20).unwrap();
+        let scale = single.max_abs().max(1.0);
+        assert!(dist.zeta.max_difference(&single) < 1e-9 * scale);
+        assert_eq!(dist.ranks.len(), 20);
+        for r in &dist.ranks {
+            assert!(
+                r.owned + r.ghosts < n,
+                "rank {} resident {} galaxies = full catalog",
+                r.rank,
+                r.owned + r.ghosts
+            );
+            assert!(
+                r.records_read < n as u64,
+                "rank {} streamed {} records = full catalog",
+                r.rank,
+                r.records_read
+            );
+            assert!(r.bytes_read > 0, "rank {} read nothing", r.rank);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -817,7 +762,7 @@ mod tests {
         let single = Engine::new(config.clone()).compute(&cat);
         let dir = shard_dir("self_subtraction");
         write_sharded(&cat, 6, &dir).unwrap();
-        let dist = compute_distributed_sharded(dir.join(MANIFEST_FILE), &config, 4).unwrap();
+        let dist = sharded(dir.join(MANIFEST_FILE), &config, 4).unwrap();
         let scale = single.max_abs().max(1.0);
         assert!(dist.zeta.max_difference(&single) < 1e-9 * scale);
         std::fs::remove_dir_all(&dir).ok();
@@ -835,8 +780,8 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&manifest_path, &bytes).unwrap();
         assert!(matches!(
-            compute_distributed_sharded(&manifest_path, &config, 2),
-            Err(CatalogIoError::Corrupt(_))
+            sharded(&manifest_path, &config, 2),
+            Err(SupervisedError::Io(CatalogIoError::Corrupt(_)))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -15,7 +15,10 @@ use galactos_cluster::fault::{FailureCause, FaultPlan, KillSpec};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::pipeline::SupervisedError;
-use galactos_core::pipeline::{compute_distributed_supervised, RetryPolicy, Sleeper};
+use galactos_core::pipeline::{
+    compute_distributed_supervised, compute_distributed_supervised_observed, RetryPolicy, Sleeper,
+};
+use galactos_core::ObsSession;
 use galactos_domain::shard::write_sharded;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,13 +246,79 @@ fn killing_every_rank_exhausts_the_run() {
 }
 
 #[test]
-fn seeded_plans_sweep_the_failure_space() {
-    // The seeded constructor must stay within bounds and be reproducible
-    // — the property the ensemble bench relies on for its committed
-    // baseline.
-    for seed in 0..16u64 {
-        let a = FaultPlan::seeded_kill(seed, 5, &PHASES, 1);
-        let b = FaultPlan::seeded_kill(seed, 5, &PHASES, 1);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed} not stable");
+fn registry_counters_account_for_every_attempt() {
+    // The `supervised.*` counters against what the run itself reports:
+    // every attempt ends as a report or a failure, every backoff unit
+    // reaches the sleeper, and round 0, retries and reassignments count
+    // through the same path (the expected tuples pin that path's order).
+    let cat = open_catalog(120, 10.0, 17);
+    let config = EngineConfig::test_default(3.0, 1, 2);
+    let dir = shard_dir("counters");
+    write_sharded(&cat, 5, &dir).unwrap();
+    let manifest_path = dir.join(MANIFEST_FILE);
+    let plans = [
+        (FaultPlan::none(), (3, 0, 0, 0), vec![]),
+        (
+            FaultPlan::none().with_phase_kill(1, "compute", 2),
+            (5, 2, 15, 0),
+            vec![],
+        ),
+        (
+            FaultPlan::none()
+                .with_phase_kill(0, "ingest", KillSpec::ALWAYS)
+                .with_phase_kill(2, "reduce", 1),
+            (7, 4, 20, 1),
+            vec![0],
+        ),
+    ];
+    for (plan, expected, dead_ranks) in plans {
+        let sleeper = std::sync::Arc::new(CountingSleeper(AtomicU64::new(0)));
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            backoff_base: 5,
+            sleeper: std::sync::Arc::clone(&sleeper) as std::sync::Arc<dyn Sleeper>,
+        };
+        let obs = ObsSession::enabled();
+        let run = compute_distributed_supervised_observed(
+            &manifest_path,
+            &config,
+            3,
+            &policy,
+            plan,
+            &obs,
+        )
+        .unwrap();
+        let counter = |name: &str| obs.registry.counter_value(&format!("supervised.{name}"));
+        let reassigned = run
+            .ranks
+            .iter()
+            .filter(|r| r.reassigned_from.is_some())
+            .count();
+        assert_eq!(
+            (
+                counter("attempts"),
+                counter("failures"),
+                counter("backoff_units"),
+                counter("reassignments"),
+            ),
+            expected
+        );
+        assert_eq!(
+            counter("attempts"),
+            (run.ranks.len() + run.failures.len()) as u64
+        );
+        assert_eq!(counter("failures"), run.failures.len() as u64);
+        assert_eq!(counter("injected_faults"), run.failures.len() as u64);
+        assert_eq!(counter("dead_ranks"), run.dead_ranks.len() as u64);
+        assert_eq!(run.dead_ranks, dead_ranks);
+        assert_eq!(counter("reassignments"), reassigned as u64);
+        assert_eq!(
+            counter("backoff_units"),
+            sleeper.0.load(Ordering::Relaxed),
+            "every unit counted reached the sleeper"
+        );
+        let owned_total: usize = run.ranks.iter().map(|r| r.owned).sum();
+        assert_eq!(owned_total, 120, "primaries partition the catalog");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }

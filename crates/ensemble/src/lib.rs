@@ -34,10 +34,9 @@
 //!   and restarts yields the same bits as one uninterrupted run,
 //!   because completed realizations are replayed from verified
 //!   checkpoints and missing ones are recomputed from their seeds;
-//! * injected faults: rank kills and message faults handled by the
-//!   supervised pipeline never change ζ (shard-ordered reduction), so
-//!   a realization computed through a crash-and-retry equals one
-//!   computed cleanly;
+//! * injected faults: rank kills handled by the supervised pipeline
+//!   never change ζ (shard-ordered reduction), so a realization
+//!   computed through a crash-and-retry equals one computed cleanly;
 //! * checkpoint damage: a corrupt or truncated checkpoint is detected
 //!   by checksum and recomputed — garbage is never folded into the
 //!   covariance;

@@ -8,7 +8,7 @@ use galactos_catalog::io::CatalogIoError;
 use galactos_catalog::shard::MANIFEST_FILE;
 use galactos_cluster::fault::FaultPlan;
 use galactos_core::pipeline::{
-    compute_distributed_supervised_observed, RetryPolicy, SupervisedError, SupervisedRun,
+    compute_distributed_supervised_observed, RetryPolicy, SupervisedError,
 };
 use galactos_core::EngineConfig;
 use galactos_domain::shard::write_sharded;
@@ -368,28 +368,11 @@ impl MockEnsemble {
     }
 
     /// Generate, shard, and measure realization `k` through the
-    /// supervised pipeline; returns the flattened ζ vector. The
-    /// scratch shard directory is removed afterwards — only the
-    /// checkpoint is durable.
+    /// supervised pipeline (telemetry into `obs`, see
+    /// [`compute_distributed_supervised_observed`]); returns the
+    /// flattened ζ vector. The scratch shard directory is removed
+    /// afterwards — only the checkpoint is durable.
     fn compute_realization(&self, k: usize, obs: &ObsSession) -> Result<Vec<f64>, EnsembleError> {
-        let run = self.supervised_run_observed(k, obs)?;
-        Ok(zeta_to_vector(&run.zeta))
-    }
-
-    /// The supervised run behind `compute_realization`, exposed so a
-    /// caller can read per-realization failure/retry counts.
-    pub fn supervised_run(&self, k: usize) -> Result<SupervisedRun, EnsembleError> {
-        self.supervised_run_observed(k, &ObsSession::disabled())
-    }
-
-    /// [`MockEnsemble::supervised_run`] with distributed telemetry
-    /// recorded into `obs` (see
-    /// [`compute_distributed_supervised_observed`]).
-    pub fn supervised_run_observed(
-        &self,
-        k: usize,
-        obs: &ObsSession,
-    ) -> Result<SupervisedRun, EnsembleError> {
         let c = &self.config;
         let mock = lognormal::generate(
             c.spectrum.build().as_ref(),
@@ -424,10 +407,11 @@ impl MockEnsemble {
             obs,
         );
         std::fs::remove_dir_all(&work).ok();
-        result.map_err(|source| EnsembleError::Supervised {
+        let run = result.map_err(|source| EnsembleError::Supervised {
             realization: k,
             source,
-        })
+        })?;
+        Ok(zeta_to_vector(&run.zeta))
     }
 }
 

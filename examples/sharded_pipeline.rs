@@ -35,9 +35,11 @@ fn main() {
         manifest.total_count
     );
 
-    // 2. Peek at what one rank of four would actually load: its own
-    //    shards (primaries) plus ghosts from halo-intersecting
-    //    neighbor shards, streamed in bounded-memory chunks.
+    // 2. Peek at what one rank of four would load taking its whole
+    //    shard range at once: its own shards (primaries) plus ghosts
+    //    from halo-intersecting neighbor shards, streamed in
+    //    bounded-memory chunks. (The pipeline below works shard by
+    //    shard, so a piece of its work holds less still.)
     let rmax = 12.0;
     println!("\nper-rank ingestion at 4 ranks (rmax = {rmax}):");
     println!(
@@ -61,7 +63,14 @@ fn main() {
     //    scatter path and the single-process engine.
     let config = EngineConfig::test_default(rmax, 3, 5);
     let manifest_path = dir.join(MANIFEST_FILE);
-    let sharded = compute_distributed_sharded(&manifest_path, &config, 4).expect("pipeline");
+    let sharded = compute_distributed_supervised(
+        &manifest_path,
+        &config,
+        4,
+        &RetryPolicy::default(),
+        FaultPlan::none(),
+    )
+    .expect("pipeline");
     let single = Engine::new(config.clone()).compute(&catalog);
     let scale = single.max_abs().max(1.0);
     let diff = sharded.zeta.max_difference(&single) / scale;

@@ -53,13 +53,14 @@ pub mod prelude {
     pub use galactos_analysis::covariance::{jackknife_from_partials, sample_covariance};
     pub use galactos_catalog::sky::{read_sky_csv, write_sky_csv};
     pub use galactos_catalog::{uniform_box, Cap, Catalog, Galaxy, SurveyGeometry};
+    pub use galactos_cluster::fault::FaultPlan;
     pub use galactos_core::bins::RadialBins;
     pub use galactos_core::config::{EngineConfig, TreePrecision};
     pub use galactos_core::engine::Engine;
     pub use galactos_core::estimator::{EstimatorChoice, EstimatorKind};
     pub use galactos_core::kernel::{BackendChoice, BackendKind};
     pub use galactos_core::pipeline::{
-        compute_distributed, compute_distributed_sharded, compute_distributed_supervised,
+        compute_distributed, compute_distributed_supervised,
         compute_distributed_supervised_observed, RetryPolicy,
     };
     pub use galactos_core::result::{AnisotropicZeta, IsotropicZeta};

@@ -139,7 +139,9 @@ impl Engine {
     /// [`ObsSession`]. Both estimator paths are covered: the tree path
     /// emits an `engine` span with a `tree_build` child plus per-chunk
     /// worker spans (one obs track per worker thread) carrying the
-    /// search/bin/kernel/assembly stage breakdown as aggregate slices;
+    /// search/bin/kernel/assembly stage breakdown as aggregate slices,
+    /// and the gauge `engine.kernel_vector_bits` (128, 256 or 512: the
+    /// widest compilation of the SIMD kernel this host runs);
     /// the grid path emits a `grid` span with the native paint / fields
     /// / contract / self-pair breakdown.
     ///
@@ -152,6 +154,10 @@ impl Engine {
             return self.compute_grid(catalog, grid, obs);
         }
         let _g = obs.tracer.span("engine");
+        if obs.is_enabled() && self.backend_kind() == BackendKind::Simd {
+            let bits = galactos_simd::Level::widest().vector_bits();
+            obs.registry.gauge("engine.kernel_vector_bits").set(bits);
+        }
         self.run(&catalog.galaxies, catalog.len(), catalog.periodic, obs)
     }
 

@@ -10,8 +10,8 @@ use crate::kernel::backend::BackendKind;
 use crate::kernel::buckets::PairBuckets;
 use crate::kernel::scalar::accumulate_bucket_scalar;
 use crate::kernel::simd::accumulate_bucket_simd;
-use galactos_math::monomial::UpdateStep;
-use galactos_simd::{F64x8, ILP_BATCHES};
+use galactos_math::monomial::{monomial_count, UpdateStep};
+use galactos_simd::F64x8;
 
 /// Per-(bin, monomial) accumulation state for one thread: 8-lane
 /// vectors with a deferred reduction (the paper's layout), or plain
@@ -21,9 +21,11 @@ pub enum KernelAccumulator {
     Simd {
         nbins: usize,
         nmono: usize,
+        /// The ℓmax whose basis has `nmono` monomials: all the kernel's
+        /// loop nest needs of the basis.
+        lmax: usize,
         /// `lanes[bin * nmono + mono]`
         lanes: Vec<F64x8>,
-        scratch: Vec<F64x8>,
     },
     Scalar {
         nbins: usize,
@@ -35,12 +37,15 @@ pub enum KernelAccumulator {
 }
 
 impl KernelAccumulator {
+    /// Panics unless `nmono` is the size of a monomial basis.
     pub fn new_simd(nbins: usize, nmono: usize) -> Self {
+        let lmax = (0..=nmono).find(|&l| monomial_count(l) == nmono);
+        let lmax = lmax.expect("nmono is the monomial count of some lmax");
         KernelAccumulator::Simd {
             nbins,
             nmono,
+            lmax,
             lanes: vec![F64x8::ZERO; nbins * nmono],
-            scratch: vec![F64x8::ZERO; ILP_BATCHES * nmono],
         }
     }
 
@@ -82,7 +87,9 @@ impl KernelAccumulator {
         }
     }
 
-    /// Flush one bucket of pairs into `bin`'s accumulators.
+    /// Flush one bucket of pairs into `bin`'s accumulators. Only the
+    /// scalar reference interprets `schedule`; the SIMD kernel's loop
+    /// nest is that schedule's multiplication order by construction.
     pub fn flush_bucket(
         &mut self,
         schedule: &[UpdateStep],
@@ -94,13 +101,10 @@ impl KernelAccumulator {
     ) {
         match self {
             KernelAccumulator::Simd {
-                nmono,
-                lanes,
-                scratch,
-                ..
+                nmono, lmax, lanes, ..
             } => {
                 let acc = &mut lanes[bin * *nmono..(bin + 1) * *nmono];
-                accumulate_bucket_simd(schedule, dx, dy, dz, w, scratch, acc);
+                accumulate_bucket_simd(*lmax, [dx, dy, dz, w], acc);
             }
             KernelAccumulator::Scalar {
                 nmono,

@@ -25,7 +25,8 @@ use std::fmt;
 pub enum BackendKind {
     /// One pair at a time, plain `f64` — the reference arithmetic.
     Scalar,
-    /// 8-lane vectors, 4 chains in flight, one bucket per call (§3.3.2).
+    /// 8-lane vectors, 4 register chains in flight, one bucket per call
+    /// (§3.3.2), at the host's vector width.
     Simd,
 }
 
@@ -67,8 +68,9 @@ impl fmt::Display for BackendKind {
 /// vector registers to map it onto:
 ///
 /// 1. **x86-64, aarch64, wasm with `simd128`** — every build of these
-///    has a vector unit (SSE2 / NEON / simd128 at baseline, wider with
-///    `-C target-cpu`): [`BackendKind::Simd`].
+///    has a vector unit (SSE2 / NEON / simd128 at baseline; on x86-64
+///    the SIMD kernel itself moves up to the host's AVX2 / AVX-512 per
+///    call, see [`simd`](crate::kernel::simd)): [`BackendKind::Simd`].
 /// 2. **Everything else**: the scalar reference.
 pub fn detect() -> BackendKind {
     if cfg!(any(

@@ -7,21 +7,32 @@
 //!   invocation touches a single bin's accumulators — "this approach
 //!   enables the use of effective vectorization over galaxy pairs, and
 //!   also yields efficient cache reuse" (§3.3.1).
-//! * **Vectorized accumulation** ([`simd`]): monomials are built by the
-//!   2-FLOP parent/axis schedule over 8-wide lanes, accumulating into a
+//! * **Vectorized accumulation** ([`simd`]): monomials `w·z^q·y^p·x^k`
+//!   are built 2 FLOPs each by nested loops of running products over
+//!   8-wide lanes — the parent/axis schedule's multiplication order
+//!   with the products held in registers — accumulating into a
 //!   per-monomial 8-element array whose horizontal reduction is deferred
 //!   to the end of the primary — "replacing N/8 vector reductions with
 //!   only 1 vector reduction for each of the 286 elements" (§3.3.2) —
 //!   with 4 independent batches in flight for instruction-level
-//!   parallelism.
+//!   parallelism. `galactos_simd::dispatch` compiles that one body for
+//!   baseline / AVX2 / AVX-512 and picks per call at run time.
 //! * **Scalar reference** ([`scalar`]): the same arithmetic one lane
-//!   wide — the oracle the SIMD kernel is held to (≲ 1e-11 relative in
-//!   the unit tests, 1e-10 through the full engine in
-//!   `tests/backends.rs`).
+//!   wide, replaying the schedule step by step — the oracle the SIMD
+//!   kernel is held to (≲ 1e-11 relative in the unit tests, 1e-10
+//!   through the full engine in `tests/backends.rs`).
 //! * **Selection** ([`backend`]): the two implementations behind one
 //!   [`KernelBackend`] trait, chosen per engine by
 //!   [`EngineConfig::kernel_backend`](crate::config::EngineConfig) —
 //!   pinned, or [`detect`]'s build-target `cfg!` ladder.
+//!
+//! **No fused operations.** Nothing in the kernel may call
+//! `f64::mul_add` or otherwise fuse a multiply with an add: every
+//! compilation `dispatch` can pick must round each multiply and each add
+//! separately (Rust never contracts `a * b + c` on its own), so that ζ
+//! bits are a function of [`EngineConfig`](crate::config::EngineConfig)
+//! and not of the host's vector width. `simd`'s tests pin this lane by
+//! lane for every level the host offers.
 //!
 //! The test-only `testutil` module carries the deterministic input
 //! generators and against-scalar checkers shared by every backend's

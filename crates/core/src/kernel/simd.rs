@@ -1,88 +1,115 @@
 //! The vectorized multipole kernel (paper §3.3.2).
 //!
-//! Pairs are processed 8 at a time (one `F64x8` per coordinate), with
-//! up to 4 chunks in flight to break the parent→child dependency chain
-//! ("we perform computations on 4 independent vectors at once"). Each
-//! monomial accumulates into its own 8-lane array; the horizontal
-//! reduction to a scalar happens once per primary, not once per chunk.
+//! Pairs are processed 8 at a time (one `F64x8` per coordinate), 4
+//! chunks per group so four independent multiply chains are in flight
+//! ("we perform computations on 4 independent vectors at once"). The
+//! monomials `w·z^q·y^p·x^k` are built by three nested loops whose
+//! running products are locals — registers, on a 512-bit host — in the
+//! basis order of [`MonomialBasis`](galactos_math::MonomialBasis), so
+//! the only memory traffic per monomial is its 8-lane accumulator; the
+//! horizontal reduction to a scalar happens once per primary, not once
+//! per chunk.
+//!
+//! The body is compiled once per [`Level`] by `galactos_simd::dispatch`
+//! and produces the same bits in each (see [`crate::kernel`]).
 
-use galactos_math::monomial::UpdateStep;
-use galactos_simd::{F64x8, F64_LANES, ILP_BATCHES};
+use galactos_math::monomial::monomial_count;
+use galactos_simd::{dispatch, F64x8, Kernel, Level, F64_LANES, ILP_BATCHES};
 
-/// Accumulate one bucket of pairs into `acc` (8-lane accumulators, one
-/// per monomial). `scratch` must hold `ILP_BATCHES × nmono` vectors.
-/// Tail pairs are zero-padded through the weight, so they contribute
-/// nothing.
-pub fn accumulate_bucket_simd(
-    schedule: &[UpdateStep],
-    dx: &[f64],
-    dy: &[f64],
-    dz: &[f64],
-    w: &[f64],
-    scratch: &mut [F64x8],
-    acc: &mut [F64x8],
-) {
-    let nmono = schedule.len() + 1;
-    debug_assert_eq!(acc.len(), nmono);
-    debug_assert!(scratch.len() >= ILP_BATCHES * nmono);
-    let n = dx.len();
-    let mut start = 0;
-    // Groups of 4 chunks (32 pairs) for ILP, then a remainder loop.
-    while start + ILP_BATCHES * F64_LANES <= n {
-        let mut coords = [[F64x8::ZERO; 3]; ILP_BATCHES];
-        let mut seeds = [F64x8::ZERO; ILP_BATCHES];
-        for b in 0..ILP_BATCHES {
-            let o = start + b * F64_LANES;
-            coords[b] = [
-                F64x8::from_slice(&dx[o..]),
-                F64x8::from_slice(&dy[o..]),
-                F64x8::from_slice(&dz[o..]),
-            ];
-            seeds[b] = F64x8::from_slice(&w[o..]);
+/// Pairs per full group: [`ILP_BATCHES`] chains of one vector each.
+const GROUP: usize = ILP_BATCHES * F64_LANES;
+
+/// Accumulate one bucket of pairs, given as its `[Δx, Δy, Δz, w]`
+/// columns, into `acc` (8-lane accumulators, one per monomial of degree
+/// ≤ `lmax`, in basis order). Tail pairs are zero-padded through the
+/// weight, so they contribute nothing.
+///
+/// The 512-bit compilation is used only by calls that hold a full
+/// group: on calls of a few pairs (part-filled buckets at low ℓmax) it
+/// measured slower than the 256-bit one.
+pub fn accumulate_bucket_simd(lmax: usize, cols: [&[f64]; 4], acc: &mut [F64x8]) {
+    let wide = cols[0].len() >= GROUP;
+    let cap = if wide { Level::Avx512 } else { Level::Avx2 };
+    dispatch(cap, Bucket { lmax, cols, acc });
+}
+
+/// One [`accumulate_bucket_simd`] call, as the body `dispatch` compiles.
+struct Bucket<'a> {
+    lmax: usize,
+    cols: [&'a [f64]; 4],
+    acc: &'a mut [F64x8],
+}
+
+impl Kernel for Bucket<'_> {
+    /// Groups of 4 chunks (32 pairs), then the remainder one (possibly
+    /// padded) chunk at a time.
+    #[inline(always)]
+    fn run(self) {
+        let Bucket { lmax, cols, acc } = self;
+        debug_assert_eq!(acc.len(), monomial_count(lmax));
+        let n = cols[0].len();
+        let mut at = 0;
+        while at + GROUP <= n {
+            let group = cols.map(|s| load::<ILP_BATCHES>(&s[at..at + GROUP]));
+            nest(lmax, group, acc);
+            at += GROUP;
         }
-        // Seed the 4 chains and accumulate the constant monomial.
-        let (s0, rest) = scratch.split_at_mut(nmono);
-        let (s1, rest) = rest.split_at_mut(nmono);
-        let (s2, s3full) = rest.split_at_mut(nmono);
-        let s3 = &mut s3full[..nmono];
-        s0[0] = seeds[0];
-        s1[0] = seeds[1];
-        s2[0] = seeds[2];
-        s3[0] = seeds[3];
-        acc[0] += (seeds[0] + seeds[1]) + (seeds[2] + seeds[3]);
-        for (i, step) in schedule.iter().enumerate() {
-            let p = step.parent as usize;
-            let ax = step.axis.index();
-            let v0 = s0[p] * coords[0][ax];
-            let v1 = s1[p] * coords[1][ax];
-            let v2 = s2[p] * coords[2][ax];
-            let v3 = s3[p] * coords[3][ax];
-            s0[i + 1] = v0;
-            s1[i + 1] = v1;
-            s2[i + 1] = v2;
-            s3[i + 1] = v3;
-            acc[i + 1] += (v0 + v1) + (v2 + v3);
+        while at < n {
+            let end = (at + F64_LANES).min(n);
+            nest(lmax, cols.map(|s| load::<1>(&s[at..end])), acc);
+            at = end;
         }
-        start += ILP_BATCHES * F64_LANES;
     }
-    // Remainder: one (possibly padded) chunk at a time.
-    while start < n {
-        let end = (start + F64_LANES).min(n);
-        let cx = F64x8::from_slice_padded(&dx[start..end]);
-        let cy = F64x8::from_slice_padded(&dy[start..end]);
-        let cz = F64x8::from_slice_padded(&dz[start..end]);
-        let cw = F64x8::from_slice_padded(&w[start..end]);
-        let coords = [cx, cy, cz];
-        let vals = &mut scratch[..nmono];
-        vals[0] = cw;
-        acc[0] += cw;
-        for (i, step) in schedule.iter().enumerate() {
-            let v = vals[step.parent as usize] * coords[step.axis.index()];
-            vals[i + 1] = v;
-            acc[i + 1] += v;
+}
+
+/// The first `N` vectors of `s`, zero-padded past its end.
+#[inline(always)]
+fn load<const N: usize>(s: &[f64]) -> [F64x8; N] {
+    std::array::from_fn(|b| F64x8::from_slice_padded(&s[b * F64_LANES..]))
+}
+
+/// `acc[i] += Σ_chains w·z^q·y^p·x^k` for every monomial `i = (k, p, q)`
+/// in basis order: `z`, `y`, `x` are multiplied in exactly the order the
+/// parent/axis schedule prescribes, and the `N` chains of a monomial are
+/// summed pairwise before the one accumulator update.
+#[inline(always)]
+fn nest<const N: usize>(lmax: usize, [x, y, z, w]: [[F64x8; N]; 4], acc: &mut [F64x8]) {
+    let mut row = 0;
+    let mut zq = w;
+    for q in 0..=lmax {
+        let mut zqyp = zq;
+        for p in 0..=lmax - q {
+            let len = lmax - q - p + 1;
+            let mut v = zqyp;
+            for a in &mut acc[row..row + len] {
+                *a += pairwise_sum(v);
+                mul_chains(&mut v, &x);
+            }
+            row += len;
+            mul_chains(&mut zqyp, &y);
         }
-        start = end;
+        mul_chains(&mut zq, &z);
     }
+}
+
+#[inline(always)]
+fn mul_chains<const N: usize>(v: &mut [F64x8; N], by: &[F64x8; N]) {
+    for b in 0..N {
+        v[b] *= by[b];
+    }
+}
+
+/// `(v0 + v1) + (v2 + v3)` for four chains, `v0` for one.
+#[inline(always)]
+fn pairwise_sum<const N: usize>(mut v: [F64x8; N]) -> F64x8 {
+    let mut stride = 1;
+    while stride < N {
+        for b in (0..N - stride).step_by(2 * stride) {
+            v[b] += v[b + stride];
+        }
+        stride *= 2;
+    }
+    v[0]
 }
 
 #[cfg(test)]
@@ -90,62 +117,80 @@ mod tests {
     use super::*;
     use crate::kernel::backend::BackendKind;
     use crate::kernel::testutil::{check_backend_vs_scalar, random_bucket};
-    use galactos_math::monomial::MonomialBasis;
+    use galactos_simd::run_at;
+
+    /// Empty, sub-lane, exact lane, and each side of one, two and four
+    /// full groups.
+    const SIZES: [usize; 14] = [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128, 129];
 
     #[test]
     fn matches_scalar_across_sizes() {
-        // Exercises: empty, sub-lane, exact lane, ILP-group, and ragged.
-        for n in [0usize, 1, 3, 7, 8, 9, 16, 31, 32, 33, 64, 100, 128] {
-            check_backend_vs_scalar(BackendKind::Simd, 6, n, n as u64 + 1, 1e-11);
+        // ℓmax 0 and 1 are where the nest degenerates to one slab / row.
+        for lmax in [0usize, 1, 2, 6, 12] {
+            for n in SIZES {
+                check_backend_vs_scalar(BackendKind::Simd, lmax, n, n as u64 + 1, 1e-11);
+            }
         }
     }
 
     #[test]
     fn matches_scalar_at_paper_lmax() {
-        check_backend_vs_scalar(BackendKind::Simd, 10, 128, 42, 1e-11);
+        for n in SIZES {
+            check_backend_vs_scalar(BackendKind::Simd, 10, n, 42 + n as u64, 1e-11);
+        }
     }
 
     #[test]
     fn accumulates_across_multiple_buckets() {
-        let basis = MonomialBasis::new(5);
-        let nmono = basis.len();
+        let nmono = monomial_count(5);
         let (dx, dy, dz, w) = random_bucket(50, 9);
+        let cols = [&dx[..], &dy[..], &dz[..], &w[..]];
         // One shot.
-        let mut scratch = vec![F64x8::ZERO; ILP_BATCHES * nmono];
         let mut acc_once = vec![F64x8::ZERO; nmono];
-        accumulate_bucket_simd(
-            basis.schedule(),
-            &dx,
-            &dy,
-            &dz,
-            &w,
-            &mut scratch,
-            &mut acc_once,
-        );
+        accumulate_bucket_simd(5, cols, &mut acc_once);
         // Two halves accumulated into the same accumulator.
         let mut acc_twice = vec![F64x8::ZERO; nmono];
-        accumulate_bucket_simd(
-            basis.schedule(),
-            &dx[..20],
-            &dy[..20],
-            &dz[..20],
-            &w[..20],
-            &mut scratch,
-            &mut acc_twice,
-        );
-        accumulate_bucket_simd(
-            basis.schedule(),
-            &dx[20..],
-            &dy[20..],
-            &dz[20..],
-            &w[20..],
-            &mut scratch,
-            &mut acc_twice,
-        );
+        accumulate_bucket_simd(5, cols.map(|s| &s[..20]), &mut acc_twice);
+        accumulate_bucket_simd(5, cols.map(|s| &s[20..]), &mut acc_twice);
         for i in 0..nmono {
             let a = acc_once[i].horizontal_sum();
             let b = acc_twice[i].horizontal_sum();
             assert!((a - b).abs() < 1e-11 * (1.0 + a.abs()), "monomial {i}");
+        }
+    }
+
+    /// The contract that lets `dispatch` choose freely: every
+    /// compilation this host can execute, and whatever `dispatch` picks
+    /// on either side of its width rule, leaves the same bits in every
+    /// lane of every accumulator as the baseline compilation.
+    #[test]
+    fn every_level_reproduces_the_baseline_bits() {
+        let levels: Vec<Level> = Level::ALL
+            .into_iter()
+            .filter(|l| l.is_available())
+            .collect();
+        println!("kernel levels covered on this host: {levels:?}");
+        for lmax in [0usize, 2, 10] {
+            for n in [5usize, 31, 33, 128, 129] {
+                let (dx, dy, dz, w) = random_bucket(n, 1000 * lmax as u64 + n as u64);
+                let cols = [&dx[..], &dy[..], &dz[..], &w[..]];
+                // Two flushes, so the second starts from non-zero lanes.
+                let bits_after = |flush: &dyn Fn(&mut [F64x8])| -> Vec<u64> {
+                    let mut acc = vec![F64x8::ZERO; monomial_count(lmax)];
+                    flush(&mut acc);
+                    flush(&mut acc);
+                    let lanes = acc.iter().flat_map(|v| v.to_array());
+                    lanes.map(f64::to_bits).collect()
+                };
+                let at = |level| bits_after(&|acc| run_at(level, Bucket { lmax, cols, acc }));
+                let baseline = at(Level::Baseline);
+                assert!(baseline.iter().any(|&b| b != 0));
+                for &level in &levels {
+                    assert_eq!(at(level), baseline, "{level:?} lmax={lmax} n={n}");
+                }
+                let dispatched = bits_after(&|acc| accumulate_bucket_simd(lmax, cols, acc));
+                assert_eq!(dispatched, baseline, "dispatch lmax={lmax} n={n}");
+            }
         }
     }
 }

@@ -11,7 +11,8 @@ use galactos_catalog::{uniform_box, Catalog};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::estimator::EstimatorChoice;
-use galactos_core::{GridConfig, ObsSession};
+use galactos_core::{BackendKind, GridConfig, ObsSession};
+use galactos_obs::MetricValue;
 use rayon::ThreadPoolBuilder;
 use std::collections::BTreeSet;
 
@@ -72,6 +73,20 @@ fn observed_tree_run_produces_span_tree_and_counters() {
             >= obs.registry.counter_value("engine.binned_pairs"),
         "candidates bound binned pairs"
     );
+
+    // The artifact says which compilation of the kernel produced it.
+    let snapshot = obs.registry.snapshot();
+    let vector_bits = snapshot
+        .iter()
+        .find(|(name, _)| name == "engine.kernel_vector_bits")
+        .map(|(_, value)| value);
+    match engine.backend_kind() {
+        BackendKind::Simd => assert!(
+            matches!(vector_bits, Some(MetricValue::Gauge(128 | 256 | 512))),
+            "engine.kernel_vector_bits = {vector_bits:?}"
+        ),
+        BackendKind::Scalar => assert_eq!(vector_bits, None),
+    }
 }
 
 #[test]

@@ -17,8 +17,12 @@
 //! performs exactly **2 FLOPs per monomial per pair** (one multiply to
 //! build the value, one add to accumulate it), which is how the paper
 //! arrives at `286 × 2 = 572 ≈ 576` FLOPs per galaxy pair. This module
-//! builds that parent/axis **update schedule**; the SIMD kernel in
-//! `galactos-core` replays it over 8-wide lanes.
+//! builds that parent/axis **update schedule**. The basis is ordered the
+//! way the schedule multiplies (`w·z^q·y^p·x^k`: `q` outermost, then
+//! `p`, then `k`), so the SIMD kernel in `galactos-core` walks it as
+//! three nested loops of running products with a running index, while
+//! the scalar oracle and [`MonomialBasis::eval_into`] replay the
+//! schedule step by step.
 
 /// Which coordinate multiplies the parent monomial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,12 +59,24 @@ pub const fn monomial_count(lmax: usize) -> usize {
     (lmax + 1) * (lmax + 2) * (lmax + 3) / 6
 }
 
+/// Position of `(k, p, q)` in the `q`, `p`, `k` loop nest over
+/// `k + p + q ≤ lmax`: the `q' < q` slabs hold all but
+/// `monomial_count(lmax − q)` monomials, the rows `p' < p` of slab `q`
+/// hold `m + 1 − p'` each (`m = lmax − q`), and `k` counts along the row.
+fn nest_index(lmax: usize, k: u32, p: u32, q: u32) -> usize {
+    let (k, p, m) = (k as usize, p as usize, lmax - q as usize);
+    monomial_count(lmax) - monomial_count(m) + p * (2 * m + 3 - p) / 2 + k
+}
+
 /// The ordered monomial basis for a given `ℓmax`, with exponent lists,
 /// index lookup and the kernel update schedule.
 ///
-/// Ordering: ascending total degree; within a degree, descending `k`,
-/// then descending `p`. Index 0 is the constant monomial `1` (whose
-/// accumulated sum counts pairs — the paper's `S_{000}`).
+/// Ordering: the loop nest `for q in 0..=ℓmax { for p in 0..=ℓmax−q {
+/// for k in 0..=ℓmax−q−p` — ascending `q`, then `p`, then `k` — so
+/// every parent precedes its children. Index 0 is the constant monomial
+/// `1` (whose accumulated sum counts pairs — the paper's `S_{000}`).
+/// Address monomials through [`index_of`](Self::index_of) /
+/// [`exponents`](Self::exponents), never by position.
 #[derive(Clone, Debug)]
 pub struct MonomialBasis {
     lmax: usize,
@@ -68,44 +84,24 @@ pub struct MonomialBasis {
     exponents: Vec<(u32, u32, u32)>,
     /// `schedule[i]` builds monomial `i+1` (index 0 is the constant 1).
     schedule: Vec<UpdateStep>,
-    /// Offset of the first monomial of each degree `0..=lmax+1`
-    /// (`degree_offsets[d]..degree_offsets[d+1]` spans degree `d`).
-    degree_offsets: Vec<usize>,
 }
 
 impl MonomialBasis {
     pub fn new(lmax: usize) -> Self {
         assert!(lmax <= 30, "lmax={lmax} is unreasonably large");
         let n = monomial_count(lmax);
+        let top = lmax as u32;
         let mut exponents = Vec::with_capacity(n);
-        let mut degree_offsets = Vec::with_capacity(lmax + 2);
-        for d in 0..=lmax as u32 {
-            degree_offsets.push(exponents.len());
-            for k in (0..=d).rev() {
-                for p in (0..=(d - k)).rev() {
-                    let q = d - k - p;
+        for q in 0..=top {
+            for p in 0..=top - q {
+                for k in 0..=top - q - p {
                     exponents.push((k, p, q));
                 }
             }
         }
-        degree_offsets.push(exponents.len());
         debug_assert_eq!(exponents.len(), n);
 
-        // index lookup for schedule construction
-        let index_of = |k: u32, p: u32, q: u32| -> u32 {
-            let d = k + p + q;
-            let base = degree_offsets[d as usize] as u32;
-            // within degree d: iterate k from d down to 0; for each k,
-            // p from d-k down to 0. Offset of (k,p):
-            //   Σ_{k' > k} (d - k' + 1)  +  (d - k - p)
-            let mut off = 0u32;
-            for kk in (k + 1)..=d {
-                off += d - kk + 1;
-            }
-            off += d - k - p;
-            base + off
-        };
-
+        let index_of = |k, p, q| nest_index(lmax, k, p, q) as u32;
         let mut schedule = Vec::with_capacity(n.saturating_sub(1));
         for &(k, p, q) in exponents.iter().skip(1) {
             let (parent, axis) = if k > 0 {
@@ -122,7 +118,6 @@ impl MonomialBasis {
             lmax,
             exponents,
             schedule,
-            degree_offsets,
         }
     }
 
@@ -158,26 +153,13 @@ impl MonomialBasis {
     pub fn index_of(&self, k: u32, p: u32, q: u32) -> usize {
         let d = (k + p + q) as usize;
         assert!(d <= self.lmax, "degree {d} exceeds lmax {}", self.lmax);
-        let base = self.degree_offsets[d];
-        let d = d as u32;
-        let mut off = 0usize;
-        for kk in (k + 1)..=d {
-            off += (d - kk + 1) as usize;
-        }
-        off += (d - k - p) as usize;
-        base + off
+        nest_index(self.lmax, k, p, q)
     }
 
     /// The kernel update schedule; `schedule()[i]` produces monomial `i+1`.
     #[inline]
     pub fn schedule(&self) -> &[UpdateStep] {
         &self.schedule
-    }
-
-    /// Range of monomial indices with total degree `d`.
-    #[inline]
-    pub fn degree_range(&self, d: usize) -> std::ops::Range<usize> {
-        self.degree_offsets[d]..self.degree_offsets[d + 1]
     }
 
     /// Scalar reference evaluation: fill `out[i] = x^k y^p z^q` for every
@@ -217,19 +199,23 @@ mod tests {
     }
 
     #[test]
-    fn degrees_are_sorted_and_ranges_correct() {
-        let b = MonomialBasis::new(9);
-        let mut last_d = 0;
-        for i in 0..b.len() {
-            let (k, p, q) = b.exponents(i);
-            let d = k + p + q;
-            assert!(d >= last_d, "degree must be non-decreasing");
-            last_d = d;
-        }
-        for d in 0..=9usize {
-            for i in b.degree_range(d) {
-                let (k, p, q) = b.exponents(i);
-                assert_eq!((k + p + q) as usize, d);
+    fn order_is_the_q_p_k_loop_nest() {
+        for lmax in 0..=12usize {
+            let b = MonomialBasis::new(lmax);
+            let top = lmax as u32;
+            let mut i = 0;
+            for q in 0..=top {
+                for p in 0..=top - q {
+                    for k in 0..=top - q - p {
+                        assert_eq!(b.exponents(i), (k, p, q), "lmax {lmax} index {i}");
+                        assert_eq!(b.index_of(k, p, q), i, "lmax {lmax} ({k},{p},{q})");
+                        i += 1;
+                    }
+                }
+            }
+            assert_eq!(i, b.len());
+            for (i, step) in b.schedule().iter().enumerate() {
+                assert!(step.parent as usize <= i, "lmax {lmax} step {i}");
             }
         }
     }

@@ -10,6 +10,16 @@
 //! kernel keeps the paper's exact arithmetic schedule without
 //! architecture-specific intrinsics.
 //!
+//! Reaching the host's vector unit does not need intrinsics either:
+//! [`dispatch`] compiles one portable [`Kernel`] body once per
+//! [`Level`] (inside `#[target_feature]` wrappers that do nothing but
+//! call it) and picks a compilation per call from
+//! `is_x86_feature_detected!`. Every operation here is a separately
+//! rounded IEEE multiply, add, … — Rust never contracts `a * b + c` —
+//! so all compilations produce the same bits lane for lane, and a
+//! result does not depend on which one ran. `dispatch`'s body is the
+//! workspace's only `unsafe` outside `galactos-math`'s FFT.
+//!
 //! ```
 //! use galactos_simd::F64x8;
 //! let a = F64x8::splat(2.0);
@@ -18,7 +28,7 @@
 //! assert_eq!(c.horizontal_sum(), 2.0 * 28.0 + 8.0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 // The indexed `for i in 0..F64_LANES` loops below ARE the kernel's
 // vectorization schedule (one lane per index, no iterator adapters in
 // the way of LLVM's vectorizer); clippy's preference for iterators is
@@ -83,9 +93,12 @@ impl F64x8 {
         out[..F64_LANES].copy_from_slice(&self.0);
     }
 
-    /// Fused multiply-add shape `self * b + c`. (Compiles to FMA where the
-    /// target supports it; the arithmetic is what the paper's FLOP count
-    /// assumes: one multiply + one add per lane.)
+    /// `self * b + c` as an unfused multiply then add, by contract: two
+    /// roundings per lane on every target (Rust never contracts
+    /// `a * b + c`, and this must never become `f64::mul_add`), so the
+    /// result does not depend on which compilation [`dispatch`] picked.
+    /// The arithmetic is what the paper's FLOP count assumes: one
+    /// multiply + one add per lane.
     #[inline(always)]
     pub fn mul_add(self, b: F64x8, c: F64x8) -> F64x8 {
         let mut out = [0.0; F64_LANES];
@@ -245,42 +258,98 @@ impl Default for F64x8 {
     }
 }
 
-/// Four independent [`F64x8`] accumulators — the paper's ILP strategy of
-/// "computations on 4 independent vectors at once" to keep the FMA
-/// pipeline full despite the serial dependency inside each monomial
-/// chain.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Batch4 {
-    pub v: [F64x8; ILP_BATCHES],
+/// A loop body that [`dispatch`] compiles once per [`Level`]. Mark
+/// `run`, and everything hot it calls, `#[inline(always)]`: the body is
+/// compiled for a level only where it is inlined into that level's
+/// wrapper.
+pub trait Kernel {
+    fn run(self);
 }
 
-impl Batch4 {
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Batch4 {
-            v: [F64x8::ZERO; ILP_BATCHES],
+/// The compilations of a [`Kernel`], narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Level {
+    /// The build target's own feature set (SSE2 on a default x86-64
+    /// build, NEON on aarch64): the plain call, available everywhere.
+    Baseline,
+    /// x86-64 with AVX2: 256-bit registers, two per [`F64x8`].
+    Avx2,
+    /// x86-64 with AVX-512F: 512-bit registers, one per [`F64x8`].
+    Avx512,
+}
+
+impl Level {
+    pub const ALL: [Level; 3] = [Level::Baseline, Level::Avx2, Level::Avx512];
+
+    /// Vector register width of this compilation in bits (128 stands
+    /// for whatever the build target's baseline has).
+    pub fn vector_bits(self) -> u64 {
+        match self {
+            Level::Baseline => 128,
+            Level::Avx2 => 256,
+            Level::Avx512 => 512,
         }
     }
 
-    /// Accumulate four independent products: `v[i] += a[i] * b[i]`.
-    #[inline(always)]
-    pub fn fma_accumulate(&mut self, a: &[F64x8; ILP_BATCHES], b: &[F64x8; ILP_BATCHES]) {
-        for i in 0..ILP_BATCHES {
-            self.v[i] = a[i].mul_add(b[i], self.v[i]);
+    /// Whether this host can execute the level's compilation.
+    pub fn is_available(self) -> bool {
+        match self {
+            Level::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         }
     }
 
-    /// Collapse the four batches into one vector.
-    #[inline(always)]
-    pub fn combine(self) -> F64x8 {
-        (self.v[0] + self.v[1]) + (self.v[2] + self.v[3])
+    /// The widest level this host can execute.
+    pub fn widest() -> Level {
+        let widest = Level::ALL.into_iter().rev().find(|l| l.is_available());
+        widest.unwrap_or(Level::Baseline)
     }
+}
 
-    /// Full horizontal reduction to a scalar.
-    #[inline(always)]
-    pub fn horizontal_sum(self) -> f64 {
-        self.combine().horizontal_sum()
+/// Run `kernel` in the widest compilation this host can execute that is
+/// no wider than `cap`. The caller caps by what it sees in its input (a
+/// short call does not repay 512-bit execution); the host decides the
+/// rest. Results do not depend on the choice — see the crate docs.
+#[inline]
+pub fn dispatch<K: Kernel>(cap: Level, kernel: K) {
+    run_at(Level::widest().min(cap), kernel)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: Kernel>(kernel: K) {
+    kernel.run()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<K: Kernel>(kernel: K) {
+    kernel.run()
+}
+
+/// Run `kernel` in exactly `level`'s compilation: what [`dispatch`] is
+/// written in terms of, and the seam tests use to compare compilations
+/// bit for bit. Panics if the host cannot execute `level`.
+#[inline]
+#[allow(unsafe_code)]
+pub fn run_at<K: Kernel>(level: Level, kernel: K) {
+    assert!(level.is_available(), "{level:?} not available on this host");
+    #[cfg(target_arch = "x86_64")]
+    match level {
+        // SAFETY: `is_available` above is `is_x86_feature_detected!("avx512f")`,
+        // the one feature `run_avx512` enables.
+        Level::Avx512 => return unsafe { run_avx512(kernel) },
+        // SAFETY: `is_available` above is `is_x86_feature_detected!("avx2")`,
+        // the one feature `run_avx2` enables.
+        Level::Avx2 => return unsafe { run_avx2(kernel) },
+        Level::Baseline => {}
     }
+    kernel.run()
 }
 
 /// A 16-lane single-precision vector (one 512-bit register of `f32`),
@@ -430,20 +499,47 @@ mod tests {
         assert_eq!(inv.0[0], 0.5);
     }
 
+    /// Running products feeding a multiply-then-add: the a_ℓm kernel's
+    /// shape, and one an FMA would round differently.
+    struct Powers<'a> {
+        x: F64x8,
+        out: &'a mut [F64x8],
+    }
+
+    impl Kernel for Powers<'_> {
+        #[inline(always)]
+        fn run(self) {
+            let mut v = F64x8::splat(1.0);
+            for o in self.out.iter_mut() {
+                v *= self.x;
+                *o += v.mul_add(self.x, v);
+            }
+        }
+    }
+
     #[test]
-    fn batch4_accumulation_equals_scalar() {
-        let mut batch = Batch4::zero();
-        let a = [
-            F64x8::splat(1.0),
-            F64x8::splat(2.0),
-            F64x8::splat(3.0),
-            F64x8::splat(4.0),
-        ];
-        let b = [F64x8::splat(10.0); ILP_BATCHES];
-        batch.fma_accumulate(&a, &b);
-        batch.fma_accumulate(&a, &b);
-        // 2 * (1+2+3+4)*10 per lane * 8 lanes
-        assert_eq!(batch.horizontal_sum(), 2.0 * 100.0 * 8.0);
+    fn every_level_and_every_cap_gives_the_baseline_bits() {
+        let levels: Vec<Level> = Level::ALL
+            .into_iter()
+            .filter(|l| l.is_available())
+            .collect();
+        println!("dispatch levels covered on this host: {levels:?}");
+        assert_eq!(levels[0], Level::Baseline);
+        assert_eq!(levels.last(), Some(&Level::widest()));
+
+        let x = F64x8::from_array([0.1, -0.7, 1.3, 0.9, -1.1, 0.3, 1.7, -0.2]);
+        let bits = |run: &dyn Fn(Powers)| -> Vec<u64> {
+            let mut out = vec![F64x8::splat(0.5); 12];
+            run(Powers { x, out: &mut out });
+            out.iter().flat_map(|v| v.0).map(f64::to_bits).collect()
+        };
+        let baseline = bits(&|k| run_at(Level::Baseline, k));
+        for &level in &levels {
+            assert_eq!(bits(&|k| run_at(level, k)), baseline, "{level:?}");
+        }
+        for cap in Level::ALL {
+            assert_eq!(bits(&|k| dispatch(cap, k)), baseline, "cap {cap:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Determinism and numerical-stability guarantees.
+//!
+//! The thread-count bit-identity below also holds across hosts with
+//! different vector widths: the a_ℓm kernel's SSE2 / AVX2 / AVX-512
+//! compilations are one portable body with no fused multiply-add, so
+//! they round identically lane for lane (`kernel/simd.rs` pins it).
 
 use galactos::mocks::cluster_process::NeymanScott;
 use galactos::prelude::*;

@@ -129,12 +129,6 @@ impl Comm {
         self.group.len()
     }
 
-    /// World rank of local rank `r`.
-    #[inline]
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.group[r]
-    }
-
     /// This rank's traffic counters.
     pub fn traffic(&self) -> &Arc<TrafficStats> {
         self.fabric.stats.rank(self.group[self.my_local])

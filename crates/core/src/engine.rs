@@ -11,17 +11,26 @@
 //!    into the line-of-sight frame, bin them into radial shells, and
 //!    bucket-accumulate the monomials through the engine's resolved
 //!    kernel backend (§3.3.1/§3.3.2);
-//! 3. `assemble_alm` — reduce the monomial sums
-//!    and assemble the shell coefficients `a_ℓm`;
-//! 4. `accumulate_zeta` — accumulate
+//! 3. `assemble`, first half — reduce the monomial sums of the bins
+//!    this primary touched into the padded bin-minor layout
+//!    `sums_t[mono · nbp + bin]` and assemble the shell coefficients
+//!    `a_ℓm` for eight bins at a time ([`crate::assembly`]);
+//! 4. `assemble`, second half — accumulate
 //!    `ζ^m_{ℓℓ'}(r₁, r₂) += w_i · a_ℓm(r₁) · conj(a_ℓ'm(r₂))` for
-//!    `ℓ ≤ ℓ'` only, a contiguous row of `r₂` at a time; `w_i` is real,
+//!    `ℓ ≤ ℓ'` only, as elementwise updates of interleaved `(re, im)`
+//!    rows of `r₂`; `w_i` is real,
 //!    so `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))` and `ℓ > ℓ'` is
 //!    filled once per worker partial. With self-pair subtraction on,
 //!    the `j = k` term `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))` of each
 //!    diagonal bin is removed: it has no φ-dependence, so it is the
 //!    Legendre series `Σ_L C^L_{ℓℓ'm} S_L` over the `2ℓmax+1` sums
 //!    `S_L = Σ_j w_j² P_L(μ_j)` of stage 2 ([`SelfPairTable`]).
+//!
+//! Stages 3 and 4 are one [`galactos_simd::Kernel`], dispatched once
+//! per primary to the host's vector width like the a_ℓm kernel of
+//! stage 2, and what they cost follows the bins the primary touched:
+//! nothing is zeroed up front (a bin's first flush overwrites its
+//! accumulators) and an untouched bin is neither reduced nor read.
 //!
 //! Primaries are distributed over threads by the shared
 //! [`crate::schedule`] driver — constant-size chunks handed out by
@@ -32,6 +41,7 @@
 //! here reads the process environment, and neither the chunking nor
 //! the merge order depends on the pool width.
 
+use crate::assembly::{padded_bins, Assemble};
 use crate::config::EngineConfig;
 use crate::estimator::{EstimatorChoice, EstimatorKind};
 use crate::kernel::{BackendKind, KernelBackend};
@@ -42,7 +52,7 @@ use crate::traversal::{LeafInfo, TraversalKind, Tree};
 use galactos_catalog::{Catalog, Galaxy};
 use galactos_math::monomial::MonomialBasis;
 use galactos_math::ylm::{SelfPairTable, YlmTable};
-use galactos_math::{lm_index, Mat3, Vec3};
+use galactos_math::{Mat3, Vec3};
 // The engine's clock reads go through the registered obs gate: zero
 // reads when instrumentation is off, and every real read is counted so
 // tests can pin the zero-cost contract (no local lint:allow needed —
@@ -365,8 +375,7 @@ impl Engine {
             return; // degenerate line of sight (primary at the observer)
         };
         self.bin_and_bucket(scratch, galaxies, &ctx, periodic);
-        self.assemble_alm(scratch);
-        self.accumulate_zeta(scratch, &ctx);
+        self.assemble(scratch, &ctx);
     }
 
     /// Resolve the per-primary context (position, weight, line-of-sight
@@ -446,12 +455,12 @@ impl Engine {
             // all of it, so it counts as that many candidate pairs.
             scratch.candidate_pairs += n_candidates;
             self.bin_and_bucket_blocked(scratch, &ctx, periodic);
-            self.assemble_alm(scratch);
-            self.accumulate_zeta(scratch, &ctx);
+            self.assemble(scratch, &ctx);
         }
     }
 
-    /// Reset the accumulation state a primary's stage 2 writes into.
+    /// Reset the accumulation state a primary's stage 2 writes into
+    /// (the accumulator only forgets which bins were touched).
     fn begin_binning(&self, scratch: &mut ComputeScratch) {
         scratch.acc.reset();
         scratch.self_sums.fill(0.0);
@@ -619,57 +628,32 @@ impl Engine {
         self.end_binning(scratch, t1, kernel_nanos, binned);
     }
 
-    /// Stage 3 — reduce the per-bin monomial sums out of the kernel
-    /// accumulator and assemble the shell coefficients `a_ℓm`.
-    fn assemble_alm(&self, scratch: &mut ComputeScratch) {
+    /// Stages 3–4 — reduce the monomial sums of the touched bins out of
+    /// the kernel accumulator into `sums_t` (zeros for the others),
+    /// then run [`Assemble`]: the shell coefficients `a_ℓm` with the
+    /// bins in lanes, and the primary's ζ contribution to the `ℓ ≤ ℓ'`
+    /// blocks ([`ComputeScratch::partial`] fills the rest) as
+    /// interleaved row updates. Afterwards subtract the degenerate
+    /// self-pair terms from diagonal bins when enabled, and fold in
+    /// the primary's weight.
+    fn assemble(&self, scratch: &mut ComputeScratch, ctx: &PrimaryContext) {
         let t2 = now_if(scratch.instrument);
         let nbins = self.config.bins.nbins();
-        for bin in 0..nbins {
-            scratch.acc.reduce_bin(bin, &mut scratch.sums);
-            self.ylm.assemble_alm(&scratch.sums, &mut scratch.alm);
-            // Stored bin-minor and split: stage 4 streams rows of bins.
-            for (i, a) in scratch.alm.iter().enumerate() {
-                scratch.alm_re[i * nbins + bin] = a.re;
-                scratch.alm_im[i * nbins + bin] = a.im;
-            }
-        }
-        scratch.t_assembly += nanos_since(t2);
-    }
-
-    /// Stage 4 — accumulate the primary's ζ contribution to the
-    /// `ℓ ≤ ℓ'` blocks ([`ComputeScratch::partial`] fills the rest),
-    /// subtract the degenerate self-pair terms from diagonal bins when
-    /// enabled, and fold in the primary's weight.
-    fn accumulate_zeta(&self, scratch: &mut ComputeScratch, ctx: &PrimaryContext) {
-        let t3 = now_if(scratch.instrument);
-        let nbins = self.config.bins.nbins();
         let wi = ctx.weight;
-        let lmax = self.config.lmax;
-        let shell = |i: usize| i * nbins..(i + 1) * nbins;
-        for l in 0..=lmax {
-            for lp in l..=lmax {
-                for m in 0..=l {
-                    let (i1, i2) = (lm_index(l, m), lm_index(lp, m));
-                    let a1_re = &scratch.alm_re[shell(i1)];
-                    let a1_im = &scratch.alm_im[shell(i1)];
-                    let a2_re = &scratch.alm_re[shell(i2)];
-                    let a2_im = &scratch.alm_im[shell(i2)];
-                    let rows = scratch.zeta.block_mut(l, lp, m).chunks_exact_mut(nbins);
-                    for ((row, &re1), &im1) in rows.zip(a1_re).zip(a1_im) {
-                        if re1 == 0.0 && im1 == 0.0 {
-                            continue; // empty shell
-                        }
-                        // (a₁·conj(a₂))·w in this order conjugates
-                        // exactly under a₁ ↔ a₂, so the ℓ = ℓ' blocks
-                        // are Hermitian bit for bit, like mirrored ones.
-                        for ((z, &re2), &im2) in row.iter_mut().zip(a2_re).zip(a2_im) {
-                            z.re += (re1 * re2 + im1 * im2) * wi;
-                            z.im += (im1 * re2 - re1 * im2) * wi;
-                        }
-                    }
-                }
-            }
-        }
+        scratch
+            .acc
+            .reduce_transposed(padded_bins(nbins), &mut scratch.sums_t);
+        let kernel = Assemble {
+            ylm: &self.ylm,
+            sums_t: &scratch.sums_t,
+            alm_re: &mut scratch.alm_re,
+            alm_im: &mut scratch.alm_im,
+            alm_x: &mut scratch.alm_x,
+            alm_y: &mut scratch.alm_y,
+            zeta: &mut scratch.zeta,
+            weight: wi,
+        };
+        kernel.dispatch();
         // Remove the degenerate j = k terms from diagonal bins.
         if let Some(table) = &self.self_pairs {
             let n = table.num_sums();
@@ -686,7 +670,7 @@ impl Engine {
         }
         scratch.zeta.total_primary_weight += wi;
         scratch.zeta.num_primaries += 1;
-        scratch.t_assembly += nanos_since(t3);
+        scratch.t_assembly += nanos_since(t2);
     }
 }
 
@@ -820,7 +804,7 @@ mod tests {
 
     #[test]
     fn stages_compose_to_full_primary_processing() {
-        // Drive the four stage methods by hand for one primary and
+        // Drive the stage methods by hand for one primary and
         // check the scratch partial matches a one-primary subset run.
         // Pinned to per-primary traversal: the comparison is exact
         // (== 0.0), so the subset run must accumulate pairs in the
@@ -838,8 +822,7 @@ mod tests {
             .gather(&mut scratch, &cat.galaxies, &tree, 0, None)
             .expect("fixed line of sight is never degenerate");
         engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-        engine.assemble_alm(&mut scratch);
-        engine.accumulate_zeta(&mut scratch, &ctx);
+        engine.assemble(&mut scratch, &ctx);
         assert_eq!(scratch.partial().max_difference(&want), 0.0);
         assert_eq!(scratch.partial().num_primaries, 1);
         assert_eq!(scratch.partial().binned_pairs, want.binned_pairs);
@@ -851,8 +834,7 @@ mod tests {
             .gather(&mut scratch, &cat.galaxies, &tree, 0, None)
             .unwrap();
         engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-        engine.assemble_alm(&mut scratch);
-        engine.accumulate_zeta(&mut scratch, &ctx);
+        engine.assemble(&mut scratch, &ctx);
         assert_eq!(scratch.partial().max_difference(&want), 0.0);
     }
 
@@ -876,8 +858,7 @@ mod tests {
                 .gather(&mut scratch, &cat.galaxies, &tree, i, None)
                 .unwrap();
             engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-            engine.assemble_alm(&mut scratch);
-            engine.accumulate_zeta(&mut scratch, &ctx);
+            engine.assemble(&mut scratch, &ctx);
             // Cumulative count over primaries 0..=i equals a subset run
             // with i + 1 primaries.
             want = engine.compute_subset(&cat.galaxies, i + 1).binned_pairs;
@@ -904,8 +885,7 @@ mod tests {
                 .gather(&mut scratch, &cat.galaxies, &tree, i, None)
                 .unwrap();
             engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-            engine.assemble_alm(&mut scratch);
-            engine.accumulate_zeta(&mut scratch, &ctx);
+            engine.assemble(&mut scratch, &ctx);
             snapshots.push(scratch.partial().clone());
         }
         let (before, after) = (&snapshots[0], &snapshots[1]);

@@ -22,15 +22,25 @@ const GROUP: usize = ILP_BATCHES * F64_LANES;
 /// Accumulate one bucket of pairs, given as its `[Δx, Δy, Δz, w]`
 /// columns, into `acc` (8-lane accumulators, one per monomial of degree
 /// ≤ `lmax`, in basis order). Tail pairs are zero-padded through the
-/// weight, so they contribute nothing.
+/// weight, so they contribute nothing. With `fresh`, `acc` holds
+/// nothing worth reading and the call leaves what adding the bucket to
+/// zeroed accumulators would, without zeroing or reading them: the
+/// first chunk's sums are assigned (`x` for `0 + x`, which can differ
+/// only in the sign of a zero).
 ///
 /// The 512-bit compilation is used only by calls that hold a full
 /// group: on calls of a few pairs (part-filled buckets at low ℓmax) it
 /// measured slower than the 256-bit one.
-pub fn accumulate_bucket_simd(lmax: usize, cols: [&[f64]; 4], acc: &mut [F64x8]) {
+pub fn accumulate_bucket_simd(lmax: usize, cols: [&[f64]; 4], acc: &mut [F64x8], fresh: bool) {
     let wide = cols[0].len() >= GROUP;
     let cap = if wide { Level::Avx512 } else { Level::Avx2 };
-    dispatch(cap, Bucket { lmax, cols, acc });
+    let bucket = Bucket {
+        lmax,
+        cols,
+        acc,
+        fresh,
+    };
+    dispatch(cap, bucket);
 }
 
 /// One [`accumulate_bucket_simd`] call, as the body `dispatch` compiles.
@@ -38,6 +48,7 @@ struct Bucket<'a> {
     lmax: usize,
     cols: [&'a [f64]; 4],
     acc: &'a mut [F64x8],
+    fresh: bool,
 }
 
 impl Kernel for Bucket<'_> {
@@ -45,19 +56,28 @@ impl Kernel for Bucket<'_> {
     /// padded) chunk at a time.
     #[inline(always)]
     fn run(self) {
-        let Bucket { lmax, cols, acc } = self;
+        let Bucket {
+            lmax,
+            cols,
+            acc,
+            mut fresh,
+        } = self;
         debug_assert_eq!(acc.len(), monomial_count(lmax));
         let n = cols[0].len();
         let mut at = 0;
         while at + GROUP <= n {
             let group = cols.map(|s| load::<ILP_BATCHES>(&s[at..at + GROUP]));
-            nest(lmax, group, acc);
+            nest_into(lmax, group, acc, std::mem::take(&mut fresh));
             at += GROUP;
         }
         while at < n {
             let end = (at + F64_LANES).min(n);
-            nest(lmax, cols.map(|s| load::<1>(&s[at..end])), acc);
+            let chunk = cols.map(|s| load::<1>(&s[at..end]));
+            nest_into(lmax, chunk, acc, std::mem::take(&mut fresh));
             at = end;
+        }
+        if fresh {
+            acc.fill(F64x8::ZERO); // an empty bucket
         }
     }
 }
@@ -68,12 +88,29 @@ fn load<const N: usize>(s: &[f64]) -> [F64x8; N] {
     std::array::from_fn(|b| F64x8::from_slice_padded(&s[b * F64_LANES..]))
 }
 
-/// `acc[i] += Σ_chains w·z^q·y^p·x^k` for every monomial `i = (k, p, q)`
-/// in basis order: `z`, `y`, `x` are multiplied in exactly the order the
-/// parent/axis schedule prescribes, and the `N` chains of a monomial are
-/// summed pairwise before the one accumulator update.
+/// [`nest`], assigning instead of adding when `assign`. Two copies of
+/// the loop nest, so the choice is made once per chunk and not once per
+/// monomial.
 #[inline(always)]
-fn nest<const N: usize>(lmax: usize, [x, y, z, w]: [[F64x8; N]; 4], acc: &mut [F64x8]) {
+fn nest_into<const N: usize>(lmax: usize, cols: [[F64x8; N]; 4], acc: &mut [F64x8], assign: bool) {
+    if assign {
+        nest::<N, true>(lmax, cols, acc);
+    } else {
+        nest::<N, false>(lmax, cols, acc);
+    }
+}
+
+/// `acc[i] += Σ_chains w·z^q·y^p·x^k` (`=` with `ASSIGN`) for every
+/// monomial `i = (k, p, q)` in basis order: `z`, `y`, `x` are
+/// multiplied in exactly the order the parent/axis schedule prescribes,
+/// and the `N` chains of a monomial are summed pairwise before the one
+/// accumulator update.
+#[inline(always)]
+fn nest<const N: usize, const ASSIGN: bool>(
+    lmax: usize,
+    [x, y, z, w]: [[F64x8; N]; 4],
+    acc: &mut [F64x8],
+) {
     let mut row = 0;
     let mut zq = w;
     for q in 0..=lmax {
@@ -82,7 +119,11 @@ fn nest<const N: usize>(lmax: usize, [x, y, z, w]: [[F64x8; N]; 4], acc: &mut [F
             let len = lmax - q - p + 1;
             let mut v = zqyp;
             for a in &mut acc[row..row + len] {
-                *a += pairwise_sum(v);
+                if ASSIGN {
+                    *a = pairwise_sum(v);
+                } else {
+                    *a += pairwise_sum(v);
+                }
                 mul_chains(&mut v, &x);
             }
             row += len;
@@ -147,15 +188,33 @@ mod tests {
         let cols = [&dx[..], &dy[..], &dz[..], &w[..]];
         // One shot.
         let mut acc_once = vec![F64x8::ZERO; nmono];
-        accumulate_bucket_simd(5, cols, &mut acc_once);
+        accumulate_bucket_simd(5, cols, &mut acc_once, false);
         // Two halves accumulated into the same accumulator.
         let mut acc_twice = vec![F64x8::ZERO; nmono];
-        accumulate_bucket_simd(5, cols.map(|s| &s[..20]), &mut acc_twice);
-        accumulate_bucket_simd(5, cols.map(|s| &s[20..]), &mut acc_twice);
+        accumulate_bucket_simd(5, cols.map(|s| &s[..20]), &mut acc_twice, false);
+        accumulate_bucket_simd(5, cols.map(|s| &s[20..]), &mut acc_twice, false);
         for i in 0..nmono {
             let a = acc_once[i].horizontal_sum();
             let b = acc_twice[i].horizontal_sum();
             assert!((a - b).abs() < 1e-11 * (1.0 + a.abs()), "monomial {i}");
+        }
+    }
+
+    /// A fresh flush leaves what adding to zeroed lanes would (up to the
+    /// sign of a zero, which `==` on `f64` ignores), whatever the lanes
+    /// held, including for an empty bucket.
+    #[test]
+    fn fresh_flush_equals_adding_to_zeroed_lanes() {
+        for lmax in [0usize, 3, 10] {
+            for n in SIZES {
+                let (dx, dy, dz, w) = random_bucket(n, 77 + n as u64);
+                let cols = [&dx[..], &dy[..], &dz[..], &w[..]];
+                let mut added = vec![F64x8::ZERO; monomial_count(lmax)];
+                accumulate_bucket_simd(lmax, cols, &mut added, false);
+                let mut assigned = vec![F64x8::splat(f64::NAN); monomial_count(lmax)];
+                accumulate_bucket_simd(lmax, cols, &mut assigned, true);
+                assert_eq!(assigned, added, "lmax={lmax} n={n}");
+            }
         }
     }
 
@@ -174,21 +233,33 @@ mod tests {
             for n in [5usize, 31, 33, 128, 129] {
                 let (dx, dy, dz, w) = random_bucket(n, 1000 * lmax as u64 + n as u64);
                 let cols = [&dx[..], &dy[..], &dz[..], &w[..]];
-                // Two flushes, so the second starts from non-zero lanes.
-                let bits_after = |flush: &dyn Fn(&mut [F64x8])| -> Vec<u64> {
-                    let mut acc = vec![F64x8::ZERO; monomial_count(lmax)];
-                    flush(&mut acc);
-                    flush(&mut acc);
+                // Two flushes: a fresh one over lanes it must not read,
+                // then one that starts from non-zero lanes.
+                let bits_after = |flush: &dyn Fn(&mut [F64x8], bool)| -> Vec<u64> {
+                    let mut acc = vec![F64x8::splat(f64::NAN); monomial_count(lmax)];
+                    flush(&mut acc, true);
+                    flush(&mut acc, false);
                     let lanes = acc.iter().flat_map(|v| v.to_array());
                     lanes.map(f64::to_bits).collect()
                 };
-                let at = |level| bits_after(&|acc| run_at(level, Bucket { lmax, cols, acc }));
+                let at = |level| {
+                    bits_after(&|acc, fresh| {
+                        let bucket = Bucket {
+                            lmax,
+                            cols,
+                            acc,
+                            fresh,
+                        };
+                        run_at(level, bucket)
+                    })
+                };
                 let baseline = at(Level::Baseline);
                 assert!(baseline.iter().any(|&b| b != 0));
                 for &level in &levels {
                     assert_eq!(at(level), baseline, "{level:?} lmax={lmax} n={n}");
                 }
-                let dispatched = bits_after(&|acc| accumulate_bucket_simd(lmax, cols, acc));
+                let dispatched =
+                    bits_after(&|acc, fresh| accumulate_bucket_simd(lmax, cols, acc, fresh));
                 assert_eq!(dispatched, baseline, "dispatch lmax={lmax} n={n}");
             }
         }

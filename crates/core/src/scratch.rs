@@ -3,17 +3,18 @@
 //!
 //! One [`ComputeScratch`] holds everything a worker needs to process
 //! primaries without allocating: the neighbor id buffer, the pair
-//! buckets, the SIMD/scalar kernel accumulator, reduced monomial sums,
-//! shell coefficients (and their bin-minor transpose), the self-pair
-//! Legendre sums, and the worker's private ζ partial plus
-//! instrumentation counters. Workers own their scratch exclusively
-//! ("maximum independent work for each thread"); partials are merged
-//! once at the end of a run.
+//! buckets, the SIMD/scalar kernel accumulator, the reduced monomial
+//! sums and shell coefficients in the padded bin-minor layout stages
+//! 3–4 run in ([`crate::assembly`]), the self-pair Legendre sums, and
+//! the worker's private ζ partial plus instrumentation counters.
+//! Workers own their scratch exclusively ("maximum independent work
+//! for each thread"); partials are merged once at the end of a run.
 //!
 //! The scratch is reusable: [`ComputeScratch::reset`] returns it to the
 //! freshly-constructed state so callers that manage their own workers
 //! (or reuse scratch across engine calls) can avoid reallocation.
 
+use crate::assembly::padded_bins;
 use crate::config::EngineConfig;
 use crate::kernel::{BackendKind, KernelAccumulator, KernelBackend, PairBuckets};
 use crate::result::AnisotropicZeta;
@@ -33,14 +34,20 @@ pub struct ComputeScratch {
     pub(crate) buckets: PairBuckets,
     /// Deferred-reduction multipole accumulator (§3.3.2).
     pub(crate) acc: KernelAccumulator,
-    /// Reduced monomial sums of the bin being assembled, `nmono`.
-    pub(crate) sums: Vec<f64>,
-    /// Shell coefficients of the bin being assembled, `lm_count`.
-    pub(crate) alm: Vec<Complex64>,
-    /// Shell coefficients of every bin, bin-minor and split re/im
-    /// (`lm_count × nbins` each): contiguous rows for the ζ product.
+    /// Reduced monomial sums of every bin, monomial-major and
+    /// bin-minor: `sums_t[mono · nbp + bin]`, `nbp` = [`padded_bins`].
+    /// Rewritten whole by every primary; columns of bins it never
+    /// touched, and the padding columns, are zero.
+    pub(crate) sums_t: Vec<f64>,
+    /// Shell coefficients of every bin, split, `lm_count × nbp` each,
+    /// bin-minor: `alm_re[lm · nbp + bin]`.
     pub(crate) alm_re: Vec<f64>,
     pub(crate) alm_im: Vec<f64>,
+    /// Shell coefficients of every bin as the two rows the ζ update
+    /// multiplies by, same shape: `alm_x[lm · nbp + bin] = (re, −im)`
+    /// and `alm_y = (im, re)` of `a_ℓm(bin)`.
+    pub(crate) alm_x: Vec<Complex64>,
+    pub(crate) alm_y: Vec<Complex64>,
     /// `P_0(μ) … P_{2ℓmax}(μ)` of the pair being binned (empty when
     /// self-pair subtraction is off).
     pub(crate) self_scratch: Vec<f64>,
@@ -77,16 +84,18 @@ impl ComputeScratch {
         let nmono = basis.len();
         let nlm = lm_count(config.lmax);
         let nself = usize::from(config.subtract_self_pairs) * (2 * config.lmax + 1);
+        let nbp = padded_bins(nbins);
         let acc = backend.new_accumulator(nbins, nmono);
         ComputeScratch {
             neighbors: Vec::with_capacity(1024),
             block: CandidateBlock::new(),
             buckets: PairBuckets::new(nbins, config.bucket_size),
             acc,
-            sums: vec![0.0; nmono],
-            alm: vec![Complex64::ZERO; nlm],
-            alm_re: vec![0.0; nlm * nbins],
-            alm_im: vec![0.0; nlm * nbins],
+            sums_t: vec![0.0; nmono * nbp],
+            alm_re: vec![0.0; nlm * nbp],
+            alm_im: vec![0.0; nlm * nbp],
+            alm_x: vec![Complex64::ZERO; nlm * nbp],
+            alm_y: vec![Complex64::ZERO; nlm * nbp],
             self_scratch: vec![0.0; nself],
             self_sums: vec![0.0; nbins * nself],
             zeta: AnisotropicZeta::zeros(config.lmax, nbins),
@@ -107,10 +116,11 @@ impl ComputeScratch {
         self.block.clear();
         self.buckets.clear_all();
         self.acc.reset();
-        self.sums.iter_mut().for_each(|v| *v = 0.0);
-        self.alm.iter_mut().for_each(|v| *v = Complex64::ZERO);
+        self.sums_t.iter_mut().for_each(|v| *v = 0.0);
         self.alm_re.iter_mut().for_each(|v| *v = 0.0);
         self.alm_im.iter_mut().for_each(|v| *v = 0.0);
+        self.alm_x.iter_mut().for_each(|v| *v = Complex64::ZERO);
+        self.alm_y.iter_mut().for_each(|v| *v = Complex64::ZERO);
         self.self_scratch.iter_mut().for_each(|v| *v = 0.0);
         self.self_sums.iter_mut().for_each(|v| *v = 0.0);
         self.zeta

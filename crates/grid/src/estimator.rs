@@ -98,9 +98,9 @@ impl GridConfig {
     }
 }
 
-/// Wall-clock breakdown of one estimator run, for the engine's stage
-/// timer (painting ~ tree build, fields ~ multipole kernel, ζ
-/// contraction + self-pair correction ~ assembly).
+/// Wall-clock breakdown of one estimator run, which the engine
+/// re-emits as the `paint` / `fields` / `contract` / `selfpair`
+/// aggregates of an enabled `ObsSession`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GridTimings {
     pub paint_nanos: u64,
@@ -138,11 +138,11 @@ struct ShellCell {
 /// `subtract_self_pairs` is set, the degenerate `j = k` contributions
 /// to diagonal `(b, b)` entries are removed through a `w²`-painted mesh
 /// and one extra pair of FFTs (the mesh analogue of the tree's
-/// degree-2ℓmax correction).
+/// Legendre-sum correction; both contract the same Gaunt table).
 ///
 /// Returns the stage timings when `instrument` is set; an
 /// uninstrumented run performs **zero clock reads** (the same
-/// zero-cost contract as the tree engine's stage timer) and returns
+/// zero-cost contract as the tree engine's stages) and returns
 /// `GridTimings::default()`. Panics if the catalog is not periodic.
 #[allow(clippy::too_many_arguments)]
 pub fn accumulate_zeta_multipoles(

@@ -143,12 +143,6 @@ impl MonomialBasis {
         self.exponents[i]
     }
 
-    /// All exponent triples in basis order.
-    #[inline]
-    pub fn all_exponents(&self) -> &[(u32, u32, u32)] {
-        &self.exponents
-    }
-
     /// Index of the monomial with exponents `(k, p, q)`.
     pub fn index_of(&self, k: u32, p: u32, q: u32) -> usize {
         let d = (k + p + q) as usize;

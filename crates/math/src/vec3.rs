@@ -335,15 +335,6 @@ impl Aabb {
         }
     }
 
-    /// Grow every face outward by `margin`.
-    #[inline]
-    pub fn inflate(&self, margin: f64) -> Aabb {
-        Aabb {
-            lo: self.lo - Vec3::splat(margin),
-            hi: self.hi + Vec3::splat(margin),
-        }
-    }
-
     /// Squared distance from `p` to the closest point of the box
     /// (zero if inside). This is the k-d tree pruning predicate.
     #[inline]

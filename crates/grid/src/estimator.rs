@@ -16,10 +16,17 @@
 //! ```
 //!
 //! evaluated with two FFTs per kernel (`A = IFFT(FFT(n) · FFT(g))` with
-//! the reflected kernel `g(u) = K(−u)`). The ζ multipoles are then the
-//! mesh inner products `ζ^m_{ℓℓ'}(b₁,b₂) = Σ_x n(x) A_ℓm,b₁(x)
-//! conj(A_ℓ'm,b₂(x))`, restricted to occupied cells. Cost scales with
-//! the mesh, not the pair count.
+//! the reflected kernel `g(u) = K(−u)`). The kernels of one `m` are
+//! copied out of a table of `Y_ℓm(−û)` over the shell cells, built once
+//! per `m` (one monomial evaluation per cell serves every `ℓ ≥ m` and
+//! every bin), and the meshes they are transformed on come from a pool
+//! that lives for one call: a field task takes a mesh, keeps only the
+//! occupied-cell values of its result, clears the mesh and puts it
+//! back, so one mesh per worker is all the 660 fields of the paper
+//! point ever allocate. The ζ multipoles are then the mesh inner
+//! products `ζ^m_{ℓℓ'}(b₁,b₂) = Σ_x n(x) A_ℓm,b₁(x) conj(A_ℓ'm,b₂(x))`,
+//! restricted to occupied cells. Cost scales with the mesh, not the
+//! pair count.
 //!
 //! # Conventions
 //!
@@ -43,13 +50,17 @@ use galactos_math::fft::{signed_mode, Direction, Mesh3};
 use galactos_math::ylm::SelfPairTable;
 use galactos_math::{Complex64, Mat3, MonomialBasis, Vec3, YlmTable};
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Configuration of the gridded estimator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GridConfig {
-    /// Mesh cells per axis (power of two). Memory scales as
-    /// `O((ℓmax+1) · nbins · mesh³)` complex values for the largest
-    /// m-group of shell fields.
+    /// Mesh cells per axis (power of two). Resident at once: one
+    /// complex mesh (`16 · mesh³` bytes) per worker thread plus one for
+    /// the density spectrum n̂, the table of `Y_ℓm(−û)` for the current
+    /// `m` (`(ℓmax+1−m)` complex values per shell cell), and the
+    /// fields of the current `m` as occupied-cell values only,
+    /// `(ℓmax+1−m) · nbins · 2 · n_occ` doubles.
     pub mesh: usize,
     /// Mass-assignment scheme painting the catalog onto the mesh.
     pub assignment: MassAssignment,
@@ -125,6 +136,80 @@ struct ShellCell {
     idx: u32,
     bin: u16,
     u: [f64; 3],
+}
+
+/// `Y_ℓm(−û)` of every shell cell for `ℓ = m..=ℓmax`, cell-major
+/// (`ℓmax + 1 − m` values per cell): the reflected kernel
+/// `g(u) = K(−u)` of every `(ℓ, bin)` field of this `m`, one monomial
+/// evaluation per cell. Each value is summed in [`YlmTable::terms`]
+/// order from zero. Cells are independent, so the fixed-size parallel
+/// chunks cannot change a float.
+fn harmonic_table(
+    shells: &[ShellCell],
+    basis: &MonomialBasis,
+    ylm: &YlmTable,
+    m: usize,
+    lmax: usize,
+) -> Vec<Complex64> {
+    const TABLE_CHUNK: usize = 256;
+    let nl = lmax + 1 - m;
+    let mut table = vec![Complex64::ZERO; shells.len() * nl];
+    table
+        .par_chunks_mut(TABLE_CHUNK * nl)
+        .enumerate()
+        .for_each(|(chunk, out)| {
+            let mut vals = vec![0.0f64; basis.len()];
+            let cells = &shells[chunk * TABLE_CHUNK..];
+            for (cell, row) in cells.iter().zip(out.chunks_mut(nl)) {
+                // Evaluate at −û (the reflection that turns the
+                // cross-correlation into a plain convolution).
+                basis.eval_into(-cell.u[0], -cell.u[1], -cell.u[2], &mut vals);
+                for (l, y) in (m..=lmax).zip(row) {
+                    for t in ylm.terms(l, m) {
+                        *y += t.coeff * vals[t.monomial as usize];
+                    }
+                }
+            }
+        });
+    table
+}
+
+/// Field pairs whose sums advance together through the occupied cells,
+/// and the unit of work of the parallel contraction.
+const COMBO_BLOCK: usize = 4;
+
+/// `Σ_c w_c · f1_c · conj(f2_c)` for up to [`COMBO_BLOCK`] field pairs
+/// `(f1, f2)`, all in one pass over the occupied cells: each pair's sum
+/// runs in cell order from zero exactly as it would alone, but the
+/// `2 · COMBO_BLOCK` add chains are independent, so the loop is bound
+/// by throughput rather than by the latency of one addition.
+fn contract_block(
+    pairs: &[(u32, u32)],
+    fields: &[(Vec<f64>, Vec<f64>)],
+    wocc: &[f64],
+    out: &mut [Complex64],
+) {
+    // A short last block repeats its first pair in the spare chains.
+    let streams: [[&[f64]; 4]; COMBO_BLOCK] = std::array::from_fn(|o| {
+        let (f1, f2) = pairs[if o < pairs.len() { o } else { 0 }];
+        let ((a_re, a_im), (b_re, b_im)) = (&fields[f1 as usize], &fields[f2 as usize]);
+        [a_re, a_im, b_re, b_im].map(|stream| &stream[..wocc.len()])
+    });
+    let mut acc = [[0.0f64; 2]; COMBO_BLOCK];
+    for (c, &w) in wocc.iter().enumerate() {
+        for (acc, [a_re, a_im, b_re, b_im]) in acc.iter_mut().zip(&streams) {
+            // Same floats as `w · f1·conj(f2)` accumulated with complex
+            // ops: the sign-flip identities `x − (−y) ≡ x + y` and
+            // `(−p) + q ≡ q − p` are exact in IEEE arithmetic.
+            let re_p = a_re[c] * b_re[c] + a_im[c] * b_im[c];
+            let im_p = a_im[c] * b_re[c] - a_re[c] * b_im[c];
+            acc[0] += w * re_p;
+            acc[1] += w * im_p;
+        }
+    }
+    for (slot, acc) in out.iter_mut().zip(acc) {
+        *slot = Complex64::new(acc[0], acc[1]);
+    }
 }
 
 /// Compute the anisotropic ζ multipole sums of a periodic catalog on a
@@ -221,16 +306,13 @@ pub fn accumulate_zeta_multipoles(
             a
         });
 
-    // Bucket the shell cells by radial bin once: each kernel field
-    // only touches the cells of its own bin, so the per-field fill
-    // below never scans the other bins' support.
-    let mut shells_by_bin: Vec<Vec<ShellCell>> = (0..nbins).map(|_| Vec::new()).collect();
-    for cell in &shells {
-        shells_by_bin[cell.bin as usize].push(ShellCell {
-            idx: cell.idx,
-            bin: cell.bin,
-            u: cell.u,
-        });
+    // Bucket the shell cells by radial bin once (as indices into
+    // `shells`): each kernel field only touches the cells of its own
+    // bin, so the per-field fill below never scans the other bins'
+    // support.
+    let mut cells_of_bin: Vec<Vec<u32>> = vec![Vec::new(); nbins];
+    for (c, cell) in shells.iter().enumerate() {
+        cells_of_bin[cell.bin as usize].push(c as u32);
     }
 
     let basis = MonomialBasis::new(lmax);
@@ -241,48 +323,46 @@ pub fn accumulate_zeta_multipoles(
 
     // Process one m at a time: the ζ couplings never mix different m,
     // so only the (ℓmax+1−m)·nbins fields of the current m need to be
-    // resident at once — and each field task drops its full mesh as
-    // soon as the occupied-cell values are gathered, so at most one
-    // mesh per worker thread is live beyond `nhat`.
+    // resident at once — and each field task keeps only the
+    // occupied-cell values of its mesh, which goes back to the pool, so
+    // at most one mesh per worker thread is live beyond `nhat`.
+    let pool: Mutex<Vec<Mesh3>> = Mutex::new(Vec::new());
     for m in 0..=lmax {
         let ls: Vec<usize> = (m..=lmax).collect();
         let nl = ls.len();
         let nfields = nl * nbins;
         let tf = now_if(instrument);
+        let table = harmonic_table(&shells, &basis, &ylm, m, lmax);
 
-        // One task per (ℓ, bin) field: fill the reflected kernel
-        // g(u) = K(−u) over the bin's shell cells, convolve with the
-        // density via two *serial* FFTs (the parallelism lives at the
-        // field level; nested spawning would oversubscribe), and keep
-        // only the occupied-cell values as split re/im streams. The
-        // ordered reduction concatenates fields in index order.
+        // One task per (ℓ, bin) field: copy the reflected kernel over
+        // the bin's shell cells into a pooled (all-zero) mesh, convolve
+        // with the density via two *serial* FFTs (the parallelism lives
+        // at the field level; nested spawning would oversubscribe),
+        // keep only the occupied-cell values as split re/im streams and
+        // hand the mesh back cleared. Which mesh a task gets changes no
+        // float. The ordered reduction concatenates fields in index
+        // order.
         let build_field = |fi: usize| -> (Vec<f64>, Vec<f64>) {
-            let li = fi / nbins;
-            let bin = fi % nbins;
-            let l = ls[li];
-            let mut mesh = Mesh3::zeros(n);
-            let mut vals = vec![0.0f64; basis.len()];
-            for cell in &shells_by_bin[bin] {
-                // Evaluate at −û (the reflection that turns the
-                // cross-correlation into a plain convolution).
-                basis.eval_into(-cell.u[0], -cell.u[1], -cell.u[2], &mut vals);
-                let mut acc = Complex64::ZERO;
-                for t in ylm.terms(l, m) {
-                    acc += t.coeff * vals[t.monomial as usize];
-                }
-                mesh.data_mut()[cell.idx as usize] = acc;
+            let (li, bin) = (fi / nbins, fi % nbins);
+            let pooled = pool.lock().expect("no task panics at the pool").pop();
+            let mut mesh = pooled.unwrap_or_else(|| Mesh3::zeros(n));
+            let (re, im) = mesh.split_mut();
+            for &c in &cells_of_bin[bin] {
+                let (cell, y) = (shells[c as usize].idx, table[c as usize * nl + li]);
+                (re[cell as usize], im[cell as usize]) = (y.re, y.im);
             }
             mesh.fft3_serial(Direction::Forward);
             mesh.pointwise_mul(&nhat);
             mesh.fft3_serial(Direction::Inverse);
-            let mut re = Vec::with_capacity(occupied.len());
-            let mut im = Vec::with_capacity(occupied.len());
-            for &c in &occupied {
-                let v = mesh.data()[c as usize];
-                re.push(v.re);
-                im.push(v.im);
-            }
-            (re, im)
+            let (re, im) = mesh.split_mut();
+            let field = (
+                occupied.iter().map(|&c| re[c as usize]).collect(),
+                occupied.iter().map(|&c| im[c as usize]).collect(),
+            );
+            re.fill(0.0);
+            im.fill(0.0);
+            pool.lock().expect("no task panics at the pool").push(mesh);
+            field
         };
         let fields: Vec<(Vec<f64>, Vec<f64>)> = (0..nfields)
             .into_par_iter()
@@ -304,32 +384,12 @@ pub fn accumulate_zeta_multipoles(
             .flat_map(|f1| (f1..nfields as u32).map(move |f2| (f1, f2)))
             .collect();
         let mut upper = vec![Complex64::ZERO; tri.len()];
-        const COMBO_BLOCK: usize = 4;
-        let tri_ref = &tri;
-        let fields_ref = &fields;
-        let wocc_ref = &wocc;
         upper
             .par_chunks_mut(COMBO_BLOCK)
             .enumerate()
             .for_each(|(blk, out)| {
-                for (o, slot) in out.iter_mut().enumerate() {
-                    let (f1, f2) = tri_ref[blk * COMBO_BLOCK + o];
-                    let (a_re, a_im) = &fields_ref[f1 as usize];
-                    let (b_re, b_im) = &fields_ref[f2 as usize];
-                    let mut acc_re = 0.0f64;
-                    let mut acc_im = 0.0f64;
-                    // Same floats as `w · f1·conj(f2)` accumulated with
-                    // complex ops: the sign-flip identities
-                    // `x − (−y) ≡ x + y` and `(−p) + q ≡ q − p` are
-                    // exact in IEEE arithmetic.
-                    for c in 0..wocc_ref.len() {
-                        let re_p = a_re[c] * b_re[c] + a_im[c] * b_im[c];
-                        let im_p = a_im[c] * b_re[c] - a_re[c] * b_im[c];
-                        acc_re += wocc_ref[c] * re_p;
-                        acc_im += wocc_ref[c] * im_p;
-                    }
-                    *slot = Complex64::new(acc_re, acc_im);
-                }
+                let pairs = &tri[blk * COMBO_BLOCK..][..out.len()];
+                contract_block(pairs, &fields, &wocc, out);
             });
         // Triangular index of the ordered pair f1 ≤ f2 (row f1 starts
         // after Σ_{r<f1} (nfields − r) entries).
@@ -505,6 +565,60 @@ mod tests {
             }
         }
         zeta
+    }
+
+    #[test]
+    fn blocked_contraction_equals_the_one_pair_loop_bit_for_bit() {
+        // Seven fields give 28 upper-triangle pairs in blocks of four,
+        // five fields give 15 and a last block of three: every sum must
+        // carry exactly the bits of a loop that runs one pair at a
+        // time.
+        let nocc = 37;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let wocc: Vec<f64> = (0..nocc).map(|_| 1.5 + next()).collect();
+        for nfields in [7u32, 5] {
+            let fields: Vec<(Vec<f64>, Vec<f64>)> = (0..nfields)
+                .map(|_| {
+                    (
+                        (0..nocc).map(|_| next()).collect(),
+                        (0..nocc).map(|_| next()).collect(),
+                    )
+                })
+                .collect();
+            let tri: Vec<(u32, u32)> = (0..nfields)
+                .flat_map(|f1| (f1..nfields).map(move |f2| (f1, f2)))
+                .collect();
+            let mut upper = vec![Complex64::ZERO; tri.len()];
+            for (pairs, out) in tri.chunks(COMBO_BLOCK).zip(upper.chunks_mut(COMBO_BLOCK)) {
+                contract_block(pairs, &fields, &wocc, out);
+            }
+            for (&(f1, f2), got) in tri.iter().zip(&upper) {
+                let ((a_re, a_im), (b_re, b_im)) = (&fields[f1 as usize], &fields[f2 as usize]);
+                let (mut acc_re, mut acc_im) = (0.0f64, 0.0f64);
+                for c in 0..nocc {
+                    let re_p = a_re[c] * b_re[c] + a_im[c] * b_im[c];
+                    let im_p = a_im[c] * b_re[c] - a_re[c] * b_im[c];
+                    acc_re += wocc[c] * re_p;
+                    acc_im += wocc[c] * im_p;
+                }
+                assert_eq!(
+                    got.re.to_bits(),
+                    acc_re.to_bits(),
+                    "({f1}, {f2}) of {nfields}"
+                );
+                assert_eq!(
+                    got.im.to_bits(),
+                    acc_im.to_bits(),
+                    "({f1}, {f2}) of {nfields}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -128,32 +128,31 @@ impl DensityMesh {
         let mut mesh = Mesh3::forward_real(n, &self.data);
         if let Some(sh) = &self.shifted {
             let second = Mesh3::forward_real(n, sh);
-            let second = &second;
+            let (second_re, second_im) = second.split();
             // Cell-wise combine: parallel over i-planes (no reduction,
             // so trivially thread-count invariant).
-            mesh.data_mut()
-                .par_chunks_mut(n * n)
-                .enumerate()
-                .for_each(|(i, plane)| {
-                    let mi = signed_mode(i, n);
-                    for j in 0..n {
-                        let mj = signed_mode(j, n);
-                        for k in 0..n {
-                            let mk = signed_mode(k, n);
-                            // The second painting sampled every particle
-                            // at x + H/2 per axis, so its ideal modes
-                            // carry e^{−ik·s}; multiplying by e^{+ik·s}
-                            // realigns them while flipping the sign of
-                            // the odd alias images, which then cancel in
-                            // the average.
-                            let phase = std::f64::consts::PI * (mi + mj + mk) as f64 / n as f64;
-                            let idx = j * n + k;
-                            let gidx = (i * n + j) * n + k;
-                            plane[idx] =
-                                0.5 * (plane[idx] + Complex64::cis(phase) * second.data()[gidx]);
-                        }
+            mesh.par_planes_mut(|i, re, im| {
+                let mi = signed_mode(i, n);
+                for j in 0..n {
+                    let mj = signed_mode(j, n);
+                    for k in 0..n {
+                        let mk = signed_mode(k, n);
+                        // The second painting sampled every particle
+                        // at x + H/2 per axis, so its ideal modes
+                        // carry e^{−ik·s}; multiplying by e^{+ik·s}
+                        // realigns them while flipping the sign of
+                        // the odd alias images, which then cancel in
+                        // the average.
+                        let phase = std::f64::consts::PI * (mi + mj + mk) as f64 / n as f64;
+                        let idx = j * n + k;
+                        let gidx = (i * n + j) * n + k;
+                        let first = Complex64::new(re[idx], im[idx]);
+                        let second = Complex64::new(second_re[gidx], second_im[gidx]);
+                        let v = 0.5 * (first + Complex64::cis(phase) * second);
+                        (re[idx], im[idx]) = (v.re, v.im);
                     }
-                });
+                }
+            });
         }
         if deconvolve {
             let a = self.assignment;
@@ -162,18 +161,16 @@ impl DensityMesh {
                 .map(|i| a.fourier_window(signed_mode(i, n), n))
                 .collect();
             let win = &win;
-            mesh.data_mut()
-                .par_chunks_mut(n * n)
-                .enumerate()
-                .for_each(|(i, plane)| {
-                    for j in 0..n {
+            mesh.par_planes_mut(|i, re, im| {
+                for half in [re, im] {
+                    for (j, line) in half.chunks_mut(n).enumerate() {
                         let wij = win[i] * win[j];
-                        let line = &mut plane[j * n..j * n + n];
                         for (v, wk) in line.iter_mut().zip(win.iter()) {
-                            *v = *v * (1.0 / (wij * wk));
+                            *v *= 1.0 / (wij * wk);
                         }
                     }
-                });
+                }
+            });
         }
         mesh
     }

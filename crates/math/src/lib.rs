@@ -27,6 +27,8 @@
 //! All tables are generated at runtime from exact recurrences; nothing is
 //! hard-coded beyond small literal test vectors.
 
+#![forbid(unsafe_code)]
+
 pub mod complex;
 pub mod cosmology;
 pub mod factorial;

@@ -58,13 +58,12 @@ impl GaussianField {
                     for k in 0..n {
                         let kk = kf * signed_mode(k, n) as f64;
                         let k2 = ki * ki + kj * kj + kk * kk;
-                        let idx = m.index(i, j, k);
                         if k2 == 0.0 {
-                            m.data_mut()[idx] = Complex64::ZERO;
+                            m.set(i, j, k, Complex64::ZERO);
                         } else {
                             let ka = [ki, kj, kk][axis];
-                            let v = m.data()[idx];
-                            m.data_mut()[idx] = Complex64::I * v * (ka / k2);
+                            let v = m.get(i, j, k);
+                            m.set(i, j, k, Complex64::I * v * (ka / k2));
                         }
                     }
                 }
@@ -116,13 +115,11 @@ impl GaussianField {
                 for k in 0..n {
                     let kk = kf * signed_mode(k, n) as f64;
                     let kmag = (ki * ki + kj * kj + kk * kk).sqrt();
-                    let idx = mesh.index(i, j, k);
                     if kmag == 0.0 {
-                        mesh.data_mut()[idx] = Complex64::ZERO;
+                        mesh.set(i, j, k, Complex64::ZERO);
                     } else {
                         let s = (spectrum.power(kmag) * norm).sqrt();
-                        let v = mesh.data()[idx];
-                        mesh.data_mut()[idx] = v * s;
+                        mesh.set(i, j, k, mesh.get(i, j, k) * s);
                     }
                 }
             }

@@ -11,7 +11,7 @@
 //! * [`vectorize`] — flatten ζ containers into labeled feature vectors;
 //! * [`covariance`] — sample and delete-one jackknife covariances;
 //! * [`chi2`] — χ², SNR and the Hartlap inverse-covariance correction;
-//! * [`report`] — CSV emission of multipole tables for plotting.
+//! * [`report`] — the ASCII heat map the figure binaries print.
 
 #![forbid(unsafe_code)]
 

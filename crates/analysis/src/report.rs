@@ -1,57 +1,4 @@
-//! CSV emission of multipole tables (for external plotting).
-
-use galactos_core::result::{AnisotropicZeta, IsotropicZeta};
-use std::io::{self, Write};
-
-/// Write the isotropic multipoles as CSV rows
-/// `l,b1,b2,r1_center,r2_center,K_l` (normalized per primary weight).
-pub fn write_isotropic_csv(
-    k: &IsotropicZeta,
-    bin_centers: &[f64],
-    mut out: impl Write,
-) -> io::Result<()> {
-    assert_eq!(bin_centers.len(), k.nbins());
-    writeln!(out, "l,b1,b2,r1,r2,K_l")?;
-    let norm = if k.total_primary_weight != 0.0 {
-        1.0 / k.total_primary_weight
-    } else {
-        1.0
-    };
-    for l in 0..=k.lmax() {
-        for b1 in 0..k.nbins() {
-            for b2 in 0..k.nbins() {
-                writeln!(
-                    out,
-                    "{l},{b1},{b2},{},{},{}",
-                    bin_centers[b1],
-                    bin_centers[b2],
-                    k.get(l, b1, b2) * norm
-                )?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Write the anisotropic multipoles as CSV rows
-/// `l,lp,m,b1,b2,re,im` (normalized per primary weight).
-pub fn write_anisotropic_csv(zeta: &AnisotropicZeta, mut out: impl Write) -> io::Result<()> {
-    writeln!(out, "l,lp,m,b1,b2,re,im")?;
-    let n = zeta.normalized();
-    for l in 0..=n.lmax() {
-        for lp in 0..=n.lmax() {
-            for m in 0..=l.min(lp) {
-                for b1 in 0..n.nbins() {
-                    for b2 in 0..n.nbins() {
-                        let v = n.get(l, lp, m, b1, b2);
-                        writeln!(out, "{l},{lp},{m},{b1},{b2},{},{}", v.re, v.im)?;
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
+//! Terminal rendering of multipole tables.
 
 /// Render an ASCII heat map of one `(ℓ, ℓ', m)` coefficient over the
 /// `(r₁, r₂)` plane — a terminal rendition of the paper's Figure 1
@@ -92,34 +39,6 @@ pub fn ascii_heatmap(values: &[Vec<f64>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use galactos_math::Complex64;
-
-    #[test]
-    fn isotropic_csv_shape() {
-        let mut k = IsotropicZeta::zeros(1, 2);
-        k.set(1, 0, 1, 4.0);
-        k.total_primary_weight = 2.0;
-        let mut buf = Vec::new();
-        write_isotropic_csv(&k, &[1.0, 3.0], &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "l,b1,b2,r1,r2,K_l");
-        assert_eq!(lines.len(), 1 + 2 * 4);
-        assert!(text.contains("1,0,1,1,3,2"));
-    }
-
-    #[test]
-    fn anisotropic_csv_shape() {
-        let mut z = AnisotropicZeta::zeros(1, 1);
-        z.add_to(1, 1, 1, 0, 0, Complex64::new(1.0, -2.0));
-        z.total_primary_weight = 1.0;
-        let mut buf = Vec::new();
-        write_anisotropic_csv(&z, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("l,lp,m,b1,b2,re,im"));
-        assert!(text.contains("1,1,1,0,0,1,-2"));
-    }
-
     #[test]
     fn heatmap_renders_signs() {
         let grid = vec![vec![1.0, -1.0], vec![0.0, 0.6]];

@@ -56,19 +56,6 @@ pub fn isotropic_to_vector(k: &IsotropicZeta) -> Vec<f64> {
     out
 }
 
-/// Labels matching [`isotropic_to_vector`].
-pub fn isotropic_labels(k: &IsotropicZeta) -> Vec<String> {
-    let mut out = Vec::new();
-    for l in 0..=k.lmax() {
-        for b1 in 0..k.nbins() {
-            for b2 in 0..k.nbins() {
-                out.push(format!("K{l}({b1},{b2})"));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,9 +81,8 @@ mod tests {
         k.set(1, 1, 0, 6.0);
         k.total_primary_weight = 3.0;
         let v = isotropic_to_vector(&k);
-        let labels = isotropic_labels(&k);
-        assert_eq!(v.len(), labels.len());
-        let idx = labels.iter().position(|s| s == "K1(1,0)").unwrap();
-        assert!((v[idx] - 2.0).abs() < 1e-12);
+        assert_eq!(v.len(), 2 * 4);
+        // ℓ-major, then b1, then b2: K1(1,0) sits at 1·4 + 1·2 + 0.
+        assert!((v[6] - 2.0).abs() < 1e-12);
     }
 }

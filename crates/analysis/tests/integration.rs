@@ -2,9 +2,7 @@
 
 use galactos_analysis::chi2::{chi_squared, detection_snr, project_components};
 use galactos_analysis::covariance::{jackknife_from_partials, sample_covariance};
-use galactos_analysis::report::{write_anisotropic_csv, write_isotropic_csv};
 use galactos_analysis::vectorize::{zeta_labels, zeta_to_vector};
-use galactos_catalog::uniform_box;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_mocks::cluster_process::NeymanScott;
@@ -73,24 +71,4 @@ fn jackknife_and_ensemble_agree_in_order_of_magnitude() {
     // The relative error should be "reasonable": between 0.1% and 100%.
     let rel = sigma_jk / jk.mean[idx];
     assert!(rel > 1e-3 && rel < 1.0, "relative error {rel}");
-}
-
-#[test]
-fn csv_reports_write_engine_output() {
-    let cat = uniform_box(300, 15.0, 3);
-    let config = EngineConfig::test_default(5.0, 2, 3);
-    let engine = Engine::new(config.clone());
-    let zeta = engine.compute(&cat);
-    let mut aniso = Vec::new();
-    write_anisotropic_csv(&zeta, &mut aniso).unwrap();
-    let text = String::from_utf8(aniso).unwrap();
-    // Header + (l,lp,m) combos × bins²: lmax=2 → 14 combos × 9 bins.
-    assert_eq!(text.lines().count(), 1 + 14 * 9);
-
-    let iso = zeta.compress_isotropic();
-    let centers: Vec<f64> = (0..3).map(|b| config.bins.center(b)).collect();
-    let mut iso_csv = Vec::new();
-    write_isotropic_csv(&iso, &centers, &mut iso_csv).unwrap();
-    let text = String::from_utf8(iso_csv).unwrap();
-    assert_eq!(text.lines().count(), 1 + 3 * 9);
 }

@@ -5,7 +5,7 @@
 //! construction exactly (density-matched boxes per Table 1's rule),
 //! decompose with the real partitioner, count the real per-rank pairs
 //! and halo volumes, and convert to time with the measured host
-//! throughput (cost model of DESIGN.md §1). A real engine run at the
+//! throughput (`galactos_bench::costmodel`). A real engine run at the
 //! smallest rank count validates the model.
 
 use galactos_bench::costmodel::{calibrate_throughput, simulate_run};
@@ -16,7 +16,7 @@ use galactos_core::engine::Engine;
 use galactos_mocks::scaled::{
     generate_scaled_catalog, scaled_dataset, MockKind, OUTER_RIM_DENSITY,
 };
-use std::time::Instant;
+use galactos_obs::clock::Epoch;
 
 fn main() {
     let per_rank: f64 = std::env::args()
@@ -44,9 +44,9 @@ fn main() {
 
     // Validate the model against a real (threaded) engine run.
     let engine = Engine::new(config.clone());
-    let t0 = Instant::now();
+    let t0 = Epoch::now();
     let z = engine.compute(&cal_cat);
-    let real_wall = t0.elapsed().as_secs_f64();
+    let real_wall = t0.elapsed_nanos() as f64 * 1e-9;
     let threads = rayon::current_num_threads();
     let sim4 = simulate_run(&cal_cat, rmax, 4, cal.pairs_per_sec);
     println!(

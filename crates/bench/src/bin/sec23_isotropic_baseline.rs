@@ -15,7 +15,7 @@ use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::isotropic::isotropic_multipoles;
 use galactos_math::{LineOfSight, Vec3};
-use std::time::Instant;
+use galactos_obs::clock::Epoch;
 
 fn main() {
     let n: usize = std::env::args()
@@ -34,9 +34,9 @@ fn main() {
 
     // Isotropic baseline (SE15 algorithm, direct-Y implementation).
     let bins = galactos_core::bins::RadialBins::linear(0.0, rmax, 10);
-    let t0 = Instant::now();
+    let t0 = Epoch::now();
     let iso = isotropic_multipoles(&catalog.galaxies, &bins, lmax, None, true);
-    let t_iso = t0.elapsed().as_secs_f64();
+    let t_iso = t0.elapsed_nanos() as f64 * 1e-9;
 
     // Anisotropic engine with the radial line of sight (survey mode).
     let mut config = EngineConfig::paper_default(rmax);
@@ -45,9 +45,9 @@ fn main() {
         observer: Vec3::ZERO,
     };
     let engine = Engine::new(config);
-    let t1 = Instant::now();
+    let t1 = Epoch::now();
     let zeta = engine.compute(&catalog);
-    let t_aniso = t1.elapsed().as_secs_f64();
+    let t_aniso = t1.elapsed_nanos() as f64 * 1e-9;
 
     let rows = vec![
         vec![

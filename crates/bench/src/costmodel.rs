@@ -24,7 +24,7 @@ use galactos_core::engine::Engine;
 use galactos_domain::load::pair_counts;
 use galactos_domain::partition::DomainPlan;
 use galactos_math::Vec3;
-use std::time::Instant;
+use galactos_obs::clock::Epoch;
 
 /// Throughput calibration result.
 #[derive(Clone, Copy, Debug)]
@@ -48,9 +48,9 @@ pub fn calibrate_throughput(catalog: &Catalog, config: &EngineConfig) -> Calibra
         .expect("thread pool");
     let engine = Engine::new(config.clone());
     let (pairs, seconds) = pool.install(|| {
-        let t0 = Instant::now();
+        let t0 = Epoch::now();
         let zeta = engine.compute(catalog);
-        (zeta.binned_pairs, t0.elapsed().as_secs_f64())
+        (zeta.binned_pairs, t0.elapsed_nanos() as f64 * 1e-9)
     });
     Calibration {
         pairs_per_sec: pairs as f64 / seconds.max(1e-9),

@@ -8,7 +8,7 @@
 //!
 //! * [`costmodel`] — the measured-throughput cost model that converts
 //!   exact per-rank pair counts into simulated times for rank counts far
-//!   beyond the host (the Cori substitution documented in DESIGN.md §1);
+//!   beyond the host (the substitute for the paper's Cori runs);
 //! * [`datasets`] — catalog generation wrappers at paper-scaled sizes;
 //! * [`tables`] — aligned console table printing.
 

@@ -73,11 +73,6 @@ impl Catalog {
         }
     }
 
-    /// Catalog of unit-weight galaxies at the given positions.
-    pub fn from_positions(positions: Vec<Vec3>) -> Self {
-        Catalog::new(positions.into_iter().map(Galaxy::unit).collect())
-    }
-
     #[inline]
     pub fn len(&self) -> usize {
         self.galaxies.len()
@@ -195,12 +190,16 @@ mod tests {
     #[test]
     fn data_minus_randoms_has_zero_weight() {
         let data = sample();
-        let randoms = Catalog::from_positions(vec![
-            Vec3::new(0.5, 0.5, 0.5),
-            Vec3::new(0.2, 3.0, 1.0),
-            Vec3::new(0.9, 1.0, 2.0),
-            Vec3::new(0.0, 2.0, 2.5),
-        ]);
+        let randoms = Catalog::new(
+            [
+                Vec3::new(0.5, 0.5, 0.5),
+                Vec3::new(0.2, 3.0, 1.0),
+                Vec3::new(0.9, 1.0, 2.0),
+                Vec3::new(0.0, 2.0, 2.5),
+            ]
+            .map(Galaxy::unit)
+            .to_vec(),
+        );
         let combined = Catalog::data_minus_randoms(&data, &randoms);
         assert_eq!(combined.len(), 7);
         assert!(combined.total_weight().abs() < 1e-12);

@@ -1,4 +1,4 @@
-//! Catalog serialization: a compact binary format and CSV.
+//! Catalog serialization: a compact binary format.
 //!
 //! The binary format ("GCAT") is a little-endian stream:
 //!
@@ -12,14 +12,14 @@
 //! records count × (x, y, z, weight) f64
 //! ```
 //!
-//! CSV (`x,y,z,weight` with a header line) is provided for interchange
-//! with external plotting/analysis tools.
+//! Text catalogs arrive as sky coordinates ([`crate::sky::read_sky_csv`]);
+//! [`HeaderMap`] is that reader's column resolution.
 
 use crate::galaxy::{Catalog, Galaxy};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use galactos_math::{Aabb, Vec3};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic number shared by every GCAT framing (v1 files, v2 shard files
@@ -194,13 +194,11 @@ pub fn read_binary(path: impl AsRef<Path>) -> Result<Catalog, CatalogIoError> {
 }
 
 /// A parsed CSV header: case-insensitive column-name → index
-/// resolution, shared by the Cartesian reader ([`read_csv`]) and the
-/// sky reader ([`crate::sky::read_sky_csv`]).
+/// resolution for the sky reader ([`crate::sky::read_sky_csv`]).
 ///
 /// A line is treated as a header when its first non-whitespace
-/// character is alphabetic — the same rule both readers always used,
-/// now stated once. Column names match case-insensitively and in any
-/// order, so `X,Y,Z,WEIGHT` and `weight,z,y,x` both resolve.
+/// character is alphabetic. Column names match case-insensitively and
+/// in any order, so `RA,DEC,Z` and `z,dec,ra` both resolve.
 #[derive(Clone, Debug)]
 pub struct HeaderMap {
     names: Vec<String>,
@@ -236,78 +234,6 @@ impl HeaderMap {
     pub fn names(&self) -> &[String] {
         &self.names
     }
-}
-
-/// Write a catalog as CSV (`x,y,z,weight`, with header).
-pub fn write_csv(catalog: &Catalog, path: impl AsRef<Path>) -> Result<(), CatalogIoError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "x,y,z,weight")?;
-    for g in &catalog.galaxies {
-        writeln!(w, "{},{},{},{}", g.pos.x, g.pos.y, g.pos.z, g.weight)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Read a catalog from CSV produced by [`write_csv`] (header optional;
-/// a missing 4th column defaults the weight to 1).
-///
-/// When a header is present, the `x`/`y`/`z`/`weight` columns are
-/// resolved by name via [`HeaderMap`] — any case, any order. A header
-/// that does not name all of `x`, `y`, `z` (e.g. an export with
-/// arbitrary labels) falls back to positional `x,y,z[,weight]`
-/// parsing, preserving the historical behavior.
-pub fn read_csv(path: impl AsRef<Path>) -> Result<Catalog, CatalogIoError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut galaxies = Vec::new();
-    let mut line = String::new();
-    // Positional defaults; replaced by name resolution when the header
-    // names the coordinate columns.
-    let (mut cx, mut cy, mut cz, mut cw) = (0usize, 1, 2, Some(3usize));
-    // The header, when present, is the first *non-empty* line — leading
-    // blank lines (common in hand-edited exports) must not demote it to
-    // a data row.
-    let mut first_content = true;
-    while r.read_line(&mut line)? != 0 {
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            let header = if first_content {
-                HeaderMap::parse(trimmed)
-            } else {
-                None
-            };
-            first_content = false;
-            match header {
-                Some(h) => {
-                    if let (Some(x), Some(y), Some(z)) =
-                        (h.resolve(&["x"]), h.resolve(&["y"]), h.resolve(&["z"]))
-                    {
-                        (cx, cy, cz) = (x, y, z);
-                        cw = h.resolve(&["weight", "w"]);
-                    }
-                }
-                None => {
-                    let fields: Vec<&str> = trimmed.split(',').collect();
-                    if fields.len() <= cx.max(cy).max(cz) {
-                        return Err(CatalogIoError::Parse(format!("bad row: {trimmed}")));
-                    }
-                    let parse = |s: &str| -> Result<f64, CatalogIoError> {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|e| CatalogIoError::Parse(format!("{s}: {e}")))
-                    };
-                    let pos = Vec3::new(parse(fields[cx])?, parse(fields[cy])?, parse(fields[cz])?);
-                    let weight = match cw {
-                        Some(c) if fields.len() > c => parse(fields[c])?,
-                        _ => 1.0,
-                    };
-                    galaxies.push(Galaxy::new(pos, weight));
-                }
-            }
-        }
-        line.clear();
-    }
-    Ok(Catalog::new(galaxies))
 }
 
 #[cfg(test)]
@@ -402,37 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("galactos_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cat.csv");
-        let c = sample();
-        write_csv(&c, &path).unwrap();
-        let back = read_csv(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in back.galaxies.iter().zip(c.galaxies.iter()) {
-            assert!((a.pos - b.pos).norm() < 1e-12);
-            assert!((a.weight - b.weight).abs() < 1e-12);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn csv_header_after_leading_blank_line() {
-        // The header used to be recognized only on the literal first
-        // line, so a leading blank line turned `x,y,z,weight` into a
-        // `Parse` error.
-        let dir = std::env::temp_dir().join("galactos_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blank_then_header.csv");
-        std::fs::write(&path, "\n\nx,y,z,weight\n1.0,2.0,3.0,0.5\n").unwrap();
-        let back = read_csv(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.galaxies[0].weight, 0.5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn header_map_resolves_case_insensitively() {
         let h = HeaderMap::parse("RA, Dec ,Z,WEIGHT_SYSTOT").unwrap();
         assert_eq!(h.resolve(&["ra"]), Some(0));
@@ -444,45 +339,5 @@ mod tests {
         // Data rows are not headers.
         assert!(HeaderMap::parse("1.0,2.0,3.0").is_none());
         assert!(HeaderMap::parse("-4.5,0,1").is_none());
-    }
-
-    #[test]
-    fn csv_mixed_case_reordered_header() {
-        // Named resolution: `WEIGHT,Z,Y,X` must land each value in the
-        // right field even though the order and case differ from the
-        // canonical `x,y,z,weight`.
-        let dir = std::env::temp_dir().join("galactos_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reordered.csv");
-        std::fs::write(&path, "WEIGHT,Z,Y,X\n0.5,3.0,2.0,1.0\n").unwrap();
-        let back = read_csv(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.galaxies[0].pos, Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(back.galaxies[0].weight, 0.5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn csv_unrecognized_header_falls_back_to_positional() {
-        let dir = std::env::temp_dir().join("galactos_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("odd_header.csv");
-        std::fs::write(&path, "a,b,c,d\n1.0,2.0,3.0,0.25\n").unwrap();
-        let back = read_csv(&path).unwrap();
-        assert_eq!(back.galaxies[0].pos, Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(back.galaxies[0].weight, 0.25);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn csv_without_weights_defaults_to_one() {
-        let dir = std::env::temp_dir().join("galactos_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("noweights.csv");
-        std::fs::write(&path, "1.0,2.0,3.0\n4.0,5.0,6.0\n").unwrap();
-        let back = read_csv(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.galaxies[0].weight, 1.0);
-        std::fs::remove_file(&path).ok();
     }
 }

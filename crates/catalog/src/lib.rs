@@ -6,8 +6,8 @@
 //!
 //! * [`Galaxy`] / [`Catalog`] — the position+weight containers used by
 //!   every other crate;
-//! * [`io`] — a compact binary format (plus CSV) for catalogs, the
-//!   "I/O" slice of the paper's runtime breakdown (Fig. 4);
+//! * [`io`] — a compact binary format for catalogs, the "I/O" slice
+//!   of the paper's runtime breakdown (Fig. 4);
 //! * [`shard`] — GCAT v2: the same records split into spatially-aligned
 //!   shard files behind a checksummed manifest, streamed in bounded
 //!   memory so survey-scale catalogs never need to fit on one node;
@@ -19,9 +19,7 @@
 //!   paper's BOSS target) actually arrive;
 //! * [`survey`] — survey geometry with angular holes and radial
 //!   selection, Monte-Carlo sampled by the random catalogs exactly as
-//!   the paper describes for removing the spurious geometry signal;
-//! * [`stats`] — number density / mean separation diagnostics (the
-//!   quantities behind the paper's sparse-survey argument in §2.1).
+//!   the paper describes for removing the spurious geometry signal.
 
 #![forbid(unsafe_code)]
 
@@ -30,12 +28,10 @@ pub mod io;
 pub mod random;
 pub mod shard;
 pub mod sky;
-pub mod stats;
 pub mod survey;
 
 pub use galaxy::{Catalog, Galaxy};
 pub use random::uniform_box;
 pub use shard::{ShardAssignment, ShardManifest, ShardMeta, ShardReader, ShardedWriter};
 pub use sky::{cartesian_to_sky, read_sky_csv, sky_to_cartesian, write_sky_csv};
-pub use stats::CatalogStats;
 pub use survey::{Cap, SurveyGeometry};

@@ -26,24 +26,6 @@ pub fn uniform_box(n: usize, box_len: f64, seed: u64) -> Catalog {
     Catalog::new_periodic(galaxies, box_len)
 }
 
-/// `n` uniform unit-weight galaxies inside an arbitrary box (non-periodic).
-pub fn uniform_aabb(n: usize, bounds: &Aabb, seed: u64) -> Catalog {
-    assert!(!bounds.is_empty(), "bounds must be non-empty");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let galaxies = (0..n)
-        .map(|_| {
-            Galaxy::unit(Vec3::new(
-                rng.random_range(bounds.lo.x..=bounds.hi.x),
-                rng.random_range(bounds.lo.y..=bounds.hi.y),
-                rng.random_range(bounds.lo.z..=bounds.hi.z),
-            ))
-        })
-        .collect();
-    let mut c = Catalog::new(galaxies);
-    c.bounds = *bounds;
-    c
-}
-
 /// Poisson-sample a cube at the given number density (galaxies per unit
 /// volume); the count itself is Poisson-distributed. The paper's Outer
 /// Rim density is 0.071 (Mpc/h)⁻³.
@@ -179,14 +161,5 @@ mod tests {
         let frac = s.len() as f64 / c.len() as f64;
         assert!((frac - 0.25).abs() < 0.02, "kept {frac}");
         assert_eq!(s.periodic, Some(10.0));
-    }
-
-    #[test]
-    fn uniform_aabb_respects_bounds() {
-        let bounds = Aabb::new(Vec3::new(-5.0, 0.0, 10.0), Vec3::new(5.0, 1.0, 20.0));
-        let c = uniform_aabb(500, &bounds, 9);
-        for g in &c.galaxies {
-            assert!(bounds.contains(g.pos));
-        }
     }
 }

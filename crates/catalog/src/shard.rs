@@ -634,13 +634,6 @@ impl ShardReader {
         self.verified = true;
         Ok(())
     }
-
-    /// Read the whole shard (convenience for tests and small shards).
-    pub fn read_all(mut self) -> Result<Vec<Galaxy>, CatalogIoError> {
-        let mut out = Vec::new();
-        while self.read_chunk(&mut out, 8192)? != 0 {}
-        Ok(out)
-    }
 }
 
 fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), CatalogIoError> {
@@ -651,24 +644,6 @@ fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Cata
             CatalogIoError::Io(e)
         }
     })
-}
-
-/// Read an entire shard directory back into a [`Catalog`] (shard order,
-/// record order within each shard). Intended for tools and tests — the
-/// distributed pipeline streams shards instead of materializing them.
-pub fn read_sharded(dir: impl AsRef<Path>) -> Result<(ShardManifest, Catalog), CatalogIoError> {
-    let dir = dir.as_ref();
-    let manifest = ShardManifest::read(dir.join(MANIFEST_FILE))?;
-    let total = checked_record_count(manifest.total_count, usize::MAX)?;
-    let mut galaxies = Vec::with_capacity(total.min(1 << 20));
-    for i in 0..manifest.num_shards() {
-        let mut reader = ShardReader::open(dir, &manifest, i)?;
-        while reader.read_chunk(&mut galaxies, 8192)? != 0 {}
-    }
-    let mut catalog = Catalog::new(galaxies);
-    catalog.bounds = manifest.bounds;
-    catalog.periodic = manifest.periodic;
-    Ok((manifest, catalog))
 }
 
 #[cfg(test)]
@@ -701,6 +676,14 @@ mod tests {
         }
     }
 
+    /// Every record of shard `index`, through the streaming reader.
+    fn read_shard(dir: &Path, manifest: &ShardManifest, index: usize) -> Vec<Galaxy> {
+        let mut reader = ShardReader::open(dir, manifest, index).unwrap();
+        let mut out = Vec::new();
+        while reader.read_chunk(&mut out, 16).unwrap() != 0 {}
+        out
+    }
+
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("galactos_shard_test")
@@ -716,14 +699,16 @@ mod tests {
         let manifest = write_sharded(&cat, &halves_assignment(&cat), &dir).unwrap();
         assert_eq!(manifest.total_count, 40);
         assert_eq!(manifest.num_shards(), 2);
-        let (back_manifest, back) = read_sharded(&dir).unwrap();
+        let back_manifest = ShardManifest::read(dir.join(MANIFEST_FILE)).unwrap();
         assert_eq!(back_manifest, manifest);
+        assert_eq!(manifest.bounds, cat.bounds);
+        assert_eq!(manifest.periodic, cat.periodic);
+        let back: Vec<Galaxy> = (0..2)
+            .flat_map(|s| read_shard(&dir, &manifest, s))
+            .collect();
         assert_eq!(back.len(), cat.len());
-        assert_eq!(back.bounds, cat.bounds);
-        assert_eq!(back.periodic, cat.periodic);
         // Same multiset of galaxies (order is shard-major).
         let mut got: Vec<_> = back
-            .galaxies
             .iter()
             .map(|g| (g.pos.x.to_bits(), g.weight.to_bits()))
             .collect();
@@ -879,13 +864,8 @@ mod tests {
         };
         let manifest = write_sharded(&cat, &assignment, &dir).unwrap();
         assert_eq!(manifest.shards[1].count, 0);
-        let galaxies = ShardReader::open(&dir, &manifest, 1)
-            .unwrap()
-            .read_all()
-            .unwrap();
-        assert!(galaxies.is_empty());
-        let (_, back) = read_sharded(&dir).unwrap();
-        assert_eq!(back.len(), n);
+        assert!(read_shard(&dir, &manifest, 1).is_empty());
+        assert_eq!(read_shard(&dir, &manifest, 0).len(), n);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn sky_cartesian_roundtrip() {
-        let cosmo = FiducialCosmology::planck();
+        let cosmo = FiducialCosmology::new(0.315, 0.674);
         for (ra, dec, z) in [(12.5, -33.0, 0.08), (250.0, 41.5, 0.45), (359.9, 0.01, 1.1)] {
             let p = sky_to_cartesian(ra, dec, z, &cosmo);
             let (ra2, dec2, z2) = cartesian_to_sky(p, &cosmo);

@@ -64,11 +64,6 @@ impl Cap {
     pub fn contains_direction(&self, u: Vec3) -> bool {
         u.dot(self.dir) >= self.cos_radius
     }
-
-    /// Fraction of the full sky covered by this cap.
-    pub fn sky_fraction(&self) -> f64 {
-        0.5 * (1.0 - self.cos_radius)
-    }
 }
 
 /// A survey footprint: radial shell + holes + radial completeness.
@@ -223,9 +218,6 @@ mod tests {
         assert!(cap.contains_direction(Vec3::Z));
         assert!(!cap.contains_direction(Vec3::X));
         assert!(!cap.contains_direction(-Vec3::Z));
-        // ~6.7% of the sky for a 30° cap
-        let cap30 = Cap::new(Vec3::X, 30f64.to_radians());
-        assert!((cap30.sky_fraction() - 0.0669873).abs() < 1e-6);
     }
 
     #[test]

@@ -119,10 +119,9 @@ fn v2_shard_file_truncation_at_every_byte_is_an_error() {
     }
     // Restore the file: the intact shard must read back fully.
     std::fs::write(&path, &full).unwrap();
-    let galaxies = ShardReader::open(&dir, &manifest, 0)
-        .unwrap()
-        .read_all()
-        .unwrap();
+    let mut galaxies = Vec::new();
+    let mut reader = ShardReader::open(&dir, &manifest, 0).unwrap();
+    while reader.read_chunk(&mut galaxies, 8192).unwrap() != 0 {}
     assert_eq!(galaxies.len() as u64, manifest.shards[0].count);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -177,10 +176,9 @@ fn manifest_and_shard_files_roundtrip_through_disk() {
     let mut total = 0u64;
     let mut weight = 0.0;
     for s in 0..back.num_shards() {
-        let galaxies = ShardReader::open(&dir, &back, s)
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let mut galaxies = Vec::new();
+        let mut reader = ShardReader::open(&dir, &back, s).unwrap();
+        while reader.read_chunk(&mut galaxies, 8192).unwrap() != 0 {}
         assert_eq!(galaxies.len() as u64, back.shards[s].count);
         total += galaxies.len() as u64;
         weight += galaxies.iter().map(|g| g.weight).sum::<f64>();

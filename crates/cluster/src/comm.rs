@@ -1,23 +1,23 @@
-//! Ranks, communicators and collectives.
+//! Ranks and communicators: `send`, `recv`, `split`, `broadcast`.
 //!
 //! Sends are asynchronous (unbounded channels), receives block with
 //! `(source, tag)` matching, and communicators can be split into
 //! sub-communicators — the operation at the heart of the paper's
 //! recursive k-d partitioning, where "each level of the tree divides MPI
-//! processes into sub-communicators of nearly equal size".
+//! processes into sub-communicators of nearly equal size". These four
+//! are what `galactos_domain::exchange::distribute` uses; the final ζ
+//! reduction happens outside the cluster, over the ranks' returned
+//! partials.
 //!
 //! Failure semantics: every rank announces its termination (clean return
 //! or panic) to every mailbox, so a receive whose peer has already died
-//! returns a [`RecvError`] naming the rank and tag instead of blocking
-//! forever. [`run_cluster`] keeps the historical panic-propagation
-//! behaviour; [`run_cluster_supervised`] instead converts each rank
-//! panic — including kills injected by a
-//! [`FaultHarness`] — into a structured
-//! [`RankFailure`] so a driver can retry or reassign the lost work.
+//! fails with a [`RecvError`] naming the rank and tag instead of
+//! blocking forever. [`run_cluster`] propagates a rank's panic once
+//! every rank has returned; catching one and retrying the lost work is
+//! the supervisor's job (`galactos_core::pipeline`), not this crate's.
 
-use crate::fault::{classify_panic, FaultHarness, RankFailure};
 use crate::payload::Payload;
-use crate::stats::{ClusterStats, TrafficStats};
+use crate::stats::TrafficStats;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -59,12 +59,14 @@ type Parcel = (usize, Box<dyn Any + Send>);
 struct Fabric {
     senders: Vec<Sender<Envelope>>,
     mailboxes: Vec<Arc<Mailbox>>,
-    stats: ClusterStats,
+    /// Traffic counters, one per world rank.
+    stats: Vec<Arc<TrafficStats>>,
 }
 
-/// Failure returned by [`Comm::recv_result`] when the message can never
-/// arrive. Names the peer (local rank within the communicator) and tag
-/// so a supervisor can tell *which* exchange died.
+/// Why a receive can never complete: the panic message of a
+/// [`Comm::recv`] whose peer is gone. Names the peer (local rank within
+/// the communicator, and world rank) and tag, so the report says *which*
+/// exchange died.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecvError {
     /// Local rank of the peer within the communicator.
@@ -131,12 +133,7 @@ impl Comm {
 
     /// This rank's traffic counters.
     pub fn traffic(&self) -> &Arc<TrafficStats> {
-        self.fabric.stats.rank(self.group[self.my_local])
-    }
-
-    /// Cluster-wide traffic statistics (shared by all ranks).
-    pub fn cluster_stats(&self) -> &ClusterStats {
-        &self.fabric.stats
+        &self.fabric.stats[self.group[self.my_local]]
     }
 
     /// Asynchronously send `value` to local rank `dest` under `tag`.
@@ -157,7 +154,7 @@ impl Comm {
         let bytes = value.wire_bytes();
         let src_world = self.group[self.my_local];
         let dest_world = self.group[dest];
-        self.fabric.stats.rank(src_world).record_send(bytes);
+        self.fabric.stats[src_world].record_send(bytes);
         self.fabric.senders[dest_world]
             .send(Envelope::Message {
                 key: (self.comm_id, tag, src_world),
@@ -167,27 +164,17 @@ impl Comm {
             .expect("rank mailbox closed — the cluster fabric shut down");
     }
 
-    /// Block until a message from local rank `src` with `tag` arrives;
-    /// panics if the payload type does not match `T` or if the peer
-    /// terminated without sending (see [`Comm::recv_result`] for the
-    /// non-panicking form).
+    /// Block until a message from local rank `src` with `tag` arrives.
+    /// Panics if the payload type does not match `T`, or — with the
+    /// [`RecvError`] text — once the message can provably never arrive
+    /// because the peer has terminated without sending it: the failure
+    /// mode that would otherwise hang forever.
     pub fn recv<T: Payload>(&self, src: usize, tag: u64) -> T {
         assert!(
             tag & INTERNAL_TAG == 0,
             "user tags must not set the top bit"
         );
         self.recv_raw(src, tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Block until a message from local rank `src` with `tag` arrives,
-    /// or until that can provably never happen because the peer has
-    /// terminated — the failure mode that used to hang forever.
-    pub fn recv_result<T: Payload>(&self, src: usize, tag: u64) -> Result<T, RecvError> {
-        assert!(
-            tag & INTERNAL_TAG == 0,
-            "user tags must not set the top bit"
-        );
-        self.recv_raw(src, tag)
     }
 
     fn recv_raw<T: Payload>(&self, src: usize, tag: u64) -> Result<T, RecvError> {
@@ -209,7 +196,7 @@ impl Comm {
                 Self::absorb(mailbox, env);
             }
             if let Some((bytes, data)) = Self::take_pending(mailbox, &want) {
-                self.fabric.stats.rank(my_world).record_recv(bytes);
+                self.fabric.stats[my_world].record_recv(bytes);
                 return Ok(Self::downcast::<T>(data));
             }
             if let Some(&clean) = mailbox.dead.lock().get(&src_world) {
@@ -265,14 +252,6 @@ impl Comm {
         *data
             .downcast::<T>()
             .expect("message payload type mismatch between send and recv")
-    }
-
-    /// Combined send+receive with the same peer (the halo-exchange
-    /// communication shape). Safe against deadlock because sends are
-    /// asynchronous.
-    pub fn send_recv<T: Payload>(&self, peer: usize, tag: u64, value: T) -> T {
-        self.send(peer, tag, value);
-        self.recv(peer, tag)
     }
 
     /// Collective: split into sub-communicators by `color`. Every member
@@ -335,21 +314,6 @@ impl Comm {
             .unwrap_or_else(|e| panic!("collective cannot complete: {e}"))
     }
 
-    /// Collective: block until every rank of the communicator arrives.
-    pub fn barrier(&self) {
-        if self.my_local == 0 {
-            for r in 1..self.size() {
-                let _: () = self.recv_internal(r, BARRIER_TAG);
-            }
-            for r in 1..self.size() {
-                self.send_internal(r, BARRIER_TAG, ());
-            }
-        } else {
-            self.send_internal(0, BARRIER_TAG, ());
-            let _: () = self.recv_internal(0, BARRIER_TAG);
-        }
-    }
-
     /// Collective: root's value is distributed to every rank.
     pub fn broadcast<T: Payload + Clone>(&self, root: usize, value: Option<T>) -> T {
         if self.my_local == root {
@@ -364,68 +328,13 @@ impl Comm {
             self.recv_internal(root, BCAST_TAG)
         }
     }
-
-    /// Collective: root receives every rank's value, ordered by rank.
-    pub fn gather<T: Payload>(&self, root: usize, value: T) -> Option<Vec<T>> {
-        if self.my_local == root {
-            let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-            out[root] = Some(value);
-            for (r, slot) in out.iter_mut().enumerate() {
-                if r != root {
-                    *slot = Some(self.recv_internal(r, GATHER_TAG));
-                }
-            }
-            Some(out.into_iter().map(|v| v.unwrap()).collect())
-        } else {
-            self.send_internal(root, GATHER_TAG, value);
-            None
-        }
-    }
-
-    /// Collective: element-wise sum of `data` across ranks, result on
-    /// every rank (the final multipole reduction of Algorithm 1).
-    pub fn allreduce_sum_f64(&self, data: &mut Vec<f64>) {
-        let gathered = self.gather(0, std::mem::take(data));
-        if self.my_local == 0 {
-            let parts = gathered.unwrap();
-            let len = parts[0].len();
-            let mut acc = vec![0.0f64; len];
-            for part in &parts {
-                assert_eq!(part.len(), len, "allreduce length mismatch");
-                for (a, v) in acc.iter_mut().zip(part.iter()) {
-                    *a += v;
-                }
-            }
-            *data = self.broadcast(0, Some(acc));
-        } else {
-            *data = self.broadcast::<Vec<f64>>(0, None);
-        }
-    }
-
-    /// Collective: sum reduced to root only.
-    pub fn reduce_sum_f64(&self, root: usize, data: Vec<f64>) -> Option<Vec<f64>> {
-        let gathered = self.gather(root, data);
-        gathered.map(|parts| {
-            let len = parts[0].len();
-            let mut acc = vec![0.0f64; len];
-            for part in &parts {
-                assert_eq!(part.len(), len, "reduce length mismatch");
-                for (a, v) in acc.iter_mut().zip(part.iter()) {
-                    *a += v;
-                }
-            }
-            acc
-        })
-    }
 }
 
 fn split_tag(generation: u64) -> u64 {
     SPLIT_TAG_BASE + generation
 }
 
-const BARRIER_TAG: u64 = 1;
 const BCAST_TAG: u64 = 2;
-const GATHER_TAG: u64 = 3;
 const SPLIT_TAG_BASE: u64 = 1000;
 
 /// Run `f` on `num_ranks` concurrent ranks; returns each rank's result,
@@ -439,49 +348,11 @@ where
 }
 
 /// [`run_cluster`] with an explicit per-rank stack size (large rank
-/// counts want small stacks).
+/// counts want small stacks). Every rank runs to its end — a receive
+/// aimed at a dead peer fails with [`RecvError`] rather than hanging, so
+/// one death cascades *visibly* — and then the first panicked rank is
+/// reported.
 pub fn run_cluster_with_stacks<T, F>(num_ranks: usize, stack_bytes: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Comm) -> T + Send + Sync,
-{
-    run_cluster_inner(num_ranks, stack_bytes, None, f)
-        .into_iter()
-        .enumerate()
-        .map(|(rank, r)| r.unwrap_or_else(|_| panic!("rank {rank} panicked")))
-        .collect()
-}
-
-/// Run `f` on `num_ranks` ranks, converting each rank's panic (organic
-/// or injected) into a [`RankFailure`] instead of propagating it;
-/// `harness` is read only for the phase the failed rank last entered.
-/// Surviving ranks keep running: a receive aimed at a
-/// dead peer fails with [`RecvError`] rather than hanging, so failures
-/// cascade *visibly* through collectives and the supervisor gets one
-/// `Result` per rank.
-pub fn run_cluster_supervised<T, F>(
-    num_ranks: usize,
-    harness: Arc<FaultHarness>,
-    f: F,
-) -> Vec<Result<T, RankFailure>>
-where
-    T: Send,
-    F: Fn(Comm) -> T + Send + Sync,
-{
-    assert!(
-        harness.num_ranks() >= num_ranks,
-        "harness sized for {} ranks, cluster has {num_ranks}",
-        harness.num_ranks()
-    );
-    run_cluster_inner(num_ranks, 4 << 20, Some(harness), f)
-}
-
-fn run_cluster_inner<T, F>(
-    num_ranks: usize,
-    stack_bytes: usize,
-    harness: Option<Arc<FaultHarness>>,
-    f: F,
-) -> Vec<Result<T, RankFailure>>
 where
     T: Send,
     F: Fn(Comm) -> T + Send + Sync,
@@ -501,11 +372,12 @@ where
     let fabric = Arc::new(Fabric {
         senders,
         mailboxes,
-        stats: ClusterStats::new(num_ranks),
+        stats: (0..num_ranks)
+            .map(|_| Arc::new(TrafficStats::default()))
+            .collect(),
     });
     let world: Arc<Vec<usize>> = Arc::new((0..num_ranks).collect());
 
-    let mut results: Vec<Option<Result<T, RankFailure>>> = (0..num_ranks).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_ranks);
         for rank in 0..num_ranks {
@@ -539,29 +411,44 @@ where
                 .expect("failed to spawn rank thread");
             handles.push(handle);
         }
-        for (rank, handle) in handles.into_iter().enumerate() {
-            let outcome = handle
-                .join()
-                .expect("rank wrapper never panics: the body is caught");
-            results[rank] = Some(outcome.map_err(|payload| {
-                RankFailure {
-                    rank,
-                    phase: harness
-                        .as_ref()
-                        .map(|h| h.phase_of(rank))
-                        .unwrap_or_default(),
-                    cause: classify_panic(payload.as_ref()),
-                }
-            }));
-        }
-    });
-    results.into_iter().map(|r| r.unwrap()).collect()
+        // Join every rank before reporting, so no thread is left
+        // blocked behind the first failure.
+        let outcomes: Vec<_> = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("rank wrapper never panics: the body is caught")
+            })
+            .collect();
+        outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| r.unwrap_or_else(|_| panic!("rank {rank} panicked")))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FailureCause, FaultPlan, KillSpec};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The text of a caught panic (`panic!` with a format string).
+    fn panic_text(payload: Box<dyn Any + Send>) -> String {
+        *payload.downcast::<String>().expect("string panic payload")
+    }
+
+    /// Element sum over a communicator from the surviving operations:
+    /// tagged sends to local rank 0, which adds and broadcasts.
+    fn sum_over(comm: &Comm, v: f64) -> f64 {
+        if comm.rank() == 0 {
+            let total = (1..comm.size()).fold(v, |acc, r| acc + comm.recv::<f64>(r, 77));
+            comm.broadcast(0, Some(total))
+        } else {
+            comm.send(0, 77, v);
+            comm.broadcast::<f64>(0, None)
+        }
+    }
 
     #[test]
     fn ping_pong() {
@@ -599,45 +486,32 @@ mod tests {
 
     #[test]
     fn send_recv_is_deadlock_free() {
+        // The halo-exchange shape: both peers send first, then receive.
+        // Safe because sends are asynchronous.
         let results = run_cluster(2, |comm| {
             let peer = 1 - comm.rank();
-            comm.send_recv(peer, 5, comm.rank() as u64)
+            comm.send(peer, 5, comm.rank() as u64);
+            comm.recv::<u64>(peer, 5)
         });
         assert_eq!(results, vec![1, 0]);
     }
 
     #[test]
-    fn barrier_and_broadcast() {
-        let results = run_cluster(5, |comm| {
-            comm.barrier();
-            let v = if comm.rank() == 2 {
-                comm.broadcast(2, Some(vec![1.0f64, 2.0, 3.0]))
-            } else {
-                comm.broadcast::<Vec<f64>>(2, None)
-            };
-            comm.barrier();
-            v[2]
-        });
-        assert_eq!(results, vec![3.0; 5]);
-    }
-
-    #[test]
     fn gather_ordered_by_rank() {
-        let results = run_cluster(4, |comm| comm.gather(0, comm.rank() as u64 * 10));
-        assert_eq!(results[0], Some(vec![0, 10, 20, 30]));
-        assert_eq!(results[1], None);
-    }
-
-    #[test]
-    fn allreduce_sums_across_ranks() {
-        let results = run_cluster(3, |comm| {
-            let mut data = vec![comm.rank() as f64, 1.0];
-            comm.allreduce_sum_f64(&mut data);
-            data
+        // The gather pattern from tagged sends: one shared tag, and the
+        // root's receives match on the source, whatever order the
+        // messages arrived in.
+        let results = run_cluster(4, |comm| {
+            if comm.rank() != 0 {
+                comm.send(0, 3, comm.rank() as u64 * 10);
+                return Vec::new();
+            }
+            (1..comm.size())
+                .rev()
+                .map(|r| comm.recv::<u64>(r, 3))
+                .collect()
         });
-        for r in results {
-            assert_eq!(r, vec![3.0, 3.0]);
-        }
+        assert_eq!(results[0], vec![30, 20, 10]);
     }
 
     #[test]
@@ -647,9 +521,7 @@ mod tests {
             let color = u64::from(comm.rank() >= 2);
             let sub = comm.split(color);
             // Sum ranks within each sub-communicator.
-            let mut v = vec![comm.rank() as f64];
-            sub.allreduce_sum_f64(&mut v);
-            (sub.rank(), sub.size(), v[0])
+            (sub.rank(), sub.size(), sum_over(&sub, comm.rank() as f64))
         });
         assert_eq!(results[0], (0, 2, 1.0)); // 0+1
         assert_eq!(results[1], (1, 2, 1.0));
@@ -689,12 +561,15 @@ mod tests {
             } else {
                 let _ = comm.recv::<Vec<f64>>(0, 9);
             }
-            comm.barrier();
-            comm.cluster_stats().total_bytes_sent()
+            comm.traffic().snapshot()
         });
-        // 8008 payload bytes plus small barrier messages.
-        assert!(results[0] >= 8008, "bytes {}", results[0]);
-        assert_eq!(results[0], results[1]);
+        // 8000 payload bytes plus the length prefix, one message, and
+        // nothing in the other direction.
+        assert_eq!(results[0].bytes_sent, 8008);
+        assert_eq!(results[0].messages_sent, 1);
+        assert_eq!(results[1].bytes_received, results[0].bytes_sent);
+        assert_eq!(results[1].messages_received, 1);
+        assert_eq!(results[1].bytes_sent + results[0].bytes_received, 0);
     }
 
     #[test]
@@ -711,128 +586,96 @@ mod tests {
 
     #[test]
     fn many_ranks_with_small_stacks() {
-        let results = run_cluster_with_stacks(64, 256 << 10, |comm| {
-            let mut v = vec![1.0f64];
-            comm.allreduce_sum_f64(&mut v);
-            v[0] as usize
-        });
+        let results = run_cluster_with_stacks(64, 256 << 10, |comm| sum_over(&comm, 1.0) as usize);
         assert!(results.iter().all(|&r| r == 64));
     }
 
-    // ---- fault injection and supervision ----
-
-    fn harness(plan: FaultPlan, num_ranks: usize) -> Arc<FaultHarness> {
-        Arc::new(FaultHarness::new(plan, num_ranks))
-    }
+    // ---- dead peers: a receive that can never complete ends, with
+    // ---- the RecvError text, instead of hanging ----
 
     #[test]
     fn recv_from_panicked_peer_errors_instead_of_hanging() {
-        let results = run_cluster_supervised(2, harness(FaultPlan::none(), 2), |comm| {
-            if comm.rank() == 1 {
-                panic!("simulated node failure");
-            }
-            // Without termination notices this would block forever.
-            let err = comm.recv_result::<u64>(1, 42).unwrap_err();
-            assert_eq!(err.source, 1);
-            assert_eq!(err.tag, 42);
-            assert_eq!(err.kind, RecvErrorKind::PeerFailed);
-            let msg = err.to_string();
-            assert!(msg.contains("rank 1"), "message names the rank: {msg}");
-            assert!(msg.contains("tag 42"), "message names the tag: {msg}");
-            err.source
-        });
-        assert!(results[0].is_ok());
-        let failure = results[1].as_ref().unwrap_err();
-        assert_eq!(failure.rank, 1);
-        assert_eq!(
-            failure.cause,
-            FailureCause::Panic("simulated node failure".to_string())
+        let seen = Mutex::new(String::new());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_cluster(2, |comm| {
+                if comm.rank() == 1 {
+                    panic!("simulated node failure");
+                }
+                // Without termination notices this would block forever.
+                let err = catch_unwind(AssertUnwindSafe(|| comm.recv::<u64>(1, 42))).unwrap_err();
+                *seen.lock() = panic_text(err);
+            })
+        }));
+        assert_eq!(panic_text(run.unwrap_err()), "rank 1 panicked");
+        let msg = seen.lock().clone();
+        assert!(
+            msg.contains("src rank 1 [world 1]"),
+            "names the peer: {msg}"
+        );
+        assert!(msg.contains("tag 42"), "names the tag: {msg}");
+        assert!(
+            msg.contains("terminated abnormally"),
+            "names the cause: {msg}"
         );
     }
 
     #[test]
     fn recv_from_cleanly_finished_peer_errors() {
-        let results = run_cluster_supervised(2, harness(FaultPlan::none(), 2), |comm| {
-            if comm.rank() == 1 {
-                return 0;
+        let results = run_cluster(3, |mut comm| {
+            // Ranks 1 and 2 form a sub-communicator, so the peer's local
+            // rank (0) and world rank (1) differ in the message.
+            let sub = comm.split(u64::from(comm.rank() > 0));
+            if comm.rank() != 2 {
+                return String::new();
             }
-            let err = comm.recv_result::<u64>(1, 7).unwrap_err();
-            assert_eq!(err.kind, RecvErrorKind::PeerFinished);
-            1
+            panic_text(catch_unwind(AssertUnwindSafe(|| sub.recv::<u64>(0, 7))).unwrap_err())
         });
-        assert!(results.iter().all(|r| r.is_ok()));
+        let msg = &results[2];
+        assert!(msg.contains("src rank 0 [world 1], tag 7"), "{msg}");
+        assert!(msg.contains("finished without sending"), "{msg}");
     }
 
     #[test]
     fn messages_sent_before_death_are_still_received() {
         // Per-sender FIFO: the termination notice trails the payload.
-        let results = run_cluster_supervised(2, harness(FaultPlan::none(), 2), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 3, 99u64);
-                panic!("dies after sending");
-            }
-            comm.recv_result::<u64>(0, 3).unwrap()
-        });
-        assert_eq!(*results[1].as_ref().unwrap(), 99);
-    }
-
-    #[test]
-    fn injected_kill_reports_phase_and_cause() {
-        let h = harness(FaultPlan::none().with_phase_kill(1, "compute", 1), 3);
-        let results = run_cluster_supervised(3, Arc::clone(&h), |comm| {
-            h.enter_phase(comm.rank(), "ingest");
-            h.enter_phase(comm.rank(), "compute");
-            comm.rank()
-        });
-        assert!(results[0].is_ok() && results[2].is_ok());
-        let failure = results[1].as_ref().unwrap_err();
-        assert_eq!(failure.rank, 1);
-        assert_eq!(failure.phase, "compute");
-        assert_eq!(failure.cause, FailureCause::InjectedKill);
+        let got = Mutex::new(0u64);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_cluster(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 3, 99u64);
+                    panic!("dies after sending");
+                }
+                *got.lock() = comm.recv::<u64>(0, 3);
+            })
+        }));
+        assert_eq!(panic_text(run.unwrap_err()), "rank 0 panicked");
+        assert_eq!(*got.lock(), 99);
     }
 
     #[test]
     fn collective_with_dead_rank_fails_structurally_not_by_hanging() {
-        let h = harness(FaultPlan::none().with_phase_kill(2, "pre-barrier", 1), 3);
-        let results = run_cluster_supervised(3, Arc::clone(&h), |comm| {
-            h.enter_phase(comm.rank(), "pre-barrier");
-            comm.barrier();
-            comm.rank()
-        });
-        // Rank 2 dies; the barrier cannot complete, so every rank
-        // resolves to a failure instead of deadlocking the process.
-        assert!(results[2].is_err());
-        assert!(results.iter().any(|r| r.is_err()));
-    }
-
-    #[test]
-    fn transient_kill_fires_once_across_supervised_rounds() {
-        let plan = FaultPlan::none().with_phase_kill(0, "work", 1);
-        let h = harness(plan, 2);
-        let first = run_cluster_supervised(2, Arc::clone(&h), |comm| {
-            h.enter_phase(comm.rank(), "work");
-            comm.rank()
-        });
-        assert!(first[0].is_err());
-        assert!(first[1].is_ok());
-        // Same harness, second round: the kill budget is spent.
-        let second = run_cluster_supervised(2, Arc::clone(&h), |comm| {
-            h.enter_phase(comm.rank(), "work");
-            comm.rank()
-        });
-        assert!(second[0].is_ok());
-    }
-
-    #[test]
-    fn permanent_kill_fires_every_round() {
-        let plan = FaultPlan::none().with_phase_kill(1, "work", KillSpec::ALWAYS);
-        let h = harness(plan, 2);
-        for _ in 0..3 {
-            let round = run_cluster_supervised(2, Arc::clone(&h), |comm| {
-                h.enter_phase(comm.rank(), "work");
-                comm.rank()
-            });
-            assert!(round[1].is_err());
+        // Rank 2 dies before the split; the root cannot collect its
+        // color and the others cannot get their member list, so every
+        // rank resolves to a failure instead of deadlocking the process.
+        let survivors = Mutex::new(Vec::new());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_cluster(3, |mut comm| {
+                if comm.rank() == 2 {
+                    panic!("dies before the collective");
+                }
+                let err = catch_unwind(AssertUnwindSafe(|| comm.split(0))).err();
+                survivors.lock().push(err.map(panic_text));
+            })
+        }));
+        assert_eq!(panic_text(run.unwrap_err()), "rank 2 panicked");
+        let survivors = survivors.lock();
+        assert_eq!(survivors.len(), 2);
+        for msg in survivors.iter() {
+            let msg = msg.as_ref().expect("the split cannot complete");
+            assert!(
+                msg.starts_with("collective cannot complete: recv("),
+                "{msg}"
+            );
         }
     }
 }

@@ -18,10 +18,11 @@
 //! The fabric moves messages and the harness kills ranks: no fault
 //! touches a message.
 //!
-//! A fired kill raises a panic with an [`InjectedKill`] payload;
-//! [`run_cluster_supervised`](crate::comm::run_cluster_supervised)
-//! converts it — and ordinary rank panics — into a structured
-//! [`RankFailure`] instead of poisoning the whole run.
+//! A fired kill raises a panic with an [`InjectedKill`] payload; the
+//! supervisor (`galactos_core::pipeline`) catches it — and ordinary
+//! rank panics — and [`classify_panic`] turns the payload into the
+//! cause of a structured [`RankFailure`] instead of poisoning the whole
+//! run.
 
 use parking_lot::Mutex;
 use std::any::Any;
@@ -58,6 +59,7 @@ impl FaultPlan {
     }
 
     /// Add a kill of `rank` on entering `phase`, firing `times` times.
+    // lint:allow(W-DEADPUB): fault injection for the chaos suite (core/tests/supervised.rs, ensemble/tests/ensemble.rs)
     pub fn with_phase_kill(mut self, rank: usize, phase: &str, times: u32) -> Self {
         self.kills.push(KillSpec {
             rank,
@@ -96,8 +98,8 @@ impl std::fmt::Display for FailureCause {
 }
 
 /// A structured rank failure: who died, during which phase, and why.
-/// Produced by [`run_cluster_supervised`](crate::comm::run_cluster_supervised)
-/// in place of a propagated panic.
+/// Built by the supervisor from a caught panic, in place of
+/// propagating it.
 #[derive(Clone, Debug)]
 pub struct RankFailure {
     pub rank: usize,
@@ -160,10 +162,6 @@ impl FaultHarness {
         }
     }
 
-    pub fn num_ranks(&self) -> usize {
-        self.phases.len()
-    }
-
     /// The last phase `rank` entered (empty string if none).
     pub fn phase_of(&self, rank: usize) -> String {
         self.phases[rank].lock().clone()
@@ -215,6 +213,17 @@ mod tests {
         // A different rank or phase never fires.
         h.enter_phase(0, "compute");
         h.enter_phase(1, "reduce");
+        // A permanent kill never runs out.
+        let dead = FaultHarness::new(
+            FaultPlan::none().with_phase_kill(0, "work", KillSpec::ALWAYS),
+            1,
+        );
+        for _ in 0..4 {
+            let fired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dead.enter_phase(0, "work");
+            }));
+            assert!(fired.is_err());
+        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! An in-memory, MPI-like cluster simulator.
 //!
-//! Galactos' multi-node layer (paper §3.2) needs exactly four primitives:
-//! point-to-point sends between ranks (the halo exchange follows the k-d
-//! partition tree, exchanging boundary galaxies with a peer on the
-//! opposite sub-communicator), communicator **splitting** into sub-
-//! communicators of nearly equal size, barriers, and a final reduction of
-//! the multipole arrays. This crate implements those primitives over
-//! in-process threads and channels:
+//! Galactos' multi-node layer (paper §3.2) needs point-to-point sends
+//! between ranks (the halo exchange follows the k-d partition tree,
+//! exchanging boundary galaxies with a peer on the opposite
+//! sub-communicator), communicator **splitting** into sub-communicators
+//! of nearly equal size, and a broadcast of each level's split plane.
+//! This crate implements those over in-process threads and channels
+//! (the final reduction of the multipole arrays sums the partials the
+//! ranks return, in `galactos_core::pipeline`):
 //!
 //! * every rank runs as an OS thread inside [`run_cluster`];
-//! * [`Comm`] provides `send`/`recv` (typed, tag-matched), `split`,
-//!   `barrier`, `broadcast`, `gather`, reductions;
+//! * [`Comm`] provides `send`/`recv` (typed, tag-matched), `split` and
+//!   `broadcast`;
 //! * all traffic is metered ([`TrafficStats`]) so benchmarks can report
 //!   halo-exchange volumes — the quantity that stays *constant per rank*
 //!   under weak scaling and explains the paper's flat Figure 6.
@@ -20,11 +21,11 @@
 //! peer in the algorithm shows up here exactly as it would on a real
 //! machine.
 //!
-//! The [`fault`] module adds a deterministic failure model on top:
-//! [`FaultPlan`]s that kill chosen ranks on entering a named phase, and
-//! [`run_cluster_supervised`] which converts rank panics into
-//! structured [`RankFailure`]s so a driver can retry or reassign lost
-//! work instead of losing the whole run.
+//! The [`fault`] module is a deterministic failure model: [`FaultPlan`]s
+//! that kill chosen ranks on entering a named phase, and the
+//! [`RankFailure`] a caught rank panic is classified into. Supervision —
+//! catching the panic, retrying, reassigning the lost work — lives in
+//! `galactos_core::pipeline` only.
 
 #![forbid(unsafe_code)]
 
@@ -33,9 +34,7 @@ pub mod fault;
 pub mod payload;
 pub mod stats;
 
-pub use comm::{
-    run_cluster, run_cluster_supervised, run_cluster_with_stacks, Comm, RecvError, RecvErrorKind,
-};
+pub use comm::{run_cluster, run_cluster_with_stacks, Comm, RecvError, RecvErrorKind};
 pub use fault::{FailureCause, FaultHarness, FaultPlan, InjectedKill, KillSpec, RankFailure};
 pub use payload::Payload;
-pub use stats::{ClusterStats, TrafficStats};
+pub use stats::TrafficStats;

@@ -1,7 +1,6 @@
-//! Per-rank and cluster-wide traffic accounting.
+//! Per-rank traffic accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Atomic traffic counters for one rank.
 #[derive(Debug, Default)]
@@ -43,60 +42,6 @@ pub struct TrafficSnapshot {
     pub bytes_received: u64,
 }
 
-/// Cluster-wide view over all ranks' counters.
-#[derive(Clone, Debug)]
-pub struct ClusterStats {
-    per_rank: Vec<Arc<TrafficStats>>,
-}
-
-impl ClusterStats {
-    pub fn new(num_ranks: usize) -> Self {
-        ClusterStats {
-            per_rank: (0..num_ranks)
-                .map(|_| Arc::new(TrafficStats::default()))
-                .collect(),
-        }
-    }
-
-    pub fn rank(&self, r: usize) -> &Arc<TrafficStats> {
-        &self.per_rank[r]
-    }
-
-    pub fn num_ranks(&self) -> usize {
-        self.per_rank.len()
-    }
-
-    /// Snapshot every rank.
-    pub fn snapshots(&self) -> Vec<TrafficSnapshot> {
-        self.per_rank.iter().map(|s| s.snapshot()).collect()
-    }
-
-    /// Total bytes sent across the cluster.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|s| s.bytes_sent.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total messages sent across the cluster.
-    pub fn total_messages_sent(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|s| s.messages_sent.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Maximum bytes sent by any single rank (load-balance indicator).
-    pub fn max_bytes_sent_per_rank(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(|s| s.bytes_sent.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,18 +57,5 @@ mod tests {
         assert_eq!(snap.bytes_sent, 150);
         assert_eq!(snap.messages_received, 1);
         assert_eq!(snap.bytes_received, 100);
-    }
-
-    #[test]
-    fn cluster_totals() {
-        let cs = ClusterStats::new(3);
-        cs.rank(0).record_send(10);
-        cs.rank(1).record_send(20);
-        cs.rank(2).record_send(5);
-        assert_eq!(cs.total_bytes_sent(), 35);
-        assert_eq!(cs.total_messages_sent(), 3);
-        assert_eq!(cs.max_bytes_sent_per_rank(), 20);
-        assert_eq!(cs.num_ranks(), 3);
-        assert_eq!(cs.snapshots().len(), 3);
     }
 }

@@ -1,21 +1,19 @@
-//! Cross-rank integration tests for the cluster simulator's
-//! collectives under less-friendly conditions: odd rank counts, deep
-//! recursive splits, interleaved traffic and sub-communicator isolation.
+//! Cross-rank integration tests for the cluster simulator's four
+//! operations (`send`, `recv`, `split`, `broadcast`) under
+//! less-friendly conditions: odd rank counts, deep recursive splits,
+//! interleaved traffic and sub-communicator isolation.
 
-use galactos_cluster::{run_cluster, run_cluster_with_stacks};
+use galactos_cluster::{run_cluster, run_cluster_with_stacks, Comm};
 
-#[test]
-fn reduce_sum_on_root_only() {
-    let results = run_cluster(6, |comm| {
-        let data = vec![comm.rank() as f64; 3];
-        comm.reduce_sum_f64(2, data)
-    });
-    for (r, res) in results.iter().enumerate() {
-        if r == 2 {
-            assert_eq!(res.as_ref().unwrap(), &vec![15.0, 15.0, 15.0]);
-        } else {
-            assert!(res.is_none());
-        }
+/// Sum over a communicator: tagged sends to local rank 0, which adds in
+/// rank order and broadcasts.
+fn sum_over(comm: &Comm, v: f64) -> f64 {
+    if comm.rank() == 0 {
+        let total = (1..comm.size()).fold(v, |acc, r| acc + comm.recv::<f64>(r, 9));
+        comm.broadcast(0, Some(total))
+    } else {
+        comm.send(0, 9, v);
+        comm.broadcast::<f64>(0, None)
     }
 }
 
@@ -28,7 +26,8 @@ fn split_isolates_traffic_between_colors() {
         let sub = comm.split(color);
         // Within each sub-comm of size 2: exchange rank markers.
         let peer = 1 - sub.rank();
-        let got = sub.send_recv(peer, 5, comm.rank() as u64 * 100 + color);
+        sub.send(peer, 5, comm.rank() as u64 * 100 + color);
+        let got: u64 = sub.recv(peer, 5);
         (color, got)
     });
     // Ranks 0,2 are color 0; ranks 1,3 color 1. Exchanges stay in color.
@@ -47,9 +46,7 @@ fn three_level_recursive_split_with_odd_sizes() {
         let mut level_sums = Vec::new();
         let world_rank = comm.rank() as f64;
         while current.size() > 1 {
-            let mut v = vec![world_rank];
-            current.allreduce_sum_f64(&mut v);
-            level_sums.push(v[0]);
+            level_sums.push(sum_over(&current, world_rank));
             let half = current.size() / 2;
             let color = u64::from(current.rank() >= half);
             current = current.split(color);
@@ -112,17 +109,23 @@ fn broadcast_from_nonzero_root() {
 
 #[test]
 fn gather_large_payload_traffic_counted() {
+    // Two non-root ranks ship 80 kB each to the root over tagged sends;
+    // every rank's own counters see exactly its side of the traffic.
     let results = run_cluster(3, |comm| {
-        let payload = vec![comm.rank() as f64; 10_000];
-        let gathered = comm.gather(0, payload);
-        comm.barrier();
-        (
-            gathered.map(|g| g.len()),
-            comm.cluster_stats().total_bytes_sent(),
-        )
+        if comm.rank() == 0 {
+            let got: usize = (1..3).map(|r| comm.recv::<Vec<f64>>(r, 4).len()).sum();
+            assert_eq!(got, 20_000);
+        } else {
+            comm.send(0, 4, vec![comm.rank() as f64; 10_000]);
+        }
+        comm.traffic().snapshot()
     });
-    assert_eq!(results[0].0, Some(3));
-    assert!(results[1].0.is_none());
-    // Two non-root ranks shipped 80 kB each.
-    assert!(results[0].1 >= 160_000, "bytes {}", results[0].1);
+    assert_eq!(
+        (results[0].bytes_sent, results[0].messages_received),
+        (0, 2)
+    );
+    for sender in &results[1..] {
+        assert!(sender.bytes_sent >= 80_000, "bytes {}", sender.bytes_sent);
+        assert_eq!(sender.bytes_sent * 2, results[0].bytes_received);
+    }
 }

@@ -48,6 +48,7 @@ impl RadialBins {
 
     /// `nbins` logarithmically spaced shells covering `[rmin, rmax)`
     /// (requires `rmin > 0`).
+    // lint:allow(W-DEADPUB): consumed by the engine as EngineConfig::bins (bin_of's logarithmic arm, traversal/block.rs)
     pub fn logarithmic(rmin: f64, rmax: f64, nbins: usize) -> Self {
         assert!(nbins > 0);
         assert!(rmin > 0.0 && rmax > rmin, "log bins need 0 < rmin < rmax");

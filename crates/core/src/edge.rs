@@ -100,6 +100,13 @@ mod tests {
     use super::*;
     use galactos_math::legendre::legendre_p;
 
+    /// `M·x` for the square mixing matrix.
+    fn apply(m: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..x.len())
+            .map(|i| (0..x.len()).map(|j| m[(i, j)] * x[j]).sum())
+            .collect()
+    }
+
     #[test]
     fn mixing_matrix_is_identity_for_trivial_window() {
         let wigner = Wigner3j::new(12);
@@ -121,7 +128,7 @@ mod tests {
         let z = [0.3, -0.1, 0.25, 0.0, 0.05, 0.02, -0.04];
         let f = [1.0, 0.2, -0.1, 0.05];
         let m = mixing_matrix(&f, lmax, &wigner);
-        let mixed = m.matvec(&z);
+        let mixed = apply(&m, &z);
 
         // Numerical projection of the pointwise product (quadrature).
         let n = 40_000;
@@ -162,7 +169,7 @@ mod tests {
         let f = [1.0, -0.15, 0.08];
 
         let m = mixing_matrix(&f, lmax, &wigner);
-        let observed_coeff = m.matvec(&true_zeta);
+        let observed_coeff = apply(&m, &true_zeta);
 
         // Convert to K_l convention: K_l = 2 z_l / (2l+1), with an
         // arbitrary window amplitude R0.

@@ -227,7 +227,7 @@ impl Engine {
         let rotation = (rotation != Mat3::IDENTITY).then_some(rotation);
         let bins = &self.config.bins;
         let mut zeta = AnisotropicZeta::zeros(self.config.lmax, bins.nbins());
-        let timings = galactos_grid::accumulate_zeta_multipoles(
+        galactos_grid::accumulate_zeta_multipoles(
             catalog,
             grid,
             self.config.lmax,
@@ -235,25 +235,11 @@ impl Engine {
             rotation,
             &|r| bins.bin_of(r),
             self.config.subtract_self_pairs,
-            // Zero-cost contract: clock reads happen only under an
-            // enabled session.
-            obs.is_enabled(),
+            obs,
             &mut |l, lp, m, b1, b2, v| zeta.block_mut(l, lp, m)[b1 * bins.nbins() + b2] += v,
         );
         zeta.total_primary_weight = catalog.total_weight();
         zeta.num_primaries = catalog.len() as u64;
-        // Native breakdown as aggregate slices under the open grid span
-        // and as registry counters (no-ops on a disabled session).
-        obs.tracer.add_aggregate("paint", 1, timings.paint_nanos);
-        obs.tracer.add_aggregate("fields", 1, timings.field_nanos);
-        obs.tracer.add_aggregate("contract", 1, timings.zeta_nanos);
-        obs.tracer
-            .add_aggregate("selfpair", 1, timings.selfpair_nanos);
-        obs.registry.add("grid.paint_nanos", timings.paint_nanos);
-        obs.registry.add("grid.field_nanos", timings.field_nanos);
-        obs.registry.add("grid.zeta_nanos", timings.zeta_nanos);
-        obs.registry
-            .add("grid.selfpair_nanos", timings.selfpair_nanos);
         obs.registry.add("grid.primaries", catalog.len() as u64);
         zeta
     }
@@ -284,7 +270,7 @@ impl Engine {
             scratch.partial();
             scratch.zeta
         };
-        let merge = || Merge {
+        let merge = Merge {
             zero: || AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins()),
             merge: |mut a: AnisotropicZeta, b| {
                 a.merge(&b);
@@ -292,51 +278,38 @@ impl Engine {
             },
         };
 
-        match self.traversal {
-            TraversalKind::PerPrimary => schedule::run_partitioned(
-                n_primaries,
-                make_state,
-                |scratch, range| {
-                    let _g = obs.tracer.span("chunk");
-                    let n_items = range.len() as u64;
-                    for i in range {
-                        self.process_primary(scratch, galaxies, &tree, i, periodic);
+        // Leaf-blocked: the schedule partitions over *leaf blocks*, not
+        // raw primary indices, so each worker chunk is a set of whole
+        // leaves and scratch reuse follows the tree's memory layout (one
+        // candidate block per leaf, shared by all of its primaries).
+        let leaves: Option<Vec<LeafInfo>> = match self.traversal {
+            TraversalKind::PerPrimary => None,
+            TraversalKind::LeafBlocked => Some(tree.leaf_blocks()),
+        };
+        schedule::run_partitioned(
+            leaves.as_ref().map_or(n_primaries, Vec::len),
+            make_state,
+            |scratch, range| {
+                let _g = obs.tracer.span("chunk");
+                let n_items = range.len() as u64;
+                for i in range {
+                    match &leaves {
+                        None => self.process_primary(scratch, galaxies, &tree, i, periodic),
+                        Some(leaves) => self.process_leaf(
+                            scratch,
+                            galaxies,
+                            &tree,
+                            &leaves[i],
+                            n_primaries,
+                            periodic,
+                        ),
                     }
-                    Self::emit_chunk_obs(obs, scratch, n_items);
-                },
-                finish,
-                merge(),
-            ),
-            // Leaf-blocked: the schedule partitions over *leaf blocks*,
-            // not raw primary indices, so each worker chunk is a set of
-            // whole leaves and scratch reuse follows the tree's memory
-            // layout (one candidate block per leaf, shared by all of
-            // its primaries).
-            TraversalKind::LeafBlocked => {
-                let leaves = tree.leaf_blocks();
-                schedule::run_partitioned(
-                    leaves.len(),
-                    make_state,
-                    |scratch, range| {
-                        let _g = obs.tracer.span("chunk");
-                        let n_items = range.len() as u64;
-                        for li in range {
-                            self.process_leaf(
-                                scratch,
-                                galaxies,
-                                &tree,
-                                &leaves[li],
-                                n_primaries,
-                                periodic,
-                            );
-                        }
-                        Self::emit_chunk_obs(obs, scratch, n_items);
-                    },
-                    finish,
-                    merge(),
-                )
-            }
-        }
+                }
+                Self::emit_chunk_obs(obs, scratch, n_items);
+            },
+            finish,
+            merge,
+        )
     }
 
     /// Drain a finished chunk's scratch counters into the obs session:
@@ -826,16 +799,6 @@ mod tests {
         assert_eq!(scratch.partial().max_difference(&want), 0.0);
         assert_eq!(scratch.partial().num_primaries, 1);
         assert_eq!(scratch.partial().binned_pairs, want.binned_pairs);
-
-        // The scratch is reusable: reset and process the same primary
-        // again; the partial must be identical, not doubled.
-        scratch.reset();
-        let ctx = engine
-            .gather(&mut scratch, &cat.galaxies, &tree, 0, None)
-            .unwrap();
-        engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-        engine.assemble(&mut scratch, &ctx);
-        assert_eq!(scratch.partial().max_difference(&want), 0.0);
     }
 
     #[test]

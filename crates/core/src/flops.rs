@@ -17,15 +17,6 @@ pub fn kernel_flops_per_pair(lmax: usize) -> u64 {
     2 * monomial_count(lmax) as u64
 }
 
-/// The paper's empirical k-d tree search cost per pair.
-pub const TREE_FLOPS_PER_PAIR: u64 = 37;
-
-/// Total FLOPs per pair (multipole kernel + tree search), the paper's
-/// "average of 609 FLOPs per galaxy pair" at `ℓmax = 10`.
-pub fn total_flops_per_pair(lmax: usize) -> u64 {
-    kernel_flops_per_pair(lmax) + TREE_FLOPS_PER_PAIR
-}
-
 /// Arithmetic intensity (FLOPs per byte) of the multipole kernel for
 /// bucket size `k` at `ℓmax`: reads `3k` coordinates, writes/reads the
 /// `nmono` 8-lane outputs once per bucket (§3.3.2).
@@ -35,14 +26,6 @@ pub fn arithmetic_intensity(bucket_size: usize, lmax: usize) -> f64 {
     (nmono * 2.0 * k) / ((3.0 * k + nmono * 2.0) * 8.0)
 }
 
-/// Working-set size in bytes of one bucket flush (paper: 21.4 kB at
-/// k = 128, ℓmax = 10 — "does not fit in L1 cache when run with 4
-/// threads per core").
-pub fn working_set_bytes(bucket_size: usize, lmax: usize) -> usize {
-    // inputs: 3 coordinate arrays of k f64 + outputs: nmono 8-lane f64.
-    3 * bucket_size * 8 + monomial_count(lmax) * 8 * 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,16 +33,12 @@ mod tests {
     #[test]
     fn paper_numbers_at_lmax_10() {
         assert_eq!(kernel_flops_per_pair(10), 572);
-        assert_eq!(total_flops_per_pair(10), 609);
         // flop/byte at the paper's bucket size:
         let ai = arithmetic_intensity(128, 10);
         assert!((ai - 9.6).abs() < 0.1, "arithmetic intensity {ai}");
         // small-k limit ~1/8, large-k limit ~23.8:
         assert!((arithmetic_intensity(1, 10) - 0.125).abs() < 0.05);
         assert!((arithmetic_intensity(1_000_000, 10) - 23.83).abs() < 0.1);
-        // Working set at the paper's parameters: 21.4 kB.
-        let ws = working_set_bytes(128, 10);
-        assert!((ws as f64 / 1000.0 - 21.4).abs() < 0.5, "{ws} bytes"); // paper quotes decimal kB
     }
 
     #[test]

@@ -123,6 +123,7 @@ pub fn isotropic_multipoles(
 }
 
 /// O(N³) gold standard: explicit Legendre-weighted triplet sums.
+// lint:allow(W-DEADPUB): oracle for isotropic_multipoles in core/tests/oracle.rs and tests/end_to_end.rs
 pub fn isotropic_triplets(
     galaxies: &[Galaxy],
     bins: &RadialBins,

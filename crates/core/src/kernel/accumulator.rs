@@ -272,7 +272,7 @@ mod tests {
             buckets.push(0, 1.0, 0.0, 0.0, 1.0);
             buckets.push(2, 0.0, 0.0, 1.0, 2.0);
             acc.flush_residual(basis.schedule(), &mut buckets);
-            assert_eq!(buckets.non_empty_bins().count(), 0, "{kind:?}");
+            assert!((0..3).all(|b| buckets.is_empty(b)), "{kind:?}");
             let mut out = vec![0.0; nmono];
             acc.reduce_bin(0, &mut out);
             assert!((out[0] - 1.0).abs() < 1e-15, "{kind:?} Σw bin 0");

@@ -90,21 +90,6 @@ impl PairBuckets {
     pub fn clear_bin(&mut self, bin: usize) {
         self.len[bin] = 0;
     }
-
-    pub fn clear_all(&mut self) {
-        self.len.iter_mut().for_each(|l| *l = 0);
-    }
-
-    /// Bins currently holding pairs (used for the end-of-primary sweep:
-    /// "the buckets are swept once more, as they likely are only
-    /// partially filled").
-    pub fn non_empty_bins(&self) -> impl Iterator<Item = usize> + '_ {
-        self.len
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l > 0)
-            .map(|(b, _)| b)
-    }
 }
 
 #[cfg(test)]
@@ -138,9 +123,7 @@ mod tests {
         assert_eq!(b.len(1), 1);
         assert_eq!(b.slices(0).0, &[1.0]);
         assert_eq!(b.slices(1).1, &[1.0]);
-        let non_empty: Vec<usize> = b.non_empty_bins().collect();
-        assert_eq!(non_empty, vec![0, 1]);
-        b.clear_all();
-        assert_eq!(b.non_empty_bins().count(), 0);
+        b.clear_bin(0);
+        assert!(b.is_empty(0) && !b.is_empty(1));
     }
 }

@@ -130,16 +130,16 @@ pub fn compute_distributed(
         };
 
         // Final reduction of the multipole arrays (Algorithm 1's last
-        // step): partials are returned and summed outside — the same
-        // arithmetic as Comm::allreduce's root-sum-broadcast tree.
+        // step): partials are returned and summed outside, in rank
+        // order.
         (zeta.to_f64_vec(), report)
     });
 
     reduce_rank_partials(config, results)
 }
 
-/// Reduce per-rank multipole partials (root-sum, as `Comm::allreduce`
-/// would) through the same schedule driver the engine uses: each chunk
+/// Reduce per-rank multipole partials (a root sum in rank order)
+/// through the same schedule driver the engine uses: each chunk
 /// of ranks is deserialized and merged by a worker, and the per-chunk
 /// partials are merged once at the end.
 fn reduce_rank_partials(

@@ -13,16 +13,8 @@
 //! and fills `ℓ > ℓ'` once per worker partial, so its output obeys the
 //! identity bit for bit.
 
-use galactos_math::legendre::legendre_p;
 use galactos_math::Complex64;
 use std::ops::Range;
-
-/// Number of `(ℓ, m≥0)` entries for a given `lmax` (re-export shim for
-/// internal use).
-#[inline]
-pub(crate) fn lm_table_len(lmax: usize) -> usize {
-    galactos_math::lm_count(lmax)
-}
 
 /// Index layout shared by the engine and the result container.
 #[derive(Clone, Debug, PartialEq)]
@@ -147,17 +139,6 @@ impl AnisotropicZeta {
         self.data[self.layout.index(l, lp, m, b1, b2)]
     }
 
-    /// Any spin, using `ζ^{−m} = conj(ζ^m)`.
-    #[inline]
-    pub fn get_signed(&self, l: usize, lp: usize, m: i64, b1: usize, b2: usize) -> Complex64 {
-        let v = self.get(l, lp, m.unsigned_abs() as usize, b1, b2);
-        if m >= 0 {
-            v
-        } else {
-            v.conj()
-        }
-    }
-
     #[inline]
     pub fn add_to(&mut self, l: usize, lp: usize, m: usize, b1: usize, b2: usize, v: Complex64) {
         let idx = self.layout.index(l, lp, m, b1, b2);
@@ -267,52 +248,6 @@ impl AnisotropicZeta {
         out
     }
 
-    /// Reconstruct the full angular dependence of the 3PCF estimate at
-    /// one bin pair: `ζ(r̂₁, r̂₂) = Σ_{ℓℓ'm} ζ^m_{ℓℓ'} Y_ℓm(r̂₁)
-    /// conj(Y_ℓ'm(r̂₂))`, summing negative spins through the conjugation
-    /// identity. The result is real (up to round-off) because the
-    /// underlying triplet sums are real; the real part is returned.
-    ///
-    /// Directions are in the *rotated* frame where ẑ is the line of
-    /// sight, so `dir.z` is the cosine of a side's angle to the line of
-    /// sight — the μ variables of RSD analyses.
-    pub fn evaluate(
-        &self,
-        dir1: galactos_math::Vec3,
-        dir2: galactos_math::Vec3,
-        b1: usize,
-        b2: usize,
-    ) -> f64 {
-        use galactos_math::sphharm::ylm_all_cartesian;
-        let lmax = self.lmax();
-        let nlm = crate::result::lm_table_len(lmax);
-        let mut y1 = vec![Complex64::ZERO; nlm];
-        let mut y2 = vec![Complex64::ZERO; nlm];
-        ylm_all_cartesian(lmax, dir1, &mut y1);
-        ylm_all_cartesian(lmax, dir2, &mut y2);
-        let mut acc = Complex64::ZERO;
-        for l in 0..=lmax {
-            for lp in 0..=lmax {
-                // m = 0 term once, m > 0 terms plus conjugate partners.
-                let z0 = self.get(l, lp, 0, b1, b2);
-                acc += z0
-                    * y1[galactos_math::lm_index(l, 0)]
-                    * y2[galactos_math::lm_index(lp, 0)].conj();
-                for m in 1..=l.min(lp) {
-                    let z = self.get(l, lp, m, b1, b2);
-                    let t = z
-                        * y1[galactos_math::lm_index(l, m)]
-                        * y2[galactos_math::lm_index(lp, m)].conj();
-                    // The −m partner: ζ^{-m} = conj(ζ^m) and
-                    // Y_{l,-m}(a) conj(Y_{l',-m}(b)) = conj(Y_{lm}(a) conj(Y_{l'm}(b))),
-                    // so the pair sums to 2·Re(t).
-                    acc += Complex64::real(2.0 * t.re);
-                }
-            }
-        }
-        acc.re
-    }
-
     /// Serialize to interleaved f64s (re, im, …) plus trailing counters —
     /// the wire format of the distributed reduction.
     pub fn to_f64_vec(&self) -> Vec<f64> {
@@ -418,19 +353,6 @@ impl IsotropicZeta {
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|v| v.abs()).fold(0.0, f64::max)
     }
-
-    /// Evaluate the full isotropic 3PCF at an opening angle from the
-    /// multipole sum `ζ(b₁, b₂; cos χ) = Σ_ℓ (2ℓ+1)/(4π) ζ_ℓ P_ℓ(cos χ)`
-    /// — the inverse of the Legendre decomposition.
-    pub fn evaluate_at_angle(&self, b1: usize, b2: usize, cos_chi: f64) -> f64 {
-        (0..=self.lmax)
-            .map(|l| {
-                (2 * l + 1) as f64 / (4.0 * std::f64::consts::PI)
-                    * self.get(l, b1, b2)
-                    * legendre_p(l, cos_chi)
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -487,15 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_access_conjugates() {
-        let mut a = AnisotropicZeta::zeros(2, 1);
-        a.add_to(2, 1, 1, 0, 0, Complex64::new(3.0, 4.0));
-        let plus = a.get_signed(2, 1, 1, 0, 0);
-        let minus = a.get_signed(2, 1, -1, 0, 0);
-        assert_eq!(minus, plus.conj());
-    }
-
-    #[test]
     fn wire_roundtrip() {
         let mut a = AnisotropicZeta::zeros(3, 2);
         a.add_to(3, 2, 1, 1, 0, Complex64::new(-1.5, 0.25));
@@ -521,59 +434,5 @@ mod tests {
         k.merge(&k2);
         assert_eq!(k.get(2, 0, 1), 10.0);
         assert_eq!(k.max_abs(), 10.0);
-    }
-
-    #[test]
-    fn evaluate_monopole_only() {
-        use galactos_math::Vec3;
-        let mut z = AnisotropicZeta::zeros(0, 1);
-        z.add_to(0, 0, 0, 0, 0, Complex64::real(8.0));
-        // ζ(r̂1, r̂2) = ζ000 · Y00 Y00* = 8 / 4π for any directions.
-        let want = 8.0 / (4.0 * std::f64::consts::PI);
-        for (a, b) in [
-            (Vec3::Z, Vec3::X),
-            (Vec3::new(0.3, 0.4, -0.5), Vec3::new(1.0, 1.0, 1.0)),
-        ] {
-            assert!((z.evaluate(a, b, 0, 0) - want).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn evaluate_axisymmetric_about_los() {
-        use galactos_math::{Mat3, Vec3};
-        // Fill with arbitrary coefficients; the reconstruction must be
-        // invariant under a common rotation of both directions about ẑ
-        // (the equal-spin structure of ζ^m guarantees axisymmetry).
-        let mut z = AnisotropicZeta::zeros(3, 1);
-        let mut val = 0.1;
-        for l in 0..=3usize {
-            for lp in 0..=3usize {
-                for m in 0..=l.min(lp) {
-                    z.add_to(l, lp, m, 0, 0, Complex64::new(val, -0.5 * val));
-                    val += 0.07;
-                }
-            }
-        }
-        let u1 = Vec3::new(0.3, -0.2, 0.93).normalized().unwrap();
-        let u2 = Vec3::new(-0.6, 0.5, 0.62).normalized().unwrap();
-        let base = z.evaluate(u1, u2, 0, 0);
-        for phi in [0.4, 1.3, 2.9] {
-            let r = Mat3::rotation_about(Vec3::Z, phi);
-            let rotated = z.evaluate(r.mul_vec(u1), r.mul_vec(u2), 0, 0);
-            assert!(
-                (rotated - base).abs() < 1e-10 * (1.0 + base.abs()),
-                "phi={phi}: {rotated} vs {base}"
-            );
-        }
-    }
-
-    #[test]
-    fn evaluate_at_angle_inverts_decomposition() {
-        // Put a single multipole in: ζ(χ) must be ∝ P_l(cos χ).
-        let mut k = IsotropicZeta::zeros(4, 1);
-        k.set(3, 0, 0, 2.0);
-        let x = 0.4;
-        let want = 7.0 / (4.0 * std::f64::consts::PI) * 2.0 * legendre_p(3, x);
-        assert!((k.evaluate_at_angle(0, 0, x) - want).abs() < 1e-12);
     }
 }

@@ -9,10 +9,6 @@
 //! the worker's private ζ partial plus instrumentation counters.
 //! Workers own their scratch exclusively ("maximum independent work
 //! for each thread"); partials are merged once at the end of a run.
-//!
-//! The scratch is reusable: [`ComputeScratch::reset`] returns it to the
-//! freshly-constructed state so callers that manage their own workers
-//! (or reuse scratch across engine calls) can avoid reallocation.
 
 use crate::assembly::padded_bins;
 use crate::config::EngineConfig;
@@ -107,35 +103,6 @@ impl ComputeScratch {
             t_kernel: 0,
             t_assembly: 0,
         }
-    }
-
-    /// Return the scratch to its freshly-constructed state (buffers
-    /// keep their capacity) so it can be reused for another run.
-    pub fn reset(&mut self) {
-        self.neighbors.clear();
-        self.block.clear();
-        self.buckets.clear_all();
-        self.acc.reset();
-        self.sums_t.iter_mut().for_each(|v| *v = 0.0);
-        self.alm_re.iter_mut().for_each(|v| *v = 0.0);
-        self.alm_im.iter_mut().for_each(|v| *v = 0.0);
-        self.alm_x.iter_mut().for_each(|v| *v = Complex64::ZERO);
-        self.alm_y.iter_mut().for_each(|v| *v = Complex64::ZERO);
-        self.self_scratch.iter_mut().for_each(|v| *v = 0.0);
-        self.self_sums.iter_mut().for_each(|v| *v = 0.0);
-        self.zeta
-            .data_mut()
-            .iter_mut()
-            .for_each(|v| *v = Complex64::ZERO);
-        self.zeta.total_primary_weight = 0.0;
-        self.zeta.num_primaries = 0;
-        self.zeta.binned_pairs = 0;
-        self.binned_pairs = 0;
-        self.candidate_pairs = 0;
-        self.t_search = 0;
-        self.t_bin = 0;
-        self.t_kernel = 0;
-        self.t_assembly = 0;
     }
 
     /// The ζ partial accumulated so far (primarily for tests and

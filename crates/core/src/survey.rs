@@ -52,7 +52,7 @@ use crate::edge::edge_corrected;
 use crate::engine::Engine;
 use crate::estimator::EstimatorKind;
 use crate::result::{AnisotropicZeta, IsotropicZeta};
-use galactos_catalog::{Catalog, SurveyGeometry};
+use galactos_catalog::Catalog;
 use galactos_math::{LineOfSight, Vec3};
 
 /// Configuration of the survey estimator: an engine configuration plus
@@ -167,22 +167,6 @@ impl SurveyCompute {
             data_weight: data.total_weight(),
             randoms_weight: randoms.total_weight(),
         }
-    }
-
-    /// Convenience wrapper: draw the randoms from `geometry` at
-    /// `randfact ×` the data size (seeded, deterministic), then run
-    /// [`compute`](Self::compute). Returns the result together with
-    /// the generated random catalog so callers can reuse or persist it.
-    pub fn compute_with_randoms(
-        &self,
-        data: &Catalog,
-        geometry: &SurveyGeometry,
-        randfact: usize,
-        seed: u64,
-    ) -> (SurveyZeta, Catalog) {
-        let randoms = geometry.sample_randoms_for(data, randfact, seed);
-        let zeta = self.compute(data, &randoms);
-        (zeta, randoms)
     }
 }
 

@@ -107,8 +107,9 @@ fn holed_shell_corrected_zeta_consistent_with_zero() {
     let data = geom.sample_randoms(1200, 11);
 
     let survey = SurveyCompute::new(SurveyConfig::survey_default(Vec3::ZERO, 24.0, 3, 4));
-    let (result, randoms) = survey.compute_with_randoms(&data, &geom, 4, 77);
+    let randoms = geom.sample_randoms_for(&data, 4, 77);
     assert_eq!(randoms.len(), 4 * data.len());
+    let result = survey.compute(&data, &randoms);
 
     // Scale reference: edge-correcting the *unsubtracted* data field
     // (rescaled to the randoms' weight — triplet sums grow cubically

@@ -224,26 +224,6 @@ impl DomainPlan {
         }
     }
 
-    /// The leaf rank whose region geometrically contains `p` (boundary
-    /// points resolve to the high side, matching the split comparison).
-    pub fn locate(&self, p: Vec3) -> usize {
-        let mut node = &self.root;
-        loop {
-            match node {
-                PartitionNode::Leaf { rank, .. } => return *rank,
-                PartitionNode::Split {
-                    axis,
-                    value,
-                    lo,
-                    hi,
-                    ..
-                } => {
-                    node = if p[*axis] < *value { lo } else { hi };
-                }
-            }
-        }
-    }
-
     /// Depth of the partition tree.
     pub fn depth(&self) -> usize {
         fn rec(node: &PartitionNode) -> usize {
@@ -350,17 +330,6 @@ mod tests {
                     "galaxy outside box"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn locate_agrees_with_geometry() {
-        let pos = random_positions(2000, 40.0, 11);
-        let plan = DomainPlan::build(&pos, Aabb::cube(40.0), 9);
-        // A probe strictly inside a rank's box must locate to that rank.
-        for r in 0..9 {
-            let c = plan.rank_box(r).center();
-            assert_eq!(plan.locate(c), r, "center of rank {r} box");
         }
     }
 

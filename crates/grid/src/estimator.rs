@@ -109,26 +109,13 @@ impl GridConfig {
     }
 }
 
-/// Wall-clock breakdown of one estimator run, which the engine
-/// re-emits as the `paint` / `fields` / `contract` / `selfpair`
-/// aggregates of an enabled `ObsSession`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GridTimings {
-    pub paint_nanos: u64,
-    pub field_nanos: u64,
-    pub zeta_nanos: u64,
-    /// Self-pair correction (`w²` mesh, correlation FFTs, harmonic
-    /// assembly) — kept separate from `zeta_nanos` so the contraction
-    /// cost is visible on its own.
-    pub selfpair_nanos: u64,
-}
-
-// The estimator's clock gate: timestamps are taken only when the caller
-// asked for timings, so plain `compute()` pays no clock reads on the
+// The estimator's clock gate: timestamps are taken only under an
+// enabled session, so plain `compute()` pays no clock reads on the
 // grid path. Routed through the registered obs gate (the W-CLOCK
 // allowlist module) so grid reads show up in the global clock-read
 // count the zero-cost tests pin.
 use galactos_obs::clock::{nanos_since, now_if};
+use galactos_obs::ObsSession;
 
 /// One cell of the radial-shell kernel support: flat mesh index, radial
 /// bin, and the (rotated) unit separation direction.
@@ -225,10 +212,12 @@ fn contract_block(
 /// and one extra pair of FFTs (the mesh analogue of the tree's
 /// Legendre-sum correction; both contract the same Gaunt table).
 ///
-/// Returns the stage timings when `instrument` is set; an
-/// uninstrumented run performs **zero clock reads** (the same
-/// zero-cost contract as the tree engine's stages) and returns
-/// `GridTimings::default()`. Panics if the catalog is not periodic.
+/// Under an enabled `obs` the stage times are recorded as one `paint` /
+/// `fields` / `contract` / `selfpair` aggregate each, under whatever
+/// span the caller has open, and added to the `grid.*_nanos` counters;
+/// a disabled session performs **zero clock reads** (the same zero-cost
+/// contract as the tree engine's stages) and the same arithmetic.
+/// Panics if the catalog is not periodic.
 #[allow(clippy::too_many_arguments)]
 pub fn accumulate_zeta_multipoles(
     catalog: &Catalog,
@@ -238,21 +227,22 @@ pub fn accumulate_zeta_multipoles(
     rotation: Option<Mat3>,
     bin_of: &(dyn Fn(f64) -> Option<usize> + Sync),
     subtract_self_pairs: bool,
-    instrument: bool,
+    obs: &ObsSession,
     sink: &mut dyn FnMut(usize, usize, usize, usize, usize, Complex64),
-) -> GridTimings {
+) {
     cfg.validate();
     let box_len = catalog
         .periodic
         .expect("the gridded estimator requires a periodic catalog");
     let n = cfg.mesh;
     let h = box_len / n as f64;
-    let mut timings = GridTimings::default();
+    let instrument = obs.is_enabled();
+    let (mut field_nanos, mut zeta_nanos) = (0u64, 0u64);
 
     // Paint the catalog and transform the secondary-side density.
     let t0 = now_if(instrument);
     let density = DensityMesh::paint(catalog, n, cfg.assignment, cfg.interlace);
-    timings.paint_nanos = nanos_since(t0);
+    let paint_nanos = nanos_since(t0);
 
     let t1 = now_if(instrument);
     let nhat = density.fourier(cfg.deconvolve);
@@ -319,7 +309,7 @@ pub fn accumulate_zeta_multipoles(
     let ylm = YlmTable::new(lmax, &basis);
     // Density FFT + shell table + harmonic tables count toward the
     // field stage.
-    timings.field_nanos += nanos_since(t1);
+    field_nanos += nanos_since(t1);
 
     // Process one m at a time: the ζ couplings never mix different m,
     // so only the (ℓmax+1−m)·nbins fields of the current m need to be
@@ -371,7 +361,7 @@ pub fn accumulate_zeta_multipoles(
                 a.append(&mut b);
                 a
             });
-        timings.field_nanos += nanos_since(tf);
+        field_nanos += nanos_since(tf);
 
         // ζ^m_{ℓℓ'}(b₁,b₂) = Σ_occupied n(x)·A_ℓm,b₁(x)·conj(A_ℓ'm,b₂(x)).
         // The cell weight is real, so swapping the two fields conjugates
@@ -408,14 +398,23 @@ pub fn accumulate_zeta_multipoles(
             };
             sink(ls[li], ls[lj], m, b1, b2, value);
         }
-        timings.zeta_nanos += nanos_since(tz);
+        zeta_nanos += nanos_since(tz);
     }
+    let ts = now_if(instrument && subtract_self_pairs);
     if subtract_self_pairs {
-        let ts = now_if(instrument);
         subtract_self_pair_terms(catalog, cfg, lmax, nbins, &density, &shells, sink);
-        timings.selfpair_nanos += nanos_since(ts);
     }
-    timings
+    let selfpair_nanos = nanos_since(ts);
+    // No-ops on a disabled session.
+    for (stage, counter, nanos) in [
+        ("paint", "grid.paint_nanos", paint_nanos),
+        ("fields", "grid.field_nanos", field_nanos),
+        ("contract", "grid.zeta_nanos", zeta_nanos),
+        ("selfpair", "grid.selfpair_nanos", selfpair_nanos),
+    ] {
+        obs.tracer.add_aggregate(stage, 1, nanos);
+        obs.registry.add(counter, nanos);
+    }
 }
 
 /// Remove the degenerate `j = k` terms from diagonal `(b, b)` entries.
@@ -664,7 +663,7 @@ mod tests {
             None,
             &bin_of,
             false,
-            false,
+            &ObsSession::disabled(),
             &mut |l, lp, m, b1, b2, v| {
                 got.insert((l, lp, m, b1, b2), v);
             },
@@ -720,7 +719,7 @@ mod tests {
             None,
             &bin_of,
             true,
-            false,
+            &ObsSession::disabled(),
             &mut |l, lp, m, b1, b2, v| {
                 *corrected
                     .entry((l, lp, m, b1, b2))
@@ -746,7 +745,7 @@ mod tests {
             None,
             &bin_of,
             false,
-            false,
+            &ObsSession::disabled(),
             &mut |l, lp, m, b1, b2, v| {
                 if (l, lp, m, b1, b2) == (0, 0, 0, 1, 1) {
                     raw = v;
@@ -792,7 +791,7 @@ mod tests {
                 rot,
                 &bin_of,
                 false,
-                false,
+                &ObsSession::disabled(),
                 &mut |l, lp, m, _, _, v| {
                     if (l, lp, m) == (1, 0, 0) {
                         *out = v;
@@ -809,10 +808,9 @@ mod tests {
 
     #[test]
     fn uninstrumented_run_takes_no_timings_and_same_values() {
-        // The zero-cost contract on the grid path: with `instrument`
-        // off the returned timings are exactly the default (no clock
-        // was read), and every streamed coefficient is bit-identical
-        // to the instrumented run.
+        // The zero-cost contract on the grid path: under a disabled
+        // session no clock is read and nothing is recorded, and every
+        // streamed coefficient is bit-identical to the observed run.
         let l_box = 8.0;
         let cat = Catalog::new_periodic(
             vec![
@@ -833,9 +831,9 @@ mod tests {
             deconvolve: false,
             interlace: false,
         };
-        let mut run = |instrument: bool| {
+        let run = |obs: &ObsSession| {
             let mut coeffs = Vec::new();
-            let timings = accumulate_zeta_multipoles(
+            accumulate_zeta_multipoles(
                 &cat,
                 &cfg,
                 2,
@@ -843,24 +841,32 @@ mod tests {
                 None,
                 &bin_of,
                 true,
-                instrument,
+                obs,
                 &mut |l, lp, m, b1, b2, v| coeffs.push((l, lp, m, b1, b2, v.re, v.im)),
             );
-            (timings, coeffs)
+            coeffs
         };
-        let (cold, plain) = run(false);
-        assert_eq!(cold.paint_nanos, 0);
-        assert_eq!(cold.field_nanos, 0);
-        assert_eq!(cold.zeta_nanos, 0);
-        assert_eq!(cold.selfpair_nanos, 0);
-        let (timed, instrumented) = run(true);
-        assert!(
-            timed.paint_nanos > 0 && timed.field_nanos > 0 && timed.zeta_nanos > 0,
-            "instrumented run should populate stage timings: {timed:?}"
-        );
-        assert_eq!(
-            plain, instrumented,
-            "values must not depend on instrumentation"
-        );
+        let cold = ObsSession::disabled();
+        // Other tests of this binary run concurrently and none is
+        // observed, so the process-wide read count may not move at all.
+        let before = galactos_obs::clock::reads();
+        let plain = run(&cold);
+        assert_eq!(galactos_obs::clock::reads(), before);
+        assert!(cold.tracer.finished().is_empty());
+
+        let timed = ObsSession::enabled();
+        let observed = {
+            let _g = timed.tracer.span("grid");
+            run(&timed)
+        };
+        let spans = timed.tracer.finished();
+        for stage in ["paint", "fields", "contract", "selfpair"] {
+            let hits: Vec<_> = spans.iter().filter(|s| s.name == stage).collect();
+            assert_eq!(hits.len(), 1, "one {stage} aggregate per call");
+            assert_eq!(hits[0].path, format!("grid/{stage}"));
+            assert!(hits[0].end_nanos > hits[0].start_nanos, "{stage} took time");
+        }
+        assert!(timed.registry.counter_value("grid.field_nanos") > 0);
+        assert_eq!(plain, observed, "values must not depend on observation");
     }
 }

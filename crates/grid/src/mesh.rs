@@ -109,6 +109,7 @@ impl DensityMesh {
 
     /// The half-cell-shifted painting, when interlacing was requested.
     #[inline]
+    // lint:allow(W-DEADPUB): oracle for the interlaced painting's bits, compared across pools by grid/tests/thread_invariance.rs
     pub fn shifted_data(&self) -> Option<&[f64]> {
         self.shifted.as_deref()
     }

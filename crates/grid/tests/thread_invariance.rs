@@ -102,7 +102,7 @@ fn zeta_map(
             None,
             &bin_of,
             true,
-            false,
+            &galactos_obs::ObsSession::disabled(),
             // Diagonal (b, b) keys are emitted twice — contraction,
             // then the self-pair subtraction — so collect emissions in
             // arrival order per key.

@@ -131,7 +131,7 @@ fn stream_hash(case: &Case, threads: usize) -> (u64, usize) {
                 case.rotation,
                 &bin_of,
                 case.subtract_self_pairs,
-                false,
+                &galactos_obs::ObsSession::disabled(),
                 &mut |l, lp, m, b1, b2, v| {
                     for index in [l, lp, m, b1, b2] {
                         fnv1a(&mut hash, index as u64);

@@ -1,6 +1,7 @@
 //! Brute-force reference searcher.
 //!
-//! O(N) per query; the ground truth against which the tree is tested.
+//! O(N) per query; the ground truth the tree's range and counting
+//! queries are tested against.
 
 use galactos_math::Vec3;
 
@@ -28,6 +29,7 @@ impl BruteForce {
     }
 
     /// Indices of all points within `radius` of `center` (inclusive).
+    // lint:allow(W-DEADPUB): oracle for KdTree::within in tree.rs tests and kdtree/tests/proptests.rs
     pub fn within(&self, center: Vec3, radius: f64) -> Vec<u32> {
         let r2 = radius * radius;
         self.points
@@ -39,26 +41,13 @@ impl BruteForce {
     }
 
     /// Count of points within `radius` of `center`.
+    // lint:allow(W-DEADPUB): oracle for KdTree::count_within in tree.rs tests and kdtree/tests/proptests.rs
     pub fn count_within(&self, center: Vec3, radius: f64) -> usize {
         let r2 = radius * radius;
         self.points
             .iter()
             .filter(|p| p.distance_sq(center) <= r2)
             .count()
-    }
-
-    /// The `k` nearest neighbors (index, squared distance), sorted by
-    /// distance ascending; fewer if the set is smaller than `k`.
-    pub fn nearest_k(&self, center: Vec3, k: usize) -> Vec<(u32, f64)> {
-        let mut all: Vec<(u32, f64)> = self
-            .points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u32, p.distance_sq(center)))
-            .collect();
-        all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
     }
 }
 
@@ -78,20 +67,5 @@ mod tests {
         assert_eq!(b.within(Vec3::ZERO, 2.5), vec![0, 1, 2]);
         assert_eq!(b.count_within(Vec3::ZERO, 2.5), 3);
         assert_eq!(b.len(), 4);
-    }
-
-    #[test]
-    fn nearest_k_sorted() {
-        let pts = vec![
-            Vec3::new(5.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(3.0, 0.0, 0.0),
-        ];
-        let b = BruteForce::new(&pts);
-        let nn = b.nearest_k(Vec3::ZERO, 2);
-        assert_eq!(nn.len(), 2);
-        assert_eq!(nn[0].0, 1);
-        assert_eq!(nn[1].0, 2);
-        assert!(b.nearest_k(Vec3::ZERO, 10).len() == 3);
     }
 }

@@ -19,19 +19,19 @@
 //!   performed in single precision due to its insensitivity to the
 //!   precision of galaxy locations") or `f64`;
 //! * sphere **range queries** (visitor and collecting forms), **counting
-//!   queries**, **k-nearest-neighbor** queries and **periodic-box**
-//!   variants;
+//!   queries** and **periodic-box** variants — fixed-radius only: the
+//!   algorithm never asks for the k nearest;
 //! * **node-to-node block queries** (paper §3.2): leaf enumeration
 //!   ([`KdTree::for_each_leaf`]) and a pruned walk that reports whole
 //!   contiguous slot *ranges* within reach of a query bounding box
 //!   ([`KdTree::for_each_within_of_aabb`]), so a caller can gather the
 //!   candidate secondaries of an entire leaf of primaries at once;
-//! * a brute-force reference searcher used by tests and benchmarks.
+//! * a brute-force reference searcher, the range-query oracle of the
+//!   tests.
 
 #![forbid(unsafe_code)]
 
 pub mod brute;
-pub mod knn;
 pub mod scalar;
 pub mod tree;
 

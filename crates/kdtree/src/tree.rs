@@ -19,16 +19,8 @@ impl Default for TreeConfig {
 }
 
 #[derive(Clone, Copy, Debug)]
-enum NodeKind<S> {
-    /// `axis`/`split` record the partition plane (kept for diagnostics
-    /// and future ordered traversals; pruning uses the cached bboxes).
-    #[allow(dead_code)]
-    Internal {
-        axis: u8,
-        split: S,
-        left: u32,
-        right: u32,
-    },
+enum NodeKind {
+    Internal { left: u32, right: u32 },
     Leaf,
 }
 
@@ -39,7 +31,7 @@ struct Node<S> {
     /// Contiguous range of reordered point slots covered by this subtree.
     start: u32,
     end: u32,
-    kind: NodeKind<S>,
+    kind: NodeKind,
 }
 
 impl<S: Scalar> Node<S> {
@@ -275,15 +267,9 @@ impl<S: Scalar> KdTree<S> {
             });
             apply_permutation(seg_coords, seg_ids, &perm);
         }
-        let split = coords[start + mid][axis];
         let left = self.build_node(coords, ids, start, start + mid, depth + 1);
         let right = self.build_node(coords, ids, start + mid, end, depth + 1);
-        self.nodes[idx as usize].kind = NodeKind::Internal {
-            axis: axis as u8,
-            split,
-            left,
-            right,
-        };
+        self.nodes[idx as usize].kind = NodeKind::Internal { left, right };
         idx
     }
 
@@ -365,7 +351,7 @@ impl<S: Scalar> KdTree<S> {
                     }
                 }
             }
-            NodeKind::Internal { left, right, .. } => {
+            NodeKind::Internal { left, right } => {
                 self.range_rec(left, c, r2, f);
                 self.range_rec(right, c, r2, f);
             }
@@ -403,7 +389,7 @@ impl<S: Scalar> KdTree<S> {
             NodeKind::Leaf => (n.start..n.end)
                 .filter(|&slot| distance_sq(self.coords[slot as usize], c) <= r2)
                 .count(),
-            NodeKind::Internal { left, right, .. } => {
+            NodeKind::Internal { left, right } => {
                 self.count_rec(left, c, r2) + self.count_rec(right, c, r2)
             }
         }
@@ -495,7 +481,7 @@ impl<S: Scalar> KdTree<S> {
         }
         match n.kind {
             NodeKind::Leaf => f(n.start, n.end),
-            NodeKind::Internal { left, right, .. } => {
+            NodeKind::Internal { left, right } => {
                 self.aabb_rec(left, qlo, qhi, r2, f);
                 self.aabb_rec(right, qlo, qhi, r2, f);
             }
@@ -524,36 +510,6 @@ impl<S: Scalar> KdTree<S> {
         for_each_reachable_image(lo, hi, radius, box_len, &mut |slo, shi| {
             self.for_each_within_of_aabb(slo, shi, radius, f)
         });
-    }
-
-    /// Internal accessors for the kNN module.
-    #[inline]
-    pub(crate) fn node_min_dist_sq(&self, node: u32, c: [S; 3]) -> S {
-        self.nodes[node as usize].min_dist_sq(c)
-    }
-
-    #[inline]
-    pub(crate) fn node_children(&self, node: u32) -> Option<(u32, u32)> {
-        match self.nodes[node as usize].kind {
-            NodeKind::Internal { left, right, .. } => Some((left, right)),
-            NodeKind::Leaf => None,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn node_range(&self, node: u32) -> (u32, u32) {
-        let n = &self.nodes[node as usize];
-        (n.start, n.end)
-    }
-
-    #[inline]
-    pub(crate) fn slot_coord(&self, slot: u32) -> [S; 3] {
-        self.coords[slot as usize]
-    }
-
-    #[inline]
-    pub(crate) fn convert_point(p: Vec3) -> [S; 3] {
-        Self::to_s(p)
     }
 }
 

@@ -46,26 +46,6 @@ proptest! {
     }
 
     #[test]
-    fn knn_distances_match_brute(
-        pts in arb_points(200),
-        cx in -50.0f64..50.0,
-        cy in -50.0f64..50.0,
-        cz in -50.0f64..50.0,
-        k in 1usize..20,
-    ) {
-        prop_assume!(!pts.is_empty());
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 6 });
-        let brute = BruteForce::new(&pts);
-        let c = Vec3::new(cx, cy, cz);
-        let got = tree.nearest_k(c, k);
-        let want = brute.nearest_k(c, k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want.iter()) {
-            prop_assert!((g.1 - w.1).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn tree_indices_are_a_permutation(pts in arb_points(250)) {
         let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 5 });
         let mut ids = tree.within(

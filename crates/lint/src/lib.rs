@@ -14,10 +14,11 @@
 //! | rule | contract |
 //! |------|----------|
 //! | `W-UNSAFE` | every `unsafe` fn/block/impl carries a `SAFETY` justification **and** matches the committed [`registry::REGISTRY_FILE`] |
-//! | `W-CLOCK` | `Instant::now` only in `crates/bench`, `obs::clock`, tests/examples, or instrument-gated code |
+//! | `W-CLOCK` | `Instant::now` only in `obs::clock`, tests/examples, or instrument-gated code |
 //! | `W-ENV` | no `env::var*` read and no `GALACTOS_*` literal in any non-test, non-example source |
 //! | `W-DETERMINISM` | parallel float reductions go through the ordered two-arg `fold`/`reduce` helpers |
 //! | `W-CAST` | no bare `as` narrowing in `catalog::io` / `shard.rs` header parsing |
+//! | `W-DEADPUB` | a `pub fn` / `pub(crate) fn` under `crates/*/src` is named by shipped code besides its definition, or carries a classed exemption |
 //!
 //! See [`rules`] for the precise scoping of each rule and the
 //! suppression syntax, and [`registry`] for the unsafe-registry
@@ -28,10 +29,10 @@
 //! All `.rs` files under the workspace root are scanned **except**
 //! anything under `vendor/` (third-party stand-ins are not ours to
 //! audit), `target/`, `fixtures/` (the lint's own test corpus
-//! contains deliberate violations), and `.git/`. Test, example, and
-//! bench *directories* are scanned but exempt from the runtime-path
-//! rules (`W-CLOCK`, `W-ENV`) — measurement code may read clocks and
-//! set knobs.
+//! contains deliberate violations), and `.git/`. Test and example
+//! *directories* are scanned but exempt from the runtime-path rules
+//! (`W-CLOCK`, `W-ENV`) — test and demo code may read clocks and set
+//! knobs — and test directories are not callers for `W-DEADPUB`.
 
 #![forbid(unsafe_code)]
 

@@ -1,12 +1,13 @@
-//! The rule engine: five contract rules, inline suppressions, and the
+//! The rule engine: six contract rules, inline suppressions, and the
 //! unsafe-site collector that feeds the committed registry.
 //!
 //! Every rule operates on the lexed token stream (see [`crate::lexer`])
 //! so nothing ever fires inside a string, char literal, or comment.
 //! Scoping is by path: each rule documents exactly which files it
-//! watches and which it deliberately ignores (bench code, tests,
-//! examples are allowed clocks; no library source is allowed an env
-//! read; and so on).
+//! watches and which it deliberately ignores (tests and examples are
+//! allowed clocks; no library source is allowed an env read; and so
+//! on). Five rules look at one file at a time; `W-DEADPUB` looks at
+//! the whole file set.
 //!
 //! # Suppressions
 //!
@@ -20,15 +21,29 @@
 //! either trailing on `L` itself or alone on the line(s) immediately
 //! above the first code line it governs. The reason is mandatory: a
 //! bare suppression, an empty reason, or an unknown rule id is itself
-//! reported (rule id `W-ALLOW`) and the suppression stays inert.
+//! reported (rule id `W-ALLOW`) and the suppression stays inert. A
+//! `W-DEADPUB` reason must open with one of the three exemption
+//! classes ([`DEADPUB_CLASSES`]) and name who uses the item.
 //! Registry mismatches (unregistered/stale unsafe sites) are not
 //! suppressible — that is the point of the registry.
 
 use crate::lexer::{lex, LexedFile, Token, TokenKind};
 use crate::registry::{self, Entry};
 
-/// The five contract rules, in report order.
-pub const RULES: [&str; 5] = ["W-UNSAFE", "W-CLOCK", "W-ENV", "W-DETERMINISM", "W-CAST"];
+/// The six contract rules, in report order.
+pub const RULES: [&str; 6] = [
+    "W-UNSAFE",
+    "W-CLOCK",
+    "W-ENV",
+    "W-DETERMINISM",
+    "W-CAST",
+    "W-DEADPUB",
+];
+
+/// How a `W-DEADPUB` suppression's reason must open: the item is a
+/// reference a test compares production output against, a constructor
+/// whose value the engine consumes, or a fault-injection entry.
+pub const DEADPUB_CLASSES: [&str; 3] = ["oracle for ", "consumed by ", "fault injection for "];
 
 /// Pseudo-rule id for malformed suppressions.
 pub const RULE_ALLOW: &str = "W-ALLOW";
@@ -90,8 +105,10 @@ pub fn lint_files(files: &[SourceFile], registry_text: Option<&str>) -> LintOutc
         files_scanned: files.len(),
         ..Default::default()
     };
-    for f in files {
-        lint_one(f, &mut out);
+    let lexed: Vec<LexedFile> = files.iter().map(|f| lex(&f.src)).collect();
+    let dead = rule_deadpub(files, &lexed);
+    for ((f, lexed), dead) in files.iter().zip(&lexed).zip(dead) {
+        lint_one(f, lexed, dead, &mut out);
     }
     registry::reconcile(&out.unsafe_sites, registry_text, &mut out.findings);
     out.findings
@@ -103,17 +120,17 @@ pub fn lint_files(files: &[SourceFile], registry_text: Option<&str>) -> LintOutc
 // Per-file pass
 // ---------------------------------------------------------------------------
 
-fn lint_one(f: &SourceFile, out: &mut LintOutcome) {
-    let lexed = lex(&f.src);
-    let (suppressions, mut allow_findings) = collect_suppressions(f, &lexed);
+/// The single-file rules over `f`, plus the suppression filter over
+/// their findings and over `raw` — what the whole-set rule found here.
+fn lint_one(f: &SourceFile, lexed: &LexedFile, mut raw: Vec<Finding>, out: &mut LintOutcome) {
+    let (suppressions, mut allow_findings) = collect_suppressions(f, lexed);
     out.findings.append(&mut allow_findings);
 
-    let mut raw = Vec::new();
-    rule_unsafe(f, &lexed, &mut raw, &mut out.unsafe_sites);
-    rule_clock(f, &lexed, &mut raw);
-    rule_env(f, &lexed, &mut raw);
-    rule_determinism(f, &lexed, &mut raw);
-    rule_cast(f, &lexed, &mut raw);
+    rule_unsafe(f, lexed, &mut raw, &mut out.unsafe_sites);
+    rule_clock(f, lexed, &mut raw);
+    rule_env(f, lexed, &mut raw);
+    rule_determinism(f, lexed, &mut raw);
+    rule_cast(f, lexed, &mut raw);
 
     for finding in raw {
         let key = (finding.rule.clone(), finding.line);
@@ -175,6 +192,18 @@ fn collect_suppressions(f: &SourceFile, lexed: &LexedFile) -> (Vec<(String, usiz
             ));
             continue;
         }
+        if rule == "W-DEADPUB" && !DEADPUB_CLASSES.iter().any(|c| reason.starts_with(c)) {
+            findings.push(Finding::new(
+                RULE_ALLOW,
+                &f.path,
+                c.first_line,
+                format!(
+                    "W-DEADPUB exemption must open with one of {DEADPUB_CLASSES:?} \
+                     and name the user; suppression ignored"
+                ),
+            ));
+            continue;
+        }
         // Trailing on a code line governs that line; a standalone
         // comment governs the next line that has code.
         let target = if lexed.line_has_code(c.first_line) {
@@ -201,13 +230,16 @@ fn has_component(path: &str, name: &str) -> bool {
     path.split('/').any(|c| c == name)
 }
 
-/// Test/example/bench *directories* are exempt from the runtime-contract
-/// rules (W-CLOCK, W-ENV): measurement and demo code may read clocks and
-/// set knobs freely.
+/// Test and example *directories* are exempt from the runtime-contract
+/// rules (W-CLOCK, W-ENV): test and demo code may read clocks and set
+/// knobs freely.
 fn is_test_or_example(path: &str) -> bool {
-    has_component(path, "tests")
-        || has_component(path, "examples")
-        || has_component(path, "benches")
+    is_test_dir(path) || has_component(path, "examples")
+}
+
+/// Test *directories*: code here is not a caller for W-DEADPUB.
+fn is_test_dir(path: &str) -> bool {
+    has_component(path, "tests") || has_component(path, "benches")
 }
 
 // ---------------------------------------------------------------------------
@@ -371,20 +403,18 @@ fn fn_contexts(toks: &[Token]) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// W-CLOCK — Instant::now only in bench code, the obs clock gate, tests,
-// examples, or behind a reasoned suppression at an instrument gate.
+// W-CLOCK — Instant::now only in the obs clock gate, tests, examples,
+// or behind a reasoned suppression at an instrument gate.
 // ---------------------------------------------------------------------------
 
 fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
-    // obs::clock is the registered runtime gate: every compute-path
-    // clock read funnels through its now_if/nanos_since, which count
-    // reads so tests can pin "uninstrumented => zero reads". Only
-    // clock.rs is sanctioned — the rest of crates/obs must route
-    // through it like everyone else.
-    if f.path.starts_with("crates/bench/")
-        || f.path == "crates/obs/src/clock.rs"
-        || is_test_or_example(&f.path)
-    {
+    // obs::clock is the registered gate: every clock read outside
+    // tests and examples funnels through its now_if/nanos_since/Epoch,
+    // which count reads so tests can pin "uninstrumented => zero
+    // reads". Only clock.rs is sanctioned — the rest of crates/obs,
+    // and the figure binaries of crates/bench, route through it like
+    // everyone else.
+    if f.path == "crates/obs/src/clock.rs" || is_test_or_example(&f.path) {
         return;
     }
     for i in seq_matches(&lexed.tokens, &["Instant", ":", ":", "now"]) {
@@ -392,9 +422,9 @@ fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
             "W-CLOCK",
             &f.path,
             lexed.tokens[i].line,
-            "Instant::now() on a compute path: clock reads must live in \
-             crates/bench, obs::clock, or behind an instrument gate \
-             (now_if) carrying a reasoned lint:allow"
+            "Instant::now() outside the clock gate: clock reads must live \
+             in obs::clock, or behind an instrument gate (now_if) \
+             carrying a reasoned lint:allow"
                 .to_string(),
         ));
     }
@@ -564,8 +594,130 @@ fn rule_cast(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
+// W-DEADPUB — public means called: a `pub fn` / `pub(crate) fn` under
+// crates/*/src must be named somewhere in non-test source besides its
+// definition, or carry a classed exemption.
+// ---------------------------------------------------------------------------
+
+/// Per token: is it code that ships? `false` inside an item under
+/// `#[cfg(test)]` — the attribute, any attributes after it, and the
+/// item through its closing brace or `;`. The names of file modules
+/// declared that way (`#[cfg(test)] mod name;`) are pushed to
+/// `test_mods`.
+fn shipped_mask(toks: &[Token], test_mods: &mut Vec<String>) -> Vec<bool> {
+    let mut mask = vec![true; toks.len()];
+    for start in seq_matches(toks, &["#", "[", "cfg", "(", "test", ")", "]"]) {
+        if !mask[start] {
+            continue;
+        }
+        let mut i = start + 7;
+        let mut depth = 0usize;
+        let mut in_attr = false;
+        while let Some(t) = toks.get(i) {
+            if t.kind == TokenKind::Punct {
+                match t.text.as_str() {
+                    "#" if depth == 0 => in_attr = true,
+                    "(" | "[" | "{" => depth += 1,
+                    ")" | "]" | "}" => {
+                        depth = depth.saturating_sub(1);
+                        if depth == 0 && !in_attr && t.text == "}" {
+                            break;
+                        }
+                        in_attr &= depth > 0;
+                    }
+                    ";" if depth == 0 => {
+                        if tok_is(toks, i - 2, "mod") {
+                            test_mods.push(toks[i - 1].text.clone());
+                        }
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            i += 1;
+        }
+        mask[start..toks.len().min(i + 1)].fill(false);
+    }
+    mask
+}
+
+/// One finding list per file, unsuppressed. A name is *called* when it
+/// occurs, outside test directories and `#[cfg(test)]` items, more
+/// often than `fn` definitions of it do — examples, the bench bins, the
+/// facade and `benchmark/src` all count as callers; a method that
+/// shares its name with any called function counts as called (this is
+/// a name scan, not a resolver).
+fn rule_deadpub(files: &[SourceFile], lexed: &[LexedFile]) -> Vec<Vec<Finding>> {
+    use std::collections::{HashMap, HashSet};
+    // Files that are `#[cfg(test)] mod name;` of a sibling do not ship.
+    let mut masks = Vec::with_capacity(files.len());
+    let mut test_files: HashSet<String> = HashSet::new();
+    for (f, lx) in files.iter().zip(lexed) {
+        let mut mods = Vec::new();
+        masks.push(shipped_mask(&lx.tokens, &mut mods));
+        let dir = f.path.rsplit_once('/').map_or("", |(d, _)| d);
+        for m in mods {
+            test_files.insert(format!("{dir}/{m}.rs"));
+            test_files.insert(format!("{dir}/{m}/mod.rs"));
+        }
+    }
+    let shipped = |k: usize| !is_test_dir(&files[k].path) && !test_files.contains(&files[k].path);
+
+    // (occurrences, `fn` definitions) per identifier in shipped code.
+    let mut names: HashMap<&str, (usize, usize)> = HashMap::new();
+    for (k, lx) in lexed.iter().enumerate().filter(|&(k, _)| shipped(k)) {
+        let toks = &lx.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind == TokenKind::Ident && masks[k][i] {
+                let e = names.entry(&t.text).or_default();
+                e.0 += 1;
+                e.1 += usize::from(i > 0 && tok_is(toks, i - 1, "fn"));
+            }
+        }
+    }
+
+    let mut out: Vec<Vec<Finding>> = files.iter().map(|_| Vec::new()).collect();
+    for (k, lx) in lexed.iter().enumerate().filter(|&(k, _)| shipped(k)) {
+        let path = files[k].path.as_str();
+        let mut parts = path.split('/');
+        if (parts.next(), parts.nth(1)) != (Some("crates"), Some("src")) {
+            continue;
+        }
+        let toks = &lx.tokens;
+        for i in (0..toks.len()).filter(|&i| masks[k][i] && tok_is(toks, i, "pub")) {
+            let crate_wide = tok_is(toks, i + 1, "(") && tok_is(toks, i + 2, "crate");
+            let kw = if crate_wide { i + 4 } else { i + 1 };
+            let Some(name) = toks.get(kw + 1).filter(|_| tok_is(toks, kw, "fn")) else {
+                continue;
+            };
+            let (uses, defs) = names[name.text.as_str()];
+            if uses <= defs {
+                out[k].push(Finding::new(
+                    "W-DEADPUB",
+                    path,
+                    toks[i].line,
+                    format!(
+                        "`{}` is public but nothing outside tests names it: \
+                         delete it with the tests that checked only it, or \
+                         exempt it with a classed lint:allow",
+                        name.text
+                    ),
+                ));
+            }
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
 // Token-sequence matching
 // ---------------------------------------------------------------------------
+
+/// Is token `i` the ident or punct `want`?
+fn tok_is(toks: &[Token], i: usize, want: &str) -> bool {
+    toks.get(i)
+        .is_some_and(|t| matches!(t.kind, TokenKind::Ident | TokenKind::Punct) && t.text == want)
+}
 
 /// Indices where the idents/puncts of `pat` occur consecutively.
 fn seq_matches(toks: &[Token], pat: &[&str]) -> Vec<usize> {
@@ -573,18 +725,14 @@ fn seq_matches(toks: &[Token], pat: &[&str]) -> Vec<usize> {
     if toks.len() < pat.len() {
         return out;
     }
-    'outer: for i in 0..=toks.len() - pat.len() {
-        for (k, want) in pat.iter().enumerate() {
-            let t = &toks[i + k];
-            let ok = match t.kind {
-                TokenKind::Ident | TokenKind::Punct => t.text == *want,
-                _ => false,
-            };
-            if !ok {
-                continue 'outer;
-            }
+    for i in 0..=toks.len() - pat.len() {
+        if pat
+            .iter()
+            .enumerate()
+            .all(|(k, want)| tok_is(toks, i + k, want))
+        {
+            out.push(i);
         }
-        out.push(i);
     }
     out
 }
@@ -621,8 +769,14 @@ mod tests {
 
     #[test]
     fn clock_allowed_in_bench_timing_tests_examples() {
-        for path in [
+        // crates/bench lost its allowlist entry: its bins time through
+        // obs::clock like every other crate.
+        let out = run(
             "crates/bench/src/main.rs",
+            "fn main() { let t = Instant::now(); }",
+        );
+        assert_eq!(rules_of(&out), ["W-CLOCK"]);
+        for path in [
             "crates/obs/src/clock.rs",
             "crates/core/tests/perf.rs",
             "examples/quickstart.rs",
@@ -693,6 +847,62 @@ mod tests {
             "/// Suppress with `// lint:allow(W-BOGUS): reason` inline.\nfn f() {}",
         );
         assert!(out.is_clean());
+    }
+
+    // ----- W-DEADPUB -----
+
+    fn run_set(files: &[(&str, &str)]) -> LintOutcome {
+        let files: Vec<SourceFile> = files
+            .iter()
+            .map(|(path, src)| SourceFile {
+                path: path.to_string(),
+                src: src.to_string(),
+            })
+            .collect();
+        lint_files(&files, Some(""))
+    }
+
+    #[test]
+    fn deadpub_counts_callers_in_shipped_code_only() {
+        let def = "pub fn lonely() {}\npub(crate) fn shy() {}\nfn private() {}";
+        // Nothing names them: both public items fire, the private one
+        // is the compiler's business.
+        let out = run_set(&[("crates/core/src/a.rs", def)]);
+        assert_eq!(rules_of(&out), ["W-DEADPUB", "W-DEADPUB"]);
+        assert_eq!((out.findings[0].line, out.findings[1].line), (1, 2));
+        // Tests, benches, a `#[cfg(test)]` item and a `#[cfg(test)] mod x;`
+        // file are not callers; a second definition is not a use.
+        let out = run_set(&[
+            ("crates/core/src/a.rs", def),
+            ("crates/core/tests/t.rs", "fn t() { lonely(); shy(); }"),
+            ("crates/core/src/b.rs", "#[cfg(test)]\nmod tests { fn t() { lonely(); shy(); } }\n#[cfg(test)]\npub mod util;\nfn lonely() {}"),
+            ("crates/core/src/util.rs", "pub fn helper() { shy(); }"),
+        ]);
+        assert_eq!(rules_of(&out), ["W-DEADPUB", "W-DEADPUB"]);
+        // An example, a bench bin, the facade or benchmark/src is.
+        for caller in [
+            "examples/demo.rs",
+            "crates/bench/src/bin/fig.rs",
+            "src/lib.rs",
+            "benchmark/src/ladder.rs",
+        ] {
+            let out = run_set(&[
+                ("crates/core/src/a.rs", def),
+                (caller, "fn f() { lonely(); shy() }"),
+            ]);
+            assert!(out.is_clean(), "{caller}: {:?}", out.findings);
+        }
+        // Only crates/*/src is held to the rule.
+        assert!(run_set(&[("src/lib.rs", def), ("examples/e.rs", def)]).is_clean());
+    }
+
+    #[test]
+    fn deadpub_exemption_needs_a_class() {
+        let classed = "// lint:allow(W-DEADPUB): oracle for Engine::compute in tests/oracle.rs\npub fn naive() {}";
+        assert!(run("crates/core/src/naive.rs", classed).is_clean());
+        let unclassed = "// lint:allow(W-DEADPUB): tests use it\npub fn naive() {}";
+        let out = run("crates/core/src/naive.rs", unclassed);
+        assert_eq!(rules_of(&out), ["W-ALLOW", "W-DEADPUB"]);
     }
 
     // ----- W-ENV -----

@@ -45,6 +45,7 @@ fn violations_exit_nonzero_with_report() {
         "W-ENV",
         "W-DETERMINISM",
         "W-CAST",
+        "W-DEADPUB",
         "W-ALLOW",
     ] {
         assert!(json.contains(rule), "report missing {rule}:\n{json}");

@@ -1,6 +1,6 @@
 //! The fixture corpus: a must-not-fire tree (`fixtures/clean`) where
 //! every rule has a legitimate near-miss, and a must-fire tree
-//! (`fixtures/violations`) seeding exactly one violation per rule.
+//! (`fixtures/violations`) seeding each rule's violations.
 //! Both trees are excluded from the workspace scan (`fixtures/` is an
 //! excluded directory) and only ever linted by pointing the engine at
 //! them directly.
@@ -46,10 +46,14 @@ fn violations_tree_fires_every_rule() {
         .map(|f| (f.rule.clone(), f.file.clone(), f.line))
         .collect();
     let want: Vec<(String, String, usize)> = [
-        ("W-UNSAFE", "UNSAFE_REGISTRY.txt", 3), // stale entry
+        ("W-UNSAFE", "UNSAFE_REGISTRY.txt", 3),     // stale entry
+        ("W-CLOCK", "crates/bench/src/main.rs", 9), // bench is not allowlisted
         ("W-CAST", "crates/catalog/src/io.rs", 4),
         ("W-ALLOW", "crates/core/src/clock.rs", 7), // bare suppression
         ("W-CLOCK", "crates/core/src/clock.rs", 8), // ... which stays inert
+        ("W-DEADPUB", "crates/core/src/dead.rs", 6), // named by its test only
+        ("W-ALLOW", "crates/core/src/dead.rs", 10), // exemption without a class
+        ("W-DEADPUB", "crates/core/src/dead.rs", 11), // ... which stays inert
         ("W-DETERMINISM", "crates/core/src/reduce.rs", 5),
         ("W-ENV", "crates/grid/src/env.rs", 5), // env::var read
         ("W-ENV", "crates/grid/src/env.rs", 5), // GALACTOS_ literal

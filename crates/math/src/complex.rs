@@ -39,12 +39,6 @@ impl Complex64 {
         Complex64 { re: c, im: s }
     }
 
-    /// Polar form `r e^{iθ}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Self::cis(theta) * r
-    }
-
     #[inline]
     pub fn conj(self) -> Self {
         Complex64 {
@@ -103,11 +97,6 @@ impl Complex64 {
             n >>= 1;
         }
         acc
-    }
-
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 
     /// Max of |Δre|, |Δim| — convenient for test tolerances.
@@ -273,7 +262,7 @@ mod tests {
         let z = Complex64::cis(t);
         assert!((z.abs() - 1.0).abs() < EPS);
         assert!((z.arg() - t).abs() < EPS);
-        let p = Complex64::from_polar(2.5, -1.1);
+        let p = Complex64::cis(-1.1) * 2.5;
         assert!((p.abs() - 2.5).abs() < EPS);
         assert!((p.arg() + 1.1).abs() < EPS);
     }

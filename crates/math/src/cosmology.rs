@@ -20,8 +20,8 @@
 //! * **Units are h⁻¹ Mpc** by default, matching every distance in the
 //!   engine (`Galaxy::pos` is a comoving position in Mpc/h). In these
 //!   units the Hubble constant drops out: `c/H₀ = 2997.92… h⁻¹ Mpc`
-//!   regardless of `h`. [`FiducialCosmology::comoving_distance_mpc`]
-//!   divides by `h` for the rare consumer that wants plain Mpc.
+//!   regardless of `h`; the rare consumer that wants plain Mpc divides
+//!   by [`FiducialCosmology::h`].
 //! * **Flat ΛCDM only**: `Ω_Λ = 1 − Ω_m`, radiation and curvature are
 //!   neglected — sub-0.1% effects at survey redshifts, far below the
 //!   fiducial-cosmology systematic itself.
@@ -73,11 +73,6 @@ impl FiducialCosmology {
         FiducialCosmology::new(0.31, 0.676)
     }
 
-    /// A Planck-2018-like cosmology: Ω_m = 0.315, h = 0.674.
-    pub fn planck() -> Self {
-        FiducialCosmology::new(0.315, 0.674)
-    }
-
     /// The dimensionless Hubble rate `E(z) = H(z)/H₀` for flat ΛCDM.
     #[inline]
     pub fn e_of_z(&self, z: f64) -> f64 {
@@ -107,12 +102,6 @@ impl FiducialCosmology {
             acc += w * f(i as f64 * h);
         }
         HUBBLE_DISTANCE * acc * h / 3.0
-    }
-
-    /// Line-of-sight comoving distance in plain Mpc (divides the
-    /// h⁻¹ Mpc distance by `h`).
-    pub fn comoving_distance_mpc(&self, z: f64) -> f64 {
-        self.comoving_distance(z) / self.h
     }
 
     /// Invert [`comoving_distance`](Self::comoving_distance): the
@@ -186,7 +175,7 @@ mod tests {
 
     #[test]
     fn distance_is_monotonic_in_redshift() {
-        let c = FiducialCosmology::planck();
+        let c = FiducialCosmology::new(0.315, 0.674);
         let mut prev = 0.0;
         for i in 1..=40 {
             let d = c.comoving_distance(i as f64 * 0.05);
@@ -214,15 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn mpc_units_divide_by_h() {
-        let c = FiducialCosmology::new(0.31, 0.5);
-        let z = 0.4;
-        assert!((c.comoving_distance_mpc(z) - c.comoving_distance(z) / 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_redshift_panics() {
-        FiducialCosmology::planck().comoving_distance(-0.1);
+        FiducialCosmology::new(0.315, 0.674).comoving_distance(-0.1);
     }
 }

@@ -1,22 +1,13 @@
-//! Factorials, double factorials and binomial coefficients.
+//! Factorials and binomial coefficients.
 //!
 //! The spherical-harmonic normalizations and Wigner 3-j symbols need
 //! factorials of arguments up to `3·ℓmax + 1`. For Galactos' `ℓmax = 10`
-//! this stays small, but we provide both exact (`u128`, up to 33!) and
-//! floating-point (`f64` and log-space) variants so the Wigner code can
-//! stay accurate for larger multipoles.
-
-/// Largest `n` with `n!` representable in `u128`.
-pub const MAX_EXACT_FACTORIAL: usize = 33;
+//! this stays small; the log-space forms keep the Wigner code accurate
+//! for larger multipoles, and the Legendre coefficients take exact
+//! `u128` binomials.
 
 /// Largest `n` with `n!` finite in `f64`.
 pub const MAX_F64_FACTORIAL: usize = 170;
-
-/// `n!` exactly, for `n <= 33`.
-pub fn factorial_u128(n: usize) -> u128 {
-    assert!(n <= MAX_EXACT_FACTORIAL, "{n}! overflows u128");
-    (1..=n as u128).product()
-}
 
 /// `n!` as `f64`; exact for `n <= 22` (fits in 53-bit mantissa region up
 /// to 18!, and correctly rounded beyond), finite up to `n = 170`.
@@ -35,33 +26,6 @@ pub fn factorial(n: usize) -> f64 {
 /// the Wigner 3-j evaluation sums and exponentiates these.
 pub fn ln_factorial(n: usize) -> f64 {
     (2..=n).map(|k| (k as f64).ln()).sum()
-}
-
-/// Double factorial `n!! = n (n-2) (n-4) …` with `0!! = (-1)!! = 1`.
-pub fn double_factorial(n: i64) -> f64 {
-    assert!(n >= -1, "double factorial undefined for n < -1");
-    let mut acc = 1.0;
-    let mut k = n;
-    while k > 1 {
-        acc *= k as f64;
-        k -= 2;
-    }
-    acc
-}
-
-/// Binomial coefficient `C(n, k)` as `f64` (0 when `k > n`).
-pub fn binomial(n: usize, k: usize) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    let k = k.min(n - k);
-    // Multiplicative formula keeps intermediate values small & exact for
-    // the moderate n used in Legendre/Ylm coefficient generation.
-    let mut acc = 1.0f64;
-    for i in 0..k {
-        acc = acc * (n - i) as f64 / (i + 1) as f64;
-    }
-    acc.round()
 }
 
 /// Binomial coefficient exactly in `u128` (panics on overflow).
@@ -115,10 +79,9 @@ mod tests {
     fn small_factorials_exact() {
         let expected = [1u128, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880];
         for (n, &e) in expected.iter().enumerate() {
-            assert_eq!(factorial_u128(n), e);
             assert_eq!(factorial(n), e as f64);
         }
-        assert_eq!(factorial_u128(20), 2_432_902_008_176_640_000);
+        assert_eq!(factorial(20), 2_432_902_008_176_640_000u128 as f64);
     }
 
     #[test]
@@ -139,30 +102,6 @@ mod tests {
             assert!((t.get(n) - ln_factorial(n)).abs() < 1e-9, "n={n}");
         }
         assert_eq!(t.max_n(), 100);
-    }
-
-    #[test]
-    fn double_factorials() {
-        assert_eq!(double_factorial(-1), 1.0);
-        assert_eq!(double_factorial(0), 1.0);
-        assert_eq!(double_factorial(1), 1.0);
-        assert_eq!(double_factorial(5), 15.0);
-        assert_eq!(double_factorial(6), 48.0);
-        assert_eq!(double_factorial(9), 945.0);
-        // (2m-1)!! = (2m)!/(2^m m!)
-        for m in 0..10usize {
-            let lhs = double_factorial(2 * m as i64 - 1);
-            let rhs = factorial(2 * m) / (2f64.powi(m as i32) * factorial(m));
-            assert!((lhs - rhs).abs() / rhs < 1e-12, "m={m}");
-        }
-    }
-
-    #[test]
-    fn binomials() {
-        assert_eq!(binomial(0, 0), 1.0);
-        assert_eq!(binomial(5, 2), 10.0);
-        assert_eq!(binomial(10, 5), 252.0);
-        assert_eq!(binomial(4, 7), 0.0);
     }
 
     #[test]

@@ -166,6 +166,7 @@ fn tile_fft(re: &mut [Lanes], im: &mut [Lanes], rows: usize, w: usize, tw: &[Com
 
 /// In-place 1-D FFT of a power-of-two-length buffer: a line is a
 /// one-lane tile.
+// lint:allow(W-DEADPUB): oracle for Mesh3::fft3: the one-lane transform its tile columns must reproduce bit for bit (fft.rs tests)
 pub fn fft_inplace(data: &mut [Complex64], dir: Direction) {
     let n = data.len();
     assert!(
@@ -544,6 +545,7 @@ impl Mesh3 {
 }
 
 /// Naive O(N²) DFT used as the test oracle.
+// lint:allow(W-DEADPUB): oracle for tile_fft and Mesh3::fft3 in fft.rs tests
 pub fn dft_reference(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
     let n = input.len();
     let sign = match dir {

@@ -20,6 +20,7 @@ use crate::factorial::binomial_u128;
 
 /// Legendre polynomial `P_ℓ(x)` via the three-term recurrence
 /// `(ℓ+1) P_{ℓ+1} = (2ℓ+1) x P_ℓ − ℓ P_{ℓ−1}`.
+// lint:allow(W-DEADPUB): oracle for legendre_all, the mixing matrix and the addition theorem (legendre.rs, core/src/edge.rs and sphharm.rs tests)
 pub fn legendre_p(l: usize, x: f64) -> f64 {
     match l {
         0 => 1.0,
@@ -118,14 +119,14 @@ pub fn legendre_derivative_coefficients(l: usize, m: usize) -> Vec<f64> {
     c
 }
 
-/// Evaluate a polynomial given by `coeffs[k] u^k` via Horner's rule.
-pub fn eval_poly(coeffs: &[f64], u: f64) -> f64 {
-    coeffs.iter().rev().fold(0.0, |acc, &c| acc * u + c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Σ coeffs[k] u^k` by Horner's rule.
+    fn eval_poly(coeffs: &[f64], u: f64) -> f64 {
+        coeffs.iter().rev().fold(0.0, |acc, &c| acc * u + c)
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64, msg: &str) {
         assert!(

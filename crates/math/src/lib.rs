@@ -7,7 +7,7 @@
 //! * complex arithmetic ([`complex`]),
 //! * a radix-2 complex FFT, 1-D and 3-D, shared by the mock generators
 //!   and the gridded a_ℓm estimator ([`fft`]),
-//! * factorial / binomial tables ([`factorial`]),
+//! * factorials and binomial coefficients ([`factorial`]),
 //! * Legendre polynomials and associated Legendre functions ([`legendre`]),
 //! * complex spherical harmonics evaluated directly ([`sphharm`]),
 //! * sparse trivariate polynomial algebra used to expand spherical
@@ -17,8 +17,8 @@
 //!   multipole kernel executes ([`monomial`]),
 //! * the `Y_ℓm → monomial` coefficient tables used to assemble spherical
 //!   harmonic coefficients `a_ℓm` from accumulated monomial sums ([`ylm`]),
-//! * Wigner 3-j symbols and Gaunt coefficients for edge-correction and
-//!   multipole coupling ([`wigner`]),
+//! * Wigner 3-j symbols for edge-correction and multipole coupling
+//!   ([`wigner`]),
 //! * rotations taking a line-of-sight direction to the z-axis, the key
 //!   geometric step of the anisotropic algorithm ([`rotation`]),
 //! * fiducial-cosmology redshift → comoving-distance conversion for
@@ -66,16 +66,6 @@ pub fn lm_index(l: usize, m: usize) -> usize {
     l * (l + 1) / 2 + m
 }
 
-/// Inverse of [`lm_index`].
-#[inline]
-pub fn lm_from_index(idx: usize) -> (usize, usize) {
-    // Solve l(l+1)/2 <= idx: l = floor((sqrt(8 idx + 1) - 1)/2).
-    let l = (((8 * idx + 1) as f64).sqrt() as usize).saturating_sub(1) / 2;
-    // Guard against floating point at the boundary.
-    let l = if lm_index(l + 1, 0) <= idx { l + 1 } else { l };
-    (l, idx - lm_index(l, 0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +76,6 @@ mod tests {
         for l in 0..=24 {
             for m in 0..=l {
                 assert_eq!(lm_index(l, m), idx);
-                assert_eq!(lm_from_index(idx), (l, m));
                 idx += 1;
             }
         }

@@ -23,75 +23,6 @@ impl Matrix {
         }
     }
 
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut m = Matrix::zeros(r, c);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), c, "ragged rows");
-            m.data[i * c..(i + 1) * c].copy_from_slice(row);
-        }
-        m
-    }
-
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols);
-        (0..self.rows)
-            .map(|i| {
-                self.data[i * self.cols..(i + 1) * self.cols]
-                    .iter()
-                    .zip(x)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            })
-            .collect()
-    }
-
-    pub fn matmul(&self, o: &Matrix) -> Matrix {
-        assert_eq!(self.cols, o.rows);
-        let mut out = Matrix::zeros(self.rows, o.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..o.cols {
-                    out[(i, j)] += a * o[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// Solve `A x = b` by LU with partial pivoting. Returns `None` for
     /// (numerically) singular systems.
     pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
@@ -143,35 +74,6 @@ impl Matrix {
         }
         Some(out)
     }
-
-    /// Matrix inverse via column-by-column solves.
-    pub fn inverse(&self) -> Option<Matrix> {
-        assert_eq!(self.rows, self.cols);
-        let n = self.rows;
-        let mut out = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = vec![0.0; n];
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                out[(i, j)] = col[i];
-            }
-        }
-        Some(out)
-    }
-
-    /// Max-abs element of `A·B − I` (test helper).
-    pub fn inverse_error(&self, inv: &Matrix) -> f64 {
-        let p = self.matmul(inv);
-        let mut err = 0.0f64;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let want = if i == j { 1.0 } else { 0.0 };
-                err = err.max((p[(i, j)] - want).abs());
-            }
-        }
-        err
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -193,10 +95,20 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 mod tests {
     use super::*;
 
+    fn matrix(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                m[(i, j)] = v;
+            }
+        }
+        m
+    }
+
     #[test]
     fn solve_known_system() {
         // 2x + y = 5; x + 3y = 10 → x = 1, y = 3
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let a = matrix(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let x = a.solve(&[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -205,7 +117,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Zero on the diagonal forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let a = matrix(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let x = a.solve(&[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
@@ -213,26 +125,8 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let a = matrix(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(a.solve(&[1.0, 2.0]).is_none());
-        assert!(a.inverse().is_none());
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = Matrix::from_rows(&[&[4.0, -2.0, 1.0], &[3.0, 6.0, -4.0], &[2.0, 1.0, 8.0]]);
-        let inv = a.inverse().unwrap();
-        assert!(a.inverse_error(&inv) < 1e-12);
-    }
-
-    #[test]
-    fn matvec_and_matmul() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        let b = Matrix::identity(2);
-        assert_eq!(a.matmul(&b), a);
-        let t = a.transpose();
-        assert_eq!(t[(0, 1)], 3.0);
     }
 
     #[test]
@@ -255,8 +149,8 @@ mod tests {
         }
         let b: Vec<f64> = (0..n).map(|_| next()).collect();
         let x = a.solve(&b).unwrap();
-        let r = a.matvec(&x);
-        for (ri, bi) in r.iter().zip(b.iter()) {
+        for (i, bi) in b.iter().enumerate() {
+            let ri: f64 = (0..n).map(|j| a[(i, j)] * x[j]).sum();
             assert!((ri - bi).abs() < 1e-10);
         }
     }

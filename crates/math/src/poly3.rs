@@ -37,17 +37,6 @@ impl Poly3 {
         p
     }
 
-    /// `x`, `y` or `z` as a polynomial (axis 0/1/2).
-    pub fn variable(axis: usize) -> Self {
-        let exps = match axis {
-            0 => (1, 0, 0),
-            1 => (0, 1, 0),
-            2 => (0, 0, 1),
-            _ => panic!("axis out of range"),
-        };
-        Poly3::monomial(exps, Complex64::ONE)
-    }
-
     /// Add `c · x^k y^p z^q` in place, removing the term if it cancels.
     pub fn add_term(&mut self, exps: Exponents, c: Complex64) {
         let entry = self.terms.entry(exps).or_insert(Complex64::ZERO);
@@ -57,23 +46,9 @@ impl Poly3 {
         }
     }
 
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Number of stored (non-zero) terms.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Iterate over `((k, p, q), coefficient)` pairs in exponent order.
     pub fn terms(&self) -> impl Iterator<Item = (Exponents, Complex64)> + '_ {
         self.terms.iter().map(|(&e, &c)| (e, c))
-    }
-
-    /// Total degree of the highest-degree term (`None` for the zero poly).
-    pub fn degree(&self) -> Option<u32> {
-        self.terms.keys().map(|&(k, p, q)| k + p + q).max()
     }
 
     /// True if every term has total degree `d`.
@@ -150,11 +125,17 @@ mod tests {
         Complex64::real(re)
     }
 
+    /// `x`, `y` or `z` as a polynomial (axis 0/1/2).
+    fn variable(axis: usize) -> Poly3 {
+        let exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)][axis];
+        Poly3::monomial(exps, Complex64::ONE)
+    }
+
     #[test]
     fn construction_and_terms() {
         let p = Poly3::monomial((1, 2, 0), c(3.0)).add(&Poly3::constant(c(-1.0)));
-        assert_eq!(p.num_terms(), 2);
-        assert_eq!(p.degree(), Some(3));
+        let exps: Vec<Exponents> = p.terms().map(|(e, _)| e).collect();
+        assert_eq!(exps, [(0, 0, 0), (1, 2, 0)]);
         assert!(!p.is_homogeneous(3));
     }
 
@@ -162,13 +143,13 @@ mod tests {
     fn cancellation_removes_terms() {
         let p = Poly3::monomial((1, 0, 0), c(2.0));
         let q = Poly3::monomial((1, 0, 0), c(-2.0));
-        assert!(p.add(&q).is_zero());
+        assert_eq!(p.add(&q), Poly3::zero());
     }
 
     #[test]
     fn multiplication_matches_eval() {
-        let p = Poly3::variable(0).add(&Poly3::variable(1).scale(c(2.0))); // x + 2y
-        let q = Poly3::variable(2).add(&Poly3::constant(c(-1.0))); // z - 1
+        let p = variable(0).add(&variable(1).scale(c(2.0))); // x + 2y
+        let q = variable(2).add(&Poly3::constant(c(-1.0))); // z - 1
         let prod = p.mul(&q);
         for &(x, y, z) in &[(0.5, -1.0, 2.0), (1.1, 0.3, -0.7)] {
             let lhs = prod.eval(x, y, z);
@@ -180,9 +161,9 @@ mod tests {
     #[test]
     fn power_expansion() {
         // (x + y)^2 = x^2 + 2xy + y^2
-        let p = Poly3::variable(0).add(&Poly3::variable(1));
+        let p = variable(0).add(&variable(1));
         let sq = p.pow(2);
-        assert_eq!(sq.num_terms(), 3);
+        assert_eq!(sq.terms().count(), 3);
         assert!(sq.eval(2.0, 3.0, 0.0).dist_inf(c(25.0)) < 1e-12);
         assert!(sq.is_homogeneous(2));
     }

@@ -33,14 +33,6 @@ impl Mat3 {
         Mat3 { rows }
     }
 
-    /// Matrix from three row vectors.
-    #[inline]
-    pub fn from_rows(r0: Vec3, r1: Vec3, r2: Vec3) -> Self {
-        Mat3 {
-            rows: [r0.to_array(), r1.to_array(), r2.to_array()],
-        }
-    }
-
     /// Apply to a vector: `M v`.
     #[inline]
     pub fn mul_vec(&self, v: Vec3) -> Vec3 {
@@ -50,49 +42,6 @@ impl Mat3 {
             r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
             r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
         )
-    }
-
-    /// Matrix product `self * o`.
-    pub fn mul_mat(&self, o: &Mat3) -> Mat3 {
-        let mut out = [[0.0; 3]; 3];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (0..3).map(|k| self.rows[i][k] * o.rows[k][j]).sum();
-            }
-        }
-        Mat3 { rows: out }
-    }
-
-    #[inline]
-    pub fn transpose(&self) -> Mat3 {
-        let r = &self.rows;
-        Mat3 {
-            rows: [
-                [r[0][0], r[1][0], r[2][0]],
-                [r[0][1], r[1][1], r[2][1]],
-                [r[0][2], r[1][2], r[2][2]],
-            ],
-        }
-    }
-
-    pub fn determinant(&self) -> f64 {
-        let r = &self.rows;
-        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-    }
-
-    /// Max-abs deviation from orthonormality (`MᵀM − I`), for tests.
-    pub fn orthonormality_error(&self) -> f64 {
-        let p = self.transpose().mul_mat(self);
-        let mut err = 0.0f64;
-        for i in 0..3 {
-            for j in 0..3 {
-                let want = if i == j { 1.0 } else { 0.0 };
-                err = err.max((p.rows[i][j] - want).abs());
-            }
-        }
-        err
     }
 
     /// Proper rotation about `axis` (unit) by `angle` (Rodrigues formula).
@@ -174,7 +123,8 @@ mod tests {
         let v = Vec3::new(1.0, -2.0, 3.0);
         assert_eq!(m.mul_vec(v), v);
         let r = Mat3::rotation_about(Vec3::Z, 0.7);
-        assert!(r.mul_mat(&r.transpose()).orthonormality_error() < 1e-12);
+        let back = Mat3::rotation_about(Vec3::Z, -0.7);
+        assert!((back.mul_vec(r.mul_vec(v)) - v).norm() < 1e-12);
     }
 
     #[test]
@@ -200,8 +150,19 @@ mod tests {
         for c in candidates {
             let u = c.normalized().unwrap();
             let r = Mat3::rotation_to_z(u);
-            assert!(r.orthonormality_error() < 1e-9, "orthonormal for {u:?}");
-            assert!((r.determinant() - 1.0).abs() < 1e-9, "proper for {u:?}");
+            // Orthonormal and proper: the images of x̂, ŷ, ẑ are unit,
+            // mutually orthogonal and right-handed.
+            let [x, y, z] = [Vec3::X, Vec3::Y, Vec3::Z].map(|e| r.mul_vec(e));
+            for (a, b, want) in [
+                (x, x, 1.0),
+                (y, y, 1.0),
+                (z, z, 1.0),
+                (x, y, 0.0),
+                (y, z, 0.0),
+            ] {
+                assert!((a.dot(b) - want).abs() < 1e-9, "orthonormal for {u:?}");
+            }
+            assert!((x.cross(y) - z).norm() < 1e-9, "proper for {u:?}");
             let mapped = r.mul_vec(u);
             assert!((mapped - Vec3::Z).norm() < 1e-8, "maps {u:?} -> {mapped:?}");
         }

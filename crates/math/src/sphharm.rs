@@ -48,6 +48,7 @@ pub fn ylm(l: usize, m: i64, theta: f64, phi: f64) -> Complex64 {
 
 /// `Y_ℓm` evaluated at a direction given as a (not necessarily unit)
 /// Cartesian vector. Panics in debug builds on the zero vector.
+// lint:allow(W-DEADPUB): oracle for YlmTable and the self-pair table (math/src/ylm.rs tests, math/tests/proptests.rs, grid/src/estimator.rs tests)
 pub fn ylm_cartesian(l: usize, m: i64, dir: Vec3) -> Complex64 {
     let r = dir.norm();
     debug_assert!(r > 0.0, "direction must be non-zero");

@@ -47,20 +47,6 @@ impl Vec3 {
     }
 
     #[inline]
-    pub fn from_array(a: [f64; 3]) -> Self {
-        Vec3 {
-            x: a[0],
-            y: a[1],
-            z: a[2],
-        }
-    }
-
-    #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    #[inline]
     pub fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
@@ -135,11 +121,6 @@ impl Vec3 {
             d
         };
         Vec3::new(wrap(self.x - o.x), wrap(self.y - o.y), wrap(self.z - o.z))
-    }
-
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
 }
 
@@ -247,14 +228,8 @@ impl Aabb {
         }
     }
 
-    /// Degenerate box containing a single point.
-    #[inline]
-    pub fn point(p: Vec3) -> Self {
-        Aabb { lo: p, hi: p }
-    }
-
-    /// Empty box: `lo = +inf`, `hi = -inf`; union with anything yields the
-    /// other operand.
+    /// Empty box: `lo = +inf`, `hi = -inf`; expanding it by a point
+    /// yields that point.
     #[inline]
     pub fn empty() -> Self {
         Aabb {
@@ -326,15 +301,6 @@ impl Aabb {
         self.hi = self.hi.max(p);
     }
 
-    /// Smallest box containing both.
-    #[inline]
-    pub fn union(&self, o: &Aabb) -> Aabb {
-        Aabb {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-
     /// Squared distance from `p` to the closest point of the box
     /// (zero if inside). This is the k-d tree pruning predicate.
     #[inline]
@@ -367,29 +333,6 @@ impl Aabb {
             }
         }
         d2
-    }
-
-    /// Squared distance from `p` to the farthest point of the box.
-    #[inline]
-    pub fn max_distance_sq_to_point(&self, p: Vec3) -> f64 {
-        let mut d2 = 0.0;
-        for ax in 0..3 {
-            let d = (p[ax] - self.lo[ax]).abs().max((p[ax] - self.hi[ax]).abs());
-            d2 += d * d;
-        }
-        d2
-    }
-
-    /// Does a sphere of radius `r` centred at `p` intersect the box?
-    #[inline]
-    pub fn intersects_sphere(&self, p: Vec3, r: f64) -> bool {
-        self.distance_sq_to_point(p) <= r * r
-    }
-
-    /// Is the whole box inside the sphere of radius `r` centred at `p`?
-    #[inline]
-    pub fn inside_sphere(&self, p: Vec3, r: f64) -> bool {
-        self.max_distance_sq_to_point(p) <= r * r
     }
 
     /// Split the box at `value` along `axis`, returning (low, high) halves.
@@ -455,8 +398,6 @@ mod tests {
         assert_eq!(b.distance_sq_to_point(Vec3::splat(1.0)), 0.0);
         let d2 = b.distance_sq_to_point(Vec3::new(3.0, 3.0, 3.0));
         assert!((d2 - 3.0).abs() < 1e-12);
-        let far = b.max_distance_sq_to_point(Vec3::ZERO);
-        assert!((far - 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -488,18 +429,7 @@ mod tests {
         let (lo, hi) = b.split(1, 1.0);
         assert!(lo.contains(Vec3::new(0.0, 0.5, 0.0)));
         assert!(hi.contains(Vec3::new(0.0, 1.5, 0.0)));
-        let u = lo.union(&hi);
-        assert_eq!(u, b);
-    }
-
-    #[test]
-    fn aabb_sphere_predicates() {
-        let b = Aabb::new(Vec3::ZERO, Vec3::splat(1.0));
-        assert!(b.intersects_sphere(Vec3::splat(0.5), 0.1));
-        assert!(b.intersects_sphere(Vec3::new(2.0, 0.5, 0.5), 1.01));
-        assert!(!b.intersects_sphere(Vec3::new(2.0, 0.5, 0.5), 0.99));
-        assert!(b.inside_sphere(Vec3::splat(0.5), 1.0));
-        assert!(!b.inside_sphere(Vec3::splat(0.5), 0.5));
+        assert_eq!((lo.lo, hi.hi), (b.lo, b.hi));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Wigner 3-j symbols and Gaunt coefficients.
+//! Wigner 3-j symbols.
 //!
 //! These enter the 3PCF pipeline through the survey edge-correction step
 //! (Slepian & Eisenstein 2015, §4): the observed multipoles of a masked
@@ -79,21 +79,6 @@ impl Wigner3j {
             -1.0
         };
         phase * sum
-    }
-
-    /// Gaunt coefficient: `∫ Y_{l1 m1} Y_{l2 m2} Y_{l3 m3} dΩ`.
-    ///
-    /// `= √[(2l1+1)(2l2+1)(2l3+1)/(4π)] (l1 l2 l3; 0 0 0)(l1 l2 l3; m1 m2 m3)`.
-    pub fn gaunt(&self, l1: i64, l2: i64, l3: i64, m1: i64, m2: i64, m3: i64) -> f64 {
-        let w0 = self.eval(l1, l2, l3, 0, 0, 0);
-        if w0 == 0.0 {
-            return 0.0;
-        }
-        let wm = self.eval(l1, l2, l3, m1, m2, m3);
-        let pref = (((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1)) as f64
-            / (4.0 * std::f64::consts::PI))
-            .sqrt();
-        pref * w0 * wm
     }
 }
 
@@ -225,7 +210,9 @@ mod tests {
                         * wgt;
                 }
             }
-            let want = w.gaunt(l1, l2, l3, m1, m2, m3);
+            // Gaunt: √[(2l1+1)(2l2+1)(2l3+1)/(4π)] (l1 l2 l3; 0 0 0)(l1 l2 l3; m1 m2 m3).
+            let pref = (((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1)) as f64 / (4.0 * PI)).sqrt();
+            let want = pref * w.eval(l1, l2, l3, 0, 0, 0) * w.eval(l1, l2, l3, m1, m2, m3);
             assert!(
                 (s.re - want).abs() < 5e-4 && s.im.abs() < 5e-4,
                 "({l1},{l2},{l3};{m1},{m2},{m3}): {s} vs {want}"

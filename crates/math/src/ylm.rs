@@ -27,7 +27,6 @@ use crate::legendre::{legendre_all, legendre_derivative_coefficients};
 use crate::monomial::MonomialBasis;
 use crate::poly3::{r_squared_pow, x_plus_iy_pow, Poly3};
 use crate::sphharm::ylm_norm;
-use crate::vec3::Vec3;
 use crate::wigner::Wigner3j;
 use crate::{lm_count, lm_index};
 
@@ -107,6 +106,7 @@ impl YlmTable {
 
     /// Assemble all `a_ℓm` (`m ≥ 0`, layout [`lm_index`]) from a slice of
     /// monomial sums produced by the multipole kernel.
+    // lint:allow(W-DEADPUB): oracle for the lane assembly in core/src/assembly.rs tests (every_level_reproduces_the_scalar_loops_bit_for_bit)
     pub fn assemble_alm(&self, monomial_sums: &[f64], out: &mut [Complex64]) {
         assert_eq!(out.len(), lm_count(self.lmax));
         for (o, terms) in out.iter_mut().zip(self.entries.iter()) {
@@ -116,32 +116,6 @@ impl YlmTable {
             }
             *o = acc;
         }
-    }
-
-    /// Convenience: assemble into a fresh vector.
-    pub fn alm_from_sums(&self, monomial_sums: &[f64]) -> Vec<Complex64> {
-        let mut out = vec![Complex64::ZERO; lm_count(self.lmax)];
-        self.assemble_alm(monomial_sums, &mut out);
-        out
-    }
-
-    /// Evaluate `Y_ℓm(dir)` through the monomial expansion — a slow path
-    /// used for testing the table against the direct evaluator.
-    pub fn eval_via_monomials(
-        &self,
-        l: usize,
-        m: usize,
-        dir: Vec3,
-        basis: &MonomialBasis,
-    ) -> Complex64 {
-        let u = dir.normalized().expect("direction must be non-zero");
-        let mut vals = vec![0.0; basis.len()];
-        basis.eval_into(u.x, u.y, u.z, &mut vals);
-        let mut acc = Complex64::ZERO;
-        for t in self.terms(l, m) {
-            acc += t.coeff * vals[t.monomial as usize];
-        }
-        acc
     }
 }
 
@@ -248,6 +222,7 @@ impl SelfPairTable {
 mod tests {
     use super::*;
     use crate::sphharm::ylm_cartesian;
+    use crate::vec3::Vec3;
 
     #[test]
     fn matches_direct_evaluation_on_fixed_directions() {
@@ -262,10 +237,16 @@ mod tests {
             Vec3::new(-0.4, -0.4, -0.82),
             Vec3::new(2.0, 3.0, -1.0),
         ];
+        let mut monomials = vec![0.0; basis.len()];
+        let mut alm = vec![Complex64::ZERO; lm_count(lmax)];
         for dir in dirs {
+            // One unit vector's monomials through the table are its Y_lm.
+            let u = dir.normalized().unwrap();
+            basis.eval_into(u.x, u.y, u.z, &mut monomials);
+            table.assemble_alm(&monomials, &mut alm);
             for l in 0..=lmax {
                 for m in 0..=l {
-                    let via_table = table.eval_via_monomials(l, m, dir, &basis);
+                    let via_table = alm[lm_index(l, m)];
                     let direct = ylm_cartesian(l, m as i64, dir);
                     assert!(
                         via_table.dist_inf(direct) < 1e-10,
@@ -301,7 +282,8 @@ mod tests {
         let u = Vec3::new(0.6, 0.48, 0.64).normalized().unwrap();
         let mut sums = vec![0.0; basis.len()];
         basis.eval_into(u.x, u.y, u.z, &mut sums);
-        let alm = table.alm_from_sums(&sums);
+        let mut alm = vec![Complex64::ZERO; lm_count(lmax)];
+        table.assemble_alm(&sums, &mut alm);
         for l in 0..=lmax {
             for m in 0..=l {
                 let direct = ylm_cartesian(l, m as i64, u);
@@ -328,7 +310,8 @@ mod tests {
             basis.eval_into(u.x, u.y, u.z, &mut vals);
             sums.iter_mut().zip(&vals).for_each(|(s, v)| *s += v);
         }
-        let alm = table.alm_from_sums(&sums);
+        let mut alm = vec![Complex64::ZERO; lm_count(lmax)];
+        table.assemble_alm(&sums, &mut alm);
         for l in 0..=lmax {
             for m in 0..=l {
                 let mut direct = Complex64::ZERO;

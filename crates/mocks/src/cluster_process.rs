@@ -54,11 +54,6 @@ impl NeymanScott {
         }
         Catalog::new_periodic(galaxies, box_len)
     }
-
-    /// Expected galaxy number density of the process.
-    pub fn expected_density(&self) -> f64 {
-        self.parent_density * self.mean_children
-    }
 }
 
 fn gauss(rng: &mut impl Rng) -> f64 {
@@ -79,7 +74,7 @@ mod tests {
             sigma: 2.0,
         };
         let cat = ns.generate(50.0, 3);
-        let expected = ns.expected_density() * 50.0f64.powi(3);
+        let expected = ns.parent_density * ns.mean_children * 50.0f64.powi(3);
         let got = cat.len() as f64;
         assert!(
             (got - expected).abs() < 6.0 * expected.sqrt() + 30.0 * 20.0,

@@ -153,17 +153,6 @@ impl GaussianField {
             .sqrt()
     }
 
-    /// Nearest-grid-point sample of the field at a position.
-    pub fn value_at(&self, pos: Vec3) -> f64 {
-        let cell = self.box_len / self.n as f64;
-        let wrap = |v: f64| -> usize {
-            let idx = (v / cell).floor() as i64;
-            idx.rem_euclid(self.n as i64) as usize
-        };
-        let (i, j, k) = (wrap(pos.x), wrap(pos.y), wrap(pos.z));
-        self.delta[(i * self.n + j) * self.n + k]
-    }
-
     /// Cloud-in-cell (trilinear, periodic) sample of a mesh-sampled
     /// scalar field `values` (must have `n³` entries) at `pos`.
     pub fn interpolate_cic(&self, values: &[f64], pos: Vec3) -> f64 {
@@ -193,6 +182,7 @@ impl GaussianField {
 
     /// Measure the isotropically binned power spectrum of the realized
     /// field: returns `(k_center, P(k), mode count)` per bin.
+    // lint:allow(W-DEADPUB): oracle for the realized field's spectrum against the input P(k) (grf.rs tests, tests/statistical.rs)
     pub fn measure_power(&self, nbins: usize) -> Vec<(f64, f64, usize)> {
         let n = self.n;
         let mut mesh = Mesh3::from_real(n, &self.delta);
@@ -369,17 +359,5 @@ mod tests {
         let a = f.interpolate_cic(&vals, Vec3::new(1.0, 2.0, 3.0));
         let b = f.interpolate_cic(&vals, Vec3::new(11.0, 2.0, 3.0));
         assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn value_at_wraps() {
-        let p = PowerLawSpectrum {
-            amplitude: 1.0,
-            index: -1.0,
-        };
-        let f = GaussianField::generate(&p, 8, 10.0, 2);
-        let a = f.value_at(Vec3::new(0.5, 0.5, 0.5));
-        let b = f.value_at(Vec3::new(10.5, 0.5, 0.5));
-        assert_eq!(a, b);
     }
 }

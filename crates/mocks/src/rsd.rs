@@ -68,43 +68,6 @@ pub fn apply_plane_parallel(
     }
 }
 
-/// Quantify line-of-sight anisotropy of a periodic catalog using the
-/// pair-orientation variable `μ = |Δz| / r`: among all pairs with
-/// separation below `r_scale`, the ratio of counts with `μ > 0.9`
-/// (line-of-sight oriented) to counts with `μ < 0.1` (transverse).
-/// For an isotropic distribution μ is uniform on [0, 1], so the ratio
-/// is ≈ 1. Compression of structure along the line of sight (Kaiser
-/// squashing) depletes high-μ pairs (ratio < 1); fingers-of-god
-/// elongation enhances them (ratio > 1). O(N²) — for test-sized
-/// catalogs.
-pub fn anisotropy_ratio(catalog: &Catalog, r_scale: f64) -> f64 {
-    let l = catalog.periodic.expect("periodic catalog");
-    let mut along = 0usize;
-    let mut transverse = 0usize;
-    let n = catalog.len();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = catalog.galaxies[i]
-                .pos
-                .periodic_delta(catalog.galaxies[j].pos, l);
-            let r = d.norm();
-            if r == 0.0 || r >= r_scale {
-                continue;
-            }
-            let mu = d.z.abs() / r;
-            if mu > 0.9 {
-                along += 1;
-            } else if mu < 0.1 {
-                transverse += 1;
-            }
-        }
-    }
-    if transverse == 0 {
-        return f64::INFINITY;
-    }
-    along as f64 / transverse as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,32 +130,5 @@ mod tests {
             .filter(|(x, y)| (x.pos.z - y.pos.z).abs() > 1e-9)
             .count();
         assert!(moved > 350, "FoG moved only {moved}");
-    }
-
-    #[test]
-    fn anisotropy_ratio_is_one_for_uniform() {
-        let cat = galactos_catalog::uniform_box(1500, 60.0, 21);
-        let ratio = anisotropy_ratio(&cat, 10.0);
-        assert!((ratio - 1.0).abs() < 0.35, "uniform ratio {ratio}");
-    }
-
-    #[test]
-    fn elongation_along_z_detected() {
-        // Finger-of-god-like elongation: each galaxy becomes a short
-        // line-of-sight streak. High-μ pairs become overrepresented →
-        // ratio > 1.
-        let mut cat = galactos_catalog::uniform_box(400, 60.0, 23);
-        let n = cat.len();
-        let mut stretched = cat.galaxies.clone();
-        for g in cat.galaxies.iter() {
-            for dz in [2.0, 4.0] {
-                let mut h = *g;
-                h.pos.z = (h.pos.z + dz).rem_euclid(60.0);
-                stretched.push(h);
-            }
-        }
-        cat.galaxies = stretched;
-        let ratio = anisotropy_ratio(&cat, 10.0);
-        assert!(ratio > 1.5, "elongated ratio {ratio} (n={n})");
     }
 }

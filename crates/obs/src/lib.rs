@@ -8,9 +8,9 @@
 //! (`BENCHMARK.json` + `benchmark/`) reads its per-layer ladder from
 //! those same spans and counters:
 //!
-//! * [`Registry`] — named, atomics-backed [`Counter`]s, [`Gauge`]s and
-//!   fixed-bucket [`Histogram`]s. Integer adds commute exactly, so every
-//!   counter total is bit-stable across thread pools.
+//! * [`Registry`] — named, atomics-backed [`Counter`]s and [`Gauge`]s.
+//!   Integer adds commute exactly, so every counter total is bit-stable
+//!   across thread pools.
 //! * [`Tracer`] — a span tracer with thread-local span stacks
 //!   (parent/child nesting), one track per worker thread or per rank,
 //!   and aggregate slices for hot-path stage totals.
@@ -25,9 +25,8 @@
 //! `ComputeScratch.instrument` gate: **a disabled session performs zero
 //! clock reads and leaves results bit-identical**. Every clock read in
 //! the workspace funnels through [`clock`] — the one module sanctioned
-//! by galactos-lint's W-CLOCK rule outside `crates/bench` — and each
-//! real read bumps a global counter that
-//! tests use to pin "uninstrumented ⇒ zero reads".
+//! by galactos-lint's W-CLOCK rule — and each real read bumps a global
+//! counter that tests use to pin "uninstrumented ⇒ zero reads".
 //!
 //! ```
 //! use galactos_obs::ObsSession;
@@ -52,7 +51,7 @@ pub mod registry;
 pub mod span;
 pub mod summary;
 
-pub use registry::{Counter, Gauge, Histogram, MetricValue, Registry};
+pub use registry::{Counter, Gauge, MetricValue, Registry};
 pub use span::{SpanGuard, SpanRecord, Tracer};
 
 /// A tracer plus a registry, handed through the runtime layers as one

@@ -1,4 +1,4 @@
-//! Named metrics: counters, gauges, fixed-bucket histograms.
+//! Named metrics: counters and gauges.
 //!
 //! All updates are relaxed atomic integer operations, so concurrent
 //! increments commute exactly and every snapshot total is bit-stable
@@ -32,10 +32,6 @@ impl Counter {
         self.value.fetch_add(v, Ordering::Relaxed);
     }
 
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -63,72 +59,17 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram: bucket `i` counts observations `<= bounds[i]`,
-/// with one implicit overflow bucket. Bounds are set at registration and
-/// never change, so concurrent observes are plain atomic adds.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    pub fn new(bounds: &[u64]) -> Self {
-        let mut sorted = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let buckets = (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            bounds: sorted,
-            buckets,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    pub fn observe(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// `(upper_bound, count)` pairs; the final entry is the overflow
-    /// bucket with `u64::MAX` as its bound.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.buckets.len());
-        for (i, b) in self.buckets.iter().enumerate() {
-            let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-            out.push((bound, b.load(Ordering::Relaxed)));
-        }
-        out
-    }
-}
-
 /// A snapshot value, for exports and assertions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
     Counter(u64),
     Gauge(u64),
-    /// `(count, sum, buckets)` with buckets as `(upper_bound, count)`.
-    Histogram(u64, u64, Vec<(u64, u64)>),
 }
 
 #[derive(Debug, Default)]
 struct Metrics {
     counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
 /// Get-or-create registry of named metrics.
@@ -144,7 +85,6 @@ pub struct Registry {
     // never allocates or locks.
     sink_counter: Arc<Counter>,
     sink_gauge: Arc<Gauge>,
-    sink_histogram: Arc<Histogram>,
 }
 
 impl Registry {
@@ -162,7 +102,6 @@ impl Registry {
             metrics: Mutex::new(Metrics::default()),
             sink_counter: Arc::new(Counter::new()),
             sink_gauge: Arc::new(Gauge::new()),
-            sink_histogram: Arc::new(Histogram::new(&[])),
         }
     }
 
@@ -196,20 +135,6 @@ impl Registry {
         )
     }
 
-    /// Get or create a histogram by name; `bounds` apply only on first
-    /// registration.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        if !self.enabled {
-            return Arc::clone(&self.sink_histogram);
-        }
-        let mut m = self.metrics.lock().expect("obs registry poisoned");
-        Arc::clone(
-            m.histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
-    }
-
     /// Convenience: bump a counter by name.
     pub fn add(&self, name: &str, v: u64) {
         if self.enabled {
@@ -218,6 +143,7 @@ impl Registry {
     }
 
     /// Counter value by name (0 when absent or disabled).
+    // lint:allow(W-DEADPUB): oracle for recorded counters, read by core/tests/{supervised,observability}.rs and ensemble/tests/observed_layers.rs
     pub fn counter_value(&self, name: &str) -> u64 {
         if !self.enabled {
             return 0;
@@ -235,12 +161,6 @@ impl Registry {
         }
         for (name, g) in &m.gauges {
             out.push((name.clone(), MetricValue::Gauge(g.get())));
-        }
-        for (name, h) in &m.histograms {
-            out.push((
-                name.clone(),
-                MetricValue::Histogram(h.count(), h.sum(), h.buckets()),
-            ));
         }
         out
     }
@@ -262,25 +182,13 @@ mod tests {
         let r = Registry::new();
         r.counter("b.second").add(2);
         r.counter("a.first").add(1);
-        r.counter("b.second").inc();
+        r.counter("b.second").add(1);
         r.gauge("depth").set(7);
         assert_eq!(r.counter_value("b.second"), 3);
         let snap = r.snapshot();
         let names: Vec<&str> = snap.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["a.first", "b.second", "depth"]);
         assert_eq!(snap[2].1, MetricValue::Gauge(7));
-    }
-
-    #[test]
-    fn histogram_buckets_partition_observations() {
-        let h = Histogram::new(&[10, 100, 1000]);
-        for v in [1, 10, 11, 100, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 5122);
-        let buckets = h.buckets();
-        assert_eq!(buckets, vec![(10, 2), (100, 2), (1000, 0), (u64::MAX, 1)]);
     }
 
     #[test]
@@ -292,7 +200,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.inc();
+                        c.add(1);
                     }
                 });
             }

@@ -123,11 +123,6 @@ impl F64x8 {
     }
 
     #[inline(always)]
-    pub fn horizontal_max(self) -> f64 {
-        self.0.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    #[inline(always)]
     pub fn sqrt(self) -> F64x8 {
         let mut out = [0.0; F64_LANES];
         for i in 0..F64_LANES {
@@ -389,12 +384,6 @@ impl F32x16 {
         self.0.iter().sum()
     }
 
-    /// Count lanes with value ≤ `threshold` (range-query predicate).
-    #[inline(always)]
-    pub fn count_le(self, threshold: f32) -> usize {
-        self.0.iter().filter(|&&v| v <= threshold).count()
-    }
-
     /// Bitmask of lanes where `self[i] <= other[i]` (bit `i` set when
     /// true) — the single-precision counterpart of
     /// [`F64x8::le_mask`], for mixed-precision gather gates.
@@ -476,7 +465,6 @@ mod tests {
     fn horizontal_reductions() {
         let a = F64x8::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         assert_eq!(a.horizontal_sum(), 36.0);
-        assert_eq!(a.horizontal_max(), 8.0);
         assert_eq!(F64x8::ZERO.horizontal_sum(), 0.0);
     }
 
@@ -547,7 +535,7 @@ mod tests {
         let a = F32x16::from_slice_padded(&[1.0; 10]);
         assert_eq!(a.horizontal_sum(), 10.0);
         let d = a - F32x16::splat(0.5);
-        assert_eq!(d.count_le(0.4), 6); // 6 zero-padded lanes at -0.5
+        assert_eq!(d.horizontal_sum(), 10.0 * 0.5 + 6.0 * -0.5); // 6 zero-padded lanes at -0.5
         let sq = d * d;
         assert!((sq.horizontal_sum() - (10.0 * 0.25 + 6.0 * 0.25)).abs() < 1e-6);
         let fma = a.mul_add(F32x16::splat(2.0), F32x16::splat(1.0));

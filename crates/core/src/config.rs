@@ -12,6 +12,15 @@ use galactos_math::Vec3;
 /// The paper's mixed-precision mode runs the tree in `f32` ("due to its
 /// insensitivity to the precision of galaxy locations") for a 9%
 /// end-to-end win (§5.4); the multipole kernel always runs in `f64`.
+///
+/// This changes what the search costs, never what it finds: every tree
+/// query is padded by a bound on the scalar type's rounding
+/// (`traversal::Tree::pad`) and pair membership is decided by
+/// [`RadialBins::bin_of`] on the `f64` separation alone, so `Mixed` and
+/// `Double` bin the same pairs on every input and ζ differs only by
+/// summation order. (Up to PR 23 an `f32` search could drop a pair
+/// within one `f32` ulp of Rmax — 2–4 of 2 million on some catalogs,
+/// moving ζ by ≈ 1e-5; such runs now give the `Double` answer.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TreePrecision {
     /// Tree in `f32`, multipoles in `f64` — the paper's fast mode.
@@ -33,7 +42,8 @@ pub struct EngineConfig {
     /// Pair-bucket capacity per radial bin (paper: 128, giving a
     /// best-case flop/byte ratio of 9.6).
     pub bucket_size: usize,
-    /// Neighbor-search precision.
+    /// Neighbor-search precision: a search-cost option, the result
+    /// does not depend on it.
     pub precision: TreePrecision,
     /// Remove the degenerate `j = k` (self-pair) terms from diagonal
     /// `r₁ = r₂` bins so that ζ counts only genuine triangles.

@@ -552,15 +552,13 @@ impl Engine {
     }
 
     /// Stage 2, leaf-blocked — Phase A
-    /// ([`CandidateBlock::select_pairs`]) runs the distance² prefilter,
-    /// the exact gather-radius cut (in the tree's own precision, so the
-    /// binned pair set matches per-primary traversal exactly) and the
-    /// separation square root and reciprocal in [`galactos_simd`] lanes
-    /// over the SoA block, compacting survivors into staging arrays;
-    /// Phase B streams
-    /// the survivors through the shared rotate → bin → bucket tail.
-    /// Each lane replicates the scalar arithmetic bit-exactly, so the
-    /// accumulated ζ is identical to the former scalar split loop.
+    /// ([`CandidateBlock::select_pairs`]) runs the distance² prefilter
+    /// and the separation square root and reciprocal in
+    /// [`galactos_simd`] lanes over the SoA block, compacting survivors
+    /// into staging arrays; Phase B streams the survivors through the
+    /// shared rotate → bin → bucket tail, whose `bin_of` is the only
+    /// test that decides whether a pair counts. Each lane replicates
+    /// the scalar arithmetic of [`Engine::bin_and_bucket`] bit-exactly.
     fn bin_and_bucket_blocked(
         &self,
         scratch: &mut ComputeScratch,
@@ -709,12 +707,12 @@ mod tests {
         let double = Engine::new(config.clone()).compute(&cat);
         config.precision = TreePrecision::Mixed;
         let mixed = Engine::new(config).compute(&cat);
-        // The tree only gates *which* pairs are found; far from bin
-        // edges results are identical. Allow a tiny relative difference
-        // for boundary flips.
+        // The tree only proposes candidates; `bin_of` decides, so the
+        // pair sets are equal and ζ differs by summation order at most.
+        assert_eq!(mixed.binned_pairs, double.binned_pairs);
         let scale = double.max_abs().max(1.0);
         assert!(
-            mixed.max_difference(&double) < 1e-3 * scale,
+            mixed.max_difference(&double) <= 1e-12 * scale,
             "diff {}",
             mixed.max_difference(&double)
         );

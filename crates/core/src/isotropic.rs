@@ -43,6 +43,10 @@ pub fn isotropic_multipoles(
     let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
     let tree = KdTree::<f64>::build(&positions, TreeConfig::default());
     let rmax = bins.rmax();
+    assert!(
+        periodic.is_none_or(|l| rmax <= 0.5 * l),
+        "rmax must be <= box/2 for periodic queries"
+    );
 
     (0..galaxies.len())
         .into_par_iter()

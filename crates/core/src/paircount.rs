@@ -26,6 +26,10 @@ pub fn cross_pair_counts(a: &Catalog, b: &Catalog, bins: &RadialBins) -> Vec<f64
     let tree = KdTree::<f64>::build(&positions_b, TreeConfig::default());
     let rmax = bins.rmax();
     let periodic = a.periodic;
+    assert!(
+        periodic.is_none_or(|l| rmax <= 0.5 * l),
+        "rmax must be <= box/2 for periodic queries"
+    );
 
     a.galaxies
         .par_iter()

@@ -13,11 +13,12 @@
 //! distance²→cut→sqrt→rotate→bin pass over the SoA per primary, with
 //! no per-pair `galaxies[j]` gather and no tree descent at all.
 //!
-//! For mixed-precision trees the block also carries the tree's own
-//! `f32` coordinates of every candidate, so the split loop can apply
-//! the *same* single-precision acceptance test the per-primary search
-//! would have applied — both traversals bin exactly the same pairs,
-//! not merely approximately the same.
+//! Nothing here decides which pairs count: the walk and the prefilter
+//! are padded so the block is a superset of every leaf member's
+//! `r < Rmax` secondaries whatever the tree's precision, and the one
+//! cut of the split loop only spares square roots for pairs
+//! [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) would reject
+//! anyway (see the [module docs](super)).
 
 use super::{LeafInfo, Tree};
 use galactos_catalog::Galaxy;
@@ -40,20 +41,12 @@ pub struct CandidateBlock {
     pub(crate) z: Vec<f64>,
     /// Candidate weights.
     pub(crate) w: Vec<f64>,
-    /// Tree-precision (`f32`) coordinates, filled only for mixed-
-    /// precision trees; the split loop's acceptance gate runs on these
-    /// so blocked traversal reproduces the `f32` search exactly.
-    pub(crate) xs: Vec<f32>,
-    pub(crate) ys: Vec<f32>,
-    pub(crate) zs: Vec<f32>,
-    /// Whether `xs`/`ys`/`zs` are populated (mixed-precision tree).
-    pub(crate) mixed: bool,
     /// Range scratch reused across fills.
     ranges: Vec<(u32, u32)>,
     /// Per-primary selection staging filled by
     /// [`CandidateBlock::select_pairs`]: the binning delta, separation,
-    /// and weight of every candidate that passed the gather gate, in
-    /// candidate order.
+    /// and weight of every candidate that passed the distance²
+    /// prefilter, in candidate order.
     pub(crate) sel_dx: Vec<f64>,
     pub(crate) sel_dy: Vec<f64>,
     pub(crate) sel_dz: Vec<f64>,
@@ -93,17 +86,14 @@ impl CandidateBlock {
         self.y.clear();
         self.z.clear();
         self.w.clear();
-        self.xs.clear();
-        self.ys.clear();
-        self.zs.clear();
     }
 
     /// Gather the candidate set of `leaf` from `tree`: every galaxy
     /// within `rmax` of any point of the leaf's bounding box (honoring
     /// minimum-image wrapping when `periodic`), prefiltered per
-    /// candidate against `(rmax + leaf_radius)²` from the leaf center
-    /// with a conservative rounding margin. Returns the number of
-    /// candidates materialized.
+    /// candidate against `(rmax + leaf_radius)²` from the leaf center,
+    /// both padded by `Tree::pad`. Returns the number of candidates
+    /// materialized.
     ///
     /// Periodic walks can cover a slot through more than one box image
     /// (the inflated reach may exceed half the box); ranges are sorted
@@ -117,7 +107,6 @@ impl CandidateBlock {
         galaxies: &[Galaxy],
     ) -> usize {
         self.clear();
-        self.mixed = tree.is_mixed();
 
         // 1. Node-to-node walk: contiguous slot ranges within reach.
         let mut ranges = std::mem::take(&mut self.ranges);
@@ -142,53 +131,28 @@ impl CandidateBlock {
         }
 
         // 2. Prefilter sphere: any galaxy within rmax of a primary in
-        // the leaf is within rmax + leaf_radius of the leaf center.
-        // The margin covers (a) mixed precision, where the f32 bbox can
-        // sit up to a rounding ulp inside the f64 primary positions,
-        // and (b) the gate boundary itself being evaluated in f32 by
-        // the split loop. Over-inclusion is only a perf cost — the
-        // per-pair gate decides membership — so err generously.
+        // the leaf is within rmax + leaf_radius of the leaf center, up
+        // to the rounding `Tree::pad` bounds. Over-inclusion is only a
+        // perf cost — `bin_of` decides membership.
         let center = leaf.center();
-        let reach = rmax + leaf.radius();
-        let margin = 1e-6 * (reach + center.norm().max(1.0));
-        let pr = reach + margin;
+        let pr = rmax + leaf.radius() + tree.pad(rmax, periodic);
         let pr2 = pr * pr;
 
         // 3. Stream the deduped ranges into the SoA, prefiltering.
-        match tree {
-            Tree::F64(t) => {
-                for &(s, e) in &ranges {
-                    for slot in s..e {
-                        let id = t.id_at(slot as usize);
-                        let g = &galaxies[id as usize];
-                        let d = match periodic {
-                            Some(l) => g.pos.periodic_delta(center, l),
-                            None => g.pos - center,
-                        };
-                        if d.norm_sq() <= pr2 {
-                            self.push(id, g.pos, g.weight);
-                        }
-                    }
-                }
-            }
-            Tree::F32(t) => {
-                let coords = t.coords();
-                for &(s, e) in &ranges {
-                    for slot in s..e {
-                        let id = t.id_at(slot as usize);
-                        let g = &galaxies[id as usize];
-                        let d = match periodic {
-                            Some(l) => g.pos.periodic_delta(center, l),
-                            None => g.pos - center,
-                        };
-                        if d.norm_sq() <= pr2 {
-                            self.push(id, g.pos, g.weight);
-                            let c = coords[slot as usize];
-                            self.xs.push(c[0]);
-                            self.ys.push(c[1]);
-                            self.zs.push(c[2]);
-                        }
-                    }
+        for &(s, e) in &ranges {
+            for slot in s..e {
+                let id = tree.id_at(slot);
+                let g = &galaxies[id as usize];
+                let d = match periodic {
+                    Some(l) => g.pos.periodic_delta(center, l),
+                    None => g.pos - center,
+                };
+                if d.norm_sq() <= pr2 {
+                    self.ids.push(id);
+                    self.x.push(g.pos.x);
+                    self.y.push(g.pos.y);
+                    self.z.push(g.pos.z);
+                    self.w.push(g.weight);
                 }
             }
         }
@@ -196,29 +160,18 @@ impl CandidateBlock {
         self.ids.len()
     }
 
-    #[inline]
-    fn push(&mut self, id: u32, pos: Vec3, weight: f64) {
-        self.ids.push(id);
-        self.x.push(pos.x);
-        self.y.push(pos.y);
-        self.z.push(pos.z);
-        self.w.push(weight);
-    }
-
     /// Phase A of the blocked split loop, vectorized over the SoA in
     /// [`F64_LANES`]-wide chunks: compute each candidate's minimum-image
-    /// binning delta and distance², replay the gather-radius acceptance
-    /// test in the tree's own precision (`f32` lanes for mixed trees),
-    /// and compact the survivors — delta, separation `r = √r²`, weight —
-    /// into the `sel_*` staging arrays in candidate order. The engine
-    /// then runs the scalar bin→bucket→kernel tail over the survivors
-    /// only.
+    /// binning delta and distance², drop the lanes whose distance² says
+    /// `bin_of` will reject them as beyond Rmax, and compact the rest —
+    /// delta, separation `r = √r²`, weight — into the `sel_*` staging
+    /// arrays in candidate order. The engine then runs the scalar
+    /// bin→bucket→kernel tail over the survivors only.
     ///
     /// Every lane replicates the scalar arithmetic exactly (same
     /// operations, same association, `sqrt` is correctly rounded), so
-    /// the staged pair set and all staged floats are bit-identical to
-    /// the per-candidate scalar loop — which is what keeps blocked
-    /// traversal's binned pair set equal to per-primary traversal.
+    /// all staged floats are bit-identical to the per-candidate scalar
+    /// loop of per-primary traversal.
     pub(crate) fn select_pairs(
         &mut self,
         center: Vec3,
@@ -233,27 +186,10 @@ impl CandidateBlock {
         self.sel_w.clear();
 
         let n = self.ids.len();
-        // f64 trees accept candidates at distance² ≤ fl(rmax)·fl(rmax).
-        let rmax2 = rmax * rmax;
-        // f32 (mixed-precision) trees test f32 coordinates against an
-        // f32 radius; the gate replays that test on the tree's own
-        // coordinates so no boundary pair is decided differently.
-        let r32 = rmax as f32;
-        let rmax2_32 = r32 * r32;
-        let c32 = [center.x as f32, center.y as f32, center.z as f32];
-        // Periodic gates: the per-primary search shifts the query center
-        // by whole box lengths *first* (then rounds to the tree's
-        // precision and subtracts), so precompute this primary's
-        // per-axis image centers in both precisions and replay exactly
-        // that arithmetic.
-        let images32 = periodic.map(|l| {
-            let img = |c: f64| [(c - l) as f32, c as f32, (c + l) as f32];
-            [img(center.x), img(center.y), img(center.z)]
-        });
-        let images64 = periodic.map(|l| {
-            let img = |c: f64| [c - l, c, c + l];
-            [img(center.x), img(center.y), img(center.z)]
-        });
+        // A sqrt-saving prefilter, not a membership test: `bin_of`
+        // keeps `fl(√r²) < rmax`, and r² above this has
+        // √r² > rmax·(1 + ε), which no rounding brings back under rmax.
+        let r2_cut = F64x8::splat(rmax * rmax * (1.0 + 4.0 * f64::EPSILON));
 
         // The primary's own slot (ids are unique per block, so at most
         // one): found once here so the compaction loop below never
@@ -266,48 +202,21 @@ impl CandidateBlock {
             let mut dx = [0.0f64; F64_LANES];
             let mut dy = [0.0f64; F64_LANES];
             let mut dz = [0.0f64; F64_LANES];
-            // Minimum-image index per axis (+1-biased for the image
-            // tables), recovered from the wrap the binning delta
-            // applied; stays 1 (= no shift) for open boundaries.
-            let mut kx = [1usize; F64_LANES];
-            let mut ky = [1usize; F64_LANES];
-            let mut kz = [1usize; F64_LANES];
             match periodic {
-                Some(l) => {
-                    let inv_l = 1.0 / l;
-                    // Same per-axis formula as `Vec3::periodic_delta`.
-                    let wrap = |d: f64| {
-                        let mut d = d % l;
-                        if d > 0.5 * l {
-                            d -= l;
-                        } else if d < -0.5 * l {
-                            d += l;
-                        }
-                        d
-                    };
-                    let img_of =
-                        |raw: f64, d: f64| (((raw - d) * inv_l).round().clamp(-1.0, 1.0)) as i32;
-                    for i in 0..lanes {
-                        let c = start + i;
-                        let (rx, ry, rz) = (
-                            self.x[c] - center.x,
-                            self.y[c] - center.y,
-                            self.z[c] - center.z,
-                        );
-                        dx[i] = wrap(rx);
-                        dy[i] = wrap(ry);
-                        dz[i] = wrap(rz);
-                        kx[i] = (img_of(rx, dx[i]) + 1) as usize;
-                        ky[i] = (img_of(ry, dy[i]) + 1) as usize;
-                        kz[i] = (img_of(rz, dz[i]) + 1) as usize;
-                    }
-                }
                 None => {
                     for i in 0..lanes {
                         let c = start + i;
                         dx[i] = self.x[c] - center.x;
                         dy[i] = self.y[c] - center.y;
                         dz[i] = self.z[c] - center.z;
+                    }
+                }
+                Some(l) => {
+                    for i in 0..lanes {
+                        let c = start + i;
+                        let p = Vec3::new(self.x[c], self.y[c], self.z[c]);
+                        let d = p.periodic_delta(center, l);
+                        (dx[i], dy[i], dz[i]) = (d.x, d.y, d.z);
                     }
                 }
             }
@@ -318,51 +227,7 @@ impl CandidateBlock {
             let vz = F64x8::from_array(dz);
             let r2 = vx * vx + vy * vy + vz * vz;
 
-            // Gather gate per lane: squared gate distances into a flat
-            // array first (branch-free, vectorizable), mask second.
-            let mut keep = if self.mixed {
-                let mut g = [f32::INFINITY; F64_LANES];
-                match &images32 {
-                    Some(img) => {
-                        for i in 0..lanes {
-                            let c = start + i;
-                            let gx = self.xs[c] - img[0][kx[i]];
-                            let gy = self.ys[c] - img[1][ky[i]];
-                            let gz = self.zs[c] - img[2][kz[i]];
-                            g[i] = gx * gx + gy * gy + gz * gz;
-                        }
-                    }
-                    None => {
-                        for (i, gi) in g.iter_mut().enumerate().take(lanes) {
-                            let c = start + i;
-                            let gx = self.xs[c] - c32[0];
-                            let gy = self.ys[c] - c32[1];
-                            let gz = self.zs[c] - c32[2];
-                            *gi = gx * gx + gy * gy + gz * gz;
-                        }
-                    }
-                }
-                let mut mask = 0u8;
-                for (i, &gi) in g.iter().enumerate() {
-                    mask |= ((gi <= rmax2_32) as u8) << i;
-                }
-                mask
-            } else {
-                match &images64 {
-                    Some(img) => {
-                        let mut g = [f64::INFINITY; F64_LANES];
-                        for i in 0..lanes {
-                            let c = start + i;
-                            let gx = self.x[c] - img[0][kx[i]];
-                            let gy = self.y[c] - img[1][ky[i]];
-                            let gz = self.z[c] - img[2][kz[i]];
-                            g[i] = gx * gx + gy * gy + gz * gz;
-                        }
-                        F64x8::from_array(g).le_mask(F64x8::splat(rmax2))
-                    }
-                    None => r2.le_mask(F64x8::splat(rmax2)),
-                }
-            };
+            let mut keep = r2.le_mask(r2_cut);
             if lanes < F64_LANES {
                 keep &= (1u8 << lanes) - 1; // tail: zero lanes never pass
             }
@@ -430,16 +295,14 @@ mod tests {
         (cat.galaxies, tree, leaves, CandidateBlock::new())
     }
 
-    /// The block must contain every candidate the per-primary gather
-    /// finds, for every primary in the leaf (superset property — the
-    /// split loop's gate shrinks it back to exactly the gather set).
+    /// The block must contain, for every primary in the leaf, every
+    /// galaxy a brute-force `f64` scan puts within `rmax` of it.
     #[test]
     fn block_covers_per_primary_gather_for_every_leaf_member() {
         for precision in [TreePrecision::Double, TreePrecision::Mixed] {
             for periodic in [None, Some(10.0)] {
                 let rmax = 3.0;
                 let (galaxies, tree, leaves, mut block) = fill_for_leaf(precision, 300, 42);
-                let mut neighbors = Vec::new();
                 for leaf in &leaves {
                     block.fill(&tree, leaf, rmax, periodic, &galaxies);
                     let have: std::collections::BTreeSet<u32> =
@@ -451,10 +314,13 @@ mod tests {
                     );
                     for slot in leaf.start..leaf.end {
                         let i = tree.id_at(slot) as usize;
-                        tree.gather_neighbors(galaxies[i].pos, rmax, periodic, &mut neighbors);
-                        for &j in &neighbors {
+                        for (j, g) in galaxies.iter().enumerate() {
+                            let delta = match periodic {
+                                Some(l) => g.pos.periodic_delta(galaxies[i].pos, l),
+                                None => g.pos - galaxies[i].pos,
+                            };
                             assert!(
-                                have.contains(&j),
+                                delta.norm() > rmax || have.contains(&(j as u32)),
                                 "candidate {j} of primary {i} missing from its leaf block \
                                  ({precision:?}, periodic={periodic:?})"
                             );
@@ -463,26 +329,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mixed_blocks_carry_tree_precision_coords() {
-        let (galaxies, tree, leaves, mut block) = fill_for_leaf(TreePrecision::Mixed, 200, 7);
-        block.fill(&tree, &leaves[0], 2.0, None, &galaxies);
-        assert!(block.mixed);
-        assert_eq!(block.xs.len(), block.len());
-        for (k, &id) in block.ids().iter().enumerate() {
-            let p = galaxies[id as usize].pos;
-            assert_eq!(block.xs[k], p.x as f32);
-            assert_eq!(block.ys[k], p.y as f32);
-            assert_eq!(block.zs[k], p.z as f32);
-            // f64 coords stay the originals, not the f32 roundings.
-            assert_eq!(block.x[k], p.x);
-        }
-        let (galaxies, tree, leaves, mut block) = fill_for_leaf(TreePrecision::Double, 200, 7);
-        block.fill(&tree, &leaves[0], 2.0, None, &galaxies);
-        assert!(!block.mixed);
-        assert!(block.xs.is_empty());
     }
 
     #[test]
@@ -519,9 +365,9 @@ mod tests {
     }
 
     /// Scalar reference of the blocked Phase A: per-candidate wrapped
-    /// delta, minimum-image gather gate in the tree's precision, and
-    /// `√r²`, all in plain scalar arithmetic. `select_pairs` must stage
-    /// bit-identical floats in the same order.
+    /// delta, the one distance² cut and `√r²`, all in plain scalar
+    /// arithmetic. `select_pairs` must stage bit-identical floats in
+    /// the same order.
     fn select_pairs_reference(
         block: &CandidateBlock,
         center: Vec3,
@@ -529,10 +375,7 @@ mod tests {
         periodic: Option<f64>,
         rmax: f64,
     ) -> Vec<(u64, u64, u64, u64, u64)> {
-        let rmax2 = rmax * rmax;
-        let r32 = rmax as f32;
-        let rmax2_32 = r32 * r32;
-        let c32 = [center.x as f32, center.y as f32, center.z as f32];
+        let r2_cut = rmax * rmax * (1.0 + 4.0 * f64::EPSILON);
         let mut out = Vec::new();
         for c in 0..block.ids.len() {
             let p = Vec3::new(block.x[c], block.y[c], block.z[c]);
@@ -541,45 +384,7 @@ mod tests {
                 None => p - center,
             };
             let r2 = delta.norm_sq();
-            let (kx, ky, kz) = match periodic {
-                Some(l) => {
-                    let inv_l = 1.0 / l;
-                    let k = |d: f64| (d * inv_l).round().clamp(-1.0, 1.0) as i32;
-                    (
-                        k(p.x - center.x - delta.x),
-                        k(p.y - center.y - delta.y),
-                        k(p.z - center.z - delta.z),
-                    )
-                }
-                None => (0, 0, 0),
-            };
-            let pass = if block.mixed {
-                let (gx, gy, gz) = match periodic {
-                    Some(l) => (
-                        block.xs[c] - (center.x + kx as f64 * l) as f32,
-                        block.ys[c] - (center.y + ky as f64 * l) as f32,
-                        block.zs[c] - (center.z + kz as f64 * l) as f32,
-                    ),
-                    None => (
-                        block.xs[c] - c32[0],
-                        block.ys[c] - c32[1],
-                        block.zs[c] - c32[2],
-                    ),
-                };
-                gx * gx + gy * gy + gz * gz <= rmax2_32
-            } else {
-                let g2 = match periodic {
-                    Some(l) => {
-                        let gx = p.x - (center.x + kx as f64 * l);
-                        let gy = p.y - (center.y + ky as f64 * l);
-                        let gz = p.z - (center.z + kz as f64 * l);
-                        gx * gx + gy * gy + gz * gz
-                    }
-                    None => r2,
-                };
-                g2 <= rmax2
-            };
-            if pass && block.ids[c] != skip_id {
+            if r2 <= r2_cut && block.ids[c] != skip_id {
                 out.push((
                     delta.x.to_bits(),
                     delta.y.to_bits(),

@@ -30,19 +30,24 @@
 //!   `r² ≤ (Rmax + leaf_radius)²` prefilter from the leaf center has
 //!   dropped points that cannot matter to *any* primary in the leaf.
 //!
-//! Both modes bin the same pairs — the engine's split loop re-applies
-//! the gather criterion per pair in the tree's own precision,
-//! including the periodic image-center rounding order — and differ
-//! only in accumulation order, so results agree to floating-point
-//! reassociation (≤ 1e-9 relative, enforced by
-//! `tests/traversal_equivalence.rs`). The one caveat: the per-primary
-//! search's whole-subtree acceptance tests a *box* distance instead of
-//! the per-point distance, so a pair within one rounding ulp of the
-//! search boundary *and* of a bbox corner can in principle be decided
-//! differently; no such coincidence exists in the committed test or
-//! benchmark catalogs, and a flip would shift ζ well below the
-//! equivalence tolerance. Selection is [`TraversalChoice`] on the
-//! config: leaf-blocked unless the reference is pinned.
+//! # Searches propose, `bin_of` decides
+//!
+//! Whether a pair counts is decided in exactly one place:
+//! [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) on the `f64`
+//! separation, which both modes evaluate with the same arithmetic on
+//! the catalog's own coordinates. Every query of this module is a
+//! *conservative candidate generator*: it pads the radius it hands to
+//! the k-d tree by `Tree::pad`, a bound on everything the tree's
+//! scalar type can lose, so each pair with `r < Rmax` in `f64` is
+//! always among the candidates and the few extra ones in the pad
+//! window are dropped by `bin_of` like any other unbinned pair. The
+//! binned pair set is therefore a function of (catalog, bins) only —
+//! not of [`TreePrecision`], not of [`TraversalKind`] — and results
+//! differ between them only in accumulation order (≤ 1e-9 relative
+//! between traversals, ≤ 1e-12 between precisions, with equal
+//! `binned_pairs`; enforced by `tests/traversal_equivalence.rs`).
+//! Selection is [`TraversalChoice`] on the config: leaf-blocked unless
+//! the reference is pinned.
 
 mod block;
 
@@ -109,6 +114,9 @@ impl TraversalChoice {
     }
 }
 
+/// See [`Tree::pad`].
+const PAD_ULPS: f64 = 8.0;
+
 /// Precision-erased k-d tree.
 pub enum Tree {
     F32(KdTree<f32>),
@@ -124,32 +132,37 @@ impl Tree {
         }
     }
 
-    /// Visit every point within `r` of `c` (open boundaries).
-    pub fn for_each_within<F: FnMut(u32)>(&self, c: Vec3, r: f64, f: &mut F) {
-        match self {
-            Tree::F32(t) => t.for_each_within(c, r, f),
-            Tree::F64(t) => t.for_each_within(c, r, f),
-        }
+    /// How far a query radius is padded so that no rounding in the
+    /// tree's scalar type `S` can hide a pair with `r < rmax` in `f64`:
+    /// `PAD_ULPS · ε_S · (max|coord| + box_len + rmax)`.
+    ///
+    /// With `u = ε_S / 2` and `M = max|coord|`: a stored coordinate is
+    /// off by ≤ `u·M` and a query corner — shifted by a whole box
+    /// length first when periodic — by ≤ `u·(M + L)`, so the exact
+    /// distance between the rounded points exceeds the true one by
+    /// ≤ `√3·u·(2M + L)`. Evaluating it (three subtractions, three
+    /// squares, two additions) and rounding and squaring the radius
+    /// cost another ≤ `4u` relative to `rmax`; a leaf's bounding box in
+    /// `S` can sit `√3·u·M` inside its primaries' `f64` positions; and
+    /// the engine's own `√(δ·δ)` is good to a few `ε_f64·rmax`. The
+    /// total is below `ε_S·(2.6 M + 0.9 L + 4 rmax)`, and the leaf
+    /// prefilter of [`CandidateBlock::fill`] (center, radius and
+    /// distance in `f64`) adds at most `ε_f64·(5.2 M + 2 rmax)` of its
+    /// own. [`PAD_ULPS`] = 8 covers both with room to spare; the price
+    /// is a few candidates `bin_of` rejects. Queries are made from tree
+    /// points and leaf boxes, so `M` bounds the query corners too.
+    pub(crate) fn pad(&self, rmax: f64, periodic: Option<f64>) -> f64 {
+        let (eps, reach) = match self {
+            Tree::F32(t) => (f64::from(f32::EPSILON), t.max_abs_coord()),
+            Tree::F64(t) => (f64::EPSILON, t.max_abs_coord()),
+        };
+        PAD_ULPS * eps * (reach + periodic.unwrap_or(0.0) + rmax)
     }
 
-    /// Visit every point within `r` of `c` under minimum-image wrapping
-    /// in a periodic box of side `box_len`.
-    pub fn for_each_within_periodic<F: FnMut(u32)>(
-        &self,
-        c: Vec3,
-        r: f64,
-        box_len: f64,
-        f: &mut F,
-    ) {
-        match self {
-            Tree::F32(t) => t.for_each_within_periodic(c, r, box_len, f),
-            Tree::F64(t) => t.for_each_within_periodic(c, r, box_len, f),
-        }
-    }
-
-    /// Gather the ids of all points within `rmax` of `center` into
-    /// `out` (cleared first), honoring periodicity when given. Returns
-    /// the number of candidates gathered.
+    /// Gather into `out` (cleared first) the ids of a superset of the
+    /// points within `rmax` of `center` — each at most once, whatever
+    /// the padded radius reaches through the periodic images — and
+    /// return how many. `center` is a tree point (`Tree::pad` assumes it).
     pub fn gather_neighbors(
         &self,
         center: Vec3,
@@ -158,11 +171,19 @@ impl Tree {
         out: &mut Vec<u32>,
     ) -> usize {
         out.clear();
-        match periodic {
-            Some(box_len) => {
-                self.for_each_within_periodic(center, rmax, box_len, &mut |id| out.push(id))
-            }
-            None => self.for_each_within(center, rmax, &mut |id| out.push(id)),
+        let r = rmax + self.pad(rmax, periodic);
+        let mut push = |id| out.push(id);
+        match (self, periodic) {
+            (Tree::F32(t), None) => t.for_each_within(center, r, &mut push),
+            (Tree::F64(t), None) => t.for_each_within(center, r, &mut push),
+            (Tree::F32(t), Some(l)) => t.for_each_within_periodic(center, r, l, &mut push),
+            (Tree::F64(t), Some(l)) => t.for_each_within_periodic(center, r, l, &mut push),
+        }
+        if periodic.is_some_and(|l| r > 0.5 * l) {
+            // Past box/2 (rmax = box/2 plus the pad) a point on the far
+            // face is reached through two images.
+            out.sort_unstable();
+            out.dedup();
         }
         out.len()
     }
@@ -178,10 +199,10 @@ impl Tree {
     }
 
     /// Node-to-node pruned walk: visit contiguous slot ranges covering
-    /// every point within `rmax` of the box `[lo, hi]` (see
-    /// [`KdTree::for_each_within_of_aabb`]). Periodic walks may emit
-    /// overlapping ranges across box images; [`CandidateBlock::fill`]
-    /// coalesces them.
+    /// every point within `rmax` (padded by `Tree::pad`) of the box
+    /// `[lo, hi]` (see [`KdTree::for_each_within_of_aabb`]). Periodic
+    /// walks may emit overlapping ranges across box images;
+    /// [`CandidateBlock::fill`] coalesces them.
     pub fn for_each_within_of_aabb<F: FnMut(u32, u32)>(
         &self,
         lo: Vec3,
@@ -190,11 +211,12 @@ impl Tree {
         periodic: Option<f64>,
         f: &mut F,
     ) {
+        let r = rmax + self.pad(rmax, periodic);
         match (self, periodic) {
-            (Tree::F32(t), None) => t.for_each_within_of_aabb(lo, hi, rmax, f),
-            (Tree::F64(t), None) => t.for_each_within_of_aabb(lo, hi, rmax, f),
-            (Tree::F32(t), Some(l)) => t.for_each_within_of_aabb_periodic(lo, hi, rmax, l, f),
-            (Tree::F64(t), Some(l)) => t.for_each_within_of_aabb_periodic(lo, hi, rmax, l, f),
+            (Tree::F32(t), None) => t.for_each_within_of_aabb(lo, hi, r, f),
+            (Tree::F64(t), None) => t.for_each_within_of_aabb(lo, hi, r, f),
+            (Tree::F32(t), Some(l)) => t.for_each_within_of_aabb_periodic(lo, hi, r, l, f),
+            (Tree::F64(t), Some(l)) => t.for_each_within_of_aabb_periodic(lo, hi, r, l, f),
         }
     }
 
@@ -206,18 +228,12 @@ impl Tree {
             Tree::F64(t) => t.id_at(slot as usize),
         }
     }
-
-    /// Whether the neighbor search runs in `f32` (the paper's mixed
-    /// precision mode).
-    #[inline]
-    pub fn is_mixed(&self) -> bool {
-        matches!(self, Tree::F32(_))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galactos_kdtree::BruteForce;
 
     #[test]
     fn gather_clears_and_counts() {
@@ -249,6 +265,84 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    /// Secondaries placed within an `f32` ulp of `rmax` at
+    /// `|coord| ≈ 4096` (ulp ≈ 4.9e-4), where the bare `f32` search
+    /// loses some: the padded query must return every point the `f64`
+    /// brute-force scan does, open and through the periodic seam.
+    #[test]
+    fn padded_f32_query_is_a_superset_of_the_f64_scan() {
+        let rmax = 5.0;
+        let ulp = f64::from(f32::EPSILON) * 4096.0;
+        for (center, periodic) in [
+            (Vec3::new(4096.3, 4100.7, 4097.9), None),
+            (Vec3::new(8191.9, 4100.7, 0.2), Some(8192.0)),
+        ] {
+            let mut positions = vec![center];
+            for i in 0..400 {
+                let (t, p) = (0.37 * i as f64, 0.61 * i as f64);
+                let dir = Vec3::new(t.sin() * p.cos(), t.sin() * p.sin(), t.cos());
+                let p = center + dir * (rmax + ulp * (i % 5 - 2) as f64);
+                positions.push(match periodic {
+                    Some(l) => Vec3::new(p.x.rem_euclid(l), p.y.rem_euclid(l), p.z.rem_euclid(l)),
+                    None => p,
+                });
+            }
+            let want: Vec<u32> = match periodic {
+                None => BruteForce::new(&positions).within(center, rmax),
+                Some(l) => (0..positions.len() as u32)
+                    .filter(|&j| positions[j as usize].periodic_delta(center, l).norm() <= rmax)
+                    .collect(),
+            };
+            assert!(want.len() > 100 && want.len() < positions.len());
+
+            let bare = KdTree::<f32>::build(&positions, TreeConfig::default());
+            let mut found = Vec::new();
+            match periodic {
+                None => bare.for_each_within(center, rmax, &mut |id| found.push(id)),
+                Some(l) => bare.for_each_within_periodic(center, rmax, l, &mut |id| found.push(id)),
+            }
+            assert!(
+                want.iter().any(|j| !found.contains(j)),
+                "the unpadded f32 search lost nothing: the case has no teeth"
+            );
+
+            let tree = Tree::build(&positions, TreePrecision::Mixed);
+            tree.gather_neighbors(center, rmax, periodic, &mut found);
+            for j in &want {
+                assert!(found.contains(j), "point {j} lost (periodic={periodic:?})");
+            }
+            // Leaf-blocked: the walk from the center's own leaf.
+            let leaves = tree.leaf_blocks();
+            let leaf = leaves
+                .iter()
+                .find(|leaf| (leaf.start..leaf.end).any(|s| tree.id_at(s) == 0))
+                .unwrap();
+            found.clear();
+            tree.for_each_within_of_aabb(leaf.lo, leaf.hi, rmax, periodic, &mut |s, e| {
+                found.extend((s..e).map(|slot| tree.id_at(slot)))
+            });
+            for j in &want {
+                assert!(
+                    found.contains(j),
+                    "point {j} not in range (periodic={periodic:?})"
+                );
+            }
+        }
+    }
+
+    /// At `rmax == box/2` the pad reaches a point on the far face
+    /// through two images; it is still gathered once.
+    #[test]
+    fn periodic_gather_reports_each_point_once() {
+        let positions = vec![Vec3::new(1.0, 5.0, 5.0), Vec3::new(6.0, 5.0, 5.0)];
+        for precision in [TreePrecision::Double, TreePrecision::Mixed] {
+            let tree = Tree::build(&positions, precision);
+            let mut out = Vec::new();
+            tree.gather_neighbors(positions[0], 5.0, Some(10.0), &mut out);
+            assert_eq!(out, vec![0, 1], "{precision:?}");
+        }
     }
 
     #[test]

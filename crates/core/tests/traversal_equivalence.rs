@@ -1,12 +1,14 @@
 //! Equivalence suite: leaf-blocked traversal must bin exactly the same
 //! pairs as per-primary traversal and agree on ζ to floating-point
 //! reassociation (≤ 1e-9 relative), across boxes, precisions, lines of
-//! sight, primary subsets, and kernel backends.
+//! sight, primary subsets, and kernel backends — and the tree's
+//! precision must not move the pair set at all (ζ ≤ 1e-12 relative).
 
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
 use galactos_core::config::{EngineConfig, TreePrecision};
 use galactos_core::engine::Engine;
 use galactos_core::kernel::{BackendChoice, BackendKind};
+use galactos_core::naive::seminaive_anisotropic;
 use galactos_core::result::AnisotropicZeta;
 use galactos_core::traversal::{TraversalChoice, TraversalKind};
 use galactos_math::{LineOfSight, Vec3};
@@ -50,37 +52,69 @@ fn assert_equivalent(mut config: EngineConfig, catalog: &Catalog, label: &str) -
     want
 }
 
+/// Run `catalog` through both precisions × both traversals and assert
+/// that precision moves nothing but the summation order, and that the
+/// pair count is the direct O(N²) oracle's.
+fn assert_precision_blind(config: EngineConfig, catalog: &Catalog, label: &str) -> AnisotropicZeta {
+    let [double, mixed] = [TreePrecision::Double, TreePrecision::Mixed].map(|precision| {
+        let mut config = config.clone();
+        config.precision = precision;
+        assert_equivalent(config, catalog, &format!("{label}/{precision:?}"))
+    });
+    let oracle = seminaive_anisotropic(&catalog.galaxies, &config, catalog.periodic);
+    assert_eq!(double.binned_pairs, oracle.binned_pairs, "{label}: Double");
+    assert_eq!(mixed.binned_pairs, oracle.binned_pairs, "{label}: Mixed");
+    let scale = double.max_abs().max(1.0);
+    assert!(
+        mixed.max_difference(&double) <= 1e-12 * scale,
+        "{label}: Mixed vs Double rel diff {}",
+        mixed.max_difference(&double) / scale
+    );
+    double
+}
+
 #[test]
 fn open_box_across_precisions_and_backends() {
     let mut cat = uniform_box(400, 12.0, 101);
     cat.periodic = None;
-    for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-        for backend in BackendKind::ALL {
-            let mut config = EngineConfig::test_default(5.0, 3, 4);
-            config.precision = precision;
-            config.kernel_backend = BackendChoice::Fixed(backend);
-            // Small bucket: every backend sees full flushes and tails.
-            config.bucket_size = 12;
-            let z = assert_equivalent(config, &cat, &format!("open/{precision:?}/{backend:?}"));
-            assert!(z.binned_pairs > 0);
-        }
+    for backend in BackendKind::ALL {
+        let mut config = EngineConfig::test_default(5.0, 3, 4);
+        config.kernel_backend = BackendChoice::Fixed(backend);
+        // Small bucket: every backend sees full flushes and tails.
+        config.bucket_size = 12;
+        let z = assert_precision_blind(config, &cat, &format!("open/{backend:?}"));
+        assert!(z.binned_pairs > 0);
     }
 }
 
 #[test]
+fn far_from_the_origin_precision_moves_no_pair() {
+    // Past |coord| = 4096 one f32 ulp is 4.9e-4, so of the ≈ 259 000
+    // ordered pairs here about a hundred lie within an ulp of rmax, and
+    // a search that decides membership on f32 coordinates drops ten of
+    // them.
+    let mut cat = uniform_box(1200, 12.0, 131);
+    cat.periodic = None;
+    for g in &mut cat.galaxies {
+        g.pos = g.pos + Vec3::splat(4100.0);
+    }
+    let config = EngineConfig::test_default(5.0, 2, 4);
+    let z = assert_precision_blind(config, &cat, "translated to 4096");
+    assert!(z.binned_pairs > 250_000);
+}
+
+#[test]
 fn periodic_box_wraps_identically() {
-    // rmax near box/2 stresses the multi-image range dedup: the
-    // inflated leaf reach exceeds half the box, so the same slot can be
-    // covered through several images and must be materialized once.
+    // rmax near box/2 stresses the multi-image dedup: the inflated leaf
+    // reach exceeds half the box, so the same slot can be covered
+    // through several images and must be materialized once; at exactly
+    // box/2 the padded per-primary search reaches past it too.
     let cat = uniform_box(350, 10.0, 103);
     assert!(cat.periodic.is_some(), "uniform_box must stay periodic");
-    for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-        for rmax in [2.0, 4.9] {
-            let mut config = EngineConfig::test_default(rmax, 3, 3);
-            config.precision = precision;
-            let z = assert_equivalent(config, &cat, &format!("periodic/{precision:?}/rmax{rmax}"));
-            assert!(z.binned_pairs > 0);
-        }
+    for rmax in [2.0, 4.9, 5.0] {
+        let config = EngineConfig::test_default(rmax, 3, 3);
+        let z = assert_precision_blind(config, &cat, &format!("periodic/rmax{rmax}"));
+        assert!(z.binned_pairs > 0);
     }
 }
 
@@ -116,6 +150,7 @@ fn compute_subset_ghosts_never_become_primaries() {
     let mut cat = uniform_box(320, 11.0, 113);
     cat.periodic = None;
     let n_primaries = 140;
+    let mut pairs = Vec::new();
     for precision in [TreePrecision::Double, TreePrecision::Mixed] {
         let mut config = EngineConfig::test_default(4.0, 2, 3);
         config.precision = precision;
@@ -134,7 +169,9 @@ fn compute_subset_ghosts_never_become_primaries() {
             "{precision:?}: rel diff {}",
             got.max_difference(&want) / scale
         );
+        pairs.push(got.binned_pairs);
     }
+    assert_eq!(pairs[0], pairs[1], "precision moved the pair set");
 }
 
 #[test]
@@ -146,13 +183,10 @@ fn clustered_catalog_with_ragged_leaves() {
     let mut cat = generate_scaled_catalog(&ds, 1.0, MockKind::Clustered, 127);
     cat.periodic = None;
     let rmax = 0.2 * cat.bounds.extent().x.min(cat.bounds.extent().y);
-    for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-        let mut config = EngineConfig::test_default(rmax, 3, 4);
-        config.precision = precision;
-        config.bucket_size = 64;
-        let z = assert_equivalent(config, &cat, &format!("clustered/{precision:?}"));
-        assert!(z.binned_pairs > 0, "clustered catalog must produce pairs");
-    }
+    let mut config = EngineConfig::test_default(rmax, 3, 4);
+    config.bucket_size = 64;
+    let z = assert_precision_blind(config, &cat, "clustered");
+    assert!(z.binned_pairs > 0, "clustered catalog must produce pairs");
 }
 
 #[test]

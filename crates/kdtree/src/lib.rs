@@ -17,7 +17,12 @@
 //! * **generic precision**: the same tree code instantiates at `f32`
 //!   (the paper's mixed-precision mode — "the k-d tree search is
 //!   performed in single precision due to its insensitivity to the
-//!   precision of galaxy locations") or `f64`;
+//!   precision of galaxy locations") or `f64`. Every query evaluates
+//!   its distances in that scalar type, so a point within a rounding
+//!   error of the radius may land on either side: a caller that needs
+//!   *every* point within `r` in `f64` pads the radius by a bound on
+//!   that error ([`KdTree::max_abs_coord`] is the scale it needs) and
+//!   decides membership itself, as `galactos-core`'s traversal does;
 //! * sphere **range queries** (visitor and collecting forms), **counting
 //!   queries** and **periodic-box** variants — fixed-radius only: the
 //!   algorithm never asks for the k nearest;

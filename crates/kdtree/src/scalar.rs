@@ -5,7 +5,10 @@
 //! multipole kernel stays in double precision. Instantiating the tree
 //! over [`Scalar`] gives both variants from one implementation, and the
 //! mixed-vs-double benchmark (paper §5.4, 9% end-to-end gain) compares
-//! `KdTree<f32>` against `KdTree<f64>`.
+//! `KdTree<f32>` against `KdTree<f64>`. The scalar type sets what a
+//! query costs and how sharp its boundary is — one `S` ulp of the
+//! coordinates — not which pairs the estimator counts: that is decided
+//! downstream in `f64` from a padded, conservative candidate set.
 
 /// A floating-point coordinate type usable by the k-d tree.
 pub trait Scalar: Copy + PartialOrd + Send + Sync + std::fmt::Debug + 'static {

@@ -283,10 +283,15 @@ impl<S: Scalar> KdTree<S> {
         self.ids.is_empty()
     }
 
-    /// The reordered coordinates (leaf-contiguous), for diagnostics.
-    #[inline]
-    pub fn coords(&self) -> &[[S; 3]] {
-        &self.coords
+    /// Largest `|coordinate|` over all points (0 for an empty tree),
+    /// read off the root bounding box. The rounding error of any
+    /// distance this tree evaluates scales with it, which is what a
+    /// caller padding a query radius needs to know.
+    pub fn max_abs_coord(&self) -> f64 {
+        self.nodes.first().map_or(0.0, |root| {
+            let corners = root.lo.iter().chain(&root.hi);
+            corners.fold(0.0, |m, v| m.max(v.to_f64().abs()))
+        })
     }
 
     /// Original index of the point in reordered slot `slot`.
@@ -395,9 +400,12 @@ impl<S: Scalar> KdTree<S> {
         }
     }
 
-    /// Periodic-box range query: visits every point whose *minimum image*
-    /// distance to `center` is within `radius`. Requires
-    /// `radius <= box_len / 2` so each point matches at most one image.
+    /// Periodic-box range query: visits every point with a periodic
+    /// image within `radius` of `center`. Up to `radius == box_len / 2`
+    /// that is the minimum image and each point is reported at most
+    /// once; past it a point may be reported once per image in reach,
+    /// and callers deduplicate (the contract of the box-query sibling,
+    /// [`KdTree::for_each_within_of_aabb_periodic`]).
     pub fn for_each_within_periodic<F: FnMut(u32)>(
         &self,
         center: Vec3,
@@ -405,10 +413,6 @@ impl<S: Scalar> KdTree<S> {
         box_len: f64,
         f: &mut F,
     ) {
-        assert!(
-            radius <= box_len * 0.5,
-            "periodic query requires radius <= box_len/2"
-        );
         // Query the 27 images of the center whose sphere can reach [0, L)^3.
         for_each_reachable_image(center, center, radius, box_len, &mut |slo, _shi| {
             self.for_each_within(slo, radius, f)

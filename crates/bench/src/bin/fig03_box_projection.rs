@@ -6,14 +6,11 @@
 
 use galactos_analysis::report::ascii_heatmap;
 use galactos_bench::datasets::node_dataset;
-use galactos_bench::BENCH_SEED;
+use galactos_bench::{size_arg, BENCH_SEED};
 use std::io::Write;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30_000);
+    let n: usize = size_arg(30_000);
     let catalog = node_dataset(n, true, BENCH_SEED);
     let ext = catalog.bounds.extent();
     println!(

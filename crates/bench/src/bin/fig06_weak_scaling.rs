@@ -10,7 +10,7 @@
 
 use galactos_bench::costmodel::{calibrate_throughput, simulate_run};
 use galactos_bench::tables::{fmt_count, fmt_secs, print_table};
-use galactos_bench::BENCH_SEED;
+use galactos_bench::{size_arg, BENCH_SEED};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_mocks::scaled::{
@@ -19,10 +19,7 @@ use galactos_mocks::scaled::{
 use galactos_obs::clock::Epoch;
 
 fn main() {
-    let per_rank: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4_000.0);
+    let per_rank: f64 = size_arg(4_000.0);
     let rank_counts = [4usize, 8, 16, 32, 64, 128];
     let rmax_frac = 0.2; // Rmax as a fraction of the smallest box
 

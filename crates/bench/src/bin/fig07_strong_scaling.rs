@@ -9,17 +9,14 @@
 
 use galactos_bench::costmodel::{calibrate_throughput, simulate_run};
 use galactos_bench::tables::{fmt_count, fmt_secs, print_table};
-use galactos_bench::BENCH_SEED;
+use galactos_bench::{size_arg, BENCH_SEED};
 use galactos_core::config::EngineConfig;
 use galactos_mocks::scaled::{
     generate_scaled_catalog, scaled_dataset, MockKind, OUTER_RIM_DENSITY,
 };
 
 fn main() {
-    let n: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000.0);
+    let n: f64 = size_arg(40_000.0);
     let ds = scaled_dataset(1, n, OUTER_RIM_DENSITY);
     let mut cat = generate_scaled_catalog(&ds, 1.0, MockKind::Clustered, BENCH_SEED);
     cat.periodic = None;

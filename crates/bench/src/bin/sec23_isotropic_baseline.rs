@@ -9,7 +9,7 @@
 //! similar per-pair kernel cost.
 
 use galactos_bench::tables::{fmt_count, fmt_secs, print_table};
-use galactos_bench::BENCH_SEED;
+use galactos_bench::{size_arg, BENCH_SEED};
 use galactos_catalog::SurveyGeometry;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
@@ -18,10 +18,7 @@ use galactos_math::{LineOfSight, Vec3};
 use galactos_obs::clock::Epoch;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+    let n: usize = size_arg(20_000);
     // Survey-like geometry: a shell, as in the SE15 test dataset.
     let survey = SurveyGeometry::full_shell(Vec3::ZERO, 60.0, 140.0);
     let catalog = survey.sample_randoms(n, BENCH_SEED);

@@ -9,15 +9,12 @@
 
 use galactos_bench::datasets::{node_dataset, scaled_rmax};
 use galactos_bench::tables::{fmt_count, print_table};
-use galactos_bench::BENCH_SEED;
+use galactos_bench::{size_arg, BENCH_SEED};
 use galactos_domain::load::{pair_counts, primary_balance, LoadBalance};
 use galactos_domain::partition::DomainPlan;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000);
+    let n: usize = size_arg(40_000);
     let catalog = node_dataset(n, true, BENCH_SEED);
     let rmax = scaled_rmax(&catalog) * 0.5;
     let positions = catalog.positions();

@@ -7,24 +7,11 @@ use crate::traversal::TraversalChoice;
 use galactos_math::LineOfSight;
 use galactos_math::Vec3;
 
-/// Floating-point precision of the k-d tree neighbor search.
-///
-/// The paper's mixed-precision mode runs the tree in `f32` ("due to its
-/// insensitivity to the precision of galaxy locations") for a 9%
-/// end-to-end win (§5.4); the multipole kernel always runs in `f64`.
-///
-/// This changes what the search costs, never what it finds: every tree
-/// query is padded by a bound on the scalar type's rounding
-/// (`traversal::Tree::pad`) and pair membership is decided by
-/// [`RadialBins::bin_of`] on the `f64` separation alone, so `Mixed` and
-/// `Double` bin the same pairs on every input and ζ differs only by
-/// summation order. (Up to PR 23 an `f32` search could drop a pair
-/// within one `f32` ulp of Rmax — 2–4 of 2 million on some catalogs,
-/// moving ζ by ≈ 1e-5; such runs now give the `Double` answer.)
+/// Floating-point precision of the k-d tree neighbor search: always
+/// `f64` (see [`crate::traversal`]). Only the frozen benchmark ladder
+/// still names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TreePrecision {
-    /// Tree in `f32`, multipoles in `f64` — the paper's fast mode.
-    Mixed,
     /// Everything in `f64`.
     Double,
 }
@@ -42,8 +29,7 @@ pub struct EngineConfig {
     /// Pair-bucket capacity per radial bin (paper: 128, giving a
     /// best-case flop/byte ratio of 9.6).
     pub bucket_size: usize,
-    /// Neighbor-search precision: a search-cost option, the result
-    /// does not depend on it.
+    /// Neighbor-search precision; it has one value.
     pub precision: TreePrecision,
     /// Remove the degenerate `j = k` (self-pair) terms from diagonal
     /// `r₁ = r₂` bins so that ζ counts only genuine triangles.
@@ -85,14 +71,14 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// A configuration mirroring the paper's production run, scaled to a
     /// given Rmax: ℓmax = 10, 10 linear bins up to `rmax`, fixed ẑ line
-    /// of sight, bucket 128, mixed precision.
+    /// of sight, bucket 128.
     pub fn paper_default(rmax: f64) -> Self {
         EngineConfig {
             lmax: 10,
             bins: RadialBins::linear(0.0, rmax, 10),
             line_of_sight: LineOfSight::Fixed(Vec3::Z),
             bucket_size: 128,
-            precision: TreePrecision::Mixed,
+            precision: TreePrecision::Double,
             subtract_self_pairs: true,
             kernel_backend: BackendChoice::Auto,
             traversal: TraversalChoice::Auto,
@@ -151,7 +137,7 @@ mod tests {
         assert_eq!(bins.nbins(), 10);
         assert_eq!(bins.rmax(), 200.0);
         assert_eq!(line_of_sight, LineOfSight::Fixed(Vec3::Z));
-        assert_eq!(precision, TreePrecision::Mixed);
+        assert_eq!(precision, TreePrecision::Double);
         assert!(subtract_self_pairs);
         assert_eq!(kernel_backend, BackendChoice::Auto);
         assert_eq!(traversal, TraversalChoice::Auto);

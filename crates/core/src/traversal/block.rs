@@ -15,7 +15,7 @@
 //!
 //! Nothing here decides which pairs count: the walk and the prefilter
 //! are padded so the block is a superset of every leaf member's
-//! `r < Rmax` secondaries whatever the tree's precision, and the one
+//! `r < Rmax` secondaries, and the one
 //! cut of the split loop only spares square roots for pairs
 //! [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) would reject
 //! anyway (see the [module docs](super)).
@@ -283,14 +283,10 @@ mod tests {
     use crate::config::TreePrecision;
     use galactos_catalog::uniform_box;
 
-    fn fill_for_leaf(
-        precision: TreePrecision,
-        n: usize,
-        seed: u64,
-    ) -> (Vec<Galaxy>, Tree, Vec<LeafInfo>, CandidateBlock) {
+    fn fill_for_leaf(n: usize, seed: u64) -> (Vec<Galaxy>, Tree, Vec<LeafInfo>, CandidateBlock) {
         let cat = uniform_box(n, 10.0, seed);
         let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
-        let tree = Tree::build(&positions, precision);
+        let tree = Tree::build(&positions, TreePrecision::Double);
         let leaves = tree.leaf_blocks();
         (cat.galaxies, tree, leaves, CandidateBlock::new())
     }
@@ -299,32 +295,29 @@ mod tests {
     /// galaxy a brute-force `f64` scan puts within `rmax` of it.
     #[test]
     fn block_covers_per_primary_gather_for_every_leaf_member() {
-        for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-            for periodic in [None, Some(10.0)] {
-                let rmax = 3.0;
-                let (galaxies, tree, leaves, mut block) = fill_for_leaf(precision, 300, 42);
-                for leaf in &leaves {
-                    block.fill(&tree, leaf, rmax, periodic, &galaxies);
-                    let have: std::collections::BTreeSet<u32> =
-                        block.ids().iter().copied().collect();
-                    assert_eq!(
-                        have.len(),
-                        block.len(),
-                        "block must not contain duplicate candidates"
-                    );
-                    for slot in leaf.start..leaf.end {
-                        let i = tree.id_at(slot) as usize;
-                        for (j, g) in galaxies.iter().enumerate() {
-                            let delta = match periodic {
-                                Some(l) => g.pos.periodic_delta(galaxies[i].pos, l),
-                                None => g.pos - galaxies[i].pos,
-                            };
-                            assert!(
-                                delta.norm() > rmax || have.contains(&(j as u32)),
-                                "candidate {j} of primary {i} missing from its leaf block \
-                                 ({precision:?}, periodic={periodic:?})"
-                            );
-                        }
+        for periodic in [None, Some(10.0)] {
+            let rmax = 3.0;
+            let (galaxies, tree, leaves, mut block) = fill_for_leaf(300, 42);
+            for leaf in &leaves {
+                block.fill(&tree, leaf, rmax, periodic, &galaxies);
+                let have: std::collections::BTreeSet<u32> = block.ids().iter().copied().collect();
+                assert_eq!(
+                    have.len(),
+                    block.len(),
+                    "block must not contain duplicate candidates"
+                );
+                for slot in leaf.start..leaf.end {
+                    let i = tree.id_at(slot) as usize;
+                    for (j, g) in galaxies.iter().enumerate() {
+                        let delta = match periodic {
+                            Some(l) => g.pos.periodic_delta(galaxies[i].pos, l),
+                            None => g.pos - galaxies[i].pos,
+                        };
+                        assert!(
+                            delta.norm() > rmax || have.contains(&(j as u32)),
+                            "candidate {j} of primary {i} missing from its leaf block \
+                             (periodic={periodic:?})"
+                        );
                     }
                 }
             }
@@ -336,7 +329,7 @@ mod tests {
         // With a small rmax, the block for one leaf must not contain
         // the whole catalog (the prefilter sphere has volume far below
         // the box).
-        let (galaxies, tree, leaves, mut block) = fill_for_leaf(TreePrecision::Double, 2000, 11);
+        let (galaxies, tree, leaves, mut block) = fill_for_leaf(2000, 11);
         let n = block.fill(&tree, &leaves[0], 1.0, None, &galaxies);
         assert!(n > 0);
         assert!(
@@ -355,7 +348,7 @@ mod tests {
 
     #[test]
     fn block_reuse_resets_state() {
-        let (galaxies, tree, leaves, mut block) = fill_for_leaf(TreePrecision::Double, 400, 3);
+        let (galaxies, tree, leaves, mut block) = fill_for_leaf(400, 3);
         let a = block.fill(&tree, &leaves[0], 2.5, None, &galaxies);
         let ids_a: Vec<u32> = block.ids().to_vec();
         let _ = block.fill(&tree, leaves.last().unwrap(), 2.5, None, &galaxies);
@@ -399,52 +392,46 @@ mod tests {
 
     /// The vectorized Phase A must stage exactly the scalar survivors —
     /// same pairs, same order, bit-identical deltas/separations/weights
-    /// — for both tree precisions and both boundary modes, across lane
-    /// tails (candidate counts not divisible by [`F64_LANES`]).
+    /// — for both boundary modes, across lane tails (candidate counts
+    /// not divisible by [`F64_LANES`]).
     #[test]
     fn select_pairs_matches_scalar_reference() {
-        for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-            for periodic in [None, Some(10.0)] {
-                let rmax = 3.0;
-                let (galaxies, tree, leaves, mut block) = fill_for_leaf(precision, 300, 42);
-                let mut staged_any = false;
-                for leaf in &leaves {
-                    block.fill(&tree, leaf, rmax, periodic, &galaxies);
-                    for slot in leaf.start..leaf.end {
-                        let i = tree.id_at(slot) as usize;
-                        let center = galaxies[i].pos;
-                        let want = select_pairs_reference(&block, center, i as u32, periodic, rmax);
-                        let n = block.select_pairs(center, i as u32, periodic, rmax);
-                        assert_eq!(
-                            n,
-                            want.len(),
-                            "survivor count mismatch ({precision:?}, periodic={periodic:?})"
+        for periodic in [None, Some(10.0)] {
+            let rmax = 3.0;
+            let (galaxies, tree, leaves, mut block) = fill_for_leaf(300, 42);
+            let mut staged_any = false;
+            for leaf in &leaves {
+                block.fill(&tree, leaf, rmax, periodic, &galaxies);
+                for slot in leaf.start..leaf.end {
+                    let i = tree.id_at(slot) as usize;
+                    let center = galaxies[i].pos;
+                    let want = select_pairs_reference(&block, center, i as u32, periodic, rmax);
+                    let n = block.select_pairs(center, i as u32, periodic, rmax);
+                    assert_eq!(
+                        n,
+                        want.len(),
+                        "survivor count mismatch (periodic={periodic:?})"
+                    );
+                    for (s, w) in want.iter().enumerate() {
+                        let got = (
+                            block.sel_dx[s].to_bits(),
+                            block.sel_dy[s].to_bits(),
+                            block.sel_dz[s].to_bits(),
+                            block.sel_r[s].to_bits(),
+                            block.sel_w[s].to_bits(),
                         );
-                        for (s, w) in want.iter().enumerate() {
-                            let got = (
-                                block.sel_dx[s].to_bits(),
-                                block.sel_dy[s].to_bits(),
-                                block.sel_dz[s].to_bits(),
-                                block.sel_r[s].to_bits(),
-                                block.sel_w[s].to_bits(),
-                            );
-                            assert_eq!(
-                                got, *w,
-                                "staged pair {s} differs \
-                                 ({precision:?}, periodic={periodic:?})"
-                            );
-                            assert_eq!(
-                                block.sel_inv_r[s].to_bits(),
-                                (1.0 / block.sel_r[s]).to_bits(),
-                                "staged reciprocal {s} differs from scalar 1/r \
-                                 ({precision:?}, periodic={periodic:?})"
-                            );
-                        }
-                        staged_any |= n > 0;
+                        assert_eq!(got, *w, "staged pair {s} differs (periodic={periodic:?})");
+                        assert_eq!(
+                            block.sel_inv_r[s].to_bits(),
+                            (1.0 / block.sel_r[s]).to_bits(),
+                            "staged reciprocal {s} differs from scalar 1/r \
+                             (periodic={periodic:?})"
+                        );
                     }
+                    staged_any |= n > 0;
                 }
-                assert!(staged_any, "test catalog produced no surviving pairs");
             }
+            assert!(staged_any, "test catalog produced no surviving pairs");
         }
     }
 
@@ -452,7 +439,7 @@ mod tests {
     /// slot sits inside the candidate block.
     #[test]
     fn select_pairs_skips_the_primary() {
-        let (galaxies, tree, leaves, mut block) = fill_for_leaf(TreePrecision::Double, 200, 9);
+        let (galaxies, tree, leaves, mut block) = fill_for_leaf(200, 9);
         let leaf = &leaves[0];
         block.fill(&tree, leaf, 4.0, None, &galaxies);
         let i = tree.id_at(leaf.start) as usize;

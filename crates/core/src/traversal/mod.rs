@@ -1,12 +1,10 @@
-//! Tree traversal: the precision-erased k-d tree, per-primary neighbor
-//! gathering, and the leaf-blocked candidate path (stage 1 of the
-//! pipeline).
+//! Tree traversal: the k-d tree, per-primary neighbor gathering, and
+//! the leaf-blocked candidate path (stage 1 of the pipeline).
 //!
-//! The paper's mixed-precision mode (§5.4) runs the neighbor search in
-//! `f32` "due to its insensitivity to the precision of galaxy
-//! locations" while keeping all multipole arithmetic in `f64`. [`Tree`]
-//! erases that choice behind one type so every caller downstream of
-//! [`crate::config::TreePrecision`] is precision-agnostic.
+//! The neighbor search runs in `f64`, like the rest of the engine. The
+//! paper runs it in `f32` for a 9 % end-to-end gain on KNL (§5.4); an
+//! `f32` tree here measured within noise of the `f64` one on every
+//! benchmark workload, so there is one tree.
 //!
 //! # Traversal modes
 //!
@@ -37,15 +35,14 @@
 //! separation, which both modes evaluate with the same arithmetic on
 //! the catalog's own coordinates. Every query of this module is a
 //! *conservative candidate generator*: it pads the radius it hands to
-//! the k-d tree by `Tree::pad`, a bound on everything the tree's
-//! scalar type can lose, so each pair with `r < Rmax` in `f64` is
-//! always among the candidates and the few extra ones in the pad
+//! the k-d tree by `Tree::pad`, a bound on the rounding of the tree's
+//! distances and periodic image shifts, so each pair with `r < Rmax`
+//! is always among the candidates and the few extra ones in the pad
 //! window are dropped by `bin_of` like any other unbinned pair. The
 //! binned pair set is therefore a function of (catalog, bins) only —
-//! not of [`TreePrecision`], not of [`TraversalKind`] — and results
-//! differ between them only in accumulation order (≤ 1e-9 relative
-//! between traversals, ≤ 1e-12 between precisions, with equal
-//! `binned_pairs`; enforced by `tests/traversal_equivalence.rs`).
+//! not of [`TraversalKind`] — and the two modes differ only in
+//! accumulation order (≤ 1e-9 relative, with `binned_pairs` equal to
+//! the O(N²) oracle's; enforced by `tests/traversal_equivalence.rs`).
 //! Selection is [`TraversalChoice`] on the config: leaf-blocked unless
 //! the reference is pinned.
 
@@ -117,46 +114,35 @@ impl TraversalChoice {
 /// See [`Tree::pad`].
 const PAD_ULPS: f64 = 8.0;
 
-/// Precision-erased k-d tree.
-pub enum Tree {
-    F32(KdTree<f32>),
-    F64(KdTree<f64>),
-}
+/// The k-d tree every traversal searches.
+pub struct Tree(KdTree);
 
 impl Tree {
-    /// Build a tree over `positions` at the requested search precision.
-    pub fn build(positions: &[Vec3], precision: TreePrecision) -> Self {
-        match precision {
-            TreePrecision::Mixed => Tree::F32(KdTree::build(positions, TreeConfig::default())),
-            TreePrecision::Double => Tree::F64(KdTree::build(positions, TreeConfig::default())),
-        }
+    /// Build a tree over `positions`. `precision` has one value; only
+    /// the frozen benchmark ladder still passes it.
+    pub fn build(positions: &[Vec3], _precision: TreePrecision) -> Self {
+        Tree(KdTree::build(positions, TreeConfig::default()))
     }
 
     /// How far a query radius is padded so that no rounding in the
-    /// tree's scalar type `S` can hide a pair with `r < rmax` in `f64`:
-    /// `PAD_ULPS · ε_S · (max|coord| + box_len + rmax)`.
+    /// tree's search can hide a pair the engine's own arithmetic puts
+    /// at `r < rmax`: `PAD_ULPS · ε · (max|coord| + box_len + rmax)`.
     ///
-    /// With `u = ε_S / 2` and `M = max|coord|`: a stored coordinate is
-    /// off by ≤ `u·M` and a query corner — shifted by a whole box
-    /// length first when periodic — by ≤ `u·(M + L)`, so the exact
-    /// distance between the rounded points exceeds the true one by
-    /// ≤ `√3·u·(2M + L)`. Evaluating it (three subtractions, three
-    /// squares, two additions) and rounding and squaring the radius
-    /// cost another ≤ `4u` relative to `rmax`; a leaf's bounding box in
-    /// `S` can sit `√3·u·M` inside its primaries' `f64` positions; and
-    /// the engine's own `√(δ·δ)` is good to a few `ε_f64·rmax`. The
-    /// total is below `ε_S·(2.6 M + 0.9 L + 4 rmax)`, and the leaf
-    /// prefilter of [`CandidateBlock::fill`] (center, radius and
-    /// distance in `f64`) adds at most `ε_f64·(5.2 M + 2 rmax)` of its
-    /// own. [`PAD_ULPS`] = 8 covers both with room to spare; the price
-    /// is a few candidates `bin_of` rejects. Queries are made from tree
-    /// points and leaf boxes, so `M` bounds the query corners too.
+    /// With `u = ε / 2` and `M = max|coord|`: a query corner shifted by
+    /// a whole box length (periodic walks) is off by ≤ `u·(M + L)`, so
+    /// the exact distance from the rounded corner exceeds the true one
+    /// by ≤ `√3·u·(M + L)`. Evaluating it (three subtractions, three
+    /// squares, two additions) and squaring the radius cost another
+    /// ≤ `4u` relative to `rmax`, and the engine's own `√(δ·δ)` is
+    /// good to a few `ε·rmax`. The total is below
+    /// `ε·(2.6 M + 0.9 L + 4 rmax)`, and the leaf prefilter of
+    /// [`CandidateBlock::fill`] (center, radius and distance) adds at
+    /// most `ε·(5.2 M + 2 rmax)` of its own. [`PAD_ULPS`] = 8 covers
+    /// both; the price is a few candidates `bin_of` rejects. Queries
+    /// are made from tree points and leaf boxes, so `M` bounds the
+    /// query corners too.
     pub(crate) fn pad(&self, rmax: f64, periodic: Option<f64>) -> f64 {
-        let (eps, reach) = match self {
-            Tree::F32(t) => (f64::from(f32::EPSILON), t.max_abs_coord()),
-            Tree::F64(t) => (f64::EPSILON, t.max_abs_coord()),
-        };
-        PAD_ULPS * eps * (reach + periodic.unwrap_or(0.0) + rmax)
+        PAD_ULPS * f64::EPSILON * (self.0.max_abs_coord() + periodic.unwrap_or(0.0) + rmax)
     }
 
     /// Gather into `out` (cleared first) the ids of a superset of the
@@ -173,11 +159,9 @@ impl Tree {
         out.clear();
         let r = rmax + self.pad(rmax, periodic);
         let mut push = |id| out.push(id);
-        match (self, periodic) {
-            (Tree::F32(t), None) => t.for_each_within(center, r, &mut push),
-            (Tree::F64(t), None) => t.for_each_within(center, r, &mut push),
-            (Tree::F32(t), Some(l)) => t.for_each_within_periodic(center, r, l, &mut push),
-            (Tree::F64(t), Some(l)) => t.for_each_within_periodic(center, r, l, &mut push),
+        match periodic {
+            None => self.0.for_each_within(center, r, &mut push),
+            Some(l) => self.0.for_each_within_periodic(center, r, l, &mut push),
         }
         if periodic.is_some_and(|l| r > 0.5 * l) {
             // Past box/2 (rmax = box/2 plus the pad) a point on the far
@@ -192,10 +176,7 @@ impl Tree {
     /// partition the point set, so a driver that processes each leaf's
     /// primaries exactly once covers every primary exactly once.
     pub fn leaf_blocks(&self) -> Vec<LeafInfo> {
-        match self {
-            Tree::F32(t) => t.collect_leaves(),
-            Tree::F64(t) => t.collect_leaves(),
-        }
+        self.0.collect_leaves()
     }
 
     /// Node-to-node pruned walk: visit contiguous slot ranges covering
@@ -212,21 +193,16 @@ impl Tree {
         f: &mut F,
     ) {
         let r = rmax + self.pad(rmax, periodic);
-        match (self, periodic) {
-            (Tree::F32(t), None) => t.for_each_within_of_aabb(lo, hi, r, f),
-            (Tree::F64(t), None) => t.for_each_within_of_aabb(lo, hi, r, f),
-            (Tree::F32(t), Some(l)) => t.for_each_within_of_aabb_periodic(lo, hi, r, l, f),
-            (Tree::F64(t), Some(l)) => t.for_each_within_of_aabb_periodic(lo, hi, r, l, f),
+        match periodic {
+            None => self.0.for_each_within_of_aabb(lo, hi, r, f),
+            Some(l) => self.0.for_each_within_of_aabb_periodic(lo, hi, r, l, f),
         }
     }
 
     /// Original point index stored in reordered slot `slot`.
     #[inline]
     pub fn id_at(&self, slot: u32) -> u32 {
-        match self {
-            Tree::F32(t) => t.id_at(slot as usize),
-            Tree::F64(t) => t.id_at(slot as usize),
-        }
+        self.0.id_at(slot as usize)
     }
 }
 
@@ -251,30 +227,13 @@ mod tests {
         assert_eq!(ids, vec![0, 1]);
     }
 
+    /// Secondaries placed within an ulp of `rmax` at `|coord| ≈ 4096`:
+    /// the padded query must return every point the brute-force scan
+    /// does, open and through the periodic seam.
     #[test]
-    fn mixed_and_double_agree_away_from_boundaries() {
-        let positions: Vec<Vec3> = (0..50)
-            .map(|i| Vec3::new((i % 7) as f64, (i % 5) as f64, (i % 3) as f64))
-            .collect();
-        let t32 = Tree::build(&positions, TreePrecision::Mixed);
-        let t64 = Tree::build(&positions, TreePrecision::Double);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        t32.gather_neighbors(Vec3::new(3.1, 2.1, 1.1), 2.5, None, &mut a);
-        t64.gather_neighbors(Vec3::new(3.1, 2.1, 1.1), 2.5, None, &mut b);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    /// Secondaries placed within an `f32` ulp of `rmax` at
-    /// `|coord| ≈ 4096` (ulp ≈ 4.9e-4), where the bare `f32` search
-    /// loses some: the padded query must return every point the `f64`
-    /// brute-force scan does, open and through the periodic seam.
-    #[test]
-    fn padded_f32_query_is_a_superset_of_the_f64_scan() {
+    fn padded_query_is_a_superset_of_the_f64_scan() {
         let rmax = 5.0;
-        let ulp = f64::from(f32::EPSILON) * 4096.0;
+        let ulp = f64::EPSILON * 4096.0;
         for (center, periodic) in [
             (Vec3::new(4096.3, 4100.7, 4097.9), None),
             (Vec3::new(8191.9, 4100.7, 0.2), Some(8192.0)),
@@ -297,18 +256,20 @@ mod tests {
             };
             assert!(want.len() > 100 && want.len() < positions.len());
 
-            let bare = KdTree::<f32>::build(&positions, TreeConfig::default());
+            let bare = KdTree::build(&positions, TreeConfig::default());
             let mut found = Vec::new();
             match periodic {
                 None => bare.for_each_within(center, rmax, &mut |id| found.push(id)),
                 Some(l) => bare.for_each_within_periodic(center, rmax, l, &mut |id| found.push(id)),
             }
-            assert!(
-                want.iter().any(|j| !found.contains(j)),
-                "the unpadded f32 search lost nothing: the case has no teeth"
-            );
+            // The open search evaluates the same `f64` distances as the
+            // scan and loses nothing; through the seam the query center
+            // is shifted by a whole box length, rounds, and loses some.
+            let lost = want.iter().any(|j| !found.contains(j));
+            assert_eq!(lost, periodic.is_some(), "periodic={periodic:?}");
 
-            let tree = Tree::build(&positions, TreePrecision::Mixed);
+            let tree = Tree::build(&positions, TreePrecision::Double);
+            let mut found = Vec::new();
             tree.gather_neighbors(center, rmax, periodic, &mut found);
             for j in &want {
                 assert!(found.contains(j), "point {j} lost (periodic={periodic:?})");
@@ -337,12 +298,10 @@ mod tests {
     #[test]
     fn periodic_gather_reports_each_point_once() {
         let positions = vec![Vec3::new(1.0, 5.0, 5.0), Vec3::new(6.0, 5.0, 5.0)];
-        for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-            let tree = Tree::build(&positions, precision);
-            let mut out = Vec::new();
-            tree.gather_neighbors(positions[0], 5.0, Some(10.0), &mut out);
-            assert_eq!(out, vec![0, 1], "{precision:?}");
-        }
+        let tree = Tree::build(&positions, TreePrecision::Double);
+        let mut out = Vec::new();
+        tree.gather_neighbors(positions[0], 5.0, Some(10.0), &mut out);
+        assert_eq!(out, vec![0, 1]);
     }
 
     #[test]
@@ -366,17 +325,15 @@ mod tests {
                 )
             })
             .collect();
-        for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-            let tree = Tree::build(&positions, precision);
-            let mut seen = vec![false; positions.len()];
-            for leaf in tree.leaf_blocks() {
-                for slot in leaf.start..leaf.end {
-                    let id = tree.id_at(slot) as usize;
-                    assert!(!seen[id]);
-                    seen[id] = true;
-                }
+        let tree = Tree::build(&positions, TreePrecision::Double);
+        let mut seen = vec![false; positions.len()];
+        for leaf in tree.leaf_blocks() {
+            for slot in leaf.start..leaf.end {
+                let id = tree.id_at(slot) as usize;
+                assert!(!seen[id]);
+                seen[id] = true;
             }
-            assert!(seen.iter().all(|&s| s));
         }
+        assert!(seen.iter().all(|&s| s));
     }
 }

@@ -4,7 +4,7 @@
 //! convention, and with weights.
 
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
-use galactos_core::config::{EngineConfig, TreePrecision};
+use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::naive::{naive_anisotropic, seminaive_anisotropic};
 use galactos_math::{LineOfSight, Vec3};
@@ -28,9 +28,7 @@ fn random_weighted_galaxies(n: usize, box_len: f64, seed: u64) -> Vec<Galaxy> {
 }
 
 fn engine_config(rmax: f64, lmax: usize, nbins: usize) -> EngineConfig {
-    let mut c = EngineConfig::test_default(rmax, lmax, nbins);
-    c.precision = TreePrecision::Double;
-    c
+    EngineConfig::test_default(rmax, lmax, nbins)
 }
 
 #[test]

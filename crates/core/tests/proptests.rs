@@ -3,7 +3,7 @@
 
 use galactos_catalog::{Catalog, Galaxy};
 use galactos_core::bins::RadialBins;
-use galactos_core::config::{EngineConfig, TreePrecision};
+use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::kernel::{BackendChoice, BackendKind};
 use galactos_core::naive::seminaive_anisotropic;
@@ -43,9 +43,7 @@ fn arb_galaxies(max_n: usize) -> impl Strategy<Value = Vec<Galaxy>> {
 }
 
 fn base_config(lmax: usize, nbins: usize, rmax: f64) -> EngineConfig {
-    let mut c = EngineConfig::test_default(rmax, lmax, nbins);
-    c.precision = TreePrecision::Double;
-    c
+    EngineConfig::test_default(rmax, lmax, nbins)
 }
 
 proptest! {

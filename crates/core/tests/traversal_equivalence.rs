@@ -1,11 +1,11 @@
 //! Equivalence suite: leaf-blocked traversal must bin exactly the same
 //! pairs as per-primary traversal and agree on ζ to floating-point
-//! reassociation (≤ 1e-9 relative), across boxes, precisions, lines of
-//! sight, primary subsets, and kernel backends — and the tree's
-//! precision must not move the pair set at all (ζ ≤ 1e-12 relative).
+//! reassociation (≤ 1e-9 relative), across boxes, lines of sight,
+//! primary subsets, and kernel backends — and that pair count must be
+//! the direct O(N²) oracle's.
 
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
-use galactos_core::config::{EngineConfig, TreePrecision};
+use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::kernel::{BackendChoice, BackendKind};
 use galactos_core::naive::seminaive_anisotropic;
@@ -52,25 +52,13 @@ fn assert_equivalent(mut config: EngineConfig, catalog: &Catalog, label: &str) -
     want
 }
 
-/// Run `catalog` through both precisions × both traversals and assert
-/// that precision moves nothing but the summation order, and that the
-/// pair count is the direct O(N²) oracle's.
-fn assert_precision_blind(config: EngineConfig, catalog: &Catalog, label: &str) -> AnisotropicZeta {
-    let [double, mixed] = [TreePrecision::Double, TreePrecision::Mixed].map(|precision| {
-        let mut config = config.clone();
-        config.precision = precision;
-        assert_equivalent(config, catalog, &format!("{label}/{precision:?}"))
-    });
+/// [`assert_equivalent`], plus: the pair count is the direct O(N²)
+/// oracle's.
+fn assert_matches_oracle(config: EngineConfig, catalog: &Catalog, label: &str) -> AnisotropicZeta {
+    let z = assert_equivalent(config.clone(), catalog, label);
     let oracle = seminaive_anisotropic(&catalog.galaxies, &config, catalog.periodic);
-    assert_eq!(double.binned_pairs, oracle.binned_pairs, "{label}: Double");
-    assert_eq!(mixed.binned_pairs, oracle.binned_pairs, "{label}: Mixed");
-    let scale = double.max_abs().max(1.0);
-    assert!(
-        mixed.max_difference(&double) <= 1e-12 * scale,
-        "{label}: Mixed vs Double rel diff {}",
-        mixed.max_difference(&double) / scale
-    );
-    double
+    assert_eq!(z.binned_pairs, oracle.binned_pairs, "{label}: oracle");
+    z
 }
 
 #[test]
@@ -82,24 +70,23 @@ fn open_box_across_precisions_and_backends() {
         config.kernel_backend = BackendChoice::Fixed(backend);
         // Small bucket: every backend sees full flushes and tails.
         config.bucket_size = 12;
-        let z = assert_precision_blind(config, &cat, &format!("open/{backend:?}"));
+        let z = assert_matches_oracle(config, &cat, &format!("open/{backend:?}"));
         assert!(z.binned_pairs > 0);
     }
 }
 
 #[test]
 fn far_from_the_origin_precision_moves_no_pair() {
-    // Past |coord| = 4096 one f32 ulp is 4.9e-4, so of the ≈ 259 000
-    // ordered pairs here about a hundred lie within an ulp of rmax, and
-    // a search that decides membership on f32 coordinates drops ten of
-    // them.
+    // Past |coord| = 4096 the coordinates keep fewer fractional bits
+    // and the pad that keeps the search conservative grows with them;
+    // the ≈ 259 000 ordered pairs must still be exactly the oracle's.
     let mut cat = uniform_box(1200, 12.0, 131);
     cat.periodic = None;
     for g in &mut cat.galaxies {
         g.pos = g.pos + Vec3::splat(4100.0);
     }
     let config = EngineConfig::test_default(5.0, 2, 4);
-    let z = assert_precision_blind(config, &cat, "translated to 4096");
+    let z = assert_matches_oracle(config, &cat, "translated to 4096");
     assert!(z.binned_pairs > 250_000);
 }
 
@@ -113,7 +100,7 @@ fn periodic_box_wraps_identically() {
     assert!(cat.periodic.is_some(), "uniform_box must stay periodic");
     for rmax in [2.0, 4.9, 5.0] {
         let config = EngineConfig::test_default(rmax, 3, 3);
-        let z = assert_precision_blind(config, &cat, &format!("periodic/rmax{rmax}"));
+        let z = assert_matches_oracle(config, &cat, &format!("periodic/rmax{rmax}"));
         assert!(z.binned_pairs > 0);
     }
 }
@@ -150,28 +137,22 @@ fn compute_subset_ghosts_never_become_primaries() {
     let mut cat = uniform_box(320, 11.0, 113);
     cat.periodic = None;
     let n_primaries = 140;
-    let mut pairs = Vec::new();
-    for precision in [TreePrecision::Double, TreePrecision::Mixed] {
-        let mut config = EngineConfig::test_default(4.0, 2, 3);
-        config.precision = precision;
+    let mut config = EngineConfig::test_default(4.0, 2, 3);
 
-        config.traversal = TraversalChoice::Fixed(TraversalKind::PerPrimary);
-        let want = Engine::new(config.clone()).compute_subset(&cat.galaxies, n_primaries);
-        config.traversal = TraversalChoice::Fixed(TraversalKind::LeafBlocked);
-        let got = Engine::new(config).compute_subset(&cat.galaxies, n_primaries);
+    config.traversal = TraversalChoice::Fixed(TraversalKind::PerPrimary);
+    let want = Engine::new(config.clone()).compute_subset(&cat.galaxies, n_primaries);
+    config.traversal = TraversalChoice::Fixed(TraversalKind::LeafBlocked);
+    let got = Engine::new(config).compute_subset(&cat.galaxies, n_primaries);
 
-        assert_eq!(got.num_primaries, n_primaries as u64, "{precision:?}");
-        assert_eq!(got.num_primaries, want.num_primaries);
-        assert_eq!(got.binned_pairs, want.binned_pairs, "{precision:?}");
-        let scale = want.max_abs().max(1.0);
-        assert!(
-            got.max_difference(&want) <= TOL * scale,
-            "{precision:?}: rel diff {}",
-            got.max_difference(&want) / scale
-        );
-        pairs.push(got.binned_pairs);
-    }
-    assert_eq!(pairs[0], pairs[1], "precision moved the pair set");
+    assert_eq!(got.num_primaries, n_primaries as u64);
+    assert_eq!(got.num_primaries, want.num_primaries);
+    assert_eq!(got.binned_pairs, want.binned_pairs);
+    let scale = want.max_abs().max(1.0);
+    assert!(
+        got.max_difference(&want) <= TOL * scale,
+        "rel diff {}",
+        got.max_difference(&want) / scale
+    );
 }
 
 #[test]
@@ -185,7 +166,7 @@ fn clustered_catalog_with_ragged_leaves() {
     let rmax = 0.2 * cat.bounds.extent().x.min(cat.bounds.extent().y);
     let mut config = EngineConfig::test_default(rmax, 3, 4);
     config.bucket_size = 64;
-    let z = assert_precision_blind(config, &cat, "clustered");
+    let z = assert_matches_oracle(config, &cat, "clustered");
     assert!(z.binned_pairs > 0, "clustered catalog must produce pairs");
 }
 

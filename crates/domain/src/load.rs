@@ -80,7 +80,7 @@ pub fn pair_counts(plan: &DomainPlan, positions: &[Vec3], rmax: f64) -> Vec<u64>
             let mut local: Vec<Vec3> = Vec::with_capacity(owned.len() + halos[r].len());
             local.extend(owned.iter().map(|&i| positions[i as usize]));
             local.extend(halos[r].iter().map(|&i| positions[i as usize]));
-            let tree = KdTree::<f64>::build(&local, TreeConfig::default());
+            let tree = KdTree::build(&local, TreeConfig::default());
             owned
                 .iter()
                 .map(|&i| {

@@ -1,6 +1,5 @@
 //! The balanced k-d tree: construction and sphere queries.
 
-use crate::scalar::{distance_sq, Scalar};
 use galactos_math::Vec3;
 
 /// Construction parameters.
@@ -25,16 +24,16 @@ enum NodeKind {
 }
 
 #[derive(Clone, Copy, Debug)]
-struct Node<S> {
-    lo: [S; 3],
-    hi: [S; 3],
+struct Node {
+    lo: [f64; 3],
+    hi: [f64; 3],
     /// Contiguous range of reordered point slots covered by this subtree.
     start: u32,
     end: u32,
     kind: NodeKind,
 }
 
-impl<S: Scalar> Node<S> {
+impl Node {
     #[inline]
     fn count(&self) -> u32 {
         self.end - self.start
@@ -44,17 +43,17 @@ impl<S: Scalar> Node<S> {
     /// nearest point of the axis-aligned box `[qlo, qhi]` (zero when
     /// they intersect).
     #[inline]
-    fn min_dist_sq_to_aabb(&self, qlo: [S; 3], qhi: [S; 3]) -> S {
-        let mut acc = S::ZERO;
+    fn min_dist_sq_to_aabb(&self, qlo: [f64; 3], qhi: [f64; 3]) -> f64 {
+        let mut acc = 0.0;
         for ax in 0..3 {
             let gap = if qlo[ax] > self.hi[ax] {
-                qlo[ax].sub(self.hi[ax])
+                qlo[ax] - self.hi[ax]
             } else if self.lo[ax] > qhi[ax] {
-                self.lo[ax].sub(qhi[ax])
+                self.lo[ax] - qhi[ax]
             } else {
-                S::ZERO
+                0.0
             };
-            acc = acc.add(gap.mul(gap));
+            acc += gap * gap;
         }
         acc
     }
@@ -63,45 +62,45 @@ impl<S: Scalar> Node<S> {
     /// nearest point of `[qlo, qhi]` — when this is ≤ r², every point in
     /// the subtree lies within `r` of the query box.
     #[inline]
-    fn max_dist_sq_to_aabb(&self, qlo: [S; 3], qhi: [S; 3]) -> S {
-        let mut acc = S::ZERO;
+    fn max_dist_sq_to_aabb(&self, qlo: [f64; 3], qhi: [f64; 3]) -> f64 {
+        let mut acc = 0.0;
         for ax in 0..3 {
             // Distance from v to [qlo, qhi] is max(0, qlo−v, v−qhi),
             // maximized over v ∈ [lo, hi] at an endpoint.
-            let a = qlo[ax].sub(self.lo[ax]); // farthest-below endpoint
-            let b = self.hi[ax].sub(qhi[ax]); // farthest-above endpoint
-            let gap = a.fmax(b).fmax(S::ZERO);
-            acc = acc.add(gap.mul(gap));
+            let a = qlo[ax] - self.lo[ax]; // farthest-below endpoint
+            let b = self.hi[ax] - qhi[ax]; // farthest-above endpoint
+            let gap = fmax(fmax(a, b), 0.0);
+            acc += gap * gap;
         }
         acc
     }
 
     /// Squared distance from `p` to the nearest point of the bbox.
     #[inline]
-    fn min_dist_sq(&self, p: [S; 3]) -> S {
-        let mut acc = S::ZERO;
+    fn min_dist_sq(&self, p: [f64; 3]) -> f64 {
+        let mut acc = 0.0;
         for ((&v, &lo), &hi) in p.iter().zip(&self.lo).zip(&self.hi) {
             let d = if v < lo {
-                lo.sub(v)
+                lo - v
             } else if v > hi {
-                v.sub(hi)
+                v - hi
             } else {
-                S::ZERO
+                0.0
             };
-            acc = acc.add(d.mul(d));
+            acc += d * d;
         }
         acc
     }
 
     /// Squared distance from `p` to the farthest corner of the bbox.
     #[inline]
-    fn max_dist_sq(&self, p: [S; 3]) -> S {
-        let mut acc = S::ZERO;
+    fn max_dist_sq(&self, p: [f64; 3]) -> f64 {
+        let mut acc = 0.0;
         for ((&v, &lo), &hi) in p.iter().zip(&self.lo).zip(&self.hi) {
-            let a = if v > lo { v.sub(lo) } else { lo.sub(v) };
-            let b = if v > hi { v.sub(hi) } else { hi.sub(v) };
-            let d = a.fmax(b);
-            acc = acc.add(d.mul(d));
+            let a = if v > lo { v - lo } else { lo - v };
+            let b = if v > hi { v - hi } else { hi - v };
+            let d = fmax(a, b);
+            acc += d * d;
         }
         acc
     }
@@ -109,7 +108,7 @@ impl<S: Scalar> Node<S> {
 
 /// One leaf of the tree as seen by block-traversal callers: the
 /// contiguous range of reordered point *slots* it owns and its tight
-/// bounding box (converted to `f64` regardless of tree precision).
+/// bounding box.
 ///
 /// Slots index the tree's leaf-contiguous storage; map a slot back to
 /// the original point with [`KdTree::id_at`]. Leaves partition
@@ -168,31 +167,28 @@ pub struct TreeStats {
     pub mean_leaf_size: f64,
 }
 
-/// A balanced k-d tree over 3-D points with scalar type `S`.
+/// A balanced k-d tree over 3-D `f64` points.
 ///
 /// Points are reordered into contiguous per-leaf storage at build time;
 /// every query reports *original* point indices (`u32`).
 #[derive(Clone, Debug)]
-pub struct KdTree<S: Scalar> {
-    nodes: Vec<Node<S>>,
-    coords: Vec<[S; 3]>,
+pub struct KdTree {
+    nodes: Vec<Node>,
+    coords: Vec<[f64; 3]>,
     ids: Vec<u32>,
     leaf_size: usize,
     max_depth: usize,
 }
 
-impl<S: Scalar> KdTree<S> {
-    /// Build a tree over `points` (converted from `f64` to `S`).
+impl KdTree {
+    /// Build a tree over `points`.
     pub fn build(points: &[Vec3], config: TreeConfig) -> Self {
         assert!(config.leaf_size >= 1, "leaf_size must be >= 1");
         assert!(
             points.len() < u32::MAX as usize,
             "point count exceeds u32 index space"
         );
-        let mut coords: Vec<[S; 3]> = points
-            .iter()
-            .map(|p| [S::from_f64(p.x), S::from_f64(p.y), S::from_f64(p.z)])
-            .collect();
+        let mut coords: Vec<[f64; 3]> = points.iter().map(|&p| to_array(p)).collect();
         let mut ids: Vec<u32> = (0..points.len() as u32).collect();
         let mut tree = KdTree {
             nodes: Vec::new(),
@@ -214,7 +210,7 @@ impl<S: Scalar> KdTree<S> {
     /// its node index.
     fn build_node(
         &mut self,
-        coords: &mut [[S; 3]],
+        coords: &mut [[f64; 3]],
         ids: &mut [u32],
         start: usize,
         end: usize,
@@ -222,12 +218,12 @@ impl<S: Scalar> KdTree<S> {
     ) -> u32 {
         self.max_depth = self.max_depth.max(depth);
         let slice = &coords[start..end];
-        let mut lo = [S::MAX; 3];
-        let mut hi = [S::from_f64(f64::MIN); 3];
+        let mut lo = [f64::MAX; 3];
+        let mut hi = [f64::MIN; 3];
         for p in slice {
             for ax in 0..3 {
-                lo[ax] = lo[ax].fmin(p[ax]);
-                hi[ax] = hi[ax].fmax(p[ax]);
+                lo[ax] = fmin(lo[ax], p[ax]);
+                hi[ax] = fmax(hi[ax], p[ax]);
             }
         }
         let idx = self.nodes.len() as u32;
@@ -245,9 +241,9 @@ impl<S: Scalar> KdTree<S> {
         // Split along the longest axis of the *actual* point bounds at the
         // median — this is what balances the tree regardless of clustering.
         let mut axis = 0usize;
-        let mut best = hi[0].sub(lo[0]);
+        let mut best = hi[0] - lo[0];
         for ax in 1..3 {
-            let ext = hi[ax].sub(lo[ax]);
+            let ext = hi[ax] - lo[ax];
             if ext > best {
                 best = ext;
                 axis = ax;
@@ -290,7 +286,7 @@ impl<S: Scalar> KdTree<S> {
     pub fn max_abs_coord(&self) -> f64 {
         self.nodes.first().map_or(0.0, |root| {
             let corners = root.lo.iter().chain(&root.hi);
-            corners.fold(0.0, |m, v| m.max(v.to_f64().abs()))
+            corners.fold(0.0, |m, v| m.max(v.abs()))
         })
     }
 
@@ -319,24 +315,16 @@ impl<S: Scalar> KdTree<S> {
         }
     }
 
-    #[inline]
-    fn to_s(p: Vec3) -> [S; 3] {
-        [S::from_f64(p.x), S::from_f64(p.y), S::from_f64(p.z)]
-    }
-
     /// Visit the original index of every point within `radius` of
-    /// `center` (inclusive boundary, distances evaluated in `S`).
+    /// `center` (inclusive boundary).
     pub fn for_each_within<F: FnMut(u32)>(&self, center: Vec3, radius: f64, f: &mut F) {
         if self.nodes.is_empty() {
             return;
         }
-        let c = Self::to_s(center);
-        let r = S::from_f64(radius);
-        let r2 = r.mul(r);
-        self.range_rec(0, c, r2, f);
+        self.range_rec(0, to_array(center), radius * radius, f);
     }
 
-    fn range_rec<F: FnMut(u32)>(&self, node: u32, c: [S; 3], r2: S, f: &mut F) {
+    fn range_rec<F: FnMut(u32)>(&self, node: u32, c: [f64; 3], r2: f64, f: &mut F) {
         let n = &self.nodes[node as usize];
         if n.min_dist_sq(c) > r2 {
             return;
@@ -377,12 +365,10 @@ impl<S: Scalar> KdTree<S> {
         if self.nodes.is_empty() {
             return 0;
         }
-        let c = Self::to_s(center);
-        let r = S::from_f64(radius);
-        self.count_rec(0, c, r.mul(r))
+        self.count_rec(0, to_array(center), radius * radius)
     }
 
-    fn count_rec(&self, node: u32, c: [S; 3], r2: S) -> usize {
+    fn count_rec(&self, node: u32, c: [f64; 3], r2: f64) -> usize {
         let n = &self.nodes[node as usize];
         if n.min_dist_sq(c) > r2 {
             return 0;
@@ -431,8 +417,8 @@ impl<S: Scalar> KdTree<S> {
                 f(LeafInfo {
                     start: n.start,
                     end: n.end,
-                    lo: Vec3::new(n.lo[0].to_f64(), n.lo[1].to_f64(), n.lo[2].to_f64()),
-                    hi: Vec3::new(n.hi[0].to_f64(), n.hi[1].to_f64(), n.hi[2].to_f64()),
+                    lo: Vec3::new(n.lo[0], n.lo[1], n.lo[2]),
+                    hi: Vec3::new(n.hi[0], n.hi[1], n.hi[2]),
                 });
             }
         }
@@ -466,13 +452,17 @@ impl<S: Scalar> KdTree<S> {
         if self.nodes.is_empty() {
             return;
         }
-        let qlo = Self::to_s(lo);
-        let qhi = Self::to_s(hi);
-        let r = S::from_f64(radius);
-        self.aabb_rec(0, qlo, qhi, r.mul(r), f);
+        self.aabb_rec(0, to_array(lo), to_array(hi), radius * radius, f);
     }
 
-    fn aabb_rec<F: FnMut(u32, u32)>(&self, node: u32, qlo: [S; 3], qhi: [S; 3], r2: S, f: &mut F) {
+    fn aabb_rec<F: FnMut(u32, u32)>(
+        &self,
+        node: u32,
+        qlo: [f64; 3],
+        qhi: [f64; 3],
+        r2: f64,
+        f: &mut F,
+    ) {
         let n = &self.nodes[node as usize];
         if n.min_dist_sq_to_aabb(qlo, qhi) > r2 {
             return;
@@ -556,10 +546,44 @@ fn for_each_reachable_image<F: FnMut(Vec3, Vec3)>(
     }
 }
 
+/// `f64::{max, min}` without their NaN handling, which the hot loops
+/// here do not need (coordinates are finite) and should not pay for.
+#[inline]
+fn fmax(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+#[inline]
+fn fmin(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+#[inline]
+fn to_array(p: Vec3) -> [f64; 3] {
+    [p.x, p.y, p.z]
+}
+
+/// Squared Euclidean distance, associated as `(dx² + dy²) + dz²`.
+#[inline]
+fn distance_sq(a: [f64; 3], b: [f64; 3]) -> f64 {
+    let dx = a[0] - b[0];
+    let dy = a[1] - b[1];
+    let dz = a[2] - b[2];
+    dx * dx + dy * dy + dz * dz
+}
+
 /// Apply permutation `perm` (values are indices into the segment) to both
 /// arrays simultaneously, using scratch buffers.
-fn apply_permutation<S: Copy>(coords: &mut [[S; 3]], ids: &mut [u32], perm: &[u32]) {
-    let tmp_coords: Vec<[S; 3]> = perm.iter().map(|&i| coords[i as usize]).collect();
+fn apply_permutation(coords: &mut [[f64; 3]], ids: &mut [u32], perm: &[u32]) {
+    let tmp_coords: Vec<[f64; 3]> = perm.iter().map(|&i| coords[i as usize]).collect();
     let tmp_ids: Vec<u32> = perm.iter().map(|&i| ids[i as usize]).collect();
     coords.copy_from_slice(&tmp_coords);
     ids.copy_from_slice(&tmp_ids);
@@ -587,7 +611,7 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let tree = KdTree::<f64>::build(&[], TreeConfig::default());
+        let tree = KdTree::build(&[], TreeConfig::default());
         assert!(tree.is_empty());
         assert_eq!(tree.within(Vec3::ZERO, 10.0), Vec::<u32>::new());
         assert_eq!(tree.count_within(Vec3::ZERO, 10.0), 0);
@@ -595,7 +619,7 @@ mod tests {
 
     #[test]
     fn single_point() {
-        let tree = KdTree::<f64>::build(&[Vec3::splat(1.0)], TreeConfig::default());
+        let tree = KdTree::build(&[Vec3::splat(1.0)], TreeConfig::default());
         assert_eq!(tree.within(Vec3::ZERO, 2.0), vec![0]);
         assert_eq!(tree.within(Vec3::ZERO, 1.0), Vec::<u32>::new());
         // boundary is inclusive
@@ -605,7 +629,7 @@ mod tests {
     #[test]
     fn matches_brute_force_f64() {
         let pts = random_points(500, 100.0, 7);
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 8 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
         let brute = BruteForce::new(&pts);
         for (i, &c) in pts.iter().enumerate().step_by(37) {
             for radius in [0.0, 5.0, 20.0, 60.0, 200.0] {
@@ -620,27 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_tree_close_to_f64() {
-        // Mixed precision: results may differ only for pairs within a few
-        // ULPs of the boundary. With a well-separated radius they agree.
-        let pts = random_points(400, 50.0, 11);
-        let t64 = KdTree::<f64>::build(&pts, TreeConfig::default());
-        let t32 = KdTree::<f32>::build(&pts, TreeConfig::default());
-        let mut diff_total = 0usize;
-        for &c in pts.iter().step_by(17) {
-            let a = t64.within(c, 12.0);
-            let b = t32.within(c, 12.0);
-            let sa: std::collections::BTreeSet<_> = a.iter().collect();
-            let sb: std::collections::BTreeSet<_> = b.iter().collect();
-            diff_total += sa.symmetric_difference(&sb).count();
-        }
-        assert!(
-            diff_total <= 2,
-            "f32 tree diverged: {diff_total} boundary flips"
-        );
-    }
-
-    #[test]
     fn clustered_points_stay_balanced() {
         // A pathological distribution: two tight clusters far apart.
         let mut pts = random_points(256, 1.0, 3);
@@ -649,7 +652,7 @@ mod tests {
                 .iter()
                 .map(|p| *p + Vec3::splat(1000.0)),
         );
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 4 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 4 });
         let stats = tree.stats();
         // Balanced median split: depth ≈ log2(512/4) + 1 = 8, allow slack.
         assert!(stats.max_depth <= 10, "depth {}", stats.max_depth);
@@ -659,7 +662,7 @@ mod tests {
     #[test]
     fn duplicate_points_handled() {
         let pts = vec![Vec3::splat(5.0); 100];
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 8 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
         assert_eq!(tree.within(Vec3::splat(5.0), 0.1).len(), 100);
         assert_eq!(tree.count_within(Vec3::splat(5.0), 0.1), 100);
         assert!(
@@ -676,7 +679,7 @@ mod tests {
             Vec3::new(99.0, 50.0, 50.0),
             Vec3::new(50.0, 50.0, 50.0),
         ];
-        let tree = KdTree::<f64>::build(&pts, TreeConfig::default());
+        let tree = KdTree::build(&pts, TreeConfig::default());
         // Non-periodic: point 1 is 98 away from point 0.
         assert_eq!(tree.within(pts[0], 10.0).len(), 1); // itself
                                                         // Periodic: minimum-image distance is 2.
@@ -690,7 +693,7 @@ mod tests {
     fn periodic_matches_brute_minimum_image() {
         let box_len = 20.0;
         let pts = random_points(300, box_len, 23);
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 8 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
         for &c in pts.iter().step_by(29) {
             let radius = 6.0;
             let mut got = Vec::new();
@@ -707,7 +710,7 @@ mod tests {
     #[test]
     fn leaves_partition_slot_space() {
         let pts = random_points(777, 30.0, 13);
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 16 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 16 });
         let leaves = tree.collect_leaves();
         assert_eq!(leaves.len(), tree.stats().num_leaves);
         // Ascending, contiguous, covering 0..len exactly once.
@@ -738,7 +741,7 @@ mod tests {
         // Every point within `r` of ANY point in the query box must be
         // covered by some emitted range (superset semantics).
         let pts = random_points(600, 50.0, 17);
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 8 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
         for (qlo, qhi, r) in [
             (
                 Vec3::new(10.0, 10.0, 10.0),
@@ -788,7 +791,7 @@ mod tests {
     fn aabb_walk_periodic_covers_minimum_image_union() {
         let box_len = 20.0;
         let pts = random_points(400, box_len, 19);
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 8 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
         let qlo = Vec3::new(0.5, 17.0, 9.0);
         let qhi = Vec3::new(2.5, 19.5, 11.0);
         let r = 4.0;
@@ -824,7 +827,7 @@ mod tests {
 
     #[test]
     fn aabb_walk_on_empty_tree_is_silent() {
-        let tree = KdTree::<f64>::build(&[], TreeConfig::default());
+        let tree = KdTree::build(&[], TreeConfig::default());
         assert!(tree.collect_leaves().is_empty());
         tree.for_each_within_of_aabb(Vec3::ZERO, Vec3::splat(1.0), 5.0, &mut |_, _| {
             panic!("no ranges expected")
@@ -834,7 +837,7 @@ mod tests {
     #[test]
     fn stats_are_consistent() {
         let pts = random_points(1000, 10.0, 5);
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 16 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 16 });
         let s = tree.stats();
         assert_eq!(s.num_points, 1000);
         assert!(s.num_leaves >= 1000 / 16);

@@ -25,7 +25,7 @@ proptest! {
         radius in 0.0f64..150.0,
         leaf_size in 1usize..40,
     ) {
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size });
         let brute = BruteForce::new(&pts);
         let c = Vec3::new(cx, cy, cz);
         let mut got = tree.within(c, radius);
@@ -38,7 +38,7 @@ proptest! {
 
     #[test]
     fn every_point_finds_itself(pts in arb_points(200)) {
-        let tree = KdTree::<f64>::build(&pts, TreeConfig::default());
+        let tree = KdTree::build(&pts, TreeConfig::default());
         for (i, &p) in pts.iter().enumerate() {
             let hits = tree.within(p, 1e-9);
             prop_assert!(hits.contains(&(i as u32)), "point {i} lost");
@@ -47,7 +47,7 @@ proptest! {
 
     #[test]
     fn tree_indices_are_a_permutation(pts in arb_points(250)) {
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 5 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 5 });
         let mut ids = tree.within(
             Vec3::ZERO,
             1e9, // radius covering everything
@@ -77,7 +77,7 @@ proptest! {
                 )
             })
             .collect();
-        let tree = KdTree::<f64>::build(&pts, TreeConfig { leaf_size: 7 });
+        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 7 });
         let c = Vec3::new(qx, qy, qz);
         let mut got = Vec::new();
         tree.for_each_within_periodic(c, radius, box_len, &mut |id| got.push(id));

@@ -24,7 +24,6 @@
 //! * [`cluster_process`] — Neyman–Scott cluster process: strongly
 //!   non-Gaussian small-scale clustering with an analytic density, used
 //!   by correctness tests (3PCF must detect it) and benchmarks.
-//! * [`soneira_peebles`] — the classic hierarchical fractal model.
 //! * [`scaled`] — density-matched datasets for the weak-scaling series
 //!   (reproduces the construction of the paper's Table 1).
 
@@ -36,8 +35,6 @@ pub mod lognormal;
 pub mod pk;
 pub mod rsd;
 pub mod scaled;
-pub mod soneira_peebles;
-pub mod zeldovich;
 
 pub use galactos_math::fft;
 pub use galactos_math::fft::Mesh3;

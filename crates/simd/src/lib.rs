@@ -347,92 +347,6 @@ pub fn run_at<K: Kernel>(level: Level, kernel: K) {
     kernel.run()
 }
 
-/// A 16-lane single-precision vector (one 512-bit register of `f32`),
-/// used by the mixed-precision k-d tree distance computations.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[repr(align(64))]
-pub struct F32x16(pub [f32; 16]);
-
-impl F32x16 {
-    pub const LANES: usize = 16;
-    pub const ZERO: F32x16 = F32x16([0.0; 16]);
-
-    #[inline(always)]
-    pub fn splat(v: f32) -> Self {
-        F32x16([v; 16])
-    }
-
-    #[inline(always)]
-    pub fn from_slice_padded(s: &[f32]) -> Self {
-        let mut a = [0.0; 16];
-        let n = s.len().min(16);
-        a[..n].copy_from_slice(&s[..n]);
-        F32x16(a)
-    }
-
-    #[inline(always)]
-    pub fn mul_add(self, b: F32x16, c: F32x16) -> F32x16 {
-        let mut out = [0.0; 16];
-        for i in 0..16 {
-            out[i] = self.0[i] * b.0[i] + c.0[i];
-        }
-        F32x16(out)
-    }
-
-    #[inline(always)]
-    pub fn horizontal_sum(self) -> f32 {
-        self.0.iter().sum()
-    }
-
-    /// Bitmask of lanes where `self[i] <= other[i]` (bit `i` set when
-    /// true) — the single-precision counterpart of
-    /// [`F64x8::le_mask`], for mixed-precision gather gates.
-    #[inline(always)]
-    pub fn le_mask(self, other: F32x16) -> u16 {
-        let mut m = 0u16;
-        for i in 0..16 {
-            m |= ((self.0[i] <= other.0[i]) as u16) << i;
-        }
-        m
-    }
-}
-
-impl Add for F32x16 {
-    type Output = F32x16;
-    #[inline(always)]
-    fn add(self, o: F32x16) -> F32x16 {
-        let mut out = [0.0; 16];
-        for i in 0..16 {
-            out[i] = self.0[i] + o.0[i];
-        }
-        F32x16(out)
-    }
-}
-
-impl Sub for F32x16 {
-    type Output = F32x16;
-    #[inline(always)]
-    fn sub(self, o: F32x16) -> F32x16 {
-        let mut out = [0.0; 16];
-        for i in 0..16 {
-            out[i] = self.0[i] - o.0[i];
-        }
-        F32x16(out)
-    }
-}
-
-impl Mul for F32x16 {
-    type Output = F32x16;
-    #[inline(always)]
-    fn mul(self, o: F32x16) -> F32x16 {
-        let mut out = [0.0; 16];
-        for i in 0..16 {
-            out[i] = self.0[i] * o.0[i];
-        }
-        F32x16(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,19 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn f32x16_basics() {
-        let a = F32x16::from_slice_padded(&[1.0; 10]);
-        assert_eq!(a.horizontal_sum(), 10.0);
-        let d = a - F32x16::splat(0.5);
-        assert_eq!(d.horizontal_sum(), 10.0 * 0.5 + 6.0 * -0.5); // 6 zero-padded lanes at -0.5
-        let sq = d * d;
-        assert!((sq.horizontal_sum() - (10.0 * 0.25 + 6.0 * 0.25)).abs() < 1e-6);
-        let fma = a.mul_add(F32x16::splat(2.0), F32x16::splat(1.0));
-        assert_eq!(fma.0[0], 3.0);
-        assert_eq!(fma.0[15], 1.0);
-    }
-
-    #[test]
     fn le_mask_matches_scalar_compares() {
         let a = F64x8::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let t = F64x8::splat(4.0);
@@ -554,16 +455,11 @@ mod tests {
         assert_eq!(F64x8::splat(4.0).le_mask(t), 0xff);
         // NaN compares false in every lane.
         assert_eq!(F64x8::splat(f64::NAN).le_mask(t), 0);
-
-        let b = F32x16::from_slice_padded(&[0.5; 4]);
-        assert_eq!(b.le_mask(F32x16::splat(0.4)), 0xfff0); // zero-pad lanes pass
-        assert_eq!(b.le_mask(F32x16::splat(0.6)), 0xffff);
     }
 
     #[test]
     fn alignment_for_vector_loads() {
         assert_eq!(std::mem::align_of::<F64x8>(), 64);
-        assert_eq!(std::mem::align_of::<F32x16>(), 64);
         assert_eq!(std::mem::size_of::<F64x8>(), 64);
     }
 }

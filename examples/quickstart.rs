@@ -26,9 +26,8 @@ fn main() {
 
     // 2. Engine configuration: multipoles to lmax=4, 8 radial bins out
     //    to 30 Mpc/h, plane-parallel line of sight along z (the paper's
-    //    setup for simulation boxes), mixed precision, SIMD kernel.
+    //    setup for simulation boxes), SIMD kernel.
     let mut config = EngineConfig::test_default(30.0, 4, 8);
-    config.precision = TreePrecision::Mixed;
     config.subtract_self_pairs = true;
 
     // 3. Compute.

@@ -18,8 +18,7 @@
 //! let catalog = uniform_box(2_000, 50.0, 42);
 //!
 //! // Paper-style configuration, scaled down: lmax=3, Rmax=20, 5 bins.
-//! let mut config = EngineConfig::test_default(20.0, 3, 5);
-//! config.precision = TreePrecision::Mixed;
+//! let config = EngineConfig::test_default(20.0, 3, 5);
 //!
 //! let engine = Engine::new(config);
 //! let zeta = engine.compute(&catalog).normalized();

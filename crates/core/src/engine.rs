@@ -48,8 +48,9 @@ use crate::kernel::{BackendKind, KernelBackend};
 use crate::result::AnisotropicZeta;
 use crate::schedule::{self, Merge};
 use crate::scratch::ComputeScratch;
-use crate::traversal::{LeafInfo, TraversalKind, Tree};
+use crate::traversal::{LeafInfo, TraversalKind};
 use galactos_catalog::{Catalog, Galaxy};
+use galactos_kdtree::{KdTree, TreeConfig};
 use galactos_math::monomial::MonomialBasis;
 use galactos_math::ylm::{SelfPairTable, YlmTable};
 use galactos_math::{Mat3, Vec3};
@@ -256,7 +257,7 @@ impl Engine {
         let tree = {
             let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
             let _g = obs.tracer.span("tree_build");
-            Tree::build(&positions, self.config.precision)
+            KdTree::build(&positions, TreeConfig::default())
         };
 
         // The per-chunk stage aggregates are drained from the scratch
@@ -286,7 +287,7 @@ impl Engine {
         // candidate block per leaf, shared by all of its primaries).
         let leaves: Option<Vec<LeafInfo>> = match self.traversal {
             TraversalKind::PerPrimary => None,
-            TraversalKind::LeafBlocked => Some(tree.leaf_blocks()),
+            TraversalKind::LeafBlocked => Some(tree.collect_leaves()),
         };
         schedule::run_partitioned(
             leaves.as_ref().map_or(n_primaries, Vec::len),
@@ -342,7 +343,7 @@ impl Engine {
         &self,
         scratch: &mut ComputeScratch,
         galaxies: &[Galaxy],
-        tree: &Tree,
+        tree: &KdTree,
         i: usize,
         periodic: Option<f64>,
     ) {
@@ -375,7 +376,7 @@ impl Engine {
         &self,
         scratch: &mut ComputeScratch,
         galaxies: &[Galaxy],
-        tree: &Tree,
+        tree: &KdTree,
         i: usize,
         periodic: Option<f64>,
     ) -> Option<PrimaryContext> {
@@ -401,7 +402,7 @@ impl Engine {
         &self,
         scratch: &mut ComputeScratch,
         galaxies: &[Galaxy],
-        tree: &Tree,
+        tree: &KdTree,
         leaf: &LeafInfo,
         n_primaries: usize,
         periodic: Option<f64>,
@@ -769,7 +770,7 @@ mod tests {
         let want = engine.compute_subset(&cat.galaxies, 1);
 
         let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
-        let tree = Tree::build(&positions, engine.config().precision);
+        let tree = KdTree::build(&positions, TreeConfig::default());
         let mut scratch = engine.new_scratch();
         let ctx = engine
             .gather(&mut scratch, &cat.galaxies, &tree, 0, None)
@@ -793,7 +794,7 @@ mod tests {
         let engine = Engine::new(config);
 
         let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
-        let tree = Tree::build(&positions, engine.config().precision);
+        let tree = KdTree::build(&positions, TreeConfig::default());
         let mut scratch = engine.new_scratch();
         let mut want = 0u64;
         for i in 0..3 {
@@ -820,7 +821,7 @@ mod tests {
         let engine = Engine::new(config);
 
         let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
-        let tree = Tree::build(&positions, engine.config().precision);
+        let tree = KdTree::build(&positions, TreeConfig::default());
         let mut scratch = engine.new_scratch();
         let mut snapshots = Vec::new();
         for i in 0..2 {

@@ -6,7 +6,10 @@
 //! ([`cross_pair_counts`]) and the Landy–Szalay estimator
 //! `ξ = (DD − 2DR + RR)/RR` on top of it: no engine path calls them;
 //! `tests/statistical.rs` checks the mocks' clustering scale against
-//! them.
+//! them. A pair counts by the engine's rule: the padded
+//! [`KdTree::gather_neighbors`] proposes it and
+//! [`RadialBins::bin_of`] bins its `f64` separation (see
+//! [`crate::traversal`]).
 
 use crate::bins::RadialBins;
 use galactos_catalog::Catalog;
@@ -26,17 +29,15 @@ pub fn cross_pair_counts(a: &Catalog, b: &Catalog, bins: &RadialBins) -> Vec<f64
     let tree = KdTree::build(&positions_b, TreeConfig::default());
     let rmax = bins.rmax();
     let periodic = a.periodic;
-    assert!(
-        periodic.is_none_or(|l| rmax <= 0.5 * l),
-        "rmax must be <= box/2 for periodic queries"
-    );
 
     a.galaxies
         .par_iter()
         .fold(
             || vec![0.0f64; bins.nbins()],
             |mut hist, gi| {
-                let mut visit = |j: u32| {
+                let mut neighbors: Vec<u32> = Vec::new();
+                tree.gather_neighbors(gi.pos, rmax, periodic, &mut neighbors);
+                for &j in &neighbors {
                     let gj = &b.galaxies[j as usize];
                     let r = match periodic {
                         Some(l) => gj.pos.periodic_delta(gi.pos, l).norm(),
@@ -47,10 +48,6 @@ pub fn cross_pair_counts(a: &Catalog, b: &Catalog, bins: &RadialBins) -> Vec<f64
                             hist[bin] += gi.weight * gj.weight;
                         }
                     }
-                };
-                match periodic {
-                    Some(l) => tree.for_each_within_periodic(gi.pos, rmax, l, &mut visit),
-                    None => tree.for_each_within(gi.pos, rmax, &mut visit),
                 }
                 hist
             },

@@ -4,7 +4,7 @@
 //!
 //! This is the paper's §3.2 node-to-node traversal turned into data
 //! layout: instead of one root descent and one id list per primary,
-//! the pruned walk ([`Tree::for_each_within_of_aabb`]) appends whole
+//! the pruned walk ([`KdTree::for_each_within_of_aabb`]) appends whole
 //! contiguous slot ranges within reach of the leaf's bounding box
 //! inflated by Rmax, and [`CandidateBlock::fill`] streams those ranges
 //! once — prefiltering each candidate against
@@ -14,14 +14,15 @@
 //! no per-pair `galaxies[j]` gather and no tree descent at all.
 //!
 //! Nothing here decides which pairs count: the walk and the prefilter
-//! are padded so the block is a superset of every leaf member's
-//! `r < Rmax` secondaries, and the one
-//! cut of the split loop only spares square roots for pairs
+//! are padded by [`KdTree::pad`] so the block is a superset of every
+//! leaf member's `r < Rmax` secondaries, and the one cut of the split
+//! loop only spares square roots for pairs
 //! [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) would reject
 //! anyway (see the [module docs](super)).
 
-use super::{LeafInfo, Tree};
+use super::LeafInfo;
 use galactos_catalog::Galaxy;
+use galactos_kdtree::KdTree;
 use galactos_math::Vec3;
 use galactos_simd::{F64x8, F64_LANES};
 
@@ -92,7 +93,7 @@ impl CandidateBlock {
     /// within `rmax` of any point of the leaf's bounding box (honoring
     /// minimum-image wrapping when `periodic`), prefiltered per
     /// candidate against `(rmax + leaf_radius)²` from the leaf center,
-    /// both padded by `Tree::pad`. Returns the number of candidates
+    /// both padded by [`KdTree::pad`]. Returns the number of candidates
     /// materialized.
     ///
     /// Periodic walks can cover a slot through more than one box image
@@ -100,7 +101,7 @@ impl CandidateBlock {
     /// and coalesced first so every slot is materialized exactly once.
     pub fn fill(
         &mut self,
-        tree: &Tree,
+        tree: &KdTree,
         leaf: &LeafInfo,
         rmax: f64,
         periodic: Option<f64>,
@@ -132,7 +133,7 @@ impl CandidateBlock {
 
         // 2. Prefilter sphere: any galaxy within rmax of a primary in
         // the leaf is within rmax + leaf_radius of the leaf center, up
-        // to the rounding `Tree::pad` bounds. Over-inclusion is only a
+        // to the rounding `KdTree::pad` bounds. Over-inclusion is only a
         // perf cost — `bin_of` decides membership.
         let center = leaf.center();
         let pr = rmax + leaf.radius() + tree.pad(rmax, periodic);
@@ -280,14 +281,14 @@ impl CandidateBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TreePrecision;
     use galactos_catalog::uniform_box;
+    use galactos_kdtree::TreeConfig;
 
-    fn fill_for_leaf(n: usize, seed: u64) -> (Vec<Galaxy>, Tree, Vec<LeafInfo>, CandidateBlock) {
+    fn fill_for_leaf(n: usize, seed: u64) -> (Vec<Galaxy>, KdTree, Vec<LeafInfo>, CandidateBlock) {
         let cat = uniform_box(n, 10.0, seed);
         let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
-        let tree = Tree::build(&positions, TreePrecision::Double);
-        let leaves = tree.leaf_blocks();
+        let tree = KdTree::build(&positions, TreeConfig::default());
+        let leaves = tree.collect_leaves();
         (cat.galaxies, tree, leaves, CandidateBlock::new())
     }
 

@@ -1,5 +1,6 @@
-//! Tree traversal: the k-d tree, per-primary neighbor gathering, and
-//! the leaf-blocked candidate path (stage 1 of the pipeline).
+//! Tree traversal: per-primary neighbor gathering and the leaf-blocked
+//! candidate path (stage 1 of the pipeline), both over one
+//! [`KdTree`].
 //!
 //! The neighbor search runs in `f64`, like the rest of the engine. The
 //! paper runs it in `f32` for a 9 % end-to-end gain on KNL (§5.4); an
@@ -11,10 +12,10 @@
 //! Two ways of finding each primary's secondaries coexist behind
 //! [`TraversalKind`]:
 //!
-//! * **Per-primary** ([`Tree::gather_neighbors`]): one full root
+//! * **Per-primary** ([`KdTree::gather_neighbors`]): one full root
 //!   descent per primary, reporting individual point ids. Simple, and
 //!   the reference semantics every other mode must reproduce.
-//! * **Leaf-blocked** ([`Tree::leaf_blocks`] + [`CandidateBlock`]):
+//! * **Leaf-blocked** ([`KdTree::collect_leaves`] + [`CandidateBlock`]):
 //!   the paper's node-to-node formulation (§3.2), where the k-d tree
 //!   walk searches "for all galaxies within R_max" of a whole node
 //!   at once. The cost of a pruned root descent is paid once per
@@ -33,18 +34,20 @@
 //! Whether a pair counts is decided in exactly one place:
 //! [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) on the `f64`
 //! separation, which both modes evaluate with the same arithmetic on
-//! the catalog's own coordinates. Every query of this module is a
-//! *conservative candidate generator*: it pads the radius it hands to
-//! the k-d tree by `Tree::pad`, a bound on the rounding of the tree's
-//! distances and periodic image shifts, so each pair with `r < Rmax`
-//! is always among the candidates and the few extra ones in the pad
-//! window are dropped by `bin_of` like any other unbinned pair. The
-//! binned pair set is therefore a function of (catalog, bins) only —
-//! not of [`TraversalKind`] — and the two modes differ only in
-//! accumulation order (≤ 1e-9 relative, with `binned_pairs` equal to
-//! the O(N²) oracle's; enforced by `tests/traversal_equivalence.rs`).
-//! Selection is [`TraversalChoice`] on the config: leaf-blocked unless
-//! the reference is pinned.
+//! the catalog's own coordinates. Every k-d tree query is a
+//! *conservative candidate generator*: the tree pads the radius by
+//! [`KdTree::pad`], a bound on the rounding of its distances and
+//! periodic image shifts, so each pair with `r < Rmax` is always among
+//! the candidates and the few extra ones in the pad window are dropped
+//! by `bin_of` like any other unbinned pair. The binned pair set is
+//! therefore a function of (catalog, bins) only — not of
+//! [`TraversalKind`] — and the two modes differ only in accumulation
+//! order (≤ 1e-9 relative, with `binned_pairs` equal to the O(N²)
+//! oracle's; enforced by `tests/traversal_equivalence.rs`). The SE15
+//! isotropic baseline ([`crate::isotropic`]) and the 2PCF pair counter
+//! ([`crate::paircount`]) gather through the same padded query and
+//! count by the same `bin_of`. Selection is [`TraversalChoice`] on the
+//! config: leaf-blocked unless the reference is pinned.
 
 mod block;
 
@@ -111,79 +114,23 @@ impl TraversalChoice {
     }
 }
 
-/// See [`Tree::pad`].
-const PAD_ULPS: f64 = 8.0;
-
-/// The k-d tree every traversal searches.
+/// The k-d tree under the names the frozen benchmark ladder calls; the
+/// engine searches [`KdTree`] directly.
 pub struct Tree(KdTree);
 
 impl Tree {
-    /// Build a tree over `positions`. `precision` has one value; only
-    /// the frozen benchmark ladder still passes it.
+    /// [`KdTree::build`] at the default leaf size. `precision` has one
+    /// value; only the frozen benchmark ladder still passes it.
     pub fn build(positions: &[Vec3], _precision: TreePrecision) -> Self {
         Tree(KdTree::build(positions, TreeConfig::default()))
     }
 
-    /// How far a query radius is padded so that no rounding in the
-    /// tree's search can hide a pair the engine's own arithmetic puts
-    /// at `r < rmax`: `PAD_ULPS · ε · (max|coord| + box_len + rmax)`.
-    ///
-    /// With `u = ε / 2` and `M = max|coord|`: a query corner shifted by
-    /// a whole box length (periodic walks) is off by ≤ `u·(M + L)`, so
-    /// the exact distance from the rounded corner exceeds the true one
-    /// by ≤ `√3·u·(M + L)`. Evaluating it (three subtractions, three
-    /// squares, two additions) and squaring the radius cost another
-    /// ≤ `4u` relative to `rmax`, and the engine's own `√(δ·δ)` is
-    /// good to a few `ε·rmax`. The total is below
-    /// `ε·(2.6 M + 0.9 L + 4 rmax)`, and the leaf prefilter of
-    /// [`CandidateBlock::fill`] (center, radius and distance) adds at
-    /// most `ε·(5.2 M + 2 rmax)` of its own. [`PAD_ULPS`] = 8 covers
-    /// both; the price is a few candidates `bin_of` rejects. Queries
-    /// are made from tree points and leaf boxes, so `M` bounds the
-    /// query corners too.
-    pub(crate) fn pad(&self, rmax: f64, periodic: Option<f64>) -> f64 {
-        PAD_ULPS * f64::EPSILON * (self.0.max_abs_coord() + periodic.unwrap_or(0.0) + rmax)
-    }
-
-    /// Gather into `out` (cleared first) the ids of a superset of the
-    /// points within `rmax` of `center` — each at most once, whatever
-    /// the padded radius reaches through the periodic images — and
-    /// return how many. `center` is a tree point (`Tree::pad` assumes it).
-    pub fn gather_neighbors(
-        &self,
-        center: Vec3,
-        rmax: f64,
-        periodic: Option<f64>,
-        out: &mut Vec<u32>,
-    ) -> usize {
-        out.clear();
-        let r = rmax + self.pad(rmax, periodic);
-        let mut push = |id| out.push(id);
-        match periodic {
-            None => self.0.for_each_within(center, r, &mut push),
-            Some(l) => self.0.for_each_within_periodic(center, r, l, &mut push),
-        }
-        if periodic.is_some_and(|l| r > 0.5 * l) {
-            // Past box/2 (rmax = box/2 plus the pad) a point on the far
-            // face is reached through two images.
-            out.sort_unstable();
-            out.dedup();
-        }
-        out.len()
-    }
-
-    /// Every leaf of the tree in ascending slot order; together they
-    /// partition the point set, so a driver that processes each leaf's
-    /// primaries exactly once covers every primary exactly once.
+    /// [`KdTree::collect_leaves`].
     pub fn leaf_blocks(&self) -> Vec<LeafInfo> {
         self.0.collect_leaves()
     }
 
-    /// Node-to-node pruned walk: visit contiguous slot ranges covering
-    /// every point within `rmax` (padded by `Tree::pad`) of the box
-    /// `[lo, hi]` (see [`KdTree::for_each_within_of_aabb`]). Periodic
-    /// walks may emit overlapping ranges across box images;
-    /// [`CandidateBlock::fill`] coalesces them.
+    /// [`KdTree::for_each_within_of_aabb`].
     pub fn for_each_within_of_aabb<F: FnMut(u32, u32)>(
         &self,
         lo: Vec3,
@@ -192,17 +139,7 @@ impl Tree {
         periodic: Option<f64>,
         f: &mut F,
     ) {
-        let r = rmax + self.pad(rmax, periodic);
-        match periodic {
-            None => self.0.for_each_within_of_aabb(lo, hi, r, f),
-            Some(l) => self.0.for_each_within_of_aabb_periodic(lo, hi, r, l, f),
-        }
-    }
-
-    /// Original point index stored in reordered slot `slot`.
-    #[inline]
-    pub fn id_at(&self, slot: u32) -> u32 {
-        self.0.id_at(slot as usize)
+        self.0.for_each_within_of_aabb(lo, hi, rmax, periodic, f)
     }
 }
 
@@ -211,6 +148,10 @@ mod tests {
     use super::*;
     use galactos_kdtree::BruteForce;
 
+    fn kd_tree(positions: &[Vec3]) -> KdTree {
+        KdTree::build(positions, TreeConfig::default())
+    }
+
     #[test]
     fn gather_clears_and_counts() {
         let positions = vec![
@@ -218,7 +159,7 @@ mod tests {
             Vec3::new(1.0, 0.0, 0.0),
             Vec3::new(5.0, 0.0, 0.0),
         ];
-        let tree = Tree::build(&positions, TreePrecision::Double);
+        let tree = kd_tree(&positions);
         let mut out = vec![99; 4]; // stale content must be discarded
         let n = tree.gather_neighbors(Vec3::ZERO, 2.0, None, &mut out);
         assert_eq!(n, 2);
@@ -228,8 +169,10 @@ mod tests {
     }
 
     /// Secondaries placed within an ulp of `rmax` at `|coord| ≈ 4096`:
-    /// the padded query must return every point the brute-force scan
-    /// does, open and through the periodic seam.
+    /// both padded queries the engine makes must return every point the
+    /// brute-force scan does, open and through the periodic seam (where
+    /// the bare search loses some: `galactos-kdtree`'s
+    /// `bare_periodic_search_loses_seam_points`).
     #[test]
     fn padded_query_is_a_superset_of_the_f64_scan() {
         let rmax = 5.0;
@@ -256,26 +199,14 @@ mod tests {
             };
             assert!(want.len() > 100 && want.len() < positions.len());
 
-            let bare = KdTree::build(&positions, TreeConfig::default());
-            let mut found = Vec::new();
-            match periodic {
-                None => bare.for_each_within(center, rmax, &mut |id| found.push(id)),
-                Some(l) => bare.for_each_within_periodic(center, rmax, l, &mut |id| found.push(id)),
-            }
-            // The open search evaluates the same `f64` distances as the
-            // scan and loses nothing; through the seam the query center
-            // is shifted by a whole box length, rounds, and loses some.
-            let lost = want.iter().any(|j| !found.contains(j));
-            assert_eq!(lost, periodic.is_some(), "periodic={periodic:?}");
-
-            let tree = Tree::build(&positions, TreePrecision::Double);
+            let tree = kd_tree(&positions);
             let mut found = Vec::new();
             tree.gather_neighbors(center, rmax, periodic, &mut found);
             for j in &want {
                 assert!(found.contains(j), "point {j} lost (periodic={periodic:?})");
             }
             // Leaf-blocked: the walk from the center's own leaf.
-            let leaves = tree.leaf_blocks();
+            let leaves = tree.collect_leaves();
             let leaf = leaves
                 .iter()
                 .find(|leaf| (leaf.start..leaf.end).any(|s| tree.id_at(s) == 0))
@@ -298,7 +229,7 @@ mod tests {
     #[test]
     fn periodic_gather_reports_each_point_once() {
         let positions = vec![Vec3::new(1.0, 5.0, 5.0), Vec3::new(6.0, 5.0, 5.0)];
-        let tree = Tree::build(&positions, TreePrecision::Double);
+        let tree = kd_tree(&positions);
         let mut out = Vec::new();
         tree.gather_neighbors(positions[0], 5.0, Some(10.0), &mut out);
         assert_eq!(out, vec![0, 1]);
@@ -325,9 +256,14 @@ mod tests {
                 )
             })
             .collect();
-        let tree = Tree::build(&positions, TreePrecision::Double);
+        let tree = kd_tree(&positions);
+        let leaves = tree.collect_leaves();
+        assert_eq!(
+            Tree::build(&positions, TreePrecision::Double).leaf_blocks(),
+            leaves
+        );
         let mut seen = vec![false; positions.len()];
-        for leaf in tree.leaf_blocks() {
+        for leaf in leaves {
             for slot in leaf.start..leaf.end {
                 let id = tree.id_at(slot) as usize;
                 assert!(!seen[id]);

@@ -67,7 +67,8 @@ impl LoadBalance {
 /// Count, for every rank of `plan`, the number of (primary, secondary)
 /// pairs within `rmax`: primaries are the rank's owned galaxies;
 /// secondaries are owned + halo galaxies (self-pairs excluded). This is
-/// the exact work measure of the multipole kernel.
+/// the multipole kernel's work estimate: an unpadded `r ≤ rmax` count
+/// ([`KdTree::count_within`]), not the pair set the engine bins.
 pub fn pair_counts(plan: &DomainPlan, positions: &[Vec3], rmax: f64) -> Vec<u64> {
     let halos = plan.halo_indices(positions, rmax);
     (0..plan.num_ranks())

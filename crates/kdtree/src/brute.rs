@@ -1,7 +1,7 @@
 //! Brute-force reference searcher.
 //!
-//! O(N) per query; the ground truth the tree's range and counting
-//! queries are tested against.
+//! O(N) per query; the ground truth the tree's padded gather and
+//! counting query are tested against.
 
 use galactos_math::Vec3;
 
@@ -18,18 +18,8 @@ impl BruteForce {
         }
     }
 
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Indices of all points within `radius` of `center` (inclusive).
-    // lint:allow(W-DEADPUB): oracle for KdTree::within in tree.rs tests and kdtree/tests/proptests.rs
+    // lint:allow(W-DEADPUB): oracle for KdTree::gather_neighbors in tree.rs tests and kdtree/tests/proptests.rs
     pub fn within(&self, center: Vec3, radius: f64) -> Vec<u32> {
         let r2 = radius * radius;
         self.points
@@ -66,6 +56,5 @@ mod tests {
         let b = BruteForce::new(&pts);
         assert_eq!(b.within(Vec3::ZERO, 2.5), vec![0, 1, 2]);
         assert_eq!(b.count_within(Vec3::ZERO, 2.5), 3);
-        assert_eq!(b.len(), 4);
     }
 }

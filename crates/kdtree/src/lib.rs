@@ -16,16 +16,22 @@
 //!   run without touching points at all;
 //! * **`f64` throughout**: coordinates, boxes and distances. (The
 //!   paper searches in `f32`, §5.4; here an `f32` tree measured no
-//!   faster on any workload.) A query still rounds, so a point within
-//!   an ulp of the radius may land on either side: a caller that needs
-//!   *every* point within `r` pads the radius by a bound on that error
-//!   ([`KdTree::max_abs_coord`] is the scale it needs) and decides
-//!   membership itself, as `galactos-core`'s traversal does;
-//! * sphere **range queries** (visitor and collecting forms), **counting
-//!   queries** and **periodic-box** variants — fixed-radius only: the
-//!   algorithm never asks for the k nearest;
+//!   faster on any workload);
+//! * **padded queries**: a query still rounds, so a point within an ulp
+//!   of the radius could land on either side. Both searches therefore
+//!   pad the radius by a written bound on that error and on the
+//!   periodic image shifts ([`KdTree::pad`]) and return a superset of
+//!   the points within it: every point a caller's own `f64` arithmetic
+//!   puts at `r ≤ rmax` is proposed, and the caller's membership test
+//!   (`galactos-core`'s `RadialBins::bin_of`) drops the few extras.
+//!   Every pair loop of the workspace searches through them;
+//! * a per-point **gather** ([`KdTree::gather_neighbors`]), open or
+//!   periodic (minimum image, each point once even past half the box),
+//!   and an unpadded **counting query** ([`KdTree::count_within`]) for
+//!   work estimates — fixed-radius only: the algorithm never asks for
+//!   the k nearest;
 //! * **node-to-node block queries** (paper §3.2): leaf enumeration
-//!   ([`KdTree::for_each_leaf`]) and a pruned walk that reports whole
+//!   ([`KdTree::collect_leaves`]) and a pruned walk that reports whole
 //!   contiguous slot *ranges* within reach of a query bounding box
 //!   ([`KdTree::for_each_within_of_aabb`]), so a caller can gather the
 //!   candidate secondaries of an entire leaf of primaries at once;
@@ -38,4 +44,4 @@ pub mod brute;
 pub mod tree;
 
 pub use brute::BruteForce;
-pub use tree::{KdTree, LeafInfo, TreeConfig, TreeStats};
+pub use tree::{KdTree, LeafInfo, TreeConfig};

@@ -1,4 +1,5 @@
-//! The balanced k-d tree: construction and sphere queries.
+//! The balanced k-d tree: construction and padded sphere and box
+//! queries.
 
 use galactos_math::Vec3;
 
@@ -111,8 +112,8 @@ impl Node {
 /// bounding box.
 ///
 /// Slots index the tree's leaf-contiguous storage; map a slot back to
-/// the original point with [`KdTree::id_at`]. Leaves partition
-/// `0..len()` exactly, so iterating leaves visits every point once.
+/// the original point with [`KdTree::id_at`]. Leaves partition the
+/// slot space exactly, so iterating leaves visits every point once.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LeafInfo {
     pub start: u32,
@@ -156,16 +157,8 @@ impl LeafInfo {
     }
 }
 
-/// Summary statistics of a built tree (the "marked" metadata made
-/// visible; also used by the runtime-breakdown benchmark).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TreeStats {
-    pub num_points: usize,
-    pub num_nodes: usize,
-    pub num_leaves: usize,
-    pub max_depth: usize,
-    pub mean_leaf_size: f64,
-}
+/// See [`KdTree::pad`].
+const PAD_ULPS: f64 = 8.0;
 
 /// A balanced k-d tree over 3-D `f64` points.
 ///
@@ -177,7 +170,6 @@ pub struct KdTree {
     coords: Vec<[f64; 3]>,
     ids: Vec<u32>,
     leaf_size: usize,
-    max_depth: usize,
 }
 
 impl KdTree {
@@ -195,11 +187,10 @@ impl KdTree {
             coords: Vec::new(),
             ids: Vec::new(),
             leaf_size: config.leaf_size,
-            max_depth: 0,
         };
         if !points.is_empty() {
             tree.nodes.reserve(2 * points.len() / config.leaf_size + 2);
-            tree.build_node(&mut coords, &mut ids, 0, points.len(), 1);
+            tree.build_node(&mut coords, &mut ids, 0, points.len());
         }
         tree.coords = coords;
         tree.ids = ids;
@@ -214,9 +205,7 @@ impl KdTree {
         ids: &mut [u32],
         start: usize,
         end: usize,
-        depth: usize,
     ) -> u32 {
-        self.max_depth = self.max_depth.max(depth);
         let slice = &coords[start..end];
         let mut lo = [f64::MAX; 3];
         let mut hi = [f64::MIN; 3];
@@ -263,65 +252,94 @@ impl KdTree {
             });
             apply_permutation(seg_coords, seg_ids, &perm);
         }
-        let left = self.build_node(coords, ids, start, start + mid, depth + 1);
-        let right = self.build_node(coords, ids, start + mid, end, depth + 1);
+        let left = self.build_node(coords, ids, start, start + mid);
+        let right = self.build_node(coords, ids, start + mid, end);
         self.nodes[idx as usize].kind = NodeKind::Internal { left, right };
         idx
     }
 
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Largest `|coordinate|` over all points (0 for an empty tree),
-    /// read off the root bounding box. The rounding error of any
-    /// distance this tree evaluates scales with it, which is what a
-    /// caller padding a query radius needs to know.
-    pub fn max_abs_coord(&self) -> f64 {
-        self.nodes.first().map_or(0.0, |root| {
-            let corners = root.lo.iter().chain(&root.hi);
-            corners.fold(0.0, |m, v| m.max(v.abs()))
-        })
-    }
-
     /// Original index of the point in reordered slot `slot`.
     #[inline]
-    pub fn id_at(&self, slot: usize) -> u32 {
-        self.ids[slot]
+    pub fn id_at(&self, slot: u32) -> u32 {
+        self.ids[slot as usize]
     }
 
-    pub fn stats(&self) -> TreeStats {
-        let num_leaves = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Leaf))
-            .count();
-        TreeStats {
-            num_points: self.ids.len(),
-            num_nodes: self.nodes.len(),
-            num_leaves,
-            max_depth: self.max_depth,
-            mean_leaf_size: if num_leaves == 0 {
-                0.0
-            } else {
-                self.ids.len() as f64 / num_leaves as f64
-            },
+    /// How far the two searches pad a query radius so that no rounding
+    /// in them can hide a pair a caller's own `f64` arithmetic puts at
+    /// `r < rmax`: `PAD_ULPS · ε · (max|coord| + box_len + rmax)`, with
+    /// `max|coord|` read off the root bounding box (0 for an empty
+    /// tree).
+    ///
+    /// With `u = ε / 2` and `M = max|coord|`: a query corner shifted by
+    /// a whole box length (periodic walks) is off by ≤ `u·(M + L)`, so
+    /// the exact distance from the rounded corner exceeds the true one
+    /// by ≤ `√3·u·(M + L)`. Evaluating it (three subtractions, three
+    /// squares, two additions) and squaring the radius cost another
+    /// ≤ `4u` relative to `rmax`, and the caller's own `√(δ·δ)` is
+    /// good to a few `ε·rmax`. The total is below
+    /// `ε·(2.6 M + 0.9 L + 4 rmax)`, and a leaf prefilter made from a
+    /// [`LeafInfo`]'s center, radius and distance (as `galactos-core`'s
+    /// candidate block makes) adds at most `ε·(5.2 M + 2 rmax)` of its
+    /// own. `PAD_ULPS` = 8 covers both; the price is a few candidates
+    /// the caller's membership test rejects. A query center need not be
+    /// a tree point: one with any tree point within `rmax` has
+    /// `|coord| ≤ M + rmax`, which the `rmax` term covers.
+    pub fn pad(&self, rmax: f64, periodic: Option<f64>) -> f64 {
+        let max_abs_coord = self.nodes.first().map_or(0.0, |root| {
+            let corners = root.lo.iter().chain(&root.hi);
+            corners.fold(0.0, |m: f64, v| m.max(v.abs()))
+        });
+        PAD_ULPS * f64::EPSILON * (max_abs_coord + periodic.unwrap_or(0.0) + rmax)
+    }
+
+    /// Gather into `out` (cleared first) the ids of a superset of the
+    /// points within `rmax` of `center` — the minimum-image distance in
+    /// a periodic box of side `periodic` — each at most once, and
+    /// return how many. The radius is padded by [`KdTree::pad`], so
+    /// every point the caller's `f64` arithmetic puts at `r ≤ rmax` is
+    /// among them and every one is within `rmax + 2·pad`; the caller
+    /// decides membership.
+    pub fn gather_neighbors(
+        &self,
+        center: Vec3,
+        rmax: f64,
+        periodic: Option<f64>,
+        out: &mut Vec<u32>,
+    ) -> usize {
+        out.clear();
+        let r = rmax + self.pad(rmax, periodic);
+        self.for_each_within(center, r, periodic, &mut |id| out.push(id));
+        if periodic.is_some_and(|l| r > 0.5 * l) {
+            // Past box/2 (rmax = box/2 plus the pad) a point on the far
+            // face is reached through two images.
+            out.sort_unstable();
+            out.dedup();
         }
+        out.len()
     }
 
     /// Visit the original index of every point within `radius` of
-    /// `center` (inclusive boundary).
-    pub fn for_each_within<F: FnMut(u32)>(&self, center: Vec3, radius: f64, f: &mut F) {
+    /// `center` (inclusive boundary), unpadded. Periodic: every point
+    /// with an image within `radius`, walking the images of `center`
+    /// that can reach `[0, box_len)³`; past `radius == box_len / 2` a
+    /// point may be reported once per image in reach.
+    fn for_each_within<F: FnMut(u32)>(
+        &self,
+        center: Vec3,
+        radius: f64,
+        periodic: Option<f64>,
+        f: &mut F,
+    ) {
         if self.nodes.is_empty() {
             return;
         }
-        self.range_rec(0, to_array(center), radius * radius, f);
+        let r2 = radius * radius;
+        match periodic {
+            None => self.range_rec(0, to_array(center), r2, f),
+            Some(l) => for_each_reachable_image(center, center, radius, l, &mut |c, _| {
+                self.range_rec(0, to_array(c), r2, f)
+            }),
+        }
     }
 
     fn range_rec<F: FnMut(u32)>(&self, node: u32, c: [f64; 3], r2: f64, f: &mut F) {
@@ -351,16 +369,11 @@ impl KdTree {
         }
     }
 
-    /// Collect all original indices within `radius` of `center`.
-    pub fn within(&self, center: Vec3, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.for_each_within(center, radius, &mut |id| out.push(id));
-        out
-    }
-
-    /// Count points within `radius` of `center` without reporting them —
-    /// uses cached subtree counts on fully-contained nodes, so the cost
-    /// is proportional to the sphere *surface*, not its volume.
+    /// Count points within `radius` of `center` (open box, inclusive
+    /// boundary) without reporting them — uses cached subtree counts on
+    /// fully-contained nodes, so the cost is proportional to the sphere
+    /// *surface*, not its volume. Unpadded: an estimate, not a pair
+    /// set (a point within an ulp of `radius` may land on either side).
     pub fn count_within(&self, center: Vec3, radius: f64) -> usize {
         if self.nodes.is_empty() {
             return 0;
@@ -386,73 +399,62 @@ impl KdTree {
         }
     }
 
-    /// Periodic-box range query: visits every point with a periodic
-    /// image within `radius` of `center`. Up to `radius == box_len / 2`
-    /// that is the minimum image and each point is reported at most
-    /// once; past it a point may be reported once per image in reach,
-    /// and callers deduplicate (the contract of the box-query sibling,
-    /// [`KdTree::for_each_within_of_aabb_periodic`]).
-    pub fn for_each_within_periodic<F: FnMut(u32)>(
-        &self,
-        center: Vec3,
-        radius: f64,
-        box_len: f64,
-        f: &mut F,
-    ) {
-        // Query the 27 images of the center whose sphere can reach [0, L)^3.
-        for_each_reachable_image(center, center, radius, box_len, &mut |slo, _shi| {
-            self.for_each_within(slo, radius, f)
-        });
-    }
-
-    /// Visit every leaf in ascending slot order. Leaves partition the
-    /// slot space `0..len()`, so this enumerates every point exactly
-    /// once; block-traversal drivers use it to walk primaries one whole
-    /// leaf at a time (paper §3.2's node-to-node formulation).
-    pub fn for_each_leaf<F: FnMut(LeafInfo)>(&self, f: &mut F) {
+    /// Every leaf in ascending slot order. Leaves partition the slot
+    /// space, so this enumerates every point exactly once;
+    /// block-traversal drivers use it to walk primaries one whole leaf
+    /// at a time (paper §3.2's node-to-node formulation).
+    pub fn collect_leaves(&self) -> Vec<LeafInfo> {
         // Nodes are stored in preorder with the left subtree first, so a
         // linear scan yields leaves in ascending `start` order.
-        for n in &self.nodes {
-            if matches!(n.kind, NodeKind::Leaf) {
-                f(LeafInfo {
-                    start: n.start,
-                    end: n.end,
-                    lo: Vec3::new(n.lo[0], n.lo[1], n.lo[2]),
-                    hi: Vec3::new(n.hi[0], n.hi[1], n.hi[2]),
-                });
-            }
-        }
-    }
-
-    /// Collect every leaf (ascending slot order) into a vector.
-    pub fn collect_leaves(&self) -> Vec<LeafInfo> {
-        let mut out = Vec::new();
-        self.for_each_leaf(&mut |leaf| out.push(leaf));
-        out
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n.kind, NodeKind::Leaf))
+            .map(|n| LeafInfo {
+                start: n.start,
+                end: n.end,
+                lo: Vec3::new(n.lo[0], n.lo[1], n.lo[2]),
+                hi: Vec3::new(n.hi[0], n.hi[1], n.hi[2]),
+            })
+            .collect()
     }
 
     /// Node-to-node pruned walk (paper §3.2): visit contiguous slot
     /// ranges `(start, end)` that together cover **every** point within
-    /// `radius` of the axis-aligned box `[lo, hi]` — the query leaf's
-    /// bounding box inflated by Rmax. Subtrees whose bounding box is
-    /// farther than `radius` from the query box are pruned via the
-    /// box-to-box minimum distance; subtrees entirely within `radius`
-    /// are emitted as one whole range without descending further.
+    /// `rmax` (padded by [`KdTree::pad`]) of the axis-aligned box
+    /// `[lo, hi]` — the query leaf's bounding box inflated by Rmax.
+    /// Subtrees whose bounding box is farther than that from the query
+    /// box are pruned via the box-to-box minimum distance; subtrees
+    /// entirely within reach are emitted as one whole range without
+    /// descending further.
     ///
     /// The union of emitted ranges is a *superset* of the exact result
     /// (whole leaves are emitted unfiltered); callers are expected to
-    /// prefilter per point. Ranges are disjoint and ascending.
+    /// prefilter per point. Open walks emit disjoint ascending ranges.
+    /// Periodic walks (`periodic` = box side) visit the images of the
+    /// query box that can reach `[0, box_len)³`; the reach may exceed
+    /// half the box, so ranges may **overlap across images** (within
+    /// one image they are disjoint and ascending) and callers must
+    /// deduplicate — e.g. by coalescing ranges — before treating slots
+    /// as unique.
     pub fn for_each_within_of_aabb<F: FnMut(u32, u32)>(
         &self,
         lo: Vec3,
         hi: Vec3,
-        radius: f64,
+        rmax: f64,
+        periodic: Option<f64>,
         f: &mut F,
     ) {
         if self.nodes.is_empty() {
             return;
         }
-        self.aabb_rec(0, to_array(lo), to_array(hi), radius * radius, f);
+        let r = rmax + self.pad(rmax, periodic);
+        let r2 = r * r;
+        match periodic {
+            None => self.aabb_rec(0, to_array(lo), to_array(hi), r2, f),
+            Some(l) => for_each_reachable_image(lo, hi, r, l, &mut |slo, shi| {
+                self.aabb_rec(0, to_array(slo), to_array(shi), r2, f)
+            }),
+        }
     }
 
     fn aabb_rec<F: FnMut(u32, u32)>(
@@ -480,30 +482,6 @@ impl KdTree {
                 self.aabb_rec(right, qlo, qhi, r2, f);
             }
         }
-    }
-
-    /// Periodic variant of [`KdTree::for_each_within_of_aabb`]: covers
-    /// every point whose *minimum-image* distance to the box `[lo, hi]`
-    /// is within `radius`, by walking the images of the query box that
-    /// can reach `[0, box_len)³`.
-    ///
-    /// Unlike the per-point periodic query, the effective reach
-    /// (`radius` + query-box diagonal) may exceed half the box, so the
-    /// same point can be covered through more than one image: emitted
-    /// ranges may **overlap across images** (within one image they are
-    /// disjoint and ascending). Callers must deduplicate — e.g. by
-    /// coalescing ranges — before treating slots as unique.
-    pub fn for_each_within_of_aabb_periodic<F: FnMut(u32, u32)>(
-        &self,
-        lo: Vec3,
-        hi: Vec3,
-        radius: f64,
-        box_len: f64,
-        f: &mut F,
-    ) {
-        for_each_reachable_image(lo, hi, radius, box_len, &mut |slo, shi| {
-            self.for_each_within_of_aabb(slo, shi, radius, f)
-        });
     }
 }
 
@@ -609,21 +587,77 @@ mod tests {
             .collect()
     }
 
+    /// The padded gather, sorted.
+    fn gather(tree: &KdTree, center: Vec3, rmax: f64, periodic: Option<f64>) -> Vec<u32> {
+        let mut out = Vec::new();
+        tree.gather_neighbors(center, rmax, periodic, &mut out);
+        out.sort_unstable();
+        out
+    }
+
+    /// The padded contract against a brute-force scan: the gather holds
+    /// every point at `r ≤ rmax` (minimum image when periodic), each
+    /// once, and nothing beyond `rmax + 2·pad`.
+    fn assert_padded_superset(
+        pts: &[Vec3],
+        tree: &KdTree,
+        c: Vec3,
+        rmax: f64,
+        periodic: Option<f64>,
+    ) {
+        let dist = |j: u32| match periodic {
+            Some(l) => pts[j as usize].periodic_delta(c, l).norm(),
+            None => pts[j as usize].distance(c),
+        };
+        let want: Vec<u32> = match periodic {
+            None => BruteForce::new(pts).within(c, rmax),
+            Some(_) => (0..pts.len() as u32).filter(|&j| dist(j) <= rmax).collect(),
+        };
+        let got = gather(tree, c, rmax, periodic);
+        assert!(
+            got.windows(2).all(|w| w[0] < w[1]),
+            "a point gathered twice"
+        );
+        for j in &want {
+            assert!(
+                got.binary_search(j).is_ok(),
+                "point {j} lost at rmax {rmax}"
+            );
+        }
+        let reach = rmax + 2.0 * tree.pad(rmax, periodic);
+        for &j in &got {
+            assert!(dist(j) <= reach, "point {j} at {} beyond {reach}", dist(j));
+        }
+    }
+
+    /// Median splits leave every leaf of a tree over more than
+    /// `leaf_size` points at least half full and never over-full.
+    fn assert_leaves_balanced(tree: &KdTree, n: usize, leaf_size: usize) {
+        let leaves = tree.collect_leaves();
+        assert_eq!(leaves.iter().map(LeafInfo::len).sum::<usize>(), n);
+        for leaf in &leaves {
+            assert!(leaf.len() <= leaf_size, "leaf of {}", leaf.len());
+            assert!(2 * leaf.len() >= leaf_size, "leaf of {}", leaf.len());
+        }
+    }
+
     #[test]
     fn empty_tree() {
         let tree = KdTree::build(&[], TreeConfig::default());
-        assert!(tree.is_empty());
-        assert_eq!(tree.within(Vec3::ZERO, 10.0), Vec::<u32>::new());
+        assert_eq!(gather(&tree, Vec3::ZERO, 10.0, None), Vec::<u32>::new());
         assert_eq!(tree.count_within(Vec3::ZERO, 10.0), 0);
     }
 
     #[test]
     fn single_point() {
         let tree = KdTree::build(&[Vec3::splat(1.0)], TreeConfig::default());
-        assert_eq!(tree.within(Vec3::ZERO, 2.0), vec![0]);
-        assert_eq!(tree.within(Vec3::ZERO, 1.0), Vec::<u32>::new());
+        assert_eq!(gather(&tree, Vec3::ZERO, 2.0, None), vec![0]);
+        assert_eq!(gather(&tree, Vec3::ZERO, 1.0, None), Vec::<u32>::new());
         // boundary is inclusive
-        assert_eq!(tree.within(Vec3::ZERO, 3f64.sqrt() + 1e-12), vec![0]);
+        assert_eq!(
+            gather(&tree, Vec3::ZERO, 3f64.sqrt() + 1e-12, None),
+            vec![0]
+        );
     }
 
     #[test]
@@ -631,14 +665,10 @@ mod tests {
         let pts = random_points(500, 100.0, 7);
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
         let brute = BruteForce::new(&pts);
-        for (i, &c) in pts.iter().enumerate().step_by(37) {
+        for &c in pts.iter().step_by(37) {
             for radius in [0.0, 5.0, 20.0, 60.0, 200.0] {
-                let mut got = tree.within(c, radius);
-                let mut want = brute.within(c, radius);
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "center {i} radius {radius}");
-                assert_eq!(tree.count_within(c, radius), want.len());
+                assert_padded_superset(&pts, &tree, c, radius, None);
+                assert_eq!(tree.count_within(c, radius), brute.count_within(c, radius));
             }
         }
     }
@@ -653,22 +683,17 @@ mod tests {
                 .map(|p| *p + Vec3::splat(1000.0)),
         );
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 4 });
-        let stats = tree.stats();
-        // Balanced median split: depth ≈ log2(512/4) + 1 = 8, allow slack.
-        assert!(stats.max_depth <= 10, "depth {}", stats.max_depth);
-        assert_eq!(stats.num_points, 512);
+        assert_leaves_balanced(&tree, 512, 4);
     }
 
     #[test]
     fn duplicate_points_handled() {
         let pts = vec![Vec3::splat(5.0); 100];
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
-        assert_eq!(tree.within(Vec3::splat(5.0), 0.1).len(), 100);
+        assert_eq!(gather(&tree, Vec3::splat(5.0), 0.1, None).len(), 100);
         assert_eq!(tree.count_within(Vec3::splat(5.0), 0.1), 100);
-        assert!(
-            tree.stats().max_depth < 30,
-            "no infinite split on duplicates"
-        );
+        // No degenerate split on duplicates.
+        assert_leaves_balanced(&tree, 100, 8);
     }
 
     #[test]
@@ -681,12 +706,9 @@ mod tests {
         ];
         let tree = KdTree::build(&pts, TreeConfig::default());
         // Non-periodic: point 1 is 98 away from point 0.
-        assert_eq!(tree.within(pts[0], 10.0).len(), 1); // itself
-                                                        // Periodic: minimum-image distance is 2.
-        let mut found = Vec::new();
-        tree.for_each_within_periodic(pts[0], 10.0, box_len, &mut |id| found.push(id));
-        found.sort_unstable();
-        assert_eq!(found, vec![0, 1]);
+        assert_eq!(gather(&tree, pts[0], 10.0, None), vec![0]); // itself
+                                                                // Periodic: minimum-image distance is 2.
+        assert_eq!(gather(&tree, pts[0], 10.0, Some(box_len)), vec![0, 1]);
     }
 
     #[test]
@@ -695,16 +717,44 @@ mod tests {
         let pts = random_points(300, box_len, 23);
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
         for &c in pts.iter().step_by(29) {
-            let radius = 6.0;
-            let mut got = Vec::new();
-            tree.for_each_within_periodic(c, radius, box_len, &mut |id| got.push(id));
-            got.sort_unstable();
-            let mut want: Vec<u32> = (0..pts.len() as u32)
-                .filter(|&i| pts[i as usize].periodic_delta(c, box_len).norm() <= radius)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want);
+            for radius in [6.0, 10.0] {
+                assert_padded_superset(&pts, &tree, c, radius, Some(box_len));
+            }
         }
+    }
+
+    /// Why the searches pad: through the periodic seam the query center
+    /// is shifted by a whole box length and rounds, so the bare search
+    /// at `rmax` loses points a brute-force minimum-image scan puts
+    /// within it (points within 2 ulp of `rmax` at `|coord| ≈ 4096`).
+    /// The padded gather loses none.
+    #[test]
+    fn bare_periodic_search_loses_seam_points() {
+        let (rmax, box_len) = (5.0, 8192.0);
+        let ulp = f64::EPSILON * 4096.0;
+        let center = Vec3::new(8191.9, 4100.7, 0.2);
+        let mut pts = vec![center];
+        for i in 0..400 {
+            let (t, p) = (0.37 * i as f64, 0.61 * i as f64);
+            let dir = Vec3::new(t.sin() * p.cos(), t.sin() * p.sin(), t.cos());
+            let q = center + dir * (rmax + ulp * (i % 5 - 2) as f64);
+            pts.push(Vec3::new(
+                q.x.rem_euclid(box_len),
+                q.y.rem_euclid(box_len),
+                q.z.rem_euclid(box_len),
+            ));
+        }
+        let want: Vec<u32> = (0..pts.len() as u32)
+            .filter(|&j| pts[j as usize].periodic_delta(center, box_len).norm() <= rmax)
+            .collect();
+        assert!(want.len() > 100 && want.len() < pts.len());
+
+        let tree = KdTree::build(&pts, TreeConfig::default());
+        let mut bare = Vec::new();
+        tree.for_each_within(center, rmax, Some(box_len), &mut |id| bare.push(id));
+        let lost = want.iter().filter(|j| !bare.contains(j)).count();
+        assert!(lost > 0, "the bare seam search lost nothing");
+        assert_padded_superset(&pts, &tree, center, rmax, Some(box_len));
     }
 
     #[test]
@@ -712,7 +762,6 @@ mod tests {
         let pts = random_points(777, 30.0, 13);
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 16 });
         let leaves = tree.collect_leaves();
-        assert_eq!(leaves.len(), tree.stats().num_leaves);
         // Ascending, contiguous, covering 0..len exactly once.
         let mut next = 0u32;
         let mut seen = vec![false; pts.len()];
@@ -720,7 +769,7 @@ mod tests {
             assert_eq!(leaf.start, next, "leaves must tile the slot space");
             assert!(leaf.len() >= 1 && leaf.len() <= 16);
             for slot in leaf.start..leaf.end {
-                let id = tree.id_at(slot as usize) as usize;
+                let id = tree.id_at(slot) as usize;
                 assert!(!seen[id], "point {id} in two leaves");
                 seen[id] = true;
                 // Every point sits inside its leaf bbox and radius.
@@ -762,11 +811,11 @@ mod tests {
         ] {
             let mut covered = vec![false; pts.len()];
             let mut last_end = 0u32;
-            tree.for_each_within_of_aabb(qlo, qhi, r, &mut |start, end| {
+            tree.for_each_within_of_aabb(qlo, qhi, r, None, &mut |start, end| {
                 assert!(start >= last_end, "ranges must be disjoint ascending");
                 last_end = end;
                 for slot in start..end {
-                    covered[tree.id_at(slot as usize) as usize] = true;
+                    covered[tree.id_at(slot) as usize] = true;
                 }
             });
             for (i, &p) in pts.iter().enumerate() {
@@ -796,9 +845,9 @@ mod tests {
         let qhi = Vec3::new(2.5, 19.5, 11.0);
         let r = 4.0;
         let mut covered = vec![false; pts.len()];
-        tree.for_each_within_of_aabb_periodic(qlo, qhi, r, box_len, &mut |start, end| {
+        tree.for_each_within_of_aabb(qlo, qhi, r, Some(box_len), &mut |start, end| {
             for slot in start..end {
-                covered[tree.id_at(slot as usize) as usize] = true;
+                covered[tree.id_at(slot) as usize] = true;
             }
         });
         // Brute force: min over the 27 images of the query box.
@@ -829,19 +878,14 @@ mod tests {
     fn aabb_walk_on_empty_tree_is_silent() {
         let tree = KdTree::build(&[], TreeConfig::default());
         assert!(tree.collect_leaves().is_empty());
-        tree.for_each_within_of_aabb(Vec3::ZERO, Vec3::splat(1.0), 5.0, &mut |_, _| {
-            panic!("no ranges expected")
-        });
-    }
-
-    #[test]
-    fn stats_are_consistent() {
-        let pts = random_points(1000, 10.0, 5);
-        let tree = KdTree::build(&pts, TreeConfig { leaf_size: 16 });
-        let s = tree.stats();
-        assert_eq!(s.num_points, 1000);
-        assert!(s.num_leaves >= 1000 / 16);
-        assert!(s.mean_leaf_size <= 16.0);
-        assert!(s.num_nodes >= 2 * s.num_leaves - 1);
+        for periodic in [None, Some(10.0)] {
+            tree.for_each_within_of_aabb(
+                Vec3::ZERO,
+                Vec3::splat(1.0),
+                5.0,
+                periodic,
+                &mut |_, _| panic!("no ranges expected"),
+            );
+        }
     }
 }

@@ -1,9 +1,12 @@
-//! Property-based tests: the k-d tree must agree with brute force on
-//! arbitrary point sets, radii and query centers.
+//! Property-based tests: the k-d tree's padded gather must hold every
+//! point a brute-force scan puts within the radius, and nothing beyond
+//! the pad, on arbitrary point sets, radii and query centers; its
+//! unpadded count must equal the scan's.
 
 use galactos_kdtree::{BruteForce, KdTree, TreeConfig};
 use galactos_math::Vec3;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Vec3>> {
     prop::collection::vec(
@@ -11,6 +14,41 @@ fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Vec3>> {
             .prop_map(|(x, y, z)| Vec3::new(x, y, z)),
         0..max_n,
     )
+}
+
+/// The padded gather around `c`, sorted.
+fn gather(tree: &KdTree, c: Vec3, rmax: f64, periodic: Option<f64>) -> Vec<u32> {
+    let mut out = Vec::new();
+    tree.gather_neighbors(c, rmax, periodic, &mut out);
+    out.sort_unstable();
+    out
+}
+
+/// `got` (sorted) holds every id of `want`, each once, and every id in
+/// it lies within `reach` by `dist`.
+fn check_padded(
+    got: &[u32],
+    want: &[u32],
+    reach: f64,
+    dist: impl Fn(u32) -> f64,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        got.windows(2).all(|w| w[0] < w[1]),
+        "a point gathered twice"
+    );
+    for j in want {
+        prop_assert!(got.binary_search(j).is_ok(), "point {} lost", j);
+    }
+    for &j in got {
+        prop_assert!(
+            dist(j) <= reach,
+            "point {} at {} beyond {}",
+            j,
+            dist(j),
+            reach
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -28,11 +66,13 @@ proptest! {
         let tree = KdTree::build(&pts, TreeConfig { leaf_size });
         let brute = BruteForce::new(&pts);
         let c = Vec3::new(cx, cy, cz);
-        let mut got = tree.within(c, radius);
-        let mut want = brute.within(c, radius);
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        let reach = radius + 2.0 * tree.pad(radius, None);
+        check_padded(
+            &gather(&tree, c, radius, None),
+            &brute.within(c, radius),
+            reach,
+            |j| pts[j as usize].distance(c),
+        )?;
         prop_assert_eq!(tree.count_within(c, radius), brute.count_within(c, radius));
     }
 
@@ -40,7 +80,7 @@ proptest! {
     fn every_point_finds_itself(pts in arb_points(200)) {
         let tree = KdTree::build(&pts, TreeConfig::default());
         for (i, &p) in pts.iter().enumerate() {
-            let hits = tree.within(p, 1e-9);
+            let hits = gather(&tree, p, 1e-9, None);
             prop_assert!(hits.contains(&(i as u32)), "point {i} lost");
         }
     }
@@ -48,11 +88,12 @@ proptest! {
     #[test]
     fn tree_indices_are_a_permutation(pts in arb_points(250)) {
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 5 });
-        let mut ids = tree.within(
+        let ids = gather(
+            &tree,
             Vec3::ZERO,
             1e9, // radius covering everything
+            None,
         );
-        ids.sort_unstable();
         let want: Vec<u32> = (0..pts.len() as u32).collect();
         prop_assert_eq!(ids, want);
     }
@@ -79,13 +120,9 @@ proptest! {
             .collect();
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 7 });
         let c = Vec3::new(qx, qy, qz);
-        let mut got = Vec::new();
-        tree.for_each_within_periodic(c, radius, box_len, &mut |id| got.push(id));
-        got.sort_unstable();
-        let mut want: Vec<u32> = (0..pts.len() as u32)
-            .filter(|&i| pts[i as usize].periodic_delta(c, box_len).norm() <= radius)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        let dist = |j: u32| pts[j as usize].periodic_delta(c, box_len).norm();
+        let want: Vec<u32> = (0..pts.len() as u32).filter(|&j| dist(j) <= radius).collect();
+        let reach = radius + 2.0 * tree.pad(radius, Some(box_len));
+        check_padded(&gather(&tree, c, radius, Some(box_len)), &want, reach, dist)?;
     }
 }

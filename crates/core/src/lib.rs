@@ -35,9 +35,8 @@
 //!   gathering as its reference;
 //! * [`scratch`] — reusable per-worker compute state (buckets,
 //!   accumulators, ζ partials, instrumentation counters);
-//! * [`schedule`] — the shared chunk/map/reduce driver (constant-size
-//!   chunks, work stealing, ordered merge) for the engine and the
-//!   distributed pipeline's rank reduction;
+//! * [`schedule`] — the engine's chunk/map/reduce driver (constant-size
+//!   chunks, work stealing, ordered merge);
 //! * [`naive`] — O(N³) triplet-counting and O(N²·lm) direct-Yₗₘ
 //!   baselines used as correctness oracles and benchmark comparators;
 //! * [`isotropic`] — the Slepian–Eisenstein (2015) isotropic Legendre
@@ -52,10 +51,10 @@
 //!   edge-correction solve, behind the [`SurveyCompute`] entry point;
 //! * [`flops`] — FLOP accounting reproducing the paper's §3.3.2/§5.1
 //!   arithmetic (286 monomials, 572 FLOPs/pair, flop/byte 9.6);
-//! * [`pipeline`] — the distributed run over `galactos-cluster`: the
-//!   in-memory scatter + halo exchange, and the supervised run over
-//!   on-disk shards (retry, reassignment), both ending in the global
-//!   reduction.
+//! * [`pipeline`] — the one distributed run: rank threads over
+//!   `galactos-cluster` stream plan-aligned on-disk shards, compute one
+//!   ζ partial per shard under supervision (retry, reassignment), and
+//!   end in the global reduction, in shard order.
 
 #![forbid(unsafe_code)]
 
@@ -85,8 +84,8 @@ pub use galactos_grid::{GridConfig, MassAssignment};
 pub use galactos_obs::{ObsSession, Registry, Tracer};
 pub use kernel::{BackendChoice, BackendKind, KernelBackend};
 pub use pipeline::{
-    compute_distributed, compute_distributed_supervised, compute_distributed_supervised_observed,
-    NoSleep, RankReport, RetryPolicy, Sleeper, SupervisedError, SupervisedRun,
+    compute_distributed_supervised, compute_distributed_supervised_observed, NoSleep, RankReport,
+    RetryPolicy, Sleeper, SupervisedError, SupervisedRun,
 };
 pub use result::{AnisotropicZeta, IsotropicZeta};
 pub use schedule::run_partitioned;

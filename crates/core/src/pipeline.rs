@@ -1,184 +1,58 @@
-//! The distributed 3PCF pipeline (paper §3.2 end to end).
+//! The distributed 3PCF pipeline (paper §3.2 end to end), and the one
+//! way to compute a distributed ζ: [`compute_distributed_supervised`],
+//! or [`compute_distributed_supervised_observed`] to record telemetry.
 //!
-//! Per rank: receive owned galaxies + ghosts, build the local k-d tree
-//! over owned+ghosts, run the engine with *owned galaxies only* as
-//! primaries, and reduce the multipole arrays across ranks ("the
+//! The catalog is on disk as GCAT v2 shards cut along the domain plan's
+//! recursive bisection (`galactos_domain::shard::write_sharded`; an
+//! in-memory catalog is written to a temporary directory first, as
+//! `examples/sharded_pipeline.rs` does). Per shard: stream its galaxies
+//! plus the ghosts within `rmax` from the neighbor shards whose region
+//! meets its halo — the owned and halo sets the paper's message-passing
+//! exchange (`galactos_domain::exchange`) delivers — build one k-d tree
+//! over owned + ghosts, run the engine with *owned galaxies only* as
+//! primaries, and reduce the multipole arrays once, in shard order ("the
 //! remainder of the 3PCF calculation (besides a final reduction) is
-//! strongly parallel"). The galaxies reach a rank one of two ways:
+//! strongly parallel").
 //!
-//! * [`compute_distributed`] — in memory: rank 0 holds the catalog and
-//!   scatters it through the recursive scatter/halo exchange (the
-//!   paper's setup, fine while one node can hold the data);
-//! * [`compute_distributed_supervised`] — from disk: each rank streams
-//!   its owned GCAT v2 shards plus halo-intersecting neighbor shards,
-//!   one tree per shard, so resident galaxies per piece of work are
-//!   `owned + ghosts`, never the catalog size. No message is sent, so
-//!   a shard's ζ partial is a pure function of (shard files, config) —
-//!   which is what lets the supervisor retry or reassign it after a
-//!   rank failure without moving a bit of the result.
-//!
-//! The integration tests require the reduced distributed result to
-//! match the single-process engine to floating-point accuracy for any
-//! rank count, on both paths.
+//! Resident galaxies per piece of work are `owned + ghosts`, never the
+//! catalog size. No message is sent, so a shard's ζ partial is a pure
+//! function of (shard files, config) — which is what lets the supervisor
+//! retry or reassign it after a rank failure, and run at any rank count,
+//! without moving a bit of the result. The tests require that result to
+//! match the single-process engine to 1e-9 and to be bit-identical
+//! across rank counts.
 
 use crate::config::EngineConfig;
 use crate::engine::Engine;
 use crate::result::AnisotropicZeta;
-use crate::schedule::{self, Merge};
 use galactos_catalog::io::CatalogIoError;
 use galactos_catalog::shard::ShardManifest;
-use galactos_catalog::{Catalog, Galaxy};
+use galactos_catalog::Galaxy;
 use galactos_cluster::fault::{classify_panic, FailureCause, FaultHarness, FaultPlan, RankFailure};
-use galactos_cluster::{run_cluster, run_cluster_with_stacks};
-use galactos_domain::exchange::{distribute, tagged_from_catalog};
+use galactos_cluster::run_cluster;
 use galactos_domain::shard::{distribute_shard_range, shard_range_for_rank, ShardRankData};
-use galactos_math::Aabb;
 use galactos_obs::ObsSession;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Per-rank execution summary.
+/// What one rank (or one reassigned shard) did in a distributed run.
 #[derive(Clone, Debug)]
 pub struct RankReport {
     pub rank: usize,
     pub owned: usize,
     pub ghosts: usize,
     pub binned_pairs: u64,
-    /// Bytes this rank sent during scatter + halo exchange.
-    pub bytes_sent: u64,
-    /// Messages this rank sent.
-    pub messages_sent: u64,
-    /// Shard records this rank streamed from disk (zero on the scatter
-    /// path).
+    /// Shard records this rank streamed from disk.
     pub records_read: u64,
-    /// Bytes this rank read from shard files (zero on the scatter
-    /// path).
+    /// Bytes this rank read from shard files.
     pub bytes_read: u64,
     /// How many attempts this work took under supervision (1 = first
-    /// try; always 1 on the scatter path).
+    /// try).
     pub attempts: u32,
     /// When this work was reassigned from a dead rank, the rank that
     /// originally owned it (`rank` is then the survivor that ran it).
     pub reassigned_from: Option<usize>,
 }
-
-/// Cluster-level result of a distributed run.
-#[derive(Clone, Debug)]
-pub struct DistributedRun {
-    pub zeta: AnisotropicZeta,
-    pub ranks: Vec<RankReport>,
-    pub total_bytes_sent: u64,
-    pub total_messages: u64,
-}
-
-/// Compute the anisotropic 3PCF of `catalog` on a simulated cluster of
-/// `num_ranks` ranks.
-///
-/// The catalog must be non-periodic (the paper's halo exchange gathers
-/// ghosts from partition boundaries, not across box wraps); strip
-/// periodicity first if needed.
-pub fn compute_distributed(
-    catalog: &Catalog,
-    config: &EngineConfig,
-    num_ranks: usize,
-) -> DistributedRun {
-    assert!(
-        catalog.periodic.is_none(),
-        "distributed pipeline treats catalogs as open boxes (like the paper)"
-    );
-    let bounds: Aabb = catalog.bounds;
-    let rmax = config.bins.rmax();
-    let tagged = tagged_from_catalog(catalog);
-
-    let results = run_cluster_with_stacks(num_ranks, 8 << 20, |comm| {
-        let data = if comm.rank() == 0 {
-            Some(tagged.clone())
-        } else {
-            None
-        };
-        // Keep a handle on this rank's traffic counters (they live in
-        // the shared fabric and survive the comm move below).
-        let traffic = std::sync::Arc::clone(comm.traffic());
-        let rank_data = distribute(comm, data, bounds, rmax);
-
-        // Local galaxy array: owned first (primaries), ghosts after.
-        let mut local: Vec<Galaxy> =
-            Vec::with_capacity(rank_data.owned.len() + rank_data.ghosts.len());
-        local.extend(rank_data.owned.iter().map(|t| Galaxy::new(t.pos, t.weight)));
-        local.extend(
-            rank_data
-                .ghosts
-                .iter()
-                .map(|t| Galaxy::new(t.pos, t.weight)),
-        );
-
-        let engine = Engine::new(config.clone());
-        let zeta = engine.compute_subset(&local, rank_data.owned.len());
-
-        let snapshot = traffic.snapshot();
-        let report = RankReport {
-            rank: rank_data.rank,
-            owned: rank_data.owned.len(),
-            ghosts: rank_data.ghosts.len(),
-            binned_pairs: zeta.binned_pairs,
-            bytes_sent: snapshot.bytes_sent,
-            messages_sent: snapshot.messages_sent,
-            records_read: 0,
-            bytes_read: 0,
-            attempts: 1,
-            reassigned_from: None,
-        };
-
-        // Final reduction of the multipole arrays (Algorithm 1's last
-        // step): partials are returned and summed outside, in rank
-        // order.
-        (zeta.to_f64_vec(), report)
-    });
-
-    reduce_rank_partials(config, results)
-}
-
-/// Reduce per-rank multipole partials (a root sum in rank order)
-/// through the same schedule driver the engine uses: each chunk
-/// of ranks is deserialized and merged by a worker, and the per-chunk
-/// partials are merged once at the end.
-fn reduce_rank_partials(
-    config: &EngineConfig,
-    results: Vec<(Vec<f64>, RankReport)>,
-) -> DistributedRun {
-    let lmax = config.lmax;
-    let nbins = config.bins.nbins();
-    let zeta = schedule::run_partitioned(
-        results.len(),
-        || AnisotropicZeta::zeros(lmax, nbins),
-        |acc: &mut AnisotropicZeta, range| {
-            for i in range {
-                acc.merge(&AnisotropicZeta::from_f64_vec(lmax, nbins, &results[i].0));
-            }
-        },
-        |acc| acc,
-        Merge {
-            zero: || AnisotropicZeta::zeros(lmax, nbins),
-            merge: |mut a: AnisotropicZeta, b| {
-                a.merge(&b);
-                a
-            },
-        },
-    );
-    let ranks: Vec<RankReport> = results.iter().map(|(_, report)| report.clone()).collect();
-    let total_bytes_sent = ranks.iter().map(|r| r.bytes_sent).sum();
-    let total_messages = ranks.iter().map(|r| r.messages_sent).sum();
-    DistributedRun {
-        zeta,
-        ranks,
-        total_bytes_sent,
-        total_messages,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Supervised execution: retry, reassignment, structured failures.
-// ---------------------------------------------------------------------
 
 /// Pluggable backoff sink: receives abstract *units*, never a clock.
 /// Core stays wall-clock-free (W-CLOCK); a bench or production driver
@@ -237,6 +111,9 @@ pub enum SupervisedError {
     Io(CatalogIoError),
     /// Every rank that could run a shard's work died, retries included.
     Exhausted { failures: Vec<RankFailure> },
+    /// The named argument — `num_ranks` or `policy.max_attempts` — is
+    /// 0, and a run needs at least 1.
+    ZeroArgument(&'static str),
 }
 
 impl std::fmt::Display for SupervisedError {
@@ -248,6 +125,9 @@ impl std::fmt::Display for SupervisedError {
                 "all ranks exhausted their retries ({} failures recorded)",
                 failures.len()
             ),
+            SupervisedError::ZeroArgument(name) => {
+                write!(f, "{name} = 0, but a distributed run needs at least 1")
+            }
         }
     }
 }
@@ -345,8 +225,6 @@ impl Supervisor<'_> {
             owned: 0,
             ghosts: 0,
             binned_pairs: 0,
-            bytes_sent: 0,
-            messages_sent: 0,
             records_read: 0,
             bytes_read: 0,
             attempts: 1,
@@ -449,7 +327,7 @@ impl Supervisor<'_> {
     }
 }
 
-/// The out-of-core distributed run, under supervision: each rank
+/// The distributed ζ run, under supervision: each rank
 /// streams its owned GCAT v2 shards plus the neighbor shards
 /// intersecting their `rmax` halo straight from disk, so no piece of
 /// work ever holds the catalog. Per-rank failures (organic panics or
@@ -461,10 +339,11 @@ impl Supervisor<'_> {
 ///
 /// `manifest_path` points at the shard directory's manifest (see
 /// [`galactos_catalog::shard`]); shard files are resolved next to it.
-/// Like [`compute_distributed`], the catalog must be non-periodic — but
-/// since the flag comes from a file rather than a caller-built
-/// [`Catalog`], a periodic manifest is a
-/// [`CatalogIoError::Unsupported`] error, not a panic.
+/// The catalog must be non-periodic (the halo is gathered from domain
+/// boundaries, not across box wraps, as in the paper): a periodic
+/// manifest is a [`CatalogIoError::Unsupported`] error. Zero ranks or a
+/// policy of zero attempts is [`SupervisedError::ZeroArgument`],
+/// returned before the manifest is read.
 ///
 /// ζ is assembled from *per-shard* partials reduced in shard order, so
 /// the result is bit-identical to the failure-free run — and to any
@@ -510,7 +389,12 @@ pub fn compute_distributed_supervised_observed(
     plan: FaultPlan,
     obs: &ObsSession,
 ) -> Result<SupervisedRun, SupervisedError> {
-    assert!(policy.max_attempts >= 1, "need at least one attempt");
+    if num_ranks == 0 {
+        return Err(SupervisedError::ZeroArgument("num_ranks"));
+    }
+    if policy.max_attempts == 0 {
+        return Err(SupervisedError::ZeroArgument("policy.max_attempts"));
+    }
     let manifest_path = manifest_path.as_ref();
     let manifest = ShardManifest::read(manifest_path)?;
     if let Some(box_len) = manifest.periodic {
@@ -613,7 +497,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use galactos_catalog::shard::MANIFEST_FILE;
-    use galactos_catalog::uniform_box;
+    use galactos_catalog::{uniform_box, Catalog};
     use galactos_domain::shard::write_sharded;
     use std::path::PathBuf;
 
@@ -642,51 +526,22 @@ mod tests {
     }
 
     #[test]
-    fn distributed_matches_single_process() {
-        let cat = open_catalog(250, 15.0, 3);
-        let config = EngineConfig::test_default(5.0, 3, 3);
-        let single = Engine::new(config.clone()).compute(&cat);
-        for ranks in [1usize, 2, 3, 5] {
-            let dist = compute_distributed(&cat, &config, ranks);
-            let scale = single.max_abs().max(1.0);
-            assert!(
-                dist.zeta.max_difference(&single) < 1e-9 * scale,
-                "ranks={ranks}: diff {}",
-                dist.zeta.max_difference(&single)
-            );
-            assert_eq!(dist.zeta.num_primaries, single.num_primaries);
-            assert_eq!(dist.zeta.binned_pairs, single.binned_pairs);
-            let owned_total: usize = dist.ranks.iter().map(|r| r.owned).sum();
-            assert_eq!(owned_total, 250);
-        }
-    }
-
-    #[test]
-    fn distributed_with_self_subtraction() {
-        let cat = open_catalog(120, 10.0, 7);
-        let mut config = EngineConfig::test_default(4.0, 2, 2);
-        config.subtract_self_pairs = true;
-        let single = Engine::new(config.clone()).compute(&cat);
-        let dist = compute_distributed(&cat, &config, 4);
-        let scale = single.max_abs().max(1.0);
-        assert!(dist.zeta.max_difference(&single) < 1e-9 * scale);
-    }
-
-    #[test]
     fn rank_reports_cover_catalog() {
         let cat = open_catalog(90, 12.0, 11);
         let config = EngineConfig::test_default(4.0, 2, 2);
-        let dist = compute_distributed(&cat, &config, 6);
+        let dir = shard_dir("rank_reports");
+        write_sharded(&cat, 6, &dir).unwrap();
+        let dist = sharded(dir.join(MANIFEST_FILE), &config, 6).unwrap();
         assert_eq!(dist.ranks.len(), 6);
         let pair_total: u64 = dist.ranks.iter().map(|r| r.binned_pairs).sum();
         assert_eq!(pair_total, dist.zeta.binned_pairs);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_matches_single_process() {
-        // Same bar as `distributed_matches_single_process`, through the
-        // out-of-core ingestion path, with a shard count that matches
-        // no rank count exactly (7 shards over {1, 2, 3, 5} ranks).
+        // A shard count that matches no rank count exactly (7 shards
+        // over {1, 2, 3, 5} ranks).
         let cat = open_catalog(250, 15.0, 3);
         let config = EngineConfig::test_default(5.0, 3, 3);
         let single = Engine::new(config.clone()).compute(&cat);
@@ -784,23 +639,5 @@ mod tests {
             Err(SupervisedError::Io(CatalogIoError::Corrupt(_)))
         ));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn traffic_is_reported_and_scales_with_rmax() {
-        let cat = open_catalog(200, 12.0, 13);
-        let small = EngineConfig::test_default(1.0, 1, 1);
-        let large = EngineConfig::test_default(5.0, 1, 1);
-        let run_small = compute_distributed(&cat, &small, 4);
-        let run_large = compute_distributed(&cat, &large, 4);
-        assert!(run_small.total_bytes_sent > 0);
-        assert!(run_small.total_messages > 0);
-        // A larger halo radius ships more ghost galaxies.
-        assert!(
-            run_large.total_bytes_sent > run_small.total_bytes_sent,
-            "{} vs {}",
-            run_large.total_bytes_sent,
-            run_small.total_bytes_sent
-        );
     }
 }

@@ -248,8 +248,9 @@ impl AnisotropicZeta {
         out
     }
 
-    /// Serialize to interleaved f64s (re, im, …) plus trailing counters —
-    /// the wire format of the distributed reduction.
+    /// Every value as f64s: interleaved (re, im, …), then the primary
+    /// weight, the primary count and the binned-pair count — what a
+    /// bit-for-bit comparison of two results compares.
     pub fn to_f64_vec(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(2 * self.data.len() + 3);
         for c in &self.data {
@@ -259,19 +260,6 @@ impl AnisotropicZeta {
         out.push(self.total_primary_weight);
         out.push(self.num_primaries as f64);
         out.push(self.binned_pairs as f64);
-        out
-    }
-
-    /// Inverse of [`Self::to_f64_vec`] given a matching layout.
-    pub fn from_f64_vec(lmax: usize, nbins: usize, v: &[f64]) -> Self {
-        let mut out = AnisotropicZeta::zeros(lmax, nbins);
-        assert_eq!(v.len(), 2 * out.data.len() + 3, "wire length mismatch");
-        for (i, c) in out.data.iter_mut().enumerate() {
-            *c = Complex64::new(v[2 * i], v[2 * i + 1]);
-        }
-        out.total_primary_weight = v[v.len() - 3];
-        out.num_primaries = v[v.len() - 2] as u64;
-        out.binned_pairs = v[v.len() - 1] as u64;
         out
     }
 }
@@ -409,18 +397,19 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip() {
+    fn f64_vec_holds_every_value_and_counter() {
         let mut a = AnisotropicZeta::zeros(3, 2);
         a.add_to(3, 2, 1, 1, 0, Complex64::new(-1.5, 0.25));
         a.total_primary_weight = 9.0;
         a.num_primaries = 7;
         a.binned_pairs = 1234;
-        let wire = a.to_f64_vec();
-        let back = AnisotropicZeta::from_f64_vec(3, 2, &wire);
-        assert_eq!(back.max_difference(&a), 0.0);
-        assert_eq!(back.total_primary_weight, 9.0);
-        assert_eq!(back.num_primaries, 7);
-        assert_eq!(back.binned_pairs, 1234);
+        let v = a.to_f64_vec();
+        let n = a.data().len();
+        assert_eq!(v.len(), 2 * n + 3);
+        for (i, c) in a.data().iter().enumerate() {
+            assert_eq!((v[2 * i], v[2 * i + 1]), (c.re, c.im));
+        }
+        assert_eq!(v[2 * n..], [9.0, 7.0, 1234.0]);
     }
 
     #[test]

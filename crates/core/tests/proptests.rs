@@ -7,7 +7,6 @@ use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::kernel::{BackendChoice, BackendKind};
 use galactos_core::naive::seminaive_anisotropic;
-use galactos_core::result::AnisotropicZeta;
 use galactos_core::traversal::{TraversalChoice, TraversalKind};
 use galactos_math::{LineOfSight, Vec3};
 use proptest::prelude::*;
@@ -123,26 +122,6 @@ proptest! {
         let degenerate = galaxies.iter().filter(|g| (g.pos - observer).norm() == 0.0).count();
         let z = Engine::new(config).compute(&Catalog::new(galaxies.clone()));
         prop_assert_eq!(z.num_primaries as usize, galaxies.len() - degenerate);
-    }
-
-    #[test]
-    fn zeta_wire_roundtrip_random(
-        lmax in 0usize..5,
-        nbins in 1usize..5,
-        seedvals in prop::collection::vec(-10.0f64..10.0, 8),
-    ) {
-        let mut z = AnisotropicZeta::zeros(lmax, nbins);
-        // Scatter some values through the container.
-        for (i, v) in seedvals.iter().enumerate() {
-            let l = i % (lmax + 1);
-            let b = i % nbins;
-            z.add_to(l, l, 0, b, b, galactos_math::Complex64::new(*v, -v));
-        }
-        z.total_primary_weight = seedvals.iter().sum();
-        z.num_primaries = seedvals.len() as u64;
-        let back = AnisotropicZeta::from_f64_vec(lmax, nbins, &z.to_f64_vec());
-        prop_assert_eq!(back.max_difference(&z), 0.0);
-        prop_assert_eq!(back.num_primaries, z.num_primaries);
     }
 
     #[test]

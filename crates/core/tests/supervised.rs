@@ -246,6 +246,49 @@ fn killing_every_rank_exhausts_the_run() {
 }
 
 #[test]
+fn zero_ranks_or_attempts_is_an_error_not_a_panic() {
+    // Caller input comes back as an error naming the argument, checked
+    // before the manifest is read: a missing shard directory gives the
+    // same error.
+    let cat = open_catalog(60, 8.0, 19);
+    let config = EngineConfig::test_default(3.0, 1, 1);
+    let dir = shard_dir("zero_arguments");
+    write_sharded(&cat, 3, &dir).unwrap();
+    let no_attempts = RetryPolicy {
+        max_attempts: 0,
+        ..Default::default()
+    };
+    for manifest_path in [
+        dir.join(MANIFEST_FILE),
+        dir.join("missing").join(MANIFEST_FILE),
+    ] {
+        for (ranks, policy, message) in [
+            (
+                0,
+                &RetryPolicy::default(),
+                "num_ranks = 0, but a distributed run needs at least 1",
+            ),
+            (
+                2,
+                &no_attempts,
+                "policy.max_attempts = 0, but a distributed run needs at least 1",
+            ),
+        ] {
+            let err = compute_distributed_supervised(
+                &manifest_path,
+                &config,
+                ranks,
+                policy,
+                FaultPlan::none(),
+            )
+            .expect_err("a run needs a rank and an attempt");
+            assert_eq!(err.to_string(), message);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn registry_counters_account_for_every_attempt() {
     // The `supervised.*` counters against what the run itself reports:
     // every attempt ends as a report or a failure, every backoff unit

@@ -1,10 +1,10 @@
 //! Message-passing galaxy distribution: recursive scatter + tree-
 //! following halo exchange (paper §3.2).
 //!
-//! The scatter walks the same recursive rank/galaxy split as
-//! [`crate::partition::DomainPlan`] — group roots compute the split,
-//! forward the high half to the high sub-group's root, and recurse on
-//! sub-communicators. The halo exchange then walks the recorded levels
+//! The scatter walks the recursive rank/galaxy split of
+//! [`crate::partition::DomainPlan`] through the same bisection step —
+//! group roots compute the cut, forward the high half to the high
+//! sub-group's root, and recurse on sub-communicators. The halo exchange then walks the recorded levels
 //! top-down: at each level every rank sends the galaxies it holds
 //! (owned *and* previously received ghosts) that lie within `rmax` of
 //! the opposite half's bounding box to a peer rank on the opposite
@@ -17,7 +17,7 @@
 //! the plan's ground truth: owned galaxies from the proportional split,
 //! plus every foreign galaxy within `rmax` of the rank's box.
 
-use crate::partition::split_ranks;
+use crate::partition::bisect;
 use galactos_catalog::Catalog;
 use galactos_cluster::Comm;
 use galactos_math::{Aabb, Vec3};
@@ -80,7 +80,7 @@ struct Level {
 /// `domain_bounds` must be identical on every rank (it is part of the
 /// problem definition, like the paper's simulation box).
 pub fn distribute(
-    mut comm: Comm,
+    comm: Comm,
     data_at_root: Option<Vec<TaggedGalaxy>>,
     domain_bounds: Aabb,
     rmax: f64,
@@ -98,29 +98,16 @@ pub fn distribute(
     let mut cur = comm;
     while cur.size() > 1 {
         let n = cur.size();
-        let (lo_n, hi_n) = split_ranks(n);
-        let axis = region.longest_axis();
-
-        // Group root computes the split value exactly like the plan.
+        // Only the group root holds galaxies at this point, so its cut
+        // is the plan's; the other ranks bisect an empty set for the
+        // rank split and axis and take the plane from the broadcast.
+        let cut = bisect(&mut data, &region, n, |g| g.pos);
+        let (lo_n, hi_n) = (cut.lo_ranks, n - cut.lo_ranks);
         let value = if cur.rank() == 0 {
-            let k = ((data.len() as u128 * lo_n as u128) / n as u128) as usize;
-            let v = if data.is_empty() {
-                region.center()[axis]
-            } else if k == 0 {
-                region.lo[axis]
-            } else if k >= data.len() {
-                region.hi[axis]
-            } else {
-                data.select_nth_unstable_by(k, |a, b| {
-                    a.pos[axis].partial_cmp(&b.pos[axis]).unwrap()
-                });
-                data[k].pos[axis]
-            };
             // Ship the high part to the high sub-group's root.
-            let k = k.min(data.len());
-            let hi_part = data.split_off(k);
+            let hi_part = data.split_off(cut.split_at);
             cur.send(lo_n, TAG_SCATTER, hi_part);
-            cur.broadcast(0, Some(v))
+            cur.broadcast(0, Some(cut.value))
         } else {
             cur.broadcast::<f64>(0, None)
         };
@@ -129,7 +116,7 @@ pub fn distribute(
             data = cur.recv::<Vec<TaggedGalaxy>>(0, TAG_SCATTER);
         }
 
-        let (lo_box, hi_box) = region.split(axis, value);
+        let (lo_box, hi_box) = region.split(cut.axis, value);
         let on_lo = cur.rank() < lo_n;
         let (side_rank, side_size, opposite_size, opposite_box) = if on_lo {
             (cur.rank(), lo_n, hi_n, hi_box)
@@ -149,8 +136,6 @@ pub fn distribute(
         });
         cur = sub;
     }
-    comm = cur; // the singleton communicator (unused, kept for symmetry)
-    let _ = &comm;
 
     // ---- Phase B: halo exchange, top level downward ----
     let r2 = rmax * rmax;
@@ -272,6 +257,10 @@ mod tests {
     #[test]
     fn power_of_two_ranks_exact() {
         check_against_plan(8, 600, 30.0, 5.0, 2);
+        // More ranks than galaxies, and no galaxies at all: the `k == 0`
+        // and empty-set cuts of the shared bisection, on the scatter.
+        check_against_plan(8, 3, 30.0, 5.0, 2);
+        check_against_plan(8, 0, 30.0, 5.0, 2);
     }
 
     #[test]
@@ -306,5 +295,29 @@ mod tests {
     #[test]
     fn thirteen_ranks_like_paper_non_pow2() {
         check_against_plan(13, 800, 40.0, 6.0, 7);
+    }
+
+    #[test]
+    fn traffic_is_reported_and_scales_with_rmax() {
+        let galaxies = random_tagged(200, 12.0, 13);
+        // (bytes, messages) sent by all 4 ranks during the exchange.
+        let traffic = |rmax: f64| {
+            let per_rank = run_cluster(4, |comm| {
+                let traffic = std::sync::Arc::clone(comm.traffic());
+                let data = (comm.rank() == 0).then(|| galaxies.clone());
+                distribute(comm, data, Aabb::cube(12.0), rmax);
+                let sent = traffic.snapshot();
+                (sent.bytes_sent, sent.messages_sent)
+            });
+            per_rank
+                .iter()
+                .fold((0, 0), |(b, m), &(rb, rm)| (b + rb, m + rm))
+        };
+        let (small_bytes, small_messages) = traffic(1.0);
+        let (large_bytes, _) = traffic(5.0);
+        assert!(small_bytes > 0);
+        assert!(small_messages > 0);
+        // A larger halo radius ships more ghost galaxies.
+        assert!(large_bytes > small_bytes, "{large_bytes} vs {small_bytes}");
     }
 }

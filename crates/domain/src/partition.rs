@@ -7,14 +7,60 @@
 //! proportion** along the longest axis of the current region. This keeps
 //! primaries per rank balanced to a fraction of a percent for any rank
 //! count, including the paper's 9636.
+//!
+//! `bisect` is that step and the only copy of it: [`DomainPlan`]
+//! applies it to galaxy indices, and the message-passing scatter of
+//! [`crate::exchange::distribute`] to the galaxies a group root holds.
 
 use galactos_math::{Aabb, Vec3};
 
 /// Split a rank group of `n` into the paper's two nearly-equal halves.
 #[inline]
-pub fn split_ranks(n: usize) -> (usize, usize) {
+fn split_ranks(n: usize) -> (usize, usize) {
     let lo = n / 2;
     (lo, n - lo)
+}
+
+/// Where one level of the recursive bisection cuts.
+pub(crate) struct Bisection {
+    /// Ranks below the plane; the other `n - lo_ranks` lie above it.
+    pub lo_ranks: usize,
+    pub axis: usize,
+    pub value: f64,
+    /// `items[..split_at]` go below the plane, the rest above.
+    pub split_at: usize,
+}
+
+/// One level of the paper's split (§3.2): a group of `n_ranks ≥ 2`
+/// ranks halves into `⌊n/2⌋` and `⌈n/2⌉`, and `items`, located by
+/// `pos`, split in proportion along the longest axis of `bounds`.
+/// Reorders `items` in place so that the low share comes first.
+pub(crate) fn bisect<T>(
+    items: &mut [T],
+    bounds: &Aabb,
+    n_ranks: usize,
+    pos: impl Fn(&T) -> Vec3,
+) -> Bisection {
+    let (lo_ranks, _hi_ranks) = split_ranks(n_ranks);
+    // Galaxies in proportion to sub-communicator sizes (paper §3.2).
+    let k = ((items.len() as u128 * lo_ranks as u128) / n_ranks as u128) as usize;
+    let axis = bounds.longest_axis();
+    let value = if items.is_empty() {
+        bounds.center()[axis]
+    } else if k == 0 {
+        bounds.lo[axis]
+    } else if k >= items.len() {
+        bounds.hi[axis]
+    } else {
+        items.select_nth_unstable_by(k, |a, b| pos(a)[axis].partial_cmp(&pos(b)[axis]).unwrap());
+        pos(&items[k])[axis]
+    };
+    Bisection {
+        lo_ranks,
+        axis,
+        value,
+        split_at: k.min(items.len()),
+    }
 }
 
 /// A node of the partition tree.
@@ -112,28 +158,14 @@ impl DomainPlan {
                 bounds,
             };
         }
-        let (lo_ranks, _hi_ranks) = split_ranks(n_ranks);
+        let Bisection {
+            lo_ranks,
+            axis,
+            value,
+            split_at,
+        } = bisect(indices, &bounds, n_ranks, |&g| positions[g as usize]);
         let rank_mid = rank_lo + lo_ranks;
-
-        // Galaxies in proportion to sub-communicator sizes (paper §3.2).
-        let k = ((indices.len() as u128 * lo_ranks as u128) / n_ranks as u128) as usize;
-        let axis = bounds.longest_axis();
-        let value = if indices.is_empty() {
-            bounds.center()[axis]
-        } else if k == 0 {
-            bounds.lo[axis]
-        } else if k >= indices.len() {
-            bounds.hi[axis]
-        } else {
-            indices.select_nth_unstable_by(k, |&a, &b| {
-                positions[a as usize][axis]
-                    .partial_cmp(&positions[b as usize][axis])
-                    .unwrap()
-            });
-            positions[indices[k] as usize][axis]
-        };
         let (lo_bounds, hi_bounds) = bounds.split(axis, value);
-        let split_at = k.min(indices.len());
         let (lo_idx, hi_idx) = indices.split_at_mut(split_at);
         let lo = Self::build_rec(
             positions, lo_idx, lo_bounds, rank_lo, rank_mid, boxes, owners, owned,

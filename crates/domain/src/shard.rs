@@ -7,15 +7,17 @@
 //! ingested by any rank count, because contiguous shard ranges stay
 //! spatially contiguous under the bisection order.
 //!
-//! [`distribute_from_shards`] is the out-of-core replacement for
-//! [`crate::exchange::distribute`]: instead of rank 0 materializing the
-//! full catalog and scattering it, every rank independently reads the
-//! manifest (92 bytes + 72 per shard), streams its *own* shards as its
-//! primaries, and streams only the neighbor shards whose region lies
-//! within `rmax` of one of its owned regions to collect ghosts. Peak
-//! resident galaxies per rank are `owned + ghosts` — never the full
-//! catalog — and the per-rank `records_read` / `bytes_read` counters
-//! quantify the I/O the spatial pruning saved.
+//! [`distribute_from_shards`] is how the ranks of a distributed ζ run
+//! (`galactos_core::pipeline`) get their galaxies. It delivers the
+//! owned and halo sets that [`crate::exchange::distribute`] delivers by
+//! message passing, but no rank 0 materializes the catalog and
+//! scatters it: every rank independently reads the manifest
+//! (92 bytes + 72 per shard), streams its *own* shards as its primaries, and
+//! streams only the neighbor shards whose region lies within `rmax` of
+//! one of its owned regions to collect ghosts. Peak resident galaxies
+//! per rank are `owned + ghosts` — never the full catalog — and the
+//! per-rank `records_read` / `bytes_read` counters quantify the I/O the
+//! spatial pruning saved.
 
 use galactos_catalog::io::CatalogIoError;
 use galactos_catalog::shard::{self, ShardManifest, ShardReader};

@@ -144,7 +144,8 @@ pub enum EnsembleError {
     /// failed.
     ShardIo(CatalogIoError),
     /// The supervised pipeline exhausted its retries (e.g. a permanent
-    /// kill on every rank) or hit an ingestion error.
+    /// kill on every rank), hit an ingestion error, or was handed a
+    /// retry policy of zero attempts.
     Supervised {
         realization: usize,
         source: SupervisedError,

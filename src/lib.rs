@@ -59,8 +59,7 @@ pub mod prelude {
     pub use galactos_core::estimator::{EstimatorChoice, EstimatorKind};
     pub use galactos_core::kernel::{BackendChoice, BackendKind};
     pub use galactos_core::pipeline::{
-        compute_distributed, compute_distributed_supervised,
-        compute_distributed_supervised_observed, RetryPolicy,
+        compute_distributed_supervised, compute_distributed_supervised_observed, RetryPolicy,
     };
     pub use galactos_core::result::{AnisotropicZeta, IsotropicZeta};
     pub use galactos_core::survey::{SurveyCompute, SurveyConfig, SurveyZeta};

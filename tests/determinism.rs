@@ -5,6 +5,8 @@
 //! compilations are one portable body with no fused multiply-add, so
 //! they round identically lane for lane (`kernel/simd.rs` pins it).
 
+use galactos::catalog::shard::MANIFEST_FILE;
+use galactos::domain::shard::write_sharded;
 use galactos::mocks::cluster_process::NeymanScott;
 use galactos::prelude::*;
 
@@ -96,12 +98,33 @@ fn distributed_run_is_deterministic_across_invocations() {
     let mut cat = uniform_box(200, 15.0, 7);
     cat.periodic = None;
     let config = EngineConfig::test_default(5.0, 2, 2);
-    let a = compute_distributed(&cat, &config, 4);
-    let b = compute_distributed(&cat, &config, 4);
-    // Partition, exchange and per-rank pair sets are exactly
-    // deterministic; only intra-rank thread reduction order may vary.
-    let scale = a.zeta.max_abs().max(1.0);
-    assert!(a.zeta.max_difference(&b.zeta) < 1e-12 * scale);
+    let dir = std::env::temp_dir().join(format!("galactos_determinism_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    write_sharded(&cat, 4, &dir).unwrap();
+    let run = || {
+        compute_distributed_supervised(
+            dir.join(MANIFEST_FILE),
+            &config,
+            4,
+            &RetryPolicy::default(),
+            FaultPlan::none(),
+        )
+        .unwrap()
+    };
+    let a = run();
+    let b = run();
+    std::fs::remove_dir_all(&dir).ok();
+    // Per-shard partials reduced in shard order: every bit repeats.
+    for (i, (x, y)) in a
+        .zeta
+        .to_f64_vec()
+        .iter()
+        .zip(b.zeta.to_f64_vec())
+        .enumerate()
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "value {i}");
+    }
+    assert_eq!(a.ranks.len(), b.ranks.len());
     for (ra, rb) in a.ranks.iter().zip(b.ranks.iter()) {
         assert_eq!(ra.owned, rb.owned);
         assert_eq!(ra.ghosts, rb.ghosts);

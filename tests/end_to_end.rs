@@ -1,8 +1,10 @@
 //! Workspace-level integration tests: whole-pipeline flows that span
 //! mocks → catalogs → engine → distributed execution → analysis.
 
+use galactos::catalog::shard::MANIFEST_FILE;
 use galactos::core::isotropic::{isotropic_multipoles, isotropic_triplets};
 use galactos::core::naive::naive_anisotropic;
+use galactos::domain::shard::write_sharded;
 use galactos::mocks::cluster_process::NeymanScott;
 use galactos::prelude::*;
 
@@ -46,7 +48,18 @@ fn distributed_equals_single_on_weighted_clustered_data() {
     let mut config = EngineConfig::test_default(8.0, 3, 3);
     config.subtract_self_pairs = true;
     let single = Engine::new(config.clone()).compute(&cat);
-    let run = compute_distributed(&cat, &config, 5);
+    let dir = std::env::temp_dir().join(format!("galactos_e2e_weighted_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    write_sharded(&cat, 5, &dir).unwrap();
+    let run = compute_distributed_supervised(
+        dir.join(MANIFEST_FILE),
+        &config,
+        5,
+        &RetryPolicy::default(),
+        FaultPlan::none(),
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     let scale = single.max_abs().max(1.0);
     assert!(
         run.zeta.max_difference(&single) < 1e-9 * scale,

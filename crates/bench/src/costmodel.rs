@@ -21,27 +21,27 @@
 use galactos_catalog::Catalog;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_domain::load::pair_counts;
+use galactos_domain::load::{pair_counts, LoadBalance};
 use galactos_domain::partition::DomainPlan;
 use galactos_math::Vec3;
 use galactos_obs::clock::Epoch;
 
 /// Throughput calibration result.
 #[derive(Clone, Copy, Debug)]
-pub struct Calibration {
+pub(crate) struct Calibration {
     /// Binned pairs processed per second by the full per-primary
     /// pipeline (gather + rotate + bin + kernel + assembly) on one
     /// thread.
-    pub pairs_per_sec: f64,
+    pub(crate) pairs_per_sec: f64,
     /// Pairs used for calibration.
-    pub pairs: u64,
+    pub(crate) pairs: u64,
     /// Wall time of the calibration run.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
 }
 
 /// Run the engine single-threaded on `catalog` and measure pair
 /// throughput.
-pub fn calibrate_throughput(catalog: &Catalog, config: &EngineConfig) -> Calibration {
+pub(crate) fn calibrate_throughput(catalog: &Catalog, config: &EngineConfig) -> Calibration {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -61,28 +61,23 @@ pub fn calibrate_throughput(catalog: &Catalog, config: &EngineConfig) -> Calibra
 
 /// Interconnect model constants (nominal Aries-class numbers; the
 /// compute term dominates by orders of magnitude, as on Cori).
-pub const LINK_BANDWIDTH_BYTES_PER_SEC: f64 = 8.0e9;
-pub const MESSAGE_LATENCY_SEC: f64 = 2.0e-6;
+const LINK_BANDWIDTH_BYTES_PER_SEC: f64 = 8.0e9;
+const MESSAGE_LATENCY_SEC: f64 = 2.0e-6;
 
-/// Per-rank and aggregate timings of one simulated bulk-synchronous run.
+/// Time and pair counts of one simulated bulk-synchronous run.
 #[derive(Clone, Debug)]
-pub struct SimulatedRun {
-    pub num_ranks: usize,
-    /// Simulated seconds per rank (compute + comm).
-    pub rank_seconds: Vec<f64>,
-    /// Time-to-solution = max over ranks.
-    pub time_to_solution: f64,
-    /// Mean rank time (the "ideal" balanced time).
-    pub mean_rank_time: f64,
+pub(crate) struct SimulatedRun {
+    /// Time-to-solution = max over ranks of simulated compute + comm.
+    pub(crate) time_to_solution: f64,
     /// Total binned pairs across ranks.
-    pub total_pairs: u64,
+    pub(crate) total_pairs: u64,
     /// Peak-to-peak pair-count variation (max−min)/mean.
-    pub pair_variation: f64,
+    pub(crate) pair_variation: f64,
 }
 
 /// Simulate a run of `catalog` over `num_ranks` ranks at the measured
 /// `throughput`, with halo-exchange communication charged per rank.
-pub fn simulate_run(
+pub(crate) fn simulate_run(
     catalog: &Catalog,
     rmax: f64,
     num_ranks: usize,
@@ -94,7 +89,7 @@ pub fn simulate_run(
     let halos = plan.halo_indices(&positions, rmax);
     const GALAXY_WIRE_BYTES: f64 = 32.0; // id + 3 coords + weight
 
-    let rank_seconds: Vec<f64> = (0..num_ranks)
+    let time_to_solution = (0..num_ranks)
         .map(|r| {
             let compute = pairs[r] as f64 / throughput_pairs_per_sec;
             let bytes = halos[r].len() as f64 * GALAXY_WIRE_BYTES;
@@ -103,24 +98,11 @@ pub fn simulate_run(
             let comm = bytes / LINK_BANDWIDTH_BYTES_PER_SEC + messages * MESSAGE_LATENCY_SEC;
             compute + comm
         })
-        .collect();
-    let total_pairs: u64 = pairs.iter().sum();
-    let max = rank_seconds.iter().cloned().fold(0.0, f64::max);
-    let mean = rank_seconds.iter().sum::<f64>() / num_ranks as f64;
-    let pmin = *pairs.iter().min().unwrap_or(&0) as f64;
-    let pmax = *pairs.iter().max().unwrap_or(&0) as f64;
-    let pmean = total_pairs as f64 / num_ranks as f64;
+        .fold(0.0, f64::max);
     SimulatedRun {
-        num_ranks,
-        rank_seconds,
-        time_to_solution: max,
-        mean_rank_time: mean,
-        total_pairs,
-        pair_variation: if pmean > 0.0 {
-            (pmax - pmin) / pmean
-        } else {
-            0.0
-        },
+        time_to_solution,
+        total_pairs: pairs.iter().sum(),
+        pair_variation: LoadBalance::from_counts(pairs).variation(),
     }
 }
 
@@ -144,9 +126,9 @@ mod tests {
         let mut cat = uniform_box(600, 15.0, 2);
         cat.periodic = None;
         let sim = simulate_run(&cat, 4.0, 4, 1e6);
-        assert_eq!(sim.rank_seconds.len(), 4);
-        assert!(sim.time_to_solution >= sim.mean_rank_time);
         assert!(sim.total_pairs > 0);
+        // The slowest rank bounds the run: at least the mean compute time.
+        assert!(sim.time_to_solution >= sim.total_pairs as f64 / 1e6 / 4.0);
         // Same catalog, more ranks → less time-to-solution (strong scaling).
         let sim8 = simulate_run(&cat, 4.0, 8, 1e6);
         assert!(sim8.time_to_solution < sim.time_to_solution);

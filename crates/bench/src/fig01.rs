@@ -6,15 +6,14 @@
 //! without BAO wiggles, measure ζ_ℓ(r₁, r₂), and render the
 //! wiggle-minus-smooth difference as an ASCII heat map + CSV.
 
+use crate::{write_csv, BENCH_SEED};
 use galactos_analysis::report::ascii_heatmap;
-use galactos_bench::BENCH_SEED;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_mocks::lognormal;
 use galactos_mocks::pk::BaoSpectrum;
-use std::io::Write;
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     // Scaled acoustic scale (22 Mpc/h in a 128 box), strong wiggles so
     // one mock pair suffices for a visible pattern.
     let bao = BaoSpectrum {
@@ -65,15 +64,15 @@ fn main() {
     print!("{}", ascii_heatmap(&diff));
 
     // CSV for external plotting.
-    let path = std::env::temp_dir().join("galactos_fig01.csv");
-    let mut f = std::fs::File::create(&path).expect("csv");
-    writeln!(f, "r1,r2,delta_zeta0").unwrap();
-    for (b1, row) in diff.iter().enumerate() {
-        for (b2, &cell) in row.iter().enumerate() {
-            writeln!(f, "{},{},{}", bins.center(b1), bins.center(b2), cell).unwrap();
-        }
-    }
+    let bins = &bins;
+    let lines = diff.iter().enumerate().flat_map(|(b1, row)| {
+        row.iter()
+            .enumerate()
+            .map(move |(b2, cell)| format!("{},{},{cell}", bins.center(b1), bins.center(b2)))
+    });
+    let path = write_csv("galactos_fig01.csv", "r1,r2,delta_zeta0", lines)?;
     println!("\nCSV written to {}", path.display());
     println!("paper Fig. 1: the analogous heat map of zeta^m_ll'(r1,r2) shows BAO bands;");
     println!("here the excess concentrates where a side length crosses the acoustic scale.");
+    Ok(())
 }

@@ -4,14 +4,12 @@
 //! generate the scaled clustered analogue and render the x–y projected
 //! density as ASCII art (plus a CSV of the projection grid).
 
+use crate::datasets::node_dataset;
+use crate::{write_csv, BENCH_SEED};
 use galactos_analysis::report::ascii_heatmap;
-use galactos_bench::datasets::node_dataset;
-use galactos_bench::{size_arg, BENCH_SEED};
-use std::io::Write;
 
-fn main() {
-    let n: usize = size_arg(30_000);
-    let catalog = node_dataset(n, true, BENCH_SEED);
+pub(crate) fn run(n: usize) -> Result<(), String> {
+    let catalog = node_dataset(1, n as f64, BENCH_SEED);
     let ext = catalog.bounds.extent();
     println!(
         "{} galaxies in a {:.1} x {:.1} x {:.1} Mpc/h box (clustered, Outer Rim density)\n",
@@ -37,14 +35,13 @@ fn main() {
     println!("projected overdensity (x right, y up):\n");
     print!("{}", ascii_heatmap(&delta));
 
-    let path = std::env::temp_dir().join("galactos_fig03.csv");
-    let mut f = std::fs::File::create(&path).expect("csv");
-    writeln!(f, "ix,iy,count").unwrap();
-    for (iy, row) in counts.iter().enumerate() {
-        for (ix, c) in row.iter().enumerate() {
-            writeln!(f, "{ix},{iy},{c}").unwrap();
-        }
-    }
+    let lines = counts.iter().enumerate().flat_map(|(iy, row)| {
+        row.iter()
+            .enumerate()
+            .map(move |(ix, c)| format!("{ix},{iy},{c}"))
+    });
+    let path = write_csv("galactos_fig03.csv", "ix,iy,count", lines)?;
     println!("\nprojection grid written to {}", path.display());
     println!("paper Fig. 3: same visualization of a 225k-galaxy Outer Rim sub-box.");
+    Ok(())
 }

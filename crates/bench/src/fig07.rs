@@ -7,27 +7,21 @@
 //! partitions from 4 to 256 ranks, exact per-rank pair counts, measured
 //! throughput.
 
-use galactos_bench::costmodel::{calibrate_throughput, simulate_run};
-use galactos_bench::tables::{fmt_count, fmt_secs, print_table};
-use galactos_bench::{size_arg, BENCH_SEED};
+use crate::costmodel::{calibrate_throughput, simulate_run};
+use crate::datasets::node_dataset;
+use crate::tables::{fmt_count, fmt_secs, print_table};
+use crate::BENCH_SEED;
 use galactos_core::config::EngineConfig;
-use galactos_mocks::scaled::{
-    generate_scaled_catalog, scaled_dataset, MockKind, OUTER_RIM_DENSITY,
-};
 
-fn main() {
-    let n: f64 = size_arg(40_000.0);
-    let ds = scaled_dataset(1, n, OUTER_RIM_DENSITY);
-    let mut cat = generate_scaled_catalog(&ds, 1.0, MockKind::Clustered, BENCH_SEED);
-    cat.periodic = None;
+pub(crate) fn run(n: f64) -> Result<(), String> {
+    let cat = node_dataset(1, n, BENCH_SEED);
     let rmax = 0.15 * cat.bounds.extent().x;
     let mut config = EngineConfig::paper_default(rmax);
     config.subtract_self_pairs = false;
-    config.bins = galactos_core::bins::RadialBins::linear(0.0, rmax, 10);
 
     // Throughput calibration on a subsample (keeps startup quick).
-    let sub = galactos_catalog::random::subsample(&cat, (8_000.0 / cat.len() as f64).min(1.0), 1);
-    let mut sub = sub;
+    let mut sub =
+        galactos_catalog::random::subsample(&cat, (8_000.0 / cat.len() as f64).min(1.0), 1);
     sub.periodic = None;
     sub.recompute_bounds();
     let cal = calibrate_throughput(&sub, &config);
@@ -71,4 +65,5 @@ fn main() {
     );
     println!("\npaper (Fig. 7): 64x more nodes -> 27x speedup (42% efficiency at the far end),");
     println!("with up to 60% variation in per-rank pair counts on the subdivided dataset (§5.3).");
+    Ok(())
 }

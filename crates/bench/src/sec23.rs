@@ -8,8 +8,8 @@
 //! anisotropic measurement tracks ~(ℓmax+1)× more coefficients for a
 //! similar per-pair kernel cost.
 
-use galactos_bench::tables::{fmt_count, fmt_secs, print_table};
-use galactos_bench::{size_arg, BENCH_SEED};
+use crate::tables::{fmt_count, fmt_secs, print_table};
+use crate::BENCH_SEED;
 use galactos_catalog::SurveyGeometry;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
@@ -17,8 +17,7 @@ use galactos_core::isotropic::isotropic_multipoles;
 use galactos_math::{LineOfSight, Vec3};
 use galactos_obs::clock::Epoch;
 
-fn main() {
-    let n: usize = size_arg(20_000);
+pub(crate) fn run(n: usize) -> Result<(), String> {
     // Survey-like geometry: a shell, as in the SE15 test dataset.
     let survey = SurveyGeometry::full_shell(Vec3::ZERO, 60.0, 140.0);
     let catalog = survey.sample_randoms(n, BENCH_SEED);
@@ -72,4 +71,5 @@ fn main() {
     println!("\npaper context (§2.3): SE15 ran 642,619 points in 170 s on 6 cores (~30% of peak");
     println!("in the multipole kernel); Galactos processes a dataset 3 orders of magnitude");
     println!("larger on 4 orders of magnitude more cores, with strictly more information.");
+    Ok(())
 }

@@ -3,19 +3,18 @@
 //! The paper's partitioning contribution: rank groups split into
 //! nearly-equal halves so *any* node count works (Cori's 9636 instead
 //! of being stuck at 8192), with primaries balanced to ~0.1% and pair
-//! imbalance ~25% in weak scaling. This binary sweeps rank counts —
+//! imbalance ~25% in weak scaling. This subcommand sweeps rank counts —
 //! powers of two, primes, and the paper's 9636 — and reports balance
 //! and halo-exchange volume.
 
-use galactos_bench::datasets::{node_dataset, scaled_rmax};
-use galactos_bench::tables::{fmt_count, print_table};
-use galactos_bench::{size_arg, BENCH_SEED};
+use crate::datasets::{node_dataset, scaled_rmax};
+use crate::tables::{fmt_count, print_table};
+use crate::BENCH_SEED;
 use galactos_domain::load::{pair_counts, primary_balance, LoadBalance};
 use galactos_domain::partition::DomainPlan;
 
-fn main() {
-    let n: usize = size_arg(40_000);
-    let catalog = node_dataset(n, true, BENCH_SEED);
+pub(crate) fn run(n: usize) -> Result<(), String> {
+    let catalog = node_dataset(1, n as f64, BENCH_SEED);
     let rmax = scaled_rmax(&catalog) * 0.5;
     let positions = catalog.positions();
     println!(
@@ -25,9 +24,11 @@ fn main() {
 
     println!("== partition balance across rank counts ==\n");
     let mut rows = Vec::new();
+    let mut max_imbalance = 0.0f64;
     for ranks in [8usize, 13, 16, 17, 31, 32, 100, 963] {
         let plan = DomainPlan::build(&positions, catalog.bounds, ranks);
         let prim = primary_balance(&plan);
+        max_imbalance = max_imbalance.max(prim.imbalance());
         let halos = plan.halo_indices(&positions, rmax);
         let ghost_total: usize = halos.iter().map(|h| h.len()).sum();
         rows.push(vec![
@@ -48,8 +49,11 @@ fn main() {
         ],
         &rows,
     );
-    println!("\n(9636-rank analogue: 963 ranks on the scaled box — non-power-of-two,");
-    println!(" primaries balanced to well under the paper's 0.1%)\n");
+    println!("\n(9636-rank analogue: 963 ranks on the scaled box — non-power-of-two;");
+    println!(
+        " largest primary imbalance {:.3}%, paper ~0.1%)\n",
+        100.0 * max_imbalance
+    );
 
     println!("== pair-count (work) balance, 16 ranks ==\n");
     let plan = DomainPlan::build(&positions, catalog.bounds, 16);
@@ -76,4 +80,5 @@ fn main() {
     println!(
         "\npaper: ~25% pair imbalance in weak scaling; up to 60% variation in strong scaling."
     );
+    Ok(())
 }

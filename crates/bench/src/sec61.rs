@@ -4,15 +4,15 @@
 //! amounts to jack-knifing: retaining the local 3PCF results on a per
 //! node basis would therefore constitute many samples of the 3PCF over
 //! small volumes. These can be combined to provide a covariance
-//! matrix." This binary does exactly that: domain-decompose a clustered
+//! matrix." This subcommand does exactly that: domain-decompose a clustered
 //! catalog, keep per-rank ζ partials, build the jackknife covariance,
 //! and compare its error bars against a mock-ensemble covariance.
 
+use crate::tables::print_table;
+use crate::BENCH_SEED;
 use galactos_analysis::chi2::project_components;
 use galactos_analysis::covariance::{jackknife_from_partials, sample_covariance};
 use galactos_analysis::vectorize::{zeta_labels, zeta_to_vector};
-use galactos_bench::tables::print_table;
-use galactos_bench::BENCH_SEED;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_domain::partition::DomainPlan;
@@ -29,7 +29,7 @@ fn make_catalog(seed: u64) -> galactos_catalog::Catalog {
     c
 }
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let config = EngineConfig::test_default(12.0, 2, 4);
     let engine = Engine::new(config.clone());
     let num_regions = 12usize;
@@ -108,4 +108,5 @@ fn main() {
     println!(
         "level expected for {num_regions} regions — the free covariance the paper highlights."
     );
+    Ok(())
 }

@@ -5,14 +5,14 @@
 //! paper's printed values alongside. Also realizes a laptop-scale
 //! version of each row (scaled down 10⁴×) and verifies its density.
 
-use galactos_bench::tables::print_table;
-use galactos_bench::BENCH_SEED;
+use crate::tables::print_table;
+use crate::BENCH_SEED;
 use galactos_mocks::scaled::{generate_scaled_catalog, paper_table1, MockKind};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     println!("== Table 1: weak-scaling datasets (regenerated) ==\n");
     let paper = [
-        (128u32, "2.880e7", "734.5"),
+        (128usize, "2.880e7", "734.5"),
         (256, "5.760e7", "925.8"),
         (512, "1.152e8", "1166.9"),
         (1024, "2.304e8", "1470.9"),
@@ -24,7 +24,11 @@ fn main() {
     let rows: Vec<Vec<String>> = paper_table1()
         .iter()
         .zip(paper.iter())
-        .map(|(row, &(_nodes, pg, pl))| {
+        .map(|(row, &(nodes, pg, pl))| {
+            assert_eq!(
+                row.nodes, nodes,
+                "paper_table1() rows out of the paper's order"
+            );
             vec![
                 format!("{}", row.nodes),
                 format!("{:.3e}", row.galaxies),
@@ -33,12 +37,7 @@ fn main() {
                 pl.to_string(),
             ]
         })
-        .map(|mut r| {
-            let _ = &mut r;
-            r
-        })
         .collect();
-    let _ = paper[0].0; // suppress unused warning path
     print_table(
         &["nodes", "galaxies", "paper", "box (Mpc/h)", "paper"],
         &rows,
@@ -59,4 +58,5 @@ fn main() {
     }
     print_table(&["nodes(row)", "galaxies", "box (Mpc/h)", "density"], &rows);
     println!("\npaper row density ≈ 0.0726 galaxies (Mpc/h)^-3 for every row.");
+    Ok(())
 }

@@ -1,8 +1,8 @@
-//! Console table formatting for the benchmark binaries.
+//! Console table formatting for the `reproduce` subcommands.
 
 /// Print an aligned table: headers then rows, all right-justified to
 /// the widest cell per column.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let ncols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -26,7 +26,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Format seconds with adaptive precision.
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s >= 100.0 {
         format!("{s:.0}")
     } else if s >= 1.0 {
@@ -39,7 +39,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 /// Format a large count with SI-style suffix.
-pub fn fmt_count(n: u64) -> String {
+pub(crate) fn fmt_count(n: u64) -> String {
     let x = n as f64;
     if x >= 1e12 {
         format!("{:.2}T", x / 1e12)

@@ -412,7 +412,7 @@ fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
     // tests and examples funnels through its now_if/nanos_since/Epoch,
     // which count reads so tests can pin "uninstrumented => zero
     // reads". Only clock.rs is sanctioned — the rest of crates/obs,
-    // and the figure binaries of crates/bench, route through it like
+    // and the `reproduce` binary of crates/bench, route through it like
     // everyone else.
     if f.path == "crates/obs/src/clock.rs" || is_test_or_example(&f.path) {
         return;

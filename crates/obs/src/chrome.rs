@@ -7,8 +7,8 @@
 //! complete (`"ph":"X"`) event with microsecond timestamps, and
 //! aggregate slices carry `"aggregate":true` plus their call count in
 //! `args`. The writer is hand-rolled so this crate stays
-//! dependency-free; `galactos-bench` round-trips the output through its
-//! JSON parser as a validity gate.
+//! dependency-free; this crate's `tests/trace_roundtrip.rs` round-trips
+//! the output through its test-local JSON parser as a validity gate.
 
 use crate::span::{SpanRecord, Tracer};
 

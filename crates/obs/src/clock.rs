@@ -4,10 +4,10 @@
 //! tests/examples — and this module, which is on the allowlist **by
 //! registration, not suppression**. Every runtime crate (engine, grid,
 //! supervised pipeline, ensemble) times itself through
-//! [`now_if`]/[`nanos_since`], and the figure binaries of `crates/bench`
-//! through [`Epoch`], so the zero-cost contract is auditable in one
-//! place: when `instrument` is false, no branch in this module touches
-//! the clock.
+//! [`now_if`]/[`nanos_since`], and the `reproduce` binary of
+//! `crates/bench` through [`Epoch`], so the zero-cost contract is
+//! auditable in one place: when `instrument` is false, no branch in
+//! this module touches the clock.
 //!
 //! Each real clock read also bumps a process-global counter, exposed via
 //! [`reads`]. Tests pin the contract by asserting the counter does not

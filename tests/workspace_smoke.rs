@@ -1,6 +1,6 @@
-//! Workspace smoke test: every target in the workspace — the 8
-//! paper-figure binaries and the 5 examples — must keep compiling as
-//! refactors land. `cargo test` alone only builds lib and
+//! Workspace smoke test: every target in the workspace — the
+//! `reproduce` paper-figure binary and the 5 examples — must keep
+//! compiling as refactors land. `cargo test` alone only builds lib and
 //! test targets, so a green test run can hide broken binaries; this
 //! test closes that gap by driving `cargo check` over all of them.
 

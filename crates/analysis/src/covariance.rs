@@ -99,6 +99,12 @@ pub fn jackknife_covariance(delete_one: &[Vec<f64>]) -> Covariance {
 /// Spatial jackknife from per-rank (per-region) ζ partials, exactly as
 /// the paper proposes: the delete-one resamples are the normalized full
 /// measurement with one region's contribution removed.
+///
+/// The partials are a distributed run's
+/// [`SupervisedRun::shard_partials`](galactos_core::pipeline::SupervisedRun::shard_partials):
+/// each region's galaxies as primaries with their halo as secondaries,
+/// so their sum is the full measurement, boundary-crossing triangles
+/// included.
 pub fn jackknife_from_partials(partials: &[AnisotropicZeta]) -> Covariance {
     assert!(partials.len() >= 2, "need at least two regions");
     let mut full = partials[0].clone();

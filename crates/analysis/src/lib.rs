@@ -4,9 +4,12 @@
 //! amounts to jack-knifing: retaining the local 3PCF results on a per
 //! node basis would therefore constitute many samples of the 3PCF over
 //! small volumes. These can be combined to provide a covariance
-//! matrix." This crate implements that jackknife, the mock-ensemble
-//! covariance the paper describes as the standard technique, and the
-//! χ²/signal-to-noise machinery used to interpret measurements.
+//! matrix." This crate implements that jackknife over the per-node
+//! results the distributed run returns beside its merge
+//! (`galactos_core::pipeline::SupervisedRun::shard_partials`), the
+//! mock-ensemble covariance the paper describes as the standard
+//! technique, and the χ²/signal-to-noise machinery used to interpret
+//! measurements.
 //!
 //! * [`vectorize`] — flatten ζ containers into labeled feature vectors;
 //! * [`covariance`] — sample and delete-one jackknife covariances;

@@ -3,8 +3,12 @@
 use galactos_analysis::chi2::{chi_squared, detection_snr, project_components};
 use galactos_analysis::covariance::{jackknife_from_partials, sample_covariance};
 use galactos_analysis::vectorize::{zeta_labels, zeta_to_vector};
+use galactos_catalog::shard::MANIFEST_FILE;
+use galactos_cluster::fault::FaultPlan;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
+use galactos_core::pipeline::{compute_distributed_supervised, RetryPolicy};
+use galactos_domain::shard::write_sharded;
 use galactos_mocks::cluster_process::NeymanScott;
 
 #[test]
@@ -44,7 +48,7 @@ fn mock_ensemble_covariance_detects_clustering_signal() {
 #[test]
 fn jackknife_and_ensemble_agree_in_order_of_magnitude() {
     let config = EngineConfig::test_default(5.0, 1, 2);
-    let engine = Engine::new(config);
+    let engine = Engine::new(config.clone());
     // One catalog split into 8 regions for jackknife.
     let mut cat = NeymanScott {
         parent_density: 1.5e-3,
@@ -53,16 +57,32 @@ fn jackknife_and_ensemble_agree_in_order_of_magnitude() {
     }
     .generate(48.0, 7);
     cat.periodic = None;
-    let positions = cat.positions();
-    let plan = galactos_domain::DomainPlan::build(&positions, cat.bounds, 8);
-    let partials: Vec<_> = (0..8)
-        .map(|r| {
-            let idx: Vec<usize> = plan.owned_indices(r).iter().map(|&i| i as usize).collect();
-            engine.compute(&cat.subset(&idx))
-        })
-        .collect();
-    let jk = jackknife_from_partials(&partials);
-    let labels = zeta_labels(&partials[0]);
+    let dir = std::env::temp_dir().join(format!(
+        "galactos_analysis_jackknife_{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    write_sharded(&cat, 8, &dir).unwrap();
+    let run = compute_distributed_supervised(
+        dir.join(MANIFEST_FILE),
+        &config,
+        3,
+        &RetryPolicy::default(),
+        FaultPlan::none(),
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    // The regions together are the whole catalog, boundary-crossing
+    // triangles included.
+    let mut merged = run.shard_partials[0].clone();
+    for p in &run.shard_partials[1..] {
+        merged.merge(p);
+    }
+    let whole = engine.compute(&cat);
+    let diff = merged.max_difference(&whole);
+    assert!(diff < 1e-9 * whole.max_abs().max(1.0), "diff {diff}");
+    let jk = jackknife_from_partials(&run.shard_partials);
+    let labels = zeta_labels(&run.zeta);
     let idx = labels.iter().position(|s| s == "re[0,0,0](1,1)").unwrap();
     let sigma_jk = jk.sigmas()[idx];
     assert!(sigma_jk > 0.0);

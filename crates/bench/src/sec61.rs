@@ -4,18 +4,24 @@
 //! amounts to jack-knifing: retaining the local 3PCF results on a per
 //! node basis would therefore constitute many samples of the 3PCF over
 //! small volumes. These can be combined to provide a covariance
-//! matrix." This subcommand does exactly that: domain-decompose a clustered
-//! catalog, keep per-rank ζ partials, build the jackknife covariance,
-//! and compare its error bars against a mock-ensemble covariance.
+//! matrix." This subcommand does exactly that: shard a clustered
+//! catalog along the domain plan, run the distributed pipeline, keep its
+//! per-shard ζ partials (each region's galaxies as primaries, with their
+//! halo as secondaries, so no triangle across a region boundary is
+//! lost), build the jackknife covariance, and compare its error bars
+//! against a mock-ensemble covariance.
 
 use crate::tables::print_table;
 use crate::BENCH_SEED;
 use galactos_analysis::chi2::project_components;
 use galactos_analysis::covariance::{jackknife_from_partials, sample_covariance};
 use galactos_analysis::vectorize::{zeta_labels, zeta_to_vector};
+use galactos_catalog::shard::MANIFEST_FILE;
+use galactos_cluster::fault::FaultPlan;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_domain::partition::DomainPlan;
+use galactos_core::pipeline::{compute_distributed_supervised, RetryPolicy};
+use galactos_domain::shard::write_sharded;
 use galactos_mocks::cluster_process::NeymanScott;
 
 fn make_catalog(seed: u64) -> galactos_catalog::Catalog {
@@ -41,15 +47,26 @@ pub(crate) fn run() -> Result<(), String> {
         catalog.len(),
         num_regions
     );
-    let positions = catalog.positions();
-    let plan = DomainPlan::build(&positions, catalog.bounds, num_regions);
-    let partials: Vec<_> = (0..num_regions)
-        .map(|r| {
-            let idx: Vec<usize> = plan.owned_indices(r).iter().map(|&i| i as usize).collect();
-            engine.compute(&catalog.subset(&idx))
-        })
-        .collect();
-    let jk = jackknife_from_partials(&partials);
+    // `create_dir`, not the shard writer's `create_dir_all`: a missing
+    // temp directory is an error, not something to create.
+    let dir = std::env::temp_dir().join(format!("galactos_sec61_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let run = write_sharded(&catalog, num_regions, &dir)
+        .map_err(|e| e.to_string())
+        .and_then(|_| {
+            compute_distributed_supervised(
+                dir.join(MANIFEST_FILE),
+                &config,
+                2,
+                &RetryPolicy::default(),
+                FaultPlan::none(),
+            )
+            .map_err(|e| e.to_string())
+        });
+    std::fs::remove_dir_all(&dir).ok();
+    let run = run.map_err(|e| format!("{}: {e}", dir.display()))?;
+    let jk = jackknife_from_partials(&run.shard_partials);
 
     // --- mock-ensemble covariance for comparison ---
     let n_mocks = 16;
@@ -62,7 +79,7 @@ pub(crate) fn run() -> Result<(), String> {
     let ens = sample_covariance(&samples);
 
     // Compare error bars on the real diagonal (0,0,0) components.
-    let labels = zeta_labels(&partials[0]);
+    let labels = zeta_labels(&run.zeta);
     let picked: Vec<(usize, String)> = labels
         .iter()
         .enumerate()

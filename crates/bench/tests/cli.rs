@@ -1,5 +1,6 @@
 //! The `reproduce` command line: bad arguments exit 2 with the usage
-//! line, and an unwritable CSV exits 1 with an error naming the file.
+//! line, and an unwritable CSV or shard directory exits 1 with an error
+//! naming it.
 
 use std::process::{Command, Output};
 
@@ -48,4 +49,20 @@ fn unwritable_csv_exits_1_naming_the_file() {
     let csv = missing.join("galactos_fig03.csv");
     assert!(stderr.contains(&*csv.to_string_lossy()), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn missing_shard_directory_exits_1_naming_it() {
+    let missing = std::env::temp_dir().join("galactos-cli-test-missing-shard-dir");
+    assert!(!missing.exists());
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("sec61")
+        .env("TMPDIR", &missing)
+        .output()
+        .expect("spawn reproduce");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&*missing.to_string_lossy()), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!missing.exists(), "the missing directory was created");
 }

@@ -102,14 +102,6 @@ impl Catalog {
         self.bounds = bounds;
     }
 
-    /// A new catalog containing the galaxies at the given indices.
-    pub fn subset(&self, indices: &[usize]) -> Catalog {
-        let galaxies = indices.iter().map(|&i| self.galaxies[i]).collect();
-        let mut c = Catalog::new(galaxies);
-        c.periodic = self.periodic;
-        c
-    }
-
     /// Combine a data catalog and a random catalog into the
     /// data-minus-randoms field: data weights unchanged, random weights
     /// rescaled to `−W_D / W_R` each (so the total weight is zero).
@@ -210,11 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_translate() {
-        let c = sample();
-        let s = c.subset(&[0, 2]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.galaxies[1].pos, Vec3::new(-1.0, 4.0, 0.5));
+    fn translate_moves_galaxies_and_bounds() {
         let mut t = sample();
         t.translate(Vec3::splat(10.0));
         assert_eq!(t.galaxies[0].pos, Vec3::splat(10.0));

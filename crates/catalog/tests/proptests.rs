@@ -119,21 +119,6 @@ proptest! {
     }
 
     #[test]
-    fn subset_preserves_order_and_values(
-        galaxies in arb_galaxies(),
-        picks in prop::collection::vec(0usize..200, 0..50),
-    ) {
-        prop_assume!(!galaxies.is_empty());
-        let cat = Catalog::new(galaxies);
-        let indices: Vec<usize> = picks.into_iter().map(|p| p % cat.len()).collect();
-        let sub = cat.subset(&indices);
-        prop_assert_eq!(sub.len(), indices.len());
-        for (s, &i) in sub.galaxies.iter().zip(indices.iter()) {
-            prop_assert_eq!(s.pos, cat.galaxies[i].pos);
-        }
-    }
-
-    #[test]
     fn survey_footprint_is_consistent_with_geometry(
         px in -200.0f64..200.0,
         py in -200.0f64..200.0,

@@ -12,7 +12,9 @@
 //! over owned + ghosts, run the engine with *owned galaxies only* as
 //! primaries, and reduce the multipole arrays once, in shard order ("the
 //! remainder of the 3PCF calculation (besides a final reduction) is
-//! strongly parallel").
+//! strongly parallel"). The per-shard partials are returned beside the
+//! merge ([`SupervisedRun::shard_partials`]): they are the §6.1 jackknife
+//! samples.
 //!
 //! Resident galaxies per piece of work are `owned + ghosts`, never the
 //! catalog size. No message is sent, so a shard's ζ partial is a pure
@@ -154,6 +156,12 @@ pub struct SupervisedRun {
     /// Ranks that exhausted their retries and lost their shard range to
     /// the survivors.
     pub dead_ranks: Vec<usize>,
+    /// The per-shard ζ partials, in shard order, that `zeta` is the
+    /// shard-ordered merge of: each one the shard's galaxies as
+    /// primaries, with everything within `rmax` as secondaries. These
+    /// are the paper's §6.1 per-node results, one jackknife region per
+    /// shard (`galactos_analysis::jackknife_from_partials`).
+    pub shard_partials: Vec<AnisotropicZeta>,
 }
 
 /// ζ partials labeled by the shard that produced them.
@@ -421,6 +429,7 @@ pub fn compute_distributed_supervised_observed(
             ranks: Vec::new(),
             failures: Vec::new(),
             dead_ranks: Vec::new(),
+            shard_partials: Vec::new(),
         },
         partials: BTreeMap::new(),
     };
@@ -489,6 +498,7 @@ pub fn compute_distributed_supervised_observed(
     for partial in sup.partials.values() {
         run.zeta.merge(partial);
     }
+    run.shard_partials = sup.partials.into_values().collect();
     Ok(run)
 }
 
@@ -525,6 +535,10 @@ mod tests {
         compute_distributed_supervised(manifest_path, config, ranks, &policy, FaultPlan::none())
     }
 
+    fn bits(zeta: &AnisotropicZeta) -> Vec<u64> {
+        zeta.to_f64_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn rank_reports_cover_catalog() {
         let cat = open_catalog(90, 12.0, 11);
@@ -548,8 +562,23 @@ mod tests {
         let dir = shard_dir("matches_single");
         write_sharded(&cat, 7, &dir).unwrap();
         let manifest_path = dir.join(MANIFEST_FILE);
+        let mut one_rank_partials = Vec::new();
         for ranks in [1usize, 2, 3, 5] {
             let dist = sharded(&manifest_path, &config, ranks).unwrap();
+            // One partial per shard, whose shard-ordered merge is ζ bit
+            // for bit, and whose bits no rank count moves.
+            assert_eq!(dist.shard_partials.len(), 7);
+            let mut merged = AnisotropicZeta::zeros(config.lmax, config.bins.nbins());
+            for partial in &dist.shard_partials {
+                merged.merge(partial);
+            }
+            assert_eq!(bits(&merged), bits(&dist.zeta), "ranks={ranks}");
+            let partial_bits: Vec<_> = dist.shard_partials.iter().map(bits).collect();
+            if ranks == 1 {
+                one_rank_partials = partial_bits;
+            } else {
+                assert_eq!(partial_bits, one_rank_partials, "ranks={ranks}");
+            }
             let scale = single.max_abs().max(1.0);
             assert!(
                 dist.zeta.max_difference(&single) < 1e-9 * scale,

@@ -104,7 +104,7 @@ fn grid_converges_to_tree_on_periodic_box() {
 
 #[test]
 fn assignment_schemes_all_converge() {
-    // NGP, CIC and TSC differ in painting bias but must all land
+    // NGP and CIC differ in painting bias but must both land
     // within a loose gate at a moderate mesh (32 here keeps the
     // debug-mode cost down; the 1e-2 gate at 64 is pinned above for
     // the default scheme).

@@ -18,6 +18,7 @@ use galactos_core::pipeline::SupervisedError;
 use galactos_core::pipeline::{
     compute_distributed_supervised, compute_distributed_supervised_observed, RetryPolicy, Sleeper,
 };
+use galactos_core::result::AnisotropicZeta;
 use galactos_core::ObsSession;
 use galactos_domain::shard::write_sharded;
 use std::path::PathBuf;
@@ -59,6 +60,14 @@ fn fault_matrix_transient_kills_match_single_process() {
     let policy = RetryPolicy::default();
 
     for ranks in [2usize, 3, 5] {
+        let clean = compute_distributed_supervised(
+            &manifest_path,
+            &config,
+            ranks,
+            &policy,
+            FaultPlan::none(),
+        )
+        .unwrap();
         for victim in 0..ranks {
             for phase in PHASES {
                 let plan = FaultPlan::none().with_phase_kill(victim, phase, 1);
@@ -90,10 +99,24 @@ fn fault_matrix_transient_kills_match_single_process() {
                 assert_eq!(retried.attempts, 2, "one failure, one successful retry");
                 let owned_total: usize = run.ranks.iter().map(|r| r.owned).sum();
                 assert_eq!(owned_total, 250, "primaries partition the catalog");
+                // The retried shards' partials are the fault-free ones.
+                assert_eq!(
+                    partial_bits(&run.shard_partials),
+                    partial_bits(&clean.shard_partials),
+                    "ranks={ranks} victim={victim} phase={phase}"
+                );
             }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every shard partial's values, as bits.
+fn partial_bits(partials: &[AnisotropicZeta]) -> Vec<Vec<u64>> {
+    partials
+        .iter()
+        .map(|p| p.to_f64_vec().iter().map(|v| v.to_bits()).collect())
+        .collect()
 }
 
 #[test]

@@ -69,25 +69,18 @@ impl LoadBalance {
 /// secondaries are owned + halo galaxies (self-pairs excluded). This is
 /// the multipole kernel's work estimate: an unpadded `r ≤ rmax` count
 /// ([`KdTree::count_within`]), not the pair set the engine bins.
+///
+/// A rank's halo holds every galaxy within `rmax` of one it owns, so one
+/// tree over the whole catalog counts the same neighbors a rank's own
+/// owned + halo tree would.
 pub fn pair_counts(plan: &DomainPlan, positions: &[Vec3], rmax: f64) -> Vec<u64> {
-    let halos = plan.halo_indices(positions, rmax);
+    let tree = KdTree::build(positions, TreeConfig::default());
     (0..plan.num_ranks())
         .map(|r| {
-            let owned = plan.owned_indices(r);
-            if owned.is_empty() {
-                return 0;
-            }
-            // Local point set: owned + ghosts, exactly like a rank's tree.
-            let mut local: Vec<Vec3> = Vec::with_capacity(owned.len() + halos[r].len());
-            local.extend(owned.iter().map(|&i| positions[i as usize]));
-            local.extend(halos[r].iter().map(|&i| positions[i as usize]));
-            let tree = KdTree::build(&local, TreeConfig::default());
-            owned
+            plan.owned_indices(r)
                 .iter()
-                .map(|&i| {
-                    // Exclude the primary itself (distance 0).
-                    (tree.count_within(positions[i as usize], rmax) - 1) as u64
-                })
+                // Exclude the primary itself (distance 0).
+                .map(|&i| (tree.count_within(positions[i as usize], rmax) - 1) as u64)
                 .sum()
         })
         .collect()

@@ -13,7 +13,7 @@
 //! converges to the tree answer as the mesh is refined (the convergence
 //! gate is enforced by `galactos-core`'s `tests/grid_equivalence.rs`).
 //!
-//! * [`assign`] — NGP/CIC/TSC periodic mass assignment with exact
+//! * [`assign`] — NGP/CIC periodic mass assignment with exact
 //!   weight conservation, plus each scheme's Fourier window;
 //! * [`mesh`] — painted [`DensityMesh`]es with interlacing and window
 //!   deconvolution on the way to k-space;

@@ -258,13 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn tsc_spreads_over_three_cells_and_conserves_weight() {
-        // Coordinates chosen off every cell center and edge so all
-        // three per-axis weights are strictly positive.
+    fn cic_spreads_over_eight_cells_and_conserves_weight() {
+        // Coordinates chosen off every cell center and edge so both
+        // per-axis weights are strictly positive.
         let cat = one_particle(Vec3::new(3.3, 5.2, 4.8), 1.5, 10.0);
-        let mesh = DensityMesh::paint(&cat, 8, MassAssignment::Tsc, false);
+        let mesh = DensityMesh::paint(&cat, 8, MassAssignment::Cic, false);
         let occupied = mesh.data().iter().filter(|&&v| v != 0.0).count();
-        assert_eq!(occupied, 27);
+        assert_eq!(occupied, 8);
         assert!((mesh.total_weight() - 1.5).abs() < 1e-12);
     }
 

@@ -73,9 +73,9 @@ fn painting_is_bit_stable_across_thread_counts() {
 #[test]
 fn painting_survives_more_threads_than_planes() {
     let cat = catalog(300, 5);
-    let serial = with_pool(1, || DensityMesh::paint(&cat, 8, MassAssignment::Tsc, true));
+    let serial = with_pool(1, || DensityMesh::paint(&cat, 8, MassAssignment::Cic, true));
     let wide = with_pool(64, || {
-        DensityMesh::paint(&cat, 8, MassAssignment::Tsc, true)
+        DensityMesh::paint(&cat, 8, MassAssignment::Cic, true)
     });
     assert_eq!(bits(serial.data()), bits(wide.data()));
     assert_eq!(

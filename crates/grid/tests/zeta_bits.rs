@@ -10,6 +10,9 @@
 //! shell harmonics per m) and the file was committed unedited with that
 //! change: a refactor or optimisation of the grid path that means to
 //! keep ζ's bits passes this unchanged, at every pool size it runs at.
+//! The second case painted with TSC until that scheme was deleted; its
+//! CIC constant was generated the same way, on the commit before the
+//! deletion.
 //!
 //! A coefficient that is exactly zero hashes as `+0` whatever its sign:
 //! which all-zero lines of a mesh a transform skips decides the sign of
@@ -78,10 +81,10 @@ fn cases() -> Vec<Case> {
             want: 0x5b2d_7b9f_ba42_a1c0,
         },
         Case {
-            name: "mesh 16, lmax 4, 3 bins, TSC, interlace, rotated line of sight",
+            name: "mesh 16, lmax 4, 3 bins, CIC, interlace, rotated line of sight",
             cfg: GridConfig {
                 mesh: 16,
-                assignment: MassAssignment::Tsc,
+                assignment: MassAssignment::Cic,
                 deconvolve: false,
                 interlace: true,
             },
@@ -90,7 +93,7 @@ fn cases() -> Vec<Case> {
             rotation: Some(Mat3::rotation_to_z(tilted)),
             subtract_self_pairs: false,
             threads: &[1, 2, 0],
-            want: 0xdd35_cae8_1c9d_c38f,
+            want: 0x07f3_e790_e1b7_c151,
         },
         Case {
             name: "mesh 8, lmax 2, 2 bins, NGP, self-pairs on",

@@ -11,6 +11,8 @@
 //! ```
 
 use galactos::analysis::chi2::{detection_snr, project_components};
+use galactos::catalog::shard::MANIFEST_FILE;
+use galactos::domain::shard::write_sharded;
 use galactos::mocks::cluster_process::NeymanScott;
 use galactos::prelude::*;
 
@@ -74,46 +76,32 @@ fn main() {
         );
     }
 
-    // --- jackknife covariance from spatial regions (paper §6.1):
-    // partition the survey volume into octants about the observer and
-    // compute per-region anisotropic partials with the same engine.
-    // Jackknife the positive-weight data catalog: the per-primary
-    // normalization is ill-defined for the zero-weight D−R field.
-    let engine = compute.engine();
-    let mut partials = Vec::new();
-    for octant in 0..8usize {
-        let indices: Vec<usize> = data
-            .galaxies
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| {
-                let rel = g.pos - observer;
-                let code = (usize::from(rel.x > 0.0))
-                    | (usize::from(rel.y > 0.0) << 1)
-                    | (usize::from(rel.z > 0.0) << 2);
-                code == octant
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if indices.len() < 10 {
-            continue;
-        }
-        let region = data.subset(&indices);
-        partials.push(engine.compute(&region));
-    }
-    println!("\njackknife regions: {}", partials.len());
-    let cov = jackknife_from_partials(&partials);
+    // --- jackknife covariance from spatial regions (paper §6.1): shard
+    // the data along the domain plan and run the distributed pipeline
+    // with the same engine configuration; its per-shard partials (each
+    // region's galaxies as primaries, with their halo as secondaries)
+    // are the jackknife samples. Jackknife the positive-weight data
+    // catalog: the per-primary normalization is ill-defined for the
+    // zero-weight D−R field.
+    let dir = std::env::temp_dir().join("galactos_survey_pipeline_shards");
+    std::fs::remove_dir_all(&dir).ok();
+    write_sharded(&data, 8, &dir).expect("writing shards");
+    let run = compute_distributed_supervised(
+        dir.join(MANIFEST_FILE),
+        compute.engine().config(),
+        2,
+        &RetryPolicy::default(),
+        FaultPlan::none(),
+    )
+    .expect("distributed run");
+    std::fs::remove_dir_all(&dir).ok();
+    println!("\njackknife regions: {}", run.shard_partials.len());
+    let cov = jackknife_from_partials(&run.shard_partials);
 
     // Detection significance of the pair moment in a few components.
-    let full_vec = galactos::analysis::vectorize::zeta_to_vector(&{
-        let mut full = partials[0].clone();
-        for p in &partials[1..] {
-            full.merge(p);
-        }
-        full
-    });
+    let full_vec = galactos::analysis::vectorize::zeta_to_vector(&run.zeta);
     // Pick the real parts of (0,0,0) over the diagonal bins.
-    let labels = galactos::analysis::vectorize::zeta_labels(&partials[0]);
+    let labels = galactos::analysis::vectorize::zeta_labels(&run.zeta);
     let picked: Vec<usize> = labels
         .iter()
         .enumerate()

@@ -151,18 +151,21 @@ fn jackknife_covariance_has_positive_variances_on_signal() {
     use galactos::analysis::covariance::jackknife_from_partials;
     let cat = clustered_catalog(13);
     let config = EngineConfig::test_default(8.0, 2, 3);
-    let engine = Engine::new(config);
-    let positions = cat.positions();
-    let plan = galactos::domain::DomainPlan::build(&positions, cat.bounds, 6);
-    let partials: Vec<_> = (0..6)
-        .map(|r| {
-            let idx: Vec<usize> = plan.owned_indices(r).iter().map(|&i| i as usize).collect();
-            engine.compute(&cat.subset(&idx))
-        })
-        .collect();
-    let cov = jackknife_from_partials(&partials);
+    let dir = std::env::temp_dir().join(format!("galactos_e2e_jackknife_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    write_sharded(&cat, 6, &dir).unwrap();
+    let run = compute_distributed_supervised(
+        dir.join(MANIFEST_FILE),
+        &config,
+        2,
+        &RetryPolicy::default(),
+        FaultPlan::none(),
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let cov = jackknife_from_partials(&run.shard_partials);
     // The pair-moment components must carry variance.
-    let labels = galactos::analysis::vectorize::zeta_labels(&partials[0]);
+    let labels = galactos::analysis::vectorize::zeta_labels(&run.zeta);
     let idx = labels.iter().position(|s| s == "re[0,0,0](1,1)").unwrap();
     assert!(cov.sigmas()[idx] > 0.0);
     assert!(cov.mean[idx] > 0.0);

@@ -1,5 +1,5 @@
 //! Workspace smoke test: every target in the workspace — the
-//! `reproduce` paper-figure binary and the 5 examples — must keep
+//! `reproduce` paper-figure binary and the 4 examples — must keep
 //! compiling as refactors land. `cargo test` alone only builds lib and
 //! test targets, so a green test run can hide broken binaries; this
 //! test closes that gap by driving `cargo check` over all of them.

@@ -470,7 +470,8 @@ impl Engine {
     /// correctly rounded, so lanes and scalars produce the same float),
     /// so both traversals run bit-identical pair arithmetic. For
     /// coincident points `inv_r` may be `inf`; the `r == 0` cut returns
-    /// before it is read.
+    /// before it is read. Only the per-primary path reaches it: the
+    /// blocked path's Phase A never stages a pair at `r = 0`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn bin_pair(
@@ -555,13 +556,16 @@ impl Engine {
     }
 
     /// Stage 2, leaf-blocked — Phase A
-    /// ([`CandidateBlock::select_pairs`]) runs the distance² prefilter
-    /// and the separation square root and reciprocal in
-    /// [`galactos_simd`] lanes over the SoA block, compacting survivors
-    /// into staging arrays; Phase B streams the survivors through the
-    /// shared rotate → bin → bucket tail, whose `bin_of` is the only
-    /// test that decides whether a pair counts. Each lane replicates
-    /// the scalar arithmetic of [`Engine::bin_and_bucket`] bit-exactly.
+    /// ([`CandidateBlock::select_pairs`]) masks the padded SoA block in
+    /// [`galactos_simd`] lanes to the pairs with `0 < r² ≲ Rmax²`,
+    /// compacts them into staging arrays and takes their square roots
+    /// and reciprocals in one lane pass; Phase B streams the survivors
+    /// through the shared rotate → bin → bucket tail, whose `bin_of` is
+    /// the only test that decides whether a pair counts. The primary
+    /// itself and galaxies at its position have `r² = 0`, so no pair
+    /// at `r = 0` reaches [`Engine::bin_pair`] from here. Each lane
+    /// replicates the scalar arithmetic of [`Engine::bin_and_bucket`]
+    /// bit-exactly.
     fn bin_and_bucket_blocked(
         &self,
         scratch: &mut ComputeScratch,
@@ -573,12 +577,9 @@ impl Engine {
         let mut kernel_nanos = 0u64;
         let mut binned = 0u64;
 
-        let n_sel = scratch.block.select_pairs(
-            ctx.pos,
-            ctx.index as u32,
-            periodic,
-            self.config.bins.rmax(),
-        );
+        let n_sel = scratch
+            .block
+            .select_pairs(ctx.pos, periodic, self.config.bins.rmax());
         for s in 0..n_sel {
             let delta = Vec3::new(
                 scratch.block.sel_dx[s],

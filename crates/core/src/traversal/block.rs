@@ -9,16 +9,18 @@
 //! inflated by Rmax, and [`CandidateBlock::fill`] streams those ranges
 //! once — prefiltering each candidate against
 //! `r² ≤ (Rmax + leaf_radius)²` from the leaf center — into contiguous
-//! x/y/z/weight arrays. The engine's split loop then runs a tight
-//! distance²→cut→sqrt→rotate→bin pass over the SoA per primary, with
-//! no per-pair `galaxies[j]` gather and no tree descent at all.
+//! x/y/z/weight arrays padded to whole [`F64_LANES`] groups. Per
+//! primary, Phase A ([`CandidateBlock::select_pairs`]) masks and
+//! compacts the block down to the pairs worth binning, and the
+//! engine's Phase B streams only those through rotate → bin → bucket,
+//! with no per-pair `galaxies[j]` gather and no tree descent at all.
 //!
 //! Nothing here decides which pairs count: the walk and the prefilter
 //! are padded by [`KdTree::pad`] so the block is a superset of every
-//! leaf member's `r < Rmax` secondaries, and the one cut of the split
-//! loop only spares square roots for pairs
-//! [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) would reject
-//! anyway (see the [module docs](super)).
+//! leaf member's `r < Rmax` secondaries, and Phase A's cut only drops
+//! pairs [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) would
+//! reject as beyond Rmax, or that are at `r = 0`, which the shared
+//! pair tail drops as directionless (see the [module docs](super)).
 
 use super::LeafInfo;
 use galactos_catalog::Galaxy;
@@ -36,25 +38,30 @@ pub struct CandidateBlock {
     /// Original galaxy index of each candidate.
     pub(crate) ids: Vec<u32>,
     /// Candidate positions (original `f64` catalog coordinates — the
-    /// binning arithmetic is identical to per-primary traversal).
+    /// binning arithmetic is identical to per-primary traversal),
+    /// padded past [`len`](Self::len) with `+∞` to a multiple of
+    /// [`F64_LANES`], so Phase A loads whole groups only.
     pub(crate) x: Vec<f64>,
     pub(crate) y: Vec<f64>,
     pub(crate) z: Vec<f64>,
-    /// Candidate weights.
+    /// Candidate weights, padded with `0` like the positions.
     pub(crate) w: Vec<f64>,
     /// Range scratch reused across fills.
     ranges: Vec<(u32, u32)>,
     /// Per-primary selection staging filled by
     /// [`CandidateBlock::select_pairs`]: the binning delta, separation,
-    /// and weight of every candidate that passed the distance²
-    /// prefilter, in candidate order.
+    /// and weight of every candidate that passed Phase A's cut, in
+    /// candidate order. Only the first `kept` entries (its return
+    /// value) are the current primary's; the arrays grow on demand to
+    /// at least `kept + F64_LANES`, in whole groups, never to the block
+    /// length.
     pub(crate) sel_dx: Vec<f64>,
     pub(crate) sel_dy: Vec<f64>,
     pub(crate) sel_dz: Vec<f64>,
     pub(crate) sel_r: Vec<f64>,
-    /// Reciprocal separations `1/r`, filled lane-wise after compaction
-    /// (`F64x8::recip` divides per lane, so each entry is bit-identical
-    /// to the scalar `1.0 / r` the per-primary path computes).
+    /// Reciprocal separations `1/r` (`F64x8::recip` divides per lane,
+    /// so each entry is bit-identical to the scalar `1.0 / r` the
+    /// per-primary path computes).
     pub(crate) sel_inv_r: Vec<f64>,
     pub(crate) sel_w: Vec<f64>,
 }
@@ -64,7 +71,8 @@ impl CandidateBlock {
         Self::default()
     }
 
-    /// Number of candidates currently held.
+    /// Number of candidates currently held (the coordinate arrays run
+    /// on past it into padding).
     #[inline]
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -158,123 +166,118 @@ impl CandidateBlock {
             }
         }
         self.ranges = ranges;
+
+        // 4. Pad to whole lane groups. A `+∞` coordinate gives r² = ∞
+        // (or NaN through `periodic_delta`), which Phase A never keeps.
+        let padded = self.ids.len().next_multiple_of(F64_LANES);
+        self.x.resize(padded, f64::INFINITY);
+        self.y.resize(padded, f64::INFINITY);
+        self.z.resize(padded, f64::INFINITY);
+        self.w.resize(padded, 0.0);
         self.ids.len()
     }
 
-    /// Phase A of the blocked split loop, vectorized over the SoA in
-    /// [`F64_LANES`]-wide chunks: compute each candidate's minimum-image
-    /// binning delta and distance², drop the lanes whose distance² says
-    /// `bin_of` will reject them as beyond Rmax, and compact the rest —
-    /// delta, separation `r = √r²`, weight — into the `sel_*` staging
-    /// arrays in candidate order. The engine then runs the scalar
-    /// bin→bucket→kernel tail over the survivors only.
+    /// Phase A of the blocked split loop: stage the pairs of the
+    /// primary at `center` that Phase B must bin. For each
+    /// [`F64_LANES`]-wide group of the padded block, compute the
+    /// minimum-image binning delta and distance² and keep the lanes
+    /// with `0 < r² ≤ r2_cut` — the cut spares the pairs `bin_of` will
+    /// reject as beyond Rmax, and `r² = 0` is the primary itself or a
+    /// coincident galaxy, which the pair tail drops as directionless.
+    /// A group with no survivor is skipped; the others are compacted —
+    /// delta, r², weight — into the `sel_*` staging at the running
+    /// survivor index, in candidate order. One lane pass over the
+    /// survivors then turns r² into `r = √r²` and `1/r`. Returns the
+    /// survivor count `kept`.
     ///
     /// Every lane replicates the scalar arithmetic exactly (same
-    /// operations, same association, `sqrt` is correctly rounded), so
-    /// all staged floats are bit-identical to the per-candidate scalar
-    /// loop of per-primary traversal.
-    pub(crate) fn select_pairs(
-        &mut self,
-        center: Vec3,
-        skip_id: u32,
-        periodic: Option<f64>,
-        rmax: f64,
-    ) -> usize {
-        self.sel_dx.clear();
-        self.sel_dy.clear();
-        self.sel_dz.clear();
-        self.sel_r.clear();
-        self.sel_w.clear();
-
-        let n = self.ids.len();
-        // A sqrt-saving prefilter, not a membership test: `bin_of`
-        // keeps `fl(√r²) < rmax`, and r² above this has
+    /// operations, same association; `sqrt` and the divide are
+    /// correctly rounded), so all staged floats are bit-identical to
+    /// the per-candidate scalar loop of per-primary traversal.
+    pub(crate) fn select_pairs(&mut self, center: Vec3, periodic: Option<f64>, rmax: f64) -> usize {
+        // A sqrt-saving cut, not a membership test: `bin_of` keeps
+        // `fl(√r²) < rmax`, and r² above this has
         // √r² > rmax·(1 + ε), which no rounding brings back under rmax.
         let r2_cut = F64x8::splat(rmax * rmax * (1.0 + 4.0 * f64::EPSILON));
+        let (cx, cy, cz) = (
+            F64x8::splat(center.x),
+            F64x8::splat(center.y),
+            F64x8::splat(center.z),
+        );
 
-        // The primary's own slot (ids are unique per block, so at most
-        // one): found once here so the compaction loop below never
-        // touches `ids` — it just clears that lane from the keep mask.
-        let skip_pos = self.ids.iter().position(|&id| id == skip_id);
-
-        let mut start = 0;
-        while start < n {
-            let lanes = (n - start).min(F64_LANES);
-            let mut dx = [0.0f64; F64_LANES];
-            let mut dy = [0.0f64; F64_LANES];
-            let mut dz = [0.0f64; F64_LANES];
-            match periodic {
-                None => {
-                    for i in 0..lanes {
-                        let c = start + i;
-                        dx[i] = self.x[c] - center.x;
-                        dy[i] = self.y[c] - center.y;
-                        dz[i] = self.z[c] - center.z;
-                    }
-                }
+        let mut kept = 0;
+        for start in (0..self.x.len()).step_by(F64_LANES) {
+            let (dx, dy, dz) = match periodic {
+                None => (
+                    F64x8::from_slice(&self.x[start..]) - cx,
+                    F64x8::from_slice(&self.y[start..]) - cy,
+                    F64x8::from_slice(&self.z[start..]) - cz,
+                ),
                 Some(l) => {
-                    for i in 0..lanes {
+                    let mut dx = [0.0f64; F64_LANES];
+                    let mut dy = [0.0f64; F64_LANES];
+                    let mut dz = [0.0f64; F64_LANES];
+                    for i in 0..F64_LANES {
                         let c = start + i;
                         let p = Vec3::new(self.x[c], self.y[c], self.z[c]);
                         let d = p.periodic_delta(center, l);
                         (dx[i], dy[i], dz[i]) = (d.x, d.y, d.z);
                     }
+                    (
+                        F64x8::from_array(dx),
+                        F64x8::from_array(dy),
+                        F64x8::from_array(dz),
+                    )
                 }
-            }
+            };
             // Distance² lanes: (dx·dx + dy·dy) + dz·dz, the same
             // association as `Vec3::norm_sq`.
-            let vx = F64x8::from_array(dx);
-            let vy = F64x8::from_array(dy);
-            let vz = F64x8::from_array(dz);
-            let r2 = vx * vx + vy * vy + vz * vz;
-
-            let mut keep = r2.le_mask(r2_cut);
-            if lanes < F64_LANES {
-                keep &= (1u8 << lanes) - 1; // tail: zero lanes never pass
+            let r2 = dx * dx + dy * dy + dz * dz;
+            let mut keep = r2.le_mask(r2_cut) & !r2.le_mask(F64x8::ZERO);
+            if keep == 0 {
+                continue;
             }
-            if let Some(p) = skip_pos {
-                if (start..start + lanes).contains(&p) {
-                    keep &= !(1u8 << (p - start)); // never pair with self
-                }
+            if self.sel_r.len() < kept + F64_LANES {
+                self.grow_staging(kept);
             }
-
-            // Compact survivors; sqrt only for them (`f64::sqrt` is
-            // correctly rounded, so per-survivor scalar sqrt and a
-            // full-width vector sqrt produce identical bits — skipping
-            // rejected lanes is free).
-            let r2a = r2.to_array();
-            for i in 0..lanes {
-                if keep & (1 << i) != 0 {
-                    self.sel_dx.push(dx[i]);
-                    self.sel_dy.push(dy[i]);
-                    self.sel_dz.push(dz[i]);
-                    self.sel_r.push(r2a[i].sqrt());
-                    self.sel_w.push(self.w[start + i]);
-                }
+            while keep != 0 {
+                let i = keep.trailing_zeros() as usize;
+                self.sel_dx[kept] = dx.0[i];
+                self.sel_dy[kept] = dy.0[i];
+                self.sel_dz[kept] = dz.0[i];
+                self.sel_r[kept] = r2.0[i];
+                self.sel_w[kept] = self.w[start + i];
+                kept += 1;
+                keep &= keep - 1;
             }
-            start += lanes;
         }
 
-        // Batch the unit-vector reciprocals over the survivor list so
-        // the scalar binning tail never stalls on a divide: `recip`
-        // divides per lane (IEEE correctly rounded), so every entry is
-        // the exact bits of the scalar `1.0 / r`. Coincident pairs
-        // (r = 0) produce `inf` here and are dropped by the tail's
-        // existing `r == 0` check before the value is ever read.
-        let kept = self.sel_r.len();
-        self.sel_inv_r.clear();
-        self.sel_inv_r.resize(kept, 0.0);
-        let mut i = 0;
-        while i + F64_LANES <= kept {
-            F64x8::from_slice(&self.sel_r[i..])
-                .recip()
-                .write_to(&mut self.sel_inv_r[i..]);
-            i += F64_LANES;
-        }
-        for j in i..kept {
-            self.sel_inv_r[j] = 1.0 / self.sel_r[j];
+        // r² → r and 1/r over whole groups: the staging is a whole
+        // number of groups, so the last one may run into stale lanes
+        // past `kept`, which nothing reads.
+        for s in (0..kept).step_by(F64_LANES) {
+            let r = F64x8::from_slice(&self.sel_r[s..]).sqrt();
+            r.write_to(&mut self.sel_r[s..]);
+            r.recip().write_to(&mut self.sel_inv_r[s..]);
         }
         kept
+    }
+
+    /// Grow the staging to whole groups holding `kept` survivors plus
+    /// one more group, so a group's stores and the final lane pass
+    /// stay in bounds.
+    fn grow_staging(&mut self, kept: usize) {
+        let len = (kept + F64_LANES).next_multiple_of(F64_LANES);
+        for v in [
+            &mut self.sel_dx,
+            &mut self.sel_dy,
+            &mut self.sel_dz,
+            &mut self.sel_r,
+            &mut self.sel_inv_r,
+            &mut self.sel_w,
+        ] {
+            v.resize(len, 0.0);
+        }
     }
 }
 
@@ -356,29 +359,56 @@ mod tests {
         let again = block.fill(&tree, &leaves[0], 2.5, None, &galaxies);
         assert_eq!(a, again);
         assert_eq!(ids_a, block.ids());
+
+        // Shrinking from a padded length (13 → 16) to an unpadded one
+        // (8) leaves no sentinel behind: the refilled block equals a
+        // fresh one, arrays and staged pairs alike.
+        let (galaxies, tree, leaves, _) = fill_for_leaf(13, 3);
+        assert_eq!(block.fill(&tree, &leaves[0], 2.5, None, &galaxies), 13);
+        assert_eq!(block.x.len(), 16);
+        let (galaxies, tree, leaves, mut fresh) = fill_for_leaf(8, 4);
+        assert_eq!(block.fill(&tree, &leaves[0], 2.5, None, &galaxies), 8);
+        fresh.fill(&tree, &leaves[0], 2.5, None, &galaxies);
+        assert_eq!(block.ids, fresh.ids);
+        for (got, want) in [
+            (&block.x, &fresh.x),
+            (&block.y, &fresh.y),
+            (&block.z, &fresh.z),
+            (&block.w, &fresh.w),
+        ] {
+            assert_eq!(got.len(), 8);
+            assert_eq!(got, want);
+        }
+        for g in &galaxies {
+            let kept = fresh.select_pairs(g.pos, None, 2.5);
+            assert_eq!(
+                assert_select_pairs_matches_reference(&mut block, g.pos, None, 2.5),
+                kept
+            );
+            assert_eq!(block.sel_r[..kept], fresh.sel_r[..kept]);
+        }
     }
 
     /// Scalar reference of the blocked Phase A: per-candidate wrapped
-    /// delta, the one distance² cut and `√r²`, all in plain scalar
-    /// arithmetic. `select_pairs` must stage bit-identical floats in
-    /// the same order.
+    /// delta, the one `0 < r² ≤ r2_cut` cut and `√r²`, all in plain
+    /// scalar arithmetic over the block's real (unpadded) candidates.
+    /// `select_pairs` must stage bit-identical floats in the same order.
     fn select_pairs_reference(
         block: &CandidateBlock,
         center: Vec3,
-        skip_id: u32,
         periodic: Option<f64>,
         rmax: f64,
     ) -> Vec<(u64, u64, u64, u64, u64)> {
         let r2_cut = rmax * rmax * (1.0 + 4.0 * f64::EPSILON);
         let mut out = Vec::new();
-        for c in 0..block.ids.len() {
+        for c in 0..block.len() {
             let p = Vec3::new(block.x[c], block.y[c], block.z[c]);
             let delta = match periodic {
                 Some(l) => p.periodic_delta(center, l),
                 None => p - center,
             };
             let r2 = delta.norm_sq();
-            if r2 <= r2_cut && block.ids[c] != skip_id {
+            if 0.0 < r2 && r2 <= r2_cut {
                 out.push((
                     delta.x.to_bits(),
                     delta.y.to_bits(),
@@ -391,10 +421,56 @@ mod tests {
         out
     }
 
-    /// The vectorized Phase A must stage exactly the scalar survivors —
-    /// same pairs, same order, bit-identical deltas/separations/weights
-    /// — for both boundary modes, across lane tails (candidate counts
-    /// not divisible by [`F64_LANES`]).
+    /// Run `select_pairs` for the primary at `center` and assert that
+    /// `sel_*[..kept]` holds exactly the reference's pairs — same
+    /// order, same bits, `sel_inv_r` the scalar `1/r` — and nothing
+    /// non-finite (no `+∞` padding lane). Returns `kept`.
+    fn assert_select_pairs_matches_reference(
+        block: &mut CandidateBlock,
+        center: Vec3,
+        periodic: Option<f64>,
+        rmax: f64,
+    ) -> usize {
+        let want = select_pairs_reference(block, center, periodic, rmax);
+        let kept = block.select_pairs(center, periodic, rmax);
+        assert_eq!(
+            kept,
+            want.len(),
+            "survivor count mismatch (periodic={periodic:?})"
+        );
+        for (s, w) in want.iter().enumerate() {
+            let got = (
+                block.sel_dx[s].to_bits(),
+                block.sel_dy[s].to_bits(),
+                block.sel_dz[s].to_bits(),
+                block.sel_r[s].to_bits(),
+                block.sel_w[s].to_bits(),
+            );
+            assert_eq!(got, *w, "staged pair {s} differs (periodic={periodic:?})");
+            assert_eq!(
+                block.sel_inv_r[s].to_bits(),
+                (1.0 / block.sel_r[s]).to_bits(),
+                "staged reciprocal {s} differs from scalar 1/r (periodic={periodic:?})"
+            );
+        }
+        let staged = [
+            &block.sel_dx,
+            &block.sel_dy,
+            &block.sel_dz,
+            &block.sel_r,
+            &block.sel_inv_r,
+        ];
+        for v in staged {
+            assert!(
+                v[..kept].iter().all(|x| x.is_finite()),
+                "a padding lane was staged (periodic={periodic:?})"
+            );
+        }
+        kept
+    }
+
+    /// The vectorized Phase A must stage exactly the scalar survivors
+    /// for both boundary modes, over every leaf of a catalog.
     #[test]
     fn select_pairs_matches_scalar_reference() {
         for periodic in [None, Some(10.0)] {
@@ -404,50 +480,67 @@ mod tests {
             for leaf in &leaves {
                 block.fill(&tree, leaf, rmax, periodic, &galaxies);
                 for slot in leaf.start..leaf.end {
-                    let i = tree.id_at(slot) as usize;
-                    let center = galaxies[i].pos;
-                    let want = select_pairs_reference(&block, center, i as u32, periodic, rmax);
-                    let n = block.select_pairs(center, i as u32, periodic, rmax);
-                    assert_eq!(
-                        n,
-                        want.len(),
-                        "survivor count mismatch (periodic={periodic:?})"
-                    );
-                    for (s, w) in want.iter().enumerate() {
-                        let got = (
-                            block.sel_dx[s].to_bits(),
-                            block.sel_dy[s].to_bits(),
-                            block.sel_dz[s].to_bits(),
-                            block.sel_r[s].to_bits(),
-                            block.sel_w[s].to_bits(),
-                        );
-                        assert_eq!(got, *w, "staged pair {s} differs (periodic={periodic:?})");
-                        assert_eq!(
-                            block.sel_inv_r[s].to_bits(),
-                            (1.0 / block.sel_r[s]).to_bits(),
-                            "staged reciprocal {s} differs from scalar 1/r \
-                             (periodic={periodic:?})"
-                        );
-                    }
-                    staged_any |= n > 0;
+                    let center = galaxies[tree.id_at(slot) as usize].pos;
+                    let kept =
+                        assert_select_pairs_matches_reference(&mut block, center, periodic, rmax);
+                    staged_any |= kept > 0;
                 }
             }
             assert!(staged_any, "test catalog produced no surviving pairs");
         }
     }
 
-    /// `select_pairs` must skip the primary itself even when its own
-    /// slot sits inside the candidate block.
+    /// Blocks of 1 to 17 candidates (one leaf, so every galaxy is a
+    /// candidate) cover every padding-lane count from 0 to 7, open and
+    /// periodic: the padding is `+∞` coordinates and `0` weights, and
+    /// `select_pairs` still stages exactly the reference's pairs.
     #[test]
-    fn select_pairs_skips_the_primary() {
-        let (galaxies, tree, leaves, mut block) = fill_for_leaf(200, 9);
-        let leaf = &leaves[0];
-        block.fill(&tree, leaf, 4.0, None, &galaxies);
-        let i = tree.id_at(leaf.start) as usize;
-        assert!(block.ids().contains(&(i as u32)));
-        let n = block.select_pairs(galaxies[i].pos, i as u32, None, 4.0);
-        assert!(n > 0);
-        // No staged pair may have the primary's zero separation.
-        assert!(block.sel_r.iter().all(|&r| r > 0.0));
+    fn select_pairs_matches_reference_at_every_padding() {
+        let rmax = 4.0;
+        let mut pads_seen = [false; F64_LANES];
+        for n in 1..=17 {
+            for periodic in [None, Some(10.0)] {
+                let (galaxies, tree, leaves, mut block) = fill_for_leaf(n, n as u64);
+                assert_eq!(leaves.len(), 1);
+                assert_eq!(block.fill(&tree, &leaves[0], rmax, periodic, &galaxies), n);
+                let padded = block.x.len();
+                assert_eq!(padded, n.next_multiple_of(F64_LANES));
+                pads_seen[padded - n] = true;
+                for v in [&block.x, &block.y, &block.z] {
+                    assert_eq!(v.len(), padded);
+                    assert!(v[n..].iter().all(|&c| c == f64::INFINITY));
+                }
+                assert!(block.w[n..].iter().all(|&w| w == 0.0));
+                for g in &galaxies {
+                    assert_select_pairs_matches_reference(&mut block, g.pos, periodic, rmax);
+                }
+            }
+        }
+        assert!(pads_seen.iter().all(|&p| p), "padding counts {pads_seen:?}");
+    }
+
+    /// One leaf holding a primary and two copies of it: the primary is
+    /// not skipped by id, but it and both copies are at `r = 0`, so
+    /// none of the three may be staged.
+    #[test]
+    fn select_pairs_stages_no_coincident_point() {
+        let rmax = 5.0;
+        for periodic in [None, Some(10.0)] {
+            let mut galaxies = uniform_box(12, 10.0, 9).galaxies;
+            let twin = galaxies[0];
+            galaxies.extend([twin, twin]);
+            let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
+            let tree = KdTree::build(&positions, TreeConfig::default());
+            let leaves = tree.collect_leaves();
+            assert_eq!(leaves.len(), 1);
+            let mut block = CandidateBlock::new();
+            block.fill(&tree, &leaves[0], rmax, periodic, &galaxies);
+            for id in [0, 12, 13] {
+                assert!(block.ids().contains(&id));
+            }
+            let kept = assert_select_pairs_matches_reference(&mut block, twin.pos, periodic, rmax);
+            assert!(kept > 0);
+            assert!(block.sel_r[..kept].iter().all(|&r| r > 0.0));
+        }
     }
 }

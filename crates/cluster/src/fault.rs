@@ -59,7 +59,7 @@ impl FaultPlan {
     }
 
     /// Add a kill of `rank` on entering `phase`, firing `times` times.
-    // lint:allow(W-DEADPUB): fault injection for the chaos suite (core/tests/supervised.rs, ensemble/tests/ensemble.rs)
+    // lint:allow(W-DEADPUB): fault injection for the chaos suite (core/tests/supervised.rs, core/tests/zero_clock.rs)
     pub fn with_phase_kill(mut self, rank: usize, phase: &str, times: u32) -> Self {
         self.kills.push(KillSpec {
             rank,

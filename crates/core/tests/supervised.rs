@@ -6,8 +6,8 @@
 //! answer to 1e-9 in every cell. A second sweep makes the kills
 //! permanent so retries exhaust and the dead rank's shards are
 //! reassigned — there the bar is raised to *bit identity* with the
-//! failure-free supervised run, which is the property that makes
-//! checkpoint/resume sound at the ensemble level.
+//! failure-free supervised run. The same shard-order reduction makes
+//! `zeta` and `shard_partials` bit-identical across rank counts.
 
 use galactos_catalog::shard::MANIFEST_FILE;
 use galactos_catalog::{uniform_box, Catalog};
@@ -21,6 +21,7 @@ use galactos_core::pipeline::{
 use galactos_core::result::AnisotropicZeta;
 use galactos_core::ObsSession;
 use galactos_domain::shard::write_sharded;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -317,6 +318,7 @@ fn registry_counters_account_for_every_attempt() {
     // every attempt ends as a report or a failure, every backoff unit
     // reaches the sleeper, and round 0, retries and reassignments count
     // through the same path (the expected tuples pin that path's order).
+    // The finished spans name each path the run took.
     let cat = open_catalog(120, 10.0, 17);
     let config = EngineConfig::test_default(3.0, 1, 2);
     let dir = shard_dir("counters");
@@ -385,6 +387,18 @@ fn registry_counters_account_for_every_attempt() {
         );
         let owned_total: usize = run.ranks.iter().map(|r| r.owned).sum();
         assert_eq!(owned_total, 120, "primaries partition the catalog");
+        let spans: BTreeSet<String> = obs.tracer.finished().into_iter().map(|s| s.name).collect();
+        assert!(spans.contains("shard_task"), "have {spans:?}");
+        assert_eq!(
+            spans.contains("retry"),
+            !run.failures.is_empty(),
+            "a retry span iff an attempt failed; have {spans:?}"
+        );
+        assert_eq!(
+            spans.contains("reassign"),
+            !run.dead_ranks.is_empty(),
+            "a reassign span iff a rank died; have {spans:?}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -74,19 +74,6 @@ pub struct BaoSpectrum {
 }
 
 impl BaoSpectrum {
-    /// Fiducial parameters tuned to give ~10% rms density fluctuations
-    /// on 8 Mpc/h scales when sampled on typical mock meshes.
-    pub fn fiducial() -> Self {
-        BaoSpectrum {
-            amplitude: 2.0e5,
-            ns: 0.96,
-            k_eq: 0.016,
-            r_bao: 105.0,
-            a_bao: 0.08,
-            k_silk: 0.15,
-        }
-    }
-
     /// The same smooth spectrum with wiggles switched off — the no-BAO
     /// control sample for the Figure 1 comparison.
     pub fn no_wiggle(mut self) -> Self {
@@ -111,6 +98,19 @@ impl PowerSpectrum for BaoSpectrum {
 mod tests {
     use super::*;
 
+    /// Parameters tuned to give ~10% rms density fluctuations on
+    /// 8 Mpc/h scales when sampled on typical mock meshes.
+    fn fiducial() -> BaoSpectrum {
+        BaoSpectrum {
+            amplitude: 2.0e5,
+            ns: 0.96,
+            k_eq: 0.016,
+            r_bao: 105.0,
+            a_bao: 0.08,
+            k_silk: 0.15,
+        }
+    }
+
     #[test]
     fn power_law_scaling() {
         let p = PowerLawSpectrum {
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn bao_spectrum_positive_and_peaked() {
-        let p = BaoSpectrum::fiducial();
+        let p = fiducial();
         let ks: Vec<f64> = (1..2000).map(|i| i as f64 * 1e-3).collect();
         let values: Vec<f64> = ks.iter().map(|&k| p.power(k)).collect();
         assert!(values.iter().all(|&v| v > 0.0), "P(k) must stay positive");
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn wiggles_modulate_smooth_spectrum() {
-        let w = BaoSpectrum::fiducial();
+        let w = fiducial();
         let s = w.no_wiggle();
         // Ratio oscillates around 1 with amplitude ≤ a_bao.
         let mut max_dev = 0.0f64;
@@ -155,7 +155,7 @@ mod tests {
         // that the no-wiggle spectrum lacks. Silk damping smears the
         // feature over ~±15 Mpc/h, so compare a window around the peak
         // against well-separated scales.
-        let w = BaoSpectrum::fiducial();
+        let w = fiducial();
         let s = w.no_wiggle();
         let xi_diff = |r: f64| w.correlation(r, 1.0, 4000) - s.correlation(r, 1.0, 4000);
         let at_peak = [95.0, 100.0, 105.0, 110.0]
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn correlation_decreases_at_large_r() {
-        let p = BaoSpectrum::fiducial();
+        let p = fiducial();
         let xi10 = p.correlation(10.0, 1.0, 2000);
         let xi150 = p.correlation(150.0, 1.0, 2000).abs();
         assert!(xi10 > 0.0);

@@ -3,7 +3,7 @@
 //! galactos-lint's W-CLOCK rule forbids `Instant::now` outside
 //! tests/examples — and this module, which is on the allowlist **by
 //! registration, not suppression**. Every runtime crate (engine, grid,
-//! supervised pipeline, ensemble) times itself through
+//! supervised pipeline) times itself through
 //! [`now_if`]/[`nanos_since`], and the `reproduce` binary of
 //! `crates/bench` through [`Epoch`], so the zero-cost contract is
 //! auditable in one place: when `instrument` is false, no branch in
@@ -21,7 +21,7 @@ use std::time::Instant;
 static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-global number of real clock reads made through this module.
-// lint:allow(W-DEADPUB): oracle for the zero-clock contract: zero_clock.rs (core, ensemble) and grid's cold/timed test assert it does not move
+// lint:allow(W-DEADPUB): oracle for the zero-clock contract: core/tests/zero_clock.rs (tree, grid, supervised) and grid's cold/timed test assert it does not move
 pub fn reads() -> u64 {
     CLOCK_READS.load(Ordering::Relaxed)
 }

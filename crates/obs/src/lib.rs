@@ -3,8 +3,8 @@
 //! The paper's headline result is a throughput claim (5.06 PF/s
 //! sustained on Cori), so where a run's time went needs one answer.
 //! This crate is the workspace's only instrument — the engine, the grid
-//! estimator, the supervised pipeline and the ensemble runner record
-//! into the [`ObsSession`] they are handed, and the repo benchmark
+//! estimator and the supervised pipeline record into the
+//! [`ObsSession`] they are handed, and the repo benchmark
 //! (`BENCHMARK.json` + `benchmark/`) reads its per-layer ladder from
 //! those same spans and counters:
 //!

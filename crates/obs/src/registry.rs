@@ -143,7 +143,7 @@ impl Registry {
     }
 
     /// Counter value by name (0 when absent or disabled).
-    // lint:allow(W-DEADPUB): oracle for recorded counters, read by core/tests/{supervised,observability}.rs and ensemble/tests/observed_layers.rs
+    // lint:allow(W-DEADPUB): oracle for recorded counters, read by core/tests/{supervised,observability}.rs
     pub fn counter_value(&self, name: &str) -> u64 {
         if !self.enabled {
             return 0;

@@ -4,7 +4,10 @@
 //!
 //! sky CSV (RA/Dec/z) → fiducial cosmology → Cartesian catalog →
 //! mask-driven randoms (`randfact`) → edge-corrected ζ
-//! (`SurveyCompute`) → jackknife errors.
+//! (`SurveyCompute`). The jackknife errors and the detection are of the
+//! data-only ζ, from a distributed run over the data catalog alone:
+//! `SurveyCompute` has no distributed form, so the edge-corrected ζ has
+//! no jackknife yet.
 //!
 //! ```text
 //! cargo run --release --example survey_pipeline
@@ -116,6 +119,6 @@ fn main() {
     }
     println!(
         "\npipeline complete: sky CSV -> cosmology -> mask randoms -> D-R weighting -> \
-         edge correction -> jackknife."
+         edge correction; jackknife errors of the data-only zeta."
     );
 }

@@ -30,7 +30,7 @@
 //!
 //! The crates are re-exported under their subsystem names:
 //! [`math`], [`simd`], [`kdtree`], [`cluster`], [`domain`], [`catalog`],
-//! [`mocks`], [`grid`], [`core`], [`analysis`], [`ensemble`], [`obs`].
+//! [`mocks`], [`grid`], [`core`], [`analysis`], [`obs`].
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +39,6 @@ pub use galactos_catalog as catalog;
 pub use galactos_cluster as cluster;
 pub use galactos_core as core;
 pub use galactos_domain as domain;
-pub use galactos_ensemble as ensemble;
 pub use galactos_grid as grid;
 pub use galactos_kdtree as kdtree;
 pub use galactos_math as math;
@@ -64,7 +63,6 @@ pub mod prelude {
     pub use galactos_core::result::{AnisotropicZeta, IsotropicZeta};
     pub use galactos_core::survey::{SurveyCompute, SurveyConfig, SurveyZeta};
     pub use galactos_core::traversal::{TraversalChoice, TraversalKind};
-    pub use galactos_ensemble::{EnsembleConfig, MockEnsemble, SpectrumChoice};
     pub use galactos_grid::{GridConfig, MassAssignment};
     pub use galactos_math::cosmology::FiducialCosmology;
     pub use galactos_math::{LineOfSight, Vec3};

@@ -26,35 +26,7 @@ pub fn sample_covariance(samples: &[Vec<f64>]) -> Covariance {
     assert!(n >= 2, "need at least two samples");
     let dim = samples[0].len();
     assert!(samples.iter().all(|s| s.len() == dim), "ragged samples");
-    let mut mean = vec![0.0; dim];
-    for s in samples {
-        for (m, v) in mean.iter_mut().zip(s) {
-            *m += v;
-        }
-    }
-    for m in mean.iter_mut() {
-        *m /= n as f64;
-    }
-    let mut matrix = Matrix::zeros(dim, dim);
-    for s in samples {
-        for i in 0..dim {
-            let di = s[i] - mean[i];
-            for j in 0..dim {
-                matrix[(i, j)] += di * (s[j] - mean[j]);
-            }
-        }
-    }
-    let norm = 1.0 / (n as f64 - 1.0);
-    for i in 0..dim {
-        for j in 0..dim {
-            matrix[(i, j)] *= norm;
-        }
-    }
-    Covariance {
-        mean,
-        matrix,
-        n_samples: n,
-    }
+    scaled_scatter(samples, 1.0 / (n as f64 - 1.0))
 }
 
 /// Delete-one jackknife covariance over `n` resampled vectors
@@ -64,9 +36,19 @@ pub fn jackknife_covariance(delete_one: &[Vec<f64>]) -> Covariance {
     let n = delete_one.len();
     assert!(n >= 2);
     let dim = delete_one[0].len();
-    let mut mean = vec![0.0; dim];
     for s in delete_one {
         assert_eq!(s.len(), dim);
+    }
+    scaled_scatter(delete_one, (n as f64 - 1.0) / n as f64)
+}
+
+/// The mean of `samples` (rows of one length, at least one) and
+/// `norm · Σ_s (s − mean)(s − mean)ᵀ`.
+fn scaled_scatter(samples: &[Vec<f64>], norm: f64) -> Covariance {
+    let n = samples.len();
+    let dim = samples[0].len();
+    let mut mean = vec![0.0; dim];
+    for s in samples {
         for (m, v) in mean.iter_mut().zip(s) {
             *m += v;
         }
@@ -75,7 +57,7 @@ pub fn jackknife_covariance(delete_one: &[Vec<f64>]) -> Covariance {
         *m /= n as f64;
     }
     let mut matrix = Matrix::zeros(dim, dim);
-    for s in delete_one {
+    for s in samples {
         for i in 0..dim {
             let di = s[i] - mean[i];
             for j in 0..dim {
@@ -83,7 +65,6 @@ pub fn jackknife_covariance(delete_one: &[Vec<f64>]) -> Covariance {
             }
         }
     }
-    let norm = (n as f64 - 1.0) / n as f64;
     for i in 0..dim {
         for j in 0..dim {
             matrix[(i, j)] *= norm;

@@ -24,4 +24,4 @@ pub mod report;
 pub mod vectorize;
 
 pub use covariance::{jackknife_from_partials, sample_covariance, Covariance};
-pub use vectorize::{isotropic_to_vector, zeta_to_vector};
+pub use vectorize::zeta_to_vector;

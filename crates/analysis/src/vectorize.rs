@@ -2,9 +2,9 @@
 //!
 //! Covariance estimation and χ² tests operate on plain vectors; these
 //! helpers define a stable component ordering (with human-readable
-//! labels) for both the anisotropic and isotropic results.
+//! labels) for the anisotropic result.
 
-use galactos_core::result::{AnisotropicZeta, IsotropicZeta};
+use galactos_core::result::AnisotropicZeta;
 
 /// Flatten the anisotropic multipoles to `[re, im, re, im, …]` in
 /// layout order, normalized per primary weight.
@@ -38,24 +38,6 @@ pub fn zeta_labels(zeta: &AnisotropicZeta) -> Vec<String> {
     out
 }
 
-/// Flatten the isotropic multipoles (normalized per primary weight).
-pub fn isotropic_to_vector(k: &IsotropicZeta) -> Vec<f64> {
-    let norm = if k.total_primary_weight != 0.0 {
-        1.0 / k.total_primary_weight
-    } else {
-        1.0
-    };
-    let mut out = Vec::new();
-    for l in 0..=k.lmax() {
-        for b1 in 0..k.nbins() {
-            for b2 in 0..k.nbins() {
-                out.push(k.get(l, b1, b2) * norm);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,16 +55,5 @@ mod tests {
         let idx = labels.iter().position(|s| s == "re[1,1,1](0,1)").unwrap();
         assert!((v[idx] - 1.0).abs() < 1e-12);
         assert!((v[idx + 1] + 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn isotropic_vector_roundtrip() {
-        let mut k = IsotropicZeta::zeros(1, 2);
-        k.set(1, 1, 0, 6.0);
-        k.total_primary_weight = 3.0;
-        let v = isotropic_to_vector(&k);
-        assert_eq!(v.len(), 2 * 4);
-        // ℓ-major, then b1, then b2: K1(1,0) sits at 1·4 + 1·2 + 0.
-        assert!((v[6] - 2.0).abs() < 1e-12);
     }
 }

@@ -36,6 +36,25 @@ fn size_for_a_subcommand_without_one_exits_2() {
 }
 
 #[test]
+fn sec23_prints_every_stage_and_the_cost_bound() {
+    let out = reproduce(&["sec23", "500"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for stage in ["search", "bin", "kernel", "assembly"] {
+        assert!(
+            stdout.lines().any(|l| l.trim_start().starts_with(stage)),
+            "no {stage} row: {stdout}"
+        );
+    }
+    assert!(
+        stdout.contains(
+            "anisotropic / isotropic cost ≤ (search + bin + kernel + assembly) / (search + bin + kernel) = "
+        ),
+        "no bound line: {stdout}"
+    );
+}
+
+#[test]
 fn unwritable_csv_exits_1_naming_the_file() {
     let missing = std::env::temp_dir().join("galactos-cli-test-missing-dir");
     assert!(!missing.exists());

@@ -38,10 +38,9 @@
 //! * [`schedule`] — the engine's chunk/map/reduce driver (constant-size
 //!   chunks, work stealing, ordered merge);
 //! * [`naive`] — O(N³) triplet-counting and O(N²·lm) direct-Yₗₘ
-//!   baselines used as correctness oracles and benchmark comparators;
-//! * [`isotropic`] — the Slepian–Eisenstein (2015) isotropic Legendre
-//!   baseline (§2.2/§2.3), implemented independently of the monomial
-//!   machinery;
+//!   baselines used as correctness oracles and benchmark comparators,
+//!   and the O(N³) Legendre triplet oracle of the Slepian–Eisenstein
+//!   (2015) isotropic multipoles (§2.2/§2.3);
 //! * [`paircount`] — 2PCF pair counting and the Landy–Szalay estimator
 //!   (the 2PCF context of §2.3);
 //! * [`edge`] — isotropic survey edge correction via the Legendre
@@ -65,7 +64,8 @@ pub mod edge;
 pub mod engine;
 pub mod estimator;
 pub mod flops;
-pub mod isotropic;
+#[cfg(test)]
+mod isotropic;
 pub mod kernel;
 pub mod naive;
 pub mod paircount;

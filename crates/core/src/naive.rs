@@ -15,13 +15,24 @@
 //!   no buckets) and multiplies shell coefficients. Identical math to
 //!   the engine but none of its optimized machinery.
 //!
-//! Both are exercised only on small catalogs by tests and benchmarks.
+//! And one for the isotropic statistic of Slepian & Eisenstein (2015;
+//! paper §2.2, §2.3), the m-sum of the ℓ = ℓ' coefficients that
+//! [`AnisotropicZeta::compress_isotropic`] takes:
+//!
+//! * [`isotropic_triplets`] — the O(N³) definition
+//!   `K_ℓ(b₁,b₂) = Σ_i w_i Σ_{j∈b₁,k∈b₂} w_j w_k P_ℓ(û_j·û_k)` with
+//!   nothing but Legendre polynomials (no spherical harmonics, no
+//!   rotation).
+//!
+//! All are exercised only on small catalogs by tests and benchmarks.
 
+use crate::bins::RadialBins;
 use crate::config::EngineConfig;
-use crate::result::AnisotropicZeta;
+use crate::result::{AnisotropicZeta, IsotropicZeta};
 use galactos_catalog::Galaxy;
+use galactos_math::legendre::legendre_all;
 use galactos_math::sphharm::ylm_all_cartesian;
-use galactos_math::{lm_count, lm_index, Complex64, Mat3};
+use galactos_math::{lm_count, lm_index, Complex64, Mat3, Vec3};
 
 /// Secondaries of one primary, rotated and binned.
 struct BinnedSecondary {
@@ -157,6 +168,59 @@ pub fn seminaive_anisotropic(
     zeta
 }
 
+/// O(N³) isotropic multipoles: explicit Legendre-weighted triplet sums.
+/// `include_self` keeps the degenerate `j = k` pairs (`P_ℓ(1) = 1` on
+/// the diagonal), matching the engine with `subtract_self_pairs = false`.
+// lint:allow(W-DEADPUB): oracle for AnisotropicZeta::compress_isotropic in core/tests/{oracle,traversal_equivalence}.rs, tests/end_to_end.rs and naive.rs tests
+pub fn isotropic_triplets(
+    galaxies: &[Galaxy],
+    bins: &RadialBins,
+    lmax: usize,
+    periodic: Option<f64>,
+    include_self: bool,
+) -> IsotropicZeta {
+    let nbins = bins.nbins();
+    let mut out = IsotropicZeta::zeros(lmax, nbins);
+    let mut pl = vec![0.0; lmax + 1];
+    for i in 0..galaxies.len() {
+        // Collect binned separations around primary i.
+        let mut secondaries: Vec<(usize, Vec3, f64)> = Vec::new();
+        for (j, g) in galaxies.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            let delta = match periodic {
+                Some(l) => g.pos.periodic_delta(galaxies[i].pos, l),
+                None => g.pos - galaxies[i].pos,
+            };
+            let r = delta.norm();
+            if r == 0.0 {
+                continue;
+            }
+            if let Some(bin) = bins.bin_of(r) {
+                secondaries.push((bin, delta / r, g.weight));
+            }
+        }
+        let wi = galaxies[i].weight;
+        for (jdx, &(b1, u1, w1)) in secondaries.iter().enumerate() {
+            for (kdx, &(b2, u2, w2)) in secondaries.iter().enumerate() {
+                if !include_self && jdx == kdx {
+                    continue;
+                }
+                let c = u1.dot(u2).clamp(-1.0, 1.0);
+                legendre_all(lmax, c, &mut pl);
+                let w = wi * w1 * w2;
+                for (l, &p) in pl.iter().enumerate() {
+                    out.add_to(l, b1, b2, w * p);
+                }
+            }
+        }
+        out.total_primary_weight += wi;
+        out.num_primaries += 1;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,5 +316,23 @@ mod tests {
             "diff {}",
             fixed.max_difference(&radial)
         );
+    }
+
+    #[test]
+    fn self_pairs_add_exactly_sum_w_squared() {
+        // With unit weights, include_self − exclude_self on the diagonal
+        // equals Σ_i w_i · (count of secondaries in that bin) for every l.
+        let g = galaxies(25, 11);
+        let bins = RadialBins::linear(0.0, 6.0, 2);
+        let with_self = isotropic_triplets(&g, &bins, 3, None, true);
+        let without = isotropic_triplets(&g, &bins, 3, None, false);
+        for l in 0..=3 {
+            for b in 0..2 {
+                let d = with_self.get(l, b, b) - without.get(l, b, b);
+                let d0 = with_self.get(0, b, b) - without.get(0, b, b);
+                // P_l(1) = 1 for all l → identical self contribution.
+                assert!((d - d0).abs() < 1e-9, "l={l} b={b}");
+            }
+        }
     }
 }

@@ -43,10 +43,9 @@
 //! therefore a function of (catalog, bins) only — not of
 //! [`TraversalKind`] — and the two modes differ only in accumulation
 //! order (≤ 1e-9 relative, with `binned_pairs` equal to the O(N²)
-//! oracle's; enforced by `tests/traversal_equivalence.rs`). The SE15
-//! isotropic baseline ([`crate::isotropic`]) and the 2PCF pair counter
-//! ([`crate::paircount`]) gather through the same padded query and
-//! count by the same `bin_of`. Selection is [`TraversalChoice`] on the
+//! oracle's; enforced by `tests/traversal_equivalence.rs`). The 2PCF
+//! pair counter ([`crate::paircount`]) gathers through the same padded
+//! query and counts by the same `bin_of`. Selection is [`TraversalChoice`] on the
 //! config: leaf-blocked unless the reference is pinned.
 
 mod block;

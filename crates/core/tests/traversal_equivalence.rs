@@ -2,15 +2,15 @@
 //! pairs as per-primary traversal and agree on ζ to floating-point
 //! reassociation (≤ 1e-9 relative), across boxes, lines of sight,
 //! primary subsets, and kernel backends — and that pair count must be
-//! the direct O(N²) oracle's. The SE15 isotropic baseline and the 2PCF
-//! pair counter count the same pairs as their brute-force oracles.
+//! the direct O(N²) oracle's. On a seam catalog the engine's isotropic
+//! compression and the 2PCF pair counter count the same pairs as their
+//! brute-force oracles.
 
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_core::isotropic::{isotropic_multipoles, isotropic_triplets};
 use galactos_core::kernel::{BackendChoice, BackendKind};
-use galactos_core::naive::seminaive_anisotropic;
+use galactos_core::naive::{isotropic_triplets, seminaive_anisotropic};
 use galactos_core::paircount::cross_pair_counts;
 use galactos_core::result::AnisotropicZeta;
 use galactos_core::traversal::{TraversalChoice, TraversalKind};
@@ -231,9 +231,10 @@ fn seam_pairs_count_once_everywhere() {
     let z = assert_matches_oracle(config.clone(), &cat, "seam");
     assert!(z.binned_pairs > 0);
 
-    // The SE15 isotropic baseline against the O(N³) triplet oracle.
-    let fast = isotropic_multipoles(&cat.galaxies, bins, 2, cat.periodic, false);
-    let slow = isotropic_triplets(&cat.galaxies, bins, 2, cat.periodic, false);
+    // The engine's isotropic compression against the O(N³) triplet
+    // oracle (self pairs kept on both sides).
+    let fast = z.compress_isotropic();
+    let slow = isotropic_triplets(&cat.galaxies, bins, 2, cat.periodic, true);
     let scale = slow.max_abs().max(1.0);
     assert!(
         fast.max_difference(&slow) <= TOL * scale,

@@ -4,14 +4,16 @@
 //!
 //! * **values** via numerically stable upward recurrences
 //!   ([`legendre_p`], [`assoc_legendre_p`]) — used by the direct spherical
-//!   harmonic evaluator and the isotropic (Legendre-basis) baseline
-//!   algorithm of Slepian & Eisenstein (2015);
+//!   harmonic evaluator and, as the reference values, by the tests;
 //! * **polynomial coefficients** of `P_ℓ` and of its `m`-th derivative
 //!   ([`legendre_coefficients`], [`legendre_derivative_coefficients`]) —
 //!   used to expand `Y_ℓm · rˡ` into Cartesian monomials (the Galactos
 //!   kernel basis);
 //! * **batched evaluation** of all orders `0..=ℓmax` at once
-//!   ([`legendre_all`]) — the hot path of the isotropic baseline.
+//!   ([`legendre_all`]) — the self-pair series of
+//!   [`SelfPairTable`](crate::ylm::SelfPairTable) and the O(N³)
+//!   isotropic triplet oracle `galactos_core::naive::isotropic_triplets`
+//!   (the Legendre-basis statistic of Slepian & Eisenstein 2015).
 //!
 //! The Condon–Shortley phase `(-1)^m` is included in `P_ℓ^m`, matching the
 //! physics convention used for `Y_ℓm` throughout this workspace.

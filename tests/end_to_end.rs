@@ -2,8 +2,7 @@
 //! mocks → catalogs → engine → distributed execution → analysis.
 
 use galactos::catalog::shard::MANIFEST_FILE;
-use galactos::core::isotropic::{isotropic_multipoles, isotropic_triplets};
-use galactos::core::naive::naive_anisotropic;
+use galactos::core::naive::{isotropic_triplets, naive_anisotropic};
 use galactos::domain::shard::write_sharded;
 use galactos::mocks::cluster_process::NeymanScott;
 use galactos::prelude::*;
@@ -22,19 +21,19 @@ fn clustered_catalog(seed: u64) -> Catalog {
 #[test]
 fn mock_to_zeta_to_isotropic_consistency() {
     // Generate a clustered mock, run the anisotropic engine, compress,
-    // and verify against the independent isotropic implementation.
+    // and verify against the O(N³) Legendre triplet definition.
     let cat = clustered_catalog(3);
     let mut config = EngineConfig::test_default(10.0, 3, 4);
     config.subtract_self_pairs = true;
     let engine = Engine::new(config.clone());
     let zeta = engine.compute(&cat);
     let compressed = zeta.compress_isotropic();
-    let baseline = isotropic_multipoles(&cat.galaxies, &config.bins, 3, None, false);
-    let scale = baseline.max_abs().max(1.0);
+    let gold = isotropic_triplets(&cat.galaxies, &config.bins, 3, None, false);
+    let scale = gold.max_abs().max(1.0);
     assert!(
-        compressed.max_difference(&baseline) < 1e-8 * scale,
+        compressed.max_difference(&gold) < 1e-9 * scale,
         "diff {}",
-        compressed.max_difference(&baseline)
+        compressed.max_difference(&gold)
     );
 }
 
@@ -98,10 +97,13 @@ fn data_minus_randoms_kills_the_window_signal() {
     let survey = SurveyGeometry::full_shell(Vec3::ZERO, 10.0, 40.0);
     let data = survey.sample_randoms(1500, 1);
     let randoms = survey.sample_randoms(4500, 2);
-    let bins = RadialBins::linear(1.0, 12.0, 3);
-    let raw = isotropic_multipoles(&data.galaxies, &bins, 2, None, false);
+    let mut config = EngineConfig::test_default(12.0, 2, 3);
+    config.bins = RadialBins::linear(1.0, 12.0, 3);
+    config.subtract_self_pairs = true;
+    let engine = Engine::new(config);
+    let raw = engine.compute(&data).compress_isotropic();
     let field = Catalog::data_minus_randoms(&data, &randoms);
-    let dr = isotropic_multipoles(&field.galaxies, &bins, 2, None, false);
+    let dr = engine.compute(&field).compress_isotropic();
     // Compare per-primary l=0 moments: D-R must be much smaller than raw.
     let b = 1;
     let raw_l0 = (raw.get(0, b, b) / raw.total_primary_weight).abs();
@@ -180,9 +182,12 @@ fn isotropic_gold_standard_on_generated_mocks() {
     }
     .generate(10.0, 17);
     let galaxies: Vec<Galaxy> = mock.galaxies.iter().take(35).copied().collect();
-    let bins = RadialBins::linear(0.0, 4.0, 3);
-    let fast = isotropic_multipoles(&galaxies, &bins, 3, None, false);
-    let gold = isotropic_triplets(&galaxies, &bins, 3, None, false);
+    let mut config = EngineConfig::test_default(4.0, 3, 3);
+    config.subtract_self_pairs = true;
+    let fast = Engine::new(config.clone())
+        .compute(&Catalog::new(galaxies.clone()))
+        .compress_isotropic();
+    let gold = isotropic_triplets(&galaxies, &config.bins, 3, None, false);
     let scale = gold.max_abs().max(1.0);
     assert!(fast.max_difference(&gold) < 1e-9 * scale);
 }

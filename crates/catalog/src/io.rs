@@ -149,9 +149,16 @@ pub fn from_bytes(mut buf: impl Buf) -> Result<Catalog, CatalogIoError> {
     let hi = Vec3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le());
     let count = checked_record_count(count, buf.remaining())?;
     let mut galaxies = Vec::with_capacity(count);
-    for _ in 0..count {
+    for record in 0..count {
         let pos = Vec3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le());
         let weight = buf.get_f64_le();
+        if let Some(field) =
+            non_finite_field(&[("x", pos.x), ("y", pos.y), ("z", pos.z), ("weight", weight)])
+        {
+            return Err(CatalogIoError::Corrupt(format!(
+                "record {record}: non-finite {field}"
+            )));
+        }
         galaxies.push(Galaxy::new(pos, weight));
     }
     Ok(Catalog {
@@ -176,6 +183,17 @@ pub(crate) fn checked_record_count(count: u64, remaining: usize) -> Result<usize
         return Err(CatalogIoError::Truncated);
     }
     Ok(count)
+}
+
+/// The name of the first of `fields` whose value is NaN or infinite.
+/// Every file reader checks what it read through this before a galaxy
+/// is built: a non-finite coordinate or weight would otherwise reach
+/// the tree build or the cosmology as a panic, or drop pairs silently.
+pub(crate) fn non_finite_field<'a>(fields: &[(&'a str, f64)]) -> Option<&'a str> {
+    fields
+        .iter()
+        .find(|(_, value)| !value.is_finite())
+        .map(|&(name, _)| name)
 }
 
 /// Write a catalog to a file in the binary format.
@@ -288,6 +306,21 @@ mod tests {
             from_bytes(&bytes[..4]),
             Err(CatalogIoError::Truncated)
         ));
+    }
+
+    #[test]
+    fn non_finite_record_is_corrupt_naming_the_record() {
+        let mut c = sample();
+        c.galaxies.push(Galaxy::unit(Vec3::splat(1.5)));
+        let mut bytes = to_bytes(&c).to_vec();
+        // Records follow the 76-byte header; x of record 3 is its first
+        // field.
+        let x = 76 + 3 * RECORD_BYTES;
+        bytes[x..x + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        match from_bytes(&bytes[..]) {
+            Err(CatalogIoError::Corrupt(why)) => assert_eq!(why, "record 3: non-finite x"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! and verifies the payload checksum once the last record is delivered.
 
 use crate::galaxy::{Catalog, Galaxy};
-use crate::io::{checked_record_count, CatalogIoError, MAGIC, RECORD_BYTES};
+use crate::io::{checked_record_count, non_finite_field, CatalogIoError, MAGIC, RECORD_BYTES};
 use bytes::{Buf, BufMut, BytesMut};
 use galactos_math::{Aabb, Vec3};
 use std::fs::File;
@@ -606,11 +606,18 @@ impl ShardReader {
         }
         out.reserve(n);
         let mut rec = [0u8; RECORD_BYTES];
-        for _ in 0..n {
+        for k in 0..n {
             read_exact_or_truncated(&mut self.file, &mut rec)?;
             self.sum.update(&rec);
             self.bytes_read += RECORD_BYTES as u64;
             let f = |i: usize| f64::from_le_bytes(rec[i * 8..i * 8 + 8].try_into().unwrap());
+            let fields = [("x", f(0)), ("y", f(1)), ("z", f(2)), ("weight", f(3))];
+            if let Some(field) = non_finite_field(&fields) {
+                let record = self.delivered + k as u64;
+                return Err(CatalogIoError::Corrupt(format!(
+                    "record {record}: non-finite {field}"
+                )));
+            }
             out.push(Galaxy::new(Vec3::new(f(0), f(1), f(2)), f(3)));
         }
         self.delivered += n as u64;
@@ -813,6 +820,41 @@ mod tests {
         assert!(
             msg.contains(&path.display().to_string()),
             "truncation error must carry the shard path: {msg}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_finite_weight_is_corrupt_naming_the_record() {
+        let mut cat = sample_catalog();
+        cat.galaxies[25].weight = f64::INFINITY;
+        let assignment = halves_assignment(&cat);
+        let shard_id = assignment.shard_of[25];
+        let record = assignment.shard_of[..25]
+            .iter()
+            .filter(|&&s| s == shard_id)
+            .count();
+        let shard = usize::try_from(shard_id).unwrap();
+        let dir = tmpdir("infinite_weight");
+        let manifest = write_sharded(&cat, &assignment, &dir).unwrap();
+        let mut reader = ShardReader::open(&dir, &manifest, shard).unwrap();
+        let mut out = Vec::new();
+        let err = loop {
+            match reader.read_chunk(&mut out, 7) {
+                Ok(0) => panic!("infinite weight not detected"),
+                Ok(_) => continue,
+                Err(e) => break e,
+            }
+        };
+        match err.root_cause() {
+            CatalogIoError::Corrupt(why) => {
+                assert_eq!(why, &format!("record {record}: non-finite weight"))
+            }
+            other => panic!("expected Corrupt, got {other}"),
+        }
+        assert!(
+            matches!(err, CatalogIoError::InShard { shard: s, .. } if s == shard),
+            "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

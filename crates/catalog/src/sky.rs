@@ -42,7 +42,7 @@
 //!   catalogs. Record the cosmology next to any serialized output.
 
 use crate::galaxy::{Catalog, Galaxy};
-use crate::io::{CatalogIoError, HeaderMap};
+use crate::io::{non_finite_field, CatalogIoError, HeaderMap};
 use galactos_math::cosmology::FiducialCosmology;
 use galactos_math::Vec3;
 use std::fs::File;
@@ -87,9 +87,11 @@ pub fn cartesian_to_sky(pos: Vec3, cosmo: &FiducialCosmology) -> (f64, f64, f64)
 /// order, optional weight per [`WEIGHT_ALIASES`]) into a Cartesian
 /// [`Catalog`] via the fiducial cosmology.
 ///
-/// Rows with Dec outside [−90°, +90°] or negative redshift are
-/// rejected as [`CatalogIoError::Parse`]. The resulting catalog is
-/// non-periodic with the observer at the origin.
+/// Rows with Dec outside [−90°, +90°], negative redshift, or a NaN or
+/// infinite RA, Z or weight are rejected as [`CatalogIoError::Parse`]
+/// (the last naming the data row, counted from 1 after the header, and
+/// the column). The resulting catalog is non-periodic with the observer
+/// at the origin.
 pub fn read_sky_csv(
     path: impl AsRef<Path>,
     cosmo: &FiducialCosmology,
@@ -128,6 +130,7 @@ pub fn read_sky_csv(
     let cw = header.resolve(WEIGHT_ALIASES);
 
     let mut galaxies = Vec::new();
+    let mut rows = 0u64;
     loop {
         line.clear();
         if r.read_line(&mut line)? == 0 {
@@ -137,6 +140,7 @@ pub fn read_sky_csv(
         if trimmed.is_empty() {
             continue;
         }
+        rows += 1;
         let fields: Vec<&str> = trimmed.split(',').collect();
         if fields.len() <= cra.max(cdec).max(cz) {
             return Err(CatalogIoError::Parse(format!("bad row: {trimmed}")));
@@ -163,6 +167,11 @@ pub fn read_sky_csv(
             Some(c) if fields.len() > c => parse(fields[c])?,
             _ => 1.0,
         };
+        if let Some(column) = non_finite_field(&[("RA", ra), ("Z", z), ("weight", weight)]) {
+            return Err(CatalogIoError::Parse(format!(
+                "data row {rows}: non-finite {column} in {trimmed}"
+            )));
+        }
         galaxies.push(Galaxy::new(sky_to_cartesian(ra, dec, z, cosmo), weight));
     }
     Ok(Catalog::new(galaxies))
@@ -284,6 +293,26 @@ mod tests {
         assert!(read_sky_csv(&bad_z, &cosmo).is_err());
         std::fs::remove_file(&bad_dec).ok();
         std::fs::remove_file(&bad_z).ok();
+    }
+
+    #[test]
+    fn rejects_non_finite_rows_naming_row_and_column() {
+        let cosmo = FiducialCosmology::boss_fiducial();
+        for (row, column, body) in [
+            (2, "RA", "10.0,20.0,0.3\nnan,20,0.05\n"),
+            (1, "Z", "30,-10,inf\n"),
+        ] {
+            let path = tmp("nonfinite.csv");
+            std::fs::write(&path, format!("ra,dec,z\n{body}")).unwrap();
+            match read_sky_csv(&path, &cosmo) {
+                Err(CatalogIoError::Parse(why)) => assert!(
+                    why.starts_with(&format!("data row {row}: non-finite {column} ")),
+                    "{why}"
+                ),
+                other => panic!("expected Parse, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -36,9 +36,7 @@ pub struct EngineConfig {
     pub subtract_self_pairs: bool,
     /// Which a_ℓm accumulation kernel runs — the hottest code in the
     /// engine. [`BackendChoice::Auto`] (the default) is the SIMD
-    /// kernel on every vector build target (a compile-time `cfg!`
-    /// ladder, [`detect`](crate::kernel::detect));
-    /// `BackendChoice::Fixed(kind)` pins one, which is how the
+    /// kernel; `BackendChoice::Fixed(kind)` pins one, which is how the
     /// equivalence tests and the benchmark's differential check run
     /// the scalar reference. The backends agree up to floating-point
     /// reassociation (≲ 1e-11 relative in the kernel unit tests, 1e-10

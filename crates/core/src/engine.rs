@@ -20,7 +20,7 @@
 //!    `ℓ ≤ ℓ'` only, as elementwise updates of interleaved `(re, im)`
 //!    rows of `r₂`; `w_i` is real,
 //!    so `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))` and `ℓ > ℓ'` is
-//!    filled once per worker partial. With self-pair subtraction on,
+//!    filled once per chunk partial. With self-pair subtraction on,
 //!    the `j = k` term `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))` of each
 //!    diagonal bin is removed: it has no φ-dependence, so it is the
 //!    Legendre series `Σ_L C^L_{ℓℓ'm} S_L` over the `2ℓmax+1` sums
@@ -32,21 +32,24 @@
 //! nothing is zeroed up front (a bin's first flush overwrites its
 //! accumulators) and an untouched bin is neither reduced nor read.
 //!
-//! Primaries are distributed over threads by the shared
-//! [`crate::schedule`] driver — constant-size chunks handed out by
-//! work stealing — with each worker owning a private
-//! [`ComputeScratch`] that is merged once at the end: "this approach
-//! ensures maximum independent work for each thread". ζ bits are a
-//! function of the [`EngineConfig`] and the build target only: nothing
-//! here reads the process environment, and neither the chunking nor
-//! the merge order depends on the pool width.
+//! Primaries (or, leaf-blocked, whole leaves) are distributed over
+//! threads the way the paper's OpenMP dynamic schedule does (§3.3: "a
+//! dynamic schedule gives a significant performance boost over using a
+//! static schedule"): [`DYNAMIC_CHUNK`]-sized chunks handed out by work
+//! stealing, each chunk running in a private [`ComputeScratch`] whose ζ
+//! partial is merged into the result — "this approach ensures maximum
+//! independent work for each thread". The chunk size is a constant, so
+//! the chunk boundaries do not depend on the pool width, and the rayon
+//! stand-in merges finished chunks in chunk-index order; ζ bits are
+//! therefore a function of the [`EngineConfig`] and the build target
+//! only (pinned across thread counts by `tests/determinism.rs`), and
+//! nothing here reads the process environment.
 
 use crate::assembly::{padded_bins, Assemble};
 use crate::config::EngineConfig;
 use crate::estimator::{EstimatorChoice, EstimatorKind};
 use crate::kernel::{BackendKind, KernelBackend};
 use crate::result::AnisotropicZeta;
-use crate::schedule::{self, Merge};
 use crate::scratch::ComputeScratch;
 use crate::traversal::{LeafInfo, TraversalKind};
 use galactos_catalog::{Catalog, Galaxy};
@@ -60,7 +63,13 @@ use galactos_math::{Mat3, Vec3};
 // obs::clock is on the W-CLOCK allowlist by registration).
 use galactos_obs::clock::{nanos_since, now_if};
 use galactos_obs::ObsSession;
+use rayon::prelude::*;
 use std::time::Instant;
+
+/// Chunk size (in primaries, or leaves when leaf-blocked). Small
+/// enough that work stealing can balance clustered catalogs, large
+/// enough that one chunk amortizes its scratch allocation and ζ merge.
+pub const DYNAMIC_CHUNK: usize = 16;
 
 /// The anisotropic 3PCF engine. Construct once (tables are built at
 /// construction), then [`Engine::compute`] any number of catalogs.
@@ -260,46 +269,31 @@ impl Engine {
             KdTree::build(&positions, TreeConfig::default())
         };
 
-        // The per-chunk stage aggregates are drained from the scratch
-        // nano counters, which only an enabled session fills.
-        let make_state = || {
-            let mut scratch = self.new_scratch();
-            scratch.instrument = obs.is_enabled();
-            scratch
-        };
-        // The stage methods fill only the ℓ ≤ ℓ' blocks and the
-        // scratch-side pair counter; `partial` completes both.
-        let finish = |mut scratch: ComputeScratch| {
-            scratch.partial();
-            scratch.zeta
-        };
-        let merge = Merge {
-            zero: || AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins()),
-            merge: |mut a: AnisotropicZeta, b| {
-                a.merge(&b);
-                a
-            },
-        };
-
-        // Leaf-blocked: the schedule partitions over *leaf blocks*, not
-        // raw primary indices, so each worker chunk is a set of whole
-        // leaves and scratch reuse follows the tree's memory layout (one
-        // candidate block per leaf, shared by all of its primaries).
+        // Leaf-blocked: chunks are made of *leaf blocks*, not raw
+        // primary indices, so each chunk is a set of whole leaves and
+        // scratch reuse follows the tree's memory layout (one candidate
+        // block per leaf, shared by all of its primaries).
         let leaves: Option<Vec<LeafInfo>> = match self.traversal {
             TraversalKind::PerPrimary => None,
             TraversalKind::LeafBlocked => Some(tree.collect_leaves()),
         };
-        schedule::run_partitioned(
-            leaves.as_ref().map_or(n_primaries, Vec::len),
-            make_state,
-            |scratch, range| {
-                let _g = obs.tracer.span("chunk");
-                let n_items = range.len() as u64;
+        let n_items = leaves.as_ref().map_or(n_primaries, Vec::len);
+        (0..n_items.div_ceil(DYNAMIC_CHUNK))
+            .into_par_iter()
+            .map(|c| {
+                let range = c * DYNAMIC_CHUNK..((c + 1) * DYNAMIC_CHUNK).min(n_items);
+                // The per-chunk stage aggregates are drained from the
+                // scratch nano counters, which only an enabled session
+                // fills.
+                let mut scratch = self.new_scratch();
+                scratch.instrument = obs.is_enabled();
+                let span = obs.tracer.span("chunk");
+                let chunk_len = range.len() as u64;
                 for i in range {
                     match &leaves {
-                        None => self.process_primary(scratch, galaxies, &tree, i, periodic),
+                        None => self.process_primary(&mut scratch, galaxies, &tree, i, periodic),
                         Some(leaves) => self.process_leaf(
-                            scratch,
+                            &mut scratch,
                             galaxies,
                             &tree,
                             &leaves[i],
@@ -308,11 +302,20 @@ impl Engine {
                         ),
                     }
                 }
-                Self::emit_chunk_obs(obs, scratch, n_items);
-            },
-            finish,
-            merge,
-        )
+                Self::emit_chunk_obs(obs, &scratch, chunk_len);
+                drop(span);
+                // The stage methods fill only the ℓ ≤ ℓ' blocks and the
+                // scratch-side pair counter; `partial` completes both.
+                scratch.partial();
+                scratch.zeta
+            })
+            .reduce(
+                || AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins()),
+                |mut a, b| {
+                    a.merge(&b);
+                    a
+                },
+            )
     }
 
     /// Drain a finished chunk's scratch counters into the obs session:

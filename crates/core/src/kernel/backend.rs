@@ -13,9 +13,8 @@
 //!   allocation, and the repo benchmark program against;
 //! * [`BackendChoice`] — what sits in [`EngineConfig`](
 //!   crate::config::EngineConfig): either a pinned kind or `Auto`,
-//!   which is [`detect`]. Nothing here reads the process environment:
-//!   the backend is a function of the configuration and the build
-//!   target.
+//!   which is the SIMD kernel. Nothing here reads the process
+//!   environment: the backend is a function of the configuration.
 
 use crate::kernel::KernelAccumulator;
 use std::fmt;
@@ -58,38 +57,15 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// The backend [`BackendChoice::Auto`] runs: a `cfg!` ladder over the
-/// *build target*, decided at compile time. It does not probe the
-/// machine the binary runs on.
-///
-/// The lane types in `galactos-simd` are portable (plain arrays that
-/// LLVM autovectorizes), so both backends are *correct* everywhere;
-/// the ladder only avoids paying 8-lane bookkeeping on targets with no
-/// vector registers to map it onto:
-///
-/// 1. **x86-64, aarch64, wasm with `simd128`** — every build of these
-///    has a vector unit (SSE2 / NEON / simd128 at baseline; on x86-64
-///    the SIMD kernel itself moves up to the host's AVX2 / AVX-512 per
-///    call, see [`simd`](crate::kernel::simd)): [`BackendKind::Simd`].
-/// 2. **Everything else**: the scalar reference.
-pub fn detect() -> BackendKind {
-    if cfg!(any(
-        target_arch = "x86_64",
-        target_arch = "aarch64",
-        target_feature = "simd128"
-    )) {
-        BackendKind::Simd
-    } else {
-        BackendKind::Scalar
-    }
-}
-
 /// Backend selection as configured on [`EngineConfig`](
 /// crate::config::EngineConfig). Resolved once, at [`Engine::new`](
 /// crate::engine::Engine::new) — not per worker or per call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// [`detect`]: the SIMD kernel on every vector build target.
+    /// The SIMD kernel. Its lane types in `galactos-simd` are portable
+    /// arrays, so it is correct on every build target; on x86-64 it
+    /// moves up to the host's AVX2 / AVX-512 per call (see
+    /// [`simd`](crate::kernel::simd)).
     #[default]
     Auto,
     /// Always this backend — how the equivalence tests and the
@@ -101,7 +77,7 @@ impl BackendChoice {
     pub fn resolve(self) -> BackendKind {
         match self {
             BackendChoice::Fixed(kind) => kind,
-            BackendChoice::Auto => detect(),
+            BackendChoice::Auto => BackendKind::Simd,
         }
     }
 }
@@ -155,21 +131,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_choice_resolves_to_itself_and_auto_to_detect() {
+    fn fixed_choice_resolves_to_itself_and_auto_to_simd() {
         for kind in BackendKind::ALL {
             assert_eq!(BackendChoice::Fixed(kind).resolve(), kind);
         }
-        assert_eq!(BackendChoice::Auto.resolve(), detect());
-    }
-
-    #[test]
-    fn detect_never_picks_scalar_on_vector_targets() {
-        // The test suite runs on x86-64 or aarch64 hosts; both build
-        // targets have vector units, so the ladder must not demote to
-        // scalar there.
-        if cfg!(any(target_arch = "x86_64", target_arch = "aarch64")) {
-            assert_eq!(detect(), BackendKind::Simd);
-        }
+        assert_eq!(BackendChoice::Auto.resolve(), BackendKind::Simd);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * **Selection** ([`backend`]): the two implementations behind one
 //!   [`KernelBackend`] trait, chosen per engine by
 //!   [`EngineConfig::kernel_backend`](crate::config::EngineConfig) —
-//!   pinned, or [`detect`]'s build-target `cfg!` ladder.
+//!   the SIMD kernel unless the config pins the scalar reference.
 //!
 //! **No fused operations.** Nothing in the kernel may call
 //! `f64::mul_add` or otherwise fuse a multiply with an add: every
@@ -47,5 +47,5 @@ pub mod simd;
 pub mod testutil;
 
 pub use accumulator::KernelAccumulator;
-pub use backend::{detect, BackendChoice, BackendKind, KernelBackend};
+pub use backend::{BackendChoice, BackendKind, KernelBackend};
 pub use buckets::PairBuckets;

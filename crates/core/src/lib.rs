@@ -33,10 +33,8 @@
 //!   candidates, and the two traversal modes: the §3.2 node-to-node
 //!   leaf-blocked walk with SoA candidate blocks, and per-primary
 //!   gathering as its reference;
-//! * [`scratch`] — reusable per-worker compute state (buckets,
-//!   accumulators, ζ partials, instrumentation counters);
-//! * [`schedule`] — the engine's chunk/map/reduce driver (constant-size
-//!   chunks, work stealing, ordered merge);
+//! * [`scratch`] — per-chunk compute state (buckets, accumulators,
+//!   ζ partials, instrumentation counters);
 //! * [`naive`] — O(N³) triplet-counting and O(N²·lm) direct-Yₗₘ
 //!   baselines used as correctness oracles and benchmark comparators,
 //!   and the O(N³) Legendre triplet oracle of the Slepian–Eisenstein
@@ -71,7 +69,6 @@ pub mod naive;
 pub mod paircount;
 pub mod pipeline;
 pub mod result;
-pub mod schedule;
 pub mod scratch;
 pub mod survey;
 pub mod traversal;
@@ -84,11 +81,10 @@ pub use galactos_grid::{GridConfig, MassAssignment};
 pub use galactos_obs::{ObsSession, Registry, Tracer};
 pub use kernel::{BackendChoice, BackendKind, KernelBackend};
 pub use pipeline::{
-    compute_distributed_supervised, compute_distributed_supervised_observed, NoSleep, RankReport,
-    RetryPolicy, Sleeper, SupervisedError, SupervisedRun,
+    compute_distributed_supervised, compute_distributed_supervised_observed, RankReport,
+    RetryPolicy, SupervisedError, SupervisedRun,
 };
 pub use result::{AnisotropicZeta, IsotropicZeta};
-pub use schedule::run_partitioned;
 pub use scratch::ComputeScratch;
 pub use survey::{SurveyCompute, SurveyConfig, SurveyZeta};
 pub use traversal::{TraversalChoice, TraversalKind};

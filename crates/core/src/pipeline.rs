@@ -56,51 +56,20 @@ pub struct RankReport {
     pub reassigned_from: Option<usize>,
 }
 
-/// Pluggable backoff sink: receives abstract *units*, never a clock.
-/// Core stays wall-clock-free (W-CLOCK); a bench or production driver
-/// can map units to milliseconds, a test can count them.
-pub trait Sleeper: Send + Sync {
-    fn sleep(&self, units: u64);
-}
-
-/// The default sleeper: pure attempt counting, no delay.
-pub struct NoSleep;
-
-impl Sleeper for NoSleep {
-    fn sleep(&self, _units: u64) {}
-}
-
-/// Bounded, deterministic retry policy for supervised ranks: before the
-/// k-th retry of a piece of work the sleeper receives
-/// `backoff_base << (k - 1)` units (exponential backoff in abstract
-/// units — determinism is unaffected by however the sleeper spends
-/// them).
-#[derive(Clone)]
+/// Bounded retry policy for supervised ranks: a piece of work that
+/// fails is re-run at once, up to the attempt budget. A retry re-runs a
+/// pure function of (shard files, config), so waiting between attempts
+/// buys nothing.
+#[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Total attempts per piece of work (first try included); `1`
     /// disables retries.
     pub max_attempts: u32,
-    /// Backoff units before the first retry; doubles each retry.
-    pub backoff_base: u64,
-    pub sleeper: std::sync::Arc<dyn Sleeper>,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: 1,
-            sleeper: std::sync::Arc::new(NoSleep),
-        }
-    }
-}
-
-impl std::fmt::Debug for RetryPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RetryPolicy")
-            .field("max_attempts", &self.max_attempts)
-            .field("backoff_base", &self.backoff_base)
-            .finish_non_exhaustive()
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
@@ -307,8 +276,7 @@ impl Supervisor<'_> {
     }
 
     /// Spend what is left of the policy's budget on `worker` running
-    /// `shards`, `done` attempts having failed already; every attempt
-    /// but the work's first waits out its backoff. The harness keeps
+    /// `shards`, `done` attempts having failed already. The harness keeps
     /// its counters, so a `times: 1` kill is transient and the retry
     /// passes, while a permanent kill keeps firing until the budget is
     /// spent. Returns whether the work was absorbed.
@@ -321,11 +289,6 @@ impl Supervisor<'_> {
         reassigned_from: Option<usize>,
     ) -> Result<bool, SupervisedError> {
         for failed in done..self.policy.max_attempts {
-            if failed > 0 {
-                let units = self.policy.backoff_base << (failed - 1).min(62);
-                self.obs.registry.add("supervised.backoff_units", units);
-                self.policy.sleeper.sleep(units);
-            }
             let outcome = self.attempt(worker, shards, span);
             if self.settle(outcome, failed + 1, reassigned_from)? {
                 return Ok(true);
@@ -340,9 +303,9 @@ impl Supervisor<'_> {
 /// intersecting their `rmax` halo straight from disk, so no piece of
 /// work ever holds the catalog. Per-rank failures (organic panics or
 /// faults injected through `plan`) are caught as [`RankFailure`]s,
-/// failed ranks are retried under `policy`'s bounded exponential
-/// backoff, and ranks that exhaust their retries have their shard range
-/// reassigned across the survivors. With [`FaultPlan::none`] and the
+/// failed ranks are retried up to `policy`'s attempt budget, and ranks
+/// that exhaust their retries have their shard range reassigned across
+/// the survivors. With [`FaultPlan::none`] and the
 /// default policy this is the plain run.
 ///
 /// `manifest_path` points at the shard directory's manifest (see
@@ -384,7 +347,7 @@ pub fn compute_distributed_supervised(
 /// registry aggregates what [`RankReport`] records per piece of work —
 /// `supervised.attempts`, `supervised.failures`,
 /// `supervised.injected_faults`, `supervised.reassignments`,
-/// `supervised.backoff_units`, `supervised.dead_ranks`.
+/// `supervised.dead_ranks`.
 ///
 /// With a disabled session this is exactly
 /// [`compute_distributed_supervised`]: zero clock reads, bit-identical

@@ -10,7 +10,7 @@
 //! Every term of the estimator is `w·a_ℓm(r₁)·conj(a_ℓ'm(r₂))` with
 //! real `w`, so also `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))`. Both
 //! halves are stored, but the tree engine accumulates only `ℓ ≤ ℓ'`
-//! and fills `ℓ > ℓ'` once per worker partial, so its output obeys the
+//! and fills `ℓ > ℓ'` once per chunk partial, so its output obeys the
 //! identity bit for bit.
 
 use galactos_math::Complex64;

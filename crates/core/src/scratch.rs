@@ -1,14 +1,15 @@
-//! Per-worker compute scratch (formerly the engine-private
+//! Per-chunk compute scratch (formerly the engine-private
 //! `ThreadState`).
 //!
-//! One [`ComputeScratch`] holds everything a worker needs to process
-//! primaries without allocating: the neighbor id buffer, the pair
-//! buckets, the SIMD/scalar kernel accumulator, the reduced monomial
-//! sums and shell coefficients in the padded bin-minor layout stages
-//! 3–4 run in ([`crate::assembly`]), the self-pair Legendre sums, and
-//! the worker's private ζ partial plus instrumentation counters.
-//! Workers own their scratch exclusively ("maximum independent work
-//! for each thread"); partials are merged once at the end of a run.
+//! One [`ComputeScratch`] holds everything a chunk of primaries needs
+//! to be processed without allocating: the neighbor id buffer, the
+//! pair buckets, the SIMD/scalar kernel accumulator, the reduced
+//! monomial sums and shell coefficients in the padded bin-minor layout
+//! stages 3–4 run in ([`crate::assembly`]), the self-pair Legendre
+//! sums, and the chunk's private ζ partial plus instrumentation
+//! counters. The engine allocates one per chunk, which the worker
+//! running the chunk owns exclusively ("maximum independent work for
+//! each thread"); the partials are merged in chunk order.
 
 use crate::assembly::padded_bins;
 use crate::config::EngineConfig;

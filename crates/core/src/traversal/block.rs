@@ -35,8 +35,9 @@ use galactos_simd::{F64x8, F64_LANES};
 /// candidate count and stays allocated across leaves.
 #[derive(Default)]
 pub struct CandidateBlock {
-    /// Original galaxy index of each candidate.
-    pub(crate) ids: Vec<u32>,
+    /// Number of candidates held; the arrays below run on past it into
+    /// padding.
+    len: usize,
     /// Candidate positions (original `f64` catalog coordinates — the
     /// binning arithmetic is identical to per-primary traversal),
     /// padded past [`len`](Self::len) with `+∞` to a multiple of
@@ -75,22 +76,16 @@ impl CandidateBlock {
     /// on past it into padding).
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Candidate galaxy ids (parallel to the coordinate arrays).
-    #[inline]
-    pub fn ids(&self) -> &[u32] {
-        &self.ids
+        self.len == 0
     }
 
     pub(crate) fn clear(&mut self) {
-        self.ids.clear();
+        self.len = 0;
         self.x.clear();
         self.y.clear();
         self.z.clear();
@@ -157,7 +152,6 @@ impl CandidateBlock {
                     None => g.pos - center,
                 };
                 if d.norm_sq() <= pr2 {
-                    self.ids.push(id);
                     self.x.push(g.pos.x);
                     self.y.push(g.pos.y);
                     self.z.push(g.pos.z);
@@ -166,15 +160,16 @@ impl CandidateBlock {
             }
         }
         self.ranges = ranges;
+        self.len = self.x.len();
 
         // 4. Pad to whole lane groups. A `+∞` coordinate gives r² = ∞
         // (or NaN through `periodic_delta`), which Phase A never keeps.
-        let padded = self.ids.len().next_multiple_of(F64_LANES);
+        let padded = self.len.next_multiple_of(F64_LANES);
         self.x.resize(padded, f64::INFINITY);
         self.y.resize(padded, f64::INFINITY);
         self.z.resize(padded, f64::INFINITY);
         self.w.resize(padded, 0.0);
-        self.ids.len()
+        self.len
     }
 
     /// Phase A of the blocked split loop: stage the pairs of the
@@ -295,6 +290,12 @@ mod tests {
         (cat.galaxies, tree, leaves, CandidateBlock::new())
     }
 
+    /// The bits of a position, which identify a `uniform_box` galaxy:
+    /// its positions are distinct.
+    fn key(p: Vec3) -> (u64, u64, u64) {
+        (p.x.to_bits(), p.y.to_bits(), p.z.to_bits())
+    }
+
     /// The block must contain, for every primary in the leaf, every
     /// galaxy a brute-force `f64` scan puts within `rmax` of it.
     #[test]
@@ -304,7 +305,9 @@ mod tests {
             let (galaxies, tree, leaves, mut block) = fill_for_leaf(300, 42);
             for leaf in &leaves {
                 block.fill(&tree, leaf, rmax, periodic, &galaxies);
-                let have: std::collections::BTreeSet<u32> = block.ids().iter().copied().collect();
+                let have: std::collections::BTreeSet<(u64, u64, u64)> = (0..block.len())
+                    .map(|c| key(Vec3::new(block.x[c], block.y[c], block.z[c])))
+                    .collect();
                 assert_eq!(
                     have.len(),
                     block.len(),
@@ -318,7 +321,7 @@ mod tests {
                             None => g.pos - galaxies[i].pos,
                         };
                         assert!(
-                            delta.norm() > rmax || have.contains(&(j as u32)),
+                            delta.norm() > rmax || have.contains(&key(g.pos)),
                             "candidate {j} of primary {i} missing from its leaf block \
                              (periodic={periodic:?})"
                         );
@@ -354,11 +357,12 @@ mod tests {
     fn block_reuse_resets_state() {
         let (galaxies, tree, leaves, mut block) = fill_for_leaf(400, 3);
         let a = block.fill(&tree, &leaves[0], 2.5, None, &galaxies);
-        let ids_a: Vec<u32> = block.ids().to_vec();
+        let soa = |b: &CandidateBlock| [b.x.clone(), b.y.clone(), b.z.clone(), b.w.clone()];
+        let soa_a = soa(&block);
         let _ = block.fill(&tree, leaves.last().unwrap(), 2.5, None, &galaxies);
         let again = block.fill(&tree, &leaves[0], 2.5, None, &galaxies);
         assert_eq!(a, again);
-        assert_eq!(ids_a, block.ids());
+        assert_eq!(soa_a, soa(&block));
 
         // Shrinking from a padded length (13 → 16) to an unpadded one
         // (8) leaves no sentinel behind: the refilled block equals a
@@ -369,7 +373,7 @@ mod tests {
         let (galaxies, tree, leaves, mut fresh) = fill_for_leaf(8, 4);
         assert_eq!(block.fill(&tree, &leaves[0], 2.5, None, &galaxies), 8);
         fresh.fill(&tree, &leaves[0], 2.5, None, &galaxies);
-        assert_eq!(block.ids, fresh.ids);
+        assert_eq!(block.len(), fresh.len());
         for (got, want) in [
             (&block.x, &fresh.x),
             (&block.y, &fresh.y),
@@ -535,9 +539,10 @@ mod tests {
             assert_eq!(leaves.len(), 1);
             let mut block = CandidateBlock::new();
             block.fill(&tree, &leaves[0], rmax, periodic, &galaxies);
-            for id in [0, 12, 13] {
-                assert!(block.ids().contains(&id));
-            }
+            let copies = (0..block.len())
+                .filter(|&c| Vec3::new(block.x[c], block.y[c], block.z[c]) == twin.pos)
+                .count();
+            assert_eq!(copies, 3, "the primary and both copies are candidates");
             let kept = assert_select_pairs_matches_reference(&mut block, twin.pos, periodic, rmax);
             assert!(kept > 0);
             assert!(block.sel_r[..kept].iter().all(|&r| r > 0.0));

@@ -203,3 +203,20 @@ fn one_pair_in_one_bin() {
         }
     }
 }
+
+#[test]
+fn no_primaries_at_all() {
+    // An empty catalog, and a subset run in which every galaxy is only
+    // a secondary: no chunk runs, so ζ is the reduction's zero.
+    let empty = check(Vec::new(), 3, "empty catalog");
+    assert_eq!((empty.num_primaries, empty.binned_pairs), (0, 0));
+    assert_eq!(empty.max_abs(), 0.0);
+    for kind in TraversalKind::ALL {
+        let mut shipped = config(3);
+        shipped.traversal = TraversalChoice::Fixed(kind);
+        let zeta = Engine::new(shipped).compute_subset(&cloud(), 0);
+        assert_eq!((zeta.num_primaries, zeta.binned_pairs), (0, 0), "{kind:?}");
+        assert_eq!(zeta.max_abs(), 0.0, "{kind:?}");
+        assert_eq!(zeta.total_primary_weight, 0.0, "{kind:?}");
+    }
+}

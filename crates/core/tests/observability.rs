@@ -9,9 +9,11 @@
 
 use galactos_catalog::{uniform_box, Catalog};
 use galactos_core::config::EngineConfig;
-use galactos_core::engine::Engine;
+use galactos_core::engine::{Engine, DYNAMIC_CHUNK};
 use galactos_core::estimator::EstimatorChoice;
-use galactos_core::{BackendKind, GridConfig, ObsSession};
+use galactos_core::{BackendKind, GridConfig, ObsSession, TraversalKind};
+use galactos_kdtree::{KdTree, TreeConfig};
+use galactos_math::Vec3;
 use galactos_obs::MetricValue;
 use rayon::ThreadPoolBuilder;
 use std::collections::BTreeSet;
@@ -62,7 +64,15 @@ fn observed_tree_run_produces_span_tree_and_counters() {
         );
     }
 
-    assert!(obs.registry.counter_value("engine.chunks") > 0);
+    // One chunk per DYNAMIC_CHUNK leaves, the engine's tree and ours
+    // being built alike from the same positions.
+    assert_eq!(engine.traversal_kind(), TraversalKind::LeafBlocked);
+    let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
+    let leaves = KdTree::build(&positions, TreeConfig::default()).collect_leaves();
+    assert_eq!(
+        obs.registry.counter_value("engine.chunks"),
+        leaves.len().div_ceil(DYNAMIC_CHUNK) as u64
+    );
     assert!(zeta.binned_pairs > 0);
     assert_eq!(
         obs.registry.counter_value("engine.binned_pairs"),

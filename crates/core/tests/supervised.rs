@@ -16,14 +16,13 @@ use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::pipeline::SupervisedError;
 use galactos_core::pipeline::{
-    compute_distributed_supervised, compute_distributed_supervised_observed, RetryPolicy, Sleeper,
+    compute_distributed_supervised, compute_distributed_supervised_observed, RetryPolicy,
 };
 use galactos_core::result::AnisotropicZeta;
 use galactos_core::ObsSession;
 use galactos_domain::shard::write_sharded;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const PHASES: [&str; 3] = ["ingest", "compute", "reduce"];
 
@@ -39,14 +38,6 @@ fn shard_dir(name: &str) -> PathBuf {
         .join(format!("{name}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
-}
-
-struct CountingSleeper(AtomicU64);
-
-impl Sleeper for CountingSleeper {
-    fn sleep(&self, units: u64) {
-        self.0.fetch_add(units, Ordering::Relaxed);
-    }
 }
 
 #[test]
@@ -127,10 +118,7 @@ fn permanent_kill_reassigns_shards_bit_identically() {
     let dir = shard_dir("reassignment");
     write_sharded(&cat, 7, &dir).unwrap();
     let manifest_path = dir.join(MANIFEST_FILE);
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        ..Default::default()
-    };
+    let policy = RetryPolicy { max_attempts: 2 };
 
     for ranks in [2usize, 3, 5] {
         let clean = compute_distributed_supervised(
@@ -217,24 +205,18 @@ fn supervised_is_bit_identical_across_rank_counts() {
 }
 
 #[test]
-fn backoff_is_exponential_in_abstract_units() {
+fn transient_kills_are_retried_within_the_attempt_budget() {
     let cat = open_catalog(60, 8.0, 11);
     let config = EngineConfig::test_default(3.0, 1, 1);
-    let dir = shard_dir("backoff");
+    let dir = shard_dir("retry_budget");
     write_sharded(&cat, 3, &dir).unwrap();
     let manifest_path = dir.join(MANIFEST_FILE);
-    let sleeper = std::sync::Arc::new(CountingSleeper(AtomicU64::new(0)));
-    let policy = RetryPolicy {
-        max_attempts: 4,
-        backoff_base: 10,
-        sleeper: std::sync::Arc::clone(&sleeper) as std::sync::Arc<dyn Sleeper>,
-    };
-    // Rank 0 dies twice, then the third attempt succeeds: the sleeper
-    // must have been handed 10 + 20 units (base, then doubled).
+    let policy = RetryPolicy { max_attempts: 4 };
+    // Rank 0 dies twice, then the third attempt succeeds, inside the
+    // budget of four.
     let plan = FaultPlan::none().with_phase_kill(0, "compute", 2);
     let run = compute_distributed_supervised(&manifest_path, &config, 2, &policy, plan).unwrap();
     assert_eq!(run.failures.len(), 2);
-    assert_eq!(sleeper.0.load(Ordering::Relaxed), 30);
     let report = run
         .ranks
         .iter()
@@ -251,10 +233,7 @@ fn killing_every_rank_exhausts_the_run() {
     let dir = shard_dir("exhausted");
     write_sharded(&cat, 3, &dir).unwrap();
     let manifest_path = dir.join(MANIFEST_FILE);
-    let policy = RetryPolicy {
-        max_attempts: 2,
-        ..Default::default()
-    };
+    let policy = RetryPolicy { max_attempts: 2 };
     let plan = FaultPlan::none()
         .with_phase_kill(0, "compute", KillSpec::ALWAYS)
         .with_phase_kill(1, "compute", KillSpec::ALWAYS);
@@ -278,10 +257,7 @@ fn zero_ranks_or_attempts_is_an_error_not_a_panic() {
     let config = EngineConfig::test_default(3.0, 1, 1);
     let dir = shard_dir("zero_arguments");
     write_sharded(&cat, 3, &dir).unwrap();
-    let no_attempts = RetryPolicy {
-        max_attempts: 0,
-        ..Default::default()
-    };
+    let no_attempts = RetryPolicy { max_attempts: 0 };
     for manifest_path in [
         dir.join(MANIFEST_FILE),
         dir.join("missing").join(MANIFEST_FILE),
@@ -315,8 +291,8 @@ fn zero_ranks_or_attempts_is_an_error_not_a_panic() {
 #[test]
 fn registry_counters_account_for_every_attempt() {
     // The `supervised.*` counters against what the run itself reports:
-    // every attempt ends as a report or a failure, every backoff unit
-    // reaches the sleeper, and round 0, retries and reassignments count
+    // every attempt ends as a report or a failure, and round 0, retries
+    // and reassignments count
     // through the same path (the expected tuples pin that path's order).
     // The finished spans name each path the run took.
     let cat = open_catalog(120, 10.0, 17);
@@ -325,27 +301,22 @@ fn registry_counters_account_for_every_attempt() {
     write_sharded(&cat, 5, &dir).unwrap();
     let manifest_path = dir.join(MANIFEST_FILE);
     let plans = [
-        (FaultPlan::none(), (3, 0, 0, 0), vec![]),
+        (FaultPlan::none(), (3, 0, 0), vec![]),
         (
             FaultPlan::none().with_phase_kill(1, "compute", 2),
-            (5, 2, 15, 0),
+            (5, 2, 0),
             vec![],
         ),
         (
             FaultPlan::none()
                 .with_phase_kill(0, "ingest", KillSpec::ALWAYS)
                 .with_phase_kill(2, "reduce", 1),
-            (7, 4, 20, 1),
+            (7, 4, 1),
             vec![0],
         ),
     ];
     for (plan, expected, dead_ranks) in plans {
-        let sleeper = std::sync::Arc::new(CountingSleeper(AtomicU64::new(0)));
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff_base: 5,
-            sleeper: std::sync::Arc::clone(&sleeper) as std::sync::Arc<dyn Sleeper>,
-        };
+        let policy = RetryPolicy { max_attempts: 3 };
         let obs = ObsSession::enabled();
         let run = compute_distributed_supervised_observed(
             &manifest_path,
@@ -366,7 +337,6 @@ fn registry_counters_account_for_every_attempt() {
             (
                 counter("attempts"),
                 counter("failures"),
-                counter("backoff_units"),
                 counter("reassignments"),
             ),
             expected
@@ -380,11 +350,6 @@ fn registry_counters_account_for_every_attempt() {
         assert_eq!(counter("dead_ranks"), run.dead_ranks.len() as u64);
         assert_eq!(run.dead_ranks, dead_ranks);
         assert_eq!(counter("reassignments"), reassigned as u64);
-        assert_eq!(
-            counter("backoff_units"),
-            sleeper.0.load(Ordering::Relaxed),
-            "every unit counted reached the sleeper"
-        );
         let owned_total: usize = run.ranks.iter().map(|r| r.owned).sum();
         assert_eq!(owned_total, 120, "primaries partition the catalog");
         let spans: BTreeSet<String> = obs.tracer.finished().into_iter().map(|s| s.name).collect();

@@ -7,9 +7,9 @@
 //! [`Engine::compute_observed`] with a disabled session — inside a
 //! counter snapshot window, and require **zero** reads plus
 //! bit-identical ζ. The supervised distributed path joins them, with an
-//! injected rank kill so its retry and backoff run inside the window
-//! too. A future "just one timestamp" on the compute path fails here,
-//! not as silent overhead.
+//! injected rank kill so its retry runs inside the window too. A future
+//! "just one timestamp" on the compute path fails here, not as silent
+//! overhead.
 //!
 //! Everything lives in one `#[test]` because the read counter is
 //! process-global: a sibling test doing legitimate instrumented timing

@@ -7,8 +7,8 @@
 //! `ψ_k = i k̂/k · δ_k / k`, whose line-of-sight component drives the
 //! redshift-space distortions that make the anisotropic 3PCF signal.
 
-use crate::fft::{Direction, Mesh3};
 use crate::pk::PowerSpectrum;
+use galactos_math::fft::{signed_mode, Direction, Mesh3};
 use galactos_math::{Complex64, Vec3};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -224,10 +224,6 @@ impl GaussianField {
             .collect()
     }
 }
-
-/// Map a mesh index to its signed frequency (re-export of
-/// [`galactos_math::fft::signed_mode`], which moved with the FFT).
-pub use galactos_math::fft::signed_mode;
 
 #[cfg(test)]
 mod tests {

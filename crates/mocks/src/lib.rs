@@ -5,12 +5,6 @@
 //! generated from scratch but exercise the same code paths and carry the
 //! same statistical features the science output depends on:
 //!
-//! * [`fft`] — re-export of [`galactos_math::fft`], the in-house
-//!   radix-2 complex FFT (1-D and 3-D, rayon-parallel over mesh lines;
-//!   no external FFT dependency). It started life here for the GRF
-//!   generator and was promoted into the math crate when the gridded
-//!   a_ℓm estimator became a second consumer; the re-export keeps every
-//!   `galactos_mocks::fft::…` path working.
 //! * [`pk`] — model power spectra: power laws and a phenomenological
 //!   BAO-wiggle spectrum (smooth transfer shape × damped sinusoid), the
 //!   knob that puts the paper's Figure 1 BAO features into our mocks.
@@ -36,8 +30,6 @@ pub mod pk;
 pub mod rsd;
 pub mod scaled;
 
-pub use galactos_math::fft;
-pub use galactos_math::fft::Mesh3;
 pub use grf::GaussianField;
 pub use lognormal::LognormalMock;
 pub use pk::{BaoSpectrum, PowerLawSpectrum, PowerSpectrum};

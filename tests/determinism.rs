@@ -44,7 +44,7 @@ fn thread_count_does_not_change_results_beyond_roundoff() {
         .leaf_blocks()
         .len();
     assert!(
-        leaves >= 4 * galactos::core::schedule::DYNAMIC_CHUNK,
+        leaves >= 4 * galactos::core::engine::DYNAMIC_CHUNK,
         "{leaves} leaves"
     );
 

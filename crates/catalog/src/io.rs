@@ -118,10 +118,7 @@ pub fn to_bytes(catalog: &Catalog) -> Bytes {
         buf.put_f64_le(v.z);
     }
     for g in &catalog.galaxies {
-        buf.put_f64_le(g.pos.x);
-        buf.put_f64_le(g.pos.y);
-        buf.put_f64_le(g.pos.z);
-        buf.put_f64_le(g.weight);
+        buf.put_slice(&encode_record(g));
     }
     buf.freeze()
 }
@@ -149,17 +146,10 @@ pub fn from_bytes(mut buf: impl Buf) -> Result<Catalog, CatalogIoError> {
     let hi = Vec3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le());
     let count = checked_record_count(count, buf.remaining())?;
     let mut galaxies = Vec::with_capacity(count);
+    let mut rec = [0u8; RECORD_BYTES];
     for record in 0..count {
-        let pos = Vec3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le());
-        let weight = buf.get_f64_le();
-        if let Some(field) =
-            non_finite_field(&[("x", pos.x), ("y", pos.y), ("z", pos.z), ("weight", weight)])
-        {
-            return Err(CatalogIoError::Corrupt(format!(
-                "record {record}: non-finite {field}"
-            )));
-        }
-        galaxies.push(Galaxy::new(pos, weight));
+        buf.copy_to_slice(&mut rec);
+        galaxies.push(decode_record(&rec, record as u64)?);
     }
     Ok(Catalog {
         galaxies,
@@ -183,6 +173,33 @@ pub(crate) fn checked_record_count(count: u64, remaining: usize) -> Result<usize
         return Err(CatalogIoError::Truncated);
     }
     Ok(count)
+}
+
+/// One galaxy as its wire record, the same bytes in GCAT v1 files and
+/// v2 shard files.
+pub(crate) fn encode_record(g: &Galaxy) -> [u8; RECORD_BYTES] {
+    let mut rec = [0u8; RECORD_BYTES];
+    let fields = [g.pos.x, g.pos.y, g.pos.z, g.weight];
+    for (bytes, v) in rec.chunks_exact_mut(8).zip(fields) {
+        bytes.copy_from_slice(&v.to_le_bytes());
+    }
+    rec
+}
+
+/// The galaxy a wire record holds; `record` is its index in the file,
+/// named in the error when a field is NaN or infinite.
+pub(crate) fn decode_record(
+    rec: &[u8; RECORD_BYTES],
+    record: u64,
+) -> Result<Galaxy, CatalogIoError> {
+    let f = |i: usize| f64::from_le_bytes(rec[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+    let (x, y, z, weight) = (f(0), f(1), f(2), f(3));
+    if let Some(field) = non_finite_field(&[("x", x), ("y", y), ("z", z), ("weight", weight)]) {
+        return Err(CatalogIoError::Corrupt(format!(
+            "record {record}: non-finite {field}"
+        )));
+    }
+    Ok(Galaxy::new(Vec3::new(x, y, z), weight))
 }
 
 /// The name of the first of `fields` whose value is NaN or infinite.

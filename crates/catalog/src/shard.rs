@@ -57,7 +57,9 @@
 //! and verifies the payload checksum once the last record is delivered.
 
 use crate::galaxy::{Catalog, Galaxy};
-use crate::io::{checked_record_count, non_finite_field, CatalogIoError, MAGIC, RECORD_BYTES};
+use crate::io::{
+    checked_record_count, decode_record, encode_record, CatalogIoError, MAGIC, RECORD_BYTES,
+};
 use bytes::{Buf, BufMut, BytesMut};
 use galactos_math::{Aabb, Vec3};
 use std::fs::File;
@@ -340,14 +342,19 @@ fn shard_header(index: u32, count: u64, periodic: Option<f64>, bounds: &Aabb) ->
 
 impl ShardedWriter {
     /// Create `dir` (and the empty shard files) for a catalog with the
-    /// given global facts and per-shard regions.
+    /// given global facts and per-shard regions. No regions is
+    /// [`CatalogIoError::Unsupported`], and creates nothing.
     pub fn create(
         dir: impl AsRef<Path>,
         bounds: Aabb,
         periodic: Option<f64>,
         shard_bounds: &[Aabb],
     ) -> Result<Self, CatalogIoError> {
-        assert!(!shard_bounds.is_empty(), "need at least one shard");
+        if shard_bounds.is_empty() {
+            return Err(CatalogIoError::Unsupported(
+                "shard count 0: a sharded catalog needs at least one shard".into(),
+            ));
+        }
         assert!(
             u32::try_from(shard_bounds.len()).is_ok(),
             "shard count must fit in u32"
@@ -388,11 +395,7 @@ impl ShardedWriter {
 
     /// Append one galaxy to shard `shard`.
     pub fn push(&mut self, shard: usize, g: &Galaxy) -> Result<(), CatalogIoError> {
-        let mut rec = [0u8; RECORD_BYTES];
-        rec[0..8].copy_from_slice(&g.pos.x.to_le_bytes());
-        rec[8..16].copy_from_slice(&g.pos.y.to_le_bytes());
-        rec[16..24].copy_from_slice(&g.pos.z.to_le_bytes());
-        rec[24..32].copy_from_slice(&g.weight.to_le_bytes());
+        let rec = encode_record(g);
         self.files[shard].write_all(&rec)?;
         self.sums[shard].update(&rec);
         let meta = &mut self.metas[shard];
@@ -610,15 +613,7 @@ impl ShardReader {
             read_exact_or_truncated(&mut self.file, &mut rec)?;
             self.sum.update(&rec);
             self.bytes_read += RECORD_BYTES as u64;
-            let f = |i: usize| f64::from_le_bytes(rec[i * 8..i * 8 + 8].try_into().unwrap());
-            let fields = [("x", f(0)), ("y", f(1)), ("z", f(2)), ("weight", f(3))];
-            if let Some(field) = non_finite_field(&fields) {
-                let record = self.delivered + k as u64;
-                return Err(CatalogIoError::Corrupt(format!(
-                    "record {record}: non-finite {field}"
-                )));
-            }
-            out.push(Galaxy::new(Vec3::new(f(0), f(1), f(2)), f(3)));
+            out.push(decode_record(&rec, self.delivered + k as u64)?);
         }
         self.delivered += n as u64;
         if self.delivered == self.meta.count {
@@ -728,6 +723,22 @@ mod tests {
         want.sort_unstable();
         assert_eq!(got, want);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_shards_is_an_error_and_creates_no_directory() {
+        let cat = sample_catalog();
+        let dir = tmpdir("zero_shards");
+        let assignment = ShardAssignment {
+            shard_of: vec![0; cat.len()],
+            bounds: Vec::new(),
+        };
+        let err = write_sharded(&cat, &assignment, &dir).unwrap_err();
+        assert!(
+            matches!(&err, CatalogIoError::Unsupported(msg) if msg.contains("shard count 0")),
+            "{err}"
+        );
+        assert!(!dir.exists());
     }
 
     #[test]

@@ -133,7 +133,7 @@ mod tests {
         // Numerical projection of the pointwise product (quadrature).
         let n = 40_000;
         let h = 2.0 / n as f64;
-        for l in 0..=lmax {
+        for (l, &want) in mixed.iter().enumerate() {
             let mut proj = 0.0;
             for i in 0..n {
                 let x = -1.0 + (i as f64 + 0.5) * h;
@@ -151,9 +151,8 @@ mod tests {
             }
             proj *= (2 * l + 1) as f64 / 2.0;
             assert!(
-                (proj - mixed[l]).abs() < 1e-4,
-                "l={l}: quadrature {proj} vs matrix {}",
-                mixed[l]
+                (proj - want).abs() < 1e-4,
+                "l={l}: quadrature {proj} vs matrix {want}"
             );
         }
     }
@@ -190,12 +189,11 @@ mod tests {
         let corrected = edge_corrected(&nnn, &rrr, 2);
         for b1 in 0..nbins {
             for b2 in 0..nbins {
-                for l in 0..=lmax {
+                for (l, &want) in true_zeta.iter().enumerate() {
                     assert!(
-                        (corrected.get(l, b1, b2) - true_zeta[l]).abs() < 1e-9,
-                        "l={l}: {} vs {}",
-                        corrected.get(l, b1, b2),
-                        true_zeta[l]
+                        (corrected.get(l, b1, b2) - want).abs() < 1e-9,
+                        "l={l}: {} vs {want}",
+                        corrected.get(l, b1, b2)
                     );
                 }
             }

@@ -677,14 +677,14 @@ mod tests {
         // Direct computation.
         let bins = &engine.config().bins;
         let mut want = vec![vec![0.0f64; 3]; 40]; // per-primary per-bin counts
-        for i in 0..40 {
+        for (i, counts) in want.iter_mut().enumerate() {
             for j in 0..40 {
                 if i == j {
                     continue;
                 }
                 let r = cat.galaxies[i].pos.distance(cat.galaxies[j].pos);
                 if let Some(b) = bins.bin_of(r) {
-                    want[i][b] += 1.0;
+                    counts[b] += 1.0;
                 }
             }
         }

@@ -49,15 +49,14 @@ mod tests {
         let mut scratch = vec![0.0; basis.len()];
         let mut sums = vec![0.0; basis.len()];
         accumulate_bucket_scalar(schedule, &dx, &dy, &dz, &w, &mut scratch, &mut sums);
-        for i in 0..basis.len() {
+        for (i, &sum) in sums.iter().enumerate() {
             let (k, p, q) = basis.exponents(i);
             let want: f64 = (0..3)
                 .map(|j| w[j] * dx[j].powi(k as i32) * dy[j].powi(p as i32) * dz[j].powi(q as i32))
                 .sum();
             assert!(
-                (sums[i] - want).abs() < 1e-12 * (1.0 + want.abs()),
-                "monomial {i}: {} vs {want}",
-                sums[i]
+                (sum - want).abs() < 1e-12 * (1.0 + want.abs()),
+                "monomial {i}: {sum} vs {want}"
             );
         }
         // sums[0] is the weighted pair count.

@@ -110,7 +110,7 @@ mod tests {
         let cat = uniform_box(200, 10.0, 3);
         let bins = RadialBins::linear(0.0, 4.9, 5);
         let got = auto_pair_counts(&cat, &bins);
-        let mut want = vec![0.0; 5];
+        let mut want = [0.0; 5];
         for i in 0..200 {
             for j in (i + 1)..200 {
                 let r = cat.galaxies[i]

@@ -86,7 +86,7 @@ fn far_from_the_origin_precision_moves_no_pair() {
     let mut cat = uniform_box(1200, 12.0, 131);
     cat.periodic = None;
     for g in &mut cat.galaxies {
-        g.pos = g.pos + Vec3::splat(4100.0);
+        g.pos += Vec3::splat(4100.0);
     }
     let config = EngineConfig::test_default(5.0, 2, 4);
     let z = assert_matches_oracle(config, &cat, "translated to 4096");

@@ -46,7 +46,7 @@ pub mod shard;
 
 pub use exchange::{distribute, RankData, TaggedGalaxy};
 pub use load::{pair_counts, LoadBalance};
-pub use partition::{DomainPlan, PartitionNode};
+pub use partition::DomainPlan;
 pub use shard::{
     distribute_from_shards, distribute_shard_range, shard_range_for_rank, ShardRankData,
 };

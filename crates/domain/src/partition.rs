@@ -65,24 +65,19 @@ pub(crate) fn bisect<T>(
 
 /// A node of the partition tree.
 #[derive(Clone, Debug)]
-pub enum PartitionNode {
+enum PartitionNode {
     /// One rank owns this region.
     Leaf { rank: usize, bounds: Aabb },
-    /// Internal split: `lo` covers `bounds` below `value` on `axis`.
+    /// Internal split: `lo` and `hi` tile `bounds`.
     Split {
-        axis: usize,
-        value: f64,
         bounds: Aabb,
-        /// Ranks `rank_range.0 .. rank_mid` live below the plane.
-        rank_range: (usize, usize),
-        rank_mid: usize,
         lo: Box<PartitionNode>,
         hi: Box<PartitionNode>,
     },
 }
 
 impl PartitionNode {
-    pub fn bounds(&self) -> &Aabb {
+    fn bounds(&self) -> &Aabb {
         match self {
             PartitionNode::Leaf { bounds, .. } => bounds,
             PartitionNode::Split { bounds, .. } => bounds,
@@ -174,11 +169,7 @@ impl DomainPlan {
             positions, hi_idx, hi_bounds, rank_mid, rank_hi, boxes, owners, owned,
         );
         PartitionNode::Split {
-            axis,
-            value,
             bounds,
-            rank_range: (rank_lo, rank_hi),
-            rank_mid,
             lo: Box::new(lo),
             hi: Box::new(hi),
         }
@@ -187,11 +178,6 @@ impl DomainPlan {
     #[inline]
     pub fn num_ranks(&self) -> usize {
         self.num_ranks
-    }
-
-    #[inline]
-    pub fn root(&self) -> &PartitionNode {
-        &self.root
     }
 
     /// Region owned by rank `r`.
@@ -371,9 +357,9 @@ mod tests {
         let plan = DomainPlan::build(&pos, Aabb::cube(20.0), 5);
         let rmax = 3.0;
         let halos = plan.halo_indices(&pos, rmax);
-        for r in 0..5 {
+        for (r, halo) in halos.iter().enumerate() {
             let b = plan.rank_box(r);
-            let halo_set: std::collections::BTreeSet<u32> = halos[r].iter().copied().collect();
+            let halo_set: std::collections::BTreeSet<u32> = halo.iter().copied().collect();
             for (g, &p) in pos.iter().enumerate() {
                 let needed = plan.owner_of(g) != r && b.distance_sq_to_point(p) <= rmax * rmax;
                 assert_eq!(

@@ -46,12 +46,18 @@ pub fn plan_assignment(catalog: &Catalog, num_shards: usize) -> (DomainPlan, Sha
 }
 
 /// Write `catalog` into `dir` as GCAT v2 shards aligned with the
-/// `num_shards`-way recursive-bisection partition.
+/// `num_shards`-way recursive-bisection partition. Zero shards is
+/// [`CatalogIoError::Unsupported`], and creates nothing.
 pub fn write_sharded(
     catalog: &Catalog,
     num_shards: usize,
     dir: impl AsRef<Path>,
 ) -> Result<ShardManifest, CatalogIoError> {
+    if num_shards == 0 {
+        return Err(CatalogIoError::Unsupported(
+            "shard count 0: a sharded catalog needs at least one shard".into(),
+        ));
+    }
     let (_, assignment) = plan_assignment(catalog, num_shards);
     shard::write_sharded(catalog, &assignment, dir)
 }
@@ -253,13 +259,25 @@ mod tests {
     }
 
     #[test]
+    fn zero_shards_is_an_error_and_creates_no_directory() {
+        let cat = open_catalog(50, 20.0, 3);
+        let dir = tmpdir("zero_shards");
+        let err = write_sharded(&cat, 0, &dir).unwrap_err();
+        assert!(
+            matches!(&err, CatalogIoError::Unsupported(msg) if msg.contains("shard count 0")),
+            "{err}"
+        );
+        assert!(!dir.exists());
+    }
+
+    #[test]
     fn shard_ranges_cover_all_shards_exactly_once() {
         for (shards, ranks) in [(8, 3), (5, 5), (12, 5), (3, 7), (1, 1), (16, 4)] {
             let mut seen = vec![0u32; shards];
             for r in 0..ranks {
                 let (lo, hi) = shard_range_for_rank(shards, ranks, r);
-                for s in lo..hi {
-                    seen[s] += 1;
+                for count in &mut seen[lo..hi] {
+                    *count += 1;
                 }
             }
             assert!(
@@ -283,7 +301,7 @@ mod tests {
             let plan = DomainPlan::build(&positions, cat.bounds, ranks);
             let halos = plan.halo_indices(&positions, rmax);
             let key = |g: &Galaxy| (g.pos.x.to_bits(), g.pos.y.to_bits(), g.pos.z.to_bits());
-            for r in 0..ranks {
+            for (r, halo) in halos.iter().enumerate() {
                 let rd = distribute_from_shards(&dir, &manifest, r, ranks, rmax).unwrap();
                 let mut got: Vec<_> = rd.owned.iter().map(key).collect();
                 got.sort_unstable();
@@ -296,7 +314,7 @@ mod tests {
                 assert_eq!(got, want, "owned mismatch on rank {r}/{ranks}");
                 let mut got_ghosts: Vec<_> = rd.ghosts.iter().map(key).collect();
                 got_ghosts.sort_unstable();
-                let mut want_ghosts: Vec<_> = halos[r]
+                let mut want_ghosts: Vec<_> = halo
                     .iter()
                     .map(|&i| key(&cat.galaxies[i as usize]))
                     .collect();

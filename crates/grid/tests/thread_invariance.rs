@@ -84,10 +84,11 @@ fn painting_survives_more_threads_than_planes() {
     );
 }
 
-fn zeta_map(
-    cat: &Catalog,
-    threads: usize,
-) -> BTreeMap<(usize, usize, usize, usize, usize), Vec<(u64, u64)>> {
+/// Every emission's `(re, im)` bits, in arrival order, per
+/// `(l1, l2, m, b1, b2)` key.
+type ZetaMap = BTreeMap<(usize, usize, usize, usize, usize), Vec<(u64, u64)>>;
+
+fn zeta_map(cat: &Catalog, threads: usize) -> ZetaMap {
     let cfg = GridConfig::with_mesh(16);
     let nbins = 4;
     let rmax = 3.0;

@@ -9,11 +9,17 @@
 //! * a **median-split balanced k-d tree** built over an arbitrary point
 //!   set, with points reordered into contiguous leaf storage for cache
 //!   locality;
-//! * **"marked" nodes** carrying cached point counts and bounding boxes —
-//!   the enhancement of Gray & Moore / March (paper §2.1) that lets whole
-//!   subtrees be accepted (no per-point distance tests) when their
-//!   bounding box lies inside the query sphere, and lets counting queries
-//!   run without touching points at all;
+//! * **"marked" nodes** carrying their contiguous slot range and
+//!   bounding box — the enhancement of Gray & Moore / March (paper
+//!   §2.1) that lets whole subtrees be accepted (no per-point distance
+//!   tests) when their bounding box lies within reach of the query, and
+//!   lets counting queries count a subtree by its range length without
+//!   touching its points;
+//! * **one pruned walk** under every query: it takes a query box
+//!   `[lo, hi]` (a point is the box `[c, c]`), prunes subtrees by their
+//!   box-to-box distance and reports slot ranges, each marked whole or
+//!   straddling the boundary. The gather and the count filter the
+//!   straddling ranges point by point; the block query passes them on;
 //! * **`f64` throughout**: coordinates, boxes and distances. (The
 //!   paper searches in `f32`, §5.4; here an `f32` tree measured no
 //!   faster on any workload);
@@ -31,8 +37,8 @@
 //!   work estimates — fixed-radius only: the algorithm never asks for
 //!   the k nearest;
 //! * **node-to-node block queries** (paper §3.2): leaf enumeration
-//!   ([`KdTree::collect_leaves`]) and a pruned walk that reports whole
-//!   contiguous slot *ranges* within reach of a query bounding box
+//!   ([`KdTree::collect_leaves`]) and the same walk over a query
+//!   bounding box, reporting contiguous slot *ranges* within its reach
 //!   ([`KdTree::for_each_within_of_aabb`]), so a caller can gather the
 //!   candidate secondaries of an entire leaf of primaries at once;
 //! * a brute-force reference searcher, the range-query oracle of the

@@ -35,11 +35,6 @@ struct Node {
 }
 
 impl Node {
-    #[inline]
-    fn count(&self) -> u32 {
-        self.end - self.start
-    }
-
     /// Squared distance from the nearest point of this bbox to the
     /// nearest point of the axis-aligned box `[qlo, qhi]` (zero when
     /// they intersect).
@@ -72,36 +67,6 @@ impl Node {
             let b = self.hi[ax] - qhi[ax]; // farthest-above endpoint
             let gap = fmax(fmax(a, b), 0.0);
             acc += gap * gap;
-        }
-        acc
-    }
-
-    /// Squared distance from `p` to the nearest point of the bbox.
-    #[inline]
-    fn min_dist_sq(&self, p: [f64; 3]) -> f64 {
-        let mut acc = 0.0;
-        for ((&v, &lo), &hi) in p.iter().zip(&self.lo).zip(&self.hi) {
-            let d = if v < lo {
-                lo - v
-            } else if v > hi {
-                v - hi
-            } else {
-                0.0
-            };
-            acc += d * d;
-        }
-        acc
-    }
-
-    /// Squared distance from `p` to the farthest corner of the bbox.
-    #[inline]
-    fn max_dist_sq(&self, p: [f64; 3]) -> f64 {
-        let mut acc = 0.0;
-        for ((&v, &lo), &hi) in p.iter().zip(&self.lo).zip(&self.hi) {
-            let a = if v > lo { v - lo } else { lo - v };
-            let b = if v > hi { v - hi } else { hi - v };
-            let d = fmax(a, b);
-            acc += d * d;
         }
         acc
     }
@@ -330,73 +295,38 @@ impl KdTree {
         periodic: Option<f64>,
         f: &mut F,
     ) {
-        if self.nodes.is_empty() {
-            return;
-        }
         let r2 = radius * radius;
-        match periodic {
-            None => self.range_rec(0, to_array(center), r2, f),
-            Some(l) => for_each_reachable_image(center, center, radius, l, &mut |c, _| {
-                self.range_rec(0, to_array(c), r2, f)
-            }),
-        }
-    }
-
-    fn range_rec<F: FnMut(u32)>(&self, node: u32, c: [f64; 3], r2: f64, f: &mut F) {
-        let n = &self.nodes[node as usize];
-        if n.min_dist_sq(c) > r2 {
-            return;
-        }
-        // Marked-tree fast path: the whole subtree is inside the sphere.
-        if n.max_dist_sq(c) <= r2 {
-            for slot in n.start..n.end {
-                f(self.ids[slot as usize]);
-            }
-            return;
-        }
-        match n.kind {
-            NodeKind::Leaf => {
-                for slot in n.start..n.end {
-                    if distance_sq(self.coords[slot as usize], c) <= r2 {
+        for_each_reachable_image(center, center, radius, periodic, &mut |c, _| {
+            let c = to_array(c);
+            self.walk(0, c, c, r2, &mut |start, end, whole| {
+                for slot in start..end {
+                    if whole || distance_sq(self.coords[slot as usize], c) <= r2 {
                         f(self.ids[slot as usize]);
                     }
                 }
-            }
-            NodeKind::Internal { left, right } => {
-                self.range_rec(left, c, r2, f);
-                self.range_rec(right, c, r2, f);
-            }
-        }
+            });
+        });
     }
 
     /// Count points within `radius` of `center` (open box, inclusive
-    /// boundary) without reporting them — uses cached subtree counts on
-    /// fully-contained nodes, so the cost is proportional to the sphere
-    /// *surface*, not its volume. Unpadded: an estimate, not a pair
-    /// set (a point within an ulp of `radius` may land on either side).
+    /// boundary) without reporting them — a subtree wholly inside the
+    /// sphere counts as the length of its slot range, so the cost is
+    /// proportional to the sphere *surface*, not its volume. Unpadded:
+    /// an estimate, not a pair set (a point within an ulp of `radius`
+    /// may land on either side).
     pub fn count_within(&self, center: Vec3, radius: f64) -> usize {
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        self.count_rec(0, to_array(center), radius * radius)
-    }
-
-    fn count_rec(&self, node: u32, c: [f64; 3], r2: f64) -> usize {
-        let n = &self.nodes[node as usize];
-        if n.min_dist_sq(c) > r2 {
-            return 0;
-        }
-        if n.max_dist_sq(c) <= r2 {
-            return n.count() as usize;
-        }
-        match n.kind {
-            NodeKind::Leaf => (n.start..n.end)
-                .filter(|&slot| distance_sq(self.coords[slot as usize], c) <= r2)
-                .count(),
-            NodeKind::Internal { left, right } => {
-                self.count_rec(left, c, r2) + self.count_rec(right, c, r2)
-            }
-        }
+        let (c, r2) = (to_array(center), radius * radius);
+        let mut count = 0;
+        self.walk(0, c, c, r2, &mut |start, end, whole| {
+            count += if whole {
+                (end - start) as usize
+            } else {
+                (start..end)
+                    .filter(|&slot| distance_sq(self.coords[slot as usize], c) <= r2)
+                    .count()
+            };
+        });
+        count
     }
 
     /// Every leaf in ascending slot order. Leaves partition the slot
@@ -444,20 +374,22 @@ impl KdTree {
         periodic: Option<f64>,
         f: &mut F,
     ) {
-        if self.nodes.is_empty() {
-            return;
-        }
         let r = rmax + self.pad(rmax, periodic);
         let r2 = r * r;
-        match periodic {
-            None => self.aabb_rec(0, to_array(lo), to_array(hi), r2, f),
-            Some(l) => for_each_reachable_image(lo, hi, r, l, &mut |slo, shi| {
-                self.aabb_rec(0, to_array(slo), to_array(shi), r2, f)
-            }),
-        }
+        for_each_reachable_image(lo, hi, r, periodic, &mut |slo, shi| {
+            let (qlo, qhi) = (to_array(slo), to_array(shi));
+            self.walk(0, qlo, qhi, r2, &mut |start, end, _| f(start, end));
+        });
     }
 
-    fn aabb_rec<F: FnMut(u32, u32)>(
+    /// The one pruned recursion of every query (the "marked" tree of
+    /// paper §2.1): call `f(start, end, whole)` on disjoint ascending
+    /// slot ranges that together hold every point within `√r2` of the
+    /// box `[qlo, qhi]` (a point query is the box `[c, c]`). A subtree
+    /// wholly within reach is one range with `whole = true`, accepted
+    /// without a per-point test; a leaf that straddles the boundary
+    /// comes with `whole = false` for the caller to filter.
+    fn walk<F: FnMut(u32, u32, bool)>(
         &self,
         node: u32,
         qlo: [f64; 3],
@@ -465,39 +397,40 @@ impl KdTree {
         r2: f64,
         f: &mut F,
     ) {
-        let n = &self.nodes[node as usize];
+        // Only the root of an empty tree is missing.
+        let Some(n) = self.nodes.get(node as usize) else {
+            return;
+        };
         if n.min_dist_sq_to_aabb(qlo, qhi) > r2 {
             return;
         }
-        // Marked-tree fast path: the whole subtree is within reach of
-        // the query box — emit its range without descending.
-        if n.max_dist_sq_to_aabb(qlo, qhi) <= r2 {
-            f(n.start, n.end);
-            return;
-        }
+        let whole = n.max_dist_sq_to_aabb(qlo, qhi) <= r2;
         match n.kind {
-            NodeKind::Leaf => f(n.start, n.end),
-            NodeKind::Internal { left, right } => {
-                self.aabb_rec(left, qlo, qhi, r2, f);
-                self.aabb_rec(right, qlo, qhi, r2, f);
+            NodeKind::Internal { left, right } if !whole => {
+                self.walk(left, qlo, qhi, r2, f);
+                self.walk(right, qlo, qhi, r2, f);
             }
+            _ => f(n.start, n.end, whole),
         }
     }
 }
 
-/// Visit each of the 27 periodic images of the box `[lo, hi]` whose
-/// inflation by `radius` can reach `[0, box_len]³`, passing the shifted
-/// corners (for a point query, pass `lo == hi`). The image enumeration
-/// and the can-reach skip test live only here, shared by the per-point
-/// and box-query periodic walks so both traversal modes always cover
-/// identical images.
+/// Visit the box `[lo, hi]` itself (open, `periodic == None`) or each
+/// of its 27 periodic images whose inflation by `radius` can reach
+/// `[0, box_len]³`, passing the shifted corners (for a point query,
+/// pass `lo == hi`). The open/periodic choice, the image enumeration
+/// and the can-reach skip test live only here, so the point and box
+/// queries always cover identical images.
 fn for_each_reachable_image<F: FnMut(Vec3, Vec3)>(
     lo: Vec3,
     hi: Vec3,
     radius: f64,
-    box_len: f64,
+    periodic: Option<f64>,
     f: &mut F,
 ) {
+    let Some(box_len) = periodic else {
+        return f(lo, hi);
+    };
     for ix in -1i32..=1 {
         for iy in -1i32..=1 {
             for iz in -1i32..=1 {
@@ -767,7 +700,7 @@ mod tests {
         let mut seen = vec![false; pts.len()];
         for leaf in &leaves {
             assert_eq!(leaf.start, next, "leaves must tile the slot space");
-            assert!(leaf.len() >= 1 && leaf.len() <= 16);
+            assert!(!leaf.is_empty() && leaf.len() <= 16);
             for slot in leaf.start..leaf.end {
                 let id = tree.id_at(slot) as usize;
                 assert!(!seen[id], "point {id} in two leaves");
@@ -808,6 +741,8 @@ mod tests {
                 Vec3::new(-10.0, -10.0, -10.0),
                 4.0,
             ),
+            // A point query is the degenerate box `[c, c]`.
+            (pts[42], pts[42], 5.0),
         ] {
             let mut covered = vec![false; pts.len()];
             let mut last_end = 0u32;
@@ -833,6 +768,11 @@ mod tests {
                     assert!(d2 > r * r, "covered set must be a superset only");
                 }
             }
+            if qlo == qhi {
+                for id in gather(&tree, qlo, r, None) {
+                    assert!(covered[id as usize], "gathered point {id} not covered");
+                }
+            }
         }
     }
 
@@ -841,35 +781,45 @@ mod tests {
         let box_len = 20.0;
         let pts = random_points(400, box_len, 19);
         let tree = KdTree::build(&pts, TreeConfig { leaf_size: 8 });
-        let qlo = Vec3::new(0.5, 17.0, 9.0);
-        let qhi = Vec3::new(2.5, 19.5, 11.0);
         let r = 4.0;
-        let mut covered = vec![false; pts.len()];
-        tree.for_each_within_of_aabb(qlo, qhi, r, Some(box_len), &mut |start, end| {
-            for slot in start..end {
-                covered[tree.id_at(slot) as usize] = true;
-            }
-        });
-        // Brute force: min over the 27 images of the query box.
-        for (i, &p) in pts.iter().enumerate() {
-            let mut best = f64::INFINITY;
-            for ix in -1i32..=1 {
-                for iy in -1i32..=1 {
-                    for iz in -1i32..=1 {
-                        let s = Vec3::new(
-                            ix as f64 * box_len,
-                            iy as f64 * box_len,
-                            iz as f64 * box_len,
-                        );
-                        let dx = (qlo.x + s.x - p.x).max(p.x - (qhi.x + s.x)).max(0.0);
-                        let dy = (qlo.y + s.y - p.y).max(p.y - (qhi.y + s.y)).max(0.0);
-                        let dz = (qlo.z + s.z - p.z).max(p.z - (qhi.z + s.z)).max(0.0);
-                        best = best.min(dx * dx + dy * dy + dz * dz);
+        let seam = Vec3::new(19.8, 0.3, 10.0);
+        for (qlo, qhi) in [
+            (Vec3::new(0.5, 17.0, 9.0), Vec3::new(2.5, 19.5, 11.0)),
+            // A point query is the degenerate box `[c, c]`.
+            (seam, seam),
+        ] {
+            let mut covered = vec![false; pts.len()];
+            tree.for_each_within_of_aabb(qlo, qhi, r, Some(box_len), &mut |start, end| {
+                for slot in start..end {
+                    covered[tree.id_at(slot) as usize] = true;
+                }
+            });
+            // Brute force: min over the 27 images of the query box.
+            for (i, &p) in pts.iter().enumerate() {
+                let mut best = f64::INFINITY;
+                for ix in -1i32..=1 {
+                    for iy in -1i32..=1 {
+                        for iz in -1i32..=1 {
+                            let s = Vec3::new(
+                                ix as f64 * box_len,
+                                iy as f64 * box_len,
+                                iz as f64 * box_len,
+                            );
+                            let dx = (qlo.x + s.x - p.x).max(p.x - (qhi.x + s.x)).max(0.0);
+                            let dy = (qlo.y + s.y - p.y).max(p.y - (qhi.y + s.y)).max(0.0);
+                            let dz = (qlo.z + s.z - p.z).max(p.z - (qhi.z + s.z)).max(0.0);
+                            best = best.min(dx * dx + dy * dy + dz * dz);
+                        }
                     }
                 }
+                if best <= r * r {
+                    assert!(covered[i], "point {i} within periodic reach but missed");
+                }
             }
-            if best <= r * r {
-                assert!(covered[i], "point {i} within periodic reach but missed");
+            if qlo == qhi {
+                for id in gather(&tree, qlo, r, Some(box_len)) {
+                    assert!(covered[id as usize], "gathered point {id} not covered");
+                }
             }
         }
     }

@@ -172,8 +172,8 @@ mod tests {
         let mut buf = vec![0.0; 13];
         for &x in &[-0.9, -0.2, 0.4, 0.77] {
             legendre_all(12, x, &mut buf);
-            for l in 0..=12 {
-                assert_close(buf[l], legendre_p(l, x), 1e-13, "batch vs single");
+            for (l, &p) in buf.iter().enumerate() {
+                assert_close(p, legendre_p(l, x), 1e-13, "batch vs single");
             }
         }
     }

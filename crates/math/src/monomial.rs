@@ -229,10 +229,9 @@ mod tests {
         let mut out = vec![0.0; b.len()];
         for &(x, y, z) in &[(0.5, -1.5, 2.0), (1.0, 1.0, 1.0), (-0.3, 0.9, -2.2)] {
             b.eval_into(x, y, z, &mut out);
-            for i in 0..b.len() {
+            for (i, &got) in out.iter().enumerate() {
                 let (k, p, q) = b.exponents(i);
                 let want = x.powi(k as i32) * y.powi(p as i32) * z.powi(q as i32);
-                let got = out[i];
                 assert!(
                     (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
                     "({k},{p},{q}): {got} vs {want}"

@@ -175,7 +175,7 @@ mod tests {
             assert!(p.is_homogeneous(2 * n));
             // On the unit sphere it must evaluate to 1.
             let (x, y, z) = (0.48, -0.6, 0.6414046715);
-            let r = (x * x + y * y + z * z) as f64;
+            let r: f64 = x * x + y * y + z * z;
             assert!((p.eval(x, y, z).re - r.powi(n as i32)).abs() < 1e-10);
         }
     }

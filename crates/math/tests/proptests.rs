@@ -70,10 +70,10 @@ proptest! {
         let b = MonomialBasis::new(lmax);
         let mut out = vec![0.0; b.len()];
         b.eval_into(x, y, z, &mut out);
-        for i in 0..b.len() {
+        for (i, &got) in out.iter().enumerate() {
             let (k, p, q) = b.exponents(i);
             let want = x.powi(k as i32) * y.powi(p as i32) * z.powi(q as i32);
-            prop_assert!((out[i] - want).abs() <= 1e-10 * (1.0 + want.abs()));
+            prop_assert!((got - want).abs() <= 1e-10 * (1.0 + want.abs()));
         }
     }
 

@@ -337,22 +337,12 @@ fn split_tag(generation: u64) -> u64 {
 const BCAST_TAG: u64 = 2;
 const SPLIT_TAG_BASE: u64 = 1000;
 
-/// Run `f` on `num_ranks` concurrent ranks; returns each rank's result,
-/// ordered by rank. Panics in any rank propagate.
+/// Run `f` on `num_ranks` concurrent ranks, each on a thread with a
+/// 4 MiB stack; returns each rank's result, ordered by rank. Every rank
+/// runs to its end — a receive aimed at a dead peer fails with
+/// [`RecvError`] rather than hanging, so one death cascades *visibly* —
+/// and then the first panicked rank is reported with a panic naming it.
 pub fn run_cluster<T, F>(num_ranks: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Comm) -> T + Send + Sync,
-{
-    run_cluster_with_stacks(num_ranks, 4 << 20, f)
-}
-
-/// [`run_cluster`] with an explicit per-rank stack size (large rank
-/// counts want small stacks). Every rank runs to its end — a receive
-/// aimed at a dead peer fails with [`RecvError`] rather than hanging, so
-/// one death cascades *visibly* — and then the first panicked rank is
-/// reported.
-pub fn run_cluster_with_stacks<T, F>(num_ranks: usize, stack_bytes: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Comm) -> T + Send + Sync,
@@ -392,7 +382,7 @@ where
             let fabric = Arc::clone(&fabric);
             let handle = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
-                .stack_size(stack_bytes)
+                .stack_size(4 << 20)
                 .spawn_scoped(scope, move || {
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
                     // Announce termination to every mailbox (self
@@ -585,8 +575,8 @@ mod tests {
     }
 
     #[test]
-    fn many_ranks_with_small_stacks() {
-        let results = run_cluster_with_stacks(64, 256 << 10, |comm| sum_over(&comm, 1.0) as usize);
+    fn many_ranks_run_to_completion() {
+        let results = run_cluster(64, |comm| sum_over(&comm, 1.0) as usize);
         assert!(results.iter().all(|&r| r == 64));
     }
 

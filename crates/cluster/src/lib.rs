@@ -34,7 +34,7 @@ pub mod fault;
 pub mod payload;
 pub mod stats;
 
-pub use comm::{run_cluster, run_cluster_with_stacks, Comm, RecvError, RecvErrorKind};
+pub use comm::{run_cluster, Comm, RecvError, RecvErrorKind};
 pub use fault::{FailureCause, FaultHarness, FaultPlan, InjectedKill, KillSpec, RankFailure};
 pub use payload::Payload;
 pub use stats::TrafficStats;

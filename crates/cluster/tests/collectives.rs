@@ -3,7 +3,7 @@
 //! less-friendly conditions: odd rank counts, deep recursive splits,
 //! interleaved traffic and sub-communicator isolation.
 
-use galactos_cluster::{run_cluster, run_cluster_with_stacks, Comm};
+use galactos_cluster::{run_cluster, Comm};
 
 /// Sum over a communicator: tagged sends to local rank 0, which adds in
 /// rank order and broadcasts.
@@ -41,7 +41,7 @@ fn split_isolates_traffic_between_colors() {
 fn three_level_recursive_split_with_odd_sizes() {
     // 11 ranks split recursively like the domain decomposition; at each
     // level verify the sub-communicator sums are internally consistent.
-    let results = run_cluster_with_stacks(11, 1 << 20, |mut comm| {
+    let results = run_cluster(11, |mut comm| {
         let mut current = comm.split(0);
         let mut level_sums = Vec::new();
         let world_rank = comm.rank() as f64;

@@ -5,12 +5,16 @@
 //! Slepian & Eisenstein (2017) formalize for the anisotropic redshift-
 //! space 3PCF:
 //!
-//! 1. `gather` — collect secondaries within Rmax from
-//!    the precision-erased k-d tree ([`crate::traversal`]);
-//! 2. `bin_and_bucket` — rotate separations
-//!    into the line-of-sight frame, bin them into radial shells, and
-//!    bucket-accumulate the monomials through the engine's resolved
-//!    kernel backend (§3.3.1/§3.3.2);
+//! 1. search — collect the candidate secondaries within Rmax from the
+//!    `f64` k-d tree ([`crate::traversal`]): one point query per
+//!    primary, or, leaf-blocked, one candidate block per leaf of
+//!    primaries;
+//! 2. `bin_and_bucket` — Phase A stages the primary's pairs at `r > 0`
+//!    (scalar over the gathered ids, or in lanes over the leaf's
+//!    block), then one Phase B loop, shared by both traversals, bins
+//!    each into a radial shell, rotates it into the line-of-sight
+//!    frame, and bucket-accumulates the monomials through the engine's
+//!    resolved kernel backend (§3.3.1/§3.3.2);
 //! 3. `assemble`, first half — reduce the monomial sums of the bins
 //!    this primary touched into the padded bin-minor layout
 //!    `sums_t[mono · nbp + bin]` and assemble the shell coefficients
@@ -36,7 +40,7 @@
 //! threads the way the paper's OpenMP dynamic schedule does (§3.3: "a
 //! dynamic schedule gives a significant performance boost over using a
 //! static schedule"): [`DYNAMIC_CHUNK`]-sized chunks handed out by work
-//! stealing, each chunk running in a private [`ComputeScratch`] whose ζ
+//! stealing, each chunk running in a private scratch whose ζ
 //! partial is merged into the result — "this approach ensures maximum
 //! independent work for each thread". The chunk size is a constant, so
 //! the chunk boundaries do not depend on the pool width, and the rayon
@@ -90,10 +94,9 @@ pub struct Engine {
     self_pairs: Option<SelfPairTable>,
 }
 
-/// Per-primary context produced by the gather stage and consumed by the
+/// Per-primary context resolved before the search and consumed by the
 /// later stages.
 struct PrimaryContext {
-    index: usize,
     pos: Vec3,
     weight: f64,
     rotation: Mat3,
@@ -337,11 +340,13 @@ impl Engine {
 
     /// Allocate worker scratch sized for this engine's configuration,
     /// with accumulation state from the resolved kernel backend.
-    pub fn new_scratch(&self) -> ComputeScratch {
+    fn new_scratch(&self) -> ComputeScratch {
         ComputeScratch::new(&self.config, &self.basis, self.backend)
     }
 
-    /// Run all four stages for primary `i`.
+    /// Run all four stages for primary `i`, the per-primary reference:
+    /// one point query gathers its neighbour ids, and scalar code
+    /// stages their pairs for Phase B.
     fn process_primary(
         &self,
         scratch: &mut ComputeScratch,
@@ -350,10 +355,23 @@ impl Engine {
         i: usize,
         periodic: Option<f64>,
     ) {
-        let Some(ctx) = self.gather(scratch, galaxies, tree, i, periodic) else {
+        let Some(ctx) = self.primary_context(galaxies, i) else {
             return; // degenerate line of sight (primary at the observer)
         };
-        self.bin_and_bucket(scratch, galaxies, &ctx, periodic);
+        let t0 = now_if(scratch.instrument);
+        let gathered = tree.gather_neighbors(
+            ctx.pos,
+            self.config.bins.rmax(),
+            periodic,
+            &mut scratch.neighbors,
+        );
+        scratch.t_search += nanos_since(t0);
+        scratch.candidate_pairs += gathered as u64;
+        let t1 = now_if(scratch.instrument);
+        let n_sel = scratch
+            .block
+            .stage_gathered(galaxies, &scratch.neighbors, ctx.pos, periodic);
+        self.bin_and_bucket(scratch, &ctx, t1, n_sel);
         self.assemble(scratch, &ctx);
     }
 
@@ -364,7 +382,6 @@ impl Engine {
         let primary = galaxies[i];
         let rotation = self.config.line_of_sight.rotation_for(primary.pos)?;
         Some(PrimaryContext {
-            index: i,
             pos: primary.pos,
             weight: primary.weight,
             rotation,
@@ -372,35 +389,12 @@ impl Engine {
         })
     }
 
-    /// Stage 1 (per-primary traversal) — resolve the primary's context
-    /// and gather candidate secondaries within Rmax into the scratch's
-    /// neighbor buffer. Returns `None` for a degenerate line of sight.
-    fn gather(
-        &self,
-        scratch: &mut ComputeScratch,
-        galaxies: &[Galaxy],
-        tree: &KdTree,
-        i: usize,
-        periodic: Option<f64>,
-    ) -> Option<PrimaryContext> {
-        let ctx = self.primary_context(galaxies, i)?;
-        let t0 = now_if(scratch.instrument);
-        let gathered = tree.gather_neighbors(
-            ctx.pos,
-            self.config.bins.rmax(),
-            periodic,
-            &mut scratch.neighbors,
-        );
-        scratch.t_search += nanos_since(t0);
-        scratch.candidate_pairs += gathered as u64;
-        Some(ctx)
-    }
-
     /// Leaf-blocked counterpart of [`Engine::process_primary`]: gather
     /// the candidate set of one whole leaf into the scratch's SoA
-    /// block, then run the bin→a_ℓm→ζ stages for every primary the
-    /// leaf owns. Ghost galaxies (`id ≥ n_primaries`) participate only
-    /// as candidates, never as primaries.
+    /// block, then, for every primary the leaf owns, stage its pairs
+    /// in lanes and run the bin→a_ℓm→ζ stages. Ghost galaxies
+    /// (`id ≥ n_primaries`) participate only as candidates, never as
+    /// primaries.
     fn process_leaf(
         &self,
         scratch: &mut ComputeScratch,
@@ -416,11 +410,9 @@ impl Engine {
         if !(leaf.start..leaf.end).any(|slot| (tree.id_at(slot) as usize) < n_primaries) {
             return;
         }
+        let rmax = self.config.bins.rmax();
         let t0 = now_if(scratch.instrument);
-        let n_candidates =
-            scratch
-                .block
-                .fill(tree, leaf, self.config.bins.rmax(), periodic, galaxies) as u64;
+        let n_candidates = scratch.block.fill(tree, leaf, rmax, periodic, galaxies) as u64;
         scratch.t_search += nanos_since(t0);
         for slot in leaf.start..leaf.end {
             let i = tree.id_at(slot) as usize;
@@ -433,27 +425,66 @@ impl Engine {
             // The block is shared by the whole leaf; each primary scans
             // all of it, so it counts as that many candidate pairs.
             scratch.candidate_pairs += n_candidates;
-            self.bin_and_bucket_blocked(scratch, &ctx, periodic);
+            let t1 = now_if(scratch.instrument);
+            let n_sel = scratch.block.select_pairs(ctx.pos, periodic, rmax);
+            self.bin_and_bucket(scratch, &ctx, t1, n_sel);
             self.assemble(scratch, &ctx);
         }
     }
 
-    /// Reset the accumulation state a primary's stage 2 writes into
-    /// (the accumulator only forgets which bins were touched).
-    fn begin_binning(&self, scratch: &mut ComputeScratch) {
-        scratch.acc.reset();
-        scratch.self_sums.fill(0.0);
-    }
-
-    /// Sweep partially filled buckets and fold the primary's
-    /// counters/timings into the scratch.
-    fn end_binning(
+    /// Stage 2, Phase B — the one loop both traversals bin through.
+    /// A Phase A has staged the primary's `n_sel` pairs (delta, `r`,
+    /// `1/r`, weight) in the scratch's block, all at `r > 0`; here
+    /// `bin_of` decides whether each counts, and a binned pair is
+    /// rotated into the line-of-sight frame, normalized, and pushed
+    /// through its bin's bucket, whose flush through the multipole
+    /// kernel is timed (§3.3.1/§3.3.2), plus the self-pair Legendre
+    /// sums when enabled. Partially filled buckets are swept at the
+    /// end. `t_start` is read before Phase A, so the stage's time
+    /// covers both phases.
+    #[inline(always)]
+    fn bin_and_bucket(
         &self,
         scratch: &mut ComputeScratch,
+        ctx: &PrimaryContext,
         t_start: Option<Instant>,
-        mut kernel_nanos: u64,
-        binned: u64,
+        n_sel: usize,
     ) {
+        // The accumulator only forgets which bins were touched.
+        scratch.acc.reset();
+        scratch.self_sums.fill(0.0);
+        let mut kernel_nanos = 0u64;
+        let mut binned = 0u64;
+        for s in 0..n_sel {
+            let Some(bin) = self.config.bins.bin_of(scratch.block.sel_r[s]) else {
+                continue;
+            };
+            let sel = &scratch.block;
+            let delta = Vec3::new(sel.sel_dx[s], sel.sel_dy[s], sel.sel_dz[s]);
+            let (inv_r, wj) = (sel.sel_inv_r[s], sel.sel_w[s]);
+            let d = if ctx.rotate {
+                ctx.rotation.mul_vec(delta)
+            } else {
+                delta
+            };
+            let (ux, uy, uz) = (d.x * inv_r, d.y * inv_r, d.z * inv_r);
+            binned += 1;
+            if scratch.buckets.push(bin, ux, uy, uz, wj) {
+                let tk = now_if(scratch.instrument);
+                let (dx, dy, dz, w) = scratch.buckets.slices(bin);
+                scratch
+                    .acc
+                    .flush_bucket(self.basis.schedule(), bin, dx, dy, dz, w);
+                scratch.buckets.clear_bin(bin);
+                kernel_nanos += nanos_since(tk);
+            }
+            if let Some(table) = &self.self_pairs {
+                // Degenerate-triangle sums S_L(bin) += w² P_L(μ), μ = û·ẑ.
+                let n = table.num_sums();
+                let sums = &mut scratch.self_sums[bin * n..(bin + 1) * n];
+                table.accumulate(uz, wj * wj, &mut scratch.self_scratch, sums);
+            }
+        }
         let tk = now_if(scratch.instrument);
         scratch
             .acc
@@ -462,148 +493,6 @@ impl Engine {
         scratch.binned_pairs += binned;
         scratch.t_kernel += kernel_nanos;
         scratch.t_bin += nanos_since(t_start).saturating_sub(kernel_nanos);
-    }
-
-    /// The per-pair tail every traversal mode shares: radial cut,
-    /// binning, line-of-sight rotation, normalization, bucket push with
-    /// kernel flush, and the self-pair Legendre sums. `delta`,
-    /// `r = |delta|` and `inv_r = 1/r` are computed by the caller (they
-    /// differ only in where the secondary's coordinates are loaded from
-    /// and whether the sqrt/divide ran in a vector lane — both ops are
-    /// correctly rounded, so lanes and scalars produce the same float),
-    /// so both traversals run bit-identical pair arithmetic. For
-    /// coincident points `inv_r` may be `inf`; the `r == 0` cut returns
-    /// before it is read. Only the per-primary path reaches it: the
-    /// blocked path's Phase A never stages a pair at `r = 0`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn bin_pair(
-        &self,
-        scratch: &mut ComputeScratch,
-        ctx: &PrimaryContext,
-        delta: Vec3,
-        r: f64,
-        inv_r: f64,
-        wj: f64,
-        binned: &mut u64,
-        kernel_nanos: &mut u64,
-    ) {
-        if r == 0.0 {
-            return; // coincident points: direction undefined
-        }
-        let Some(bin) = self.config.bins.bin_of(r) else {
-            return;
-        };
-        let d = if ctx.rotate {
-            ctx.rotation.mul_vec(delta)
-        } else {
-            delta
-        };
-        let (ux, uy, uz) = (d.x * inv_r, d.y * inv_r, d.z * inv_r);
-        *binned += 1;
-        if scratch.buckets.push(bin, ux, uy, uz, wj) {
-            let tk = now_if(scratch.instrument);
-            let (dx, dy, dz, w) = scratch.buckets.slices(bin);
-            scratch
-                .acc
-                .flush_bucket(self.basis.schedule(), bin, dx, dy, dz, w);
-            scratch.buckets.clear_bin(bin);
-            *kernel_nanos += nanos_since(tk);
-        }
-        if let Some(table) = &self.self_pairs {
-            // Degenerate-triangle sums S_L(bin) += w² P_L(μ), μ = û·ẑ.
-            let n = table.num_sums();
-            let sums = &mut scratch.self_sums[bin * n..(bin + 1) * n];
-            table.accumulate(uz, wj * wj, &mut scratch.self_scratch, sums);
-        }
-    }
-
-    /// Stage 2 — rotate each gathered separation into the line-of-sight
-    /// frame, bin it into a radial shell, push it through the pair
-    /// buckets, and flush full buckets through the multipole kernel
-    /// (plus the self-pair Legendre sums when enabled).
-    fn bin_and_bucket(
-        &self,
-        scratch: &mut ComputeScratch,
-        galaxies: &[Galaxy],
-        ctx: &PrimaryContext,
-        periodic: Option<f64>,
-    ) {
-        let t1 = now_if(scratch.instrument);
-        self.begin_binning(scratch);
-        let mut kernel_nanos = 0u64;
-        let mut binned = 0u64;
-        for idx in 0..scratch.neighbors.len() {
-            let j = scratch.neighbors[idx] as usize;
-            if j == ctx.index {
-                continue;
-            }
-            let delta = match periodic {
-                Some(l) => galaxies[j].pos.periodic_delta(ctx.pos, l),
-                None => galaxies[j].pos - ctx.pos,
-            };
-            let r = delta.norm_sq().sqrt();
-            let wj = galaxies[j].weight;
-            self.bin_pair(
-                scratch,
-                ctx,
-                delta,
-                r,
-                1.0 / r,
-                wj,
-                &mut binned,
-                &mut kernel_nanos,
-            );
-        }
-        self.end_binning(scratch, t1, kernel_nanos, binned);
-    }
-
-    /// Stage 2, leaf-blocked — Phase A
-    /// ([`CandidateBlock::select_pairs`]) masks the padded SoA block in
-    /// [`galactos_simd`] lanes to the pairs with `0 < r² ≲ Rmax²`,
-    /// compacts them into staging arrays and takes their square roots
-    /// and reciprocals in one lane pass; Phase B streams the survivors
-    /// through the shared rotate → bin → bucket tail, whose `bin_of` is
-    /// the only test that decides whether a pair counts. The primary
-    /// itself and galaxies at its position have `r² = 0`, so no pair
-    /// at `r = 0` reaches [`Engine::bin_pair`] from here. Each lane
-    /// replicates the scalar arithmetic of [`Engine::bin_and_bucket`]
-    /// bit-exactly.
-    fn bin_and_bucket_blocked(
-        &self,
-        scratch: &mut ComputeScratch,
-        ctx: &PrimaryContext,
-        periodic: Option<f64>,
-    ) {
-        let t1 = now_if(scratch.instrument);
-        self.begin_binning(scratch);
-        let mut kernel_nanos = 0u64;
-        let mut binned = 0u64;
-
-        let n_sel = scratch
-            .block
-            .select_pairs(ctx.pos, periodic, self.config.bins.rmax());
-        for s in 0..n_sel {
-            let delta = Vec3::new(
-                scratch.block.sel_dx[s],
-                scratch.block.sel_dy[s],
-                scratch.block.sel_dz[s],
-            );
-            let r = scratch.block.sel_r[s];
-            let inv_r = scratch.block.sel_inv_r[s];
-            let wj = scratch.block.sel_w[s];
-            self.bin_pair(
-                scratch,
-                ctx,
-                delta,
-                r,
-                inv_r,
-                wj,
-                &mut binned,
-                &mut kernel_nanos,
-            );
-        }
-        self.end_binning(scratch, t1, kernel_nanos, binned);
     }
 
     /// Stages 3–4 — reduce the monomial sums of the touched bins out of
@@ -762,11 +651,11 @@ mod tests {
 
     #[test]
     fn stages_compose_to_full_primary_processing() {
-        // Drive the stage methods by hand for one primary and
-        // check the scratch partial matches a one-primary subset run.
-        // Pinned to per-primary traversal: the comparison is exact
-        // (== 0.0), so the subset run must accumulate pairs in the
-        // same order as the manually driven gather stage.
+        // Drive one primary's stages by hand and check the scratch
+        // partial matches a one-primary subset run. Pinned to
+        // per-primary traversal: the comparison is exact (== 0.0), so
+        // the subset run must accumulate pairs in the same order as
+        // the hand-driven primary.
         let cat = small_catalog(50, 10.0, 31);
         let mut config = EngineConfig::test_default(5.0, 2, 3);
         config.traversal = crate::traversal::TraversalChoice::Fixed(TraversalKind::PerPrimary);
@@ -776,11 +665,7 @@ mod tests {
         let positions: Vec<Vec3> = cat.galaxies.iter().map(|g| g.pos).collect();
         let tree = KdTree::build(&positions, TreeConfig::default());
         let mut scratch = engine.new_scratch();
-        let ctx = engine
-            .gather(&mut scratch, &cat.galaxies, &tree, 0, None)
-            .expect("fixed line of sight is never degenerate");
-        engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-        engine.assemble(&mut scratch, &ctx);
+        engine.process_primary(&mut scratch, &cat.galaxies, &tree, 0, None);
         assert_eq!(scratch.partial().max_difference(&want), 0.0);
         assert_eq!(scratch.partial().num_primaries, 1);
         assert_eq!(scratch.partial().binned_pairs, want.binned_pairs);
@@ -802,11 +687,7 @@ mod tests {
         let mut scratch = engine.new_scratch();
         let mut want = 0u64;
         for i in 0..3 {
-            let ctx = engine
-                .gather(&mut scratch, &cat.galaxies, &tree, i, None)
-                .unwrap();
-            engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-            engine.assemble(&mut scratch, &ctx);
+            engine.process_primary(&mut scratch, &cat.galaxies, &tree, i, None);
             // Cumulative count over primaries 0..=i equals a subset run
             // with i + 1 primaries.
             want = engine.compute_subset(&cat.galaxies, i + 1).binned_pairs;
@@ -829,11 +710,7 @@ mod tests {
         let mut scratch = engine.new_scratch();
         let mut snapshots = Vec::new();
         for i in 0..2 {
-            let ctx = engine
-                .gather(&mut scratch, &cat.galaxies, &tree, i, None)
-                .unwrap();
-            engine.bin_and_bucket(&mut scratch, &cat.galaxies, &ctx, None);
-            engine.assemble(&mut scratch, &ctx);
+            engine.process_primary(&mut scratch, &cat.galaxies, &tree, i, None);
             snapshots.push(scratch.partial().clone());
         }
         let (before, after) = (&snapshots[0], &snapshots[1]);
@@ -841,6 +718,16 @@ mod tests {
         assert_eq!(after.max_difference(before), 0.0);
         assert_eq!(after.total_primary_weight, before.total_primary_weight);
         assert_eq!(after.num_primaries, 2);
+    }
+
+    #[test]
+    fn scratch_accumulates_with_the_resolved_backend() {
+        for kind in BackendKind::ALL {
+            let mut config = EngineConfig::test_default(5.0, 2, 2);
+            config.kernel_backend = crate::kernel::BackendChoice::Fixed(kind);
+            let scratch = Engine::new(config).new_scratch();
+            assert_eq!(scratch.acc.kind(), kind);
+        }
     }
 
     #[test]

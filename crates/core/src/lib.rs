@@ -15,7 +15,7 @@
 //!   accumulators with 4-way ILP (§3.3.2), and the scalar reference
 //!   they are tested against — the SIMD kernel on every vector build
 //!   target unless the config pins the reference;
-//! * [`engine`] — the staged per-primary pipeline (gather →
+//! * [`engine`] — the staged per-primary pipeline (search →
 //!   bin/bucket → a_ℓm assembly → ζ accumulation), thread-parallel
 //!   over primaries (§3.3); the Figure 4 stage breakdown is what
 //!   [`Engine::compute_observed`](engine::Engine::compute_observed)
@@ -33,8 +33,9 @@
 //!   candidates, and the two traversal modes: the §3.2 node-to-node
 //!   leaf-blocked walk with SoA candidate blocks, and per-primary
 //!   gathering as its reference;
-//! * [`scratch`] — per-chunk compute state (buckets, accumulators,
-//!   ζ partials, instrumentation counters);
+//! * `scratch` (crate-private) — the per-chunk compute state each
+//!   engine worker owns (the candidate block and staged pairs, buckets,
+//!   accumulators, ζ partial, instrumentation counters);
 //! * [`naive`] — O(N³) triplet-counting and O(N²·lm) direct-Yₗₘ
 //!   baselines used as correctness oracles and benchmark comparators,
 //!   and the O(N³) Legendre triplet oracle of the Slepian–Eisenstein
@@ -69,7 +70,7 @@ pub mod naive;
 pub mod paircount;
 pub mod pipeline;
 pub mod result;
-pub mod scratch;
+mod scratch;
 pub mod survey;
 pub mod traversal;
 
@@ -85,6 +86,5 @@ pub use pipeline::{
     RetryPolicy, SupervisedError, SupervisedRun,
 };
 pub use result::{AnisotropicZeta, IsotropicZeta};
-pub use scratch::ComputeScratch;
 pub use survey::{SurveyCompute, SurveyConfig, SurveyZeta};
 pub use traversal::{TraversalChoice, TraversalKind};

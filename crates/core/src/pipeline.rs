@@ -85,6 +85,9 @@ pub enum SupervisedError {
     /// The named argument — `num_ranks` or `policy.max_attempts` — is
     /// 0, and a run needs at least 1.
     ZeroArgument(&'static str),
+    /// The fault plan kills `rank`, which a run of `num_ranks` ranks
+    /// does not have.
+    KillRankOutOfRange { rank: usize, num_ranks: usize },
 }
 
 impl std::fmt::Display for SupervisedError {
@@ -99,6 +102,10 @@ impl std::fmt::Display for SupervisedError {
             SupervisedError::ZeroArgument(name) => {
                 write!(f, "{name} = 0, but a distributed run needs at least 1")
             }
+            SupervisedError::KillRankOutOfRange { rank, num_ranks } => write!(
+                f,
+                "the fault plan kills rank {rank}, but the run has {num_ranks} ranks"
+            ),
         }
     }
 }
@@ -313,8 +320,10 @@ impl Supervisor<'_> {
 /// The catalog must be non-periodic (the halo is gathered from domain
 /// boundaries, not across box wraps, as in the paper): a periodic
 /// manifest is a [`CatalogIoError::Unsupported`] error. Zero ranks or a
-/// policy of zero attempts is [`SupervisedError::ZeroArgument`],
-/// returned before the manifest is read.
+/// policy of zero attempts is [`SupervisedError::ZeroArgument`], and a
+/// kill aimed at a rank the run does not have is
+/// [`SupervisedError::KillRankOutOfRange`]; both are returned before
+/// the manifest is read.
 ///
 /// ζ is assembled from *per-shard* partials reduced in shard order, so
 /// the result is bit-identical to the failure-free run — and to any
@@ -365,6 +374,12 @@ pub fn compute_distributed_supervised_observed(
     }
     if policy.max_attempts == 0 {
         return Err(SupervisedError::ZeroArgument("policy.max_attempts"));
+    }
+    if let Some(kill) = plan.kills.iter().find(|k| k.rank >= num_ranks) {
+        return Err(SupervisedError::KillRankOutOfRange {
+            rank: kill.rank,
+            num_ranks,
+        });
     }
     let manifest_path = manifest_path.as_ref();
     let manifest = ShardManifest::read(manifest_path)?;

@@ -1,10 +1,10 @@
-//! Per-chunk compute scratch (formerly the engine-private
-//! `ThreadState`).
+//! Per-chunk compute scratch.
 //!
 //! One [`ComputeScratch`] holds everything a chunk of primaries needs
 //! to be processed without allocating: the neighbor id buffer, the
-//! pair buckets, the SIMD/scalar kernel accumulator, the reduced
-//! monomial sums and shell coefficients in the padded bin-minor layout
+//! candidate block with the staged pairs of stage 2, the pair buckets,
+//! the SIMD/scalar kernel accumulator, the reduced monomial sums and
+//! shell coefficients in the padded bin-minor layout
 //! stages 3–4 run in ([`crate::assembly`]), the self-pair Legendre
 //! sums, and the chunk's private ζ partial plus instrumentation
 //! counters. The engine allocates one per chunk, which the worker
@@ -13,19 +13,20 @@
 
 use crate::assembly::padded_bins;
 use crate::config::EngineConfig;
-use crate::kernel::{BackendKind, KernelAccumulator, KernelBackend, PairBuckets};
+use crate::kernel::{KernelAccumulator, KernelBackend, PairBuckets};
 use crate::result::AnisotropicZeta;
 use crate::traversal::CandidateBlock;
 use galactos_math::monomial::MonomialBasis;
 use galactos_math::{lm_count, Complex64};
 
 /// Working state for one compute worker.
-pub struct ComputeScratch {
+pub(crate) struct ComputeScratch {
     /// Neighbor ids gathered for the current primary (per-primary
     /// traversal).
     pub(crate) neighbors: Vec<u32>,
     /// Candidate SoA for the current primary leaf (leaf-blocked
-    /// traversal).
+    /// traversal), and the staged pairs of the current primary (both
+    /// traversals).
     pub(crate) block: CandidateBlock,
     /// Per-bin pair buckets (pre-binning, §3.3.1).
     pub(crate) buckets: PairBuckets,
@@ -106,19 +107,13 @@ impl ComputeScratch {
         }
     }
 
-    /// The ζ partial accumulated so far (primarily for tests and
-    /// callers driving stages manually), as the engine hands it to the
+    /// The ζ partial accumulated so far, as the engine hands it to the
     /// reduction at the end of each chunk. The stage methods
     /// fill only the `ℓ ≤ ℓ'` blocks and the scratch-side pair counter;
     /// both are completed here, idempotently.
-    pub fn partial(&mut self) -> &AnisotropicZeta {
+    pub(crate) fn partial(&mut self) -> &AnisotropicZeta {
         self.zeta.mirror();
         self.zeta.binned_pairs = self.binned_pairs;
         &self.zeta
-    }
-
-    /// Which kernel backend this scratch accumulates with.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.acc.kind()
     }
 }

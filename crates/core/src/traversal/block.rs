@@ -1,6 +1,7 @@
-//! The leaf-blocked candidate path: materialize, once per primary
-//! leaf, every secondary that can fall within Rmax of *some* primary
-//! in that leaf, as a reusable struct-of-arrays block.
+//! The candidate side of stage 2: materialize, once per primary leaf,
+//! every secondary that can fall within Rmax of *some* primary in that
+//! leaf, as a reusable struct-of-arrays block, and stage each primary's
+//! pairs for the engine's one Phase B loop.
 //!
 //! This is the paper's §3.2 node-to-node traversal turned into data
 //! layout: instead of one root descent and one id list per primary,
@@ -9,18 +10,23 @@
 //! inflated by Rmax, and [`CandidateBlock::fill`] streams those ranges
 //! once — prefiltering each candidate against
 //! `r² ≤ (Rmax + leaf_radius)²` from the leaf center — into contiguous
-//! x/y/z/weight arrays padded to whole [`F64_LANES`] groups. Per
-//! primary, Phase A ([`CandidateBlock::select_pairs`]) masks and
-//! compacts the block down to the pairs worth binning, and the
-//! engine's Phase B streams only those through rotate → bin → bucket,
-//! with no per-pair `galaxies[j]` gather and no tree descent at all.
+//! x/y/z/weight arrays padded to whole [`F64_LANES`] groups.
+//!
+//! Phase A stages a primary's pairs — delta, `r`, `1/r`, weight — in
+//! the block's `sel_*` arrays, and the engine's Phase B streams only
+//! those through bin → rotate → bucket. There are two Phase As, one
+//! per traversal: [`CandidateBlock::select_pairs`] masks and compacts
+//! the leaf's block in lanes, with no per-pair `galaxies[j]` gather and
+//! no tree descent at all, and [`CandidateBlock::stage_gathered`] is
+//! the per-primary reference's scalar loop over its gathered ids. Both
+//! compute the same floats for a pair.
 //!
 //! Nothing here decides which pairs count: the walk and the prefilter
 //! are padded by [`KdTree::pad`] so the block is a superset of every
-//! leaf member's `r < Rmax` secondaries, and Phase A's cut only drops
+//! leaf member's `r < Rmax` secondaries, and the Phase As only drop
 //! pairs [`RadialBins::bin_of`](crate::bins::RadialBins::bin_of) would
-//! reject as beyond Rmax, or that are at `r = 0`, which the shared
-//! pair tail drops as directionless (see the [module docs](super)).
+//! reject as beyond Rmax, or that are at `r = 0`, which are
+//! directionless (see the [module docs](super)).
 
 use super::LeafInfo;
 use galactos_catalog::Galaxy;
@@ -34,13 +40,13 @@ use galactos_simd::{F64x8, F64_LANES};
 /// and refilled per leaf, so its capacity warms up to the steady-state
 /// candidate count and stays allocated across leaves.
 #[derive(Default)]
-pub struct CandidateBlock {
+pub(crate) struct CandidateBlock {
     /// Number of candidates held; the arrays below run on past it into
     /// padding.
     len: usize,
     /// Candidate positions (original `f64` catalog coordinates — the
     /// binning arithmetic is identical to per-primary traversal),
-    /// padded past [`len`](Self::len) with `+∞` to a multiple of
+    /// padded past `len` with `+∞` to a multiple of
     /// [`F64_LANES`], so Phase A loads whole groups only.
     pub(crate) x: Vec<f64>,
     pub(crate) y: Vec<f64>,
@@ -49,39 +55,27 @@ pub struct CandidateBlock {
     pub(crate) w: Vec<f64>,
     /// Range scratch reused across fills.
     ranges: Vec<(u32, u32)>,
-    /// Per-primary selection staging filled by
-    /// [`CandidateBlock::select_pairs`]: the binning delta, separation,
-    /// and weight of every candidate that passed Phase A's cut, in
-    /// candidate order. Only the first `kept` entries (its return
-    /// value) are the current primary's; the arrays grow on demand to
-    /// at least `kept + F64_LANES`, in whole groups, never to the block
-    /// length.
+    /// Per-primary selection staging filled by a Phase A
+    /// ([`CandidateBlock::select_pairs`] or
+    /// [`CandidateBlock::stage_gathered`]): the binning delta,
+    /// separation, and weight of every pair that passed its cut, in
+    /// candidate (or gather) order. Only the first `kept` entries (its
+    /// return value) are the current primary's; the arrays grow on
+    /// demand, in whole groups, never to the block length.
     pub(crate) sel_dx: Vec<f64>,
     pub(crate) sel_dy: Vec<f64>,
     pub(crate) sel_dz: Vec<f64>,
     pub(crate) sel_r: Vec<f64>,
     /// Reciprocal separations `1/r` (`F64x8::recip` divides per lane,
-    /// so each entry is bit-identical to the scalar `1.0 / r` the
-    /// per-primary path computes).
+    /// so each entry is bit-identical to the scalar `1.0 / r` of
+    /// [`CandidateBlock::stage_gathered`]).
     pub(crate) sel_inv_r: Vec<f64>,
     pub(crate) sel_w: Vec<f64>,
 }
 
 impl CandidateBlock {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of candidates currently held (the coordinate arrays run
-    /// on past it into padding).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     pub(crate) fn clear(&mut self) {
@@ -102,7 +96,7 @@ impl CandidateBlock {
     /// Periodic walks can cover a slot through more than one box image
     /// (the inflated reach may exceed half the box); ranges are sorted
     /// and coalesced first so every slot is materialized exactly once.
-    pub fn fill(
+    pub(crate) fn fill(
         &mut self,
         tree: &KdTree,
         leaf: &LeafInfo,
@@ -188,7 +182,7 @@ impl CandidateBlock {
     /// Every lane replicates the scalar arithmetic exactly (same
     /// operations, same association; `sqrt` and the divide are
     /// correctly rounded), so all staged floats are bit-identical to
-    /// the per-candidate scalar loop of per-primary traversal.
+    /// those [`CandidateBlock::stage_gathered`] stages for the pair.
     pub(crate) fn select_pairs(&mut self, center: Vec3, periodic: Option<f64>, rmax: f64) -> usize {
         // A sqrt-saving cut, not a membership test: `bin_of` keeps
         // `fl(√r²) < rmax`, and r² above this has
@@ -258,6 +252,47 @@ impl CandidateBlock {
         kept
     }
 
+    /// Phase A of the per-primary reference: stage every gathered
+    /// neighbour `ids` of the primary at `center` that lies at `r > 0`,
+    /// in gather order, with plain scalar arithmetic — the minimum-image
+    /// (or plain) delta, `r = √|delta|²`, `1/r` and the weight. The
+    /// primary itself, which the gather returns too, and any galaxy at
+    /// its position are at `r = 0` and directionless, so they are not
+    /// staged. Unlike [`CandidateBlock::select_pairs`] there is no
+    /// radial cut: the gather returns only points within Rmax plus the
+    /// tree's pad. Returns the number of pairs staged.
+    pub(crate) fn stage_gathered(
+        &mut self,
+        galaxies: &[Galaxy],
+        ids: &[u32],
+        center: Vec3,
+        periodic: Option<f64>,
+    ) -> usize {
+        if self.sel_r.len() < ids.len() {
+            self.grow_staging(ids.len());
+        }
+        let mut kept = 0;
+        for &j in ids {
+            let g = &galaxies[j as usize];
+            let delta = match periodic {
+                Some(l) => g.pos.periodic_delta(center, l),
+                None => g.pos - center,
+            };
+            let r = delta.norm_sq().sqrt();
+            if r == 0.0 {
+                continue;
+            }
+            self.sel_dx[kept] = delta.x;
+            self.sel_dy[kept] = delta.y;
+            self.sel_dz[kept] = delta.z;
+            self.sel_r[kept] = r;
+            self.sel_inv_r[kept] = 1.0 / r;
+            self.sel_w[kept] = g.weight;
+            kept += 1;
+        }
+        kept
+    }
+
     /// Grow the staging to whole groups holding `kept` survivors plus
     /// one more group, so a group's stores and the final lane pass
     /// stay in bounds.
@@ -279,6 +314,7 @@ impl CandidateBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bins::RadialBins;
     use galactos_catalog::uniform_box;
     use galactos_kdtree::TreeConfig;
 
@@ -305,12 +341,12 @@ mod tests {
             let (galaxies, tree, leaves, mut block) = fill_for_leaf(300, 42);
             for leaf in &leaves {
                 block.fill(&tree, leaf, rmax, periodic, &galaxies);
-                let have: std::collections::BTreeSet<(u64, u64, u64)> = (0..block.len())
+                let have: std::collections::BTreeSet<(u64, u64, u64)> = (0..block.len)
                     .map(|c| key(Vec3::new(block.x[c], block.y[c], block.z[c])))
                     .collect();
                 assert_eq!(
                     have.len(),
-                    block.len(),
+                    block.len,
                     "block must not contain duplicate candidates"
                 );
                 for slot in leaf.start..leaf.end {
@@ -373,7 +409,7 @@ mod tests {
         let (galaxies, tree, leaves, mut fresh) = fill_for_leaf(8, 4);
         assert_eq!(block.fill(&tree, &leaves[0], 2.5, None, &galaxies), 8);
         fresh.fill(&tree, &leaves[0], 2.5, None, &galaxies);
-        assert_eq!(block.len(), fresh.len());
+        assert_eq!(block.len, fresh.len);
         for (got, want) in [
             (&block.x, &fresh.x),
             (&block.y, &fresh.y),
@@ -405,7 +441,7 @@ mod tests {
     ) -> Vec<(u64, u64, u64, u64, u64)> {
         let r2_cut = rmax * rmax * (1.0 + 4.0 * f64::EPSILON);
         let mut out = Vec::new();
-        for c in 0..block.len() {
+        for c in 0..block.len {
             let p = Vec3::new(block.x[c], block.y[c], block.z[c]);
             let delta = match periodic {
                 Some(l) => p.periodic_delta(center, l),
@@ -539,13 +575,73 @@ mod tests {
             assert_eq!(leaves.len(), 1);
             let mut block = CandidateBlock::new();
             block.fill(&tree, &leaves[0], rmax, periodic, &galaxies);
-            let copies = (0..block.len())
+            let copies = (0..block.len)
                 .filter(|&c| Vec3::new(block.x[c], block.y[c], block.z[c]) == twin.pos)
                 .count();
             assert_eq!(copies, 3, "the primary and both copies are candidates");
             let kept = assert_select_pairs_matches_reference(&mut block, twin.pos, periodic, rmax);
             assert!(kept > 0);
             assert!(block.sel_r[..kept].iter().all(|&r| r > 0.0));
+        }
+    }
+
+    /// The two Phase As stage the same binned pairs. For every primary
+    /// of a uniform box, open and periodic, `select_pairs` over its
+    /// leaf's block and `stage_gathered` over its `gather_neighbors`
+    /// ids, each kept to `bin_of(r).is_some()`, hold bit-identical
+    /// `(dx, dy, dz, r, 1/r, w)`: in the same order for the open box,
+    /// and as the same multiset for the periodic one, where images can
+    /// reorder the gather.
+    #[test]
+    fn both_phase_as_stage_the_same_binned_pairs() {
+        let (box_len, rmax) = (20.0, 3.0);
+        let bins = RadialBins::linear(0.0, rmax, 4);
+        let galaxies = uniform_box(1500, box_len, 8).galaxies;
+        let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
+        let tree = KdTree::build(&positions, TreeConfig::default());
+        let binned = |block: &CandidateBlock, n: usize| -> Vec<[u64; 6]> {
+            (0..n)
+                .filter(|&s| bins.bin_of(block.sel_r[s]).is_some())
+                .map(|s| {
+                    [
+                        block.sel_dx[s],
+                        block.sel_dy[s],
+                        block.sel_dz[s],
+                        block.sel_r[s],
+                        block.sel_inv_r[s],
+                        block.sel_w[s],
+                    ]
+                    .map(f64::to_bits)
+                })
+                .collect()
+        };
+        let (mut block, mut ids) = (CandidateBlock::new(), Vec::new());
+        for periodic in [None, Some(box_len)] {
+            let mut compared = 0;
+            for leaf in &tree.collect_leaves() {
+                block.fill(&tree, leaf, rmax, periodic, &galaxies);
+                for slot in leaf.start..leaf.end {
+                    let center = galaxies[tree.id_at(slot) as usize].pos;
+                    let kept = block.select_pairs(center, periodic, rmax);
+                    let mut lanes = binned(&block, kept);
+                    tree.gather_neighbors(center, rmax, periodic, &mut ids);
+                    let kept = block.stage_gathered(&galaxies, &ids, center, periodic);
+                    let mut scalar = binned(&block, kept);
+                    if periodic.is_some() {
+                        lanes.sort_unstable();
+                        scalar.sort_unstable();
+                    }
+                    assert_eq!(
+                        lanes, scalar,
+                        "primary at {center:?} (periodic={periodic:?})"
+                    );
+                    compared += lanes.len();
+                }
+            }
+            assert!(
+                compared > 10_000,
+                "only {compared} pairs (periodic={periodic:?})"
+            );
         }
     }
 }

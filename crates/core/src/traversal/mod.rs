@@ -13,21 +13,27 @@
 //! [`TraversalKind`]:
 //!
 //! * **Per-primary** ([`KdTree::gather_neighbors`]): one full root
-//!   descent per primary, reporting individual point ids. Simple, and
-//!   the reference semantics every other mode must reproduce.
-//! * **Leaf-blocked** ([`KdTree::collect_leaves`] + [`CandidateBlock`]):
-//!   the paper's node-to-node formulation (§3.2), where the k-d tree
-//!   walk searches "for all galaxies within R_max" of a whole node
-//!   at once. The cost of a pruned root descent is paid once per
-//!   *leaf* of primaries and amortized over all of them: the walk
-//!   prunes on the box-to-box minimum distance between the query
-//!   leaf's bounding box inflated by Rmax and each tree node, and
+//!   descent per primary, reporting individual point ids, whose pairs
+//!   scalar code stages one by one. Simple, and the reference
+//!   semantics every other mode must reproduce.
+//! * **Leaf-blocked** ([`KdTree::collect_leaves`] + the crate's
+//!   candidate block): the paper's node-to-node formulation (§3.2),
+//!   where the k-d tree walk searches "for all galaxies within R_max"
+//!   of a whole node at once. The cost of a pruned root descent is
+//!   paid once per *leaf* of primaries and amortized over all of them:
+//!   the walk prunes on the box-to-box minimum distance between the
+//!   query leaf's bounding box inflated by Rmax and each tree node, and
 //!   appends whole contiguous slot ranges rather than single ids. The
 //!   ranges are materialized once into a reusable struct-of-arrays
-//!   [`CandidateBlock`] (x/y/z/weight contiguous) that the engine's
-//!   split loop then streams per primary, after a per-candidate
+//!   block (x/y/z/weight contiguous), after a per-candidate
 //!   `r² ≤ (Rmax + leaf_radius)²` prefilter from the leaf center has
-//!   dropped points that cannot matter to *any* primary in the leaf.
+//!   dropped points that cannot matter to *any* primary in the leaf;
+//!   per primary, a lane pass stages the block's pairs.
+//!
+//! Both modes stage a primary's pairs at `r > 0` into the same arrays,
+//! with the same arithmetic, and from there the engine bins them
+//! through one Phase B loop: the traversals differ in how candidates
+//! are found and staged, never in how a staged pair is binned.
 //!
 //! # Searches propose, `bin_of` decides
 //!
@@ -50,7 +56,7 @@
 
 mod block;
 
-pub use block::CandidateBlock;
+pub(crate) use block::CandidateBlock;
 pub use galactos_kdtree::LeafInfo;
 
 use crate::config::TreePrecision;

@@ -289,6 +289,45 @@ fn zero_ranks_or_attempts_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn a_kill_aimed_past_the_last_rank_is_an_error_not_a_panic() {
+    // The plan is caller input too: a kill of a rank the run does not
+    // have comes back as an error naming the rank and the rank count,
+    // checked before the manifest is read.
+    let cat = open_catalog(60, 8.0, 23);
+    let config = EngineConfig::test_default(3.0, 1, 1);
+    let dir = shard_dir("kill_out_of_range");
+    write_sharded(&cat, 3, &dir).unwrap();
+    for manifest_path in [
+        dir.join(MANIFEST_FILE),
+        dir.join("missing").join(MANIFEST_FILE),
+    ] {
+        let err = compute_distributed_supervised(
+            &manifest_path,
+            &config,
+            2,
+            &RetryPolicy::default(),
+            FaultPlan::none().with_phase_kill(5, "compute", 1),
+        )
+        .expect_err("rank 5 is not in a 2-rank run");
+        assert!(
+            matches!(
+                err,
+                SupervisedError::KillRankOutOfRange {
+                    rank: 5,
+                    num_ranks: 2
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "the fault plan kills rank 5, but the run has 2 ranks"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn registry_counters_account_for_every_attempt() {
     // The `supervised.*` counters against what the run itself reports:
     // every attempt ends as a report or a failure, and round 0, retries

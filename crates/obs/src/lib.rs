@@ -21,8 +21,8 @@
 //!
 //! ## The zero-cost contract
 //!
-//! Observability follows the same contract as the engine's
-//! `ComputeScratch.instrument` gate: **a disabled session performs zero
+//! Observability follows the same contract as the engine's per-worker
+//! `instrument` gate on its stage timers: **a disabled session performs zero
 //! clock reads and leaves results bit-identical**. Every clock read in
 //! the workspace funnels through [`clock`] — the one module sanctioned
 //! by galactos-lint's W-CLOCK rule — and each real read bumps a global

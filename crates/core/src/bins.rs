@@ -5,6 +5,18 @@
 //! side lengths r₁ and r₂" (paper §3.1). The paper uses Rmax = 200
 //! Mpc/h with ~10 Mpc/h bins; we keep both the bin count and spacing
 //! (linear or logarithmic) configurable.
+//!
+//! [`RadialBins::bin_of`] decides which shell a pair at separation `r`
+//! falls in, or that it counts in none. Its lane twin,
+//! [`RadialBins::bin_lanes`], gives the same answer for eight
+//! separations at once, for the staging lane pass of both Phase As
+//! (`traversal/block.rs`).
+
+use galactos_simd::{F64x8, F64_LANES};
+
+/// A lane of [`RadialBins::bin_lanes`] whose separation `bin_of` puts
+/// in no bin.
+pub(crate) const NO_BIN: u32 = u32::MAX;
 
 /// Spacing rule for radial bin edges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +49,7 @@ impl RadialBins {
         let mut edges: Vec<f64> = (0..=nbins).map(|i| rmin + i as f64 * width).collect();
         edges[0] = rmin;
         edges[nbins] = rmax; // exact outer edge despite rounding
+        assert_non_decreasing(&edges);
         RadialBins {
             edges,
             spacing: BinSpacing::Linear,
@@ -48,7 +61,7 @@ impl RadialBins {
 
     /// `nbins` logarithmically spaced shells covering `[rmin, rmax)`
     /// (requires `rmin > 0`).
-    // lint:allow(W-DEADPUB): consumed by the engine as EngineConfig::bins (bin_of's logarithmic arm, traversal/block.rs)
+    // lint:allow(W-DEADPUB): consumed by the engine as EngineConfig::bins (bin_of's logarithmic arm; its lane twin bin_lanes, called by the staging lane pass in traversal/block.rs)
     pub fn logarithmic(rmin: f64, rmax: f64, nbins: usize) -> Self {
         assert!(nbins > 0);
         assert!(rmin > 0.0 && rmax > rmin, "log bins need 0 < rmin < rmax");
@@ -58,6 +71,7 @@ impl RadialBins {
             .collect();
         edges[0] = rmin;
         edges[nbins] = rmax;
+        assert_non_decreasing(&edges);
         RadialBins {
             edges,
             spacing: BinSpacing::Logarithmic,
@@ -137,6 +151,45 @@ impl RadialBins {
         }
         Some(idx)
     }
+
+    /// [`RadialBins::bin_of`] on eight separations at once: lane `i` is
+    /// `bin_of(r[i])` as a `u32`, or [`NO_BIN`] where that is `None`.
+    ///
+    /// `bin_of` returns the one `idx` with
+    /// `edges[idx] ≤ r < edges[idx + 1]` for `r` in `[rmin, rmax)`.
+    /// The edges never decrease, so that `idx` is the number of inner
+    /// edges `edges[1..nbins]` at or below `r`, which each lane counts
+    /// with one compare per edge: no `ln`, no guess, no correction
+    /// loop. The range mask `rmin ≤ r < rmax` then leaves NaN (every
+    /// compare false), ±∞, `r < rmin` and `r ≥ rmax` unbinned, exactly
+    /// as `bin_of` does.
+    #[inline(always)]
+    pub(crate) fn bin_lanes(&self, r: F64x8) -> [u32; F64_LANES] {
+        let r = r.0;
+        let mut count = [0u64; F64_LANES];
+        for &edge in &self.edges[1..self.nbins()] {
+            for (c, &x) in count.iter_mut().zip(&r) {
+                *c += (edge <= x) as u64;
+            }
+        }
+        let (rmin, rmax) = (self.rmin(), self.rmax());
+        let mut bin = [NO_BIN; F64_LANES];
+        for ((b, &c), &x) in bin.iter_mut().zip(&count).zip(&r) {
+            if rmin <= x && x < rmax {
+                *b = c as u32;
+            }
+        }
+        bin
+    }
+}
+
+/// The edge order [`RadialBins::bin_of`]'s correction and
+/// [`RadialBins::bin_lanes`]' count both rely on.
+fn assert_non_decreasing(edges: &[f64]) {
+    assert!(
+        edges.windows(2).all(|e| e[0] <= e[1]),
+        "bin edges must not decrease: {edges:?}"
+    );
 }
 
 #[cfg(test)]
@@ -210,6 +263,67 @@ mod tests {
             assert_eq!(bins.bin_of(f64::NAN), None, "{bins:?}");
             assert_eq!(bins.bin_of(f64::INFINITY), None, "{bins:?}");
             assert_eq!(bins.bin_of(f64::NEG_INFINITY), None, "{bins:?}");
+        }
+    }
+
+    /// `bin_lanes` lane by lane, through `bin_of`'s `Option`.
+    fn lanes_as_options(bins: &RadialBins, r: [f64; F64_LANES]) -> [Option<usize>; F64_LANES] {
+        bins.bin_lanes(F64x8::from_array(r))
+            .map(|b| (b != NO_BIN).then_some(b as usize))
+    }
+
+    /// The lane twin is `bin_of` on every radius that can tell them
+    /// apart: each edge and its ±1 and ±2 ulp neighbours, zero,
+    /// `rmin − ulp`, `rmax − ulp`, `rmax`, a subnormal, NaN and ±∞, for
+    /// linear and logarithmic bins from `rmin` 0 and above 0, with 1
+    /// and 10 bins. Each radius is tried in every lane, beside the
+    /// others, so no lane borrows a neighbour's answer.
+    #[test]
+    fn bin_lanes_is_bin_of() {
+        for nbins in [1, 10] {
+            for bins in [
+                RadialBins::linear(0.0, 50.0, nbins),
+                RadialBins::linear(2.5, 50.0, nbins),
+                RadialBins::linear(0.1, 0.7, nbins),
+                RadialBins::logarithmic(0.5, 80.0, nbins),
+                RadialBins::logarithmic(1e-3, 3.0, nbins),
+            ] {
+                let mut radii = vec![
+                    0.0,
+                    -0.0,
+                    bins.rmin().next_down(),
+                    bins.rmax().next_down(),
+                    bins.rmax(),
+                    f64::from_bits(1), // smallest subnormal
+                    f64::MIN_POSITIVE.next_down(),
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -1.0,
+                ];
+                for &e in bins.edges() {
+                    radii.extend([
+                        e.next_down().next_down(),
+                        e.next_down(),
+                        e,
+                        e.next_up(),
+                        e.next_up().next_up(),
+                    ]);
+                }
+                radii.resize(radii.len().next_multiple_of(F64_LANES), f64::NAN);
+                for shift in 0..F64_LANES {
+                    radii.rotate_left(1);
+                    for group in radii.chunks_exact(F64_LANES) {
+                        let r: [f64; F64_LANES] = group.try_into().unwrap();
+                        let want = r.map(|x| bins.bin_of(x));
+                        assert_eq!(
+                            lanes_as_options(&bins, r),
+                            want,
+                            "r={r:?} shift={shift} bins={bins:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

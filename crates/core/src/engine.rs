@@ -11,9 +11,11 @@
 //!    primaries;
 //! 2. `bin_and_bucket` — Phase A stages the primary's pairs at `r > 0`
 //!    (scalar over the gathered ids, or in lanes over the leaf's
-//!    block), then one Phase B loop, shared by both traversals, bins
-//!    each into a radial shell, rotates it into the line-of-sight
-//!    frame, and bucket-accumulates the monomials through the engine's
+//!    block) and ends with one lane pass, shared by both traversals,
+//!    that bins each pair into a radial shell, rotates it into the
+//!    line-of-sight frame and normalizes it; then Phase B, the one
+//!    scalar scatter, pushes each binned pair into its shell's bucket
+//!    and bucket-accumulates the monomials through the engine's
 //!    resolved kernel backend (§3.3.1/§3.3.2);
 //! 3. `assemble`, first half — reduce the monomial sums of the bins
 //!    this primary touched into the padded bin-minor layout
@@ -50,6 +52,7 @@
 //! nothing here reads the process environment.
 
 use crate::assembly::{padded_bins, Assemble};
+use crate::bins::NO_BIN;
 use crate::config::EngineConfig;
 use crate::estimator::{EstimatorChoice, EstimatorKind};
 use crate::kernel::{BackendKind, KernelBackend};
@@ -99,9 +102,9 @@ pub struct Engine {
 struct PrimaryContext {
     pos: Vec3,
     weight: f64,
-    rotation: Mat3,
-    /// Identity-rotation fast path for the plane-parallel ẑ case.
-    rotate: bool,
+    /// The line-of-sight rotation the staging lane pass applies;
+    /// `None` for the identity (the plane-parallel ẑ fast path).
+    rotation: Option<Mat3>,
 }
 
 impl Engine {
@@ -368,10 +371,15 @@ impl Engine {
         scratch.t_search += nanos_since(t0);
         scratch.candidate_pairs += gathered as u64;
         let t1 = now_if(scratch.instrument);
-        let n_sel = scratch
-            .block
-            .stage_gathered(galaxies, &scratch.neighbors, ctx.pos, periodic);
-        self.bin_and_bucket(scratch, &ctx, t1, n_sel);
+        let n_sel = scratch.block.stage_gathered(
+            galaxies,
+            &scratch.neighbors,
+            ctx.pos,
+            periodic,
+            &self.config.bins,
+            ctx.rotation.as_ref(),
+        );
+        self.bin_and_bucket(scratch, t1, n_sel);
         self.assemble(scratch, &ctx);
     }
 
@@ -384,8 +392,7 @@ impl Engine {
         Some(PrimaryContext {
             pos: primary.pos,
             weight: primary.weight,
-            rotation,
-            rotate: rotation != Mat3::IDENTITY,
+            rotation: (rotation != Mat3::IDENTITY).then_some(rotation),
         })
     }
 
@@ -410,9 +417,11 @@ impl Engine {
         if !(leaf.start..leaf.end).any(|slot| (tree.id_at(slot) as usize) < n_primaries) {
             return;
         }
-        let rmax = self.config.bins.rmax();
+        let bins = &self.config.bins;
         let t0 = now_if(scratch.instrument);
-        let n_candidates = scratch.block.fill(tree, leaf, rmax, periodic, galaxies) as u64;
+        let n_candidates = scratch
+            .block
+            .fill(tree, leaf, bins.rmax(), periodic, galaxies) as u64;
         scratch.t_search += nanos_since(t0);
         for slot in leaf.start..leaf.end {
             let i = tree.id_at(slot) as usize;
@@ -426,48 +435,37 @@ impl Engine {
             // all of it, so it counts as that many candidate pairs.
             scratch.candidate_pairs += n_candidates;
             let t1 = now_if(scratch.instrument);
-            let n_sel = scratch.block.select_pairs(ctx.pos, periodic, rmax);
-            self.bin_and_bucket(scratch, &ctx, t1, n_sel);
+            let n_sel = scratch
+                .block
+                .select_pairs(ctx.pos, periodic, bins, ctx.rotation.as_ref());
+            self.bin_and_bucket(scratch, t1, n_sel);
             self.assemble(scratch, &ctx);
         }
     }
 
-    /// Stage 2, Phase B — the one loop both traversals bin through.
-    /// A Phase A has staged the primary's `n_sel` pairs (delta, `r`,
-    /// `1/r`, weight) in the scratch's block, all at `r > 0`; here
-    /// `bin_of` decides whether each counts, and a binned pair is
-    /// rotated into the line-of-sight frame, normalized, and pushed
-    /// through its bin's bucket, whose flush through the multipole
-    /// kernel is timed (§3.3.1/§3.3.2), plus the self-pair Legendre
-    /// sums when enabled. Partially filled buckets are swept at the
-    /// end. `t_start` is read before Phase A, so the stage's time
-    /// covers both phases.
+    /// Stage 2, Phase B — the scalar scatter both traversals share.
+    /// A Phase A and its lane pass have staged the primary's `n_sel`
+    /// pairs in the scratch's block, each with its bin (or
+    /// [`NO_BIN`]), its unit vector in the line-of-sight frame and its
+    /// weight; here each binned pair is pushed through its bin's
+    /// bucket, whose flush through the multipole kernel is timed
+    /// (§3.3.1/§3.3.2), plus the self-pair Legendre sums when enabled.
+    /// Partially filled buckets are swept at the end. `t_start` is read
+    /// before Phase A, so the stage's time covers both phases.
     #[inline(always)]
-    fn bin_and_bucket(
-        &self,
-        scratch: &mut ComputeScratch,
-        ctx: &PrimaryContext,
-        t_start: Option<Instant>,
-        n_sel: usize,
-    ) {
+    fn bin_and_bucket(&self, scratch: &mut ComputeScratch, t_start: Option<Instant>, n_sel: usize) {
         // The accumulator only forgets which bins were touched.
         scratch.acc.reset();
         scratch.self_sums.fill(0.0);
         let mut kernel_nanos = 0u64;
         let mut binned = 0u64;
         for s in 0..n_sel {
-            let Some(bin) = self.config.bins.bin_of(scratch.block.sel_r[s]) else {
-                continue;
-            };
             let sel = &scratch.block;
-            let delta = Vec3::new(sel.sel_dx[s], sel.sel_dy[s], sel.sel_dz[s]);
-            let (inv_r, wj) = (sel.sel_inv_r[s], sel.sel_w[s]);
-            let d = if ctx.rotate {
-                ctx.rotation.mul_vec(delta)
-            } else {
-                delta
-            };
-            let (ux, uy, uz) = (d.x * inv_r, d.y * inv_r, d.z * inv_r);
+            if sel.sel_bin[s] == NO_BIN {
+                continue;
+            }
+            let bin = sel.sel_bin[s] as usize;
+            let (ux, uy, uz, wj) = (sel.sel_dx[s], sel.sel_dy[s], sel.sel_dz[s], sel.sel_w[s]);
             binned += 1;
             if scratch.buckets.push(bin, ux, uy, uz, wj) {
                 let tk = now_if(scratch.instrument);

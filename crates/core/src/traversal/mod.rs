@@ -31,7 +31,8 @@
 //!   per primary, a lane pass stages the block's pairs.
 //!
 //! Both modes stage a primary's pairs at `r > 0` into the same arrays,
-//! with the same arithmetic, and from there the engine bins them
+//! with the same arithmetic, and bin, rotate and normalize them in the
+//! same lane pass; from there the engine scatters them into buckets
 //! through one Phase B loop: the traversals differ in how candidates
 //! are found and staged, never in how a staged pair is binned.
 //!
@@ -45,14 +46,21 @@
 //! [`KdTree::pad`], a bound on the rounding of its distances and
 //! periodic image shifts, so each pair with `r < Rmax` is always among
 //! the candidates and the few extra ones in the pad window are dropped
-//! by `bin_of` like any other unbinned pair. The binned pair set is
-//! therefore a function of (catalog, bins) only — not of
-//! [`TraversalKind`] — and the two modes differ only in accumulation
-//! order (≤ 1e-9 relative, with `binned_pairs` equal to the O(N²)
-//! oracle's; enforced by `tests/traversal_equivalence.rs`). The 2PCF
-//! pair counter ([`crate::paircount`]) gathers through the same padded
-//! query and counts by the same `bin_of`. Selection is [`TraversalChoice`] on the
-//! config: leaf-blocked unless the reference is pinned.
+//! by `bin_of` like any other unbinned pair. Both modes stage their
+//! pairs through one lane pass that bins eight at a time with
+//! [`RadialBins::bin_lanes`](crate::bins::RadialBins::bin_lanes),
+//! `bin_of`'s lane twin: a count of the inner edges at or below `r`,
+//! masked to `[rmin, rmax)`, which is `bin_of`'s answer for every `f64`
+//! (NaN and ±∞ included), so it decides nothing `bin_of` would not. The
+//! engine's Phase B only scatters the binned pairs into their buckets.
+//! The binned pair set is therefore a function of (catalog, bins) only
+//! — not of [`TraversalKind`] — and the two modes differ only in
+//! accumulation order (≤ 1e-9 relative, with `binned_pairs` equal to
+//! the O(N²) oracle's; enforced by `tests/traversal_equivalence.rs`).
+//! The 2PCF pair counter ([`crate::paircount`]) gathers through the
+//! same padded query and counts by the same `bin_of`. Selection is
+//! [`TraversalChoice`] on the config: leaf-blocked unless the reference
+//! is pinned.
 
 mod block;
 

@@ -33,6 +33,17 @@ fn bin_of_by_search(bins: &RadialBins, r: f64) -> Option<usize> {
     Some(idx)
 }
 
+/// The lane form of `bin_of` (`RadialBins::bin_lanes`, crate-private)
+/// for one lane: the number of inner edges at or below `r`, kept only
+/// when `rmin ≤ r < rmax`. The crate's lane function is this count lane
+/// for lane (unit-tested against `bin_of` in `bins::tests`); here the
+/// property holds the count itself to `bin_of` on random bins.
+fn bin_by_edge_count(bins: &RadialBins, r: f64) -> Option<usize> {
+    let edges = bins.edges();
+    let count = edges[1..bins.nbins()].iter().filter(|&&e| e <= r).count();
+    (bins.rmin() <= r && r < bins.rmax()).then_some(count)
+}
+
 fn arb_galaxies(max_n: usize) -> impl Strategy<Value = Vec<Galaxy>> {
     prop::collection::vec(
         (0.0f64..20.0, 0.0f64..20.0, 0.0f64..20.0, 0.25f64..2.0)
@@ -154,25 +165,32 @@ proptest! {
         // must reproduce the binary-search reference exactly —
         // including out-of-range radii, exact edge hits, and the
         // NaN→None behavior pinned since PR 3 — and linear spacing
-        // must stay untouched.
+        // must stay untouched. The lane form (a count of inner edges,
+        // masked to [rmin, rmax)) must give the same answer on every
+        // sample, every edge and its ulp neighbours.
         let log_bins = RadialBins::logarithmic(rmin, rmin * ratio, nbins);
         let lin_bins = RadialBins::linear(rmin, rmin * ratio, nbins);
         for bins in [&log_bins, &lin_bins] {
             for &t in &samples {
                 let r = bins.rmin() + t * (bins.rmax() - bins.rmin());
                 prop_assert_eq!(bins.bin_of(r), bin_of_by_search(bins, r), "r={}", r);
+                prop_assert_eq!(bins.bin_of(r), bin_by_edge_count(bins, r), "lane r={}", r);
             }
             // Every stored edge must hit the bin it opens (or None for
             // the outermost edge) through both lookups.
             for (i, &e) in bins.edges().iter().enumerate() {
                 prop_assert_eq!(bins.bin_of(e), bin_of_by_search(bins, e), "edge {}", i);
+                for x in [e.next_down(), e, e.next_up()] {
+                    prop_assert_eq!(bins.bin_of(x), bin_by_edge_count(bins, x), "lane edge {}", i);
+                }
                 if i < bins.nbins() {
                     prop_assert_eq!(bins.bin_of(e), Some(i));
                 }
             }
-            prop_assert_eq!(bins.bin_of(f64::NAN), None);
-            prop_assert_eq!(bins.bin_of(f64::INFINITY), None);
-            prop_assert_eq!(bins.bin_of(f64::NEG_INFINITY), None);
+            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                prop_assert_eq!(bins.bin_of(x), None);
+                prop_assert_eq!(bin_by_edge_count(bins, x), None);
+            }
         }
     }
 

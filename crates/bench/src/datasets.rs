@@ -34,7 +34,8 @@ mod tests {
     #[test]
     fn node_dataset_has_right_density() {
         let cat = node_dataset(1, 3000.0, 1);
-        let v = cat.bounds.volume();
+        let e = cat.bounds.extent();
+        let v = e.x * e.y * e.z;
         let density = cat.len() as f64 / v;
         assert!(
             (density / OUTER_RIM_DENSITY - 1.0).abs() < 0.3,

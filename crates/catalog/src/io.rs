@@ -264,11 +264,6 @@ impl HeaderMap {
             .iter()
             .find_map(|a| self.names.iter().position(|n| n == a))
     }
-
-    /// The lowercased column names, in file order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
 }
 
 #[cfg(test)]

@@ -90,13 +90,6 @@ pub fn subsample(catalog: &Catalog, fraction: f64, seed: u64) -> Catalog {
     c
 }
 
-/// Deterministically shuffle catalog order (useful to destroy any
-/// build-order correlation before partitioning experiments).
-pub fn shuffle(catalog: &mut Catalog, seed: u64) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    catalog.galaxies.shuffle(&mut rng);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

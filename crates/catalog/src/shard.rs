@@ -560,12 +560,6 @@ impl ShardReader {
         })
     }
 
-    /// The manifest entry this reader was opened against.
-    #[inline]
-    pub fn meta(&self) -> &ShardMeta {
-        &self.meta
-    }
-
     /// Records delivered so far.
     #[inline]
     pub fn records_read(&self) -> u64 {

@@ -317,13 +317,14 @@ mod tests {
         let nbp = padded_bins(nbins);
         let mut rng = SplitMix64::new(seed);
         let mut sums_t = vec![0.0; basis.len() * nbp];
+        let top = basis.lmax() as u32;
         for (mono, row) in sums_t.chunks_exact_mut(nbp).enumerate() {
-            let (k, p, _) = basis.exponents(mono);
+            let pure_z = (0..=top).any(|q| basis.index_of(0, 0, q) == mono);
             for (bin, s) in row[..nbins].iter_mut().enumerate() {
                 let dense = rng.range(-20.0, 20.0);
                 *s = match bin % 4 {
                     1 => 0.0,
-                    3 => f64::from(u8::from(k + p == 0)) * 1.75,
+                    3 => f64::from(u8::from(pure_z)) * 1.75,
                     _ => dense,
                 };
             }

@@ -8,7 +8,7 @@
 //!
 //! [`RadialBins::bin_of`] decides which shell a pair at separation `r`
 //! falls in, or that it counts in none. Its lane twin,
-//! [`RadialBins::bin_lanes`], gives the same answer for eight
+//! `RadialBins::bin_lanes`, gives the same answer for eight
 //! separations at once, for the staging lane pass of both Phase As
 //! (`traversal/block.rs`).
 
@@ -97,6 +97,7 @@ impl RadialBins {
     }
 
     #[inline]
+    // lint:allow(W-DEADPUB): oracle for bin_of's half-open intervals, exactly as stored, in bins.rs tests and core/tests/proptests.rs
     pub fn edges(&self) -> &[f64] {
         &self.edges
     }

@@ -88,11 +88,6 @@ impl KernelAccumulator {
         }
     }
 
-    #[inline]
-    pub fn nmono(&self) -> usize {
-        self.nmono
-    }
-
     /// Start a new primary: every bin reads as zero again.
     pub fn reset(&mut self) {
         self.touched.fill(false);

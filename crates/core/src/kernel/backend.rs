@@ -152,7 +152,6 @@ mod tests {
             assert_eq!(format!("{kind}"), kind.name());
             let acc = b.new_accumulator(2, 4);
             assert_eq!(acc.kind(), kind);
-            assert_eq!(acc.nmono(), 4);
         }
     }
 }

@@ -43,11 +43,6 @@ impl PairBuckets {
     }
 
     #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    #[inline]
     pub fn len(&self, bin: usize) -> usize {
         self.len[bin]
     }

@@ -239,8 +239,11 @@ mod tests {
                     let mut acc = vec![F64x8::splat(f64::NAN); monomial_count(lmax)];
                     flush(&mut acc, true);
                     flush(&mut acc, false);
-                    let lanes = acc.iter().flat_map(|v| v.to_array());
-                    lanes.map(f64::to_bits).collect()
+                    let mut lanes = vec![0.0; acc.len() * F64_LANES];
+                    for (v, out) in acc.iter().zip(lanes.chunks_exact_mut(F64_LANES)) {
+                        v.write_to(out);
+                    }
+                    lanes.into_iter().map(f64::to_bits).collect()
                 };
                 let at = |level| {
                     bits_after(&|acc, fresh| {

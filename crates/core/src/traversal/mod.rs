@@ -48,15 +48,15 @@
 //! the candidates and the few extra ones in the pad window are dropped
 //! by `bin_of` like any other unbinned pair. Both modes stage their
 //! pairs through one lane pass that bins eight at a time with
-//! [`RadialBins::bin_lanes`](crate::bins::RadialBins::bin_lanes),
-//! `bin_of`'s lane twin: a count of the inner edges at or below `r`,
-//! masked to `[rmin, rmax)`, which is `bin_of`'s answer for every `f64`
-//! (NaN and ±∞ included), so it decides nothing `bin_of` would not. The
-//! engine's Phase B only scatters the binned pairs into their buckets.
-//! The binned pair set is therefore a function of (catalog, bins) only
-//! — not of [`TraversalKind`] — and the two modes differ only in
-//! accumulation order (≤ 1e-9 relative, with `binned_pairs` equal to
-//! the O(N²) oracle's; enforced by `tests/traversal_equivalence.rs`).
+//! `RadialBins::bin_lanes`, `bin_of`'s lane twin: a count of the inner
+//! edges at or below `r`, masked to `[rmin, rmax)`, which is `bin_of`'s
+//! answer for every `f64` (NaN and ±∞ included), so it decides nothing
+//! `bin_of` would not. The engine's Phase B only scatters the binned
+//! pairs into their buckets. The binned pair set is therefore a
+//! function of (catalog, bins) only — not of [`TraversalKind`] — and
+//! the two modes differ only in accumulation order (≤ 1e-9 relative,
+//! with `binned_pairs` equal to the O(N²) oracle's; enforced by
+//! `tests/traversal_equivalence.rs`).
 //! The 2PCF pair counter ([`crate::paircount`]) gathers through the
 //! same padded query and counts by the same `bin_of`. Selection is
 //! [`TraversalChoice`] on the config: leaf-blocked unless the reference

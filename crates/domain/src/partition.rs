@@ -337,7 +337,10 @@ mod tests {
         let pos = random_positions(500, 10.0, 7);
         let plan = DomainPlan::build(&pos, Aabb::cube(10.0), 6);
         // Volumes add to the domain volume.
-        let vol: f64 = (0..6).map(|r| plan.rank_box(r).volume()).sum();
+        let vol: f64 = (0..6)
+            .map(|r| plan.rank_box(r).extent())
+            .map(|e| e.x * e.y * e.z)
+            .sum();
         assert!((vol - 1000.0).abs() < 1e-9, "vol {vol}");
         // Every owned galaxy lies inside (or on the boundary of) its box.
         for r in 0..6 {

@@ -87,18 +87,8 @@ impl DensityMesh {
     }
 
     #[inline]
-    pub fn side(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
     pub fn box_len(&self) -> f64 {
         self.box_len
-    }
-
-    #[inline]
-    pub fn assignment(&self) -> MassAssignment {
-        self.assignment
     }
 
     /// The painted (unshifted) weight field.

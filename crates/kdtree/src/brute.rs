@@ -7,6 +7,7 @@ use galactos_math::Vec3;
 
 /// A flat list of points searched linearly.
 #[derive(Clone, Debug)]
+// lint:allow(W-DEADPUB): oracle for KdTree::{gather_neighbors, count_within} in tree.rs tests and kdtree/tests/proptests.rs
 pub struct BruteForce {
     points: Vec<Vec3>,
 }
@@ -19,7 +20,6 @@ impl BruteForce {
     }
 
     /// Indices of all points within `radius` of `center` (inclusive).
-    // lint:allow(W-DEADPUB): oracle for KdTree::gather_neighbors in tree.rs tests and kdtree/tests/proptests.rs
     pub fn within(&self, center: Vec3, radius: f64) -> Vec<u32> {
         let r2 = radius * radius;
         self.points
@@ -31,7 +31,6 @@ impl BruteForce {
     }
 
     /// Count of points within `radius` of `center`.
-    // lint:allow(W-DEADPUB): oracle for KdTree::count_within in tree.rs tests and kdtree/tests/proptests.rs
     pub fn count_within(&self, center: Vec3, radius: f64) -> usize {
         let r2 = radius * radius;
         self.points

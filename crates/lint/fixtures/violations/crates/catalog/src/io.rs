@@ -3,3 +3,5 @@
 pub fn header_count(raw: u64) -> u32 {
     raw as u32
 }
+
+pub fn read_binary() {}

@@ -18,7 +18,7 @@
 //! | `W-ENV` | no `env::var*` read and no `GALACTOS_*` literal in any non-test, non-example source |
 //! | `W-DETERMINISM` | parallel float reductions go through the ordered two-arg `fold`/`reduce` helpers |
 //! | `W-CAST` | no bare `as` narrowing in `catalog::io` / `shard.rs` header parsing |
-//! | `W-DEADPUB` | a `pub fn` / `pub(crate) fn` under `crates/*/src` is named by shipped code besides its definition, or carries a classed exemption |
+//! | `W-DEADPUB` | a `pub` type, `pub fn` or `pub(crate) fn` under `crates/*/src` is reached by shipped code — a type named outside its definition and impls, a method called as `.name(` / `Type::name` / `Self::name` on a reached type, a free fn named; `use` lines never count — or carries a classed exemption; what only `benchmark/src` reaches is listed, not reported |
 //!
 //! See [`rules`] for the precise scoping of each rule and the
 //! suppression syntax, and [`registry`] for the unsafe-registry
@@ -33,6 +33,14 @@
 //! *directories* are scanned but exempt from the runtime-path rules
 //! (`W-CLOCK`, `W-ENV`) — test and demo code may read clocks and set
 //! knobs — and test directories are not callers for `W-DEADPUB`.
+//!
+//! # Report
+//!
+//! `LINT_REPORT.json` carries the findings, the unsafe-site inventory,
+//! `pinned_by_benchmark` (items only `benchmark/src` reaches) and
+//! `counts`: the lines of `crates/*/src` that carry shipped code, its
+//! `pub fn`s, `pub(crate) fn`s and `pub` types, and the `W-DEADPUB`
+//! exemptions. Two runs of the lint compare the size of two trees.
 
 #![forbid(unsafe_code)]
 

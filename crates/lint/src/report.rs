@@ -22,73 +22,74 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// A JSON array of pre-rendered objects, one per line.
+fn array(rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.collect();
+    if rows.is_empty() {
+        return "[]".to_string();
+    }
+    format!("[\n    {}\n  ]", rows.join(",\n    "))
+}
+
 /// Render the full report. Findings arrive already sorted by
-/// `(file, line, rule)`; unsafe sites in discovery order.
+/// `(file, line, rule)`; pinned items and unsafe sites in discovery
+/// order.
 pub fn render(outcome: &LintOutcome) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"tool\": \"galactos-lint\",\n");
-    s.push_str(&format!(
-        "  \"version\": \"{}\",\n",
-        escape(env!("CARGO_PKG_VERSION"))
-    ));
-    s.push_str(&format!(
-        "  \"files_scanned\": {},\n",
-        outcome.files_scanned
-    ));
-    s.push_str(&format!(
-        "  \"status\": \"{}\",\n",
-        if outcome.is_clean() {
-            "clean"
-        } else {
-            "findings"
-        }
-    ));
-    s.push_str(&format!(
-        "  \"finding_count\": {},\n",
-        outcome.findings.len()
-    ));
-    s.push_str("  \"findings\": [");
-    for (i, f) in outcome.findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
+    let findings = outcome.findings.iter().map(|f| {
+        format!(
+            "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
             escape(&f.rule),
             escape(&f.file),
             f.line,
             escape(&f.message)
-        ));
-    }
-    if !outcome.findings.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n");
-    s.push_str("  \"unsafe_sites\": [");
-    for (i, site) in outcome.unsafe_sites.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"kind\": \"{}\", \"context\": \"{}\"}}",
-            escape(&site.entry.file),
-            escape(&site.entry.kind),
-            escape(&site.entry.context)
-        ));
-    }
-    if !outcome.unsafe_sites.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-    s
+        )
+    });
+    let pinned = outcome.pinned_by_benchmark.iter().map(|p| {
+        format!(
+            "{{\"file\": \"{}\", \"item\": \"{}\"}}",
+            escape(&p.file),
+            escape(&p.item)
+        )
+    });
+    let unsafe_sites = outcome.unsafe_sites.iter().map(|site| {
+        let e = &site.entry;
+        format!(
+            "{{\"file\": \"{}\", \"kind\": \"{}\", \"context\": \"{}\"}}",
+            escape(&e.file),
+            escape(&e.kind),
+            escape(&e.context)
+        )
+    });
+    let c = &outcome.counts;
+    format!(
+        "{{\n  \"tool\": \"galactos-lint\",\n  \"version\": \"{}\",\n  \"files_scanned\": {},\n  \
+         \"status\": \"{}\",\n  \"finding_count\": {},\n  \"counts\": {{\"non_test_lines\": {}, \
+         \"pub_fn\": {}, \"pub_crate_fn\": {}, \"pub_types\": {}, \"deadpub_exemptions\": {}}},\n  \
+         \"findings\": {},\n  \"pinned_by_benchmark\": {},\n  \"unsafe_sites\": {}\n}}\n",
+        escape(env!("CARGO_PKG_VERSION")),
+        outcome.files_scanned,
+        if outcome.is_clean() {
+            "clean"
+        } else {
+            "findings"
+        },
+        outcome.findings.len(),
+        c.non_test_lines,
+        c.pub_fn,
+        c.pub_crate_fn,
+        c.pub_types,
+        c.deadpub_exemptions,
+        array(findings),
+        array(pinned),
+        array(unsafe_sites),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::Entry;
-    use crate::rules::{Finding, UnsafeSite};
+    use crate::rules::{Counts, Finding, Pinned, UnsafeSite};
 
     #[test]
     fn clean_report_shape() {
@@ -121,9 +122,23 @@ mod tests {
                     context: "fft_cols_raw".to_string(),
                 },
             }],
+            pinned_by_benchmark: vec![Pinned {
+                file: "crates/catalog/src/io.rs".to_string(),
+                item: "write_binary".to_string(),
+            }],
+            counts: Counts {
+                non_test_lines: 90,
+                pub_fn: 4,
+                ..Default::default()
+            },
         };
         let json = render(&out);
         assert!(json.contains("\"status\": \"findings\""));
+        assert!(
+            json.contains("{\"file\": \"crates/catalog/src/io.rs\", \"item\": \"write_binary\"}")
+        );
+        assert!(json
+            .contains("\"counts\": {\"non_test_lines\": 90, \"pub_fn\": 4, \"pub_crate_fn\": 0,"));
         assert!(json.contains("\\\"quotes\\\"\\nand newline"));
         assert!(json.contains("\"context\": \"fft_cols_raw\""));
         // No raw control characters inside strings.

@@ -7,7 +7,10 @@
 //! watches and which it deliberately ignores (tests and examples are
 //! allowed clocks; no library source is allowed an env read; and so
 //! on). Five rules look at one file at a time; `W-DEADPUB` looks at
-//! the whole file set.
+//! the whole file set. One scope pass per file tells every rule, per
+//! token, whether it ships (not under `#[cfg(test)]`), whether it sits
+//! in a `use` declaration, and which `fn` and which type (its
+//! definition or an `impl` of it) enclose it.
 //!
 //! # Suppressions
 //!
@@ -23,9 +26,10 @@
 //! bare suppression, an empty reason, or an unknown rule id is itself
 //! reported (rule id `W-ALLOW`) and the suppression stays inert. A
 //! `W-DEADPUB` reason must open with one of the three exemption
-//! classes ([`DEADPUB_CLASSES`]) and name who uses the item.
-//! Registry mismatches (unregistered/stale unsafe sites) are not
-//! suppressible — that is the point of the registry.
+//! classes ([`DEADPUB_CLASSES`]) and name who uses the item; on a
+//! type, it covers the type's impls. Registry mismatches
+//! (unregistered/stale unsafe sites) are not suppressible — that is the
+//! point of the registry.
 
 use crate::lexer::{lex, LexedFile, Token, TokenKind};
 use crate::registry::{self, Entry};
@@ -82,11 +86,34 @@ pub struct UnsafeSite {
     pub entry: Entry,
 }
 
+/// An item that only `benchmark/src` reaches (W-DEADPUB).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Pinned {
+    pub file: String,
+    /// `name`, or `Type::name` for a method.
+    pub item: String,
+}
+
+/// Code-size counts over the shipped code of `crates/*/src`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Counts {
+    /// Lines carrying a shipped token: comments, blank lines and
+    /// `#[cfg(test)]` items do not count.
+    pub non_test_lines: usize,
+    pub pub_fn: usize,
+    pub pub_crate_fn: usize,
+    pub pub_types: usize,
+    /// Valid `lint:allow(W-DEADPUB)` exemptions, in every scanned file.
+    pub deadpub_exemptions: usize,
+}
+
 /// Everything one engine run produces.
 #[derive(Debug, Default)]
 pub struct LintOutcome {
     pub findings: Vec<Finding>,
+    pub pinned_by_benchmark: Vec<Pinned>,
     pub unsafe_sites: Vec<UnsafeSite>,
+    pub counts: Counts,
     pub files_scanned: usize,
 }
 
@@ -106,9 +133,10 @@ pub fn lint_files(files: &[SourceFile], registry_text: Option<&str>) -> LintOutc
         ..Default::default()
     };
     let lexed: Vec<LexedFile> = files.iter().map(|f| lex(&f.src)).collect();
-    let dead = rule_deadpub(files, &lexed);
-    for ((f, lexed), dead) in files.iter().zip(&lexed).zip(dead) {
-        lint_one(f, lexed, dead, &mut out);
+    let scopes: Vec<Scopes> = lexed.iter().map(|lx| scan_scopes(&lx.tokens)).collect();
+    let dead = rule_deadpub(files, &lexed, &scopes, &mut out);
+    for (((f, lexed), scopes), dead) in files.iter().zip(&lexed).zip(&scopes).zip(dead) {
+        lint_one(f, lexed, scopes, dead, &mut out);
     }
     registry::reconcile(&out.unsafe_sites, registry_text, &mut out.findings);
     out.findings
@@ -122,11 +150,18 @@ pub fn lint_files(files: &[SourceFile], registry_text: Option<&str>) -> LintOutc
 
 /// The single-file rules over `f`, plus the suppression filter over
 /// their findings and over `raw` — what the whole-set rule found here.
-fn lint_one(f: &SourceFile, lexed: &LexedFile, mut raw: Vec<Finding>, out: &mut LintOutcome) {
+fn lint_one(
+    f: &SourceFile,
+    lexed: &LexedFile,
+    scopes: &Scopes,
+    mut raw: Vec<Finding>,
+    out: &mut LintOutcome,
+) {
     let (suppressions, mut allow_findings) = collect_suppressions(f, lexed);
     out.findings.append(&mut allow_findings);
+    out.counts.deadpub_exemptions += suppressions.iter().filter(|s| s.0 == "W-DEADPUB").count();
 
-    rule_unsafe(f, lexed, &mut raw, &mut out.unsafe_sites);
+    rule_unsafe(f, lexed, scopes, &mut raw, &mut out.unsafe_sites);
     rule_clock(f, lexed, &mut raw);
     rule_env(f, lexed, &mut raw);
     rule_determinism(f, lexed, &mut raw);
@@ -243,6 +278,141 @@ fn is_test_dir(path: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Scope pass — one walk per file that yields, per token, what the rules
+// needing more than a token window read.
+// ---------------------------------------------------------------------------
+
+/// Per-token scope facts of one file.
+struct Scopes {
+    /// `false` inside an item under `#[cfg(test)]`: the attribute, any
+    /// attributes after it, and the item through its closing `}` or `;`.
+    shipped: Vec<bool>,
+    /// Inside a `use` declaration, `pub use` included.
+    in_use: Vec<bool>,
+    /// Index of the enclosing `fn`'s name. Closures open no scope, so
+    /// an unsafe block in a parallel closure belongs to the fn that
+    /// owns it — which is what the registry wants to show.
+    in_fn: Vec<Option<usize>>,
+    /// Index of the name of the type whose definition or `impl` (header
+    /// included) encloses the token: an impl's self type.
+    owner: Vec<Option<usize>>,
+    /// Names of the file modules declared `#[cfg(test)] mod name;`.
+    test_mods: Vec<String>,
+}
+
+const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+const TYPE_KEYWORDS: [&str; 4] = ["struct", "enum", "trait", "type"];
+/// Tokens after which an `impl` opens an item, not an `impl Trait` type.
+const ITEM_START: [&str; 5] = [";", "{", "}", "]", "unsafe"];
+
+fn scan_scopes(toks: &[Token]) -> Scopes {
+    let n = toks.len();
+    let mut s = Scopes {
+        shipped: vec![true; n],
+        in_use: vec![false; n],
+        in_fn: Vec::with_capacity(n),
+        owner: Vec::with_capacity(n),
+        test_mods: Vec::new(),
+    };
+    // Open `fn` and type bodies: (is a fn, name index, brace depth).
+    let mut open: Vec<(bool, usize, usize)> = Vec::new();
+    let (mut braces, mut parens) = (0usize, 0usize);
+    let (mut pending_fn, mut pending_owner, mut in_use) = (None, None, false);
+    for (i, t) in toks.iter().enumerate() {
+        if s.shipped[i] && seq_at(toks, i, &CFG_TEST) {
+            let end = item_end(toks, i + CFG_TEST.len());
+            if tok_is(toks, end, ";") && tok_is(toks, end - 2, "mod") {
+                s.test_mods.push(toks[end - 1].text.clone());
+            }
+            s.shipped[i..=end].fill(false);
+        }
+        let innermost = |is_fn: bool| open.iter().rev().find(|o| o.0 == is_fn).map(|o| o.1);
+        if tok_is(toks, i, "fn") {
+            pending_fn = ident_at(toks, i + 1);
+        } else if tok_is(toks, i, "impl") && (i == 0 || tok_in(toks, i - 1, &ITEM_START)) {
+            pending_owner = impl_self_type(toks, i);
+        } else if tok_in(toks, i, &TYPE_KEYWORDS) && innermost(false).is_none() {
+            // Outside impls and traits, so not an associated `type`.
+            pending_owner = ident_at(toks, i + 1);
+        } else if tok_is(toks, i, "use") {
+            in_use = true;
+        }
+        s.in_use[i] = in_use;
+        s.in_fn.push(innermost(true));
+        s.owner.push(pending_owner.or(innermost(false)));
+        if t.kind != TokenKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" => parens += 1,
+            ")" | "]" => parens = parens.saturating_sub(1),
+            "{" => {
+                braces += 1;
+                if let Some(ty) = pending_owner.take() {
+                    open.push((false, ty, braces));
+                } else if let Some(name) = pending_fn.take() {
+                    open.push((true, name, braces));
+                }
+            }
+            "}" => {
+                if open.last().is_some_and(|o| o.2 == braces) {
+                    open.pop();
+                }
+                braces = braces.saturating_sub(1);
+            }
+            // A `;` at signature level ends a bodyless item: a trait
+            // method, `struct S;`, `type T = U;` (but `[u8; 4]` does not).
+            ";" if parens == 0 => (pending_fn, pending_owner, in_use) = (None, None, false),
+            _ => {}
+        }
+    }
+    s
+}
+
+/// Index of the last token of the item whose attributes or keywords
+/// start at `from`: its closing `}`, or its `;` at depth 0.
+fn item_end(toks: &[Token], from: usize) -> usize {
+    let (mut depth, mut in_attr) = (0usize, false);
+    for (i, t) in toks.iter().enumerate().skip(from) {
+        if t.kind != TokenKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "#" if depth == 0 => in_attr = true,
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 && !in_attr && t.text == "}" {
+                    return i;
+                }
+                in_attr &= depth > 0;
+            }
+            ";" if depth == 0 => return i,
+            _ => {}
+        }
+    }
+    toks.len() - 1
+}
+
+/// The self type of the `impl` at `at`: the first path after the
+/// generics, or after `for` in a trait impl, by its last segment
+/// (`impl<T> a::Grid<T>` is `Grid`).
+fn impl_self_type(toks: &[Token], at: usize) -> Option<usize> {
+    let (mut angle, mut ty) = (0usize, None);
+    for (i, t) in toks.iter().enumerate().skip(at + 1) {
+        match t.text.as_str() {
+            "{" | ";" | "where" if angle == 0 => break,
+            "<" => angle += 1,
+            ">" if !tok_is(toks, i - 1, "-") => angle = angle.saturating_sub(1),
+            "for" if angle == 0 => ty = None,
+            _ if angle == 0 && ty.is_none() && !tok_is(toks, i + 1, ":") => ty = ident_at(toks, i),
+            _ => {}
+        }
+    }
+    ty
+}
+
+// ---------------------------------------------------------------------------
 // W-UNSAFE — every unsafe fn/block/impl/trait carries a SAFETY comment
 // and matches the committed registry.
 // ---------------------------------------------------------------------------
@@ -250,32 +420,30 @@ fn is_test_dir(path: &str) -> bool {
 fn rule_unsafe(
     f: &SourceFile,
     lexed: &LexedFile,
+    scopes: &Scopes,
     raw: &mut Vec<Finding>,
     sites: &mut Vec<UnsafeSite>,
 ) {
     let toks = &lexed.tokens;
-    let ctx = fn_contexts(toks);
+    let name =
+        |at: Option<usize>, none: &str| at.map_or(none.to_string(), |k| toks[k].text.clone());
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokenKind::Ident || t.text != "unsafe" {
             continue;
         }
-        let next = toks.get(i + 1);
-        let (kind, context) = match next {
-            Some(n) if n.kind == TokenKind::Ident && n.text == "fn" => {
-                let name = toks
-                    .get(i + 2)
-                    .filter(|t| t.kind == TokenKind::Ident)
-                    .map(|t| t.text.clone())
-                    .unwrap_or_else(|| ctx[i].clone());
-                ("fn", name)
+        let (kind, context) = match toks.get(i + 1) {
+            // An unsafe fn or trait is registered under its own name;
+            // an unsafe impl under its self type.
+            Some(n) if n.kind == TokenKind::Ident && (n.text == "fn" || n.text == "trait") => {
+                let own = ident_at(toks, i + 2).or(scopes.in_fn[i]);
+                (n.text.as_str(), name(own, "<module>"))
             }
-            Some(n) if n.kind == TokenKind::Ident && (n.text == "impl" || n.text == "trait") => {
-                let kind = if n.text == "impl" { "impl" } else { "trait" };
-                (kind, impl_context(toks, i))
+            Some(n) if n.kind == TokenKind::Ident && n.text == "impl" => {
+                ("impl", name(scopes.owner[i + 1], "<impl>"))
             }
             // `#[unsafe(...)]` attributes (Rust 2024) are not sites.
             Some(n) if n.kind == TokenKind::Punct && n.text == "(" => continue,
-            _ => ("block", ctx[i].clone()),
+            _ => ("block", name(scopes.in_fn[i], "<module>")),
         };
         if !has_safety_doc(lexed, t.line) {
             raw.push(Finding::new(
@@ -297,28 +465,6 @@ fn rule_unsafe(
             },
         });
     }
-}
-
-/// For an `unsafe impl … for Target {`, the registry context is the
-/// implementing type: the first ident after `for` (falling back to the
-/// last ident before the opening brace for inherent impls).
-fn impl_context(toks: &[Token], start: usize) -> String {
-    let mut last_ident = None;
-    let mut after_for = false;
-    for t in toks.iter().skip(start + 1) {
-        match t.kind {
-            TokenKind::Punct if t.text == "{" => break,
-            TokenKind::Ident if t.text == "for" => after_for = true,
-            TokenKind::Ident => {
-                last_ident = Some(t.text.clone());
-                if after_for {
-                    return t.text.clone();
-                }
-            }
-            _ => {}
-        }
-    }
-    last_ident.unwrap_or_else(|| "<impl>".to_string())
 }
 
 /// `true` if line `line` carries a SAFETY justification: a comment on
@@ -350,56 +496,6 @@ fn has_safety_doc(lexed: &LexedFile, line: usize) -> bool {
         return false;
     }
     false
-}
-
-/// For every token index, the name of the enclosing `fn` (or
-/// `<module>` at top level). Closures do not open a new context, so
-/// unsafe blocks inside parallel closures attribute to the function
-/// that owns them — which is what the registry wants to show.
-fn fn_contexts(toks: &[Token]) -> Vec<String> {
-    let mut out = Vec::with_capacity(toks.len());
-    let mut stack: Vec<(String, usize)> = Vec::new();
-    let mut brace_depth = 0usize;
-    let mut paren_depth = 0usize;
-    let mut pending: Option<String> = None;
-    for (i, t) in toks.iter().enumerate() {
-        out.push(
-            stack
-                .last()
-                .map(|(n, _)| n.clone())
-                .unwrap_or_else(|| "<module>".to_string()),
-        );
-        match t.kind {
-            TokenKind::Ident if t.text == "fn" => {
-                if let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokenKind::Ident) {
-                    pending = Some(name.text.clone());
-                }
-            }
-            TokenKind::Punct => match t.text.as_str() {
-                "(" | "[" => paren_depth += 1,
-                ")" | "]" => paren_depth = paren_depth.saturating_sub(1),
-                "{" => {
-                    brace_depth += 1;
-                    if let Some(name) = pending.take() {
-                        stack.push((name, brace_depth));
-                    }
-                }
-                "}" => {
-                    if stack.last().is_some_and(|&(_, d)| d == brace_depth) {
-                        stack.pop();
-                    }
-                    brace_depth = brace_depth.saturating_sub(1);
-                }
-                // A `;` at type/signature level cancels a bodyless
-                // trait-method declaration (but `[u8; 4]` inside
-                // brackets does not).
-                ";" if paren_depth == 0 => pending = None,
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -594,119 +690,167 @@ fn rule_cast(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// W-DEADPUB — public means called: a `pub fn` / `pub(crate) fn` under
-// crates/*/src must be named somewhere in non-test source besides its
-// definition, or carry a classed exemption.
+// W-DEADPUB — public means called: the items of crates/*/src (`pub`
+// types, `pub` and `pub(crate)` fns) are resolved against the shipped
+// sites that name or call them.
 // ---------------------------------------------------------------------------
 
-/// Per token: is it code that ships? `false` inside an item under
-/// `#[cfg(test)]` — the attribute, any attributes after it, and the
-/// item through its closing brace or `;`. The names of file modules
-/// declared that way (`#[cfg(test)] mod name;`) are pushed to
-/// `test_mods`.
-fn shipped_mask(toks: &[Token], test_mods: &mut Vec<String>) -> Vec<bool> {
-    let mut mask = vec![true; toks.len()];
-    for start in seq_matches(toks, &["#", "[", "cfg", "(", "test", ")", "]"]) {
-        if !mask[start] {
-            continue;
-        }
-        let mut i = start + 7;
-        let mut depth = 0usize;
-        let mut in_attr = false;
-        while let Some(t) = toks.get(i) {
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "#" if depth == 0 => in_attr = true,
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 && !in_attr && t.text == "}" {
-                            break;
-                        }
-                        in_attr &= depth > 0;
-                    }
-                    ";" if depth == 0 => {
-                        if tok_is(toks, i - 2, "mod") {
-                            test_mods.push(toks[i - 1].text.clone());
-                        }
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        mask[start..toks.len().min(i + 1)].fill(false);
+/// How far a file's sites reach, and so an item, ordered so that an
+/// item reaches as far as its furthest site and a method no further
+/// than its type: not at all (tests), only `benchmark/src`, shipped.
+const DEAD: u8 = 0;
+const BENCH: u8 = 1;
+const SHIPPED: u8 = 2;
+
+/// The item a `pub` / `pub(crate)` at `at` opens, if it is a fn or a
+/// `pub` type: (crate-wide, index of its `fn` or type keyword).
+/// `const`, `async`, `unsafe` and `extern "C"` may sit in between.
+fn pub_item(toks: &[Token], at: usize) -> Option<(bool, usize)> {
+    let crate_wide = tok_is(toks, at + 1, "(");
+    if !tok_is(toks, at, "pub") || crate_wide && !tok_is(toks, at + 2, "crate") {
+        return None;
     }
-    mask
+    let mut kw = if crate_wide { at + 4 } else { at + 1 };
+    while tok_in(toks, kw, &["const", "async", "unsafe", "extern"])
+        || toks.get(kw).is_some_and(|t| t.kind == TokenKind::Str)
+    {
+        kw += 1;
+    }
+    let is_type = !crate_wide && tok_in(toks, kw, &TYPE_KEYWORDS);
+    let is_item = (is_type || tok_is(toks, kw, "fn")) && ident_at(toks, kw + 1).is_some();
+    is_item.then_some((crate_wide, kw))
 }
 
-/// One finding list per file, unsuppressed. A name is *called* when it
-/// occurs, outside test directories and `#[cfg(test)]` items, more
-/// often than `fn` definitions of it do — examples, the bench bins, the
-/// facade and `benchmark/src` all count as callers; a method that
-/// shares its name with any called function counts as called (this is
-/// a name scan, not a resolver).
-fn rule_deadpub(files: &[SourceFile], lexed: &[LexedFile]) -> Vec<Vec<Finding>> {
+/// One finding list per file, unsuppressed; the benchmark-pinned items
+/// and the counts go straight into `out`. An item is reached by the
+/// shipped sites — outside test directories, `#[cfg(test)]` items and
+/// `use` declarations; examples, the bench bins, the facade and
+/// `benchmark/src` are shipped — that:
+///
+/// * for a `pub` type, name it outside its definition and its impls;
+/// * for a method, call it as `.name(`, `Type::name` or, in an impl of
+///   the type, `Self::name` — and its type must be reached too;
+/// * for a free fn, name it other than as `fn name` or `.name`.
+///
+/// A dead type's finding covers its methods, so an exemption on the
+/// type covers its impls. An item that only `benchmark/src` reaches is
+/// listed under `pinned_by_benchmark`, not reported.
+fn rule_deadpub(
+    files: &[SourceFile],
+    lexed: &[LexedFile],
+    scopes: &[Scopes],
+    out: &mut LintOutcome,
+) -> Vec<Vec<Finding>> {
     use std::collections::{HashMap, HashSet};
     // Files that are `#[cfg(test)] mod name;` of a sibling do not ship.
-    let mut masks = Vec::with_capacity(files.len());
     let mut test_files: HashSet<String> = HashSet::new();
-    for (f, lx) in files.iter().zip(lexed) {
-        let mut mods = Vec::new();
-        masks.push(shipped_mask(&lx.tokens, &mut mods));
+    for (f, sc) in files.iter().zip(scopes) {
         let dir = f.path.rsplit_once('/').map_or("", |(d, _)| d);
-        for m in mods {
+        for m in &sc.test_mods {
             test_files.insert(format!("{dir}/{m}.rs"));
             test_files.insert(format!("{dir}/{m}/mod.rs"));
         }
     }
-    let shipped = |k: usize| !is_test_dir(&files[k].path) && !test_files.contains(&files[k].path);
+    let reach_of_file: Vec<u8> = files
+        .iter()
+        .map(|f| match &f.path {
+            p if is_test_dir(p) || test_files.contains(p) => DEAD,
+            p if p.starts_with("benchmark/src/") => BENCH,
+            _ => SHIPPED,
+        })
+        .collect();
 
-    // (occurrences, `fn` definitions) per identifier in shipped code.
-    let mut names: HashMap<&str, (usize, usize)> = HashMap::new();
-    for (k, lx) in lexed.iter().enumerate().filter(|&(k, _)| shipped(k)) {
-        let toks = &lx.tokens;
-        for (i, t) in toks.iter().enumerate() {
-            if t.kind == TokenKind::Ident && masks[k][i] {
-                let e = names.entry(&t.text).or_default();
-                e.0 += 1;
-                e.1 += usize::from(i > 0 && tok_is(toks, i - 1, "fn"));
+    // Every shipped identifier outside `use` declarations, by spelling;
+    // and the item index, (file, `pub`, keyword), counted as it is built.
+    let mut sites: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    let mut items = Vec::new();
+    for (k, f) in files
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| reach_of_file[k] != DEAD)
+    {
+        let (toks, sc) = (&lexed[k].tokens, &scopes[k]);
+        let mut parts = f.path.split('/');
+        let counted = (parts.next(), parts.nth(1)) == (Some("crates"), Some("src"));
+        let mut last_line = 0;
+        for (i, t) in toks.iter().enumerate().filter(|&(i, _)| sc.shipped[i]) {
+            if t.kind == TokenKind::Ident && !sc.in_use[i] {
+                sites.entry(&t.text).or_default().push((k, i));
             }
-        }
-    }
-
-    let mut out: Vec<Vec<Finding>> = files.iter().map(|_| Vec::new()).collect();
-    for (k, lx) in lexed.iter().enumerate().filter(|&(k, _)| shipped(k)) {
-        let path = files[k].path.as_str();
-        let mut parts = path.split('/');
-        if (parts.next(), parts.nth(1)) != (Some("crates"), Some("src")) {
-            continue;
-        }
-        let toks = &lx.tokens;
-        for i in (0..toks.len()).filter(|&i| masks[k][i] && tok_is(toks, i, "pub")) {
-            let crate_wide = tok_is(toks, i + 1, "(") && tok_is(toks, i + 2, "crate");
-            let kw = if crate_wide { i + 4 } else { i + 1 };
-            let Some(name) = toks.get(kw + 1).filter(|_| tok_is(toks, kw, "fn")) else {
+            if !counted {
+                continue;
+            }
+            out.counts.non_test_lines += usize::from(t.line != last_line);
+            last_line = t.line;
+            let Some((crate_wide, kw)) = pub_item(toks, i) else {
                 continue;
             };
-            let (uses, defs) = names[name.text.as_str()];
-            if uses <= defs {
-                out[k].push(Finding::new(
-                    "W-DEADPUB",
-                    path,
-                    toks[i].line,
-                    format!(
-                        "`{}` is public but nothing outside tests names it: \
-                         delete it with the tests that checked only it, or \
-                         exempt it with a classed lint:allow",
-                        name.text
-                    ),
-                ));
-            }
+            *match (tok_is(toks, kw, "fn"), crate_wide) {
+                (false, _) => &mut out.counts.pub_types,
+                (true, false) => &mut out.counts.pub_fn,
+                (true, true) => &mut out.counts.pub_crate_fn,
+            } += 1;
+            items.push((k, i, kw));
         }
     }
-    out
+
+    let is = |k: usize, i: usize, want: &str| tok_is(&lexed[k].tokens, i, want);
+    let before = |k: usize, i: usize, d: usize, want: &str| i >= d && is(k, i - d, want);
+    let owner = |k: usize, i: usize| scopes[k].owner[i].map(|j| lexed[k].tokens[j].text.as_str());
+    let reach = |name: &str, counts: &dyn Fn(usize, usize) -> bool| {
+        let named = sites.get(name).map_or(&[][..], Vec::as_slice);
+        let counted = named.iter().filter(|&&(k, i)| counts(k, i));
+        counted.fold(DEAD, |r, &(k, _)| r.max(reach_of_file[k]))
+    };
+    let type_reach = |ty: &str| reach(ty, &|k, i| owner(k, i) != Some(ty));
+
+    let mut found: Vec<Vec<Finding>> = files.iter().map(|_| Vec::new()).collect();
+    for &(k, at, kw) in &items {
+        let name = lexed[k].tokens[kw + 1].text.as_str();
+        let (r, item) = match (is(k, kw, "fn"), scopes[k].owner[at]) {
+            (false, _) => (type_reach(name), name.to_string()),
+            (true, None) => (
+                reach(name, &|k, i| {
+                    !before(k, i, 1, "fn") && !before(k, i, 1, ".")
+                }),
+                name.to_string(),
+            ),
+            (true, Some(ty)) => {
+                let ty = lexed[k].tokens[ty].text.as_str();
+                let t = type_reach(ty);
+                let called = reach(name, &|k, i| {
+                    (before(k, i, 1, ".") && (is(k, i + 1, "(") || is(k, i + 1, ":")))
+                        || (before(k, i, 1, ":") && before(k, i, 2, ":"))
+                            && (before(k, i, 3, ty)
+                                || before(k, i, 3, "Self") && owner(k, i) == Some(ty))
+                });
+                // The type's own finding or pinned entry covers the method.
+                let r = t.min(called);
+                if r == t && t != SHIPPED {
+                    continue;
+                }
+                (r, format!("{ty}::{name}"))
+            }
+        };
+        match r {
+            DEAD => found[k].push(Finding::new(
+                "W-DEADPUB",
+                &files[k].path,
+                lexed[k].tokens[at].line,
+                format!(
+                    "`{item}` is public but no shipped code reaches it (a `use` \
+                     line is not a caller): delete it with the tests that checked \
+                     only it, or exempt it with a classed lint:allow"
+                ),
+            )),
+            BENCH => out.pinned_by_benchmark.push(Pinned {
+                file: files[k].path.clone(),
+                item,
+            }),
+            _ => {}
+        }
+    }
+    found
 }
 
 // ---------------------------------------------------------------------------
@@ -719,22 +863,28 @@ fn tok_is(toks: &[Token], i: usize, want: &str) -> bool {
         .is_some_and(|t| matches!(t.kind, TokenKind::Ident | TokenKind::Punct) && t.text == want)
 }
 
+/// Is token `i` one of `set`?
+fn tok_in(toks: &[Token], i: usize, set: &[&str]) -> bool {
+    set.iter().any(|want| tok_is(toks, i, want))
+}
+
+/// `Some(i)` if token `i` is an identifier.
+fn ident_at(toks: &[Token], i: usize) -> Option<usize> {
+    toks.get(i)
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|_| i)
+}
+
+/// Do the idents/puncts of `pat` occur consecutively from `i`?
+fn seq_at(toks: &[Token], i: usize, pat: &[&str]) -> bool {
+    pat.iter()
+        .enumerate()
+        .all(|(k, want)| tok_is(toks, i + k, want))
+}
+
 /// Indices where the idents/puncts of `pat` occur consecutively.
 fn seq_matches(toks: &[Token], pat: &[&str]) -> Vec<usize> {
-    let mut out = Vec::new();
-    if toks.len() < pat.len() {
-        return out;
-    }
-    for i in 0..=toks.len() - pat.len() {
-        if pat
-            .iter()
-            .enumerate()
-            .all(|(k, want)| tok_is(toks, i + k, want))
-        {
-            out.push(i);
-        }
-    }
-    out
+    (0..toks.len()).filter(|&i| seq_at(toks, i, pat)).collect()
 }
 
 #[cfg(test)]
@@ -879,7 +1029,8 @@ mod tests {
             ("crates/core/src/util.rs", "pub fn helper() { shy(); }"),
         ]);
         assert_eq!(rules_of(&out), ["W-DEADPUB", "W-DEADPUB"]);
-        // An example, a bench bin, the facade or benchmark/src is.
+        // An example, a bench bin, the facade or benchmark/src is; only
+        // benchmark/src pins what it calls.
         for caller in [
             "examples/demo.rs",
             "crates/bench/src/bin/fig.rs",
@@ -891,6 +1042,13 @@ mod tests {
                 (caller, "fn f() { lonely(); shy() }"),
             ]);
             assert!(out.is_clean(), "{caller}: {:?}", out.findings);
+            let pinned = out.pinned_by_benchmark.iter().map(|p| p.item.as_str());
+            let want: &[&str] = if caller.starts_with("benchmark/") {
+                &["lonely", "shy"]
+            } else {
+                &[]
+            };
+            assert_eq!(pinned.collect::<Vec<_>>(), want, "{caller}");
         }
         // Only crates/*/src is held to the rule.
         assert!(run_set(&[("src/lib.rs", def), ("examples/e.rs", def)]).is_clean());
@@ -903,6 +1061,17 @@ mod tests {
         let unclassed = "// lint:allow(W-DEADPUB): tests use it\npub fn naive() {}";
         let out = run("crates/core/src/naive.rs", unclassed);
         assert_eq!(rules_of(&out), ["W-ALLOW", "W-DEADPUB"]);
+    }
+
+    #[test]
+    fn deadpub_resolves_methods_through_their_impl_type() {
+        let def = "pub struct Grid<T>(T);\nimpl<T: Copy> crate::Grid<T> {\n    pub fn cells(&self) {}\n    pub fn side(&self) {}\n}\nimpl<T> Default for Grid<T> {\n    fn default() -> Self { Self::cells(); todo!() }\n}";
+        // `Self::cells` in a trait impl of `Grid` calls it; a local
+        // `side` calls nothing.
+        let caller = "fn main() { let g: Grid<f64> = Default::default(); let side = 2; }";
+        let out = run_set(&[("crates/math/src/grid.rs", def), ("examples/e.rs", caller)]);
+        assert_eq!(rules_of(&out), ["W-DEADPUB"]);
+        assert_eq!(out.findings[0].line, 4);
     }
 
     // ----- W-ENV -----

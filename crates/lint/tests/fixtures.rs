@@ -7,6 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
+use galactos_lint::rules::{Counts, Pinned};
 use galactos_lint::{lint_root, LintOutcome};
 
 fn fixture(name: &str) -> PathBuf {
@@ -35,6 +36,23 @@ fn clean_tree_is_clean() {
     // The documented, registered unsafe block was still *seen*.
     assert_eq!(out.unsafe_sites.len(), 1);
     assert_eq!(out.unsafe_sites[0].entry.context, "read_cell");
+    // What only `benchmark/src` reaches is pinned, not reported.
+    let pinned = |item: &str| Pinned {
+        file: "crates/math/src/grid.rs".to_string(),
+        item: item.to_string(),
+    };
+    assert_eq!(
+        out.pinned_by_benchmark,
+        [pinned("read_binary"), pinned("Engine::traversal_kind")]
+    );
+    let counts = Counts {
+        non_test_lines: 67,
+        pub_fn: 16,
+        pub_crate_fn: 2,
+        pub_types: 2,
+        deadpub_exemptions: 1,
+    };
+    assert_eq!(out.counts, counts);
 }
 
 #[test]
@@ -49,17 +67,24 @@ fn violations_tree_fires_every_rule() {
         ("W-UNSAFE", "UNSAFE_REGISTRY.txt", 3),     // stale entry
         ("W-CLOCK", "crates/bench/src/main.rs", 9), // bench is not allowlisted
         ("W-CAST", "crates/catalog/src/io.rs", 4),
-        ("W-ALLOW", "crates/core/src/clock.rs", 7), // bare suppression
-        ("W-CLOCK", "crates/core/src/clock.rs", 8), // ... which stays inert
-        ("W-DEADPUB", "crates/core/src/dead.rs", 6), // named by its test only
-        ("W-ALLOW", "crates/core/src/dead.rs", 10), // exemption without a class
+        ("W-DEADPUB", "crates/catalog/src/io.rs", 7), // a benchmark test only
+        ("W-ALLOW", "crates/core/src/clock.rs", 7),   // bare suppression
+        ("W-CLOCK", "crates/core/src/clock.rs", 8),   // ... which stays inert
+        ("W-DEADPUB", "crates/core/src/dead.rs", 6),  // named by its test only
+        ("W-ALLOW", "crates/core/src/dead.rs", 10),   // exemption without a class
         ("W-DEADPUB", "crates/core/src/dead.rs", 11), // ... which stays inert
         ("W-DETERMINISM", "crates/core/src/reduce.rs", 5),
         ("W-ENV", "crates/grid/src/env.rs", 5), // env::var read
         ("W-ENV", "crates/grid/src/env.rs", 5), // GALACTOS_ literal
         ("W-UNSAFE", "crates/math/src/mem.rs", 5), // missing SAFETY
         ("W-UNSAFE", "crates/math/src/mem.rs", 5), // unregistered
+        ("W-DEADPUB", "crates/math/src/shape.rs", 7), // impl and `use` only
+        ("W-DEADPUB", "crates/math/src/shape.rs", 20), // a local `volume`
+        ("W-DEADPUB", "crates/math/src/shape.rs", 32), // a free fn `to_array`
+        ("W-DEADPUB", "crates/math/src/shape.rs", 37), // `pub const fn`
+        ("W-DEADPUB", "crates/math/src/shape.rs", 41), // `pub(crate) const fn`
         ("W-CLOCK", "crates/obs/src/span.rs", 7), // outside obs::clock
+        ("W-DEADPUB", "crates/obs/src/summary.rs", 4), // a facade `pub use`
     ]
     .into_iter()
     .map(|(r, f, l)| (r.to_string(), f.to_string(), l))

@@ -64,11 +64,6 @@ impl LnFactorialTable {
     pub fn get(&self, n: usize) -> f64 {
         self.table[n]
     }
-
-    #[inline]
-    pub fn max_n(&self) -> usize {
-        self.table.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,6 @@ mod tests {
         for n in 0..=100 {
             assert!((t.get(n) - ln_factorial(n)).abs() < 1e-9, "n={n}");
         }
-        assert_eq!(t.max_n(), 100);
     }
 
     #[test]

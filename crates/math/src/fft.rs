@@ -385,11 +385,6 @@ impl Mesh3 {
         self.to_real()
     }
 
-    #[inline]
-    pub fn side(&self) -> usize {
-        self.n
-    }
-
     /// Number of cells, `n³`.
     #[inline]
     pub fn len(&self) -> usize {

@@ -75,13 +75,11 @@ fn nest_index(lmax: usize, k: u32, p: u32, q: u32) -> usize {
 /// for k in 0..=ℓmax−q−p` — ascending `q`, then `p`, then `k` — so
 /// every parent precedes its children. Index 0 is the constant monomial
 /// `1` (whose accumulated sum counts pairs — the paper's `S_{000}`).
-/// Address monomials through [`index_of`](Self::index_of) /
-/// [`exponents`](Self::exponents), never by position.
+/// Address monomials through [`index_of`](Self::index_of), never by
+/// position.
 #[derive(Clone, Debug)]
 pub struct MonomialBasis {
     lmax: usize,
-    /// Exponents `(k, p, q)` for each monomial index.
-    exponents: Vec<(u32, u32, u32)>,
     /// `schedule[i]` builds monomial `i+1` (index 0 is the constant 1).
     schedule: Vec<UpdateStep>,
 }
@@ -114,11 +112,7 @@ impl MonomialBasis {
             schedule.push(UpdateStep { parent, axis });
         }
 
-        MonomialBasis {
-            lmax,
-            exponents,
-            schedule,
-        }
+        MonomialBasis { lmax, schedule }
     }
 
     #[inline]
@@ -129,18 +123,13 @@ impl MonomialBasis {
     /// Total number of monomials (286 for `ℓmax = 10`).
     #[inline]
     pub fn len(&self) -> usize {
-        self.exponents.len()
+        self.schedule.len() + 1
     }
 
+    /// Never: index 0 is the constant monomial.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.exponents.is_empty()
-    }
-
-    /// Exponents `(k, p, q)` of monomial `i`.
-    #[inline]
-    pub fn exponents(&self, i: usize) -> (u32, u32, u32) {
-        self.exponents[i]
+        false
     }
 
     /// Index of the monomial with exponents `(k, p, q)`.
@@ -184,15 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn index_of_is_inverse_of_exponents() {
-        let b = MonomialBasis::new(8);
-        for i in 0..b.len() {
-            let (k, p, q) = b.exponents(i);
-            assert_eq!(b.index_of(k, p, q), i, "monomial {i} = ({k},{p},{q})");
-        }
-    }
-
-    #[test]
     fn order_is_the_q_p_k_loop_nest() {
         for lmax in 0..=12usize {
             let b = MonomialBasis::new(lmax);
@@ -201,7 +181,6 @@ mod tests {
             for q in 0..=top {
                 for p in 0..=top - q {
                     for k in 0..=top - q - p {
-                        assert_eq!(b.exponents(i), (k, p, q), "lmax {lmax} index {i}");
                         assert_eq!(b.index_of(k, p, q), i, "lmax {lmax} ({k},{p},{q})");
                         i += 1;
                     }
@@ -229,13 +208,15 @@ mod tests {
         let mut out = vec![0.0; b.len()];
         for &(x, y, z) in &[(0.5, -1.5, 2.0), (1.0, 1.0, 1.0), (-0.3, 0.9, -2.2)] {
             b.eval_into(x, y, z, &mut out);
-            for (i, &got) in out.iter().enumerate() {
-                let (k, p, q) = b.exponents(i);
-                let want = x.powi(k as i32) * y.powi(p as i32) * z.powi(q as i32);
-                assert!(
-                    (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
-                    "({k},{p},{q}): {got} vs {want}"
-                );
+            for (q, p) in (0..=7).flat_map(|q| (0..=7 - q).map(move |p| (q, p))) {
+                for k in 0..=7 - q - p {
+                    let got = out[b.index_of(k, p, q)];
+                    let want = x.powi(k as i32) * y.powi(p as i32) * z.powi(q as i32);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                        "({k},{p},{q}): {got} vs {want}"
+                    );
+                }
             }
         }
     }

@@ -262,15 +262,6 @@ impl Aabb {
         (self.lo + self.hi) * 0.5
     }
 
-    #[inline]
-    pub fn volume(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let e = self.extent();
-        e.x * e.y * e.z
-    }
-
     /// Index (0/1/2) of the longest axis.
     #[inline]
     pub fn longest_axis(&self) -> usize {

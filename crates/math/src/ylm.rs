@@ -262,11 +262,17 @@ mod tests {
         let lmax = 8;
         let basis = MonomialBasis::new(lmax);
         let table = YlmTable::new(lmax, &basis);
+        let top = lmax as u32;
+        let mut degree = vec![0; basis.len()];
+        for (q, p) in (0..=top).flat_map(|q| (0..=top - q).map(move |p| (q, p))) {
+            for k in 0..=top - q - p {
+                degree[basis.index_of(k, p, q)] = (k + p + q) as usize;
+            }
+        }
         for l in 0..=lmax {
             for m in 0..=l {
                 for t in table.terms(l, m) {
-                    let (k, p, q) = basis.exponents(t.monomial as usize);
-                    assert_eq!((k + p + q) as usize, l, "l={l} m={m}");
+                    assert_eq!(degree[t.monomial as usize], l, "l={l} m={m}");
                 }
             }
         }

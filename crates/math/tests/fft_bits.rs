@@ -69,7 +69,9 @@ fn mesh(n: usize, seed: u64, keep: impl Fn(usize, usize, usize) -> bool) -> Mesh
 }
 
 fn mesh_hash(mesh: &Mesh3) -> u64 {
-    let n = mesh.side();
+    let n = (1..=mesh.len())
+        .find(|&n| n * n * n == mesh.len())
+        .expect("cubic mesh");
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for i in 0..n {
         for j in 0..n {

@@ -70,10 +70,13 @@ proptest! {
         let b = MonomialBasis::new(lmax);
         let mut out = vec![0.0; b.len()];
         b.eval_into(x, y, z, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            let (k, p, q) = b.exponents(i);
-            let want = x.powi(k as i32) * y.powi(p as i32) * z.powi(q as i32);
-            prop_assert!((got - want).abs() <= 1e-10 * (1.0 + want.abs()));
+        let top = lmax as u32;
+        for (q, p) in (0..=top).flat_map(|q| (0..=top - q).map(move |p| (q, p))) {
+            for k in 0..=top - q - p {
+                let got = out[b.index_of(k, p, q)];
+                let want = x.powi(k as i32) * y.powi(p as i32) * z.powi(q as i32);
+                prop_assert!((got - want).abs() <= 1e-10 * (1.0 + want.abs()));
+            }
         }
     }
 

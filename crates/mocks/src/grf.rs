@@ -127,11 +127,6 @@ impl GaussianField {
     }
 
     #[inline]
-    pub fn side(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
     pub fn box_len(&self) -> f64 {
         self.box_len
     }

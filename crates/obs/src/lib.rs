@@ -16,8 +16,6 @@
 //!   and aggregate slices for hot-path stage totals.
 //! * [`chrome::chrome_trace_json`] — Chrome Trace Event JSON, loadable
 //!   in Perfetto or `chrome://tracing`.
-//! * [`summary::render_summary`] — a deterministic plain-text span tree
-//!   (sorted, with totals/percent/call counts) suitable for diffing.
 //!
 //! ## The zero-cost contract
 //!
@@ -49,7 +47,6 @@ pub mod chrome;
 pub mod clock;
 pub mod registry;
 pub mod span;
-pub mod summary;
 
 pub use registry::{Counter, Gauge, MetricValue, Registry};
 pub use span::{SpanGuard, SpanRecord, Tracer};

@@ -84,11 +84,6 @@ impl F64x8 {
     }
 
     #[inline(always)]
-    pub fn to_array(self) -> [f64; F64_LANES] {
-        self.0
-    }
-
-    #[inline(always)]
     pub fn write_to(self, out: &mut [f64]) {
         out[..F64_LANES].copy_from_slice(&self.0);
     }

@@ -68,6 +68,5 @@ pub mod prelude {
     pub use galactos_math::{LineOfSight, Vec3};
     pub use galactos_mocks::{BaoSpectrum, PowerLawSpectrum, PowerSpectrum};
     pub use galactos_obs::chrome::chrome_trace_json;
-    pub use galactos_obs::summary::render_summary;
     pub use galactos_obs::ObsSession;
 }

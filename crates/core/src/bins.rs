@@ -18,26 +18,10 @@ use galactos_simd::{F64x8, F64_LANES};
 /// in no bin.
 pub(crate) const NO_BIN: u32 = u32::MAX;
 
-/// Spacing rule for radial bin edges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BinSpacing {
-    Linear,
-    Logarithmic,
-}
-
 /// A set of radial shells `[edges[i], edges[i+1])`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RadialBins {
     edges: Vec<f64>,
-    spacing: BinSpacing,
-    /// Cached `1/width` for the linear fast path.
-    inv_width: f64,
-    /// Cached `ln(rmin)` for the logarithmic fast path.
-    ln_rmin: f64,
-    /// Cached `1 / ln(edges[i+1]/edges[i])` so the logarithmic lookup
-    /// is one `ln` and one multiply per call — no division, no binary
-    /// search.
-    inv_ln_step: f64,
 }
 
 impl RadialBins {
@@ -50,18 +34,12 @@ impl RadialBins {
         edges[0] = rmin;
         edges[nbins] = rmax; // exact outer edge despite rounding
         assert_non_decreasing(&edges);
-        RadialBins {
-            edges,
-            spacing: BinSpacing::Linear,
-            inv_width: 1.0 / width,
-            ln_rmin: 0.0,
-            inv_ln_step: 0.0,
-        }
+        RadialBins { edges }
     }
 
     /// `nbins` logarithmically spaced shells covering `[rmin, rmax)`
     /// (requires `rmin > 0`).
-    // lint:allow(W-DEADPUB): consumed by the engine as EngineConfig::bins (bin_of's logarithmic arm; its lane twin bin_lanes, called by the staging lane pass in traversal/block.rs)
+    // lint:allow(W-DEADPUB): consumed by the engine as EngineConfig::bins (logarithmic edges, binned by bin_of and its lane twin bin_lanes in the staging lane pass of traversal/block.rs)
     pub fn logarithmic(rmin: f64, rmax: f64, nbins: usize) -> Self {
         assert!(nbins > 0);
         assert!(rmin > 0.0 && rmax > rmin, "log bins need 0 < rmin < rmax");
@@ -72,13 +50,7 @@ impl RadialBins {
         edges[0] = rmin;
         edges[nbins] = rmax;
         assert_non_decreasing(&edges);
-        RadialBins {
-            edges,
-            spacing: BinSpacing::Logarithmic,
-            inv_width: 0.0,
-            ln_rmin: rmin.ln(),
-            inv_ln_step: 1.0 / ratio,
-        }
+        RadialBins { edges }
     }
 
     #[inline]
@@ -117,53 +89,24 @@ impl RadialBins {
     /// Non-finite radii (NaN, ±∞) are never inside any bin.
     ///
     /// Bins are the half-open intervals `[edges[i], edges[i+1])`
-    /// *exactly as stored*: the fast arithmetic lookup is corrected
-    /// against the edge array so boundary radii land deterministically.
+    /// *exactly as stored*. The edges never decrease, so for `r` in
+    /// `[rmin, rmax)` the one `idx` with `edges[idx] ≤ r < edges[idx + 1]`
+    /// is the number of inner edges `edges[1..nbins]` at or below `r`,
+    /// found here by binary search. NaN fails the range test.
     #[inline]
     pub fn bin_of(&self, r: f64) -> Option<usize> {
-        // NaN fails both range comparisons below, which used to fall
-        // through to the lookup: the linear cast produced a silent
-        // `Some(0)` and the logarithmic `partial_cmp(..).unwrap()`
-        // panicked. Reject it explicitly so both spacings agree.
-        if r.is_nan() || r < self.rmin() || r >= self.rmax() {
-            return None;
-        }
-        let guess = match self.spacing {
-            BinSpacing::Linear => {
-                (((r - self.rmin()) * self.inv_width) as usize).min(self.nbins() - 1)
-            }
-            // One ln + one multiply per pair (the reciprocal of the log
-            // step is precomputed at construction, so there is no
-            // division and no binary search on the hot path). Any
-            // rounding of the arithmetic guess is repaired by the
-            // edge-exact correction below, exactly as for linear bins.
-            BinSpacing::Logarithmic => {
-                (((r.ln() - self.ln_rmin) * self.inv_ln_step) as usize).min(self.nbins() - 1)
-            }
-        };
-        // Edge-exact correction for floating-point rounding of the
-        // arithmetic inverse (at most one step in practice).
-        let mut idx = guess;
-        while idx > 0 && r < self.edges[idx] {
-            idx -= 1;
-        }
-        while idx + 1 < self.nbins() && r >= self.edges[idx + 1] {
-            idx += 1;
-        }
-        Some(idx)
+        let inner = &self.edges[1..self.nbins()];
+        (self.rmin() <= r && r < self.rmax()).then(|| inner.partition_point(|&e| e <= r))
     }
 
     /// [`RadialBins::bin_of`] on eight separations at once: lane `i` is
     /// `bin_of(r[i])` as a `u32`, or [`NO_BIN`] where that is `None`.
     ///
-    /// `bin_of` returns the one `idx` with
-    /// `edges[idx] ≤ r < edges[idx + 1]` for `r` in `[rmin, rmax)`.
-    /// The edges never decrease, so that `idx` is the number of inner
-    /// edges `edges[1..nbins]` at or below `r`, which each lane counts
-    /// with one compare per edge: no `ln`, no guess, no correction
-    /// loop. The range mask `rmin ≤ r < rmax` then leaves NaN (every
-    /// compare false), ±∞, `r < rmin` and `r ≥ rmax` unbinned, exactly
-    /// as `bin_of` does.
+    /// Each lane counts the inner edges at or below its `r` with one
+    /// compare per edge, the count `bin_of` finds by binary search. The
+    /// range mask `rmin ≤ r < rmax` then leaves NaN (every compare
+    /// false), ±∞, `r < rmin` and `r ≥ rmax` unbinned, exactly as
+    /// `bin_of` does.
     #[inline(always)]
     pub(crate) fn bin_lanes(&self, r: F64x8) -> [u32; F64_LANES] {
         let r = r.0;
@@ -184,7 +127,7 @@ impl RadialBins {
     }
 }
 
-/// The edge order [`RadialBins::bin_of`]'s correction and
+/// The edge order [`RadialBins::bin_of`]'s search and
 /// [`RadialBins::bin_lanes`]' count both rely on.
 fn assert_non_decreasing(edges: &[f64]) {
     assert!(

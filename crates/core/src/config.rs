@@ -40,7 +40,7 @@ pub struct EngineConfig {
     /// equivalence tests and the benchmark's differential check run
     /// the scalar reference. The backends agree up to floating-point
     /// reassociation (≲ 1e-11 relative in the kernel unit tests, 1e-10
-    /// through the full engine in `tests/backends.rs`).
+    /// through the full engine in `tests/conformance.rs`).
     pub kernel_backend: BackendChoice,
     /// How secondaries are found for each primary — one tree descent
     /// per primary, or the paper's §3.2 node-to-node walk gathering
@@ -50,7 +50,7 @@ pub struct EngineConfig {
     /// equivalence tests and the benchmark's differential check run
     /// the per-primary reference. Both modes bin exactly the same
     /// pairs and agree to floating-point reassociation (≤ 1e-9
-    /// relative; enforced by `tests/traversal_equivalence.rs`).
+    /// relative; enforced by `tests/conformance.rs`).
     pub traversal: TraversalChoice,
     /// Which *estimator* evaluates ζ — the exact tree traversal (the
     /// default) or the FFT grid (`galactos-grid`), whose cost scales

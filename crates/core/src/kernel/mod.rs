@@ -20,7 +20,7 @@
 //! * **Scalar reference** ([`scalar`]): the same arithmetic one lane
 //!   wide, replaying the schedule step by step — the oracle the SIMD
 //!   kernel is held to (≲ 1e-11 relative in the unit tests, 1e-10
-//!   through the full engine in `tests/backends.rs`).
+//!   through the full engine in `tests/conformance.rs`).
 //! * **Selection** ([`backend`]): the two implementations behind one
 //!   [`KernelBackend`] trait, chosen per engine by
 //!   [`EngineConfig::kernel_backend`](crate::config::EngineConfig) —

@@ -80,7 +80,7 @@ fn gather_secondaries(
 /// O(N³) triplet-counting anisotropic 3PCF. `include_self` keeps the
 /// degenerate `j = k` "triangles" (matching the raw `a·a*` product);
 /// excluding them matches the engine with `subtract_self_pairs = true`.
-// lint:allow(W-DEADPUB): oracle for Engine::compute in core/tests/{oracle,degenerate}.rs and tests/end_to_end.rs
+// lint:allow(W-DEADPUB): oracle for Engine::compute in core/tests/{conformance,degenerate}.rs and engine.rs tests
 pub fn naive_anisotropic(
     galaxies: &[Galaxy],
     config: &EngineConfig,
@@ -122,7 +122,7 @@ pub fn naive_anisotropic(
 /// O(N²·ℓm) direct-`Y_ℓm` implementation: form shell coefficients by
 /// direct evaluation, then take products (includes the `j = k` terms,
 /// like the raw engine output).
-// lint:allow(W-DEADPUB): oracle for Engine::compute in core/tests/{oracle,proptests}.rs
+// lint:allow(W-DEADPUB): oracle for Engine::compute in core/tests/{conformance,traversal_equivalence}.rs
 pub fn seminaive_anisotropic(
     galaxies: &[Galaxy],
     config: &EngineConfig,

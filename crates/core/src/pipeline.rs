@@ -632,19 +632,42 @@ mod tests {
 
     #[test]
     fn sharded_surfaces_corrupt_manifest() {
-        let cat = open_catalog(60, 8.0, 23);
+        // A flipped byte inside the manifest's entry table, and a
+        // periodic catalog: both fail before any rank starts.
         let config = EngineConfig::test_default(2.0, 1, 1);
         let dir = shard_dir("corrupt_manifest");
-        write_sharded(&cat, 3, &dir).unwrap();
         let manifest_path = dir.join(MANIFEST_FILE);
-        let mut bytes = std::fs::read(&manifest_path).unwrap();
-        let last = bytes.len() - 20; // inside the entry table
-        bytes[last] ^= 0xFF;
-        std::fs::write(&manifest_path, &bytes).unwrap();
-        assert!(matches!(
-            sharded(&manifest_path, &config, 2),
-            Err(SupervisedError::Io(CatalogIoError::Corrupt(_)))
-        ));
+        for periodic in [false, true] {
+            let cat = match periodic {
+                true => uniform_box(60, 8.0, 23),
+                false => open_catalog(60, 8.0, 23),
+            };
+            std::fs::remove_dir_all(&dir).ok();
+            write_sharded(&cat, 3, &dir).unwrap();
+            if !periodic {
+                let mut bytes = std::fs::read(&manifest_path).unwrap();
+                let last = bytes.len() - 20;
+                bytes[last] ^= 0xFF;
+                std::fs::write(&manifest_path, &bytes).unwrap();
+            }
+            let obs = ObsSession::enabled();
+            let policy = RetryPolicy::default();
+            let result = compute_distributed_supervised_observed(
+                &manifest_path,
+                &config,
+                2,
+                &policy,
+                FaultPlan::none(),
+                &obs,
+            );
+            let surfaced = match result {
+                Err(SupervisedError::Io(CatalogIoError::Corrupt(_))) => !periodic,
+                Err(SupervisedError::Io(CatalogIoError::Unsupported(_))) => periodic,
+                _ => false,
+            };
+            assert!(surfaced, "periodic={periodic}");
+            assert_eq!(obs.registry.counter_value("supervised.attempts"), 0);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -56,7 +56,7 @@
 //! function of (catalog, bins) only — not of [`TraversalKind`] — and
 //! the two modes differ only in accumulation order (≤ 1e-9 relative,
 //! with `binned_pairs` equal to the O(N²) oracle's; enforced by
-//! `tests/traversal_equivalence.rs`).
+//! `tests/conformance.rs` and `tests/traversal_equivalence.rs`).
 //! The 2PCF pair counter ([`crate::paircount`]) gathers through the
 //! same padded query and counts by the same `bin_of`. Selection is
 //! [`TraversalChoice`] on the config: leaf-blocked unless the reference

@@ -11,9 +11,9 @@ use galactos_core::traversal::{TraversalChoice, TraversalKind};
 use galactos_math::{LineOfSight, Vec3};
 use proptest::prelude::*;
 
-/// The pre-reciprocal logarithmic lookup (binary search over the edge
-/// array + edge-exact correction), kept as the reference the fast
-/// `ln`-and-multiply path must match bit for bit.
+/// An independent lookup (binary search over the whole edge array, then
+/// an edge-exact walk), kept as the reference `bin_of`'s search over
+/// the inner edges must match on every radius.
 fn bin_of_by_search(bins: &RadialBins, r: f64) -> Option<usize> {
     if r.is_nan() || r < bins.rmin() || r >= bins.rmax() {
         return None;
@@ -161,13 +161,11 @@ proptest! {
         nbins in 1usize..24,
         samples in prop::collection::vec(-0.1f64..1.1, 40),
     ) {
-        // The reciprocal fast path (one ln + multiply, no division)
-        // must reproduce the binary-search reference exactly —
-        // including out-of-range radii, exact edge hits, and the
-        // NaN→None behavior pinned since PR 3 — and linear spacing
-        // must stay untouched. The lane form (a count of inner edges,
-        // masked to [rmin, rmax)) must give the same answer on every
-        // sample, every edge and its ulp neighbours.
+        // `bin_of` must reproduce the reference exactly, on both
+        // spacings — including out-of-range radii, exact edge hits and
+        // NaN→None. The lane form (a count of inner edges, masked to
+        // [rmin, rmax)) must give the same answer on every sample,
+        // every edge and its ulp neighbours.
         let log_bins = RadialBins::logarithmic(rmin, rmin * ratio, nbins);
         let lin_bins = RadialBins::linear(rmin, rmin * ratio, nbins);
         for bins in [&log_bins, &lin_bins] {

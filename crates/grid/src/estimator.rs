@@ -214,9 +214,9 @@ fn contract_block(
 ///
 /// Under an enabled `obs` the stage times are recorded as one `paint` /
 /// `fields` / `contract` / `selfpair` aggregate each, under whatever
-/// span the caller has open, and added to the `grid.*_nanos` counters;
-/// a disabled session performs **zero clock reads** (the same zero-cost
-/// contract as the tree engine's stages) and the same arithmetic.
+/// span the caller has open; a disabled session performs **zero clock
+/// reads** (the same zero-cost contract as the tree engine's stages)
+/// and the same arithmetic.
 /// Panics if the catalog is not periodic.
 #[allow(clippy::too_many_arguments)]
 pub fn accumulate_zeta_multipoles(
@@ -406,14 +406,13 @@ pub fn accumulate_zeta_multipoles(
     }
     let selfpair_nanos = nanos_since(ts);
     // No-ops on a disabled session.
-    for (stage, counter, nanos) in [
-        ("paint", "grid.paint_nanos", paint_nanos),
-        ("fields", "grid.field_nanos", field_nanos),
-        ("contract", "grid.zeta_nanos", zeta_nanos),
-        ("selfpair", "grid.selfpair_nanos", selfpair_nanos),
+    for (stage, nanos) in [
+        ("paint", paint_nanos),
+        ("fields", field_nanos),
+        ("contract", zeta_nanos),
+        ("selfpair", selfpair_nanos),
     ] {
         obs.tracer.add_aggregate(stage, 1, nanos);
-        obs.registry.add(counter, nanos);
     }
 }
 
@@ -866,7 +865,6 @@ mod tests {
             assert_eq!(hits[0].path, format!("grid/{stage}"));
             assert!(hits[0].end_nanos > hits[0].start_nanos, "{stage} took time");
         }
-        assert!(timed.registry.counter_value("grid.field_nanos") > 0);
         assert_eq!(plain, observed, "values must not depend on observation");
     }
 }

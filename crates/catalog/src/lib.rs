@@ -32,6 +32,6 @@ pub mod survey;
 
 pub use galaxy::{Catalog, Galaxy};
 pub use random::uniform_box;
-pub use shard::{ShardAssignment, ShardManifest, ShardMeta, ShardReader, ShardedWriter};
+pub use shard::{ShardAssignment, ShardManifest, ShardMeta, ShardReader};
 pub use sky::{cartesian_to_sky, read_sky_csv, sky_to_cartesian, write_sky_csv};
 pub use survey::{Cap, SurveyGeometry};

@@ -52,9 +52,16 @@
 //! records      count × (x, y, z, weight) f64
 //! ```
 //!
-//! [`ShardReader`] streams records in caller-sized chunks, cross-checks
-//! each shard file against the manifest entry (index, count, bounds)
-//! and verifies the payload checksum once the last record is delivered.
+//! Both headers go through one private codec, which checks magic,
+//! version, kind and checksum on decode.
+//!
+//! [`write_sharded`] writes each shard file front to back, its final
+//! header first, with one file open at a time, so the shard count is not
+//! bounded by the open-file limit (`ulimit -n`). [`ShardReader`] streams
+//! records in caller-sized chunks, checks each shard file's header
+//! against the one its manifest entry implies (index, count, periodicity,
+//! bounds) and verifies the payload checksum once the last record is
+//! delivered.
 
 use crate::galaxy::{Catalog, Galaxy};
 use crate::io::{
@@ -63,7 +70,7 @@ use crate::io::{
 use bytes::{Buf, BufMut, BytesMut};
 use galactos_math::{Aabb, Vec3};
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// GCAT version written by this module.
@@ -78,6 +85,9 @@ pub const HEADER_BYTES: usize = 92;
 pub const ENTRY_BYTES: usize = 72;
 /// Default file name of the manifest inside a shard directory.
 pub const MANIFEST_FILE: &str = "manifest.gcm";
+/// Records [`write_sharded`] encodes per write call (64 KiB). One
+/// buffered write per record costs more than the encoding.
+const WRITE_CHUNK: usize = 2048;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -155,6 +165,82 @@ fn get_aabb(buf: &mut impl Buf) -> Aabb {
     Aabb { lo, hi }
 }
 
+/// The fields of a manifest or shard-file header, as the layout above
+/// lists them (magic, version and checksum are implied).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Header {
+    kind: u32,
+    /// `num_shards` of a manifest, `shard_index` of a shard file.
+    id: u32,
+    /// `total_count` of a manifest, the record count of a shard file.
+    count: u64,
+    /// The `flags` bit 0 and `box_len` pair.
+    periodic: Option<f64>,
+    bounds: Aabb,
+}
+
+impl Header {
+    /// Append the header's `HEADER_BYTES` to `buf`.
+    fn encode(&self, buf: &mut BytesMut) {
+        let start = buf.len();
+        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(SHARD_VERSION);
+        buf.put_u32_le(self.kind);
+        buf.put_u32_le(self.id);
+        buf.put_u64_le(self.count);
+        buf.put_u32_le(u32::from(self.periodic.is_some()));
+        buf.put_f64_le(self.periodic.unwrap_or(0.0));
+        put_aabb(buf, &self.bounds);
+        let sum = fnv1a(&buf[start..]);
+        buf.put_u64_le(sum);
+    }
+
+    /// Decode the header at the front of `bytes`, which must be of
+    /// `kind`, verifying magic, version and checksum.
+    fn decode(bytes: &[u8], kind: u32) -> Result<Self, CatalogIoError> {
+        let what = if kind == KIND_MANIFEST {
+            "manifest"
+        } else {
+            "shard"
+        };
+        let header = bytes.get(..HEADER_BYTES).ok_or(CatalogIoError::Truncated)?;
+        let mut buf = header;
+        let magic = buf.get_u32_le();
+        if magic != MAGIC {
+            return Err(CatalogIoError::BadMagic(magic));
+        }
+        let version = buf.get_u32_le();
+        if version != SHARD_VERSION {
+            return Err(CatalogIoError::BadVersion(version));
+        }
+        let found = buf.get_u32_le();
+        if found != kind {
+            return Err(CatalogIoError::Corrupt(format!(
+                "expected {what} kind {kind}, found {found}"
+            )));
+        }
+        let id = buf.get_u32_le();
+        let count = buf.get_u64_le();
+        let flags = buf.get_u32_le();
+        let box_len = buf.get_f64_le();
+        let bounds = get_aabb(&mut buf);
+        let declared = buf.get_u64_le();
+        let actual = fnv1a(&header[..HEADER_BYTES - 8]);
+        if declared != actual {
+            return Err(CatalogIoError::Corrupt(format!(
+                "{what} header checksum mismatch: stored {declared:#018x}, computed {actual:#018x}"
+            )));
+        }
+        Ok(Header {
+            kind,
+            id,
+            count,
+            periodic: (flags & 1 != 0).then_some(box_len),
+            bounds,
+        })
+    }
+}
+
 impl ShardManifest {
     #[inline]
     pub fn num_shards(&self) -> usize {
@@ -166,72 +252,54 @@ impl ShardManifest {
         format!("shard_{index:04}.gcat")
     }
 
+    /// The header shard file `index` must carry. Panics if `index` is
+    /// out of range.
+    fn shard_header(&self, index: usize) -> Header {
+        Header {
+            kind: KIND_SHARD,
+            id: u32::try_from(index).expect("shard indices fit in u32, like the shard count"),
+            count: self.shards[index].count,
+            periodic: self.periodic,
+            bounds: self.shards[index].bounds,
+        }
+    }
+
     /// Encode the manifest into bytes.
     pub fn to_bytes(&self) -> BytesMut {
         let mut buf = BytesMut::with_capacity(HEADER_BYTES + ENTRY_BYTES * self.shards.len() + 8);
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(SHARD_VERSION);
-        buf.put_u32_le(KIND_MANIFEST);
-        buf.put_u32_le(u32::try_from(self.shards.len()).expect("shard count fits in u32"));
-        buf.put_u64_le(self.total_count);
-        buf.put_u32_le(u32::from(self.periodic.is_some()));
-        buf.put_f64_le(self.periodic.unwrap_or(0.0));
-        put_aabb(&mut buf, &self.bounds);
-        let header_sum = fnv1a(&buf[..]);
-        buf.put_u64_le(header_sum);
-        let entries_start = buf.len();
+        Header {
+            kind: KIND_MANIFEST,
+            id: u32::try_from(self.shards.len()).expect("shard count fits in u32"),
+            count: self.total_count,
+            periodic: self.periodic,
+            bounds: self.bounds,
+        }
+        .encode(&mut buf);
         for s in &self.shards {
             buf.put_u64_le(s.count);
             buf.put_f64_le(s.weight_sum);
             put_aabb(&mut buf, &s.bounds);
             buf.put_u64_le(s.records_checksum);
         }
-        let entries_sum = fnv1a(&buf[entries_start..]);
+        let entries_sum = fnv1a(&buf[HEADER_BYTES..]);
         buf.put_u64_le(entries_sum);
         buf
     }
 
     /// Decode a manifest, verifying both checksums.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CatalogIoError> {
-        if bytes.len() < HEADER_BYTES {
-            return Err(CatalogIoError::Truncated);
-        }
-        let mut buf = bytes;
-        let magic = buf.get_u32_le();
-        if magic != MAGIC {
-            return Err(CatalogIoError::BadMagic(magic));
-        }
-        let version = buf.get_u32_le();
-        if version != SHARD_VERSION {
-            return Err(CatalogIoError::BadVersion(version));
-        }
-        let kind = buf.get_u32_le();
-        if kind != KIND_MANIFEST {
-            return Err(CatalogIoError::Corrupt(format!(
-                "expected manifest kind {KIND_MANIFEST}, found {kind}"
-            )));
-        }
-        let num_shards = usize::try_from(buf.get_u32_le()).expect("u32 fits in usize");
-        let total_count = buf.get_u64_le();
-        let flags = buf.get_u32_le();
-        let box_len = buf.get_f64_le();
-        let bounds = get_aabb(&mut buf);
-        let declared = buf.get_u64_le();
-        let actual = fnv1a(&bytes[..HEADER_BYTES - 8]);
-        if declared != actual {
-            return Err(CatalogIoError::Corrupt(format!(
-                "manifest header checksum mismatch: stored {declared:#018x}, computed {actual:#018x}"
-            )));
-        }
+        let header = Header::decode(bytes, KIND_MANIFEST)?;
+        let num_shards = usize::try_from(header.id).expect("u32 fits in usize");
         // num_shards is attacker-controlled: size the entry table with
         // checked arithmetic, like the record counts.
         let entry_bytes = num_shards
             .checked_mul(ENTRY_BYTES)
             .ok_or(CatalogIoError::Truncated)?;
+        let mut buf = &bytes[HEADER_BYTES..];
         if buf.remaining() < entry_bytes + 8 {
             return Err(CatalogIoError::Truncated);
         }
-        let entries_raw = &bytes[HEADER_BYTES..HEADER_BYTES + entry_bytes];
+        let entries_raw = &buf[..entry_bytes];
         let mut shards = Vec::with_capacity(num_shards);
         let mut sum = 0u64;
         for _ in 0..num_shards {
@@ -256,24 +324,23 @@ impl ShardManifest {
                 "manifest entry table checksum mismatch".into(),
             ));
         }
-        if sum != total_count {
+        if sum != header.count {
             return Err(CatalogIoError::Corrupt(format!(
-                "shard counts sum to {sum}, manifest claims {total_count}"
+                "shard counts sum to {sum}, manifest claims {}",
+                header.count
             )));
         }
         Ok(ShardManifest {
-            total_count,
-            bounds,
-            periodic: if flags & 1 != 0 { Some(box_len) } else { None },
+            total_count: header.count,
+            bounds: header.bounds,
+            periodic: header.periodic,
             shards,
         })
     }
 
     /// Write the manifest to `path`.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<(), CatalogIoError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(&self.to_bytes())?;
-        w.flush()?;
+        File::create(path)?.write_all(&self.to_bytes())?;
         Ok(())
     }
 
@@ -288,10 +355,10 @@ impl ShardManifest {
 /// How galaxies map onto shards: a shard id per galaxy plus the spatial
 /// region declared for each shard.
 ///
-/// Constructed by hand for tests, or from a
-/// `galactos_domain::partition::DomainPlan` (see
-/// `galactos_domain::shard::plan_assignment`) so shards coincide with
-/// the recursive-bisection domains the halo exchange uses.
+/// Constructed by hand for tests, or by
+/// `galactos_domain::shard::write_sharded` from a
+/// `galactos_domain::partition::DomainPlan`, so shards coincide with the
+/// recursive-bisection domains the halo exchange uses.
 #[derive(Clone, Debug)]
 pub struct ShardAssignment {
     /// `shard_of[g]` = shard owning galaxy `g`.
@@ -301,137 +368,14 @@ pub struct ShardAssignment {
     pub bounds: Vec<Aabb>,
 }
 
-/// Streaming writer for one shard directory.
-///
-/// Records are pushed one at a time and go straight to the shard files
-/// through fixed-size `BufWriter`s, so writing a catalog of any size
-/// needs memory proportional to the *shard count*, not the galaxy
-/// count. [`ShardedWriter::finish`] seeks back to patch each header
-/// with the final count/checksum and writes the manifest.
-///
-/// Every shard file stays open for the writer's lifetime (records
-/// arrive in catalog order, not shard order), so the shard count is
-/// bounded by the process's open-file limit — typically 1024 by
-/// default on Linux. Shard counts are expected to track *rank* counts
-/// (thousands at most, cf. the paper's 9636); raise `ulimit -n` or
-/// shard in passes if you need more.
-pub struct ShardedWriter {
-    dir: PathBuf,
-    periodic: Option<f64>,
-    bounds: Aabb,
-    files: Vec<BufWriter<File>>,
-    metas: Vec<ShardMeta>,
-    sums: Vec<Fnv>,
-    total: u64,
-}
-
-fn shard_header(index: u32, count: u64, periodic: Option<f64>, bounds: &Aabb) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES);
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(SHARD_VERSION);
-    buf.put_u32_le(KIND_SHARD);
-    buf.put_u32_le(index);
-    buf.put_u64_le(count);
-    buf.put_u32_le(u32::from(periodic.is_some()));
-    buf.put_f64_le(periodic.unwrap_or(0.0));
-    put_aabb(&mut buf, bounds);
-    let sum = fnv1a(&buf[..]);
-    buf.put_u64_le(sum);
-    buf
-}
-
-impl ShardedWriter {
-    /// Create `dir` (and the empty shard files) for a catalog with the
-    /// given global facts and per-shard regions. No regions is
-    /// [`CatalogIoError::Unsupported`], and creates nothing.
-    pub fn create(
-        dir: impl AsRef<Path>,
-        bounds: Aabb,
-        periodic: Option<f64>,
-        shard_bounds: &[Aabb],
-    ) -> Result<Self, CatalogIoError> {
-        if shard_bounds.is_empty() {
-            return Err(CatalogIoError::Unsupported(
-                "shard count 0: a sharded catalog needs at least one shard".into(),
-            ));
-        }
-        assert!(
-            u32::try_from(shard_bounds.len()).is_ok(),
-            "shard count must fit in u32"
-        );
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let mut files = Vec::with_capacity(shard_bounds.len());
-        let mut metas = Vec::with_capacity(shard_bounds.len());
-        for (i, &b) in shard_bounds.iter().enumerate() {
-            let mut w = BufWriter::new(File::create(dir.join(ShardManifest::shard_file_name(i)))?);
-            // Placeholder header; finish() rewrites it with the real
-            // count once the record stream is complete.
-            let index = u32::try_from(i).expect("shard count checked at creation");
-            w.write_all(&shard_header(index, 0, periodic, &b))?;
-            files.push(w);
-            metas.push(ShardMeta {
-                count: 0,
-                weight_sum: 0.0,
-                bounds: b,
-                records_checksum: 0,
-            });
-        }
-        Ok(ShardedWriter {
-            dir,
-            periodic,
-            bounds,
-            files,
-            metas,
-            sums: vec![Fnv::new(); shard_bounds.len()],
-            total: 0,
-        })
-    }
-
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Append one galaxy to shard `shard`.
-    pub fn push(&mut self, shard: usize, g: &Galaxy) -> Result<(), CatalogIoError> {
-        let rec = encode_record(g);
-        self.files[shard].write_all(&rec)?;
-        self.sums[shard].update(&rec);
-        let meta = &mut self.metas[shard];
-        meta.count += 1;
-        meta.weight_sum += g.weight;
-        self.total += 1;
-        Ok(())
-    }
-
-    /// Patch the shard headers, write the manifest, and return it.
-    pub fn finish(mut self) -> Result<ShardManifest, CatalogIoError> {
-        for (i, mut w) in self.files.drain(..).enumerate() {
-            let meta = &mut self.metas[i];
-            meta.records_checksum = self.sums[i].finish();
-            w.seek(SeekFrom::Start(0))?;
-            w.write_all(&shard_header(
-                u32::try_from(i).expect("shard count checked at creation"),
-                meta.count,
-                self.periodic,
-                &meta.bounds,
-            ))?;
-            w.flush()?;
-        }
-        let manifest = ShardManifest {
-            total_count: self.total,
-            bounds: self.bounds,
-            periodic: self.periodic,
-            shards: self.metas,
-        };
-        manifest.write(self.dir.join(MANIFEST_FILE))?;
-        Ok(manifest)
-    }
-}
-
 /// Write `catalog` into `dir` as a GCAT v2 shard directory following
-/// `assignment`, returning the manifest.
+/// `assignment`, returning the manifest. No shard regions is
+/// [`CatalogIoError::Unsupported`], and creates nothing.
+///
+/// Two passes over the in-memory catalog: the first, in catalog order,
+/// accumulates each shard's count, weight sum and record checksum; the
+/// second writes one shard file at a time, front to back, so only one
+/// file is ever open.
 ///
 /// Every galaxy must be assigned to a shard inside its declared region;
 /// debug builds assert this.
@@ -445,18 +389,82 @@ pub fn write_sharded(
         catalog.len(),
         "assignment must cover every galaxy"
     );
-    let mut writer =
-        ShardedWriter::create(dir, catalog.bounds, catalog.periodic, &assignment.bounds)?;
+    if assignment.bounds.is_empty() {
+        return Err(CatalogIoError::Unsupported(
+            "shard count 0: a sharded catalog needs at least one shard".into(),
+        ));
+    }
+    // Pass 1, in catalog order: counts, weight sums and record
+    // checksums. FNV-1a is a serial multiply chain; catalog order
+    // interleaves the shards' chains so they overlap, where a checksum
+    // pass per shard runs them back to back.
+    let mut shards: Vec<ShardMeta> = assignment
+        .bounds
+        .iter()
+        .map(|&bounds| ShardMeta {
+            count: 0,
+            weight_sum: 0.0,
+            bounds,
+            records_checksum: 0,
+        })
+        .collect();
+    let mut sums = vec![Fnv::new(); shards.len()];
     for (g, &s) in catalog.galaxies.iter().zip(&assignment.shard_of) {
-        let si = usize::try_from(s).expect("u32 shard id fits in usize");
+        let s = usize::try_from(s).expect("u32 shard id fits in usize");
         debug_assert!(
-            assignment.bounds[si].distance_sq_to_point(g.pos) < 1e-18,
+            assignment.bounds[s].distance_sq_to_point(g.pos) < 1e-18,
             "galaxy at {:?} assigned to shard {s} outside its region",
             g.pos
         );
-        writer.push(si, g)?;
+        sums[s].update(&encode_record(g));
+        shards[s].count += 1;
+        shards[s].weight_sum += g.weight;
     }
-    writer.finish()
+    for (meta, sum) in shards.iter_mut().zip(sums) {
+        meta.records_checksum = sum.finish();
+    }
+    let manifest = ShardManifest {
+        total_count: catalog.len() as u64,
+        bounds: catalog.bounds,
+        periodic: catalog.periodic,
+        shards,
+    };
+
+    // Pass 2: a counting sort groups the galaxy ids by shard, keeping
+    // catalog order within each shard; `end[s]` is where shard `s`'s
+    // ids stop once the sort is done.
+    let mut end = Vec::with_capacity(manifest.num_shards());
+    let mut offset = 0;
+    for meta in &manifest.shards {
+        end.push(offset);
+        offset += usize::try_from(meta.count).expect("a shard holds at most the catalog");
+    }
+    let mut order = vec![0; catalog.len()];
+    for (g, &s) in assignment.shard_of.iter().enumerate() {
+        let s = usize::try_from(s).expect("u32 shard id fits in usize");
+        order[end[s]] = g;
+        end[s] += 1;
+    }
+    let dir = dir.as_ref();
+    std::fs::create_dir_all(dir)?;
+    let mut chunk = Vec::with_capacity(WRITE_CHUNK * RECORD_BYTES);
+    let mut begin = 0;
+    for (index, &stop) in end.iter().enumerate() {
+        let mut file = File::create(dir.join(ShardManifest::shard_file_name(index)))?;
+        let mut header = BytesMut::with_capacity(HEADER_BYTES);
+        manifest.shard_header(index).encode(&mut header);
+        file.write_all(&header)?;
+        for ids in order[begin..stop].chunks(WRITE_CHUNK) {
+            chunk.clear();
+            for &g in ids {
+                chunk.extend_from_slice(&encode_record(&catalog.galaxies[g]));
+            }
+            file.write_all(&chunk)?;
+        }
+        begin = stop;
+    }
+    manifest.write(dir.join(MANIFEST_FILE))?;
+    Ok(manifest)
 }
 
 /// Streaming reader for one shard file.
@@ -470,7 +478,7 @@ pub fn write_sharded(
 /// so a rank streaming N shards can name the bad one.
 pub struct ShardReader {
     file: std::io::BufReader<File>,
-    path: std::path::PathBuf,
+    path: PathBuf,
     meta: ShardMeta,
     index: usize,
     delivered: u64,
@@ -480,83 +488,50 @@ pub struct ShardReader {
 }
 
 impl ShardReader {
-    /// Open shard `index` of `manifest` inside `dir`.
+    /// Open shard `index` of `manifest` inside `dir`. An index past the
+    /// manifest's shard count is [`CatalogIoError::Unsupported`].
     pub fn open(
         dir: impl AsRef<Path>,
         manifest: &ShardManifest,
         index: usize,
     ) -> Result<Self, CatalogIoError> {
+        if index >= manifest.num_shards() {
+            return Err(CatalogIoError::Unsupported(format!(
+                "shard index {index} out of range for {} shards",
+                manifest.num_shards()
+            )));
+        }
         let path = dir.as_ref().join(ShardManifest::shard_file_name(index));
         Self::open_inner(path.clone(), manifest, index).map_err(|e| e.in_shard(&path, index))
     }
 
     fn open_inner(
-        path: std::path::PathBuf,
+        path: PathBuf,
         manifest: &ShardManifest,
         index: usize,
     ) -> Result<Self, CatalogIoError> {
-        let meta = *manifest
-            .shards
-            .get(index)
-            .unwrap_or_else(|| panic!("shard {index} out of range"));
         let mut file = std::io::BufReader::new(File::open(&path)?);
-        let mut header = [0u8; HEADER_BYTES];
-        read_exact_or_truncated(&mut file, &mut header)?;
-        let mut buf = &header[..];
-        let magic = buf.get_u32_le();
-        if magic != MAGIC {
-            return Err(CatalogIoError::BadMagic(magic));
-        }
-        let version = buf.get_u32_le();
-        if version != SHARD_VERSION {
-            return Err(CatalogIoError::BadVersion(version));
-        }
-        let kind = buf.get_u32_le();
-        if kind != KIND_SHARD {
+        let mut bytes = [0u8; HEADER_BYTES];
+        read_exact_or_truncated(&mut file, &mut bytes)?;
+        let header = Header::decode(&bytes, KIND_SHARD)?;
+        let expected = manifest.shard_header(index);
+        if header != expected {
             return Err(CatalogIoError::Corrupt(format!(
-                "expected shard kind {KIND_SHARD}, found {kind}"
-            )));
-        }
-        let stored_index = buf.get_u32_le();
-        let count = buf.get_u64_le();
-        let _flags = buf.get_u32_le();
-        let _box_len = buf.get_f64_le();
-        let bounds = get_aabb(&mut buf);
-        let declared = buf.get_u64_le();
-        let actual = fnv1a(&header[..HEADER_BYTES - 8]);
-        if declared != actual {
-            return Err(CatalogIoError::Corrupt(format!(
-                "shard {index} header checksum mismatch"
-            )));
-        }
-        if usize::try_from(stored_index).expect("u32 fits in usize") != index {
-            return Err(CatalogIoError::Corrupt(format!(
-                "shard file claims index {stored_index}, manifest expects {index}"
-            )));
-        }
-        if count != meta.count {
-            return Err(CatalogIoError::Corrupt(format!(
-                "shard {index} holds {count} records, manifest expects {}",
-                meta.count
-            )));
-        }
-        if bounds != meta.bounds {
-            return Err(CatalogIoError::Corrupt(format!(
-                "shard {index} bounds disagree with the manifest"
+                "header {header:?} disagrees with the manifest's {expected:?}"
             )));
         }
         // Reject counts whose payload cannot be addressed before any
         // allocation happens (same hardening as the v1 path).
-        checked_record_count(count, usize::MAX)?;
+        checked_record_count(header.count, usize::MAX)?;
         Ok(ShardReader {
             file,
             path,
-            meta,
+            meta: manifest.shards[index],
             index,
             delivered: 0,
             sum: Fnv::new(),
             bytes_read: HEADER_BYTES as u64,
-            verified: count == 0,
+            verified: header.count == 0,
         })
     }
 
@@ -796,6 +771,50 @@ mod tests {
         assert!(
             msg.contains(&path.display().to_string()) && msg.contains("shard 1"),
             "error must carry path and index: {msg}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_header_must_match_its_manifest_entry_in_every_field() {
+        // Each edit keeps the header checksum valid, so only the compare
+        // against the header the manifest implies can catch it.
+        let mut cat = sample_catalog();
+        cat.periodic = Some(10.0);
+        let dir = tmpdir("header_fields");
+        let manifest = write_sharded(&cat, &halves_assignment(&cat), &dir).unwrap();
+        let path = dir.join(ShardManifest::shard_file_name(0));
+        let intact = std::fs::read(&path).unwrap();
+        let edits: [(&str, usize, Vec<u8>); 5] = [
+            ("index", 12, 1u32.to_le_bytes().to_vec()),
+            (
+                "count",
+                16,
+                (manifest.shards[0].count + 1).to_le_bytes().to_vec(),
+            ),
+            ("flags", 24, 0u32.to_le_bytes().to_vec()),
+            ("box_len", 28, 11.0f64.to_le_bytes().to_vec()),
+            ("bounds", 36, (cat.bounds.lo.x - 0.5).to_le_bytes().to_vec()),
+        ];
+        for (field, offset, value) in edits {
+            let mut bytes = intact.clone();
+            bytes[offset..offset + value.len()].copy_from_slice(&value);
+            let sum = fnv1a(&bytes[..HEADER_BYTES - 8]);
+            bytes[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ShardReader::open(&dir, &manifest, 0).err();
+            assert!(
+                matches!(
+                    err.as_ref().map(CatalogIoError::root_cause),
+                    Some(CatalogIoError::Corrupt(_))
+                ),
+                "{field}: {err:?}"
+            );
+        }
+        std::fs::write(&path, &intact).unwrap();
+        assert_eq!(
+            read_shard(&dir, &manifest, 0).len() as u64,
+            manifest.shards[0].count
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -31,23 +31,11 @@ use crate::partition::DomainPlan;
 /// ~256 KiB per open shard regardless of shard size.
 const STREAM_CHUNK: usize = 8192;
 
-/// Build the plan-aligned shard assignment for `catalog` over
-/// `num_shards` spatial domains (the same recursive bisection as
-/// [`DomainPlan::build`], so shard `s` is the region rank `s` of an
-/// `num_shards`-rank run would own).
-pub fn plan_assignment(catalog: &Catalog, num_shards: usize) -> (DomainPlan, ShardAssignment) {
-    let positions = catalog.positions();
-    let plan = DomainPlan::build(&positions, catalog.bounds, num_shards);
-    let shard_of = (0..catalog.len())
-        .map(|g| plan.owner_of(g) as u32)
-        .collect();
-    let bounds = (0..num_shards).map(|r| *plan.rank_box(r)).collect();
-    (plan, ShardAssignment { shard_of, bounds })
-}
-
 /// Write `catalog` into `dir` as GCAT v2 shards aligned with the
-/// `num_shards`-way recursive-bisection partition. Zero shards is
-/// [`CatalogIoError::Unsupported`], and creates nothing.
+/// `num_shards`-way recursive-bisection partition ([`DomainPlan::build`],
+/// so shard `s` is the region rank `s` of a `num_shards`-rank run would
+/// own). Zero shards is [`CatalogIoError::Unsupported`], and creates
+/// nothing.
 pub fn write_sharded(
     catalog: &Catalog,
     num_shards: usize,
@@ -58,7 +46,15 @@ pub fn write_sharded(
             "shard count 0: a sharded catalog needs at least one shard".into(),
         ));
     }
-    let (_, assignment) = plan_assignment(catalog, num_shards);
+    let plan = DomainPlan::build(&catalog.positions(), catalog.bounds, num_shards);
+    let assignment = ShardAssignment {
+        shard_of: (0..catalog.len())
+            .map(|g| u32::try_from(plan.owner_of(g)).expect("owners are u32 in the plan"))
+            .collect(),
+        bounds: (0..num_shards).map(|r| *plan.rank_box(r)).collect(),
+    };
+    // Free the plan before the writer allocates its id table.
+    drop(plan);
     shard::write_sharded(catalog, &assignment, dir)
 }
 
@@ -76,15 +72,9 @@ pub fn shard_range_for_rank(num_shards: usize, num_ranks: usize, rank: usize) ->
 /// Everything one rank holds after shard-based distribution.
 #[derive(Clone, Debug)]
 pub struct ShardRankData {
-    /// World rank.
-    pub rank: usize,
-    /// Shard ids `[lo, hi)` this rank owns.
-    pub shard_range: (usize, usize),
     /// Owned galaxies — the rank's primaries (shard-major, record order
     /// within each shard).
     pub owned: Vec<Galaxy>,
-    /// Regions of the owned shards (their union is the rank's domain).
-    pub owned_bounds: Vec<Aabb>,
     /// Ghost galaxies within `rmax` of an owned region, read from
     /// neighbor shards.
     pub ghosts: Vec<Galaxy>,
@@ -107,7 +97,8 @@ impl ShardRankData {
 /// rank's own shards fully, then stream every foreign shard whose
 /// region lies within `rmax` of an owned region, keeping only the
 /// galaxies that are actual ghosts. Purely filesystem-driven — no
-/// communication, no root rank.
+/// communication, no root rank. A `rank` not below `num_ranks` is
+/// [`CatalogIoError::Unsupported`].
 ///
 /// Periodic manifests are rejected with
 /// [`CatalogIoError::Unsupported`]: the ghost predicates use open-box
@@ -121,29 +112,35 @@ pub fn distribute_from_shards(
     num_ranks: usize,
     rmax: f64,
 ) -> Result<ShardRankData, CatalogIoError> {
+    if rank >= num_ranks {
+        return Err(CatalogIoError::Unsupported(format!(
+            "rank {rank} out of range for {num_ranks} ranks over {} shards",
+            manifest.num_shards()
+        )));
+    }
     let (lo, hi) = shard_range_for_rank(manifest.num_shards(), num_ranks, rank);
-    distribute_shard_range(dir, manifest, rank, lo, hi, rmax)
+    distribute_shard_range(dir, manifest, lo, hi, rmax)
 }
 
-/// Ingest an explicit shard range `[lo, hi)` for `rank`, regardless of
-/// which rank the range canonically belongs to. This is the primitive
-/// the supervised pipeline uses to *reassign* a dead rank's shards to a
-/// survivor (and to compute per-shard partials one shard at a time):
-/// the data a rank holds depends only on the shard range, never on the
-/// identity of the rank doing the reading.
+/// Ingest an explicit shard range `[lo, hi)`, whichever rank reads it.
+/// This is the primitive the supervised pipeline uses to *reassign* a
+/// dead rank's shards to a survivor (and to compute per-shard partials
+/// one shard at a time): the data depends only on the shard range. A
+/// range that is reversed or runs past the shard count is
+/// [`CatalogIoError::Unsupported`].
 pub fn distribute_shard_range(
     dir: impl AsRef<Path>,
     manifest: &ShardManifest,
-    rank: usize,
     lo: usize,
     hi: usize,
     rmax: f64,
 ) -> Result<ShardRankData, CatalogIoError> {
-    assert!(
-        lo <= hi && hi <= manifest.num_shards(),
-        "shard range {lo}..{hi} out of bounds for {} shards",
-        manifest.num_shards()
-    );
+    if lo > hi || hi > manifest.num_shards() {
+        return Err(CatalogIoError::Unsupported(format!(
+            "shard range {lo}..{hi} out of range for {} shards",
+            manifest.num_shards()
+        )));
+    }
     if let Some(box_len) = manifest.periodic {
         return Err(CatalogIoError::Unsupported(format!(
             "sharded distribution treats catalogs as open boxes (like the halo \
@@ -152,9 +149,9 @@ pub fn distribute_shard_range(
     }
     let dir = dir.as_ref();
     let r2 = rmax * rmax;
+    let owned_shards = &manifest.shards[lo..hi];
 
     let mut owned = Vec::new();
-    let mut owned_bounds = Vec::with_capacity(hi - lo);
     let mut records_read = 0u64;
     let mut bytes_read = 0u64;
     for s in lo..hi {
@@ -162,7 +159,6 @@ pub fn distribute_shard_range(
         while reader.read_chunk(&mut owned, STREAM_CHUNK)? != 0 {}
         records_read += reader.records_read();
         bytes_read += reader.bytes_read();
-        owned_bounds.push(manifest.shards[s].bounds);
     }
 
     // Neighbor shards: only regions within rmax of an owned region can
@@ -173,14 +169,14 @@ pub fn distribute_shard_range(
     let mut ghosts = Vec::new();
     if !owned.is_empty() {
         let near_owned_box = |b: &Aabb| {
-            owned_bounds
+            owned_shards
                 .iter()
-                .any(|ob| ob.distance_sq_to_aabb(b) <= r2)
+                .any(|o| o.bounds.distance_sq_to_aabb(b) <= r2)
         };
         let near_owned_point = |g: &Galaxy| {
-            owned_bounds
+            owned_shards
                 .iter()
-                .any(|ob| ob.distance_sq_to_point(g.pos) <= r2)
+                .any(|o| o.bounds.distance_sq_to_point(g.pos) <= r2)
         };
         let mut chunk: Vec<Galaxy> = Vec::with_capacity(STREAM_CHUNK);
         for s in (0..manifest.num_shards()).filter(|s| !(lo..hi).contains(s)) {
@@ -201,10 +197,7 @@ pub fn distribute_shard_range(
     }
 
     Ok(ShardRankData {
-        rank,
-        shard_range: (lo, hi),
         owned,
-        owned_bounds,
         ghosts,
         records_read,
         bytes_read,
@@ -215,6 +208,7 @@ pub fn distribute_shard_range(
 mod tests {
     use super::*;
     use galactos_catalog::uniform_box;
+    use galactos_math::Vec3;
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -340,14 +334,16 @@ mod tests {
         let mut total_owned = 0;
         for r in 0..ranks {
             let rd = distribute_from_shards(&dir, &manifest, r, ranks, rmax).unwrap();
+            let (lo, hi) = shard_range_for_rank(shards, ranks, r);
+            let owned_bounds: Vec<Aabb> =
+                manifest.shards[lo..hi].iter().map(|m| m.bounds).collect();
             total_owned += rd.owned.len();
             let key = |g: &Galaxy| (g.pos.x.to_bits(), g.pos.y.to_bits(), g.pos.z.to_bits());
             let owned_keys: std::collections::BTreeSet<_> = rd.owned.iter().map(key).collect();
             let ghost_keys: std::collections::BTreeSet<_> = rd.ghosts.iter().map(key).collect();
             for g in &cat.galaxies {
                 let needed = !owned_keys.contains(&key(g))
-                    && rd
-                        .owned_bounds
+                    && owned_bounds
                         .iter()
                         .any(|b| b.distance_sq_to_point(g.pos) <= rmax * rmax);
                 assert_eq!(
@@ -424,28 +420,22 @@ mod tests {
     #[test]
     fn explicit_range_is_rank_identity_independent() {
         // The supervised pipeline reassigns a dead rank's shard range to
-        // a survivor: the ingested data must depend only on the range.
+        // a survivor: a range takes no rank, and the canonical range of
+        // a rank ingests what the rank-based entry point does.
         let cat = open_catalog(300, 20.0, 41);
         let dir = tmpdir("identity_independent");
         let manifest = write_sharded(&cat, 6, &dir).unwrap();
         let key = |g: &Galaxy| (g.pos.x.to_bits(), g.pos.y.to_bits(), g.pos.z.to_bits());
-        let a = distribute_shard_range(&dir, &manifest, 1, 2, 4, 3.0).unwrap();
-        let b = distribute_shard_range(&dir, &manifest, 5, 2, 4, 3.0).unwrap();
-        assert_eq!(
-            a.owned.iter().map(key).collect::<Vec<_>>(),
-            b.owned.iter().map(key).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            a.ghosts.iter().map(key).collect::<Vec<_>>(),
-            b.ghosts.iter().map(key).collect::<Vec<_>>()
-        );
-        // And the canonical range matches the rank-based entry point.
         let (lo, hi) = shard_range_for_rank(6, 3, 1);
         let via_rank = distribute_from_shards(&dir, &manifest, 1, 3, 3.0).unwrap();
-        let via_range = distribute_shard_range(&dir, &manifest, 1, lo, hi, 3.0).unwrap();
+        let via_range = distribute_shard_range(&dir, &manifest, lo, hi, 3.0).unwrap();
         assert_eq!(
             via_rank.owned.iter().map(key).collect::<Vec<_>>(),
             via_range.owned.iter().map(key).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            via_rank.ghosts.iter().map(key).collect::<Vec<_>>(),
+            via_range.ghosts.iter().map(key).collect::<Vec<_>>()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -466,5 +456,106 @@ mod tests {
         }
         assert_eq!(total, 100);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_range_shard_arguments_are_unsupported() {
+        let cat = open_catalog(60, 10.0, 43);
+        let dir = tmpdir("out_of_range");
+        let manifest = write_sharded(&cat, 3, &dir).unwrap();
+        let unsupported = |result: Result<(), CatalogIoError>, names: &[&str]| {
+            let err = result.unwrap_err();
+            let CatalogIoError::Unsupported(msg) = &err else {
+                panic!("expected Unsupported, got {err}");
+            };
+            for name in names {
+                assert!(msg.contains(name), "{msg} should name {name}");
+            }
+        };
+        unsupported(
+            ShardReader::open(&dir, &manifest, 7).map(drop),
+            &["7", "3 shards"],
+        );
+        unsupported(
+            distribute_from_shards(&dir, &manifest, 5, 3, 2.0).map(drop),
+            &["rank 5", "3 ranks", "3 shards"],
+        );
+        unsupported(
+            distribute_shard_range(&dir, &manifest, 2, 4, 2.0).map(drop),
+            &["2..4", "3 shards"],
+        );
+        unsupported(
+            distribute_shard_range(&dir, &manifest, 2, 1, 2.0).map(drop),
+            &["2..1", "3 shards"],
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// FNV-1a 64 of the manifest followed by every shard file in index
+    /// order, after checking the directory holds nothing else.
+    fn directory_hash(dir: &Path, num_shards: usize) -> u64 {
+        let files = std::fs::read_dir(dir).unwrap().count();
+        assert_eq!(files, num_shards + 1, "manifest plus one file per shard");
+        let names = std::iter::once(shard::MANIFEST_FILE.to_string())
+            .chain((0..num_shards).map(ShardManifest::shard_file_name));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for name in names {
+            for b in std::fs::read(dir.join(name)).unwrap() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn gcat_v2_bytes_are_pinned() {
+        // The on-disk bytes of whole shard directories, so a writer and a
+        // reader cannot change the format together unnoticed. A change
+        // that means to move these bytes re-blesses the table and says so.
+        let mut signed = open_catalog(3000, 50.0, 7);
+        for (i, g) in signed.galaxies.iter_mut().enumerate() {
+            g.weight = if i % 3 == 0 {
+                -0.5 - 1e-3 * i as f64
+            } else {
+                1.0 + 2e-3 * i as f64
+            };
+        }
+        let periodic = uniform_box(1200, 10.0, 19);
+        assert_eq!(periodic.periodic, Some(10.0));
+        let single = Catalog::new(vec![Galaxy::new(Vec3::new(1.5, -2.0, 3.25), 0.75)]);
+        let cases = [
+            ("signed", &signed),
+            ("periodic", &periodic),
+            ("single", &single),
+        ];
+        let shard_counts = [1usize, 3, 7, 16, 64];
+        let mut got = Vec::new();
+        for (name, cat) in cases {
+            for shards in shard_counts {
+                let dir = tmpdir(&format!("pinned_{name}_{shards}"));
+                write_sharded(cat, shards, &dir).unwrap();
+                got.push(directory_hash(&dir, shards));
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+        // Rows: signed, periodic, single; columns: 1, 3, 7, 16, 64 shards.
+        let want: [u64; 15] = [
+            0xb8d6_3697_66be_d1a0,
+            0x9368_7670_3a31_643e,
+            0xff43_6f13_f550_b19f,
+            0x652c_9bd3_19ce_cb76,
+            0xab1a_650d_5216_f8e9,
+            0xcdd9_e5c5_c7a4_3c92,
+            0x8e8d_1e13_33e7_dcea,
+            0x459f_3ef2_5953_9845,
+            0xe2d2_5469_5f71_7083,
+            0x6c77_4742_714a_a9d0,
+            0x147d_038f_cd4f_4707,
+            0xe866_96f7_3bc9_3244,
+            0x7ec4_9940_377b_4165,
+            0x8830_0a80_9022_e950,
+            0x7363_fc87_6eda_235c,
+        ];
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 }

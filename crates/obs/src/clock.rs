@@ -20,14 +20,34 @@ use std::time::Instant;
 
 static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of `CLOCK_READS`. The tests that pin
+    /// "no read" compare this, not the process-wide count, which the
+    /// binary's other tests move from their own threads meanwhile.
+    static THREAD_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Process-global number of real clock reads made through this module.
 // lint:allow(W-DEADPUB): oracle for the zero-clock contract: core/tests/zero_clock.rs (tree, grid, supervised) and grid's cold/timed test assert it does not move
 pub fn reads() -> u64 {
     CLOCK_READS.load(Ordering::Relaxed)
 }
 
-fn read_now() -> Instant {
+/// Clock reads made so far on the calling thread.
+#[cfg(test)]
+pub(crate) fn thread_reads() -> u64 {
+    THREAD_READS.with(std::cell::Cell::get)
+}
+
+fn count_read() {
     CLOCK_READS.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_READS.with(|n| n.set(n.get() + 1));
+}
+
+fn read_now() -> Instant {
+    count_read();
     Instant::now()
 }
 
@@ -47,7 +67,7 @@ pub fn now_if(instrument: bool) -> Option<Instant> {
 pub fn nanos_since(start: Option<Instant>) -> u64 {
     match start {
         Some(t0) => {
-            CLOCK_READS.fetch_add(1, Ordering::Relaxed);
+            count_read();
             t0.elapsed().as_nanos() as u64
         }
         None => 0,
@@ -77,10 +97,10 @@ mod tests {
 
     #[test]
     fn uninstrumented_calls_never_read() {
-        let before = reads();
+        let before = thread_reads();
         assert!(now_if(false).is_none());
         assert_eq!(nanos_since(None), 0);
-        assert_eq!(reads(), before);
+        assert_eq!(thread_reads(), before);
     }
 
     #[test]

@@ -89,14 +89,14 @@ mod tests {
     #[test]
     fn disabled_session_reads_no_clock() {
         let obs = ObsSession::disabled();
-        let before = clock::reads();
+        let before = clock::thread_reads();
         {
             let _a = obs.tracer.span("a");
             let _b = obs.tracer.span("b");
             obs.tracer.add_aggregate("agg", 3, 1234);
             obs.registry.counter("c").add(1);
         }
-        assert_eq!(clock::reads(), before);
+        assert_eq!(clock::thread_reads(), before);
         assert!(obs.tracer.finished().is_empty());
     }
 

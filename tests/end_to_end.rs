@@ -38,37 +38,6 @@ fn mock_to_zeta_to_isotropic_consistency() {
 }
 
 #[test]
-fn distributed_equals_single_on_weighted_clustered_data() {
-    let mut cat = clustered_catalog(5);
-    // Non-trivial weights.
-    for (i, g) in cat.galaxies.iter_mut().enumerate() {
-        g.weight = 0.5 + (i % 4) as f64 * 0.25;
-    }
-    let mut config = EngineConfig::test_default(8.0, 3, 3);
-    config.subtract_self_pairs = true;
-    let single = Engine::new(config.clone()).compute(&cat);
-    let dir = std::env::temp_dir().join(format!("galactos_e2e_weighted_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    write_sharded(&cat, 5, &dir).unwrap();
-    let run = compute_distributed_supervised(
-        dir.join(MANIFEST_FILE),
-        &config,
-        5,
-        &RetryPolicy::default(),
-        FaultPlan::none(),
-    )
-    .unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    let scale = single.max_abs().max(1.0);
-    assert!(
-        run.zeta.max_difference(&single) < 1e-9 * scale,
-        "diff {}",
-        run.zeta.max_difference(&single)
-    );
-    assert_eq!(run.zeta.num_primaries, single.num_primaries);
-}
-
-#[test]
 fn io_roundtrip_preserves_zeta_exactly() {
     let cat = clustered_catalog(7);
     let path = std::env::temp_dir().join("galactos_e2e_roundtrip.gcat");

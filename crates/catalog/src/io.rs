@@ -28,7 +28,7 @@ pub(crate) const MAGIC: u32 = 0x4743_4154;
 const VERSION: u32 = 1;
 /// Wire size of one galaxy record: `(x, y, z, weight)` as little-endian
 /// `f64`s.
-pub(crate) const RECORD_BYTES: usize = 32;
+pub const RECORD_BYTES: usize = 32;
 
 /// Errors produced by catalog (de)serialization.
 #[derive(Debug)]

@@ -9,8 +9,9 @@
 //! * [`io`] — a compact binary format for catalogs, the "I/O" slice
 //!   of the paper's runtime breakdown (Fig. 4);
 //! * [`shard`] — GCAT v2: the same records split into spatially-aligned
-//!   shard files behind a checksummed manifest, streamed in bounded
-//!   memory so survey-scale catalogs never need to fit on one node;
+//!   shard files behind a checksummed manifest, read one shard at a
+//!   time through a filter so survey-scale catalogs never need to fit
+//!   on one node;
 //! * [`random`] — uniform Poisson random catalogs, both for algorithm
 //!   testing (ζ must vanish on them) and as the R catalogs of the
 //!   data-minus-randoms estimator (paper §6.1);
@@ -32,6 +33,6 @@ pub mod survey;
 
 pub use galaxy::{Catalog, Galaxy};
 pub use random::uniform_box;
-pub use shard::{ShardAssignment, ShardManifest, ShardMeta, ShardReader};
+pub use shard::{ShardAssignment, ShardManifest, ShardMeta};
 pub use sky::{cartesian_to_sky, read_sky_csv, sky_to_cartesian, write_sky_csv};
 pub use survey::{Cap, SurveyGeometry};

@@ -1,7 +1,7 @@
 //! Property-based tests for catalog containers, I/O and geometry.
 
 use galactos_catalog::io::{from_bytes, to_bytes};
-use galactos_catalog::shard::{write_sharded, ShardManifest, ShardReader, MANIFEST_FILE};
+use galactos_catalog::shard::{read_shard, write_sharded, ShardManifest, MANIFEST_FILE};
 use galactos_catalog::{Cap, Catalog, Galaxy, ShardAssignment, SurveyGeometry};
 use galactos_math::Vec3;
 use proptest::prelude::*;
@@ -85,8 +85,7 @@ proptest! {
         let back_manifest = ShardManifest::read(dir.join(MANIFEST_FILE)).unwrap();
         let mut back = Vec::new();
         for s in 0..num_shards {
-            let mut reader = ShardReader::open(&dir, &back_manifest, s).unwrap();
-            while reader.read_chunk(&mut back, 64).unwrap() != 0 {}
+            read_shard(&dir, &back_manifest, s, |_| true, &mut back).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
         prop_assert_eq!(&back_manifest, &manifest);

@@ -4,7 +4,7 @@
 
 use galactos_catalog::io::{from_bytes, to_bytes, CatalogIoError};
 use galactos_catalog::shard::{
-    write_sharded, ShardManifest, ShardReader, HEADER_BYTES, MANIFEST_FILE,
+    read_shard, write_sharded, ShardManifest, HEADER_BYTES, MANIFEST_FILE,
 };
 use galactos_catalog::{Catalog, Galaxy, ShardAssignment};
 use galactos_math::Vec3;
@@ -97,11 +97,7 @@ fn v2_shard_file_truncation_at_every_byte_is_an_error() {
     );
     for cut in 0..full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
-        let outcome = ShardReader::open(&dir, &manifest, 0).and_then(|mut reader| {
-            let mut out = Vec::new();
-            while reader.read_chunk(&mut out, 4)? != 0 {}
-            Ok(out)
-        });
+        let outcome = read_shard(&dir, &manifest, 0, |_| true, &mut Vec::new());
         // Reader errors arrive wrapped in shard context naming the file.
         let err = outcome.expect_err("shard prefix must be rejected");
         assert!(
@@ -120,8 +116,7 @@ fn v2_shard_file_truncation_at_every_byte_is_an_error() {
     // Restore the file: the intact shard must read back fully.
     std::fs::write(&path, &full).unwrap();
     let mut galaxies = Vec::new();
-    let mut reader = ShardReader::open(&dir, &manifest, 0).unwrap();
-    while reader.read_chunk(&mut galaxies, 8192).unwrap() != 0 {}
+    read_shard(&dir, &manifest, 0, |_| true, &mut galaxies).unwrap();
     assert_eq!(galaxies.len() as u64, manifest.shards[0].count);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -164,6 +159,32 @@ fn v2_manifest_rejects_huge_shard_count() {
 }
 
 #[test]
+fn v2_shard_rejects_huge_record_count() {
+    // A manifest entry and shard header agreeing on 2^40 records, both
+    // checksum-valid, must not reserve room for them: the file cannot
+    // back the count, so the read reports truncation before allocating.
+    let cat = sample_catalog(6);
+    let dir = tmpdir("huge_record_count");
+    let mut manifest = write_sharded(&cat, &two_shard_assignment(&cat), &dir).unwrap();
+    let huge = 1u64 << 40;
+    manifest.total_count += huge - manifest.shards[0].count;
+    manifest.shards[0].count = huge;
+    let path = dir.join(ShardManifest::shard_file_name(0));
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[16..24].copy_from_slice(&huge.to_le_bytes());
+    let sum = fnv1a(&bytes[..HEADER_BYTES - 8]);
+    bytes[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = read_shard(&dir, &manifest, 0, |_| true, &mut Vec::new()).unwrap_err();
+    assert!(
+        matches!(&err, CatalogIoError::InShard { shard: 0, source, .. }
+            if matches!(**source, CatalogIoError::Truncated)),
+        "got {err:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn manifest_and_shard_files_roundtrip_through_disk() {
     let mut cat = sample_catalog(31);
     cat.periodic = Some(10.0);
@@ -177,8 +198,7 @@ fn manifest_and_shard_files_roundtrip_through_disk() {
     let mut weight = 0.0;
     for s in 0..back.num_shards() {
         let mut galaxies = Vec::new();
-        let mut reader = ShardReader::open(&dir, &back, s).unwrap();
-        while reader.read_chunk(&mut galaxies, 8192).unwrap() != 0 {}
+        read_shard(&dir, &back, s, |_| true, &mut galaxies).unwrap();
         assert_eq!(galaxies.len() as u64, back.shards[s].count);
         total += galaxies.len() as u64;
         weight += galaxies.iter().map(|g| g.weight).sum::<f64>();

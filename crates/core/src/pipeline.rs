@@ -5,10 +5,11 @@
 //! The catalog is on disk as GCAT v2 shards cut along the domain plan's
 //! recursive bisection (`galactos_domain::shard::write_sharded`; an
 //! in-memory catalog is written to a temporary directory first, as
-//! `examples/sharded_pipeline.rs` does). Per shard: stream its galaxies
+//! `examples/sharded_pipeline.rs` does). Per shard: read its galaxies
 //! plus the ghosts within `rmax` from the neighbor shards whose region
-//! meets its halo — the owned and halo sets the paper's message-passing
-//! exchange (`galactos_domain::exchange`) delivers — build one k-d tree
+//! meets its halo, keeping or dropping each ghost as its record decodes
+//! — the owned and halo sets the paper's message-passing exchange
+//! (`galactos_domain::exchange`) delivers — build one k-d tree
 //! over owned + ghosts, run the engine with *owned galaxies only* as
 //! primaries, and reduce the multipole arrays once, in shard order ("the
 //! remainder of the 3PCF calculation (besides a final reduction) is
@@ -16,13 +17,13 @@
 //! merge ([`SupervisedRun::shard_partials`]): they are the §6.1 jackknife
 //! samples.
 //!
-//! Resident galaxies per piece of work are `owned + ghosts`, never the
-//! catalog size. No message is sent, so a shard's ζ partial is a pure
-//! function of (shard files, config) — which is what lets the supervisor
-//! retry or reassign it after a rank failure, and run at any rank count,
-//! without moving a bit of the result. The tests require that result to
-//! match the single-process engine to 1e-9 and to be bit-identical
-//! across rank counts.
+//! Resident galaxies per piece of work are `owned + kept ghosts`, never
+//! the catalog size, nor a whole neighbor shard. No message is sent, so
+//! a shard's ζ partial is a pure function of (shard files, config) —
+//! which is what lets the supervisor retry or reassign it after a rank
+//! failure, and run at any rank count, without moving a bit of the
+//! result. The tests require that result to match the single-process
+//! engine to 1e-9 and to be bit-identical across rank counts.
 
 use crate::config::EngineConfig;
 use crate::engine::Engine;
@@ -44,7 +45,8 @@ pub struct RankReport {
     pub owned: usize,
     pub ghosts: usize,
     pub binned_pairs: u64,
-    /// Shard records this rank streamed from disk.
+    /// Shard records this rank read from disk, kept or not: the count of
+    /// every shard file it opened, owned and neighbor.
     pub records_read: u64,
     /// Bytes this rank read from shard files.
     pub bytes_read: u64,

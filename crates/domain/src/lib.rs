@@ -28,7 +28,7 @@
 //!   GCAT v2 shards aligned with the same recursive bisection, and
 //!   [`shard::distribute_from_shards`], which gives each rank its owned
 //!   galaxies and ghosts — the same sets the exchange delivers — by
-//!   streaming only its own shards plus the neighbor shards intersecting
+//!   reading only its own shards plus the neighbor shards intersecting
 //!   its `rmax` halo. No rank ever holds the full catalog, and no rank 0
 //!   scatters it.
 //!

@@ -12,24 +12,22 @@
 //! owned and halo sets that [`crate::exchange::distribute`] delivers by
 //! message passing, but no rank 0 materializes the catalog and
 //! scatters it: every rank independently reads the manifest
-//! (92 bytes + 72 per shard), streams its *own* shards as its primaries, and
-//! streams only the neighbor shards whose region lies within `rmax` of
-//! one of its owned regions to collect ghosts. Peak resident galaxies
-//! per rank are `owned + ghosts` — never the full catalog — and the
-//! per-rank `records_read` / `bytes_read` counters quantify the I/O the
-//! spatial pruning saved.
+//! (92 bytes + 72 per shard), reads its *own* shards whole as its
+//! primaries, and reads only the neighbor shards whose region lies
+//! within `rmax` of one of its owned regions, keeping a record only if
+//! it is a ghost as it decodes. Resident galaxies per rank are
+//! `owned + kept ghosts` (plus one 8 KiB read buffer) — never the full
+//! catalog, nor a whole neighbor shard — and the per-rank
+//! `records_read` / `bytes_read` counters quantify the I/O the spatial
+//! pruning saved.
 
-use galactos_catalog::io::CatalogIoError;
-use galactos_catalog::shard::{self, ShardManifest, ShardReader};
+use galactos_catalog::io::{CatalogIoError, RECORD_BYTES};
+use galactos_catalog::shard::{self, read_shard, ShardManifest, HEADER_BYTES};
 use galactos_catalog::{Catalog, Galaxy, ShardAssignment};
 use galactos_math::Aabb;
 use std::path::Path;
 
 use crate::partition::DomainPlan;
-
-/// Records streamed per `read_chunk` call: bounds ingestion memory at
-/// ~256 KiB per open shard regardless of shard size.
-const STREAM_CHUNK: usize = 8192;
 
 /// Write `catalog` into `dir` as GCAT v2 shards aligned with the
 /// `num_shards`-way recursive-bisection partition ([`DomainPlan::build`],
@@ -78,7 +76,7 @@ pub struct ShardRankData {
     /// Ghost galaxies within `rmax` of an owned region, read from
     /// neighbor shards.
     pub ghosts: Vec<Galaxy>,
-    /// Total shard records this rank streamed (owned + neighbor shards;
+    /// Total shard records this rank read (owned + neighbor shards;
     /// neighbor records are filtered, not retained).
     pub records_read: u64,
     /// Total bytes this rank read (manifest excluded, headers included).
@@ -93,10 +91,10 @@ impl ShardRankData {
     }
 }
 
-/// Ingest a sharded catalog for one rank of `num_ranks`: stream the
-/// rank's own shards fully, then stream every foreign shard whose
-/// region lies within `rmax` of an owned region, keeping only the
-/// galaxies that are actual ghosts. Purely filesystem-driven — no
+/// Ingest a sharded catalog for one rank of `num_ranks`: read the
+/// rank's own shards fully, then read every foreign shard whose region
+/// lies within `rmax` of an owned region, keeping only the galaxies
+/// that are actual ghosts. Purely filesystem-driven — no
 /// communication, no root rank. A `rank` not below `num_ranks` is
 /// [`CatalogIoError::Unsupported`].
 ///
@@ -151,14 +149,15 @@ pub fn distribute_shard_range(
     let r2 = rmax * rmax;
     let owned_shards = &manifest.shards[lo..hi];
 
+    // Owned shards are read whole, so reserve their records up front:
+    // growing by doubling raised the benchmark's peak RSS. A count that
+    // no file backs fails in `read_shard` before a record is pushed, and
+    // a reservation the allocator refuses is skipped.
+    let owned_count: u64 = owned_shards.iter().map(|m| m.count).sum();
     let mut owned = Vec::new();
-    let mut records_read = 0u64;
-    let mut bytes_read = 0u64;
+    let _ = owned.try_reserve_exact(usize::try_from(owned_count).unwrap_or(usize::MAX));
     for s in lo..hi {
-        let mut reader = ShardReader::open(dir, manifest, s)?;
-        while reader.read_chunk(&mut owned, STREAM_CHUNK)? != 0 {}
-        records_read += reader.records_read();
-        bytes_read += reader.bytes_read();
+        read_shard(dir, manifest, s, |_| true, &mut owned)?;
     }
 
     // Neighbor shards: only regions within rmax of an owned region can
@@ -167,6 +166,7 @@ pub fn distribute_shard_range(
     // Gated on owned *galaxies*, not regions: a rank whose shards are
     // all empty has no primaries, so ghosts could never contribute.
     let mut ghosts = Vec::new();
+    let mut neighbors = Vec::new();
     if !owned.is_empty() {
         let near_owned_box = |b: &Aabb| {
             owned_shards
@@ -178,24 +178,24 @@ pub fn distribute_shard_range(
                 .iter()
                 .any(|o| o.bounds.distance_sq_to_point(g.pos) <= r2)
         };
-        let mut chunk: Vec<Galaxy> = Vec::with_capacity(STREAM_CHUNK);
-        for s in (0..manifest.num_shards()).filter(|s| !(lo..hi).contains(s)) {
-            if !near_owned_box(&manifest.shards[s].bounds) {
-                continue;
-            }
-            let mut reader = ShardReader::open(dir, manifest, s)?;
-            loop {
-                chunk.clear();
-                if reader.read_chunk(&mut chunk, STREAM_CHUNK)? == 0 {
-                    break;
-                }
-                ghosts.extend(chunk.iter().filter(|g| near_owned_point(g)));
-            }
-            records_read += reader.records_read();
-            bytes_read += reader.bytes_read();
+        neighbors = (0..manifest.num_shards())
+            .filter(|&s| !(lo..hi).contains(&s) && near_owned_box(&manifest.shards[s].bounds))
+            .collect();
+        for &s in &neighbors {
+            read_shard(dir, manifest, s, near_owned_point, &mut ghosts)?;
         }
     }
 
+    // The ghosts outlive ingestion (the caller computes over them): give
+    // back their growth slack, so a rank holds owned + kept ghosts.
+    ghosts.shrink_to_fit();
+
+    // A shard file that reads without error is its header plus exactly
+    // its manifest count of records.
+    let files = (hi - lo + neighbors.len()) as u64;
+    let neighbor_count: u64 = neighbors.iter().map(|&s| manifest.shards[s].count).sum();
+    let records_read = owned_count + neighbor_count;
+    let bytes_read = files * HEADER_BYTES as u64 + records_read * RECORD_BYTES as u64;
     Ok(ShardRankData {
         owned,
         ghosts,
@@ -237,8 +237,7 @@ mod tests {
         let mut total = 0u64;
         for s in 0..7 {
             let mut galaxies = Vec::new();
-            let mut reader = ShardReader::open(&dir, &manifest, s).unwrap();
-            while reader.read_chunk(&mut galaxies, 8192).unwrap() != 0 {}
+            read_shard(&dir, &manifest, s, |_| true, &mut galaxies).unwrap();
             assert_eq!(galaxies.len() as u64, manifest.shards[s].count);
             total += manifest.shards[s].count;
             for g in &galaxies {
@@ -375,7 +374,29 @@ mod tests {
                 rd.records_read
             );
             assert!(rd.resident() < cat.len());
-            assert!(rd.bytes_read > 0);
+            // Exactly the owned shards plus the neighbors within rmax of
+            // one, counted from the manifest and measured on disk.
+            let (lo, hi) = shard_range_for_rank(16, 4, r);
+            let owned = &manifest.shards[lo..hi];
+            let opened: Vec<usize> = (0..16)
+                .filter(|&s| {
+                    (lo..hi).contains(&s)
+                        || owned.iter().any(|o| {
+                            o.bounds.distance_sq_to_aabb(&manifest.shards[s].bounds) <= rmax * rmax
+                        })
+                })
+                .collect();
+            assert!(opened.len() > hi - lo, "rank {r} needs a neighbor shard");
+            let records: u64 = opened.iter().map(|&s| manifest.shards[s].count).sum();
+            let bytes: u64 = opened
+                .iter()
+                .map(|&s| {
+                    let file = dir.join(ShardManifest::shard_file_name(s));
+                    std::fs::metadata(file).unwrap().len()
+                })
+                .sum();
+            assert_eq!(rd.records_read, records, "rank {r}");
+            assert_eq!(rd.bytes_read, bytes, "rank {r}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -473,7 +494,7 @@ mod tests {
             }
         };
         unsupported(
-            ShardReader::open(&dir, &manifest, 7).map(drop),
+            read_shard(&dir, &manifest, 7, |_| true, &mut Vec::new()),
             &["7", "3 shards"],
         );
         unsupported(
@@ -487,6 +508,22 @@ mod tests {
         unsupported(
             distribute_shard_range(&dir, &manifest, 2, 1, 2.0).map(drop),
             &["2..1", "3 shards"],
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn forged_huge_owned_count_is_an_error_not_an_abort() {
+        // The owned reservation comes from the manifest: 2^40 records
+        // (32 TiB) must be skipped, not abort, and the read then fails.
+        let cat = open_catalog(60, 10.0, 43);
+        let dir = tmpdir("forged_count");
+        let mut manifest = write_sharded(&cat, 3, &dir).unwrap();
+        manifest.shards[0].count = 1 << 40;
+        let err = distribute_shard_range(&dir, &manifest, 0, 1, 2.0).unwrap_err();
+        assert!(
+            matches!(err, CatalogIoError::InShard { shard: 0, .. }),
+            "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,5 +1,5 @@
 //! Distributed execution (paper §3.2): shard a catalog to disk as GCAT
-//! v2, then compute the 3PCF with every rank streaming only its own
+//! v2, then compute the 3PCF with every rank reading only its own
 //! shards plus its halo neighbors — no rank ever holds the catalog.
 //! This is also how to distribute a catalog that is already in memory:
 //! write it to a temporary directory first, as step 1 does.
@@ -39,9 +39,10 @@ fn main() {
 
     // 2. Peek at what one rank of four would load taking its whole
     //    shard range at once: its own shards (primaries) plus ghosts
-    //    from halo-intersecting neighbor shards, streamed in
-    //    bounded-memory chunks. (The pipeline below works shard by
-    //    shard, so a piece of its work holds less still.)
+    //    from halo-intersecting neighbor shards, each kept or dropped as
+    //    its record decodes, so it holds owned + kept ghosts and never a
+    //    whole neighbor shard. (The pipeline below works shard by shard,
+    //    so a piece of its work holds less still.)
     let rmax = 12.0;
     println!("\nper-rank ingestion at 4 ranks (rmax = {rmax}):");
     println!(

@@ -17,8 +17,10 @@
 //! merge ([`SupervisedRun::shard_partials`]): they are the §6.1 jackknife
 //! samples.
 //!
-//! Resident galaxies per piece of work are `owned + kept ghosts`, never
-//! the catalog size, nor a whole neighbor shard. No message is sent, so
+//! A piece of work computes on one vector, its owned galaxies as read
+//! and then the kept ghosts, so its resident galaxies are `owned + kept
+//! ghosts`, held once: never the catalog size, nor a whole neighbor
+//! shard. No message is sent, so
 //! a shard's ζ partial is a pure function of (shard files, config) —
 //! which is what lets the supervisor retry or reassign it after a rank
 //! failure, and run at any rank count, without moving a bit of the
@@ -30,13 +32,13 @@ use crate::engine::Engine;
 use crate::result::AnisotropicZeta;
 use galactos_catalog::io::CatalogIoError;
 use galactos_catalog::shard::ShardManifest;
-use galactos_catalog::Galaxy;
 use galactos_cluster::fault::{classify_panic, FailureCause, FaultHarness, FaultPlan, RankFailure};
 use galactos_cluster::run_cluster;
-use galactos_domain::shard::{distribute_shard_range, shard_range_for_rank, ShardRankData};
+use galactos_domain::shard::{distribute_shard_range, shard_range_for_rank};
 use galactos_obs::ObsSession;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// What one rank (or one reassigned shard) did in a distributed run.
 #[derive(Clone, Debug)]
@@ -154,25 +156,29 @@ type AttemptOutcome = Result<Result<(RankReport, ShardPartials), CatalogIoError>
 /// within `rmax` of the shard region as ghosts. Summing these over all
 /// shards in shard order is *the* reduction — it never depends on which
 /// rank computed which shard, which is what makes retry and
-/// reassignment bit-transparent.
+/// reassignment bit-transparent. The shard's ingest counts are added to
+/// `report`, and the engine computes on one vector: the owned galaxies
+/// as read, then the kept ghosts.
 fn shard_partial(
     dir: &Path,
     manifest: &ShardManifest,
     config: &EngineConfig,
     shard: usize,
     engine: &Engine,
-) -> Result<(AnisotropicZeta, ShardRankData), CatalogIoError> {
-    let rmax = config.bins.rmax();
-    let rd = distribute_shard_range(dir, manifest, shard, shard + 1, rmax)?;
-    let zeta = if rd.owned.is_empty() {
-        AnisotropicZeta::zeros(config.lmax, config.bins.nbins())
-    } else {
-        let mut local: Vec<Galaxy> = Vec::with_capacity(rd.resident());
-        local.extend_from_slice(&rd.owned);
-        local.extend_from_slice(&rd.ghosts);
-        engine.compute_subset(&local, rd.owned.len())
-    };
-    Ok((zeta, rd))
+    report: &mut RankReport,
+) -> Result<AnisotropicZeta, CatalogIoError> {
+    let rd = distribute_shard_range(dir, manifest, shard, shard + 1, config.bins.rmax())?;
+    report.owned += rd.owned.len();
+    report.ghosts += rd.ghosts.len();
+    report.records_read += rd.records_read;
+    report.bytes_read += rd.bytes_read;
+    let (n_owned, mut galaxies) = (rd.owned.len(), rd.owned);
+    if n_owned == 0 {
+        return Ok(AnisotropicZeta::zeros(config.lmax, config.bins.nbins()));
+    }
+    galaxies.reserve_exact(rd.ghosts.len());
+    galaxies.extend(rd.ghosts);
+    Ok(engine.compute_subset(&galaxies, n_owned))
 }
 
 /// The state of one supervised run: what every attempt needs to run,
@@ -186,6 +192,9 @@ struct Supervisor<'a> {
     policy: &'a RetryPolicy,
     harness: FaultHarness,
     obs: &'a ObsSession,
+    /// Built by the first attempt that gets this far, inside its
+    /// `ingest` phase: an invalid config fails every attempt there.
+    engine: OnceLock<Engine>,
     run: SupervisedRun,
     /// One ζ partial per shard computed so far, in shard order.
     partials: BTreeMap<usize, AnisotropicZeta>,
@@ -204,7 +213,7 @@ impl Supervisor<'_> {
         // Ingestion is re-validated per shard at compute time; entering
         // the phase here keeps the {ingest, compute, reduce} kill surface
         // even though streaming is interleaved with compute below.
-        let engine = Engine::new(self.config.clone());
+        let engine = self.engine.get_or_init(|| Engine::new(self.config.clone()));
         let mut report = RankReport {
             rank: worker,
             owned: 0,
@@ -218,11 +227,14 @@ impl Supervisor<'_> {
         let mut partials = Vec::with_capacity(shards.len());
         self.harness.enter_phase(worker, "compute");
         for &s in shards {
-            let (partial, rd) = shard_partial(self.dir, &self.manifest, self.config, s, &engine)?;
-            report.owned += rd.owned.len();
-            report.ghosts += rd.ghosts.len();
-            report.records_read += rd.records_read;
-            report.bytes_read += rd.bytes_read;
+            let partial = shard_partial(
+                self.dir,
+                &self.manifest,
+                self.config,
+                s,
+                engine,
+                &mut report,
+            )?;
             report.binned_pairs += partial.binned_pairs;
             partials.push((s, partial));
         }
@@ -402,6 +414,7 @@ pub fn compute_distributed_supervised_observed(
         policy,
         harness: FaultHarness::new(plan, num_ranks),
         obs,
+        engine: OnceLock::new(),
         run: SupervisedRun {
             zeta: AnisotropicZeta::zeros(config.lmax, config.bins.nbins()),
             ranks: Vec::new(),

@@ -1,7 +1,10 @@
 //! Engine-vs-oracle integration tests: the O(N²) production engine must
 //! reproduce the O(N³) triplet-counting definition exactly (up to FP
 //! round-off), for every (ℓ, ℓ', m), every bin pair, every line-of-sight
-//! convention, and with weights.
+//! convention, and with weights. The drawn cases of `conformance.rs`
+//! hold every ζ path to the O(N³) count on open and periodic catalogs
+//! with fixed and radial lines of sight; this file keeps what no draw
+//! covers and the pairwise tests not yet retired (ROADMAP item 2).
 
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
 use galactos_core::config::EngineConfig;
@@ -29,40 +32,6 @@ fn random_weighted_galaxies(n: usize, box_len: f64, seed: u64) -> Vec<Galaxy> {
 
 fn engine_config(rmax: f64, lmax: usize, nbins: usize) -> EngineConfig {
     EngineConfig::test_default(rmax, lmax, nbins)
-}
-
-#[test]
-fn engine_equals_triplet_oracle_fixed_los() {
-    let galaxies = random_weighted_galaxies(35, 10.0, 1);
-    let config = engine_config(6.0, 4, 3);
-    let engine = Engine::new(config.clone()).compute(&Catalog::new(galaxies.clone()));
-    let oracle = naive_anisotropic(&galaxies, &config, None, true);
-    let scale = oracle.max_abs().max(1.0);
-    assert!(
-        engine.max_difference(&oracle) < 1e-9 * scale,
-        "engine vs O(N^3): {}",
-        engine.max_difference(&oracle)
-    );
-    assert_eq!(engine.num_primaries, oracle.num_primaries);
-}
-
-#[test]
-fn engine_equals_triplet_oracle_radial_los() {
-    // Radial line of sight: a different rotation per primary — the full
-    // anisotropic machinery.
-    let galaxies = random_weighted_galaxies(30, 8.0, 3);
-    let mut config = engine_config(5.0, 3, 3);
-    config.line_of_sight = LineOfSight::Radial {
-        observer: Vec3::new(-30.0, -40.0, -20.0),
-    };
-    let engine = Engine::new(config.clone()).compute(&Catalog::new(galaxies.clone()));
-    let oracle = naive_anisotropic(&galaxies, &config, None, true);
-    let scale = oracle.max_abs().max(1.0);
-    assert!(
-        engine.max_difference(&oracle) < 1e-9 * scale,
-        "diff {}",
-        engine.max_difference(&oracle)
-    );
 }
 
 #[test]
@@ -101,20 +70,6 @@ fn engine_equals_seminaive_at_paper_lmax() {
         engine.max_difference(&semi) < 1e-8 * scale,
         "diff {} at scale {scale}",
         engine.max_difference(&semi)
-    );
-}
-
-#[test]
-fn engine_periodic_equals_oracle_periodic() {
-    let cat = uniform_box(40, 10.0, 9);
-    let config = engine_config(4.9, 3, 3);
-    let engine = Engine::new(config.clone()).compute(&cat);
-    let oracle = naive_anisotropic(&cat.galaxies, &config, Some(10.0), true);
-    let scale = oracle.max_abs().max(1.0);
-    assert!(
-        engine.max_difference(&oracle) < 1e-9 * scale,
-        "periodic diff {}",
-        engine.max_difference(&oracle)
     );
 }
 

@@ -186,10 +186,6 @@ pub fn distribute_shard_range(
         }
     }
 
-    // The ghosts outlive ingestion (the caller computes over them): give
-    // back their growth slack, so a rank holds owned + kept ghosts.
-    ghosts.shrink_to_fit();
-
     // A shard file that reads without error is its header plus exactly
     // its manifest count of records.
     let files = (hi - lo + neighbors.len()) as u64;

@@ -8,7 +8,9 @@
 //!
 //! * a **median-split balanced k-d tree** built over an arbitrary point
 //!   set, with points reordered into contiguous leaf storage for cache
-//!   locality;
+//!   locality: the build partitions one vector of (point, id) pairs in
+//!   place, node by node, and rejects a non-finite coordinate with a
+//!   panic naming the point;
 //! * **"marked" nodes** carrying their contiguous slot range and
 //!   bounding box — the enhancement of Gray & Moore / March (paper
 //!   §2.1) that lets whole subtrees be accepted (no per-point distance

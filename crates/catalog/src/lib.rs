@@ -25,8 +25,20 @@
 #![forbid(unsafe_code)]
 
 pub mod galaxy;
+// Untrusted header bytes must fail loudly, not wrap: the GCAT readers
+// narrow through `try_from`, never through a bare `as`.
+#[deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 pub mod io;
 pub mod random;
+#[deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 pub mod shard;
 pub mod sky;
 pub mod survey;

@@ -218,7 +218,10 @@ fn update_block(
 /// Columns `at..at + N` of every row of `block`:
 /// `row[c] += (re₁·x[c] + im₁·y[c])·w`, elementwise over `2·N` doubles.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "an always-inlined loop body over the caller's locals"
+)]
 fn update_columns<const N: usize>(
     block: &mut [Complex64],
     nbins: usize,

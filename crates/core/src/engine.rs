@@ -50,6 +50,26 @@
 //! therefore a function of the [`EngineConfig`] and the build target
 //! only (pinned across thread counts by `tests/determinism.rs`), and
 //! nothing here reads the process environment.
+//!
+//! The stand-in offers no unordered float reduction whose bits would
+//! follow the pool width: a parallel `sum` does not compile,
+//!
+//! ```compile_fail,E0599
+//! use rayon::prelude::*;
+//! fn total(xs: &Vec<f64>) -> f64 {
+//!     xs.par_iter().map(|&x| x * 2.0).sum()
+//! }
+//! ```
+//!
+//! and the two-argument `reduce`, which merges in task order, does:
+//!
+//! ```
+//! use rayon::prelude::*;
+//! fn total(xs: &Vec<f64>) -> f64 {
+//!     xs.par_iter().map(|&x| x * 2.0).reduce(|| 0.0, |a, b| a + b)
+//! }
+//! assert_eq!(total(&vec![0.25; 1000]), 500.0);
+//! ```
 
 use crate::assembly::{padded_bins, Assemble};
 use crate::bins::NO_BIN;
@@ -64,10 +84,10 @@ use galactos_kdtree::{KdTree, TreeConfig};
 use galactos_math::monomial::MonomialBasis;
 use galactos_math::ylm::{SelfPairTable, YlmTable};
 use galactos_math::{Mat3, Vec3};
-// The engine's clock reads go through the registered obs gate: zero
-// reads when instrumentation is off, and every real read is counted so
-// tests can pin the zero-cost contract (no local lint:allow needed —
-// obs::clock is on the W-CLOCK allowlist by registration).
+// The engine's clock reads go through the obs gate: zero reads when
+// instrumentation is off, and every real read is counted so tests can
+// pin the zero-cost contract (clippy's `disallowed-methods` rejects a
+// clock read anywhere else).
 use galactos_obs::clock::{nanos_since, now_if};
 use galactos_obs::ObsSession;
 use rayon::prelude::*;
@@ -267,12 +287,9 @@ impl Engine {
         periodic: Option<f64>,
         obs: &ObsSession,
     ) -> AnisotropicZeta {
-        // The tree holds its own copy of the coordinates, so `positions`
-        // goes as soon as it is built.
         let tree = {
-            let positions: Vec<Vec3> = galaxies.iter().map(|g| g.pos).collect();
             let _g = obs.tracer.span("tree_build");
-            KdTree::build(&positions, TreeConfig::default())
+            KdTree::build(galaxies.iter().map(|g| g.pos), TreeConfig::default())
         };
 
         // Leaf-blocked: chunks are made of *leaf blocks*, not raw

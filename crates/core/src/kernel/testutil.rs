@@ -77,7 +77,7 @@ pub fn random_bucket(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<
 /// A stream of `n` unit separations with a radial bin attached to each
 /// pair — the input shape of the engine's bin-and-bucket stage:
 /// `(Δx, Δy, Δz, w, bin)`.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "the five stage-input columns")]
 pub fn random_binned_stream(
     n: usize,
     nbins: usize,

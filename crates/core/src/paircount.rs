@@ -14,7 +14,6 @@
 use crate::bins::RadialBins;
 use galactos_catalog::Catalog;
 use galactos_kdtree::{KdTree, TreeConfig};
-use galactos_math::Vec3;
 use rayon::prelude::*;
 
 /// Weighted pair counts per radial bin between `a` and `b`
@@ -25,8 +24,7 @@ pub fn cross_pair_counts(a: &Catalog, b: &Catalog, bins: &RadialBins) -> Vec<f64
         a.periodic, b.periodic,
         "catalogs must share periodicity for pair counting"
     );
-    let positions_b: Vec<Vec3> = b.positions();
-    let tree = KdTree::build(&positions_b, TreeConfig::default());
+    let tree = KdTree::build(b.galaxies.iter().map(|g| g.pos), TreeConfig::default());
     let rmax = bins.rmax();
     let periodic = a.periodic;
 

@@ -130,7 +130,10 @@ impl DomainPlan {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the recursion threads its node's slice and the shared outputs"
+    )]
     fn build_rec(
         positions: &[Vec3],
         indices: &mut [u32],

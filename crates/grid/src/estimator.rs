@@ -111,8 +111,8 @@ impl GridConfig {
 
 // The estimator's clock gate: timestamps are taken only under an
 // enabled session, so plain `compute()` pays no clock reads on the
-// grid path. Routed through the registered obs gate (the W-CLOCK
-// allowlist module) so grid reads show up in the global clock-read
+// grid path. Routed through the obs gate (the one module clippy's
+// clock ban allows) so grid reads show up in the global clock-read
 // count the zero-cost tests pin.
 use galactos_obs::clock::{nanos_since, now_if};
 use galactos_obs::ObsSession;
@@ -218,7 +218,7 @@ fn contract_block(
 /// reads** (the same zero-cost contract as the tree engine's stages)
 /// and the same arithmetic.
 /// Panics if the catalog is not periodic.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "each input feeds one stage")]
 pub fn accumulate_zeta_multipoles(
     catalog: &Catalog,
     cfg: &GridConfig,
@@ -501,7 +501,10 @@ mod tests {
     /// Brute-force mesh-level oracle: paint with NGP, enumerate all
     /// occupied-cell pairs directly, and accumulate the same sums the
     /// FFT path is supposed to produce.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the oracle takes the inputs of the estimator it checks"
+    )]
     fn brute_force_mesh_zeta(
         catalog: &Catalog,
         mesh: usize,

@@ -175,7 +175,10 @@ impl DensityMesh {
 /// [`DensityMesh::paint_with`]. The weight products are formed exactly
 /// as in a whole-mesh deposit, so restricting to a slab changes no
 /// float.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the slab, its placement and the shifted particle are one deposit"
+)]
 fn deposit_slab(
     slab: &mut [f64],
     i0: usize,

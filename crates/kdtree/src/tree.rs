@@ -1,6 +1,8 @@
 //! The balanced k-d tree: construction and padded sphere and box
 //! queries.
 
+use std::borrow::Borrow;
+
 use galactos_math::Vec3;
 
 /// Construction parameters.
@@ -137,26 +139,29 @@ pub struct KdTree {
 }
 
 impl KdTree {
-    /// Build a tree over `points`. The (point, id) pairs are collected
-    /// once and partitioned in place, each node's slice at its median;
-    /// the slot-ordered coordinates and ids are split from them at the
-    /// end, so nothing is allocated per node. Panics on a non-finite
+    /// Build a tree over `points` — a slice, or positions mapped from
+    /// another collection, which are then never copied whole. The
+    /// (point, id) pairs are collected once, ids in iteration order,
+    /// and partitioned in place, each node's slice at its median; the
+    /// slot-ordered coordinates and ids are split from them at the end,
+    /// so nothing is allocated per node. Panics on a non-finite
     /// coordinate, naming the point and its position.
-    pub fn build(points: &[Vec3], config: TreeConfig) -> Self {
+    pub fn build<P: Borrow<Vec3>>(points: impl IntoIterator<Item = P>, config: TreeConfig) -> Self {
         assert!(config.leaf_size >= 1, "leaf_size must be >= 1");
-        assert!(
-            points.len() < u32::MAX as usize,
-            "point count exceeds u32 index space"
-        );
-        let mut pairs = Vec::with_capacity(points.len());
-        for (id, &p) in (0u32..).zip(points) {
-            let p = to_array(p);
+        let points = points.into_iter();
+        let mut pairs = Vec::with_capacity(points.size_hint().0);
+        for (id, p) in points.enumerate() {
+            let p = to_array(*p.borrow());
             assert!(
                 p.iter().all(|v| v.is_finite()),
                 "point {id} is not finite: {p:?}"
             );
-            pairs.push((p, id));
+            pairs.push((p, id as u32));
         }
+        assert!(
+            pairs.len() < u32::MAX as usize,
+            "point count exceeds u32 index space"
+        );
         let mut nodes = Vec::with_capacity(2 * pairs.len() / config.leaf_size + 2);
         if !pairs.is_empty() {
             Self::build_node(&mut nodes, &mut pairs, 0, config.leaf_size);
@@ -562,14 +567,14 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let tree = KdTree::build(&[], TreeConfig::default());
+        let tree = KdTree::build([Vec3::ZERO; 0], TreeConfig::default());
         assert_eq!(gather(&tree, Vec3::ZERO, 10.0, None), Vec::<u32>::new());
         assert_eq!(tree.count_within(Vec3::ZERO, 10.0), 0);
     }
 
     #[test]
     fn single_point() {
-        let tree = KdTree::build(&[Vec3::splat(1.0)], TreeConfig::default());
+        let tree = KdTree::build([Vec3::splat(1.0)], TreeConfig::default());
         assert_eq!(gather(&tree, Vec3::ZERO, 2.0, None), vec![0]);
         assert_eq!(gather(&tree, Vec3::ZERO, 1.0, None), Vec::<u32>::new());
         // boundary is inclusive
@@ -866,7 +871,7 @@ mod tests {
 
     #[test]
     fn aabb_walk_on_empty_tree_is_silent() {
-        let tree = KdTree::build(&[], TreeConfig::default());
+        let tree = KdTree::build([Vec3::ZERO; 0], TreeConfig::default());
         assert!(tree.collect_leaves().is_empty());
         for periodic in [None, Some(10.0)] {
             tree.for_each_within_of_aabb(

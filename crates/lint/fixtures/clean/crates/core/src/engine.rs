@@ -1,25 +1,8 @@
-//! Must-not-fire cases for W-CLOCK (reasoned suppression at the gate)
-//! and W-DETERMINISM (ordered two-arg reduction; integer parallel sum;
-//! serial float sum).
+//! Must-not-fire for W-ENV: a read under a reasoned suppression, and a
+//! knob name that is not a string literal.
 
-use std::time::Instant;
-
-pub fn now_if(instrument: bool) -> Option<Instant> {
-    // lint:allow(W-CLOCK): the instrument gate itself; reached only
-    // when the caller asked for timings.
-    instrument.then(Instant::now)
-}
-
-pub fn ordered_sum(xs: &[f64]) -> f64 {
-    xs.par_iter()
-        .fold(|| 0.0f64, |acc, &x| acc + x)
-        .reduce(|| 0.0f64, |a, b| a + b)
-}
-
-pub fn integer_total(xs: &[u64]) -> u64 {
-    xs.par_iter().sum()
-}
-
-pub fn serial_float_total(xs: &[f64]) -> f64 {
-    xs.iter().sum()
+/// Not a knob such as GALACTOS_MESH: only the build's profile.
+pub fn build_profile() -> Option<String> {
+    // lint:allow(W-ENV): the build's profile, not a runtime knob
+    std::env::var("PROFILE").ok()
 }

@@ -2,8 +2,8 @@
 //! tests, exempted with its class and its user; a `pub(crate)` helper
 //! shipping code calls; an item that does not ship at all.
 
-/// O(N) reference the ordered reduction is compared against.
-// lint:allow(W-DEADPUB): oracle for ordered_sum in tests/sums.rs
+/// O(N) reference a parallel sum is compared against.
+// lint:allow(W-DEADPUB): oracle for the parallel sum in tests/sums.rs
 pub fn naive_sum(xs: &[f64]) -> f64 {
     xs.iter().fold(0.0, |acc, &x| acc + x)
 }

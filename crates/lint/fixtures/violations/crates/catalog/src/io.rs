@@ -1,7 +1,3 @@
-//! Must-fire: W-CAST — a bare narrowing cast in catalog parsing.
-
-pub fn header_count(raw: u64) -> u32 {
-    raw as u32
-}
+//! Must-fire: W-DEADPUB on a fn that only a benchmark test calls.
 
 pub fn read_binary() {}

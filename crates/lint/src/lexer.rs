@@ -34,11 +34,8 @@ pub enum TokenKind {
     Str,
     /// Char or byte-char literal: `'x'`, `b'\n'`.
     Char,
-    /// Numeric literal; `float` distinguishes `1.0` / `2e5` / `3f64`
-    /// from integers (the W-DETERMINISM evidence check).
-    Num {
-        float: bool,
-    },
+    /// Numeric literal, suffix and fraction included: `1.0`, `3f64`.
+    Num,
     /// `'lifetime` (including `'_`).
     Lifetime,
 }
@@ -263,11 +260,7 @@ impl Scanner {
             break;
         }
         let text: String = self.chars[start..self.i].iter().collect();
-        let float = saw_dot
-            || text.ends_with("f32")
-            || text.ends_with("f64")
-            || (text.contains(['e', 'E']) && !text.starts_with("0x") && !text.starts_with("0b"));
-        self.push(TokenKind::Num { float }, text, line);
+        self.push(TokenKind::Num, text, line);
     }
 
     fn ident(&mut self) {
@@ -484,22 +477,14 @@ mod tests {
     fn numbers_and_floats() {
         let f =
             lex("let a = 1; let b = 2.5; let c = 1_000; let d = 3f64; let e = 1e-3; let r = 1..8;");
-        let floats: Vec<&str> = f
+        let nums: Vec<&str> = f
             .tokens
             .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Num { float: true }))
+            .filter(|t| t.kind == TokenKind::Num)
             .map(|t| t.text.as_str())
             .collect();
-        assert_eq!(floats, ["2.5", "3f64", "1e"]);
-        let ints: Vec<&str> = f
-            .tokens
-            .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Num { float: false }))
-            .map(|t| t.text.as_str())
-            .collect();
-        assert!(ints.contains(&"1_000"));
-        // Range `1..8` stays integer + punct + integer.
-        assert!(ints.contains(&"8"));
+        // Range `1..8` stays number + punct + number.
+        assert_eq!(nums, ["1", "2.5", "1_000", "3f64", "1e", "3", "1", "8"]);
     }
 
     #[test]

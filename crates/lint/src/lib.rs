@@ -1,23 +1,25 @@
 //! `galactos-lint` — the workspace invariant checker.
 //!
-//! The repo's correctness contracts (thread-count bit-stability,
-//! zero-cost uninstrumented hot paths, no environment reads in
-//! library code, checked header parsing, audited `unsafe`) are enforced
+//! The repo's lexical contracts (no environment reads in library code,
+//! audited `unsafe`, no public item that nothing ships) are enforced
 //! here as build-breaking static analysis, not just rustdoc prose and
-//! runtime tests. The tool is offline and dependency-free by design:
-//! a small hand-rolled lexer (no `syn`, no crates.io) feeds a rule
-//! engine; any finding makes the binary exit nonzero, and CI runs it
-//! on every push.
+//! runtime tests. The contracts that need types live with the compiler
+//! instead: clippy's `disallowed-methods` (workspace `clippy.toml`)
+//! keeps every clock read in `obs::clock`, the catalog crate denies
+//! narrowing casts on its GCAT readers (`io`, `shard`), and the rayon
+//! stand-in has no unordered parallel `sum`, so an order-dependent
+//! float reduction does not compile (a `compile_fail` doctest in
+//! `core::engine` pins that). The tool is offline and dependency-free
+//! by design: a small hand-rolled lexer (no `syn`, no crates.io) feeds
+//! a rule engine; any finding makes the binary exit nonzero, and CI
+//! runs it on every push.
 //!
 //! # Rules
 //!
 //! | rule | contract |
 //! |------|----------|
 //! | `W-UNSAFE` | every `unsafe` fn/block/impl carries a `SAFETY` justification **and** matches the committed [`registry::REGISTRY_FILE`] |
-//! | `W-CLOCK` | `Instant::now` only in `obs::clock`, tests/examples, or instrument-gated code |
 //! | `W-ENV` | no `env::var*` read and no `GALACTOS_*` literal in any non-test, non-example source |
-//! | `W-DETERMINISM` | parallel float reductions go through the ordered two-arg `fold`/`reduce` helpers |
-//! | `W-CAST` | no bare `as` narrowing in `catalog::io` / `shard.rs` header parsing |
 //! | `W-DEADPUB` | a `pub` type, `pub fn` or `pub(crate) fn` under `crates/*/src` is reached by shipped code — a type named outside its definition and impls, a method called as `.name(` / `Type::name` / `Self::name` on a reached type, a free fn named; `use` lines never count — or carries a classed exemption; what only `benchmark/src` reaches is listed, not reported |
 //!
 //! See [`rules`] for the precise scoping of each rule and the
@@ -30,9 +32,9 @@
 //! anything under `vendor/` (third-party stand-ins are not ours to
 //! audit), `target/`, `fixtures/` (the lint's own test corpus
 //! contains deliberate violations), and `.git/`. Test and example
-//! *directories* are scanned but exempt from the runtime-path rules
-//! (`W-CLOCK`, `W-ENV`) — test and demo code may read clocks and set
-//! knobs — and test directories are not callers for `W-DEADPUB`.
+//! *directories* are scanned but exempt from `W-ENV` — test and demo
+//! code may set knobs — and test directories are not callers for
+//! `W-DEADPUB`.
 //!
 //! # Report
 //!
@@ -154,6 +156,62 @@ mod tests {
             }
         }
         assert!(files.iter().any(|f| f.path == "crates/lint/src/lib.rs"));
+    }
+
+    /// Clippy, not this lint, holds the clock and cast contracts, so
+    /// their configuration is pinned here: removing a line of it must
+    /// fail a test, as removing an `UNSAFE_REGISTRY.txt` line does.
+    #[test]
+    fn clippy_configuration_holds_the_clock_and_cast_contracts() {
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = find_workspace_root(here).unwrap();
+        let squeeze = |text: &str| -> String { text.split_whitespace().collect() };
+        let toml = fs::read_to_string(root.join("clippy.toml")).unwrap();
+        let toml: Vec<String> = toml
+            .lines()
+            .filter(|l| !l.trim_start().starts_with('#'))
+            .map(squeeze)
+            .collect();
+        for method in [
+            "Instant::now",
+            "Instant::elapsed",
+            "SystemTime::now",
+            "SystemTime::elapsed",
+        ] {
+            let entry = format!("{{path=\"std::time::{method}\",reason=\"");
+            assert!(
+                toml.iter().any(|l| l.starts_with(&entry)),
+                "clippy.toml does not ban std::time::{method} with a reason"
+            );
+        }
+        let lib = fs::read_to_string(root.join("crates/catalog/src/lib.rs")).unwrap();
+        let code: String = lexer::lex(&lib)
+            .tokens
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect();
+        for module in ["io", "shard"] {
+            let deny = format!(
+                "#[deny(clippy::cast_possible_truncation,clippy::cast_possible_wrap,\
+                 clippy::cast_sign_loss)]pubmod{module};"
+            );
+            assert!(
+                code.contains(&deny),
+                "catalog's `{module}` lost its cast deny"
+            );
+        }
+        // Only the clock module may lift the clock ban.
+        for f in collect_sources(&root).unwrap() {
+            let toks = lexer::lex(&f.src).tokens;
+            let lifts = toks
+                .iter()
+                .any(|t| t.kind == lexer::TokenKind::Ident && t.text == "disallowed_methods");
+            assert!(
+                !lifts || f.path == "crates/obs/src/clock.rs",
+                "{} allows clippy::disallowed_methods",
+                f.path
+            );
+        }
     }
 
     /// The whole point: the current tree is clean under its own lint.

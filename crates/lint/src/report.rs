@@ -109,10 +109,10 @@ mod tests {
         let out = LintOutcome {
             files_scanned: 1,
             findings: vec![Finding {
-                rule: "W-CAST".to_string(),
-                file: "crates/catalog/src/io.rs".to_string(),
+                rule: "W-ENV".to_string(),
+                file: "crates/grid/src/mesh.rs".to_string(),
                 line: 12,
-                message: "bare `as u32` with \"quotes\"\nand newline".to_string(),
+                message: "`env::var` read with \"quotes\"\nand newline".to_string(),
             }],
             unsafe_sites: vec![UnsafeSite {
                 line: 3,

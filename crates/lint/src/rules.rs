@@ -1,13 +1,13 @@
-//! The rule engine: six contract rules, inline suppressions, and the
+//! The rule engine: three contract rules, inline suppressions, and the
 //! unsafe-site collector that feeds the committed registry.
 //!
 //! Every rule operates on the lexed token stream (see [`crate::lexer`])
 //! so nothing ever fires inside a string, char literal, or comment.
 //! Scoping is by path: each rule documents exactly which files it
-//! watches and which it deliberately ignores (tests and examples are
-//! allowed clocks; no library source is allowed an env read; and so
-//! on). Five rules look at one file at a time; `W-DEADPUB` looks at
-//! the whole file set. One scope pass per file tells every rule, per
+//! watches and which it deliberately ignores (tests and examples may
+//! set knobs; no library source is allowed an env read; and so on).
+//! `W-UNSAFE` and `W-ENV` look at one file at a time; `W-DEADPUB` looks
+//! at the whole file set. One scope pass per file tells every rule, per
 //! token, whether it ships (not under `#[cfg(test)]`), whether it sits
 //! in a `use` declaration, and which `fn` and which type (its
 //! definition or an `impl` of it) enclose it.
@@ -34,15 +34,8 @@
 use crate::lexer::{lex, LexedFile, Token, TokenKind};
 use crate::registry::{self, Entry};
 
-/// The six contract rules, in report order.
-pub const RULES: [&str; 6] = [
-    "W-UNSAFE",
-    "W-CLOCK",
-    "W-ENV",
-    "W-DETERMINISM",
-    "W-CAST",
-    "W-DEADPUB",
-];
+/// The three contract rules, in report order.
+pub const RULES: [&str; 3] = ["W-UNSAFE", "W-ENV", "W-DEADPUB"];
 
 /// How a `W-DEADPUB` suppression's reason must open: the item is a
 /// reference a test compares production output against, a constructor
@@ -162,10 +155,7 @@ fn lint_one(
     out.counts.deadpub_exemptions += suppressions.iter().filter(|s| s.0 == "W-DEADPUB").count();
 
     rule_unsafe(f, lexed, scopes, &mut raw, &mut out.unsafe_sites);
-    rule_clock(f, lexed, &mut raw);
     rule_env(f, lexed, &mut raw);
-    rule_determinism(f, lexed, &mut raw);
-    rule_cast(f, lexed, &mut raw);
 
     for finding in raw {
         let key = (finding.rule.clone(), finding.line);
@@ -265,9 +255,8 @@ fn has_component(path: &str, name: &str) -> bool {
     path.split('/').any(|c| c == name)
 }
 
-/// Test and example *directories* are exempt from the runtime-contract
-/// rules (W-CLOCK, W-ENV): test and demo code may read clocks and set
-/// knobs freely.
+/// Test and example *directories* are exempt from W-ENV: test and demo
+/// code may set knobs freely.
 fn is_test_or_example(path: &str) -> bool {
     is_test_dir(path) || has_component(path, "examples")
 }
@@ -499,34 +488,6 @@ fn has_safety_doc(lexed: &LexedFile, line: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// W-CLOCK — Instant::now only in the obs clock gate, tests, examples,
-// or behind a reasoned suppression at an instrument gate.
-// ---------------------------------------------------------------------------
-
-fn rule_clock(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
-    // obs::clock is the registered gate: every clock read outside
-    // tests and examples funnels through its now_if/nanos_since/Epoch,
-    // which count reads so tests can pin "uninstrumented => zero
-    // reads". Only clock.rs is sanctioned — the rest of crates/obs,
-    // and the `reproduce` binary of crates/bench, route through it like
-    // everyone else.
-    if f.path == "crates/obs/src/clock.rs" || is_test_or_example(&f.path) {
-        return;
-    }
-    for i in seq_matches(&lexed.tokens, &["Instant", ":", ":", "now"]) {
-        raw.push(Finding::new(
-            "W-CLOCK",
-            &f.path,
-            lexed.tokens[i].line,
-            "Instant::now() outside the clock gate: clock reads must live \
-             in obs::clock, or behind an instrument gate (now_if) \
-             carrying a reasoned lint:allow"
-                .to_string(),
-        ));
-    }
-}
-
-// ---------------------------------------------------------------------------
 // W-ENV — no non-test, non-example source reads the process
 // environment or names a GALACTOS_* knob: ζ is a function of the
 // EngineConfig and the build target.
@@ -556,133 +517,6 @@ fn rule_env(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
                 format!(
                     "`{}` knob name referenced outside tests and examples",
                     t.text
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// W-DETERMINISM — parallel float reductions must use the ordered
-// two-arg fold/reduce helpers, never the raw unordered terminals.
-// ---------------------------------------------------------------------------
-
-const PAR_SOURCES: [&str; 8] = [
-    "par_iter",
-    "par_iter_mut",
-    "into_par_iter",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_chunks_exact",
-    "par_bridge",
-    "par_windows",
-];
-
-const RAW_TERMINALS: [&str; 3] = ["sum", "product", "reduce_with"];
-
-fn rule_determinism(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !PAR_SOURCES.contains(&t.text.as_str()) {
-            continue;
-        }
-        // Forward span: the rest of the statement, with the chain
-        // itself at depth 0 (closure bodies sit at depth >= 1).
-        let mut depth = 0i32;
-        let mut end = toks.len();
-        let mut terminal: Option<usize> = None;
-        for (j, u) in toks.iter().enumerate().skip(i + 1) {
-            if u.kind == TokenKind::Punct {
-                match u.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        depth -= 1;
-                        if depth < 0 {
-                            end = j;
-                            break;
-                        }
-                    }
-                    ";" if depth == 0 => {
-                        end = j;
-                        break;
-                    }
-                    _ => {}
-                }
-                continue;
-            }
-            if depth == 0
-                && u.kind == TokenKind::Ident
-                && RAW_TERMINALS.contains(&u.text.as_str())
-                && j > 0
-                && toks[j - 1].kind == TokenKind::Punct
-                && toks[j - 1].text == "."
-                && toks
-                    .get(j + 1)
-                    .is_some_and(|v| v.kind == TokenKind::Punct && (v.text == "(" || v.text == ":"))
-                && terminal.is_none()
-            {
-                terminal = Some(j);
-            }
-        }
-        let Some(term) = terminal else { continue };
-        // Float evidence anywhere in the statement (back to the
-        // previous statement boundary, forward to the span end).
-        let start = toks[..i]
-            .iter()
-            .rposition(|u| u.kind == TokenKind::Punct && matches!(u.text.as_str(), ";" | "{" | "}"))
-            .map_or(0, |p| p + 1);
-        let float_evidence = toks[start..end].iter().any(|u| match u.kind {
-            TokenKind::Ident => u.text == "f64" || u.text == "f32",
-            TokenKind::Num { float } => float,
-            _ => false,
-        });
-        if float_evidence {
-            raw.push(Finding::new(
-                "W-DETERMINISM",
-                &f.path,
-                toks[term].line,
-                format!(
-                    "raw parallel float reduction `.{}()` after `.{}()`: use \
-                     the two-arg `.fold(zero, f).reduce(zero, merge)` form — \
-                     the vendored pool merges those in task order, so results \
-                     are bit-stable across thread counts",
-                    toks[term].text, t.text
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// W-CAST — no bare `as` narrowing in the catalog header-parsing files.
-// ---------------------------------------------------------------------------
-
-const CAST_SCOPED: [&str; 2] = ["crates/catalog/src/io.rs", "crates/catalog/src/shard.rs"];
-
-const NARROW_TARGETS: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
-fn rule_cast(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
-    if !CAST_SCOPED.contains(&f.path.as_str()) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "as" {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else {
-            continue;
-        };
-        if target.kind == TokenKind::Ident && NARROW_TARGETS.contains(&target.text.as_str()) {
-            raw.push(Finding::new(
-                "W-CAST",
-                &f.path,
-                t.line,
-                format!(
-                    "bare `as {}` narrowing in catalog parsing: use \
-                     `{}::try_from(..)` (untrusted header bytes must fail \
-                     loudly, not wrap)",
-                    target.text, target.text
                 ),
             ));
         }
@@ -905,80 +739,33 @@ mod tests {
         out.findings.iter().map(|f| f.rule.as_str()).collect()
     }
 
-    // ----- W-CLOCK -----
-
-    #[test]
-    fn clock_fires_on_compute_path() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn f() { let t = std::time::Instant::now(); }",
-        );
-        assert_eq!(rules_of(&out), ["W-CLOCK"]);
-        assert_eq!(out.findings[0].line, 1);
-    }
-
-    #[test]
-    fn clock_allowed_in_bench_timing_tests_examples() {
-        // crates/bench lost its allowlist entry: its bins time through
-        // obs::clock like every other crate.
-        let out = run(
-            "crates/bench/src/main.rs",
-            "fn main() { let t = Instant::now(); }",
-        );
-        assert_eq!(rules_of(&out), ["W-CLOCK"]);
-        for path in [
-            "crates/obs/src/clock.rs",
-            "crates/core/tests/perf.rs",
-            "examples/quickstart.rs",
-        ] {
-            let out = run(path, "fn f() { let t = Instant::now(); }");
-            assert!(out.is_clean(), "{path} should allow clocks");
-        }
-    }
-
-    #[test]
-    fn clock_in_obs_outside_clock_module_still_fires() {
-        let out = run(
-            "crates/obs/src/span.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
-        assert_eq!(rules_of(&out), ["W-CLOCK"]);
-    }
-
-    #[test]
-    fn clock_in_comment_or_string_is_ignored() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "// Instant::now() is forbidden here\nfn f() { let s = \"Instant::now\"; }",
-        );
-        assert!(out.is_clean());
-    }
-
-    #[test]
-    fn clock_suppression_with_reason() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn now_if(i: bool) { // lint:allow(W-CLOCK): gated by instrument flag\n    let t = Instant::now();\n}",
-        );
-        // Trailing comment governs line 1, but the call is line 2 — use
-        // a standalone comment above instead.
-        assert_eq!(rules_of(&out), ["W-CLOCK"]);
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn now_if(i: bool) {\n    // lint:allow(W-CLOCK): gated by instrument flag\n    let t = Instant::now();\n}",
-        );
-        assert!(out.is_clean());
-    }
+    // ----- Suppressions -----
 
     #[test]
     fn bare_suppression_is_a_finding_and_inert() {
         let out = run(
             "crates/core/src/engine.rs",
-            "fn f() {\n    // lint:allow(W-CLOCK)\n    let t = Instant::now();\n}",
+            "fn f() {\n    // lint:allow(W-ENV)\n    let v = std::env::var(\"HOME\");\n}",
         );
         let mut rules = rules_of(&out);
         rules.sort_unstable();
-        assert_eq!(rules, ["W-ALLOW", "W-CLOCK"]);
+        assert_eq!(rules, ["W-ALLOW", "W-ENV"]);
+    }
+
+    #[test]
+    fn suppression_with_reason() {
+        let out = run(
+            "crates/core/src/engine.rs",
+            "fn knob() { // lint:allow(W-ENV): a build-time path, not a knob\n    let v = std::env::var(\"OUT_DIR\");\n}",
+        );
+        // Trailing comment governs line 1, but the read is line 2 — use
+        // a standalone comment above instead.
+        assert_eq!(rules_of(&out), ["W-ENV"]);
+        let out = run(
+            "crates/core/src/engine.rs",
+            "fn knob() {\n    // lint:allow(W-ENV): a build-time path, not a knob\n    let v = std::env::var(\"OUT_DIR\");\n}",
+        );
+        assert!(out.is_clean());
     }
 
     #[test]
@@ -1095,92 +882,6 @@ mod tests {
         let out = run(
             "crates/core/tests/knobs.rs",
             "fn f() { std::env::set_var(\"GALACTOS_KERNEL\", \"simd\"); let v = std::env::var(\"GALACTOS_KERNEL\"); }",
-        );
-        assert!(out.is_clean());
-    }
-
-    // ----- W-DETERMINISM -----
-
-    #[test]
-    fn determinism_fires_on_raw_float_sum() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn f(xs: &[f64]) -> f64 { xs.par_iter().map(|&x| x * 2.0).sum() }",
-        );
-        assert_eq!(rules_of(&out), ["W-DETERMINISM"]);
-    }
-
-    #[test]
-    fn determinism_fires_on_reduce_with_turbofish_sum() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn f(xs: &[f64]) -> f64 { let s = xs.par_iter().copied().sum::<f64>(); s }",
-        );
-        assert_eq!(rules_of(&out), ["W-DETERMINISM"]);
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn g(xs: &[f64]) { let m = xs.par_iter().copied().reduce_with(f64::max); let _ = m; }",
-        );
-        assert_eq!(rules_of(&out), ["W-DETERMINISM"]);
-    }
-
-    #[test]
-    fn determinism_allows_ordered_two_arg_forms() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn f(xs: &[f64]) -> f64 { xs.par_iter().fold(|| 0.0f64, |a, &x| a + x).reduce(|| 0.0f64, |a, b| a + b) }",
-        );
-        assert!(out.is_clean());
-    }
-
-    #[test]
-    fn determinism_ignores_integer_sums_and_serial_sums() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn f(xs: &[u64]) -> u64 { xs.par_iter().sum() }\nfn g(xs: &[f64]) -> f64 { xs.iter().sum() }",
-        );
-        assert!(out.is_clean());
-    }
-
-    #[test]
-    fn determinism_sees_float_evidence_in_closure() {
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn f(xs: &[u64]) -> f64 { xs.par_iter().map(|&x| x as f64 * 0.5).sum() }",
-        );
-        assert_eq!(rules_of(&out), ["W-DETERMINISM"]);
-    }
-
-    #[test]
-    fn determinism_ignores_sum_inside_nested_closure_statement() {
-        // The .sum() here is serial, inside a closure body (depth >= 1
-        // relative to the par chain), so it must not be attributed to
-        // the parallel chain.
-        let out = run(
-            "crates/core/src/engine.rs",
-            "fn f(xs: &[Vec<f64>]) { xs.par_iter().for_each(|v| { let s: f64 = v.iter().sum(); drop(s); }); }",
-        );
-        assert!(out.is_clean());
-    }
-
-    // ----- W-CAST -----
-
-    #[test]
-    fn cast_fires_only_in_catalog_parsing_files() {
-        let src = "fn f(n: u64) -> usize { n as usize }";
-        let out = run("crates/catalog/src/shard.rs", src);
-        assert_eq!(rules_of(&out), ["W-CAST"]);
-        let out = run("crates/catalog/src/io.rs", src);
-        assert_eq!(rules_of(&out), ["W-CAST"]);
-        let out = run("crates/grid/src/mesh.rs", src);
-        assert!(out.is_clean());
-    }
-
-    #[test]
-    fn cast_allows_widening_and_try_from() {
-        let out = run(
-            "crates/catalog/src/shard.rs",
-            "fn f(n: u32) -> u64 { let a = n as u64; let b = usize::try_from(n).expect(\"fits\"); a + b as u64 }",
         );
         assert!(out.is_clean());
     }

@@ -181,9 +181,10 @@ impl Mul<Complex64> for f64 {
 
 impl Div for Complex64 {
     type Output = Complex64;
-    // Complex division is multiplication by the reciprocal; clippy's
-    // mixed-operator heuristic cannot know that.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[allow(
+        clippy::suspicious_arithmetic_impl,
+        reason = "complex division is multiplication by the reciprocal"
+    )]
     #[inline]
     fn div(self, o: Complex64) -> Complex64 {
         self * o.inv()

@@ -1,13 +1,14 @@
-//! The one sanctioned wall-clock gate for the runtime crates.
+//! The one sanctioned wall-clock gate for the workspace.
 //!
-//! galactos-lint's W-CLOCK rule forbids `Instant::now` outside
-//! tests/examples — and this module, which is on the allowlist **by
-//! registration, not suppression**. Every runtime crate (engine, grid,
-//! supervised pipeline) times itself through
-//! [`now_if`]/[`nanos_since`], and the `reproduce` binary of
-//! `crates/bench` through [`Epoch`], so the zero-cost contract is
-//! auditable in one place: when `instrument` is false, no branch in
-//! this module touches the clock.
+//! The workspace `clippy.toml` bans `Instant::{now, elapsed}` and
+//! `SystemTime::{now, elapsed}` by `disallowed-methods`, resolved by
+//! type, everywhere — tests and examples included. Only `read_now`
+//! and [`nanos_since`] here allow them, each with a reason. Every
+//! runtime crate (engine, grid, supervised pipeline) times itself
+//! through [`now_if`]/[`nanos_since`], and the `reproduce` binary of
+//! `crates/bench` and the examples through [`Epoch`], so the zero-cost
+//! contract is auditable in one place: when `instrument` is false, no
+//! branch in this module touches the clock.
 //!
 //! Each real clock read also bumps a process-global counter, exposed via
 //! [`reads`]. Tests pin the contract by asserting the counter does not
@@ -46,6 +47,10 @@ fn count_read() {
     THREAD_READS.with(|n| n.set(n.get() + 1));
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the one counted clock read that every other read goes through"
+)]
 fn read_now() -> Instant {
     count_read();
     Instant::now()
@@ -64,6 +69,10 @@ pub fn now_if(instrument: bool) -> Option<Instant> {
 /// Elapsed nanoseconds since `start`, or 0 without touching the clock
 /// when `start` is `None`.
 #[inline]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the one counted elapsed-time read that every other goes through"
+)]
 pub fn nanos_since(start: Option<Instant>) -> u64 {
     match start {
         Some(t0) => {

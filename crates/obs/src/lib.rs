@@ -22,9 +22,10 @@
 //! Observability follows the same contract as the engine's per-worker
 //! `instrument` gate on its stage timers: **a disabled session performs zero
 //! clock reads and leaves results bit-identical**. Every clock read in
-//! the workspace funnels through [`clock`] — the one module sanctioned
-//! by galactos-lint's W-CLOCK rule — and each real read bumps a global
-//! counter that tests use to pin "uninstrumented ⇒ zero reads".
+//! the workspace funnels through [`clock`] — the one module allowed past
+//! the workspace `clippy.toml`'s ban on `Instant` and `SystemTime`
+//! reads — and each real read bumps a global counter that tests use to
+//! pin "uninstrumented ⇒ zero reads".
 //!
 //! ```
 //! use galactos_obs::ObsSession;

@@ -191,7 +191,7 @@ impl Tracer {
                 Some(frame) => {
                     let start = frame.start_nanos + frame.agg_cursor;
                     frame.agg_cursor += total_nanos;
-                    (Self::path_of(&ctx.frames), start)
+                    (path_of(&ctx.frames), start)
                 }
                 None => {
                     let start = ctx.root_cursor;
@@ -220,11 +220,6 @@ impl Tracer {
             .expect("obs tracer poisoned")
             .spans
             .push(record);
-    }
-
-    fn path_of(frames: &[Frame]) -> String {
-        let names: Vec<&str> = frames.iter().map(|f| f.name.as_str()).collect();
-        names.join("/")
     }
 
     /// Track labels, index = track id.
@@ -280,7 +275,7 @@ impl Drop for SpanGuard<'_> {
             if ctx.tracer_id != tracer.id {
                 return None;
             }
-            let path = Self::full_path(&ctx.frames);
+            let path = path_of(&ctx.frames);
             let frame = ctx.frames.pop()?;
             Some(SpanRecord {
                 path,
@@ -304,11 +299,10 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-impl SpanGuard<'_> {
-    fn full_path(frames: &[Frame]) -> String {
-        let names: Vec<&str> = frames.iter().map(|f| f.name.as_str()).collect();
-        names.join("/")
-    }
+/// The `/`-joined names of an open span stack, outermost first.
+fn path_of(frames: &[Frame]) -> String {
+    let names: Vec<&str> = frames.iter().map(|f| f.name.as_str()).collect();
+    names.join("/")
 }
 
 #[cfg(test)]

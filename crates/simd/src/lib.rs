@@ -29,11 +29,11 @@
 //! ```
 
 #![deny(unsafe_code)]
-// The indexed `for i in 0..F64_LANES` loops below ARE the kernel's
-// vectorization schedule (one lane per index, no iterator adapters in
-// the way of LLVM's vectorizer); clippy's preference for iterators is
-// deliberately overridden crate-wide.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "the indexed lane loops are the kernel's vectorization schedule: one lane \
+              per index, no iterator adapter in the way of LLVM's vectorizer"
+)]
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
 
@@ -326,7 +326,10 @@ fn run_avx512<K: Kernel>(kernel: K) {
 /// written in terms of, and the seam tests use to compare compilations
 /// bit for bit. Panics if the host cannot execute `level`.
 #[inline]
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "calls the `target_feature` compilations once the level is checked"
+)]
 pub fn run_at<K: Kernel>(level: Level, kernel: K) {
     assert!(level.is_available(), "{level:?} not available on this host");
     #[cfg(target_arch = "x86_64")]

@@ -5,7 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::time::Duration;
+
 use galactos::mocks::cluster_process::NeymanScott;
+use galactos::obs::clock::Epoch;
 use galactos::prelude::*;
 
 fn main() {
@@ -32,12 +35,12 @@ fn main() {
 
     // 3. Compute.
     let engine = Engine::new(config);
-    let t0 = std::time::Instant::now();
+    let t0 = Epoch::now();
     let zeta = engine.compute(&catalog).normalized();
     println!(
         "computed {} binned pairs in {:.2?}",
         zeta.binned_pairs,
-        t0.elapsed()
+        Duration::from_nanos(t0.elapsed_nanos())
     );
 
     // 4. Inspect: the isotropic compression ζ_l(r1, r2) on the diagonal.

@@ -5,10 +5,9 @@
 //! punctuation, literals and lifetimes — with line/block comments
 //! (nested), regular/raw/byte/C strings and char literals all
 //! recognized and set aside. Comments are kept in a parallel list
-//! (rules need them: `// SAFETY:` audits and `// lint:allow(...)`
-//! suppressions live there); string *contents* are kept on their
-//! tokens (the W-ENV rule looks for `"GALACTOS_*"` knob names), but a
-//! string token can never be mistaken for code.
+//! (`// lint:allow(...)` suppressions live there); string *contents*
+//! are kept on their tokens (the W-ENV rule looks for `"GALACTOS_*"`
+//! knob names), but a string token can never be mistaken for code.
 //!
 //! This is a scanner, not a parser: no macro expansion, no cfg
 //! evaluation. That is the documented altitude of the whole tool.
@@ -57,25 +56,9 @@ pub struct LexedFile {
 }
 
 impl LexedFile {
-    /// Comments whose span covers `line`, in source order.
-    pub fn comments_on_line(&self, line: usize) -> impl Iterator<Item = &Comment> {
-        self.comments
-            .iter()
-            .filter(move |c| c.first_line <= line && line <= c.last_line)
-    }
-
     /// Does any *code* token (not a comment) sit on `line`?
     pub fn line_has_code(&self, line: usize) -> bool {
         self.tokens.iter().any(|t| t.line == line)
-    }
-
-    /// Is `line` an attribute line (`#[…]` / `#![…]` starts there)?
-    /// Used when walking upward past attributes toward a comment block.
-    pub fn line_starts_attribute(&self, line: usize) -> bool {
-        self.tokens
-            .iter()
-            .find(|t| t.line == line)
-            .is_some_and(|t| t.kind == TokenKind::Punct && t.text == "#")
     }
 }
 

@@ -1,30 +1,32 @@
 //! `galactos-lint` — the workspace invariant checker.
 //!
 //! The repo's lexical contracts (no environment reads in library code,
-//! audited `unsafe`, no public item that nothing ships) are enforced
-//! here as build-breaking static analysis, not just rustdoc prose and
-//! runtime tests. The contracts that need types live with the compiler
+//! no public item that nothing ships) are enforced here as
+//! build-breaking static analysis, not just rustdoc prose and runtime
+//! tests. The contracts that need types live with the compiler
 //! instead: clippy's `disallowed-methods` (workspace `clippy.toml`)
 //! keeps every clock read in `obs::clock`, the catalog crate denies
 //! narrowing casts on its GCAT readers (`io`, `shard`), and the rayon
 //! stand-in has no unordered parallel `sum`, so an order-dependent
 //! float reduction does not compile (a `compile_fail` doctest in
-//! `core::engine` pins that). The tool is offline and dependency-free
-//! by design: a small hand-rolled lexer (no `syn`, no crates.io) feeds
-//! a rule engine; any finding makes the binary exit nonzero, and CI
-//! runs it on every push.
+//! `core::engine` pins that). `unsafe` is rustc's: the workspace lints
+//! deny `unsafe_code`, `galactos_simd::run_at` alone allows it, and
+//! clippy's `undocumented_unsafe_blocks` asks each block for a
+//! `// SAFETY:` comment; a test here pins that configuration and that
+//! the `unsafe` keyword appears nowhere else, `benchmark/` included.
+//! The tool is offline and dependency-free by design: a small
+//! hand-rolled lexer (no `syn`, no crates.io) feeds a rule engine; any
+//! finding makes the binary exit nonzero, and CI runs it on every push.
 //!
 //! # Rules
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | `W-UNSAFE` | every `unsafe` fn/block/impl carries a `SAFETY` justification **and** matches the committed [`registry::REGISTRY_FILE`] |
 //! | `W-ENV` | no `env::var*` read and no `GALACTOS_*` literal in any non-test, non-example source |
 //! | `W-DEADPUB` | a `pub` type, `pub fn` or `pub(crate) fn` under `crates/*/src` is reached by shipped code — a type named outside its definition and impls, a method called as `.name(` / `Type::name` / `Self::name` on a reached type, a free fn named; `use` lines never count — or carries a classed exemption; what only `benchmark/src` reaches is listed, not reported |
 //!
 //! See [`rules`] for the precise scoping of each rule and the
-//! suppression syntax, and [`registry`] for the unsafe-registry
-//! format and workflow.
+//! suppression syntax.
 //!
 //! # Scan policy
 //!
@@ -38,16 +40,14 @@
 //!
 //! # Report
 //!
-//! `LINT_REPORT.json` carries the findings, the unsafe-site inventory,
-//! `pinned_by_benchmark` (items only `benchmark/src` reaches) and
-//! `counts`: the lines of `crates/*/src` that carry shipped code, its
-//! `pub fn`s, `pub(crate) fn`s and `pub` types, and the `W-DEADPUB`
-//! exemptions. Two runs of the lint compare the size of two trees.
+//! `LINT_REPORT.json` carries the findings, `pinned_by_benchmark`
+//! (items only `benchmark/src` reaches) and `counts`: the lines of
+//! `crates/*/src` that carry shipped code, its `pub fn`s, `pub(crate)
+//! fn`s and `pub` types, and the `W-DEADPUB` exemptions. Two runs of the lint compare the size of two trees.
 
 #![forbid(unsafe_code)]
 
 pub mod lexer;
-pub mod registry;
 pub mod report;
 pub mod rules;
 
@@ -100,15 +100,9 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
 }
 
 /// Run the full lint over the workspace at `root`: collect sources,
-/// read the registry if present, run every rule.
+/// run every rule.
 pub fn lint_root(root: &Path) -> io::Result<LintOutcome> {
-    let files = collect_sources(root)?;
-    let registry_text = match fs::read_to_string(root.join(registry::REGISTRY_FILE)) {
-        Ok(text) => Some(text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-        Err(e) => return Err(e),
-    };
-    Ok(lint_files(&files, registry_text.as_deref()))
+    Ok(lint_files(&collect_sources(root)?))
 }
 
 /// Walk upward from `start` to the first directory whose `Cargo.toml`
@@ -131,6 +125,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lexer::TokenKind;
 
     #[test]
     fn workspace_root_is_discoverable_from_crate_dir() {
@@ -160,7 +155,7 @@ mod tests {
 
     /// Clippy, not this lint, holds the clock and cast contracts, so
     /// their configuration is pinned here: removing a line of it must
-    /// fail a test, as removing an `UNSAFE_REGISTRY.txt` line does.
+    /// fail a test.
     #[test]
     fn clippy_configuration_holds_the_clock_and_cast_contracts() {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -205,13 +200,108 @@ mod tests {
             let toks = lexer::lex(&f.src).tokens;
             let lifts = toks
                 .iter()
-                .any(|t| t.kind == lexer::TokenKind::Ident && t.text == "disallowed_methods");
+                .any(|t| t.kind == TokenKind::Ident && t.text == "disallowed_methods");
             assert!(
                 !lifts || f.path == "crates/obs/src/clock.rs",
                 "{} allows clippy::disallowed_methods",
                 f.path
             );
         }
+    }
+
+    /// The compiler holds the unsafe contract: `unsafe_code` is denied
+    /// workspace-wide and only `galactos_simd::run_at` allows it. This
+    /// pins what the compiler cannot see: (a) the `unsafe` keyword
+    /// appears only in simd's `lib.rs`, twice, in every scanned file
+    /// (`benchmark/`, outside the workspace lints, included), each time
+    /// under a `// SAFETY:` comment with no blank line between (clippy's
+    /// `undocumented_unsafe_blocks` also takes one a blank line away);
+    /// (b) the only attribute that lowers `unsafe_code` below deny is on
+    /// `fn run_at`; (c) `[workspace.lints]` keeps the three lines that
+    /// make the rest hold.
+    #[test]
+    fn unsafe_lives_only_in_simd_run_at() {
+        const SIMD: &str = "crates/simd/src/lib.rs";
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = find_workspace_root(here).unwrap();
+        let mut sites = Vec::new();
+        for f in collect_sources(&root).unwrap() {
+            let lexed = lexer::lex(&f.src);
+            let toks = &lexed.tokens;
+            // Is token `i` the ident or punct `want`?
+            let is = |i: Option<usize>, want: &str| {
+                i.and_then(|i| toks.get(i)).is_some_and(|t| {
+                    t.text == want && matches!(t.kind, TokenKind::Ident | TokenKind::Punct)
+                })
+            };
+            for (i, t) in toks.iter().enumerate() {
+                // (a) `#[unsafe(no_mangle)]`-style attributes are not sites.
+                if is(Some(i), "unsafe") && !is(Some(i + 1), "(") {
+                    // Walk up the comment lines that end right above.
+                    let (mut above, mut said) = (t.line - 1, false);
+                    while let Some(c) = lexed.comments.iter().find(|c| c.last_line == above) {
+                        said |= c
+                            .text
+                            .trim_start_matches('/')
+                            .trim_start()
+                            .starts_with("SAFETY:");
+                        above = c.first_line - 1;
+                    }
+                    sites.push((format!("{}:{}", f.path, t.line), said));
+                }
+                if !is(Some(i), "unsafe_code") {
+                    continue;
+                }
+                // (b) The level is the ident before the attribute's `(`,
+                // which opens right after `#[` (an inner `#![` does not
+                // sit on an item).
+                let open = (0..i).rev().find(|&k| is(Some(k), "(")).unwrap_or(0);
+                let level = open.checked_sub(1).map_or("", |k| toks[k].text.as_str());
+                if matches!(level, "deny" | "forbid") {
+                    continue;
+                }
+                let outer = is(open.checked_sub(2), "[") && is(open.checked_sub(3), "#");
+                let item =
+                    (open..toks.len()).find(|&k| ["fn", "{", ";"].iter().any(|w| is(Some(k), w)));
+                let on_run_at = outer && is(item, "fn") && is(item.map(|k| k + 1), "run_at");
+                assert!(
+                    f.path == SIMD && on_run_at,
+                    "{}:{}: `{level}(unsafe_code)` outside `galactos_simd::run_at`",
+                    f.path,
+                    t.line
+                );
+            }
+        }
+        assert!(
+            sites.len() == 2 && sites.iter().all(|(s, said)| s.starts_with(SIMD) && *said),
+            "`unsafe` outside `galactos_simd::run_at`'s two blocks, or with no \
+             `// SAFETY:` comment right above: {sites:?}"
+        );
+        // (c) Squeezed `key=value` lines of a `[table]` in Cargo.toml.
+        let manifest = fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        let table = |name: &str| -> Vec<String> {
+            let mut lines = manifest.lines().map(str::trim);
+            lines.find(|l| *l == format!("[{name}]"));
+            lines
+                .take_while(|l| !l.starts_with('['))
+                .filter(|l| !l.starts_with('#'))
+                .map(|l| l.split_whitespace().collect())
+                .collect()
+        };
+        let rust = table("workspace.lints.rust");
+        for lint in ["unsafe_code", "unsafe_op_in_unsafe_fn"] {
+            assert!(
+                rust.contains(&format!("{lint}=\"deny\"")),
+                "[workspace.lints.rust] does not deny {lint}"
+            );
+        }
+        let clippy = table("workspace.lints.clippy");
+        assert!(
+            ["warn", "deny"]
+                .iter()
+                .any(|level| clippy.contains(&format!("undocumented_unsafe_blocks=\"{level}\""))),
+            "[workspace.lints.clippy] does not check undocumented_unsafe_blocks"
+        );
     }
 
     /// The whole point: the current tree is clean under its own lint.

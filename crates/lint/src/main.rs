@@ -1,25 +1,21 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! galactos-lint [--root DIR] [--report PATH] [--print-unsafe] [--quiet]
+//! galactos-lint [--root DIR] [--report PATH] [--quiet]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
-//! `--print-unsafe` emits registry-format lines for every discovered
-//! `unsafe` site (the documented way to regenerate
-//! `UNSAFE_REGISTRY.txt`) and skips the report write.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use galactos_lint::{find_workspace_root, lint_root, registry, report};
+use galactos_lint::{find_workspace_root, lint_root, report};
 
 struct Opts {
     root: Option<PathBuf>,
     report: Option<PathBuf>,
-    print_unsafe: bool,
     quiet: bool,
 }
 
@@ -27,7 +23,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: None,
         report: None,
-        print_unsafe: false,
         quiet: false,
     };
     let mut args = std::env::args().skip(1);
@@ -41,12 +36,11 @@ fn parse_args() -> Result<Opts, String> {
                 let v = args.next().ok_or("--report needs a path")?;
                 opts.report = Some(PathBuf::from(v));
             }
-            "--print-unsafe" => opts.print_unsafe = true,
             "--quiet" => opts.quiet = true,
             "--help" | "-h" => {
-                return Err("usage: galactos-lint [--root DIR] [--report PATH] \
-                            [--print-unsafe] [--quiet]"
-                    .to_string())
+                return Err(
+                    "usage: galactos-lint [--root DIR] [--report PATH] [--quiet]".to_string(),
+                )
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -82,17 +76,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.print_unsafe {
-        for site in &outcome.unsafe_sites {
-            println!("{}", site.entry.to_line());
-        }
-        return if outcome.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
-    }
-
     for f in &outcome.findings {
         println!("{} {}:{} — {}", f.rule, f.file, f.line, f.message);
     }
@@ -106,12 +89,9 @@ fn main() -> ExitCode {
 
     if !opts.quiet {
         println!(
-            "galactos-lint: {} files scanned, {} finding(s), {} unsafe site(s) \
-             (registry: {})",
+            "galactos-lint: {} files scanned, {} finding(s)",
             outcome.files_scanned,
-            outcome.findings.len(),
-            outcome.unsafe_sites.len(),
-            registry::REGISTRY_FILE
+            outcome.findings.len()
         );
     }
     if outcome.is_clean() {

@@ -32,8 +32,7 @@ fn array(rows: impl Iterator<Item = String>) -> String {
 }
 
 /// Render the full report. Findings arrive already sorted by
-/// `(file, line, rule)`; pinned items and unsafe sites in discovery
-/// order.
+/// `(file, line, rule)`; pinned items in discovery order.
 pub fn render(outcome: &LintOutcome) -> String {
     let findings = outcome.findings.iter().map(|f| {
         format!(
@@ -51,21 +50,12 @@ pub fn render(outcome: &LintOutcome) -> String {
             escape(&p.item)
         )
     });
-    let unsafe_sites = outcome.unsafe_sites.iter().map(|site| {
-        let e = &site.entry;
-        format!(
-            "{{\"file\": \"{}\", \"kind\": \"{}\", \"context\": \"{}\"}}",
-            escape(&e.file),
-            escape(&e.kind),
-            escape(&e.context)
-        )
-    });
     let c = &outcome.counts;
     format!(
         "{{\n  \"tool\": \"galactos-lint\",\n  \"version\": \"{}\",\n  \"files_scanned\": {},\n  \
          \"status\": \"{}\",\n  \"finding_count\": {},\n  \"counts\": {{\"non_test_lines\": {}, \
          \"pub_fn\": {}, \"pub_crate_fn\": {}, \"pub_types\": {}, \"deadpub_exemptions\": {}}},\n  \
-         \"findings\": {},\n  \"pinned_by_benchmark\": {},\n  \"unsafe_sites\": {}\n}}\n",
+         \"findings\": {},\n  \"pinned_by_benchmark\": {}\n}}\n",
         escape(env!("CARGO_PKG_VERSION")),
         outcome.files_scanned,
         if outcome.is_clean() {
@@ -81,15 +71,13 @@ pub fn render(outcome: &LintOutcome) -> String {
         c.deadpub_exemptions,
         array(findings),
         array(pinned),
-        array(unsafe_sites),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Entry;
-    use crate::rules::{Counts, Finding, Pinned, UnsafeSite};
+    use crate::rules::{Counts, Finding, Pinned};
 
     #[test]
     fn clean_report_shape() {
@@ -102,6 +90,7 @@ mod tests {
         assert!(json.contains("\"finding_count\": 0"));
         assert!(json.contains("\"files_scanned\": 7"));
         assert!(json.contains("\"findings\": []"));
+        assert!(!json.contains("unsafe"));
     }
 
     #[test]
@@ -113,14 +102,6 @@ mod tests {
                 file: "crates/grid/src/mesh.rs".to_string(),
                 line: 12,
                 message: "`env::var` read with \"quotes\"\nand newline".to_string(),
-            }],
-            unsafe_sites: vec![UnsafeSite {
-                line: 3,
-                entry: Entry {
-                    file: "crates/math/src/fft.rs".to_string(),
-                    kind: "block".to_string(),
-                    context: "fft_cols_raw".to_string(),
-                },
             }],
             pinned_by_benchmark: vec![Pinned {
                 file: "crates/catalog/src/io.rs".to_string(),
@@ -140,7 +121,6 @@ mod tests {
         assert!(json
             .contains("\"counts\": {\"non_test_lines\": 90, \"pub_fn\": 4, \"pub_crate_fn\": 0,"));
         assert!(json.contains("\\\"quotes\\\"\\nand newline"));
-        assert!(json.contains("\"context\": \"fft_cols_raw\""));
         // No raw control characters inside strings.
         for line in json.lines() {
             assert!(!line.contains('\t'));

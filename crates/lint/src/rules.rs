@@ -1,16 +1,15 @@
-//! The rule engine: three contract rules, inline suppressions, and the
-//! unsafe-site collector that feeds the committed registry.
+//! The rule engine: two contract rules and inline suppressions.
 //!
 //! Every rule operates on the lexed token stream (see [`crate::lexer`])
 //! so nothing ever fires inside a string, char literal, or comment.
 //! Scoping is by path: each rule documents exactly which files it
 //! watches and which it deliberately ignores (tests and examples may
 //! set knobs; no library source is allowed an env read; and so on).
-//! `W-UNSAFE` and `W-ENV` look at one file at a time; `W-DEADPUB` looks
-//! at the whole file set. One scope pass per file tells every rule, per
-//! token, whether it ships (not under `#[cfg(test)]`), whether it sits
-//! in a `use` declaration, and which `fn` and which type (its
-//! definition or an `impl` of it) enclose it.
+//! `W-ENV` looks at one file at a time; `W-DEADPUB` looks at the whole
+//! file set. One scope pass per file tells every rule, per token,
+//! whether it ships (not under `#[cfg(test)]`), whether it sits in a
+//! `use` declaration, and which type (its definition or an `impl` of
+//! it) encloses it.
 //!
 //! # Suppressions
 //!
@@ -27,15 +26,12 @@
 //! reported (rule id `W-ALLOW`) and the suppression stays inert. A
 //! `W-DEADPUB` reason must open with one of the three exemption
 //! classes ([`DEADPUB_CLASSES`]) and name who uses the item; on a
-//! type, it covers the type's impls. Registry mismatches
-//! (unregistered/stale unsafe sites) are not suppressible — that is the
-//! point of the registry.
+//! type, it covers the type's impls.
 
 use crate::lexer::{lex, LexedFile, Token, TokenKind};
-use crate::registry::{self, Entry};
 
-/// The three contract rules, in report order.
-pub const RULES: [&str; 3] = ["W-UNSAFE", "W-ENV", "W-DEADPUB"];
+/// The two contract rules, in report order.
+pub const RULES: [&str; 2] = ["W-ENV", "W-DEADPUB"];
 
 /// How a `W-DEADPUB` suppression's reason must open: the item is a
 /// reference a test compares production output against, a constructor
@@ -72,13 +68,6 @@ impl Finding {
     }
 }
 
-/// An `unsafe` site discovered by W-UNSAFE, in registry terms.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnsafeSite {
-    pub line: usize,
-    pub entry: Entry,
-}
-
 /// An item that only `benchmark/src` reaches (W-DEADPUB).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pinned {
@@ -105,7 +94,6 @@ pub struct Counts {
 pub struct LintOutcome {
     pub findings: Vec<Finding>,
     pub pinned_by_benchmark: Vec<Pinned>,
-    pub unsafe_sites: Vec<UnsafeSite>,
     pub counts: Counts,
     pub files_scanned: usize,
 }
@@ -116,11 +104,8 @@ impl LintOutcome {
     }
 }
 
-/// Run the whole engine over `files`, then reconcile unsafe sites
-/// against `registry_text` (the contents of `UNSAFE_REGISTRY.txt`;
-/// `None` means the file is absent, which is only clean if the tree
-/// has no unsafe at all).
-pub fn lint_files(files: &[SourceFile], registry_text: Option<&str>) -> LintOutcome {
+/// Run the whole engine over `files`.
+pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
     let mut out = LintOutcome {
         files_scanned: files.len(),
         ..Default::default()
@@ -131,7 +116,6 @@ pub fn lint_files(files: &[SourceFile], registry_text: Option<&str>) -> LintOutc
     for (((f, lexed), scopes), dead) in files.iter().zip(&lexed).zip(&scopes).zip(dead) {
         lint_one(f, lexed, scopes, dead, &mut out);
     }
-    registry::reconcile(&out.unsafe_sites, registry_text, &mut out.findings);
     out.findings
         .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     out
@@ -154,8 +138,7 @@ fn lint_one(
     out.findings.append(&mut allow_findings);
     out.counts.deadpub_exemptions += suppressions.iter().filter(|s| s.0 == "W-DEADPUB").count();
 
-    rule_unsafe(f, lexed, scopes, &mut raw, &mut out.unsafe_sites);
-    rule_env(f, lexed, &mut raw);
+    rule_env(f, lexed, scopes, &mut raw);
 
     for finding in raw {
         let key = (finding.rule.clone(), finding.line);
@@ -278,10 +261,6 @@ struct Scopes {
     shipped: Vec<bool>,
     /// Inside a `use` declaration, `pub use` included.
     in_use: Vec<bool>,
-    /// Index of the enclosing `fn`'s name. Closures open no scope, so
-    /// an unsafe block in a parallel closure belongs to the fn that
-    /// owns it — which is what the registry wants to show.
-    in_fn: Vec<Option<usize>>,
     /// Index of the name of the type whose definition or `impl` (header
     /// included) encloses the token: an impl's self type.
     owner: Vec<Option<usize>>,
@@ -299,14 +278,13 @@ fn scan_scopes(toks: &[Token]) -> Scopes {
     let mut s = Scopes {
         shipped: vec![true; n],
         in_use: vec![false; n],
-        in_fn: Vec::with_capacity(n),
         owner: Vec::with_capacity(n),
         test_mods: Vec::new(),
     };
-    // Open `fn` and type bodies: (is a fn, name index, brace depth).
-    let mut open: Vec<(bool, usize, usize)> = Vec::new();
+    // Open type bodies (definitions and impls): (name index, brace depth).
+    let mut open: Vec<(usize, usize)> = Vec::new();
     let (mut braces, mut parens) = (0usize, 0usize);
-    let (mut pending_fn, mut pending_owner, mut in_use) = (None, None, false);
+    let (mut pending_owner, mut in_use) = (None, false);
     for (i, t) in toks.iter().enumerate() {
         if s.shipped[i] && seq_at(toks, i, &CFG_TEST) {
             let end = item_end(toks, i + CFG_TEST.len());
@@ -315,20 +293,17 @@ fn scan_scopes(toks: &[Token]) -> Scopes {
             }
             s.shipped[i..=end].fill(false);
         }
-        let innermost = |is_fn: bool| open.iter().rev().find(|o| o.0 == is_fn).map(|o| o.1);
-        if tok_is(toks, i, "fn") {
-            pending_fn = ident_at(toks, i + 1);
-        } else if tok_is(toks, i, "impl") && (i == 0 || tok_in(toks, i - 1, &ITEM_START)) {
+        let innermost = open.last().map(|o| o.0);
+        if tok_is(toks, i, "impl") && (i == 0 || tok_in(toks, i - 1, &ITEM_START)) {
             pending_owner = impl_self_type(toks, i);
-        } else if tok_in(toks, i, &TYPE_KEYWORDS) && innermost(false).is_none() {
+        } else if tok_in(toks, i, &TYPE_KEYWORDS) && innermost.is_none() {
             // Outside impls and traits, so not an associated `type`.
             pending_owner = ident_at(toks, i + 1);
         } else if tok_is(toks, i, "use") {
             in_use = true;
         }
         s.in_use[i] = in_use;
-        s.in_fn.push(innermost(true));
-        s.owner.push(pending_owner.or(innermost(false)));
+        s.owner.push(pending_owner.or(innermost));
         if t.kind != TokenKind::Punct {
             continue;
         }
@@ -338,20 +313,18 @@ fn scan_scopes(toks: &[Token]) -> Scopes {
             "{" => {
                 braces += 1;
                 if let Some(ty) = pending_owner.take() {
-                    open.push((false, ty, braces));
-                } else if let Some(name) = pending_fn.take() {
-                    open.push((true, name, braces));
+                    open.push((ty, braces));
                 }
             }
             "}" => {
-                if open.last().is_some_and(|o| o.2 == braces) {
+                if open.last().is_some_and(|o| o.1 == braces) {
                     open.pop();
                 }
                 braces = braces.saturating_sub(1);
             }
-            // A `;` at signature level ends a bodyless item: a trait
-            // method, `struct S;`, `type T = U;` (but `[u8; 4]` does not).
-            ";" if parens == 0 => (pending_fn, pending_owner, in_use) = (None, None, false),
+            // A `;` at signature level ends a bodyless item: `struct S;`,
+            // `type T = U;`, a `use` (but `[u8; 4]` does not).
+            ";" if parens == 0 => (pending_owner, in_use) = (None, false),
             _ => {}
         }
     }
@@ -402,108 +375,45 @@ fn impl_self_type(toks: &[Token], at: usize) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// W-UNSAFE — every unsafe fn/block/impl/trait carries a SAFETY comment
-// and matches the committed registry.
-// ---------------------------------------------------------------------------
-
-fn rule_unsafe(
-    f: &SourceFile,
-    lexed: &LexedFile,
-    scopes: &Scopes,
-    raw: &mut Vec<Finding>,
-    sites: &mut Vec<UnsafeSite>,
-) {
-    let toks = &lexed.tokens;
-    let name =
-        |at: Option<usize>, none: &str| at.map_or(none.to_string(), |k| toks[k].text.clone());
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        let (kind, context) = match toks.get(i + 1) {
-            // An unsafe fn or trait is registered under its own name;
-            // an unsafe impl under its self type.
-            Some(n) if n.kind == TokenKind::Ident && (n.text == "fn" || n.text == "trait") => {
-                let own = ident_at(toks, i + 2).or(scopes.in_fn[i]);
-                (n.text.as_str(), name(own, "<module>"))
-            }
-            Some(n) if n.kind == TokenKind::Ident && n.text == "impl" => {
-                ("impl", name(scopes.owner[i + 1], "<impl>"))
-            }
-            // `#[unsafe(...)]` attributes (Rust 2024) are not sites.
-            Some(n) if n.kind == TokenKind::Punct && n.text == "(" => continue,
-            _ => ("block", name(scopes.in_fn[i], "<module>")),
-        };
-        if !has_safety_doc(lexed, t.line) {
-            raw.push(Finding::new(
-                "W-UNSAFE",
-                &f.path,
-                t.line,
-                format!(
-                    "unsafe {kind} in `{context}` has no `// SAFETY:` comment \
-                     (contiguous block above, or trailing on the same line)"
-                ),
-            ));
-        }
-        sites.push(UnsafeSite {
-            line: t.line,
-            entry: Entry {
-                file: f.path.clone(),
-                kind: kind.to_string(),
-                context,
-            },
-        });
-    }
-}
-
-/// `true` if line `line` carries a SAFETY justification: a comment on
-/// the line itself, or a contiguous comment block immediately above
-/// (attribute lines may sit between), any line of which contains
-/// `SAFETY` or the rustdoc `# Safety` section heading.
-fn has_safety_doc(lexed: &LexedFile, line: usize) -> bool {
-    let is_safety = |text: &str| text.contains("SAFETY") || text.contains("# Safety");
-    if lexed.comments_on_line(line).any(|c| is_safety(&c.text)) {
-        return true;
-    }
-    let mut l = line;
-    while l > 1 {
-        l -= 1;
-        if let Some(c) = lexed.comments_on_line(l).next() {
-            if is_safety(&c.text) {
-                return true;
-            }
-            l = c.first_line;
-            continue;
-        }
-        if lexed.line_has_code(l) {
-            if lexed.line_starts_attribute(l) {
-                continue;
-            }
-            return false;
-        }
-        // Blank line: the justification must be contiguous.
-        return false;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
 // W-ENV — no non-test, non-example source reads the process
 // environment or names a GALACTOS_* knob: ζ is a function of the
 // EngineConfig and the build target.
 // ---------------------------------------------------------------------------
 
-fn rule_env(f: &SourceFile, lexed: &LexedFile, raw: &mut Vec<Finding>) {
+/// The `std::env` functions that read the process environment.
+const ENV_READERS: [&str; 4] = ["var", "var_os", "vars", "vars_os"];
+
+fn rule_env(f: &SourceFile, lexed: &LexedFile, scopes: &Scopes, raw: &mut Vec<Finding>) {
     if is_test_or_example(&f.path) {
         return;
     }
-    for reader in ["var", "var_os", "vars", "vars_os"] {
-        for i in seq_matches(&lexed.tokens, &["env", ":", ":", reader]) {
+    let toks = &lexed.tokens;
+    for i in seq_matches(toks, &["env", ":", ":"]) {
+        let next = i + 3;
+        let in_use = scopes.in_use[i];
+        // A path names the reader right after `env::`; a `use` may also
+        // name it inside an `env::{…}` group, or import it by `env::*`.
+        let named = if in_use && tok_is(toks, next, "{") {
+            next + 1..item_end(toks, next)
+        } else {
+            next..next + 1
+        };
+        for t in named.filter_map(|j| toks.get(j)) {
+            if t.kind == TokenKind::Ident && ENV_READERS.contains(&t.text.as_str()) {
+                raw.push(Finding::new(
+                    "W-ENV",
+                    &f.path,
+                    t.line,
+                    format!("env::{} read outside tests and examples", t.text),
+                ));
+            }
+        }
+        if in_use && tok_is(toks, next, "*") {
             raw.push(Finding::new(
                 "W-ENV",
                 &f.path,
-                lexed.tokens[i].line,
-                format!("env::{reader} read outside tests and examples"),
+                toks[next].line,
+                "env::* imports the environment readers outside tests and examples".to_string(),
             ));
         }
     }
@@ -726,13 +636,10 @@ mod tests {
     use super::*;
 
     fn run(path: &str, src: &str) -> LintOutcome {
-        lint_files(
-            &[SourceFile {
-                path: path.to_string(),
-                src: src.to_string(),
-            }],
-            Some(""),
-        )
+        lint_files(&[SourceFile {
+            path: path.to_string(),
+            src: src.to_string(),
+        }])
     }
 
     fn rules_of(out: &LintOutcome) -> Vec<&str> {
@@ -796,7 +703,7 @@ mod tests {
                 src: src.to_string(),
             })
             .collect();
-        lint_files(&files, Some(""))
+        lint_files(&files)
     }
 
     #[test]
@@ -878,98 +785,39 @@ mod tests {
     }
 
     #[test]
+    fn env_fires_on_braced_and_glob_imports() {
+        // A reader named in a `use` group, or imported by a glob, fires
+        // where the `use` names it, whatever it is later called.
+        for (src, line) in [
+            ("use std::env::{var};\nfn f() { let v = var(\"HOME\"); }", 1),
+            (
+                "use std::{fs,\n    env::{self, var_os as os}};\nfn f() { os(\"HOME\"); }",
+                2,
+            ),
+            ("use std::env::*;\nfn f() { let v = var(\"HOME\"); }", 1),
+        ] {
+            let out = run("crates/core/src/engine.rs", src);
+            let got: Vec<_> = out
+                .findings
+                .iter()
+                .map(|f| (f.rule.as_str(), f.line))
+                .collect();
+            assert_eq!(got, [("W-ENV", line)], "{src}");
+        }
+        // The module itself and a non-reader are not reads.
+        let out = run(
+            "crates/core/src/engine.rs",
+            "use std::env::{self};\nuse std::env::{args};\nfn f() { let n = std::env::args().count(); }",
+        );
+        assert!(out.is_clean(), "{:?}", out.findings);
+    }
+
+    #[test]
     fn env_allowed_in_tests() {
         let out = run(
             "crates/core/tests/knobs.rs",
             "fn f() { std::env::set_var(\"GALACTOS_KERNEL\", \"simd\"); let v = std::env::var(\"GALACTOS_KERNEL\"); }",
         );
         assert!(out.is_clean());
-    }
-
-    // ----- W-UNSAFE -----
-
-    #[test]
-    fn unsafe_block_without_safety_comment_fires() {
-        let out = run(
-            "crates/math/src/fft.rs",
-            "fn f(p: *const f64) -> f64 { unsafe { *p } }",
-        );
-        // Missing SAFETY + unregistered (empty registry).
-        let mut rules = rules_of(&out);
-        rules.sort_unstable();
-        assert_eq!(rules, ["W-UNSAFE", "W-UNSAFE"]);
-    }
-
-    #[test]
-    fn unsafe_with_safety_comment_and_registry_is_clean() {
-        let src = "fn f(p: *const f64) -> f64 {\n    // SAFETY: caller guarantees p is valid.\n    unsafe { *p }\n}";
-        let out = lint_files(
-            &[SourceFile {
-                path: "crates/math/src/fft.rs".to_string(),
-                src: src.to_string(),
-            }],
-            Some("crates/math/src/fft.rs | block | f\n"),
-        );
-        assert!(out.is_clean(), "findings: {:?}", out.findings);
-        assert_eq!(out.unsafe_sites.len(), 1);
-        assert_eq!(out.unsafe_sites[0].entry.context, "f");
-    }
-
-    #[test]
-    fn unsafe_fn_accepts_doc_safety_section() {
-        let src = "/// Does things.\n///\n/// # Safety\n/// `p` must be valid.\nunsafe fn read(p: *const f64) -> f64 { *p }";
-        let out = lint_files(
-            &[SourceFile {
-                path: "crates/math/src/fft.rs".to_string(),
-                src: src.to_string(),
-            }],
-            Some("crates/math/src/fft.rs | fn | read\n"),
-        );
-        assert!(out.is_clean(), "findings: {:?}", out.findings);
-    }
-
-    #[test]
-    fn unsafe_impl_context_is_implementing_type() {
-        let src = "// SAFETY: columns are disjoint.\nunsafe impl Sync for DisjointCols {}";
-        let out = lint_files(
-            &[SourceFile {
-                path: "crates/math/src/fft.rs".to_string(),
-                src: src.to_string(),
-            }],
-            Some("crates/math/src/fft.rs | impl | DisjointCols\n"),
-        );
-        assert!(out.is_clean(), "findings: {:?}", out.findings);
-        assert_eq!(out.unsafe_sites[0].entry.kind, "impl");
-    }
-
-    #[test]
-    fn stale_registry_entry_fires() {
-        let out = lint_files(
-            &[SourceFile {
-                path: "crates/math/src/fft.rs".to_string(),
-                src: "fn f() {}".to_string(),
-            }],
-            Some("crates/math/src/fft.rs | block | gone\n"),
-        );
-        assert_eq!(rules_of(&out), ["W-UNSAFE"]);
-        assert!(out.findings[0].message.contains("stale"));
-        assert_eq!(out.findings[0].file, registry::REGISTRY_FILE);
-    }
-
-    #[test]
-    fn unsafe_in_closure_attributes_to_enclosing_fn() {
-        let src = "fn outer(rows: &[*mut f64]) {\n    rows.iter().for_each(|r| {\n        // SAFETY: rows are disjoint.\n        unsafe { drop(r) }\n    });\n}";
-        let out = run("crates/math/src/fft.rs", src);
-        assert_eq!(out.unsafe_sites.len(), 1);
-        assert_eq!(out.unsafe_sites[0].entry.context, "outer");
-    }
-
-    #[test]
-    fn safety_comment_separated_by_blank_line_does_not_count() {
-        let out = run(
-            "crates/math/src/fft.rs",
-            "fn f(p: *const f64) -> f64 {\n    // SAFETY: stale, too far away.\n\n    unsafe { *p }\n}",
-        );
-        assert!(rules_of(&out).contains(&"W-UNSAFE"));
     }
 }

@@ -1,5 +1,5 @@
-//! End-to-end CLI behavior: exit codes, report emission, and the
-//! `--print-unsafe` registry workflow, pinned through the real binary
+//! End-to-end CLI behavior: exit codes, report emission and usage
+//! errors, pinned through the real binary
 //! (`CARGO_BIN_EXE_galactos-lint`).
 
 use std::path::{Path, PathBuf};
@@ -39,7 +39,7 @@ fn violations_exit_nonzero_with_report() {
     let json = std::fs::read_to_string(&report).expect("report written");
     std::fs::remove_file(&report).ok();
     assert!(json.contains("\"status\": \"findings\""));
-    for rule in ["W-UNSAFE", "W-ENV", "W-DEADPUB", "W-ALLOW"] {
+    for rule in ["W-ENV", "W-DEADPUB", "W-ALLOW"] {
         assert!(json.contains(rule), "report missing {rule}:\n{json}");
     }
 }
@@ -59,27 +59,20 @@ fn clean_exits_zero_with_clean_report() {
     std::fs::remove_file(&report).ok();
     assert!(json.contains("\"status\": \"clean\""));
     assert!(json.contains("\"finding_count\": 0"));
-    // The registered unsafe site still shows up in the inventory.
-    assert!(json.contains("\"context\": \"read_cell\""));
-}
-
-#[test]
-fn print_unsafe_emits_registry_lines() {
-    let out = bin()
-        .arg("--root")
-        .arg(fixture("clean"))
-        .arg("--print-unsafe")
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout.trim(), "crates/math/src/fft.rs | block | read_cell");
 }
 
 #[test]
 fn unknown_flag_is_a_usage_error() {
-    let out = bin().arg("--frobnicate").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    // A removed flag fails like any unknown one.
+    for flag in ["--frobnicate", "--print-unsafe"] {
+        let out = bin().arg(flag).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument `{flag}` (try --help)")),
+            "{flag}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -33,9 +33,6 @@ fn clean_tree_is_clean() {
         "clean fixture tree produced findings:\n{}",
         rendered.join("\n")
     );
-    // The documented, registered unsafe block was still *seen*.
-    assert_eq!(out.unsafe_sites.len(), 1);
-    assert_eq!(out.unsafe_sites[0].entry.context, "read_cell");
     // What only `benchmark/src` reaches is pinned, not reported.
     let pinned = |item: &str| Pinned {
         file: "crates/math/src/grid.rs".to_string(),
@@ -46,8 +43,8 @@ fn clean_tree_is_clean() {
         [pinned("read_binary"), pinned("Engine::traversal_kind")]
     );
     let counts = Counts {
-        non_test_lines: 41,
-        pub_fn: 10,
+        non_test_lines: 37,
+        pub_fn: 9,
         pub_crate_fn: 2,
         pub_types: 2,
         deadpub_exemptions: 1,
@@ -64,18 +61,15 @@ fn violations_tree_fires_every_rule() {
         .map(|f| (f.rule.clone(), f.file.clone(), f.line))
         .collect();
     let want: Vec<(String, String, usize)> = [
-        ("W-UNSAFE", "UNSAFE_REGISTRY.txt", 3),        // stale entry
-        ("W-DEADPUB", "crates/catalog/src/io.rs", 3),  // a benchmark test only
-        ("W-DEADPUB", "crates/core/src/dead.rs", 6),   // named by its test only
-        ("W-ALLOW", "crates/core/src/dead.rs", 10),    // exemption without a class
-        ("W-DEADPUB", "crates/core/src/dead.rs", 11),  // ... which stays inert
-        ("W-ENV", "crates/grid/src/env.rs", 7),        // env::var read
-        ("W-ENV", "crates/grid/src/env.rs", 7),        // GALACTOS_ literal
-        ("W-ALLOW", "crates/grid/src/env.rs", 11),     // bare suppression
-        ("W-ENV", "crates/grid/src/env.rs", 12),       // ... which stays inert
-        ("W-UNSAFE", "crates/math/src/mem.rs", 5),     // missing SAFETY
-        ("W-UNSAFE", "crates/math/src/mem.rs", 5),     // unregistered
-        ("W-DEADPUB", "crates/math/src/shape.rs", 7),  // impl and `use` only
+        ("W-DEADPUB", "crates/catalog/src/io.rs", 3), // a benchmark test only
+        ("W-DEADPUB", "crates/core/src/dead.rs", 6),  // named by its test only
+        ("W-ALLOW", "crates/core/src/dead.rs", 10),   // exemption without a class
+        ("W-DEADPUB", "crates/core/src/dead.rs", 11), // ... which stays inert
+        ("W-ENV", "crates/grid/src/env.rs", 7),       // env::var read
+        ("W-ENV", "crates/grid/src/env.rs", 7),       // GALACTOS_ literal
+        ("W-ALLOW", "crates/grid/src/env.rs", 11),    // bare suppression
+        ("W-ENV", "crates/grid/src/env.rs", 12),      // ... which stays inert
+        ("W-DEADPUB", "crates/math/src/shape.rs", 7), // impl and `use` only
         ("W-DEADPUB", "crates/math/src/shape.rs", 20), // a local `volume`
         ("W-DEADPUB", "crates/math/src/shape.rs", 32), // a free fn `to_array`
         ("W-DEADPUB", "crates/math/src/shape.rs", 37), // `pub const fn`

@@ -17,8 +17,9 @@
 //! `is_x86_feature_detected!`. Every operation here is a separately
 //! rounded IEEE multiply, add, … — Rust never contracts `a * b + c` —
 //! so all compilations produce the same bits lane for lane, and a
-//! result does not depend on which one ran. `dispatch`'s body is the
-//! workspace's only `unsafe` outside `galactos-math`'s FFT.
+//! result does not depend on which one ran. [`run_at`]'s two calls into
+//! those wrappers are the workspace's only `unsafe`, as galactos-lint's
+//! `unsafe_lives_only_in_simd_run_at` test checks.
 //!
 //! ```
 //! use galactos_simd::F64x8;

@@ -370,10 +370,35 @@ pub struct ShardAssignment {
     pub bounds: Vec<Aabb>,
 }
 
+/// [`CatalogIoError::Unsupported`] naming galaxy `index` of its catalog,
+/// the field and the value, if `g` has a NaN or infinite coordinate or
+/// weight: a shard writer refuses it before it creates anything, where
+/// a reader would refuse its record and a partition would panic on it.
+#[inline]
+pub fn check_finite(index: usize, g: &Galaxy) -> Result<(), CatalogIoError> {
+    // Branch-free on the path every galaxy takes.
+    if g.pos.x.is_finite() & g.pos.y.is_finite() & g.pos.z.is_finite() & g.weight.is_finite() {
+        return Ok(());
+    }
+    let fields = [
+        ("x", g.pos.x),
+        ("y", g.pos.y),
+        ("z", g.pos.z),
+        ("weight", g.weight),
+    ];
+    match fields.iter().find(|(_, value)| !value.is_finite()) {
+        Some((field, value)) => Err(CatalogIoError::Unsupported(format!(
+            "galaxy {index}: non-finite {field} = {value}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Write `catalog` into `dir` as a GCAT v2 shard directory following
 /// `assignment`, returning the manifest. No shard regions, a `shard_of`
-/// whose length is not the catalog's, or a shard id with no region is
-/// [`CatalogIoError::Unsupported`], and creates nothing.
+/// whose length is not the catalog's, a shard id with no region, or a
+/// galaxy [`check_finite`] refuses is [`CatalogIoError::Unsupported`],
+/// and creates nothing.
 ///
 /// Two passes over the in-memory catalog: the first, in catalog order,
 /// accumulates each shard's count, weight sum and record checksum; the
@@ -399,8 +424,8 @@ pub fn write_sharded(
             "shard count 0: a sharded catalog needs at least one shard".into(),
         ));
     }
-    // Pass 1, in catalog order: counts, weight sums and record
-    // checksums. FNV-1a is a serial multiply chain; catalog order
+    // Pass 1, in catalog order: finiteness, counts, weight sums and
+    // record checksums. FNV-1a is a serial multiply chain; catalog order
     // interleaves the shards' chains so they overlap, where a checksum
     // pass per shard runs them back to back.
     let mut shards: Vec<ShardMeta> = assignment
@@ -416,6 +441,7 @@ pub fn write_sharded(
     let mut sums = vec![Fnv::new(); shards.len()];
     for (id, &s) in assignment.shard_of.iter().enumerate() {
         let g = &catalog.galaxies[id];
+        check_finite(id, g)?;
         let s = usize::try_from(s).expect("u32 shard id fits in usize");
         if s >= shards.len() {
             return Err(CatalogIoError::Unsupported(format!(
@@ -795,17 +821,18 @@ mod tests {
 
     #[test]
     fn non_finite_weight_is_corrupt_naming_the_record() {
-        let mut cat = sample_catalog();
-        cat.galaxies[25].weight = f64::INFINITY;
-        let assignment = halves_assignment(&cat);
-        let shard_id = assignment.shard_of[25];
-        let record = assignment.shard_of[..25]
-            .iter()
-            .filter(|&&s| s == shard_id)
-            .count();
-        let shard = usize::try_from(shard_id).unwrap();
+        // The writer refuses a non-finite weight, so forge one on disk:
+        // the reader decodes a record before it checksums it, and names
+        // the record.
+        let cat = sample_catalog();
         let dir = tmpdir("infinite_weight");
-        let manifest = write_sharded(&cat, &assignment, &dir).unwrap();
+        let manifest = write_sharded(&cat, &halves_assignment(&cat), &dir).unwrap();
+        let (shard, record) = (1, 3);
+        let path = dir.join(ShardManifest::shard_file_name(shard));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let weight = HEADER_BYTES + record * RECORD_BYTES + 24;
+        bytes[weight..weight + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         let err = read_all(&dir, &manifest, shard).expect_err("infinite weight not detected");
         match err.root_cause() {
             CatalogIoError::Corrupt(why) => {
@@ -818,6 +845,24 @@ mod tests {
             "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_finite_galaxy_is_unsupported_and_creates_no_directory() {
+        let dir = tmpdir("non_finite_galaxy");
+        for (field, value) in [("y", f64::NAN), ("weight", f64::NEG_INFINITY)] {
+            let mut cat = sample_catalog();
+            match field {
+                "y" => cat.galaxies[25].pos.y = value,
+                _ => cat.galaxies[25].weight = value,
+            }
+            let err = write_sharded(&cat, &halves_assignment(&cat), &dir).unwrap_err();
+            let CatalogIoError::Unsupported(msg) = &err else {
+                panic!("expected Unsupported, got {err}");
+            };
+            assert_eq!(msg, &format!("galaxy 25: non-finite {field} = {value}"));
+            assert!(!dir.exists());
+        }
     }
 
     #[test]

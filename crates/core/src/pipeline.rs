@@ -5,36 +5,48 @@
 //! The catalog is on disk as GCAT v2 shards cut along the domain plan's
 //! recursive bisection (`galactos_domain::shard::write_sharded`; an
 //! in-memory catalog is written to a temporary directory first, as
-//! `examples/sharded_pipeline.rs` does). Per shard: read its galaxies
-//! plus the ghosts within `rmax` from the neighbor shards whose region
-//! meets its halo, keeping or dropping each ghost as its record decodes
-//! — the owned and halo sets the paper's message-passing exchange
-//! (`galactos_domain::exchange`) delivers — build one k-d tree
-//! over owned + ghosts, run the engine with *owned galaxies only* as
-//! primaries, and reduce the multipole arrays once, in shard order ("the
-//! remainder of the 3PCF calculation (besides a final reduction) is
-//! strongly parallel"). The per-shard partials are returned beside the
-//! merge ([`SupervisedRun::shard_partials`]): they are the §6.1 jackknife
+//! `examples/sharded_pipeline.rs` does). An attempt at a list of shards
+//! first makes its halo exchange, as the paper's ranks do once after
+//! the bisection: one pass over every file that borders a listed shard,
+//! keeping each record within `rmax` of a listed region other than its
+//! own as it decodes. Then per shard: read its own file whole, append
+//! its ghosts from that halo cache — the owned and halo sets the
+//! paper's message-passing exchange (`galactos_domain::exchange`)
+//! delivers — build one k-d tree over owned + ghosts, run the engine
+//! with *owned galaxies only* as primaries, and reduce the multipole
+//! arrays once, in shard order ("the remainder of the 3PCF calculation
+//! (besides a final reduction) is strongly parallel"). The per-shard
+//! partials are returned beside the merge
+//! ([`SupervisedRun::shard_partials`]): they are the §6.1 jackknife
 //! samples.
 //!
-//! A piece of work computes on one vector, its owned galaxies as read
-//! and then the kept ghosts, so its resident galaxies are `owned + kept
-//! ghosts`, held once: never the catalog size, nor a whole neighbor
-//! shard. No message is sent, so
-//! a shard's ζ partial is a pure function of (shard files, config) —
-//! which is what lets the supervisor retry or reassign it after a rank
-//! failure, and run at any rank count, without moving a bit of the
-//! result. The tests require that result to match the single-process
-//! engine to 1e-9 and to be bit-identical across rank counts.
+//! So an attempt reads each file at most twice, where reading each
+//! shard's neighbors for it alone read a neighbor once per shard it
+//! borders (9.25x the catalog on the benchmark's 16-shard input, 2x to
+//! 4.4x now at 1 to 4 ranks). A shard computes on one vector, its owned
+//! galaxies as read and then its ghosts, so an attempt holds the current
+//! shard's owned + ghosts plus the cached halo records not yet used up
+//! (a file's are dropped after the last listed shard that needs them):
+//! the records within `rmax` of a boundary between a listed shard and
+//! another shard, 32 % of the catalog at 1 rank on that input and 17 %
+//! per rank at 2. The vector is the one
+//! `galactos_domain::shard::distribute_shard_range(s, s + 1)` reads, so
+//! the cache moves no bit. The cache lives for one attempt, and no
+//! message is sent, so a shard's ζ partial is a pure function of (shard
+//! files, config) — which is what lets the supervisor retry or reassign
+//! it after a rank failure, and run at any rank count, without moving a
+//! bit of the result. The tests require that result to match the
+//! single-process engine to 1e-9 and to be bit-identical across rank
+//! counts.
 
 use crate::config::EngineConfig;
 use crate::engine::Engine;
 use crate::result::AnisotropicZeta;
-use galactos_catalog::io::CatalogIoError;
-use galactos_catalog::shard::ShardManifest;
+use galactos_catalog::io::{CatalogIoError, RECORD_BYTES};
+use galactos_catalog::shard::{read_shard, ShardManifest, HEADER_BYTES};
 use galactos_cluster::fault::{classify_panic, FailureCause, FaultHarness, FaultPlan, RankFailure};
 use galactos_cluster::run_cluster;
-use galactos_domain::shard::{distribute_shard_range, shard_range_for_rank};
+use galactos_domain::shard::{ghost_filter, shard_range_for_rank};
 use galactos_obs::ObsSession;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -47,8 +59,10 @@ pub struct RankReport {
     pub owned: usize,
     pub ghosts: usize,
     pub binned_pairs: u64,
-    /// Shard records this rank read from disk, kept or not: the count of
-    /// every shard file it opened, owned and neighbor.
+    /// Shard records this piece of work read from disk, kept or not: its
+    /// halo pass reads each file bordering one of its shards once, and
+    /// each shard reads its own file once, so a file is counted at most
+    /// twice. Only the attempt that succeeded is counted.
     pub records_read: u64,
     /// Bytes this rank read from shard files.
     pub bytes_read: u64,
@@ -152,33 +166,13 @@ type ShardPartials = Vec<(usize, AnisotropicZeta)>;
 /// rank that ran it.
 type AttemptOutcome = Result<Result<(RankReport, ShardPartials), CatalogIoError>, RankFailure>;
 
-/// Per-shard ζ partial: the shard's galaxies as primaries, everything
-/// within `rmax` of the shard region as ghosts. Summing these over all
-/// shards in shard order is *the* reduction — it never depends on which
-/// rank computed which shard, which is what makes retry and
-/// reassignment bit-transparent. The shard's ingest counts are added to
-/// `report`, and the engine computes on one vector: the owned galaxies
-/// as read, then the kept ghosts.
-fn shard_partial(
-    dir: &Path,
-    manifest: &ShardManifest,
-    config: &EngineConfig,
-    shard: usize,
-    engine: &Engine,
-    report: &mut RankReport,
-) -> Result<AnisotropicZeta, CatalogIoError> {
-    let rd = distribute_shard_range(dir, manifest, shard, shard + 1, config.bins.rmax())?;
-    report.owned += rd.owned.len();
-    report.ghosts += rd.ghosts.len();
-    report.records_read += rd.records_read;
-    report.bytes_read += rd.bytes_read;
-    let (n_owned, mut galaxies) = (rd.owned.len(), rd.owned);
-    if n_owned == 0 {
-        return Ok(AnisotropicZeta::zeros(config.lmax, config.bins.nbins()));
-    }
-    galaxies.reserve_exact(rd.ghosts.len());
-    galaxies.extend(rd.ghosts);
-    Ok(engine.compute_subset(&galaxies, n_owned))
+/// Add one whole read of shard file `s` to `report`: a shard file that
+/// reads without error is its header plus exactly its manifest count of
+/// records.
+fn count_read(report: &mut RankReport, manifest: &ShardManifest, s: usize) {
+    let records = manifest.shards[s].count;
+    report.records_read += records;
+    report.bytes_read += HEADER_BYTES as u64 + records * RECORD_BYTES as u64;
 }
 
 /// The state of one supervised run: what every attempt needs to run,
@@ -203,16 +197,14 @@ struct Supervisor<'a> {
 impl Supervisor<'_> {
     /// One worker's pass over a list of shards, entering the ingest /
     /// compute / reduce phases so injected kills (and failure
-    /// attribution) see those boundaries.
+    /// attribution) see those boundaries: the halo pass is the ingest,
+    /// each shard's own file is read as it is computed.
     fn shard_task(
         &self,
         worker: usize,
         shards: &[usize],
     ) -> Result<(RankReport, ShardPartials), CatalogIoError> {
         self.harness.enter_phase(worker, "ingest");
-        // Ingestion is re-validated per shard at compute time; entering
-        // the phase here keeps the {ingest, compute, reduce} kill surface
-        // even though streaming is interleaved with compute below.
         let engine = self.engine.get_or_init(|| Engine::new(self.config.clone()));
         let mut report = RankReport {
             rank: worker,
@@ -224,17 +216,82 @@ impl Supervisor<'_> {
             attempts: 1,
             reassigned_from: None,
         };
+        let (dir, manifest) = (self.dir, &self.manifest);
+        let rmax = self.config.bins.rmax();
+        // Per listed shard: the files it takes ghosts from, ascending,
+        // each with the filter that keeps its ghosts. A shard without
+        // galaxies has no primaries, so it takes none.
+        let holds_galaxies = |s: &usize| manifest.shards[*s].count > 0;
+        let sources: Vec<Vec<_>> = shards
+            .iter()
+            .map(|&s| {
+                let files = if holds_galaxies(&s) {
+                    0..manifest.num_shards()
+                } else {
+                    0..0
+                };
+                files
+                    .filter_map(|t| ghost_filter(manifest, t, [s], rmax).map(|keep| (t, keep)))
+                    .collect()
+            })
+            .collect();
+        // Which listed shard is the last to take ghosts from each file.
+        let mut last_use = BTreeMap::new();
+        for (i, from) in sources.iter().enumerate() {
+            for &(t, _) in from {
+                last_use.insert(t, i);
+            }
+        }
+        // The halo pass: one read of each of those files, keeping, in
+        // record order, its records near any listed shard's region:
+        // whatever any one listed shard keeps from it, and no more. The
+        // cache is held while the shards compute, so it is stored
+        // without the slack that growing by doubling leaves.
+        let listed: Vec<usize> = shards.iter().copied().filter(holds_galaxies).collect();
+        let mut halo = BTreeMap::new();
+        for &t in last_use.keys() {
+            let keep = ghost_filter(manifest, t, listed.iter().copied(), rmax)
+                .expect("a ghost source borders a listed shard");
+            let mut kept = Vec::new();
+            read_shard(dir, manifest, t, keep, &mut kept)?;
+            count_read(&mut report, manifest, t);
+            halo.insert(t, kept.into_boxed_slice());
+        }
+
+        // Per shard: its own file whole, then its ghosts from the halo
+        // in ascending file order, so the engine computes on the vector
+        // `distribute_shard_range(s, s + 1)` reads — owned galaxies as
+        // read, then kept ghosts — and the partial keeps its bits. The
+        // vector is reserved whole: growing it by doubling raised the
+        // benchmark's peak RSS. A count that no file backs fails in
+        // `read_shard` before a record is pushed, and a reservation the
+        // allocator refuses is skipped.
         let mut partials = Vec::with_capacity(shards.len());
         self.harness.enter_phase(worker, "compute");
-        for &s in shards {
-            let partial = shard_partial(
-                self.dir,
-                &self.manifest,
-                self.config,
-                s,
-                engine,
-                &mut report,
-            )?;
+        for (i, &s) in shards.iter().enumerate() {
+            let n_ghosts: usize = sources[i]
+                .iter()
+                .map(|(t, keep)| halo[t].iter().filter(|g| keep(g)).count())
+                .sum();
+            let n_owned = usize::try_from(manifest.shards[s].count).unwrap_or(usize::MAX);
+            let mut galaxies = Vec::new();
+            let _ = galaxies.try_reserve_exact(n_owned.saturating_add(n_ghosts));
+            read_shard(dir, manifest, s, |_| true, &mut galaxies)?;
+            count_read(&mut report, manifest, s);
+            for (t, keep) in &sources[i] {
+                galaxies.extend(halo[t].iter().filter(|g| keep(g)));
+                // The last shard to need a file's records drops them.
+                if last_use[t] == i {
+                    halo.remove(t);
+                }
+            }
+            report.owned += n_owned;
+            report.ghosts += n_ghosts;
+            let partial = if n_owned == 0 {
+                AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins())
+            } else {
+                engine.compute_subset(&galaxies, n_owned)
+            };
             report.binned_pairs += partial.binned_pairs;
             partials.push((s, partial));
         }
@@ -317,10 +374,11 @@ impl Supervisor<'_> {
     }
 }
 
-/// The distributed ζ run, under supervision: each rank
-/// streams its owned GCAT v2 shards plus the neighbor shards
-/// intersecting their `rmax` halo straight from disk, so no piece of
-/// work ever holds the catalog. Per-rank failures (organic panics or
+/// The distributed ζ run, under supervision: each rank reads the files
+/// of its GCAT v2 shards, and once those of the neighbor shards
+/// intersecting their `rmax` halo, straight from disk, so a piece of
+/// work holds one shard's galaxies and the halo records its shards still
+/// need, not the catalog. Per-rank failures (organic panics or
 /// faults injected through `plan`) are caught as [`RankFailure`]s,
 /// failed ranks are retried up to `policy`'s attempt budget, and ranks
 /// that exhaust their retries have their shard range reassigned across
@@ -499,7 +557,8 @@ mod tests {
     use crate::config::EngineConfig;
     use galactos_catalog::shard::MANIFEST_FILE;
     use galactos_catalog::{uniform_box, Catalog};
-    use galactos_domain::shard::write_sharded;
+    use galactos_cluster::fault::KillSpec;
+    use galactos_domain::shard::{distribute_shard_range, write_sharded};
     use std::path::PathBuf;
 
     fn open_catalog(n: usize, box_len: f64, seed: u64) -> Catalog {
@@ -591,8 +650,9 @@ mod tests {
         // catalog size. The unit of work is the shard (one tree each)
         // and a `RankReport` sums a rank's shards, so this runs at one
         // shard per rank: at 2 ranks over these 20 shards rank 0's
-        // `records_read` is 720 > 300 (ten shards, each re-reading its
-        // neighbors), although nothing ever held the catalog. An
+        // `records_read` is 330 > 300 (its ten shards, and one pass over
+        // the files bordering them), although nothing ever held the
+        // catalog. An
         // elongated box (survey-slab geometry) makes the bisection cut
         // slabs along x, so even interior shards have shards beyond
         // their halo.
@@ -625,6 +685,89 @@ mod tests {
                 r.records_read
             );
             assert!(r.bytes_read > 0, "rank {} read nothing", r.rank);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_partials_are_the_range_ingest_bit_for_bit() {
+        // Each partial is the engine over what `distribute_shard_range`
+        // reads for its one shard, owned then ghosts, whichever rank
+        // computed it out of a cached halo: at 1, 2 and 3 ranks, and
+        // when a dead rank's shards are reassigned one at a time.
+        let cat = open_catalog(400, 20.0, 13);
+        let config = EngineConfig::test_default(4.0, 2, 3);
+        let rmax = config.bins.rmax();
+        let dir = shard_dir("range_ingest_bits");
+        let manifest = write_sharded(&cat, 7, &dir).unwrap();
+        let engine = Engine::new(config.clone());
+        let mut want = Vec::new();
+        let mut want_ghosts = 0;
+        for s in 0..7 {
+            let rd = distribute_shard_range(&dir, &manifest, s, s + 1, rmax).unwrap();
+            want_ghosts += rd.ghosts.len();
+            let n_owned = rd.owned.len();
+            assert!(n_owned > 0, "every shard of this catalog holds galaxies");
+            let galaxies: Vec<_> = rd.owned.into_iter().chain(rd.ghosts).collect();
+            want.push(bits(&engine.compute_subset(&galaxies, n_owned)));
+        }
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let policy = RetryPolicy { max_attempts: 2 };
+        let killed = FaultPlan::none().with_phase_kill(1, "compute", KillSpec::ALWAYS);
+        for (ranks, plan) in [
+            (1, FaultPlan::none()),
+            (2, FaultPlan::none()),
+            (3, FaultPlan::none()),
+            (3, killed),
+        ] {
+            let run = compute_distributed_supervised(&manifest_path, &config, ranks, &policy, plan)
+                .unwrap();
+            let got: Vec<_> = run.shard_partials.iter().map(bits).collect();
+            assert_eq!(got, want, "ranks={ranks} dead={:?}", run.dead_ranks);
+            let ghosts: usize = run.ranks.iter().map(|r| r.ghosts).sum();
+            assert_eq!(ghosts, want_ghosts, "ranks={ranks}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_attempt_reads_each_file_at_most_twice() {
+        // 16 shards: the halo pass reads each file bordering a listed
+        // shard once, and each listed shard reads its own file once.
+        // Reading the neighbors once per bordering shard, as
+        // `distribute_shard_range(s, s + 1)` does, reads `per_shard`.
+        let cat = open_catalog(1600, 32.0, 29);
+        let config = EngineConfig::test_default(3.0, 1, 2);
+        let rmax = config.bins.rmax();
+        let dir = shard_dir("read_counts");
+        let manifest = write_sharded(&cat, 16, &dir).unwrap();
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let (mut per_shard, mut ghosts) = (0, 0);
+        for s in 0..16 {
+            let rd = distribute_shard_range(&dir, &manifest, s, s + 1, rmax).unwrap();
+            per_shard += rd.records_read;
+            ghosts += rd.ghosts.len();
+        }
+        // 9.25x the catalog, to keep 1 819 ghosts.
+        assert_eq!((per_shard, ghosts), (14_800, 1_819));
+        // 2x, 2.81x and 4.25x the catalog, the same ghosts.
+        for (ranks, want) in [(1, 3_200), (2, 4_500), (4, 6_800)] {
+            let run = sharded(&manifest_path, &config, ranks).unwrap();
+            let read: u64 = run.ranks.iter().map(|r| r.records_read).sum();
+            let kept: usize = run.ranks.iter().map(|r| r.ghosts).sum();
+            assert_eq!((read, kept), (want, ghosts), "ranks={ranks}");
+        }
+        // One shard per rank: an attempt reads what the range ingest of
+        // its one shard reads.
+        let run = sharded(&manifest_path, &config, 16).unwrap();
+        for r in &run.ranks {
+            let rd = distribute_shard_range(&dir, &manifest, r.rank, r.rank + 1, rmax).unwrap();
+            assert_eq!(
+                (r.records_read, r.bytes_read, r.ghosts),
+                (rd.records_read, rd.bytes_read, rd.ghosts.len()),
+                "rank {}",
+                r.rank
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -19,7 +19,9 @@
 //! `owned + kept ghosts` (plus one 8 KiB read buffer) — never the full
 //! catalog, nor a whole neighbor shard — and the per-rank
 //! `records_read` / `bytes_read` counters quantify the I/O the spatial
-//! pruning saved.
+//! pruning saved. Which shards are neighbors and which of their records
+//! are ghosts is one function, [`ghost_filter`], which the supervised
+//! pipeline's halo pass uses too.
 
 use galactos_catalog::io::{CatalogIoError, RECORD_BYTES};
 use galactos_catalog::shard::{self, read_shard, ShardManifest, HEADER_BYTES};
@@ -32,8 +34,9 @@ use crate::partition::DomainPlan;
 /// Write `catalog` into `dir` as GCAT v2 shards aligned with the
 /// `num_shards`-way recursive-bisection partition ([`DomainPlan::build`],
 /// so shard `s` is the region rank `s` of a `num_shards`-rank run would
-/// own). Zero shards is [`CatalogIoError::Unsupported`], and creates
-/// nothing.
+/// own). Zero shards, or a galaxy with a NaN or infinite coordinate or
+/// weight ([`shard::check_finite`]), is [`CatalogIoError::Unsupported`],
+/// and creates nothing.
 pub fn write_sharded(
     catalog: &Catalog,
     num_shards: usize,
@@ -44,7 +47,15 @@ pub fn write_sharded(
             "shard count 0: a sharded catalog needs at least one shard".into(),
         ));
     }
-    let plan = DomainPlan::build(&catalog.positions(), catalog.bounds, num_shards);
+    // The positions pass checks finiteness: a NaN coordinate would
+    // panic in the bisection's median split.
+    let mut positions = Vec::with_capacity(catalog.len());
+    for (id, g) in catalog.galaxies.iter().enumerate() {
+        shard::check_finite(id, g)?;
+        positions.push(g.pos);
+    }
+    let plan = DomainPlan::build(&positions, catalog.bounds, num_shards);
+    drop(positions);
     let assignment = ShardAssignment {
         shard_of: (0..catalog.len())
             .map(|g| u32::try_from(plan.owner_of(g)).expect("owners are u32 in the plan"))
@@ -146,7 +157,6 @@ pub fn distribute_shard_range(
         )));
     }
     let dir = dir.as_ref();
-    let r2 = rmax * rmax;
     let owned_shards = &manifest.shards[lo..hi];
 
     // Owned shards are read whole, so reserve their records up front:
@@ -160,29 +170,17 @@ pub fn distribute_shard_range(
         read_shard(dir, manifest, s, |_| true, &mut owned)?;
     }
 
-    // Neighbor shards: only regions within rmax of an owned region can
-    // hold ghosts (a ghost g satisfies dist(g, owned box) ≤ rmax, and g
-    // lies inside its shard's region, so the box-box gap is ≤ rmax).
-    // Gated on owned *galaxies*, not regions: a rank whose shards are
-    // all empty has no primaries, so ghosts could never contribute.
+    // Neighbor shards. Gated on owned *galaxies*, not regions: a rank
+    // whose shards are all empty has no primaries, so ghosts could never
+    // contribute.
     let mut ghosts = Vec::new();
     let mut neighbors = Vec::new();
     if !owned.is_empty() {
-        let near_owned_box = |b: &Aabb| {
-            owned_shards
-                .iter()
-                .any(|o| o.bounds.distance_sq_to_aabb(b) <= r2)
-        };
-        let near_owned_point = |g: &Galaxy| {
-            owned_shards
-                .iter()
-                .any(|o| o.bounds.distance_sq_to_point(g.pos) <= r2)
-        };
-        neighbors = (0..manifest.num_shards())
-            .filter(|&s| !(lo..hi).contains(&s) && near_owned_box(&manifest.shards[s].bounds))
-            .collect();
-        for &s in &neighbors {
-            read_shard(dir, manifest, s, near_owned_point, &mut ghosts)?;
+        for s in (0..manifest.num_shards()).filter(|s| !(lo..hi).contains(s)) {
+            if let Some(keep) = ghost_filter(manifest, s, lo..hi, rmax) {
+                read_shard(dir, manifest, s, keep, &mut ghosts)?;
+                neighbors.push(s);
+            }
         }
     }
 
@@ -198,6 +196,35 @@ pub fn distribute_shard_range(
         records_read,
         bytes_read,
     })
+}
+
+/// The ghost test of shard-based ingestion, for the records of shard
+/// `file`: keep a record within `rmax` of the region of a shard in
+/// `group` other than `file`. Only regions within `rmax` of `file`'s own
+/// are tested, and `None` means there is none: `file` holds no ghost of
+/// `group` (a ghost lies inside its shard's region, so the gap between
+/// the two regions is at most `rmax`).
+///
+/// Every shard-based reader takes its neighbor test and ghost filter
+/// from here: [`distribute_shard_range`] with its range as `group`, and
+/// the supervised pipeline with one shard, or with all of an attempt's
+/// shards for its one pass over their halo.
+pub fn ghost_filter(
+    manifest: &ShardManifest,
+    file: usize,
+    group: impl IntoIterator<Item = usize>,
+    rmax: f64,
+) -> Option<impl Fn(&Galaxy) -> bool> {
+    let r2 = rmax * rmax;
+    let region = &manifest.shards[file].bounds;
+    let near: Vec<Aabb> = group
+        .into_iter()
+        .filter(|&s| s != file)
+        .map(|s| manifest.shards[s].bounds)
+        .filter(|b| b.distance_sq_to_aabb(region) <= r2)
+        .collect();
+    (!near.is_empty())
+        .then_some(move |g: &Galaxy| near.iter().any(|b| b.distance_sq_to_point(g.pos) <= r2))
 }
 
 #[cfg(test)]
@@ -254,6 +281,35 @@ mod tests {
         let err = write_sharded(&cat, 0, &dir).unwrap_err();
         assert!(
             matches!(&err, CatalogIoError::Unsupported(msg) if msg.contains("shard count 0")),
+            "{err}"
+        );
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn non_finite_position_is_unsupported_and_creates_no_directory() {
+        // Galaxy 57's NaN used to panic in the bisection's median split.
+        let mut cat = uniform_box(200, 10.0, 3);
+        cat.galaxies[57].pos.x = f64::NAN;
+        let dir = tmpdir("nan_position");
+        let err = write_sharded(&cat, 4, &dir).unwrap_err();
+        assert!(
+            matches!(&err, CatalogIoError::Unsupported(msg) if msg == "galaxy 57: non-finite x = NaN"),
+            "{err}"
+        );
+        assert!(!dir.exists());
+    }
+
+    #[test]
+    fn non_finite_weight_is_unsupported_and_creates_no_directory() {
+        // A NaN weight used to be written, and to fail the pipeline that
+        // read it back.
+        let mut cat = uniform_box(200, 10.0, 3);
+        cat.galaxies[12].weight = f64::NAN;
+        let dir = tmpdir("nan_weight");
+        let err = write_sharded(&cat, 4, &dir).unwrap_err();
+        assert!(
+            matches!(&err, CatalogIoError::Unsupported(msg) if msg == "galaxy 12: non-finite weight = NaN"),
             "{err}"
         );
         assert!(!dir.exists());

@@ -388,7 +388,17 @@ fn rule_env(f: &SourceFile, lexed: &LexedFile, scopes: &Scopes, raw: &mut Vec<Fi
         return;
     }
     let toks = &lexed.tokens;
-    for i in seq_matches(toks, &["env", ":", ":"]) {
+    // `use std::env as e;` makes `e::` name the module too.
+    let mut modules = vec!["env"];
+    for i in seq_matches(toks, &["env", "as"]) {
+        if let Some(alias) = ident_at(toks, i + 2).filter(|_| scopes.in_use[i]) {
+            modules.push(toks[alias].text.as_str());
+        }
+    }
+    let paths = modules
+        .iter()
+        .flat_map(|m| seq_matches(toks, &[*m, ":", ":"]));
+    for i in paths {
         let next = i + 3;
         let in_use = scopes.in_use[i];
         // A path names the reader right after `env::`; a `use` may also
@@ -808,6 +818,27 @@ mod tests {
         let out = run(
             "crates/core/src/engine.rs",
             "use std::env::{self};\nuse std::env::{args};\nfn f() { let n = std::env::args().count(); }",
+        );
+        assert!(out.is_clean(), "{:?}", out.findings);
+    }
+
+    #[test]
+    fn env_fires_on_renamed_module() {
+        // A module renamed by `use` still reads the environment.
+        let out = run(
+            "crates/core/src/engine.rs",
+            "use std::env as e;\nfn f() { let v = e::var(\"HOME\"); }",
+        );
+        let got: Vec<_> = out
+            .findings
+            .iter()
+            .map(|f| (f.rule.as_str(), f.line))
+            .collect();
+        assert_eq!(got, [("W-ENV", 2)]);
+        // A `let` binding named like an alias is not a path.
+        let out = run(
+            "crates/core/src/engine.rs",
+            "use std::env as e;\nfn f(e: u8) -> u8 { e }",
         );
         assert!(out.is_clean(), "{:?}", out.findings);
     }

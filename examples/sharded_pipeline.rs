@@ -41,8 +41,10 @@ fn main() {
     //    shard range at once: its own shards (primaries) plus ghosts
     //    from halo-intersecting neighbor shards, each kept or dropped as
     //    its record decodes, so it holds owned + kept ghosts and never a
-    //    whole neighbor shard. (The pipeline below works shard by shard,
-    //    so a piece of its work holds less still.)
+    //    whole neighbor shard. (The pipeline below computes shard by
+    //    shard: one pass over the halo files of all its shards, then
+    //    each shard's own file, so it holds one shard's galaxies plus
+    //    the halo records its later shards still need.)
     let rmax = 12.0;
     println!("\nper-rank ingestion at 4 ranks (rmax = {rmax}):");
     println!(
@@ -94,8 +96,29 @@ fn main() {
             .map(|v| v.to_bits())
             .collect::<Vec<_>>()
     };
-    assert_eq!(bits(&run(2).zeta), bits(&sharded.zeta));
+    let two = run(2);
+    assert_eq!(bits(&two.zeta), bits(&sharded.zeta));
     println!("sharded (2 ranks) == sharded (4 ranks), bit for bit");
+
+    // 5. What the 2-rank run read: each rank reads every file once for
+    //    its halo, and its own shards' files once more as it computes
+    //    them, not a neighbor once per shard it borders.
+    println!(
+        "
+records read by the supervised run at 2 ranks:"
+    );
+    for r in &two.ranks {
+        println!("  rank {}: {} records", r.rank, r.records_read);
+    }
+    let read: u64 = two.ranks.iter().map(|r| r.records_read).sum();
+    println!(
+        "  total {read} = {:.2}x the catalog",
+        read as f64 / catalog.len() as f64
+    );
+    assert!(
+        read <= 3 * catalog.len() as u64,
+        "the halo is read once per rank"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -213,8 +213,14 @@ pub(crate) fn non_finite_field<'a>(fields: &[(&'a str, f64)]) -> Option<&'a str>
         .map(|&(name, _)| name)
 }
 
-/// Write a catalog to a file in the binary format.
+/// Write a catalog to a file in the binary format. A galaxy with a NaN
+/// or infinite coordinate or weight, which [`read_binary`] would refuse,
+/// is [`CatalogIoError::Unsupported`] naming its index, field and value
+/// ([`crate::shard::check_finite`]), and no file is created.
 pub fn write_binary(catalog: &Catalog, path: impl AsRef<Path>) -> Result<(), CatalogIoError> {
+    for (index, g) in catalog.galaxies.iter().enumerate() {
+        crate::shard::check_finite(index, g)?;
+    }
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(&to_bytes(catalog))?;
     w.flush()?;
@@ -370,6 +376,31 @@ mod tests {
         assert_eq!(back.len(), 3);
         assert_eq!(back.galaxies[1].weight, -0.5);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A galaxy `read_binary` would refuse is refused at the writer,
+    /// naming it, before any file exists.
+    #[test]
+    fn write_refuses_non_finite_galaxies_and_creates_nothing() {
+        let dir = std::env::temp_dir().join("galactos_io_test_non_finite");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut nan_x = sample();
+        nan_x.galaxies[1].pos.x = f64::NAN;
+        let mut inf_weight = sample();
+        inf_weight.galaxies[2].weight = f64::INFINITY;
+        let cases = [
+            (nan_x, "galaxy 1: non-finite x = NaN"),
+            (inf_weight, "galaxy 2: non-finite weight = inf"),
+        ];
+        for (i, (c, want)) in cases.iter().enumerate() {
+            let path = dir.join(format!("spoilt_{i}.gcat"));
+            std::fs::remove_file(&path).ok();
+            match write_binary(c, &path) {
+                Err(CatalogIoError::Unsupported(why)) => assert_eq!(why, *want),
+                other => panic!("expected Unsupported, got {other:?}"),
+            }
+            assert!(!path.exists(), "{} was created", path.display());
+        }
     }
 
     #[test]

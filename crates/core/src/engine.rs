@@ -22,14 +22,17 @@
 //!    `sums_t[mono · nbp + bin]` and assemble the shell coefficients
 //!    `a_ℓm` for eight bins at a time ([`crate::assembly`]);
 //! 4. `assemble`, second half — accumulate
-//!    `ζ^m_{ℓℓ'}(r₁, r₂) += w_i · a_ℓm(r₁) · conj(a_ℓ'm(r₂))` for
-//!    `ℓ ≤ ℓ'` only, as elementwise updates of interleaved `(re, im)`
-//!    rows of `r₂`; `w_i` is real,
-//!    so `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))` and `ℓ > ℓ'` is
-//!    filled once per chunk partial. With self-pair subtraction on,
-//!    the `j = k` term `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))` of each
-//!    diagonal bin is removed: it has no φ-dependence, so it is the
-//!    Legendre series `Σ_L C^L_{ℓℓ'm} S_L` over the `2ℓmax+1` sums
+//!    `ζ^m_{ℓℓ'}(r₁, r₂) += w_i · a_ℓm(r₁) · conj(a_ℓ'm(r₂))`: for each
+//!    `m`, the upper triangle of the Hermitian matrix over the
+//!    bin-major index `bin·(ℓmax−m+1) + (ℓ−m)`, one contiguous row
+//!    update per non-zero `a_ℓm(r₁)`, into the chunk's packed partial
+//!    (real for `m = 0`, whose harmonics are real). `w_i` is real, so
+//!    the other half is the conjugate, written once per run when the
+//!    merged partials are unpacked ([`crate::assembly`]). With
+//!    self-pair subtraction on, the `j = k` term
+//!    `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))` of each diagonal bin is
+//!    removed: it has no φ-dependence, so it is the Legendre series
+//!    `Σ_L C^L_{ℓℓ'm} S_L` over the `2ℓmax+1` sums
 //!    `S_L = Σ_j w_j² P_L(μ_j)` of stage 2 ([`SelfPairTable`]).
 //!
 //! Stages 3 and 4 are one [`galactos_simd::Kernel`], dispatched once
@@ -42,7 +45,7 @@
 //! threads the way the paper's OpenMP dynamic schedule does (§3.3: "a
 //! dynamic schedule gives a significant performance boost over using a
 //! static schedule"): [`DYNAMIC_CHUNK`]-sized chunks handed out by work
-//! stealing, each chunk running in a private scratch whose ζ
+//! stealing, each chunk running in a private scratch whose packed ζ
 //! partial is merged into the result — "this approach ensures maximum
 //! independent work for each thread". The chunk size is a constant, so
 //! the chunk boundaries do not depend on the pool width, and the rayon
@@ -71,7 +74,7 @@
 //! assert_eq!(total(&vec![0.25; 1000]), 500.0);
 //! ```
 
-use crate::assembly::{padded_bins, Assemble};
+use crate::assembly::{padded_bins, Assemble, PackedZeta};
 use crate::bins::NO_BIN;
 use crate::config::EngineConfig;
 use crate::estimator::{EstimatorChoice, EstimatorKind};
@@ -327,18 +330,16 @@ impl Engine {
                 }
                 Self::emit_chunk_obs(obs, &scratch, chunk_len);
                 drop(span);
-                // The stage methods fill only the ℓ ≤ ℓ' blocks and the
-                // scratch-side pair counter; `partial` completes both.
-                scratch.partial();
-                scratch.zeta
+                scratch.packed
             })
             .reduce(
-                || AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins()),
+                || PackedZeta::zeros(self.config.lmax, self.config.bins.nbins()),
                 |mut a, b| {
                     a.merge(&b);
                     a
                 },
             )
+            .unpack()
     }
 
     /// Drain a finished chunk's scratch counters into the obs session:
@@ -353,7 +354,8 @@ impl Engine {
         o.tracer
             .add_aggregate("assembly", n_items, scratch.t_assembly);
         o.registry.add("engine.chunks", 1);
-        o.registry.add("engine.binned_pairs", scratch.binned_pairs);
+        o.registry
+            .add("engine.binned_pairs", scratch.packed.binned_pairs);
         o.registry
             .add("engine.candidate_pairs", scratch.candidate_pairs);
     }
@@ -505,7 +507,7 @@ impl Engine {
             .acc
             .flush_residual(self.basis.schedule(), &mut scratch.buckets);
         kernel_nanos += nanos_since(tk);
-        scratch.binned_pairs += binned;
+        scratch.packed.binned_pairs += binned;
         scratch.t_kernel += kernel_nanos;
         scratch.t_bin += nanos_since(t_start).saturating_sub(kernel_nanos);
     }
@@ -513,11 +515,10 @@ impl Engine {
     /// Stages 3–4 — reduce the monomial sums of the touched bins out of
     /// the kernel accumulator into `sums_t` (zeros for the others),
     /// then run [`Assemble`]: the shell coefficients `a_ℓm` with the
-    /// bins in lanes, and the primary's ζ contribution to the `ℓ ≤ ℓ'`
-    /// blocks ([`ComputeScratch::partial`] fills the rest) as
-    /// interleaved row updates. Afterwards subtract the degenerate
-    /// self-pair terms from diagonal bins when enabled, and fold in
-    /// the primary's weight.
+    /// bins in lanes, and the primary's ζ contribution to the packed
+    /// triangles as contiguous row updates. Afterwards subtract the
+    /// degenerate self-pair terms from diagonal bins when enabled, and
+    /// fold in the primary's weight.
     fn assemble(&self, scratch: &mut ComputeScratch, ctx: &PrimaryContext) {
         let t2 = now_if(scratch.instrument);
         let nbins = self.config.bins.nbins();
@@ -530,9 +531,9 @@ impl Engine {
             sums_t: &scratch.sums_t,
             alm_re: &mut scratch.alm_re,
             alm_im: &mut scratch.alm_im,
-            alm_x: &mut scratch.alm_x,
-            alm_y: &mut scratch.alm_y,
-            zeta: &mut scratch.zeta,
+            rows_x: &mut scratch.rows_x,
+            rows_y: &mut scratch.rows_y,
+            zeta: &mut scratch.packed,
             weight: wi,
         };
         kernel.dispatch();
@@ -540,18 +541,14 @@ impl Engine {
         if let Some(table) = &self.self_pairs {
             let n = table.num_sums();
             for block in table.blocks() {
-                let slab = scratch.zeta.block_mut(block.l, block.lp, block.m);
-                for (z, sums) in slab
-                    .iter_mut()
-                    .step_by(nbins + 1)
-                    .zip(scratch.self_sums.chunks_exact(n))
-                {
-                    z.re -= block.contract(sums) * wi;
+                let (l, lp, m) = (block.l, block.lp, block.m);
+                for (bin, sums) in scratch.self_sums.chunks_exact(n).enumerate() {
+                    *scratch.packed.diagonal_re_mut(l, lp, m, bin) -= block.contract(sums) * wi;
                 }
             }
         }
-        scratch.zeta.total_primary_weight += wi;
-        scratch.zeta.num_primaries += 1;
+        scratch.packed.total_primary_weight += wi;
+        scratch.packed.num_primaries += 1;
         scratch.t_assembly += nanos_since(t2);
     }
 }
@@ -560,7 +557,7 @@ impl Engine {
 mod tests {
     use super::*;
     use galactos_catalog::uniform_box;
-    use galactos_math::LineOfSight;
+    use galactos_math::{Complex64, LineOfSight};
 
     fn small_catalog(n: usize, box_len: f64, seed: u64) -> Catalog {
         let mut c = uniform_box(n, box_len, seed);
@@ -681,17 +678,16 @@ mod tests {
         let tree = KdTree::build(&positions, TreeConfig::default());
         let mut scratch = engine.new_scratch();
         engine.process_primary(&mut scratch, &cat.galaxies, &tree, 0, None);
-        assert_eq!(scratch.partial().max_difference(&want), 0.0);
-        assert_eq!(scratch.partial().num_primaries, 1);
-        assert_eq!(scratch.partial().binned_pairs, want.binned_pairs);
+        let got = scratch.packed.unpack();
+        assert_eq!(got.max_difference(&want), 0.0);
+        assert_eq!(got.num_primaries, 1);
+        assert_eq!(got.binned_pairs, want.binned_pairs);
     }
 
     #[test]
     fn manual_stage_driving_reports_binned_pairs() {
-        // Regression for the duplicated `zeta.binned_pairs` bookkeeping:
-        // the counter is copied onto the ζ partial only by
-        // `ComputeScratch::partial`, so driving stages by hand must
-        // still observe the correct count after every primary.
+        // Driving stages by hand, the partial's pair count is right
+        // after every primary.
         let cat = small_catalog(40, 10.0, 37);
         let mut config = EngineConfig::test_default(5.0, 1, 2);
         config.traversal = crate::traversal::TraversalChoice::Fixed(TraversalKind::PerPrimary);
@@ -706,7 +702,7 @@ mod tests {
             // Cumulative count over primaries 0..=i equals a subset run
             // with i + 1 primaries.
             want = engine.compute_subset(&cat.galaxies, i + 1).binned_pairs;
-            assert_eq!(scratch.partial().binned_pairs, want, "after primary {i}");
+            assert_eq!(scratch.packed.binned_pairs, want, "after primary {i}");
         }
         assert!(want > 0, "test catalog must produce pairs");
     }
@@ -726,13 +722,50 @@ mod tests {
         let mut snapshots = Vec::new();
         for i in 0..2 {
             engine.process_primary(&mut scratch, &cat.galaxies, &tree, i, None);
-            snapshots.push(scratch.partial().clone());
+            snapshots.push(scratch.packed.unpack());
         }
         let (before, after) = (&snapshots[0], &snapshots[1]);
         assert!(before.max_abs() > 0.0 && after.binned_pairs > before.binned_pairs);
         assert_eq!(after.max_difference(before), 0.0);
         assert_eq!(after.total_primary_weight, before.total_primary_weight);
         assert_eq!(after.num_primaries, 2);
+    }
+
+    /// The unpacked lower halves conjugate with a zero imaginary part
+    /// written `+0`, as the merged partials of the full block update
+    /// had it: no element of a run's ζ has a `−0` imaginary part, even
+    /// where a bin never receives a pair and every element is zero.
+    #[test]
+    fn no_imaginary_part_is_negative_zero() {
+        // A jittered lattice of spacing 1: no separation reaches the
+        // first bin, [0, 0.75).
+        let mut rng = crate::kernel::testutil::SplitMix64::new(47);
+        let mut galaxies = Vec::new();
+        for (i, j, k) in
+            (0..5).flat_map(|i| (0..5).flat_map(move |j| (0..5).map(move |k| (i, j, k))))
+        {
+            let mut jitter = || rng.range(-0.1, 0.1);
+            let pos = Vec3::new(
+                i as f64 + jitter(),
+                j as f64 + jitter(),
+                k as f64 + jitter(),
+            );
+            galaxies.push(Galaxy::new(pos, 1.0 + jitter()));
+        }
+        let cat = Catalog::new(galaxies);
+        let engine = Engine::new(EngineConfig::test_default(3.0, 4, 4));
+        let zeta = engine.compute(&cat);
+        let zeros = zeta.data().iter().filter(|z| z.im == 0.0).count();
+        let negative = zeta
+            .data()
+            .iter()
+            .filter(|z| z.im == 0.0 && z.im.is_sign_negative());
+        assert!(zeta.get(0, 0, 0, 1, 1).re > 0.0 && zeta.get(2, 2, 0, 0, 3) == Complex64::ZERO);
+        assert!(
+            zeros > zeta.data().len() / 4,
+            "{zeros} zero imaginary parts"
+        );
+        assert_eq!(negative.count(), 0);
     }
 
     #[test]

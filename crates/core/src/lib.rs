@@ -21,8 +21,8 @@
 //!   [`Engine::compute_observed`](engine::Engine::compute_observed)
 //!   records into a `galactos-obs` session — there is no other timer;
 //! * [`assembly`] — stages 3–4 of a primary as lane loops: a_ℓm
-//!   assembly with the radial bins in lanes and the ζ update as
-//!   interleaved rows, run at the host's vector width;
+//!   assembly with the radial bins in lanes and the ζ update as rows of
+//!   packed per-`m` Hermitian triangles, run at the host's vector width;
 //! * [`estimator`] — the estimator choice dispatching
 //!   [`Engine::compute`](engine::Engine::compute) between the tree
 //!   traversal and the FFT-based gridded a_ℓm estimator of

@@ -9,9 +9,10 @@
 //!
 //! Every term of the estimator is `w·a_ℓm(r₁)·conj(a_ℓ'm(r₂))` with
 //! real `w`, so also `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))`. Both
-//! halves are stored, but the tree engine accumulates only `ℓ ≤ ℓ'`
-//! and fills `ℓ > ℓ'` once per chunk partial, so its output obeys the
-//! identity bit for bit.
+//! halves are stored, but the tree engine accumulates only one, in
+//! packed per-`m` triangles, and writes the other once per run as the
+//! conjugate, a zero imaginary part as `+0` ([`crate::assembly`]), so
+//! its output obeys the identity exactly.
 
 use galactos_math::Complex64;
 use std::ops::Range;
@@ -149,27 +150,6 @@ impl AnisotropicZeta {
     #[inline]
     pub fn block_mut(&mut self, l: usize, lp: usize, m: usize) -> &mut [Complex64] {
         &mut self.data[self.layout.block(l, lp, m)]
-    }
-
-    /// Assign every `ℓ > ℓ'` block from its `ℓ < ℓ'` partner:
-    /// `ζ^m_{ℓ'ℓ}(b₂, b₁) = conj(ζ^m_{ℓℓ'}(b₁, b₂))`. Completes a partial
-    /// of the tree engine; an assignment, so calling it twice is safe.
-    pub(crate) fn mirror(&mut self) {
-        let (lmax, nbins) = (self.layout.lmax, self.layout.nbins);
-        for l in 0..=lmax {
-            for lp in l + 1..=lmax {
-                for m in 0..=l {
-                    let src = self.layout.block(l, lp, m).start;
-                    let dst = self.layout.block(lp, l, m).start;
-                    for b1 in 0..nbins {
-                        for b2 in 0..nbins {
-                            self.data[dst + b2 * nbins + b1] =
-                                self.data[src + b1 * nbins + b2].conj();
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[inline]

@@ -5,19 +5,21 @@
 //! candidate block with the staged pairs of stage 2, the pair buckets,
 //! the SIMD/scalar kernel accumulator, the reduced monomial sums and
 //! shell coefficients in the padded bin-minor layout
-//! stages 3–4 run in ([`crate::assembly`]), the self-pair Legendre
-//! sums, and the chunk's private ζ partial plus instrumentation
-//! counters. The engine allocates one per chunk, which the worker
-//! running the chunk owns exclusively ("maximum independent work for
-//! each thread"); the partials are merged in chunk order.
+//! stages 3–4 run in ([`crate::assembly`]) and the bin-major rows
+//! stage 4 multiplies by, the self-pair Legendre sums, and the chunk's
+//! private ζ partial — packed, one Hermitian triangle per `m`
+//! ([`PackedZeta`]) — plus instrumentation counters. The engine
+//! allocates one per chunk, which the worker running the chunk owns
+//! exclusively ("maximum independent work for each thread"); the
+//! partials are merged packed in chunk order and unpacked once per
+//! run.
 
-use crate::assembly::padded_bins;
+use crate::assembly::{padded_bins, PackedZeta};
 use crate::config::EngineConfig;
 use crate::kernel::{KernelAccumulator, KernelBackend, PairBuckets};
-use crate::result::AnisotropicZeta;
 use crate::traversal::CandidateBlock;
+use galactos_math::lm_count;
 use galactos_math::monomial::MonomialBasis;
-use galactos_math::{lm_count, Complex64};
 
 /// Working state for one compute worker.
 pub(crate) struct ComputeScratch {
@@ -41,19 +43,19 @@ pub(crate) struct ComputeScratch {
     /// bin-minor: `alm_re[lm · nbp + bin]`.
     pub(crate) alm_re: Vec<f64>,
     pub(crate) alm_im: Vec<f64>,
-    /// Shell coefficients of every bin as the two rows the ζ update
-    /// multiplies by, same shape: `alm_x[lm · nbp + bin] = (re, −im)`
-    /// and `alm_y = (im, re)` of `a_ℓm(bin)`.
-    pub(crate) alm_x: Vec<Complex64>,
-    pub(crate) alm_y: Vec<Complex64>,
+    /// Shell coefficients as the rows the ζ update multiplies by, per
+    /// `m` in the packed triangles' bin-major order,
+    /// `2·lm_count·nbins` doubles each ([`crate::assembly::Assemble`]).
+    pub(crate) rows_x: Vec<f64>,
+    pub(crate) rows_y: Vec<f64>,
     /// `P_0(μ) … P_{2ℓmax}(μ)` of the pair being binned (empty when
     /// self-pair subtraction is off).
     pub(crate) self_scratch: Vec<f64>,
     /// Self-pair sums `Σ_j w_j² P_L(μ_j)`, `nbins × (2ℓmax+1)`.
     pub(crate) self_sums: Vec<f64>,
-    /// This worker's ζ partial (`ℓ ≤ ℓ'` blocks only until `partial`).
-    pub(crate) zeta: AnisotropicZeta,
-    pub(crate) binned_pairs: u64,
+    /// This chunk's ζ partial, with its primary weight, primary count
+    /// and binned-pair count.
+    pub(crate) packed: PackedZeta,
     pub(crate) candidate_pairs: u64,
     /// Whether stage timings are being collected. When `false` (the
     /// default — a run without an enabled `ObsSession`) the engine's
@@ -92,12 +94,11 @@ impl ComputeScratch {
             sums_t: vec![0.0; nmono * nbp],
             alm_re: vec![0.0; nlm * nbp],
             alm_im: vec![0.0; nlm * nbp],
-            alm_x: vec![Complex64::ZERO; nlm * nbp],
-            alm_y: vec![Complex64::ZERO; nlm * nbp],
+            rows_x: vec![0.0; 2 * nlm * nbins],
+            rows_y: vec![0.0; 2 * nlm * nbins],
             self_scratch: vec![0.0; nself],
             self_sums: vec![0.0; nbins * nself],
-            zeta: AnisotropicZeta::zeros(config.lmax, nbins),
-            binned_pairs: 0,
+            packed: PackedZeta::zeros(config.lmax, nbins),
             candidate_pairs: 0,
             instrument: false,
             t_search: 0,
@@ -105,15 +106,5 @@ impl ComputeScratch {
             t_kernel: 0,
             t_assembly: 0,
         }
-    }
-
-    /// The ζ partial accumulated so far, as the engine hands it to the
-    /// reduction at the end of each chunk. The stage methods
-    /// fill only the `ℓ ≤ ℓ'` blocks and the scratch-side pair counter;
-    /// both are completed here, idempotently.
-    pub(crate) fn partial(&mut self) -> &AnisotropicZeta {
-        self.zeta.mirror();
-        self.zeta.binned_pairs = self.binned_pairs;
-        &self.zeta
     }
 }

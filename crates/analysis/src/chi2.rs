@@ -9,7 +9,7 @@ use galactos_math::linalg::Matrix;
 
 /// Hartlap correction factor `(n − p − 2)/(n − 1)` multiplying the
 /// inverse of a covariance estimated from `n` samples in `p` dimensions.
-pub fn hartlap_factor(n_samples: usize, dim: usize) -> f64 {
+pub(crate) fn hartlap_factor(n_samples: usize, dim: usize) -> f64 {
     assert!(
         n_samples > dim + 2,
         "need more samples ({n_samples}) than dimensions + 2 ({dim} + 2)"

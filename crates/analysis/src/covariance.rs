@@ -32,7 +32,7 @@ pub fn sample_covariance(samples: &[Vec<f64>]) -> Covariance {
 /// Delete-one jackknife covariance over `n` resampled vectors
 /// (`x_(i)` = the statistic with region `i` removed):
 /// `C = (n−1)/n · Σ_i (x_(i) − x̄)(x_(i) − x̄)ᵀ`.
-pub fn jackknife_covariance(delete_one: &[Vec<f64>]) -> Covariance {
+pub(crate) fn jackknife_covariance(delete_one: &[Vec<f64>]) -> Covariance {
     let n = delete_one.len();
     assert!(n >= 2);
     let dim = delete_one[0].len();

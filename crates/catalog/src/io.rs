@@ -57,7 +57,7 @@ pub enum CatalogIoError {
 impl CatalogIoError {
     /// Wrap `self` with the shard it occurred in (idempotent: an error
     /// already carrying shard context is returned unchanged).
-    pub fn in_shard(self, path: &std::path::Path, shard: usize) -> CatalogIoError {
+    pub(crate) fn in_shard(self, path: &std::path::Path, shard: usize) -> CatalogIoError {
         match self {
             already @ CatalogIoError::InShard { .. } => already,
             source => CatalogIoError::InShard {

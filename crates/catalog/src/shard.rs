@@ -341,7 +341,7 @@ impl ShardManifest {
     }
 
     /// Write the manifest to `path`.
-    pub fn write(&self, path: impl AsRef<Path>) -> Result<(), CatalogIoError> {
+    pub(crate) fn write(&self, path: impl AsRef<Path>) -> Result<(), CatalogIoError> {
         File::create(path)?.write_all(&self.to_bytes())?;
         Ok(())
     }

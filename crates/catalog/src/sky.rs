@@ -55,7 +55,12 @@ pub const WEIGHT_ALIASES: &[&str] = &["weight", "radial_weight", "weight_systot"
 
 /// Convert sky coordinates (RA/Dec in degrees, redshift) to a comoving
 /// Cartesian position in h⁻¹ Mpc, observer at the origin.
-pub fn sky_to_cartesian(ra_deg: f64, dec_deg: f64, z: f64, cosmo: &FiducialCosmology) -> Vec3 {
+pub(crate) fn sky_to_cartesian(
+    ra_deg: f64,
+    dec_deg: f64,
+    z: f64,
+    cosmo: &FiducialCosmology,
+) -> Vec3 {
     let r = cosmo.comoving_distance(z);
     let (ra, dec) = (ra_deg.to_radians(), dec_deg.to_radians());
     Vec3::new(
@@ -70,7 +75,7 @@ pub fn sky_to_cartesian(ra_deg: f64, dec_deg: f64, z: f64, cosmo: &FiducialCosmo
 ///
 /// RA is reduced to [0°, 360°). Panics on the zero vector (no
 /// direction) — surveys never place a galaxy at the observer.
-pub fn cartesian_to_sky(pos: Vec3, cosmo: &FiducialCosmology) -> (f64, f64, f64) {
+pub(crate) fn cartesian_to_sky(pos: Vec3, cosmo: &FiducialCosmology) -> (f64, f64, f64) {
     let r = pos.norm();
     let u = pos
         .normalized()

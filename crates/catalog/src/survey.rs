@@ -152,7 +152,7 @@ impl SurveyGeometry {
     }
 
     /// Bounding box of the survey shell.
-    pub fn bounding_box(&self) -> Aabb {
+    pub(crate) fn bounding_box(&self) -> Aabb {
         Aabb::new(
             self.observer - Vec3::splat(self.r_max),
             self.observer + Vec3::splat(self.r_max),

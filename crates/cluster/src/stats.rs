@@ -12,12 +12,12 @@ pub struct TrafficStats {
 }
 
 impl TrafficStats {
-    pub fn record_send(&self, bytes: usize) {
+    pub(crate) fn record_send(&self, bytes: usize) {
         self.messages_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    pub fn record_recv(&self, bytes: usize) {
+    pub(crate) fn record_recv(&self, bytes: usize) {
         self.messages_received.fetch_add(1, Ordering::Relaxed);
         self.bytes_received
             .fetch_add(bytes as u64, Ordering::Relaxed);

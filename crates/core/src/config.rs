@@ -4,8 +4,10 @@ use crate::bins::RadialBins;
 use crate::estimator::EstimatorChoice;
 use crate::kernel::backend::BackendChoice;
 use crate::traversal::TraversalChoice;
+use galactos_grid::InvalidMesh;
 use galactos_math::LineOfSight;
 use galactos_math::Vec3;
+use std::fmt;
 
 /// Floating-point precision of the k-d tree neighbor search: always
 /// `f64` (see [`crate::traversal`]). Only the frozen benchmark ladder
@@ -99,16 +101,54 @@ impl EngineConfig {
         }
     }
 
-    /// Validate invariants; called by the engine constructor.
-    pub fn validate(&self) {
-        assert!(self.lmax <= 12, "lmax > 12 is untested and very slow");
-        assert!(self.bucket_size >= 1, "bucket_size must be positive");
-        assert!(self.bins.nbins() >= 1);
+    /// Validate invariants; [`Engine::new`](crate::engine::Engine::new)
+    /// panics with the error's text, and the supervised pipeline returns
+    /// it before its first attempt. `bins` needs no check: the
+    /// [`RadialBins`] constructors refuse zero bins.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.lmax > 12 {
+            return Err(ConfigError::Lmax(self.lmax));
+        }
+        if self.bucket_size == 0 {
+            return Err(ConfigError::BucketSize);
+        }
         if let EstimatorChoice::Grid(grid) = &self.estimator {
-            grid.validate();
+            grid.validate().map_err(ConfigError::Grid)?;
+        }
+        Ok(())
+    }
+}
+
+/// Why a configuration is refused: the rule it breaks, with the value
+/// that breaks it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `lmax` above 12.
+    Lmax(usize),
+    /// `bucket_size` is 0.
+    BucketSize,
+    /// The grid estimator's mesh side.
+    Grid(InvalidMesh),
+    /// A survey's `window_lmax` above its engine's `lmax`.
+    WindowLmax { window_lmax: usize, lmax: usize },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Lmax(lmax) => {
+                write!(f, "lmax > 12 is untested and very slow, got lmax = {lmax}")
+            }
+            ConfigError::BucketSize => write!(f, "bucket_size must be positive, got 0"),
+            ConfigError::Grid(e) => e.fmt(f),
+            ConfigError::WindowLmax { window_lmax, lmax } => {
+                write!(f, "window_lmax {window_lmax} exceeds engine lmax {lmax}")
+            }
         }
     }
 }
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -117,7 +157,7 @@ mod tests {
     #[test]
     fn paper_default_matches_paper_numbers() {
         let c = EngineConfig::paper_default(200.0);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         // Exhaustive on purpose: a tenth field fails to compile here.
         let EngineConfig {
             lmax,
@@ -143,10 +183,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lmax > 12")]
+    fn validate_names_the_rule_and_the_value() {
+        let mut c = EngineConfig::test_default(10.0, 3, 4);
+        c.bucket_size = 0;
+        assert_eq!(c.validate(), Err(ConfigError::BucketSize));
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            "bucket_size must be positive, got 0"
+        );
+        let mut c = EngineConfig::test_default(10.0, 3, 4);
+        c.estimator = EstimatorChoice::Grid(galactos_grid::GridConfig::with_mesh(24));
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::Grid(InvalidMesh(24)));
+        assert_eq!(
+            err.to_string(),
+            "grid mesh must be a power of two in [2, 1024], got 24"
+        );
+        c.estimator = EstimatorChoice::Grid(galactos_grid::GridConfig::with_mesh(32));
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
     fn validate_rejects_huge_lmax() {
         let mut c = EngineConfig::test_default(10.0, 3, 4);
         c.lmax = 40;
-        c.validate();
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::Lmax(40));
+        assert_eq!(
+            err.to_string(),
+            "lmax > 12 is untested and very slow, got lmax = 40"
+        );
     }
 }

@@ -26,7 +26,7 @@ use galactos_math::wigner::Wigner3j;
 
 /// The multipole mixing matrix `M_{ℓℓ'}` for window coefficients `f`
 /// (`f[ℓ'']`, with `f[0] = 1` by normalization).
-pub fn mixing_matrix(f: &[f64], lmax: usize, wigner: &Wigner3j) -> Matrix {
+pub(crate) fn mixing_matrix(f: &[f64], lmax: usize, wigner: &Wigner3j) -> Matrix {
     let mut m = Matrix::zeros(lmax + 1, lmax + 1);
     for l in 0..=lmax {
         for lp in 0..=lmax {

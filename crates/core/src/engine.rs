@@ -131,8 +131,12 @@ struct PrimaryContext {
 }
 
 impl Engine {
+    /// Build the engine. Panics with the [`ConfigError`](crate::ConfigError)'s
+    /// text if [`EngineConfig::validate`] refuses `config`.
     pub fn new(config: EngineConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let basis = MonomialBasis::new(config.lmax);
         let ylm = YlmTable::new(config.lmax, &basis);
         let backend = config.kernel_backend.resolve().backend();

@@ -58,14 +58,14 @@ enum Sums {
 
 impl KernelAccumulator {
     /// Panics unless `nmono` is the size of a monomial basis.
-    pub fn new_simd(nbins: usize, nmono: usize) -> Self {
+    pub(crate) fn new_simd(nbins: usize, nmono: usize) -> Self {
         let lmax = (0..=nmono).find(|&l| monomial_count(l) == nmono);
         let lmax = lmax.expect("nmono is the monomial count of some lmax");
         let lanes = vec![F64x8::ZERO; nbins * nmono];
         Self::new(nbins, nmono, Sums::Simd { lmax, lanes })
     }
 
-    pub fn new_scalar(nbins: usize, nmono: usize) -> Self {
+    pub(crate) fn new_scalar(nbins: usize, nmono: usize) -> Self {
         let sums = vec![0.0; nbins * nmono];
         let scratch = vec![0.0; nmono];
         Self::new(nbins, nmono, Sums::Scalar { sums, scratch })

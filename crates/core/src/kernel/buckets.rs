@@ -70,7 +70,7 @@ impl PairBuckets {
 
     /// The filled slices of `bin`: `(Δx, Δy, Δz, w)`.
     #[inline]
-    pub fn slices(&self, bin: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
+    pub(crate) fn slices(&self, bin: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
         let base = bin * self.capacity;
         let l = self.len[bin];
         (
@@ -82,7 +82,7 @@ impl PairBuckets {
     }
 
     #[inline]
-    pub fn clear_bin(&mut self, bin: usize) {
+    pub(crate) fn clear_bin(&mut self, bin: usize) {
         self.len[bin] = 0;
     }
 }

@@ -9,7 +9,7 @@ use galactos_math::monomial::UpdateStep;
 /// The value chain is seeded with the pair's weight, so `sums[0]`
 /// accumulates `Σ w` and `sums[i]` accumulates
 /// `Σ w·(Δx/r)^k (Δy/r)^p (Δz/r)^q`.
-pub fn accumulate_bucket_scalar(
+pub(crate) fn accumulate_bucket_scalar(
     schedule: &[UpdateStep],
     dx: &[f64],
     dy: &[f64],

@@ -31,7 +31,12 @@ const GROUP: usize = ILP_BATCHES * F64_LANES;
 /// The 512-bit compilation is used only by calls that hold a full
 /// group: on calls of a few pairs (part-filled buckets at low ℓmax) it
 /// measured slower than the 256-bit one.
-pub fn accumulate_bucket_simd(lmax: usize, cols: [&[f64]; 4], acc: &mut [F64x8], fresh: bool) {
+pub(crate) fn accumulate_bucket_simd(
+    lmax: usize,
+    cols: [&[f64]; 4],
+    acc: &mut [F64x8],
+    fresh: bool,
+) {
     let wide = cols[0].len() >= GROUP;
     let cap = if wide { Level::Avx512 } else { Level::Avx2 };
     let bucket = Bucket {

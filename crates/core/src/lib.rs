@@ -75,7 +75,7 @@ pub mod survey;
 pub mod traversal;
 
 pub use bins::RadialBins;
-pub use config::{EngineConfig, TreePrecision};
+pub use config::{ConfigError, EngineConfig, TreePrecision};
 pub use engine::Engine;
 pub use estimator::{EstimatorChoice, EstimatorKind};
 pub use galactos_grid::{GridConfig, MassAssignment};

@@ -18,7 +18,7 @@ use rayon::prelude::*;
 
 /// Weighted pair counts per radial bin between `a` and `b`
 /// (ordered pairs (i ∈ a, j ∈ b); for auto-counts pass the same catalog
-/// and halve, or use [`auto_pair_counts`]).
+/// and halve).
 pub fn cross_pair_counts(a: &Catalog, b: &Catalog, bins: &RadialBins) -> Vec<f64> {
     assert_eq!(
         a.periodic, b.periodic,
@@ -62,7 +62,7 @@ pub fn cross_pair_counts(a: &Catalog, b: &Catalog, bins: &RadialBins) -> Vec<f64
 }
 
 /// Weighted auto pair counts (unordered pairs, self excluded).
-pub fn auto_pair_counts(catalog: &Catalog, bins: &RadialBins) -> Vec<f64> {
+pub(crate) fn auto_pair_counts(catalog: &Catalog, bins: &RadialBins) -> Vec<f64> {
     cross_pair_counts(catalog, catalog, bins)
         .into_iter()
         .map(|v| v * 0.5)

@@ -39,7 +39,7 @@
 //! single-process engine to 1e-9 and to be bit-identical across rank
 //! counts.
 
-use crate::config::EngineConfig;
+use crate::config::{ConfigError, EngineConfig};
 use crate::engine::Engine;
 use crate::result::AnisotropicZeta;
 use galactos_catalog::io::{CatalogIoError, RECORD_BYTES};
@@ -106,6 +106,9 @@ pub enum SupervisedError {
     /// The fault plan kills `rank`, which a run of `num_ranks` ranks
     /// does not have.
     KillRankOutOfRange { rank: usize, num_ranks: usize },
+    /// [`EngineConfig::validate`] refuses the config: no attempt could
+    /// build the engine.
+    InvalidConfig(ConfigError),
 }
 
 impl std::fmt::Display for SupervisedError {
@@ -124,6 +127,7 @@ impl std::fmt::Display for SupervisedError {
                 f,
                 "the fault plan kills rank {rank}, but the run has {num_ranks} ranks"
             ),
+            SupervisedError::InvalidConfig(e) => write!(f, "invalid engine config: {e}"),
         }
     }
 }
@@ -390,9 +394,11 @@ impl Supervisor<'_> {
 /// The catalog must be non-periodic (the halo is gathered from domain
 /// boundaries, not across box wraps, as in the paper): a periodic
 /// manifest is a [`CatalogIoError::Unsupported`] error. Zero ranks or a
-/// policy of zero attempts is [`SupervisedError::ZeroArgument`], and a
+/// policy of zero attempts is [`SupervisedError::ZeroArgument`], a
 /// kill aimed at a rank the run does not have is
-/// [`SupervisedError::KillRankOutOfRange`]; both are returned before
+/// [`SupervisedError::KillRankOutOfRange`], and a config that
+/// [`EngineConfig::validate`] refuses is
+/// [`SupervisedError::InvalidConfig`]; all three are returned before
 /// the manifest is read.
 ///
 /// ζ is assembled from *per-shard* partials reduced in shard order, so
@@ -451,6 +457,7 @@ pub fn compute_distributed_supervised_observed(
             num_ranks,
         });
     }
+    config.validate().map_err(SupervisedError::InvalidConfig)?;
     let manifest_path = manifest_path.as_ref();
     let manifest = ShardManifest::read(manifest_path)?;
     if let Some(box_len) = manifest.periodic {

@@ -5,7 +5,7 @@
 //! `a_{ℓ,−m} = (−1)^m conj(a_{ℓm})` for real-weighted point sets) and
 //! are not stored. The radial dependence is a full `nbins × nbins`
 //! matrix in `(r₁, r₂)`, one contiguous row-major slab per `(ℓ, ℓ', m)`
-//! block ([`ZetaLayout::block`]).
+//! block ([`ZetaLayout::index`]).
 //!
 //! Every term of the estimator is `w·a_ℓm(r₁)·conj(a_ℓ'm(r₂))` with
 //! real `w`, so also `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))`. Both
@@ -28,7 +28,7 @@ pub struct ZetaLayout {
 }
 
 impl ZetaLayout {
-    pub fn new(lmax: usize, nbins: usize) -> Self {
+    pub(crate) fn new(lmax: usize, nbins: usize) -> Self {
         let side = lmax + 1;
         let mut lm_offsets = Vec::with_capacity(side * side);
         let mut off = 0usize;
@@ -76,7 +76,7 @@ impl ZetaLayout {
     /// Flat range of the `nbins²` slab of block `(ℓ, ℓ', m)`, row-major
     /// in `(b₁, b₂)`: hot loops resolve it once per block.
     #[inline]
-    pub fn block(&self, l: usize, lp: usize, m: usize) -> Range<usize> {
+    pub(crate) fn block(&self, l: usize, lp: usize, m: usize) -> Range<usize> {
         debug_assert!(l <= self.lmax && lp <= self.lmax && m <= l.min(lp));
         let slab = self.nbins * self.nbins;
         let start = (self.lm_offsets[l * (self.lmax + 1) + lp] + m) * slab;
@@ -148,7 +148,7 @@ impl AnisotropicZeta {
 
     /// The `nbins²` slab of block `(ℓ, ℓ', m)` ([`ZetaLayout::block`]).
     #[inline]
-    pub fn block_mut(&mut self, l: usize, lp: usize, m: usize) -> &mut [Complex64] {
+    pub(crate) fn block_mut(&mut self, l: usize, lp: usize, m: usize) -> &mut [Complex64] {
         &mut self.data[self.layout.block(l, lp, m)]
     }
 

@@ -47,7 +47,7 @@
 //!   grid. This is a documented scope boundary, not a missing feature
 //!   flag.
 
-use crate::config::EngineConfig;
+use crate::config::{ConfigError, EngineConfig};
 use crate::edge::edge_corrected;
 use crate::engine::Engine;
 use crate::estimator::EstimatorKind;
@@ -82,15 +82,15 @@ impl SurveyConfig {
         }
     }
 
-    /// Validate invariants; called by [`SurveyCompute::new`].
-    pub fn validate(&self) {
-        self.engine.validate();
-        assert!(
-            self.window_lmax <= self.engine.lmax,
-            "window_lmax {} exceeds engine lmax {}",
-            self.window_lmax,
-            self.engine.lmax
-        );
+    /// Validate invariants; [`SurveyCompute::new`] panics with the
+    /// error's text.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.engine.validate()?;
+        let (window_lmax, lmax) = (self.window_lmax, self.engine.lmax);
+        if window_lmax > lmax {
+            return Err(ConfigError::WindowLmax { window_lmax, lmax });
+        }
+        Ok(())
     }
 }
 
@@ -125,7 +125,9 @@ impl SurveyCompute {
     /// Build the estimator. Panics if the configuration is invalid or
     /// selects the grid estimator (periodic-only; see module docs).
     pub fn new(config: SurveyConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let window_lmax = config.window_lmax;
         let engine = Engine::new(config.engine);
         assert!(
@@ -185,7 +187,7 @@ mod tests {
         ));
         assert!(c.engine.subtract_self_pairs);
         assert_eq!(c.window_lmax, 4);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

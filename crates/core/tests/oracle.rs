@@ -9,7 +9,7 @@
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_core::naive::{isotropic_triplets, naive_anisotropic, seminaive_anisotropic};
+use galactos_core::naive::{isotropic_triplets, seminaive_anisotropic};
 use galactos_math::{LineOfSight, Vec3};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -32,29 +32,6 @@ fn random_weighted_galaxies(n: usize, box_len: f64, seed: u64) -> Vec<Galaxy> {
 
 fn engine_config(rmax: f64, lmax: usize, nbins: usize) -> EngineConfig {
     EngineConfig::test_default(rmax, lmax, nbins)
-}
-
-#[test]
-fn engine_self_subtraction_equals_oracle_without_self() {
-    // ℓmax 6 reaches Legendre orders L ≤ 12 of the self-pair series; the
-    // radial case rotates every pair, so μ is not just Δz/r.
-    let galaxies = random_weighted_galaxies(25, 8.0, 5);
-    let radial = LineOfSight::Radial {
-        observer: Vec3::new(-25.0, 30.0, -40.0),
-    };
-    for line_of_sight in [LineOfSight::Fixed(Vec3::Z), radial] {
-        let mut config = engine_config(5.0, 6, 2);
-        config.subtract_self_pairs = true;
-        config.line_of_sight = line_of_sight;
-        let engine = Engine::new(config.clone()).compute(&Catalog::new(galaxies.clone()));
-        let oracle = naive_anisotropic(&galaxies, &config, None, false);
-        let scale = oracle.max_abs().max(1.0);
-        assert!(
-            engine.max_difference(&oracle) < 1e-9 * scale,
-            "self-subtracted engine vs oracle ({line_of_sight:?}): {}",
-            engine.max_difference(&oracle)
-        );
-    }
 }
 
 #[test]

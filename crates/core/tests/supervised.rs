@@ -249,37 +249,41 @@ fn killing_every_rank_exhausts_the_run() {
 }
 
 #[test]
-fn an_invalid_config_fails_every_attempt_in_ingest() {
-    // The engine is built once per run, by the first attempt that gets
-    // that far: a config it rejects fails every attempt of every rank,
-    // each in its `ingest` phase, and no rank survives to take over.
+fn an_invalid_config_is_refused_before_any_attempt() {
+    // A config the engine rejects comes back as an error naming the rule
+    // and the value, before the manifest is read: no rank attempts
+    // anything, and a missing shard directory gives the same error.
     let cat = open_catalog(60, 8.0, 17);
     let mut config = EngineConfig::test_default(3.0, 1, 1);
     config.lmax = 40;
     let dir = shard_dir("invalid_config");
     write_sharded(&cat, 3, &dir).unwrap();
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let policy = RetryPolicy::default();
-    let err =
-        compute_distributed_supervised(&manifest_path, &config, 2, &policy, FaultPlan::none())
-            .expect_err("no attempt can build the engine");
-    let SupervisedError::Exhausted { failures } = err else {
-        panic!("expected Exhausted, got {err}");
-    };
-    assert_eq!(failures.len(), 2 * policy.max_attempts as usize);
-    assert!(
-        failures[0]
-            .to_string()
-            .starts_with("rank 0 failed in phase 'ingest': panic: lmax > 12"),
-        "{}",
-        failures[0]
-    );
-    for failure in &failures {
-        assert_eq!(failure.phase, "ingest", "{failure}");
+    for manifest_path in [
+        dir.join(MANIFEST_FILE),
+        dir.join("missing").join(MANIFEST_FILE),
+    ] {
+        let obs = ObsSession::enabled();
+        let err = compute_distributed_supervised_observed(
+            &manifest_path,
+            &config,
+            2,
+            &RetryPolicy::default(),
+            FaultPlan::none(),
+            &obs,
+        )
+        .expect_err("no attempt can build the engine");
         assert!(
-            matches!(&failure.cause, FailureCause::Panic(msg) if msg.starts_with("lmax > 12")),
-            "{failure}"
+            matches!(
+                err,
+                SupervisedError::InvalidConfig(galactos_core::ConfigError::Lmax(40))
+            ),
+            "{err}"
         );
+        assert_eq!(
+            err.to_string(),
+            "invalid engine config: lmax > 12 is untested and very slow, got lmax = 40"
+        );
+        assert_eq!(obs.registry.counter_value("supervised.attempts"), 0);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,13 +1,13 @@
 //! Equivalence suite: leaf-blocked traversal must bin exactly the same
 //! pairs as per-primary traversal and agree on ζ to floating-point
-//! reassociation (≤ 1e-9 relative), across boxes, lines of sight, bin
-//! spacings, primary subsets, and kernel backends — and that pair count
-//! must be the direct O(N²) oracle's. On a seam catalog the engine's isotropic
+//! reassociation (≤ 1e-9 relative), across boxes, lines of sight,
+//! primary subsets, and kernel backends — and that pair count must be
+//! the direct O(N²) oracle's. On a seam catalog the engine's isotropic
 //! compression and the 2PCF pair counter count the same pairs as their
-//! brute-force oracles.
+//! brute-force oracles. Logarithmic and offset bins are drawn cases of
+//! `conformance.rs`.
 
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
-use galactos_core::bins::RadialBins;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::kernel::{BackendChoice, BackendKind};
@@ -127,40 +127,6 @@ fn radial_line_of_sight_with_degenerate_primary() {
 /// `rmin` and the per-bin edges where no default configuration does.
 /// Both traversals, with the plane-parallel ẑ and a radial line of
 /// sight, must bin exactly the O(N²) oracle's pairs and match its ζ.
-#[test]
-fn logarithmic_and_offset_bins_match_the_oracle() {
-    let mut cat = uniform_box(300, 10.0, 113);
-    cat.periodic = None;
-    let rmax = 4.5;
-    let radial = LineOfSight::Radial {
-        observer: Vec3::new(-20.0, -15.0, -30.0),
-    };
-    for bins in [
-        RadialBins::logarithmic(0.5, rmax, 6),
-        RadialBins::linear(1.0, rmax, 5),
-    ] {
-        for los in [LineOfSight::Fixed(Vec3::Z), radial] {
-            let mut config = EngineConfig::test_default(rmax, 3, bins.nbins());
-            config.bins = bins.clone();
-            config.line_of_sight = los;
-            let oracle = seminaive_anisotropic(&cat.galaxies, &config, cat.periodic);
-            assert!(oracle.binned_pairs > 0);
-            let scale = oracle.max_abs().max(1.0);
-            for kind in TraversalKind::ALL {
-                config.traversal = TraversalChoice::Fixed(kind);
-                let z = Engine::new(config.clone()).compute(&cat);
-                let label = format!("{bins:?} / {los:?} / {kind:?}");
-                assert_eq!(z.binned_pairs, oracle.binned_pairs, "{label}");
-                assert!(
-                    z.max_difference(&oracle) <= TOL * scale,
-                    "{label}: rel diff {}",
-                    z.max_difference(&oracle) / scale
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn self_pair_subtraction_matches() {
     let mut cat = uniform_box(300, 10.0, 109);

@@ -179,30 +179,30 @@ impl DomainPlan {
     }
 
     #[inline]
-    pub fn num_ranks(&self) -> usize {
+    pub(crate) fn num_ranks(&self) -> usize {
         self.num_ranks
     }
 
     /// Region owned by rank `r`.
     #[inline]
-    pub fn rank_box(&self, r: usize) -> &Aabb {
+    pub(crate) fn rank_box(&self, r: usize) -> &Aabb {
         &self.boxes[r]
     }
 
     /// Rank owning galaxy `g`.
     #[inline]
-    pub fn owner_of(&self, g: usize) -> usize {
+    pub(crate) fn owner_of(&self, g: usize) -> usize {
         self.owners[g] as usize
     }
 
     /// Galaxy indices owned by rank `r`.
     #[inline]
-    pub fn owned_indices(&self, r: usize) -> &[u32] {
+    pub(crate) fn owned_indices(&self, r: usize) -> &[u32] {
         &self.owned[r]
     }
 
     /// Number of galaxies owned per rank.
-    pub fn counts_per_rank(&self) -> Vec<usize> {
+    pub(crate) fn counts_per_rank(&self) -> Vec<usize> {
         self.owned.iter().map(|v| v.len()).collect()
     }
 

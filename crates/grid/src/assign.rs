@@ -14,7 +14,7 @@
 //!
 //! In Fourier space each scheme multiplies the true density modes by
 //! the window `W(k) = Π_a sinc(π m_a / n)^p` (`p` = the order,
-//! `m_a` = the signed mode index); [`MassAssignment::fourier_window`]
+//! `m_a` = the signed mode index); `MassAssignment::fourier_window`
 //! evaluates it so the estimator can optionally deconvolve.
 
 use std::fmt;
@@ -45,7 +45,7 @@ impl MassAssignment {
     }
 
     /// B-spline order `p`: the exponent of the per-axis `sinc` window.
-    pub fn order(self) -> u32 {
+    pub(crate) fn order(self) -> u32 {
         match self {
             MassAssignment::Ngp => 1,
             MassAssignment::Cic => 2,
@@ -57,7 +57,7 @@ impl MassAssignment {
     /// `g = x/H − ½`). Returns the cell/weight pairs and their count;
     /// the weights always sum to exactly 1 in real arithmetic.
     #[inline]
-    pub fn axis_weights(
+    pub(crate) fn axis_weights(
         self,
         g: f64,
         n: usize,
@@ -83,7 +83,7 @@ impl MassAssignment {
     /// the grid, so deconvolution — dividing the density modes by the
     /// product over axes — is always well defined).
     #[inline]
-    pub fn fourier_window(self, m: i64, n: usize) -> f64 {
+    pub(crate) fn fourier_window(self, m: i64, n: usize) -> f64 {
         if m == 0 {
             return 1.0;
         }

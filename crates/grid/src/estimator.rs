@@ -50,6 +50,7 @@ use galactos_math::fft::{signed_mode, Direction, Mesh3};
 use galactos_math::ylm::SelfPairTable;
 use galactos_math::{Complex64, Mat3, MonomialBasis, Vec3, YlmTable};
 use rayon::prelude::*;
+use std::fmt;
 use std::sync::Mutex;
 
 /// Configuration of the gridded estimator.
@@ -65,7 +66,7 @@ pub struct GridConfig {
     /// Mass-assignment scheme painting the catalog onto the mesh.
     pub assignment: MassAssignment,
     /// Divide the density modes by the assignment window
-    /// ([`MassAssignment::fourier_window`]) before convolving.
+    /// (`MassAssignment::fourier_window`) before convolving.
     pub deconvolve: bool,
     /// Combine a half-cell-shifted second painting to cancel the
     /// leading aliasing images (doubles painting and adds one FFT).
@@ -98,16 +99,35 @@ impl GridConfig {
     /// memory-wise long before the index width matters.
     pub const MAX_MESH: usize = 1024;
 
-    /// Validate invariants (called by the engine constructor).
-    pub fn validate(&self) {
-        assert!(
-            self.mesh.is_power_of_two() && self.mesh >= 2 && self.mesh <= Self::MAX_MESH,
-            "grid mesh must be a power of two in [2, {}], got {}",
-            Self::MAX_MESH,
-            self.mesh
-        );
+    /// Validate invariants (called by the engine's config check and by
+    /// [`accumulate_zeta_multipoles`]).
+    pub fn validate(&self) -> Result<(), InvalidMesh> {
+        let mesh = self.mesh;
+        if mesh.is_power_of_two() && (2..=Self::MAX_MESH).contains(&mesh) {
+            Ok(())
+        } else {
+            Err(InvalidMesh(mesh))
+        }
     }
 }
+
+/// A [`GridConfig::mesh`] that is not a power of two in
+/// `[2, GridConfig::MAX_MESH]`; it holds the refused side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InvalidMesh(pub usize);
+
+impl fmt::Display for InvalidMesh {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "grid mesh must be a power of two in [2, {}], got {}",
+            GridConfig::MAX_MESH,
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for InvalidMesh {}
 
 // The estimator's clock gate: timestamps are taken only under an
 // enabled session, so plain `compute()` pays no clock reads on the
@@ -230,7 +250,9 @@ pub fn accumulate_zeta_multipoles(
     obs: &ObsSession,
     sink: &mut dyn FnMut(usize, usize, usize, usize, usize, Complex64),
 ) {
-    cfg.validate();
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     let box_len = catalog
         .periodic
         .expect("the gridded estimator requires a periodic catalog");

@@ -43,5 +43,5 @@ pub mod estimator;
 pub mod mesh;
 
 pub use assign::MassAssignment;
-pub use estimator::{accumulate_zeta_multipoles, GridConfig};
+pub use estimator::{accumulate_zeta_multipoles, GridConfig, InvalidMesh};
 pub use mesh::DensityMesh;

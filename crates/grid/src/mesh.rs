@@ -14,7 +14,7 @@ use rayon::prelude::*;
 ///
 /// When interlacing is enabled a second painting, with every particle
 /// coordinate shifted by half a cell along each axis, is kept
-/// alongside; [`DensityMesh::fourier`] combines the two with the
+/// alongside; `DensityMesh::fourier` combines the two with the
 /// half-cell phase factor, cancelling the leading (odd-image) aliasing
 /// contributions of the assignment window.
 #[derive(Clone, Debug)]
@@ -114,7 +114,7 @@ impl DensityMesh {
     /// painting (when present) with the half-cell phase
     /// `e^{iπ(m_x+m_y+m_z)/n}` and optionally dividing out the
     /// assignment window `W(k)` ([`MassAssignment::fourier_window`]).
-    pub fn fourier(&self, deconvolve: bool) -> Mesh3 {
+    pub(crate) fn fourier(&self, deconvolve: bool) -> Mesh3 {
         let n = self.n;
         let mut mesh = Mesh3::forward_real(n, &self.data);
         if let Some(sh) = &self.shifted {

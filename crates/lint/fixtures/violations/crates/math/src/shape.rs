@@ -1,8 +1,9 @@
 //! Must-fire: W-DEADPUB on items only a same-spelled identifier keeps
 //! alive. `Ledger` is named in its own impl and a `use` line alone, and
 //! its finding covers its methods; `Cuboid::volume` has no `.volume(`
-//! call, only a local `volume`; `Lanes::to_array` only a free fn of that
-//! name; neither const fn is called at all.
+//! call, only a local `volume`, so nothing outside the crate names it;
+//! `Lanes::to_array` only a free fn of that name; `cube` is named by the
+//! facade's `pub use` alone.
 
 pub struct Ledger;
 
@@ -36,8 +37,4 @@ impl Lanes {
 
 pub const fn cube(n: u64) -> u64 {
     n * n * n
-}
-
-pub(crate) const fn square(n: u64) -> u64 {
-    n * n
 }

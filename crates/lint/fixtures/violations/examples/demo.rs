@@ -13,5 +13,5 @@ fn main() {
     let c = Cuboid { side: 2.0 };
     let volume = c.side * c.side * c.side;
     let _ = (to_array(&c), Lanes::splat(volume));
-    let _ = (sneak_a_knob(), home());
+    let _ = (sneak_a_knob(), home(), write_binary());
 }

@@ -57,7 +57,7 @@ pub struct LexedFile {
 
 impl LexedFile {
     /// Does any *code* token (not a comment) sit on `line`?
-    pub fn line_has_code(&self, line: usize) -> bool {
+    pub(crate) fn line_has_code(&self, line: usize) -> bool {
         self.tokens.iter().any(|t| t.line == line)
     }
 }
@@ -321,7 +321,7 @@ impl Scanner {
 /// Lex `src` into tokens and comments. Never fails: unterminated
 /// constructs consume to end of input (the tool lints code that already
 /// compiles, so this only matters for resilience).
-pub fn lex(src: &str) -> LexedFile {
+pub(crate) fn lex(src: &str) -> LexedFile {
     Scanner {
         chars: src.chars().collect(),
         i: 0,

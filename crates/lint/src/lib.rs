@@ -1,7 +1,8 @@
 //! `galactos-lint` — the workspace invariant checker.
 //!
 //! The repo's lexical contracts (no environment reads in library code,
-//! no public item that nothing ships) are enforced here as
+//! no `pub` fn that only its own crate names, no public item that
+//! nothing ships) are enforced here as
 //! build-breaking static analysis, not just rustdoc prose and runtime
 //! tests. The contracts that need types live with the compiler
 //! instead: clippy's `disallowed-methods` (workspace `clippy.toml`)
@@ -23,7 +24,7 @@
 //! | rule | contract |
 //! |------|----------|
 //! | `W-ENV` | no `env::var*` read and no `GALACTOS_*` literal in any non-test, non-example source |
-//! | `W-DEADPUB` | a `pub` type, `pub fn` or `pub(crate) fn` under `crates/*/src` is reached by shipped code — a type named outside its definition and impls, a method called as `.name(` / `Type::name` / `Self::name` on a reached type, a free fn named; `use` lines never count — or carries a classed exemption; what only `benchmark/src` reaches is listed, not reported |
+//! | `W-DEADPUB` | a `pub fn` under `crates/*/src` is named outside its crate (another crate, a `tests/` dir, an example, the facade, `benchmark/`, a bin target under the same `src/`; `use` lines count) or must be `pub(crate)`; a `pub` type or `pub fn` is reached by shipped code — a type named outside its definition and impls, a method called as `.name(` / `Type::name` / `Self::name` on a reached type, a free fn named; `use` lines never count — or carries a classed exemption; what only `benchmark/src` reaches is listed, not reported. A `pub(crate) fn` is rustc's `dead_code` |
 //!
 //! See [`rules`] for the precise scoping of each rule and the
 //! suppression syntax.
@@ -36,7 +37,8 @@
 //! contains deliberate violations), and `.git/`. Test and example
 //! *directories* are scanned but exempt from `W-ENV` — test and demo
 //! code may set knobs — and test directories are not callers for
-//! `W-DEADPUB`.
+//! `W-DEADPUB`, though they are outside the crate whose `pub fn`s they
+//! name.
 //!
 //! # Report
 //!
@@ -55,14 +57,14 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use rules::{lint_files, Finding, LintOutcome, SourceFile};
+pub use rules::{Finding, LintOutcome, SourceFile};
 
 /// Directory names excluded from the scan, at any depth.
 pub const EXCLUDED_DIRS: [&str; 4] = ["vendor", "target", "fixtures", ".git"];
 
 /// Collect every scannable `.rs` file under `root`, as
 /// workspace-relative forward-slash paths, sorted for determinism.
-pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
+pub(crate) fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
     walk(root, root, &mut paths)?;
     paths.sort();
@@ -102,7 +104,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
 /// Run the full lint over the workspace at `root`: collect sources,
 /// run every rule.
 pub fn lint_root(root: &Path) -> io::Result<LintOutcome> {
-    Ok(lint_files(&collect_sources(root)?))
+    Ok(rules::lint_files(&collect_sources(root)?))
 }
 
 /// Walk upward from `start` to the first directory whose `Cargo.toml`

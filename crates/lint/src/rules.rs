@@ -26,7 +26,9 @@
 //! reported (rule id `W-ALLOW`) and the suppression stays inert. A
 //! `W-DEADPUB` reason must open with one of the three exemption
 //! classes ([`DEADPUB_CLASSES`]) and name who uses the item; on a
-//! type, it covers the type's impls.
+//! type, it covers the type's impls. It answers for the item's callers
+//! only: a `pub fn` that nothing outside its crate names is reported
+//! whatever the comment above it says.
 
 use crate::lexer::{lex, LexedFile, Token, TokenKind};
 
@@ -105,7 +107,7 @@ impl LintOutcome {
 }
 
 /// Run the whole engine over `files`.
-pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
+pub(crate) fn lint_files(files: &[SourceFile]) -> LintOutcome {
     let mut out = LintOutcome {
         files_scanned: files.len(),
         ..Default::default()
@@ -444,9 +446,10 @@ fn rule_env(f: &SourceFile, lexed: &LexedFile, scopes: &Scopes, raw: &mut Vec<Fi
 }
 
 // ---------------------------------------------------------------------------
-// W-DEADPUB — public means called: the items of crates/*/src (`pub`
-// types, `pub` and `pub(crate)` fns) are resolved against the shipped
-// sites that name or call them.
+// W-DEADPUB — `pub` means another crate names it, and public means
+// called: the `pub` items of crates/*/src are resolved against the
+// sites that name them outside their crate and the shipped sites that
+// call them. A `pub(crate) fn` is rustc's: `dead_code` reports it.
 // ---------------------------------------------------------------------------
 
 /// How far a file's sites reach, and so an item, ordered so that an
@@ -475,10 +478,35 @@ fn pub_item(toks: &[Token], at: usize) -> Option<(bool, usize)> {
     is_item.then_some((crate_wide, kw))
 }
 
-/// One finding list per file, unsuppressed; the benchmark-pinned items
-/// and the counts go straight into `out`. An item is reached by the
-/// shipped sites — outside test directories, `#[cfg(test)]` items and
-/// `use` declarations; examples, the bench bins, the facade and
+/// The crate a file is compiled into, as far as the boundary check
+/// needs: `crates/<c>/src/` is the library of `c`, except its bin
+/// targets (`src/main.rs`, `src/bin/`); every other file (tests,
+/// examples, benches, a bin, the facade, `benchmark/`) is outside every
+/// library and is keyed by its own path.
+fn crate_of(path: &str) -> &str {
+    let mut parts = path.splitn(4, '/');
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), Some(c), Some("src"), Some(rest))
+            if rest != "main.rs" && !rest.starts_with("bin/") =>
+        {
+            &path[.."crates/".len() + c.len() + "/src".len()]
+        }
+        _ => path,
+    }
+}
+
+/// One finding list per file, unsuppressed; the boundary findings, the
+/// benchmark-pinned items and the counts go straight into `out`.
+///
+/// A `pub fn` must first be named outside its crate (see [`crate_of`]):
+/// by any file there, a test, a `#[cfg(test)]` item or a `use` line
+/// included, in the call shapes below. Otherwise it is a finding that
+/// asks for `pub(crate)`, which no exemption suppresses: an oracle that
+/// only its own crate's unit tests name belongs under `#[cfg(test)]`.
+///
+/// A `pub` type, and a `pub fn` named outside, must then be reached by
+/// the shipped sites — outside test directories, `#[cfg(test)]` items
+/// and `use` declarations; examples, the bench bins, the facade and
 /// `benchmark/src` are shipped — that:
 ///
 /// * for a `pub` type, name it outside its definition and its impls;
@@ -514,24 +542,21 @@ fn rule_deadpub(
         })
         .collect();
 
-    // Every shipped identifier outside `use` declarations, by spelling;
-    // and the item index, (file, `pub`, keyword), counted as it is built.
+    // Every identifier, by spelling; and the item index, (file, `pub`,
+    // keyword) over shipped code, counted as it is built.
     let mut sites: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
     let mut items = Vec::new();
-    for (k, f) in files
-        .iter()
-        .enumerate()
-        .filter(|&(k, _)| reach_of_file[k] != DEAD)
-    {
+    for (k, f) in files.iter().enumerate() {
         let (toks, sc) = (&lexed[k].tokens, &scopes[k]);
         let mut parts = f.path.split('/');
-        let counted = (parts.next(), parts.nth(1)) == (Some("crates"), Some("src"));
+        let counted = reach_of_file[k] != DEAD
+            && (parts.next(), parts.nth(1)) == (Some("crates"), Some("src"));
         let mut last_line = 0;
-        for (i, t) in toks.iter().enumerate().filter(|&(i, _)| sc.shipped[i]) {
-            if t.kind == TokenKind::Ident && !sc.in_use[i] {
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind == TokenKind::Ident {
                 sites.entry(&t.text).or_default().push((k, i));
             }
-            if !counted {
+            if !counted || !sc.shipped[i] {
                 continue;
             }
             out.counts.non_test_lines += usize::from(t.line != last_line);
@@ -544,53 +569,70 @@ fn rule_deadpub(
                 (true, false) => &mut out.counts.pub_fn,
                 (true, true) => &mut out.counts.pub_crate_fn,
             } += 1;
-            items.push((k, i, kw));
+            if !crate_wide {
+                items.push((k, i, kw));
+            }
         }
     }
 
     let is = |k: usize, i: usize, want: &str| tok_is(&lexed[k].tokens, i, want);
     let before = |k: usize, i: usize, d: usize, want: &str| i >= d && is(k, i - d, want);
     let owner = |k: usize, i: usize| scopes[k].owner[i].map(|j| lexed[k].tokens[j].text.as_str());
+    let named = |name: &str| sites.get(name).map_or(&[][..], Vec::as_slice).iter();
     let reach = |name: &str, counts: &dyn Fn(usize, usize) -> bool| {
-        let named = sites.get(name).map_or(&[][..], Vec::as_slice);
-        let counted = named.iter().filter(|&&(k, i)| counts(k, i));
+        let shipped = |k: usize, i: usize| scopes[k].shipped[i] && !scopes[k].in_use[i];
+        let counted = named(name).filter(|&&(k, i)| shipped(k, i) && counts(k, i));
         counted.fold(DEAD, |r, &(k, _)| r.max(reach_of_file[k]))
     };
     let type_reach = |ty: &str| reach(ty, &|k, i| owner(k, i) != Some(ty));
+    let fn_shape = |k: usize, i: usize| !before(k, i, 1, "fn") && !before(k, i, 1, ".");
+    let method_shape = |ty: &str, k: usize, i: usize| {
+        (before(k, i, 1, ".") && (is(k, i + 1, "(") || is(k, i + 1, ":")))
+            || (before(k, i, 1, ":") && before(k, i, 2, ":"))
+                && (before(k, i, 3, ty) || before(k, i, 3, "Self") && owner(k, i) == Some(ty))
+    };
 
+    let crates: Vec<&str> = files.iter().map(|f| crate_of(&f.path)).collect();
     let mut found: Vec<Vec<Finding>> = files.iter().map(|_| Vec::new()).collect();
     for &(k, at, kw) in &items {
         let name = lexed[k].tokens[kw + 1].text.as_str();
-        let (r, item) = match (is(k, kw, "fn"), scopes[k].owner[at]) {
-            (false, _) => (type_reach(name), name.to_string()),
-            (true, None) => (
-                reach(name, &|k, i| {
-                    !before(k, i, 1, "fn") && !before(k, i, 1, ".")
-                }),
-                name.to_string(),
-            ),
+        let home = crates[k];
+        let outside = |shape: &dyn Fn(usize, usize) -> bool| {
+            named(name).any(|&(j, i)| crates[j] != home && shape(j, i))
+        };
+        let (r, item, out_named) = match (is(k, kw, "fn"), scopes[k].owner[at]) {
+            (false, _) => (type_reach(name), name.to_string(), true),
+            (true, None) => (reach(name, &fn_shape), name.to_string(), outside(&fn_shape)),
             (true, Some(ty)) => {
                 let ty = lexed[k].tokens[ty].text.as_str();
                 let t = type_reach(ty);
-                let called = reach(name, &|k, i| {
-                    (before(k, i, 1, ".") && (is(k, i + 1, "(") || is(k, i + 1, ":")))
-                        || (before(k, i, 1, ":") && before(k, i, 2, ":"))
-                            && (before(k, i, 3, ty)
-                                || before(k, i, 3, "Self") && owner(k, i) == Some(ty))
-                });
+                let shape = |k, i| method_shape(ty, k, i);
+                let called = reach(name, &shape);
                 // The type's own finding or pinned entry covers the method.
                 let r = t.min(called);
                 if r == t && t != SHIPPED {
                     continue;
                 }
-                (r, format!("{ty}::{name}"))
+                (r, format!("{ty}::{name}"), outside(&shape))
             }
         };
+        let line = lexed[k].tokens[at].line;
+        if !out_named {
+            out.findings.push(Finding::new(
+                "W-DEADPUB",
+                &files[k].path,
+                line,
+                format!(
+                    "`{item}` is `pub` but nothing outside `{home}` names it: make it `pub(crate)`"
+                ),
+            ));
+            continue;
+        }
         match r {
             DEAD => found[k].push(Finding::new(
                 "W-DEADPUB",
                 &files[k].path,
-                lexed[k].tokens[at].line,
+                line,
                 format!(
                     "`{item}` is public but no shipped code reaches it (a `use` \
                      line is not a caller): delete it with the tests that checked \
@@ -716,23 +758,33 @@ mod tests {
         lint_files(&files)
     }
 
+    /// The messages of `out`'s findings, by line.
+    fn messages(out: &LintOutcome) -> Vec<(usize, &str)> {
+        out.findings
+            .iter()
+            .map(|f| (f.line, f.message.as_str()))
+            .collect()
+    }
+
     #[test]
     fn deadpub_counts_callers_in_shipped_code_only() {
         let def = "pub fn lonely() {}\npub(crate) fn shy() {}\nfn private() {}";
-        // Nothing names them: both public items fire, the private one
-        // is the compiler's business.
+        // Nothing names them: the `pub` fn fires, the `pub(crate)` and
+        // private ones are the compiler's business.
         let out = run_set(&[("crates/core/src/a.rs", def)]);
-        assert_eq!(rules_of(&out), ["W-DEADPUB", "W-DEADPUB"]);
-        assert_eq!((out.findings[0].line, out.findings[1].line), (1, 2));
+        assert_eq!(rules_of(&out), ["W-DEADPUB"]);
+        assert_eq!(out.findings[0].line, 1);
         // Tests, benches, a `#[cfg(test)]` item and a `#[cfg(test)] mod x;`
         // file are not callers; a second definition is not a use.
         let out = run_set(&[
             ("crates/core/src/a.rs", def),
             ("crates/core/tests/t.rs", "fn t() { lonely(); shy(); }"),
             ("crates/core/src/b.rs", "#[cfg(test)]\nmod tests { fn t() { lonely(); shy(); } }\n#[cfg(test)]\npub mod util;\nfn lonely() {}"),
-            ("crates/core/src/util.rs", "pub fn helper() { shy(); }"),
+            ("crates/core/src/util.rs", "pub fn helper() { lonely(); }"),
         ]);
-        assert_eq!(rules_of(&out), ["W-DEADPUB", "W-DEADPUB"]);
+        let got = messages(&out);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].1.contains("no shipped code reaches it"), "{got:?}");
         // An example, a bench bin, the facade or benchmark/src is; only
         // benchmark/src pins what it calls.
         for caller in [
@@ -748,7 +800,7 @@ mod tests {
             assert!(out.is_clean(), "{caller}: {:?}", out.findings);
             let pinned = out.pinned_by_benchmark.iter().map(|p| p.item.as_str());
             let want: &[&str] = if caller.starts_with("benchmark/") {
-                &["lonely", "shy"]
+                &["lonely"]
             } else {
                 &[]
             };
@@ -759,23 +811,113 @@ mod tests {
     }
 
     #[test]
+    fn deadpub_pub_needs_a_name_outside_its_crate() {
+        let def = "pub struct Tree;\nimpl Tree {\n    pub fn walk(&self) {}\n}\npub fn lonely() {}";
+        // Shipped code of its own crate calls both, so both are live.
+        let home = "fn f(t: &Tree) { lonely(); t.walk(); Tree::walk(t); }";
+        let crate_only = [
+            ("crates/core/src/a.rs", def),
+            ("crates/core/src/b.rs", home),
+        ];
+        let out = run_set(&crate_only);
+        assert_eq!(rules_of(&out), ["W-DEADPUB", "W-DEADPUB"]);
+        for ((line, message), item) in messages(&out).into_iter().zip(["Tree::walk", "lonely"]) {
+            assert!(
+                message.starts_with(&format!("`{item}` is `pub` but nothing outside"))
+                    && message.ends_with("make it `pub(crate)`"),
+                "{line}: {message}"
+            );
+        }
+        assert_eq!((out.findings[0].line, out.findings[1].line), (3, 5));
+        // A test module, a `#[cfg(test)] mod x;` file or a `use` line of
+        // its own crate, or a same-spelled definition elsewhere, names
+        // neither.
+        let out = run_set(&[
+            crate_only[0],
+            crate_only[1],
+            ("crates/core/src/c.rs", "use crate::a::lonely;\n#[cfg(test)]\nmod tests { fn t(t: &super::Tree) { super::lonely(); t.walk(); } }"),
+            ("crates/grid/src/d.rs", "pub(crate) fn lonely() {}\nfn walk() {}"),
+        ]);
+        assert_eq!(rules_of(&out), ["W-DEADPUB", "W-DEADPUB"]);
+        // Another crate's `src`, a `tests/` directory (its own crate's
+        // included), `benchmark/src` and a bin target under the same
+        // `src/` are outside the library, whatever reaches there.
+        for (path, src) in [
+            (
+                "crates/grid/src/x.rs",
+                "fn g(t: &Tree) { lonely(); t.walk(); }",
+            ),
+            (
+                "crates/core/tests/t.rs",
+                "fn t(t: &Tree) { lonely(); Tree::walk(t); }",
+            ),
+            (
+                "crates/grid/tests/t.rs",
+                "#[test]\nfn t() { lonely(); Tree.walk(); }",
+            ),
+            (
+                "benchmark/src/main.rs",
+                "fn main() { lonely(); Tree::walk(&Tree); }",
+            ),
+            (
+                "crates/core/src/main.rs",
+                "fn main() { lonely(); Tree.walk(); }",
+            ),
+            (
+                "crates/core/src/bin/tool.rs",
+                "fn main() { lonely(); Tree.walk(); }",
+            ),
+        ] {
+            let out = run_set(&[crate_only[0], crate_only[1], (path, src)]);
+            assert!(out.is_clean(), "{path}: {:?}", out.findings);
+            assert!(out.pinned_by_benchmark.is_empty(), "{path}");
+        }
+        // Another crate's `use` line names a fn; a method cannot be
+        // imported, so it still fires.
+        let out = run_set(&[
+            crate_only[0],
+            crate_only[1],
+            (
+                "crates/grid/src/y.rs",
+                "use galactos_core::a::{lonely, Tree};",
+            ),
+        ]);
+        assert_eq!(rules_of(&out), ["W-DEADPUB"]);
+        assert_eq!(out.findings[0].line, 3);
+    }
+
+    #[test]
     fn deadpub_exemption_needs_a_class() {
+        let caller = ("crates/core/tests/oracle.rs", "fn t() { naive(); }");
         let classed = "// lint:allow(W-DEADPUB): oracle for Engine::compute in tests/oracle.rs\npub fn naive() {}";
-        assert!(run("crates/core/src/naive.rs", classed).is_clean());
+        assert!(run_set(&[("crates/core/src/naive.rs", classed), caller]).is_clean());
         let unclassed = "// lint:allow(W-DEADPUB): tests use it\npub fn naive() {}";
-        let out = run("crates/core/src/naive.rs", unclassed);
+        let out = run_set(&[("crates/core/src/naive.rs", unclassed), caller]);
         assert_eq!(rules_of(&out), ["W-ALLOW", "W-DEADPUB"]);
+        // An exemption answers for the callers, not for `pub`: an oracle
+        // only its own crate's unit tests name is not exempt.
+        let out = run("crates/core/src/naive.rs", classed);
+        assert_eq!(rules_of(&out), ["W-DEADPUB"]);
+        assert!(out.findings[0].message.ends_with("make it `pub(crate)`"));
     }
 
     #[test]
     fn deadpub_resolves_methods_through_their_impl_type() {
         let def = "pub struct Grid<T>(T);\nimpl<T: Copy> crate::Grid<T> {\n    pub fn cells(&self) {}\n    pub fn side(&self) {}\n}\nimpl<T> Default for Grid<T> {\n    fn default() -> Self { Self::cells(); todo!() }\n}";
         // `Self::cells` in a trait impl of `Grid` calls it; a local
-        // `side` calls nothing.
+        // `side` calls nothing. A test names both outside the crate.
         let caller = "fn main() { let g: Grid<f64> = Default::default(); let side = 2; }";
-        let out = run_set(&[("crates/math/src/grid.rs", def), ("examples/e.rs", caller)]);
+        let test = "fn t(g: Grid<f64>) { Grid::cells(&g); g.side(); }";
+        let out = run_set(&[
+            ("crates/math/src/grid.rs", def),
+            ("examples/e.rs", caller),
+            ("crates/math/tests/t.rs", test),
+        ]);
         assert_eq!(rules_of(&out), ["W-DEADPUB"]);
         assert_eq!(out.findings[0].line, 4);
+        assert!(out.findings[0]
+            .message
+            .contains("no shipped code reaches it"));
     }
 
     // ----- W-ENV -----

@@ -61,19 +61,19 @@ fn violations_tree_fires_every_rule() {
         .map(|f| (f.rule.clone(), f.file.clone(), f.line))
         .collect();
     let want: Vec<(String, String, usize)> = [
-        ("W-DEADPUB", "crates/catalog/src/io.rs", 3), // a benchmark test only
-        ("W-DEADPUB", "crates/core/src/dead.rs", 6),  // named by its test only
+        ("W-DEADPUB", "crates/catalog/src/io.rs", 4), // a benchmark test only
+        ("W-DEADPUB", "crates/catalog/src/io.rs", 10), // its own crate only
+        ("W-DEADPUB", "crates/core/src/dead.rs", 6),  // its own unit test only
         ("W-ALLOW", "crates/core/src/dead.rs", 10),   // exemption without a class
         ("W-DEADPUB", "crates/core/src/dead.rs", 11), // ... which stays inert
         ("W-ENV", "crates/grid/src/env.rs", 7),       // env::var read
         ("W-ENV", "crates/grid/src/env.rs", 7),       // GALACTOS_ literal
         ("W-ALLOW", "crates/grid/src/env.rs", 11),    // bare suppression
         ("W-ENV", "crates/grid/src/env.rs", 12),      // ... which stays inert
-        ("W-DEADPUB", "crates/math/src/shape.rs", 7), // impl and `use` only
-        ("W-DEADPUB", "crates/math/src/shape.rs", 20), // a local `volume`
-        ("W-DEADPUB", "crates/math/src/shape.rs", 32), // a free fn `to_array`
-        ("W-DEADPUB", "crates/math/src/shape.rs", 37), // `pub const fn`
-        ("W-DEADPUB", "crates/math/src/shape.rs", 41), // `pub(crate) const fn`
+        ("W-DEADPUB", "crates/math/src/shape.rs", 8), // impl and `use` only
+        ("W-DEADPUB", "crates/math/src/shape.rs", 21), // a local `volume`
+        ("W-DEADPUB", "crates/math/src/shape.rs", 33), // a free fn `to_array`
+        ("W-DEADPUB", "crates/math/src/shape.rs", 38), // `pub const fn`, `pub use` only
         ("W-DEADPUB", "crates/obs/src/summary.rs", 4), // a facade `pub use`
     ]
     .into_iter()

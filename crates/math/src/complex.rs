@@ -67,7 +67,7 @@ impl Complex64 {
 
     /// Multiplicative inverse. Panics in debug builds on zero.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let n = self.norm_sq();
         debug_assert!(n > 0.0, "inverse of zero complex number");
         Complex64 {
@@ -78,7 +78,7 @@ impl Complex64 {
 
     /// `z * s` for real `s` (explicit name for readability in kernels).
     #[inline]
-    pub fn scale(self, s: f64) -> Self {
+    pub(crate) fn scale(self, s: f64) -> Self {
         Complex64 {
             re: self.re * s,
             im: self.im * s,

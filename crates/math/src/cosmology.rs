@@ -75,7 +75,7 @@ impl FiducialCosmology {
 
     /// The dimensionless Hubble rate `E(z) = H(z)/H₀` for flat ΛCDM.
     #[inline]
-    pub fn e_of_z(&self, z: f64) -> f64 {
+    pub(crate) fn e_of_z(&self, z: f64) -> f64 {
         let a = 1.0 + z;
         (self.omega_m * a * a * a + (1.0 - self.omega_m)).sqrt()
     }

@@ -10,8 +10,10 @@
 pub const MAX_F64_FACTORIAL: usize = 170;
 
 /// `n!` as `f64`; exact for `n <= 22` (fits in 53-bit mantissa region up
-/// to 18!, and correctly rounded beyond), finite up to `n = 170`.
-pub fn factorial(n: usize) -> f64 {
+/// to 18!, and correctly rounded beyond), finite up to `n = 170`. The
+/// tests' oracle for [`ln_factorial`].
+#[cfg(test)]
+fn factorial(n: usize) -> f64 {
     assert!(n <= MAX_F64_FACTORIAL, "{n}! overflows f64");
     let mut acc = 1.0f64;
     for k in 2..=n {
@@ -24,12 +26,12 @@ pub fn factorial(n: usize) -> f64 {
 ///
 /// Accurate to a few ulps for the argument ranges used here (n ≲ 200);
 /// the Wigner 3-j evaluation sums and exponentiates these.
-pub fn ln_factorial(n: usize) -> f64 {
+pub(crate) fn ln_factorial(n: usize) -> f64 {
     (2..=n).map(|k| (k as f64).ln()).sum()
 }
 
 /// Binomial coefficient exactly in `u128` (panics on overflow).
-pub fn binomial_u128(n: u64, k: u64) -> u128 {
+pub(crate) fn binomial_u128(n: u64, k: u64) -> u128 {
     if k > n {
         return 0;
     }
@@ -49,7 +51,7 @@ pub struct LnFactorialTable {
 
 impl LnFactorialTable {
     /// Build a table valid for arguments `0..=max_n`.
-    pub fn new(max_n: usize) -> Self {
+    pub(crate) fn new(max_n: usize) -> Self {
         let mut table = Vec::with_capacity(max_n + 1);
         let mut acc = 0.0f64;
         table.push(0.0); // 0! = 1

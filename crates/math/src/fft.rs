@@ -50,7 +50,7 @@ pub enum Direction {
 ///
 /// `bits` must be in `1..=usize::BITS` and `i < 2^bits`.
 #[inline]
-pub fn bit_reverse(i: usize, bits: u32) -> usize {
+pub(crate) fn bit_reverse(i: usize, bits: u32) -> usize {
     debug_assert!((1..=usize::BITS).contains(&bits));
     debug_assert!(bits == usize::BITS || i < (1usize << bits));
     i.reverse_bits() >> (usize::BITS - bits)
@@ -63,7 +63,7 @@ pub fn bit_reverse(i: usize, bits: u32) -> usize {
 /// twiddle comes from one `sin_cos` call instead of the serial
 /// `w *= wlen` recurrence, which is both more accurate and removes the
 /// loop-carried dependency from the butterfly inner loop.
-pub fn twiddle_table(n: usize, dir: Direction) -> Vec<Complex64> {
+pub(crate) fn twiddle_table(n: usize, dir: Direction) -> Vec<Complex64> {
     let sign = match dir {
         Direction::Forward => -1.0,
         Direction::Inverse => 1.0,
@@ -165,9 +165,10 @@ fn tile_fft(re: &mut [Lanes], im: &mut [Lanes], rows: usize, w: usize, tw: &[Com
 }
 
 /// In-place 1-D FFT of a power-of-two-length buffer: a line is a
-/// one-lane tile.
-// lint:allow(W-DEADPUB): oracle for Mesh3::fft3: the one-lane transform its tile columns must reproduce bit for bit (fft.rs tests)
-pub fn fft_inplace(data: &mut [Complex64], dir: Direction) {
+/// one-lane tile. The tests' oracle for `Mesh3::fft3`, whose tile
+/// columns must reproduce it bit for bit.
+#[cfg(test)]
+fn fft_inplace(data: &mut [Complex64], dir: Direction) {
     let n = data.len();
     assert!(
         n.is_power_of_two(),
@@ -539,9 +540,9 @@ impl Mesh3 {
     }
 }
 
-/// Naive O(N²) DFT used as the test oracle.
-// lint:allow(W-DEADPUB): oracle for tile_fft and Mesh3::fft3 in fft.rs tests
-pub fn dft_reference(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
+/// Naive O(N²) DFT, the tests' oracle for `tile_fft` and `Mesh3::fft3`.
+#[cfg(test)]
+fn dft_reference(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
     let n = input.len();
     let sign = match dir {
         Direction::Forward => -1.0,

@@ -6,7 +6,7 @@
 //!   ([`legendre_p`], [`assoc_legendre_p`]) — used by the direct spherical
 //!   harmonic evaluator and, as the reference values, by the tests;
 //! * **polynomial coefficients** of `P_ℓ` and of its `m`-th derivative
-//!   ([`legendre_coefficients`], [`legendre_derivative_coefficients`]) —
+//!   ([`legendre_coefficients`], `legendre_derivative_coefficients`) —
 //!   used to expand `Y_ℓm · rˡ` into Cartesian monomials (the Galactos
 //!   kernel basis);
 //! * **batched evaluation** of all orders `0..=ℓmax` at once
@@ -108,7 +108,7 @@ pub fn legendre_coefficients(l: usize) -> Vec<f64> {
 ///
 /// This is the polynomial part of `P_ℓ^m`: with the Condon–Shortley
 /// convention, `P_ℓ^m(u) = (-1)^m (1-u²)^{m/2} · d^m/du^m P_ℓ(u)`.
-pub fn legendre_derivative_coefficients(l: usize, m: usize) -> Vec<f64> {
+pub(crate) fn legendre_derivative_coefficients(l: usize, m: usize) -> Vec<f64> {
     assert!(m <= l);
     let mut c = legendre_coefficients(l);
     for _ in 0..m {

@@ -19,26 +19,26 @@ pub struct Poly3 {
 
 impl Poly3 {
     /// The zero polynomial.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Poly3::default()
     }
 
     /// The constant polynomial `c`.
-    pub fn constant(c: Complex64) -> Self {
+    pub(crate) fn constant(c: Complex64) -> Self {
         let mut p = Poly3::zero();
         p.add_term((0, 0, 0), c);
         p
     }
 
     /// A single monomial `c · x^k y^p z^q`.
-    pub fn monomial(exps: Exponents, c: Complex64) -> Self {
+    pub(crate) fn monomial(exps: Exponents, c: Complex64) -> Self {
         let mut p = Poly3::zero();
         p.add_term(exps, c);
         p
     }
 
     /// Add `c · x^k y^p z^q` in place, removing the term if it cancels.
-    pub fn add_term(&mut self, exps: Exponents, c: Complex64) {
+    pub(crate) fn add_term(&mut self, exps: Exponents, c: Complex64) {
         let entry = self.terms.entry(exps).or_insert(Complex64::ZERO);
         *entry += c;
         if entry.abs() < 1e-300 {
@@ -52,7 +52,7 @@ impl Poly3 {
     }
 
     /// True if every term has total degree `d`.
-    pub fn is_homogeneous(&self, d: u32) -> bool {
+    pub(crate) fn is_homogeneous(&self, d: u32) -> bool {
         self.terms.keys().all(|&(k, p, q)| k + p + q == d)
     }
 
@@ -64,7 +64,7 @@ impl Poly3 {
         out
     }
 
-    pub fn scale(&self, s: Complex64) -> Poly3 {
+    pub(crate) fn scale(&self, s: Complex64) -> Poly3 {
         let mut out = Poly3::zero();
         for (e, c) in self.terms() {
             out.add_term(e, c * s);
@@ -72,7 +72,7 @@ impl Poly3 {
         out
     }
 
-    pub fn mul(&self, o: &Poly3) -> Poly3 {
+    pub(crate) fn mul(&self, o: &Poly3) -> Poly3 {
         let mut out = Poly3::zero();
         for ((k1, p1, q1), c1) in self.terms() {
             for ((k2, p2, q2), c2) in o.terms() {
@@ -103,7 +103,7 @@ impl Poly3 {
 
 /// `(x² + y² + z²)^n` — used to homogenize `z^j` terms when expanding
 /// spherical harmonics.
-pub fn r_squared_pow(n: u32) -> Poly3 {
+pub(crate) fn r_squared_pow(n: u32) -> Poly3 {
     let r2 = Poly3::monomial((2, 0, 0), Complex64::ONE)
         .add(&Poly3::monomial((0, 2, 0), Complex64::ONE))
         .add(&Poly3::monomial((0, 0, 2), Complex64::ONE));
@@ -111,7 +111,7 @@ pub fn r_squared_pow(n: u32) -> Poly3 {
 }
 
 /// `(x + iy)^m` expanded binomially.
-pub fn x_plus_iy_pow(m: u32) -> Poly3 {
+pub(crate) fn x_plus_iy_pow(m: u32) -> Poly3 {
     let xpiy =
         Poly3::monomial((1, 0, 0), Complex64::ONE).add(&Poly3::monomial((0, 1, 0), Complex64::I));
     xpiy.pow(m)

@@ -29,7 +29,7 @@ impl Mat3 {
     };
 
     #[inline]
-    pub fn new(rows: [[f64; 3]; 3]) -> Self {
+    pub(crate) fn new(rows: [[f64; 3]; 3]) -> Self {
         Mat3 { rows }
     }
 

@@ -25,7 +25,7 @@ use crate::legendre::assoc_legendre_p;
 use crate::vec3::Vec3;
 
 /// Normalization factor `√[(2ℓ+1)/(4π) · (ℓ−m)!/(ℓ+m)!]` for `m ≥ 0`.
-pub fn ylm_norm(l: usize, m: usize) -> f64 {
+pub(crate) fn ylm_norm(l: usize, m: usize) -> f64 {
     assert!(m <= l);
     let ln_ratio = ln_factorial(l - m) - ln_factorial(l + m);
     ((2 * l + 1) as f64 / (4.0 * std::f64::consts::PI) * ln_ratio.exp()).sqrt()

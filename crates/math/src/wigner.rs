@@ -26,7 +26,7 @@ impl Wigner3j {
     }
 
     /// Triangle inequality check `|j1-j2| ≤ j3 ≤ j1+j2`.
-    pub fn triangle_ok(j1: i64, j2: i64, j3: i64) -> bool {
+    pub(crate) fn triangle_ok(j1: i64, j2: i64, j3: i64) -> bool {
         j3 >= (j1 - j2).abs() && j3 <= j1 + j2
     }
 

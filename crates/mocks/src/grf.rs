@@ -37,7 +37,7 @@ impl GaussianField {
 
     /// Synthesize the field together with the three components of the
     /// Zel'dovich displacement `ψ` (satisfying `∇·ψ = −δ`).
-    pub fn generate_with_displacement(
+    pub(crate) fn generate_with_displacement(
         spectrum: &dyn PowerSpectrum,
         n: usize,
         box_len: f64,
@@ -132,17 +132,17 @@ impl GaussianField {
     }
 
     #[inline]
-    pub fn delta(&self) -> &[f64] {
+    pub(crate) fn delta(&self) -> &[f64] {
         &self.delta
     }
 
     /// Mean of δ (≈ 0 by construction).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.delta.iter().sum::<f64>() / self.delta.len() as f64
     }
 
     /// Standard deviation of δ on the mesh.
-    pub fn sigma(&self) -> f64 {
+    pub(crate) fn sigma(&self) -> f64 {
         let m = self.mean();
         (self.delta.iter().map(|&d| (d - m) * (d - m)).sum::<f64>() / self.delta.len() as f64)
             .sqrt()
@@ -150,7 +150,7 @@ impl GaussianField {
 
     /// Cloud-in-cell (trilinear, periodic) sample of a mesh-sampled
     /// scalar field `values` (must have `n³` entries) at `pos`.
-    pub fn interpolate_cic(&self, values: &[f64], pos: Vec3) -> f64 {
+    pub(crate) fn interpolate_cic(&self, values: &[f64], pos: Vec3) -> f64 {
         assert_eq!(values.len(), self.n * self.n * self.n);
         let n = self.n as i64;
         let cell = self.box_len / self.n as f64;

@@ -45,7 +45,7 @@ impl RsdParams {
 /// Apply plane-parallel RSD along the z-axis: every galaxy's z moves by
 /// `f·ψ_z` (CIC-interpolated from the mesh) plus optional Gaussian
 /// dispersion, wrapped periodically.
-pub fn apply_plane_parallel(
+pub(crate) fn apply_plane_parallel(
     catalog: &mut Catalog,
     field: &GaussianField,
     displacement: &[Vec<f64>; 3],

@@ -34,7 +34,7 @@
 //! {
 //!     let _outer = obs.tracer.span("compute");
 //!     let _inner = obs.tracer.span("tree_build");
-//!     obs.registry.counter("engine.primaries").add(128);
+//!     obs.registry.add("engine.primaries", 128);
 //! }
 //! let spans = obs.tracer.finished();
 //! assert_eq!(spans.len(), 2);

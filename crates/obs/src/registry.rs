@@ -22,7 +22,7 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Counter {
             value: AtomicU64::new(0),
         }
@@ -44,7 +44,7 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Gauge {
             value: AtomicU64::new(0),
         }
@@ -88,11 +88,11 @@ pub struct Registry {
 }
 
 impl Registry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_enabled(true)
     }
 
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self::with_enabled(false)
     }
 
@@ -110,7 +110,7 @@ impl Registry {
     }
 
     /// Get or create a counter by name.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         if !self.enabled {
             return Arc::clone(&self.sink_counter);
         }

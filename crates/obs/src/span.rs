@@ -34,7 +34,7 @@ pub struct SpanRecord {
     pub path: String,
     /// Leaf name.
     pub name: String,
-    /// Track (timeline lane) index; see [`Tracer::tracks`].
+    /// Track (timeline lane) index.
     pub track: u32,
     /// Nesting depth (0 = track root).
     pub depth: u32,
@@ -102,7 +102,7 @@ thread_local! {
 
 impl Tracer {
     /// A live tracer; captures the epoch (one clock read).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tracer {
             enabled: true,
             id: TRACER_IDS.fetch_add(1, Ordering::Relaxed),
@@ -112,7 +112,7 @@ impl Tracer {
     }
 
     /// An inert tracer: every call is a no-op with zero clock reads.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Tracer {
             enabled: false,
             id: 0,
@@ -223,7 +223,7 @@ impl Tracer {
     }
 
     /// Track labels, index = track id.
-    pub fn tracks(&self) -> Vec<String> {
+    pub(crate) fn tracks(&self) -> Vec<String> {
         self.state
             .lock()
             .expect("obs tracer poisoned")

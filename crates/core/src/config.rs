@@ -204,14 +204,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "lmax > 12 is untested and very slow, got lmax = 40")]
     fn validate_rejects_huge_lmax() {
         let mut c = EngineConfig::test_default(10.0, 3, 4);
         c.lmax = 40;
-        let err = c.validate().unwrap_err();
-        assert_eq!(err, ConfigError::Lmax(40));
-        assert_eq!(
-            err.to_string(),
-            "lmax > 12 is untested and very slow, got lmax = 40"
-        );
+        assert_eq!(c.validate(), Err(ConfigError::Lmax(40)));
+        // The engine constructor panics with the error's text.
+        let _ = crate::engine::Engine::new(c);
     }
 }

@@ -87,19 +87,25 @@ use galactos_kdtree::{KdTree, TreeConfig};
 use galactos_math::monomial::MonomialBasis;
 use galactos_math::ylm::{SelfPairTable, YlmTable};
 use galactos_math::{Mat3, Vec3};
-// The engine's clock reads go through the obs gate: zero reads when
-// instrumentation is off, and every real read is counted so tests can
-// pin the zero-cost contract (clippy's `disallowed-methods` rejects a
-// clock read anywhere else).
-use galactos_obs::clock::{nanos_since, now_if};
+use galactos_obs::clock::Stages;
 use galactos_obs::ObsSession;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Chunk size (in primaries, or leaves when leaf-blocked). Small
 /// enough that work stealing can balance clustered catalogs, large
 /// enough that one chunk amortizes its scratch allocation and ζ merge.
 pub const DYNAMIC_CHUNK: usize = 16;
+
+// The stages of a chunk's `Stages` clock, one lap per boundary: after
+// the search (per primary, or per leaf when leaf-blocked), before and
+// after each kernel flush (the residual sweep included), and after each
+// primary's assembly. So the four tile the chunk from its first read to
+// its last, and a primary costs `3 + 2F` reads for `F` full-bucket
+// flushes, plus the search lap of its point query or leaf.
+const SEARCH: usize = 0;
+const BIN: usize = 1;
+const KERNEL: usize = 2;
+const ASSEMBLY: usize = 3;
 
 /// The anisotropic 3PCF engine. Construct once (tables are built at
 /// construction), then [`Engine::compute`] any number of catalogs.
@@ -192,11 +198,12 @@ impl Engine {
     /// [`ObsSession`]. Both estimator paths are covered: the tree path
     /// emits an `engine` span with a `tree_build` child plus per-chunk
     /// worker spans (one obs track per worker thread) carrying the
-    /// search/bin/kernel/assembly stage breakdown as aggregate slices,
-    /// and the gauge `engine.kernel_vector_bits` (128, 256 or 512: the
-    /// widest compilation of the SIMD kernel this host runs);
-    /// the grid path emits a `grid` span with the native paint / fields
-    /// / contract / self-pair breakdown.
+    /// search/bin/kernel/assembly stage breakdown as aggregate slices
+    /// that tile the chunk, and the gauge `engine.kernel_vector_bits`
+    /// (128, 256 or 512: the widest compilation of the SIMD kernel this
+    /// host runs); the grid path emits a `grid` span with the native
+    /// paint / fields / contract / self-pair breakdown and the counter
+    /// `grid.fft3`.
     ///
     /// With a disabled session this is exactly [`Engine::compute`]:
     /// zero clock reads, bit-identical results (test-pinned).
@@ -312,12 +319,10 @@ impl Engine {
             .into_par_iter()
             .map(|c| {
                 let range = c * DYNAMIC_CHUNK..((c + 1) * DYNAMIC_CHUNK).min(n_items);
-                // The per-chunk stage aggregates are drained from the
-                // scratch nano counters, which only an enabled session
-                // fills.
+                // Only an enabled session reads the stage clock.
                 let mut scratch = self.new_scratch();
-                scratch.instrument = obs.is_enabled();
                 let span = obs.tracer.span("chunk");
+                scratch.stages = Stages::start(obs.is_enabled());
                 let chunk_len = range.len() as u64;
                 for i in range {
                     match &leaves {
@@ -346,17 +351,14 @@ impl Engine {
             .unpack()
     }
 
-    /// Drain a finished chunk's scratch counters into the obs session:
-    /// the four tree stages as aggregate slices under the open `chunk`
-    /// span (so the Chrome track shows the per-worker breakdown) and
-    /// the pair counters into the registry. Aggregates make zero clock
-    /// reads; with a disabled session every call here is a no-op.
-    fn emit_chunk_obs(o: &ObsSession, scratch: &ComputeScratch, n_items: u64) {
-        o.tracer.add_aggregate("search", n_items, scratch.t_search);
-        o.tracer.add_aggregate("bin", n_items, scratch.t_bin);
-        o.tracer.add_aggregate("kernel", n_items, scratch.t_kernel);
-        o.tracer
-            .add_aggregate("assembly", n_items, scratch.t_assembly);
+    /// Drain a finished chunk's scratch into the obs session: the four
+    /// tree stages as aggregate slices under the open `chunk` span (so
+    /// the Chrome track shows the per-worker breakdown) and the pair
+    /// counters into the registry. Aggregates make zero clock reads;
+    /// with a disabled session every call here is a no-op.
+    fn emit_chunk_obs(o: &ObsSession, scratch: &ComputeScratch, n: u64) {
+        let stages = ["search", "bin", "kernel", "assembly"].map(|s| (s, n));
+        scratch.stages.emit(&o.tracer, stages);
         o.registry.add("engine.chunks", 1);
         o.registry
             .add("engine.binned_pairs", scratch.packed.binned_pairs);
@@ -384,16 +386,14 @@ impl Engine {
         let Some(ctx) = self.primary_context(galaxies, i) else {
             return; // degenerate line of sight (primary at the observer)
         };
-        let t0 = now_if(scratch.instrument);
         let gathered = tree.gather_neighbors(
             ctx.pos,
             self.config.bins.rmax(),
             periodic,
             &mut scratch.neighbors,
         );
-        scratch.t_search += nanos_since(t0);
+        scratch.stages.lap(SEARCH);
         scratch.candidate_pairs += gathered as u64;
-        let t1 = now_if(scratch.instrument);
         let n_sel = scratch.block.stage_gathered(
             galaxies,
             &scratch.neighbors,
@@ -402,7 +402,7 @@ impl Engine {
             &self.config.bins,
             ctx.rotation.as_ref(),
         );
-        self.bin_and_bucket(scratch, t1, n_sel);
+        self.bin_and_bucket(scratch, n_sel);
         self.assemble(scratch, &ctx);
     }
 
@@ -441,11 +441,10 @@ impl Engine {
             return;
         }
         let bins = &self.config.bins;
-        let t0 = now_if(scratch.instrument);
         let n_candidates = scratch
             .block
             .fill(tree, leaf, bins.rmax(), periodic, galaxies) as u64;
-        scratch.t_search += nanos_since(t0);
+        scratch.stages.lap(SEARCH);
         for slot in leaf.start..leaf.end {
             let i = tree.id_at(slot) as usize;
             if i >= n_primaries {
@@ -457,11 +456,10 @@ impl Engine {
             // The block is shared by the whole leaf; each primary scans
             // all of it, so it counts as that many candidate pairs.
             scratch.candidate_pairs += n_candidates;
-            let t1 = now_if(scratch.instrument);
             let n_sel = scratch
                 .block
                 .select_pairs(ctx.pos, periodic, bins, ctx.rotation.as_ref());
-            self.bin_and_bucket(scratch, t1, n_sel);
+            self.bin_and_bucket(scratch, n_sel);
             self.assemble(scratch, &ctx);
         }
     }
@@ -473,14 +471,14 @@ impl Engine {
     /// weight; here each binned pair is pushed through its bin's
     /// bucket, whose flush through the multipole kernel is timed
     /// (§3.3.1/§3.3.2), plus the self-pair Legendre sums when enabled.
-    /// Partially filled buckets are swept at the end. `t_start` is read
-    /// before Phase A, so the stage's time covers both phases.
+    /// Partially filled buckets are swept at the end. The `bin` stage
+    /// runs from the previous lap, so it covers both phases; each flush
+    /// is lapped as `kernel`.
     #[inline(always)]
-    fn bin_and_bucket(&self, scratch: &mut ComputeScratch, t_start: Option<Instant>, n_sel: usize) {
+    fn bin_and_bucket(&self, scratch: &mut ComputeScratch, n_sel: usize) {
         // The accumulator only forgets which bins were touched.
         scratch.acc.reset();
         scratch.self_sums.fill(0.0);
-        let mut kernel_nanos = 0u64;
         let mut binned = 0u64;
         for s in 0..n_sel {
             let sel = &scratch.block;
@@ -491,13 +489,13 @@ impl Engine {
             let (ux, uy, uz, wj) = (sel.sel_dx[s], sel.sel_dy[s], sel.sel_dz[s], sel.sel_w[s]);
             binned += 1;
             if scratch.buckets.push(bin, ux, uy, uz, wj) {
-                let tk = now_if(scratch.instrument);
+                scratch.stages.lap(BIN);
                 let (dx, dy, dz, w) = scratch.buckets.slices(bin);
                 scratch
                     .acc
                     .flush_bucket(self.basis.schedule(), bin, dx, dy, dz, w);
                 scratch.buckets.clear_bin(bin);
-                kernel_nanos += nanos_since(tk);
+                scratch.stages.lap(KERNEL);
             }
             if let Some(table) = &self.self_pairs {
                 // Degenerate-triangle sums S_L(bin) += w² P_L(μ), μ = û·ẑ.
@@ -506,14 +504,12 @@ impl Engine {
                 table.accumulate(uz, wj * wj, &mut scratch.self_scratch, sums);
             }
         }
-        let tk = now_if(scratch.instrument);
+        scratch.stages.lap(BIN);
         scratch
             .acc
             .flush_residual(self.basis.schedule(), &mut scratch.buckets);
-        kernel_nanos += nanos_since(tk);
+        scratch.stages.lap(KERNEL);
         scratch.packed.binned_pairs += binned;
-        scratch.t_kernel += kernel_nanos;
-        scratch.t_bin += nanos_since(t_start).saturating_sub(kernel_nanos);
     }
 
     /// Stages 3–4 — reduce the monomial sums of the touched bins out of
@@ -524,7 +520,6 @@ impl Engine {
     /// degenerate self-pair terms from diagonal bins when enabled, and
     /// fold in the primary's weight.
     fn assemble(&self, scratch: &mut ComputeScratch, ctx: &PrimaryContext) {
-        let t2 = now_if(scratch.instrument);
         let nbins = self.config.bins.nbins();
         let wi = ctx.weight;
         scratch
@@ -553,7 +548,7 @@ impl Engine {
         }
         scratch.packed.total_primary_weight += wi;
         scratch.packed.num_primaries += 1;
-        scratch.t_assembly += nanos_since(t2);
+        scratch.stages.lap(ASSEMBLY);
     }
 }
 

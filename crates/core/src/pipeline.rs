@@ -47,10 +47,16 @@ use galactos_catalog::shard::{read_shard, ShardManifest, HEADER_BYTES};
 use galactos_cluster::fault::{classify_panic, FailureCause, FaultHarness, FaultPlan, RankFailure};
 use galactos_cluster::run_cluster;
 use galactos_domain::shard::{ghost_filter, shard_range_for_rank};
+use galactos_obs::clock::Stages;
 use galactos_obs::ObsSession;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::OnceLock;
+
+// The stages of a shard task's `Stages` clock.
+const INGEST_HALO: usize = 0;
+const INGEST_OWN: usize = 1;
+const COMPUTE: usize = 2;
 
 /// What one rank (or one reassigned shard) did in a distributed run.
 #[derive(Clone, Debug)]
@@ -191,7 +197,8 @@ struct Supervisor<'a> {
     harness: FaultHarness,
     obs: &'a ObsSession,
     /// Built by the first attempt that gets this far, inside its
-    /// `ingest` phase: an invalid config fails every attempt there.
+    /// `ingest` phase. The config was validated before any attempt
+    /// ([`SupervisedError::InvalidConfig`]), so the build cannot fail.
     engine: OnceLock<Engine>,
     run: SupervisedRun,
     /// One ζ partial per shard computed so far, in shard order.
@@ -202,12 +209,17 @@ impl Supervisor<'_> {
     /// One worker's pass over a list of shards, entering the ingest /
     /// compute / reduce phases so injected kills (and failure
     /// attribution) see those boundaries: the halo pass is the ingest,
-    /// each shard's own file is read as it is computed.
+    /// each shard's own file is read as it is computed. A stage clock
+    /// tiles the pass: `ingest.halo` up to the end of the halo pass,
+    /// then per shard `ingest.own` (its read and ghost append) and
+    /// `compute`, emitted under the attempt's span once the pass
+    /// reaches its reduce phase.
     fn shard_task(
         &self,
         worker: usize,
         shards: &[usize],
     ) -> Result<(RankReport, ShardPartials), CatalogIoError> {
+        let mut stages = Stages::<3>::start(self.obs.is_enabled());
         self.harness.enter_phase(worker, "ingest");
         let engine = self.engine.get_or_init(|| Engine::new(self.config.clone()));
         let mut report = RankReport {
@@ -261,6 +273,7 @@ impl Supervisor<'_> {
             count_read(&mut report, manifest, t);
             halo.insert(t, kept.into_boxed_slice());
         }
+        stages.lap(INGEST_HALO);
 
         // Per shard: its own file whole, then its ghosts from the halo
         // in ascending file order, so the engine computes on the vector
@@ -291,15 +304,20 @@ impl Supervisor<'_> {
             }
             report.owned += n_owned;
             report.ghosts += n_ghosts;
+            stages.lap(INGEST_OWN);
             let partial = if n_owned == 0 {
                 AnisotropicZeta::zeros(self.config.lmax, self.config.bins.nbins())
             } else {
                 engine.compute_subset(&galaxies, n_owned)
             };
+            stages.lap(COMPUTE);
             report.binned_pairs += partial.binned_pairs;
             partials.push((s, partial));
         }
         self.harness.enter_phase(worker, "reduce");
+        let n = shards.len() as u64;
+        let names = [("ingest.halo", 1), ("ingest.own", n), ("compute", n)];
+        stages.emit(&self.obs.tracer, names);
         Ok((report, partials))
     }
 
@@ -336,6 +354,12 @@ impl Supervisor<'_> {
                 if reassigned_from.is_some() {
                     self.obs.registry.add("supervised.reassignments", 1);
                 }
+                self.obs
+                    .registry
+                    .add("supervised.records_read", report.records_read);
+                self.obs
+                    .registry
+                    .add("supervised.bytes_read", report.bytes_read);
                 for (s, partial) in partials {
                     let prev = self.partials.insert(s, partial);
                     assert!(prev.is_none(), "shard {s} computed twice");
@@ -432,7 +456,10 @@ pub fn compute_distributed_supervised(
 /// registry aggregates what [`RankReport`] records per piece of work —
 /// `supervised.attempts`, `supervised.failures`,
 /// `supervised.injected_faults`, `supervised.reassignments`,
-/// `supervised.dead_ranks`.
+/// `supervised.dead_ranks`, and over the attempts that succeeded
+/// `supervised.records_read` / `supervised.bytes_read`. Each successful
+/// attempt's span carries its `ingest.halo`, `ingest.own` and `compute`
+/// stage aggregates.
 ///
 /// With a disabled session this is exactly
 /// [`compute_distributed_supervised`]: zero clock reads, bit-identical

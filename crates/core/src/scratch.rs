@@ -8,7 +8,7 @@
 //! stages 3–4 run in ([`crate::assembly`]) and the bin-major rows
 //! stage 4 multiplies by, the self-pair Legendre sums, and the chunk's
 //! private ζ partial — packed, one Hermitian triangle per `m`
-//! ([`PackedZeta`]) — plus instrumentation counters. The engine
+//! ([`PackedZeta`]) — plus its pair counter and stage clock. The engine
 //! allocates one per chunk, which the worker running the chunk owns
 //! exclusively ("maximum independent work for each thread"); the
 //! partials are merged packed in chunk order and unpacked once per
@@ -20,6 +20,7 @@ use crate::kernel::{KernelAccumulator, KernelBackend, PairBuckets};
 use crate::traversal::CandidateBlock;
 use galactos_math::lm_count;
 use galactos_math::monomial::MonomialBasis;
+use galactos_obs::clock::Stages;
 
 /// Working state for one compute worker.
 pub(crate) struct ComputeScratch {
@@ -57,16 +58,10 @@ pub(crate) struct ComputeScratch {
     /// and binned-pair count.
     pub(crate) packed: PackedZeta,
     pub(crate) candidate_pairs: u64,
-    /// Whether stage timings are being collected. When `false` (the
-    /// default — a run without an enabled `ObsSession`) the engine's
-    /// stage methods skip every clock read, so unobserved runs pay
-    /// zero timing overhead on the hot path; the `t_*` counters then
-    /// stay 0.
-    pub(crate) instrument: bool,
-    pub(crate) t_search: u64,
-    pub(crate) t_bin: u64,
-    pub(crate) t_kernel: u64,
-    pub(crate) t_assembly: u64,
+    /// The chunk's stage clock (search, bin, kernel, assembly). Built
+    /// uninstrumented — no clock read, its stages stay 0 — and
+    /// restarted by the engine under an enabled `ObsSession`.
+    pub(crate) stages: Stages<4>,
 }
 
 impl ComputeScratch {
@@ -100,11 +95,7 @@ impl ComputeScratch {
             self_sums: vec![0.0; nbins * nself],
             packed: PackedZeta::zeros(config.lmax, nbins),
             candidate_pairs: 0,
-            instrument: false,
-            t_search: 0,
-            t_bin: 0,
-            t_kernel: 0,
-            t_assembly: 0,
+            stages: Stages::start(false),
         }
     }
 }

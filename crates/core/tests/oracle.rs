@@ -9,7 +9,7 @@
 use galactos_catalog::{uniform_box, Catalog, Galaxy};
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_core::naive::{isotropic_triplets, seminaive_anisotropic};
+use galactos_core::naive::isotropic_triplets;
 use galactos_math::{LineOfSight, Vec3};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -32,22 +32,6 @@ fn random_weighted_galaxies(n: usize, box_len: f64, seed: u64) -> Vec<Galaxy> {
 
 fn engine_config(rmax: f64, lmax: usize, nbins: usize) -> EngineConfig {
     EngineConfig::test_default(rmax, lmax, nbins)
-}
-
-#[test]
-fn engine_equals_seminaive_at_paper_lmax() {
-    // lmax = 10 (the paper's order) is too slow for the O(N³) oracle at
-    // meaningful N, but the O(N²·lm) direct-Y baseline is fine.
-    let galaxies = random_weighted_galaxies(60, 10.0, 7);
-    let config = engine_config(6.0, 10, 3);
-    let engine = Engine::new(config.clone()).compute(&Catalog::new(galaxies.clone()));
-    let semi = seminaive_anisotropic(&galaxies, &config, None);
-    let scale = semi.max_abs().max(1.0);
-    assert!(
-        engine.max_difference(&semi) < 1e-8 * scale,
-        "diff {} at scale {scale}",
-        engine.max_difference(&semi)
-    );
 }
 
 #[test]

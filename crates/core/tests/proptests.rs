@@ -1,12 +1,11 @@
-//! Property-based tests of the 3PCF engine against its oracles with
-//! randomized catalogs, weights and configurations.
+//! Property-based tests of the 3PCF engine's invariants and its bin
+//! lookup on randomized catalogs, weights and configurations; the
+//! engine against its oracles is `conformance.rs`.
 
 use galactos_catalog::{Catalog, Galaxy};
 use galactos_core::bins::RadialBins;
 use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
-use galactos_core::kernel::{BackendChoice, BackendKind};
-use galactos_core::naive::seminaive_anisotropic;
 use galactos_core::traversal::{TraversalChoice, TraversalKind};
 use galactos_math::{LineOfSight, Vec3};
 use proptest::prelude::*;
@@ -58,34 +57,6 @@ fn base_config(lmax: usize, nbins: usize, rmax: f64) -> EngineConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn engine_matches_seminaive_on_random_inputs(
-        galaxies in arb_galaxies(40),
-        lmax in 0usize..5,
-        nbins in 1usize..4,
-        bucket in 1usize..40,
-        backend_idx in 0usize..2,
-        traversal_idx in 0usize..2,
-    ) {
-        let backend = BackendKind::ALL[backend_idx];
-        let traversal = TraversalKind::ALL[traversal_idx];
-        let mut config = base_config(lmax, nbins, 8.0);
-        config.bucket_size = bucket;
-        config.kernel_backend = BackendChoice::Fixed(backend);
-        config.traversal = TraversalChoice::Fixed(traversal);
-        let engine = Engine::new(config.clone()).compute(&Catalog::new(galaxies.clone()));
-        let oracle = seminaive_anisotropic(&galaxies, &config, None);
-        let scale = oracle.max_abs().max(1.0);
-        prop_assert!(
-            engine.max_difference(&oracle) < 1e-8 * scale,
-            "diff {} (lmax={lmax} nbins={nbins} bucket={bucket} backend={backend:?} \
-             traversal={traversal:?})",
-            engine.max_difference(&oracle)
-        );
-        prop_assert_eq!(engine.num_primaries, oracle.num_primaries);
-        prop_assert_eq!(engine.binned_pairs, oracle.binned_pairs);
-    }
 
     #[test]
     fn tree_output_is_hermitian_bit_for_bit(

@@ -16,7 +16,8 @@ use galactos_core::config::EngineConfig;
 use galactos_core::engine::Engine;
 use galactos_core::pipeline::SupervisedError;
 use galactos_core::pipeline::{
-    compute_distributed_supervised, compute_distributed_supervised_observed, RetryPolicy,
+    compute_distributed_supervised, compute_distributed_supervised_observed, RankReport,
+    RetryPolicy,
 };
 use galactos_core::result::AnisotropicZeta;
 use galactos_core::ObsSession;
@@ -431,6 +432,23 @@ fn registry_counters_account_for_every_attempt() {
         assert_eq!(counter("reassignments"), reassigned as u64);
         let owned_total: usize = run.ranks.iter().map(|r| r.owned).sum();
         assert_eq!(owned_total, 120, "primaries partition the catalog");
+        let total = |read: fn(&RankReport) -> u64| run.ranks.iter().map(read).sum::<u64>();
+        assert_eq!(counter("records_read"), total(|r| r.records_read));
+        assert_eq!(counter("bytes_read"), total(|r| r.bytes_read));
+        // Each attempt that succeeded, and only those, carries its
+        // stages under its own span.
+        let finished = obs.tracer.finished();
+        for stage in ["ingest.halo", "ingest.own", "compute"] {
+            let parents: Vec<&str> = finished
+                .iter()
+                .filter(|s| s.aggregate && s.name == stage)
+                .map(|s| s.path.split('/').next().unwrap())
+                .collect();
+            assert_eq!(parents.len(), run.ranks.len(), "{stage}: {parents:?}");
+            for parent in parents {
+                assert!(["shard_task", "retry", "reassign"].contains(&parent));
+            }
+        }
         let spans: BTreeSet<String> = obs.tracer.finished().into_iter().map(|s| s.name).collect();
         assert!(spans.contains("shard_task"), "have {spans:?}");
         assert_eq!(

@@ -129,13 +129,15 @@ impl fmt::Display for InvalidMesh {
 
 impl std::error::Error for InvalidMesh {}
 
-// The estimator's clock gate: timestamps are taken only under an
-// enabled session, so plain `compute()` pays no clock reads on the
-// grid path. Routed through the obs gate (the one module clippy's
-// clock ban allows) so grid reads show up in the global clock-read
-// count the zero-cost tests pin.
-use galactos_obs::clock::{nanos_since, now_if};
+use galactos_obs::clock::Stages;
 use galactos_obs::ObsSession;
+
+// The estimator's `Stages` clock, lapped as each stage ends; it reads
+// the clock only under an enabled session.
+const PAINT: usize = 0;
+const FIELDS: usize = 1;
+const CONTRACT: usize = 2;
+const SELFPAIR: usize = 3;
 
 /// One cell of the radial-shell kernel support: flat mesh index, radial
 /// bin, and the (rotated) unit separation direction.
@@ -234,9 +236,11 @@ fn contract_block(
 ///
 /// Under an enabled `obs` the stage times are recorded as one `paint` /
 /// `fields` / `contract` / `selfpair` aggregate each, under whatever
-/// span the caller has open; a disabled session performs **zero clock
-/// reads** (the same zero-cost contract as the tree engine's stages)
-/// and the same arithmetic.
+/// span the caller has open (tiling it from the first clock read to
+/// the last; `selfpair` is 0 without subtraction), and the counter
+/// `grid.fft3` counts the 3-D transforms run; a disabled session
+/// performs **zero clock reads** (the same zero-cost contract as the
+/// tree engine's stages) and the same arithmetic.
 /// Panics if the catalog is not periodic.
 #[allow(clippy::too_many_arguments, reason = "each input feeds one stage")]
 pub fn accumulate_zeta_multipoles(
@@ -258,16 +262,14 @@ pub fn accumulate_zeta_multipoles(
         .expect("the gridded estimator requires a periodic catalog");
     let n = cfg.mesh;
     let h = box_len / n as f64;
-    let instrument = obs.is_enabled();
-    let (mut field_nanos, mut zeta_nanos) = (0u64, 0u64);
+    let mut stages = Stages::<4>::start(obs.is_enabled());
 
     // Paint the catalog and transform the secondary-side density.
-    let t0 = now_if(instrument);
     let density = DensityMesh::paint(catalog, n, cfg.assignment, cfg.interlace);
-    let paint_nanos = nanos_since(t0);
+    stages.lap(PAINT);
 
-    let t1 = now_if(instrument);
     let nhat = density.fourier(cfg.deconvolve);
+    obs.registry.add("grid.fft3", density.fourier_transforms());
 
     // Primary side: the painted (real-space) field; only occupied cells
     // contribute to the ζ inner products. Indices and weights are kept
@@ -331,7 +333,7 @@ pub fn accumulate_zeta_multipoles(
     let ylm = YlmTable::new(lmax, &basis);
     // Density FFT + shell table + harmonic tables count toward the
     // field stage.
-    field_nanos += nanos_since(t1);
+    stages.lap(FIELDS);
 
     // Process one m at a time: the ζ couplings never mix different m,
     // so only the (ℓmax+1−m)·nbins fields of the current m need to be
@@ -343,7 +345,6 @@ pub fn accumulate_zeta_multipoles(
         let ls: Vec<usize> = (m..=lmax).collect();
         let nl = ls.len();
         let nfields = nl * nbins;
-        let tf = now_if(instrument);
         let table = harmonic_table(&shells, &basis, &ylm, m, lmax);
 
         // One task per (ℓ, bin) field: copy the reflected kernel over
@@ -383,7 +384,8 @@ pub fn accumulate_zeta_multipoles(
                 a.append(&mut b);
                 a
             });
-        field_nanos += nanos_since(tf);
+        obs.registry.add("grid.fft3", 2 * nfields as u64);
+        stages.lap(FIELDS);
 
         // ζ^m_{ℓℓ'}(b₁,b₂) = Σ_occupied n(x)·A_ℓm,b₁(x)·conj(A_ℓ'm,b₂(x)).
         // The cell weight is real, so swapping the two fields conjugates
@@ -391,7 +393,6 @@ pub fn accumulate_zeta_multipoles(
         // upper-triangle pairs in the flat field index are dispatched —
         // in real blocks, not one-combo chunks, and with no no-op mirror
         // tasks — then mirrors are filled by conjugation.
-        let tz = now_if(instrument);
         let tri: Vec<(u32, u32)> = (0..nfields as u32)
             .flat_map(|f1| (f1..nfields as u32).map(move |f2| (f1, f2)))
             .collect();
@@ -420,22 +421,15 @@ pub fn accumulate_zeta_multipoles(
             };
             sink(ls[li], ls[lj], m, b1, b2, value);
         }
-        zeta_nanos += nanos_since(tz);
+        stages.lap(CONTRACT);
     }
-    let ts = now_if(instrument && subtract_self_pairs);
     if subtract_self_pairs {
-        subtract_self_pair_terms(catalog, cfg, lmax, nbins, &density, &shells, sink);
+        let ffts = subtract_self_pair_terms(catalog, cfg, lmax, nbins, &density, &shells, sink);
+        obs.registry.add("grid.fft3", ffts);
+        stages.lap(SELFPAIR);
     }
-    let selfpair_nanos = nanos_since(ts);
-    // No-ops on a disabled session.
-    for (stage, nanos) in [
-        ("paint", paint_nanos),
-        ("fields", field_nanos),
-        ("contract", zeta_nanos),
-        ("selfpair", selfpair_nanos),
-    ] {
-        obs.tracer.add_aggregate(stage, 1, nanos);
-    }
+    let names = ["paint", "fields", "contract", "selfpair"].map(|s| (s, 1));
+    stages.emit(&obs.tracer, names);
 }
 
 /// Remove the degenerate `j = k` terms from diagonal `(b, b)` entries.
@@ -447,7 +441,8 @@ pub fn accumulate_zeta_multipoles(
 /// mesh — a single FFT cross-correlation. The harmonic product depends
 /// on `u` only through `μ = û·ẑ`, so each bin needs just the `2ℓmax+1`
 /// sums `S_L(b) = Σ_u R(u) Θ_b(|u|) P_L(μ)`, contracted with the shared
-/// [`SelfPairTable`] exactly like the tree's correction.
+/// [`SelfPairTable`] exactly like the tree's correction. Returns the
+/// number of 3-D transforms it ran.
 fn subtract_self_pair_terms(
     catalog: &Catalog,
     cfg: &GridConfig,
@@ -456,7 +451,7 @@ fn subtract_self_pair_terms(
     density: &DensityMesh,
     shells: &[ShellCell],
     sink: &mut dyn FnMut(usize, usize, usize, usize, usize, Complex64),
-) {
+) -> u64 {
     let n = cfg.mesh;
     let sq = DensityMesh::paint_with(catalog, n, cfg.assignment, cfg.interlace, |g| {
         g.weight * g.weight
@@ -512,6 +507,8 @@ fn subtract_self_pair_terms(
             }
         }
     }
+    // The weight mesh forward, the w²-painted spectrum, the inverse.
+    2 + sq.fourier_transforms()
 }
 
 #[cfg(test)]

@@ -110,6 +110,12 @@ impl DensityMesh {
         self.data.iter().sum()
     }
 
+    /// The 3-D transforms [`DensityMesh::fourier`] runs: one per
+    /// painting.
+    pub(crate) fn fourier_transforms(&self) -> u64 {
+        1 + u64::from(self.shifted.is_some())
+    }
+
     /// Forward-transform the painted field, combining the interlaced
     /// painting (when present) with the half-cell phase
     /// `e^{iπ(m_x+m_y+m_z)/n}` and optionally dividing out the

@@ -2,13 +2,15 @@
 //!
 //! The workspace `clippy.toml` bans `Instant::{now, elapsed}` and
 //! `SystemTime::{now, elapsed}` by `disallowed-methods`, resolved by
-//! type, everywhere — tests and examples included. Only `read_now`
-//! and [`nanos_since`] here allow them, each with a reason. Every
-//! runtime crate (engine, grid, supervised pipeline) times itself
-//! through [`now_if`]/[`nanos_since`], and the `reproduce` binary of
-//! `crates/bench` and the examples through [`Epoch`], so the zero-cost
-//! contract is auditable in one place: when `instrument` is false, no
-//! branch in this module touches the clock.
+//! type, everywhere — tests and examples included. Only the private
+//! `read_now` here allows them, with a reason. The public
+//! surface is [`Epoch`], [`reads`] and [`Stages`]: every runtime stage
+//! split (the tree engine's chunks, the grid estimator, the supervised
+//! pipeline's shard tasks) times itself through one [`Stages`] clock,
+//! and the obs tracer, the `reproduce` binary of `crates/bench` and
+//! the examples through [`Epoch`], so the zero-cost contract is
+//! auditable in one place: a stage clock started with `instrument`
+//! false never touches the clock.
 //!
 //! Each real clock read also bumps a process-global counter, exposed via
 //! [`reads`]. Tests pin the contract by asserting the counter does not
@@ -16,6 +18,7 @@
 //! "timings came back zero". The counter is one relaxed atomic add per
 //! read; uninstrumented runs never reach it.
 
+use crate::span::Tracer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -56,30 +59,49 @@ fn read_now() -> Instant {
     Instant::now()
 }
 
-/// Read the clock only when instrumentation is on.
-#[inline]
-pub fn now_if(instrument: bool) -> Option<Instant> {
-    if instrument {
-        Some(read_now())
-    } else {
-        None
-    }
+/// A tiling stage clock over `N` stages: each boundary is one clock
+/// read, which closes the stage running since the previous boundary
+/// and opens the next, so the stages sum exactly to the nanoseconds
+/// between the first read and the last. The stages' time is emitted
+/// as aggregate slices under the caller's open span ([`Stages::emit`]).
+///
+/// Started with `instrument` false it holds no boundary, and neither
+/// [`Stages::lap`] nor [`Stages::emit`] reads the clock.
+#[derive(Debug)]
+pub struct Stages<const N: usize> {
+    /// The last boundary; `None` when uninstrumented.
+    last: Option<Instant>,
+    nanos: [u64; N],
 }
 
-/// Elapsed nanoseconds since `start`, or 0 without touching the clock
-/// when `start` is `None`.
-#[inline]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "the one counted elapsed-time read that every other goes through"
-)]
-pub fn nanos_since(start: Option<Instant>) -> u64 {
-    match start {
-        Some(t0) => {
-            count_read();
-            t0.elapsed().as_nanos() as u64
+impl<const N: usize> Stages<N> {
+    /// Open the first stage: one clock read when `instrument` is true,
+    /// none otherwise.
+    pub fn start(instrument: bool) -> Self {
+        Stages {
+            last: instrument.then(read_now),
+            nanos: [0; N],
         }
-        None => 0,
+    }
+
+    /// Charge the time since the previous boundary to `stage`: one
+    /// clock read when started instrumented, none otherwise.
+    #[inline(always)]
+    pub fn lap(&mut self, stage: usize) {
+        if let Some(last) = self.last {
+            let now = read_now();
+            self.nanos[stage] += (now - last).as_nanos() as u64;
+            self.last = Some(now);
+        }
+    }
+
+    /// Record each stage as an aggregate slice of `calls` invocations
+    /// under the calling thread's open span, in the order given (zero
+    /// clock reads; a no-op on a disabled tracer).
+    pub fn emit(&self, tracer: &Tracer, stages: [(&str, u64); N]) {
+        for ((name, calls), nanos) in stages.into_iter().zip(self.nanos) {
+            tracer.add_aggregate(name, calls, nanos);
+        }
     }
 }
 
@@ -96,7 +118,7 @@ impl Epoch {
 
     /// Nanoseconds elapsed since the epoch (one clock read).
     pub fn elapsed_nanos(&self) -> u64 {
-        nanos_since(Some(self.0))
+        (read_now() - self.0).as_nanos() as u64
     }
 }
 
@@ -107,18 +129,27 @@ mod tests {
     #[test]
     fn uninstrumented_calls_never_read() {
         let before = thread_reads();
-        assert!(now_if(false).is_none());
-        assert_eq!(nanos_since(None), 0);
+        let mut stages = Stages::<2>::start(false);
+        stages.lap(0);
+        stages.lap(1);
+        assert_eq!(stages.nanos, [0, 0]);
         assert_eq!(thread_reads(), before);
     }
 
     #[test]
     fn instrumented_calls_count_reads() {
-        let before = reads();
-        let t0 = now_if(true);
-        assert!(t0.is_some());
-        let _ = nanos_since(t0);
-        assert!(reads() >= before + 2);
+        // One read to start and one per lap; the laps tile the time
+        // from the first read to the last, exactly.
+        let before = thread_reads();
+        let mut stages = Stages::<3>::start(true);
+        let first = stages.last.unwrap();
+        let laps = [0, 2, 1, 2, 2];
+        for stage in laps {
+            stages.lap(stage);
+        }
+        assert_eq!(thread_reads(), before + 1 + laps.len() as u64);
+        let span = stages.last.unwrap() - first;
+        assert_eq!(stages.nanos.iter().sum::<u64>(), span.as_nanos() as u64);
     }
 
     #[test]

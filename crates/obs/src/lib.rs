@@ -19,8 +19,9 @@
 //!
 //! ## The zero-cost contract
 //!
-//! Observability follows the same contract as the engine's per-worker
-//! `instrument` gate on its stage timers: **a disabled session performs zero
+//! Observability follows the same contract as the stage clocks
+//! ([`clock::Stages`]) the engine, the grid estimator and the supervised
+//! pipeline time their stages with: **a disabled session performs zero
 //! clock reads and leaves results bit-identical**. Every clock read in
 //! the workspace funnels through [`clock`] — the one module allowed past
 //! the workspace `clippy.toml`'s ban on `Instant` and `SystemTime`

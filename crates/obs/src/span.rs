@@ -12,11 +12,12 @@
 //!
 //! * [`Tracer::span`] — a real timed span: one clock read at enter, one
 //!   at exit.
-//! * [`Tracer::add_aggregate`] — a pre-measured total (e.g. the engine's
-//!   per-chunk `t_search` nanos) attached under the currently open span
-//!   with **zero** clock reads; aggregates are laid out back-to-back
-//!   from the parent's start so the Chrome view shows the stage
-//!   breakdown inside the worker slice.
+//! * [`Tracer::add_aggregate`] — a pre-measured total (e.g. one stage
+//!   of a [`Stages`](crate::clock::Stages) clock, which the engine's
+//!   chunks, the grid estimator and the supervised shard tasks emit)
+//!   attached under the currently open span with **zero** clock reads;
+//!   aggregates are laid out back-to-back from the parent's start so
+//!   the Chrome view shows the stage breakdown inside the worker slice.
 //!
 //! A disabled tracer never reads the clock, never locks, and never
 //! allocates per span — the zero-cost contract the engine's
@@ -244,12 +245,6 @@ impl Tracer {
             (a.track, a.start_nanos, &a.path).cmp(&(b.track, b.start_nanos, &b.path))
         });
         spans
-    }
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

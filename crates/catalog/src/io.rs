@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Text catalogs arrive as sky coordinates ([`crate::sky::read_sky_csv`]);
-//! [`HeaderMap`] is that reader's column resolution.
+//! `HeaderMap` is that reader's column resolution.
 
 use crate::galaxy::{Catalog, Galaxy};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -241,7 +241,7 @@ pub fn read_binary(path: impl AsRef<Path>) -> Result<Catalog, CatalogIoError> {
 /// character is alphabetic. Column names match case-insensitively and
 /// in any order, so `RA,DEC,Z` and `z,dec,ra` both resolve.
 #[derive(Clone, Debug)]
-pub struct HeaderMap {
+pub(crate) struct HeaderMap {
     names: Vec<String>,
 }
 
@@ -249,7 +249,7 @@ impl HeaderMap {
     /// Parse `line` as a header. Returns `None` when the line looks
     /// like a data row (first non-whitespace character not alphabetic)
     /// so callers can fall back to positional parsing.
-    pub fn parse(line: &str) -> Option<HeaderMap> {
+    pub(crate) fn parse(line: &str) -> Option<HeaderMap> {
         let trimmed = line.trim();
         if !trimmed.chars().next().is_some_and(|c| c.is_alphabetic()) {
             return None;
@@ -265,7 +265,7 @@ impl HeaderMap {
     /// Index of the column matching any of `aliases` (give aliases in
     /// lowercase, in priority order: the first alias that names a
     /// column wins, not the first column that matches any alias).
-    pub fn resolve(&self, aliases: &[&str]) -> Option<usize> {
+    pub(crate) fn resolve(&self, aliases: &[&str]) -> Option<usize> {
         aliases
             .iter()
             .find_map(|a| self.names.iter().position(|n| n == a))

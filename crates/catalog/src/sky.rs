@@ -15,7 +15,7 @@
 //!
 //! * **Columns**: a sky CSV *must* carry a header naming `RA`, `DEC`
 //!   and `Z` (any case, any order — `ra,dec,z`, `DEC,Z,RA`, … all
-//!   work), resolved by the shared [`HeaderMap`].
+//!   work), resolved by the shared `io::HeaderMap`.
 //!   An optional weight column is recognized under the aliases in
 //!   [`WEIGHT_ALIASES`] (`weight`, `radial_weight`, `weight_systot`,
 //!   `wt` — the names used by public survey products and the

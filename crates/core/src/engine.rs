@@ -20,7 +20,7 @@
 //! 3. `assemble`, first half — reduce the monomial sums of the bins
 //!    this primary touched into the padded bin-minor layout
 //!    `sums_t[mono · nbp + bin]` and assemble the shell coefficients
-//!    `a_ℓm` for eight bins at a time ([`crate::assembly`]);
+//!    `a_ℓm` for eight bins at a time (`assembly`);
 //! 4. `assemble`, second half — accumulate
 //!    `ζ^m_{ℓℓ'}(r₁, r₂) += w_i · a_ℓm(r₁) · conj(a_ℓ'm(r₂))`: for each
 //!    `m`, the upper triangle of the Hermitian matrix over the
@@ -28,7 +28,7 @@
 //!    update per non-zero `a_ℓm(r₁)`, into the chunk's packed partial
 //!    (real for `m = 0`, whose harmonics are real). `w_i` is real, so
 //!    the other half is the conjugate, written once per run when the
-//!    merged partials are unpacked ([`crate::assembly`]). With
+//!    merged partials are unpacked (`assembly`). With
 //!    self-pair subtraction on, the `j = k` term
 //!    `Σ_j w_j² Y_ℓm(û_j) conj(Y_ℓ'm(û_j))` of each diagonal bin is
 //!    removed: it has no φ-dependence, so it is the Legendre series

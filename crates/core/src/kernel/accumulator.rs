@@ -20,6 +20,7 @@
 //! that sign cannot reach ζ: every a_ℓm sum and every ζ sum downstream
 //! starts from `+0`, and `+0 + ±0 = +0`.
 
+#[cfg(test)]
 use crate::kernel::backend::BackendKind;
 use crate::kernel::buckets::PairBuckets;
 use crate::kernel::scalar::accumulate_bucket_scalar;
@@ -80,8 +81,9 @@ impl KernelAccumulator {
     }
 
     /// Which backend produced this accumulator.
+    #[cfg(test)]
     #[inline]
-    pub fn kind(&self) -> BackendKind {
+    pub(crate) fn kind(&self) -> BackendKind {
         match self.sums {
             Sums::Simd { .. } => BackendKind::Simd,
             Sums::Scalar { .. } => BackendKind::Scalar,
@@ -187,7 +189,6 @@ impl KernelAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::backend::BackendKind;
     use crate::kernel::testutil::{check_backend_stream_vs_scalar, check_backend_vs_scalar};
     use galactos_math::monomial::MonomialBasis;
 

@@ -74,7 +74,7 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    pub fn resolve(self) -> BackendKind {
+    pub(crate) fn resolve(self) -> BackendKind {
         match self {
             BackendChoice::Fixed(kind) => kind,
             BackendChoice::Auto => BackendKind::Simd,

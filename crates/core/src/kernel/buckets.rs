@@ -38,17 +38,17 @@ impl PairBuckets {
     }
 
     #[inline]
-    pub fn nbins(&self) -> usize {
+    pub(crate) fn nbins(&self) -> usize {
         self.nbins
     }
 
-    #[inline]
-    pub fn len(&self, bin: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self, bin: usize) -> usize {
         self.len[bin]
     }
 
     #[inline]
-    pub fn is_empty(&self, bin: usize) -> bool {
+    pub(crate) fn is_empty(&self, bin: usize) -> bool {
         self.len[bin] == 0
     }
 

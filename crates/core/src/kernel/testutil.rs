@@ -19,11 +19,11 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -32,17 +32,17 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
 
     /// Uniform in `0..n` (`n` must be positive).
-    pub fn index(&mut self, n: usize) -> usize {
+    pub(crate) fn index(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
 }

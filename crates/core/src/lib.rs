@@ -20,7 +20,7 @@
 //!   over primaries (§3.3); the Figure 4 stage breakdown is what
 //!   [`Engine::compute_observed`](engine::Engine::compute_observed)
 //!   records into a `galactos-obs` session — there is no other timer;
-//! * [`assembly`] — stages 3–4 of a primary as lane loops: a_ℓm
+//! * `assembly` — stages 3–4 of a primary as lane loops: a_ℓm
 //!   assembly with the radial bins in lanes and the ζ update as rows of
 //!   packed per-`m` Hermitian triangles, run at the host's vector width;
 //! * [`estimator`] — the estimator choice dispatching
@@ -56,7 +56,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod assembly;
+mod assembly;
 pub mod bins;
 pub mod config;
 pub mod edge;

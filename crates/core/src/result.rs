@@ -5,13 +5,13 @@
 //! `a_{ℓ,−m} = (−1)^m conj(a_{ℓm})` for real-weighted point sets) and
 //! are not stored. The radial dependence is a full `nbins × nbins`
 //! matrix in `(r₁, r₂)`, one contiguous row-major slab per `(ℓ, ℓ', m)`
-//! block ([`ZetaLayout::index`]).
+//! block (`ZetaLayout::index`).
 //!
 //! Every term of the estimator is `w·a_ℓm(r₁)·conj(a_ℓ'm(r₂))` with
 //! real `w`, so also `ζ^m_{ℓ'ℓ}(r₂, r₁) = conj(ζ^m_{ℓℓ'}(r₁, r₂))`. Both
 //! halves are stored, but the tree engine accumulates only one, in
 //! packed per-`m` triangles, and writes the other once per run as the
-//! conjugate, a zero imaginary part as `+0` ([`crate::assembly`]), so
+//! conjugate, a zero imaginary part as `+0` (`assembly`), so
 //! its output obeys the identity exactly.
 
 use galactos_math::Complex64;
@@ -46,16 +46,6 @@ impl ZetaLayout {
         }
     }
 
-    #[inline]
-    pub fn lmax(&self) -> usize {
-        self.lmax
-    }
-
-    #[inline]
-    pub fn nbins(&self) -> usize {
-        self.nbins
-    }
-
     /// Number of stored `(ℓ, ℓ', m)` combinations.
     #[inline]
     pub fn n_lm_combos(&self) -> usize {
@@ -64,13 +54,8 @@ impl ZetaLayout {
 
     /// Total number of stored complex values.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n_lm * self.nbins * self.nbins
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Flat range of the `nbins²` slab of block `(ℓ, ℓ', m)`, row-major
@@ -85,7 +70,7 @@ impl ZetaLayout {
 
     /// Flat index of `(ℓ, ℓ', m, b₁, b₂)`.
     #[inline]
-    pub fn index(&self, l: usize, lp: usize, m: usize, b1: usize, b2: usize) -> usize {
+    pub(crate) fn index(&self, l: usize, lp: usize, m: usize, b1: usize, b2: usize) -> usize {
         debug_assert!(b1 < self.nbins && b2 < self.nbins);
         self.block(l, lp, m).start + b1 * self.nbins + b2
     }
@@ -296,7 +281,7 @@ impl IsotropicZeta {
     }
 
     #[inline]
-    pub fn add_to(&mut self, l: usize, b1: usize, b2: usize, v: f64) {
+    pub(crate) fn add_to(&mut self, l: usize, b1: usize, b2: usize, v: f64) {
         let i = self.index(l, b1, b2);
         self.data[i] += v;
     }

@@ -119,7 +119,7 @@ pub enum TraversalChoice {
 }
 
 impl TraversalChoice {
-    pub fn resolve(self) -> TraversalKind {
+    pub(crate) fn resolve(self) -> TraversalKind {
         match self {
             TraversalChoice::Fixed(kind) => kind,
             TraversalChoice::Auto => TraversalKind::LeafBlocked,

@@ -285,6 +285,11 @@ fn an_invalid_config_is_refused_before_any_attempt() {
             "invalid engine config: lmax > 12 is untested and very slow, got lmax = 40"
         );
         assert_eq!(obs.registry.counter_value("supervised.attempts"), 0);
+        // The refusal is what a caller's own `validate` says.
+        let SupervisedError::InvalidConfig(refused) = err else {
+            panic!("{err}")
+        };
+        assert_eq!(refused, config.validate().unwrap_err());
     }
     std::fs::remove_dir_all(&dir).ok();
 }

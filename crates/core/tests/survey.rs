@@ -15,7 +15,7 @@ use galactos_catalog::random::uniform_box;
 use galactos_catalog::{Cap, Catalog, SurveyGeometry};
 use galactos_core::edge::edge_corrected;
 use galactos_core::result::IsotropicZeta;
-use galactos_core::{Engine, EngineConfig, SurveyCompute, SurveyConfig};
+use galactos_core::{ConfigError, Engine, EngineConfig, SurveyCompute, SurveyConfig};
 use galactos_math::Vec3;
 use galactos_mocks::cluster_process::NeymanScott;
 
@@ -144,4 +144,21 @@ fn holed_shell_corrected_zeta_consistent_with_zero() {
         geometry_signal.max_abs()
     );
     assert!(corrected < 0.3, "corrected ζ {corrected} above noise bound");
+}
+
+#[test]
+fn a_window_above_lmax_is_refused() {
+    // `validate` is the check a caller can make before
+    // `SurveyCompute::new`, which panics: a window multipole above the
+    // engine's lmax is refused with both values.
+    let mut config = SurveyConfig::survey_default(Vec3::splat(50.0), 20.0, 2, 3);
+    assert_eq!(config.validate(), Ok(()));
+    config.window_lmax = 3;
+    assert_eq!(
+        config.validate(),
+        Err(ConfigError::WindowLmax {
+            window_lmax: 3,
+            lmax: 2
+        })
+    );
 }

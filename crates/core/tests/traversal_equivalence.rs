@@ -123,19 +123,6 @@ fn radial_line_of_sight_with_degenerate_primary() {
     assert_eq!(z.num_primaries, 249);
 }
 
-/// Logarithmic bins, and linear bins from `rmin > 0`, put pairs below
-/// `rmin` and the per-bin edges where no default configuration does.
-/// Both traversals, with the plane-parallel ẑ and a radial line of
-/// sight, must bin exactly the O(N²) oracle's pairs and match its ζ.
-#[test]
-fn self_pair_subtraction_matches() {
-    let mut cat = uniform_box(300, 10.0, 109);
-    cat.periodic = None;
-    let mut config = EngineConfig::test_default(4.5, 3, 3);
-    config.subtract_self_pairs = true;
-    assert_equivalent(config, &cat, "self-pair subtraction");
-}
-
 #[test]
 fn compute_subset_ghosts_never_become_primaries() {
     // The distributed pipeline's per-rank call: only the first

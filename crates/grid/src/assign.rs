@@ -37,7 +37,7 @@ impl MassAssignment {
     pub const ALL: [MassAssignment; 2] = [MassAssignment::Ngp, MassAssignment::Cic];
 
     /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MassAssignment::Ngp => "ngp",
             MassAssignment::Cic => "cic",

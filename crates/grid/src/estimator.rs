@@ -829,9 +829,11 @@ mod tests {
 
     #[test]
     fn uninstrumented_run_takes_no_timings_and_same_values() {
-        // The zero-cost contract on the grid path: under a disabled
-        // session no clock is read and nothing is recorded, and every
-        // streamed coefficient is bit-identical to the observed run.
+        // Under a disabled session nothing is recorded, and every
+        // streamed coefficient is bit-identical to the observed run. That
+        // no clock is read is held by `core/tests/zero_clock.rs`, in a
+        // test binary of its own: the count is process-wide, so another
+        // test of this binary that observes a run would move it.
         let l_box = 8.0;
         let cat = Catalog::new_periodic(
             vec![
@@ -868,11 +870,7 @@ mod tests {
             coeffs
         };
         let cold = ObsSession::disabled();
-        // Other tests of this binary run concurrently and none is
-        // observed, so the process-wide read count may not move at all.
-        let before = galactos_obs::clock::reads();
         let plain = run(&cold);
-        assert_eq!(galactos_obs::clock::reads(), before);
         assert!(cold.tracer.finished().is_empty());
 
         let timed = ObsSession::enabled();

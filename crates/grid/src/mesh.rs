@@ -20,7 +20,6 @@ use rayon::prelude::*;
 #[derive(Clone, Debug)]
 pub struct DensityMesh {
     n: usize,
-    box_len: f64,
     assignment: MassAssignment,
     data: Vec<f64>,
     /// Half-cell-shifted painting (present only when interlacing).
@@ -79,16 +78,10 @@ impl DensityMesh {
         let shifted = interlace.then(|| paint_field(0.5));
         DensityMesh {
             n,
-            box_len,
             assignment,
             data,
             shifted,
         }
-    }
-
-    #[inline]
-    pub fn box_len(&self) -> f64 {
-        self.box_len
     }
 
     /// The painted (unshifted) weight field.

@@ -24,7 +24,7 @@
 //! | rule | contract |
 //! |------|----------|
 //! | `W-ENV` | no `env::var*` read and no `GALACTOS_*` literal in any non-test, non-example source |
-//! | `W-DEADPUB` | a `pub fn` under `crates/*/src` is named outside its crate (another crate, a `tests/` dir, an example, the facade, `benchmark/`, a bin target under the same `src/`; `use` lines count) or must be `pub(crate)`; a `pub` type or `pub fn` is reached by shipped code — a type named outside its definition and impls, a method called as `.name(` / `Type::name` / `Self::name` on a reached type, a free fn named; `use` lines never count — or carries a classed exemption; what only `benchmark/src` reaches is listed, not reported. A `pub(crate) fn` is rustc's `dead_code` |
+//! | `W-DEADPUB` | a `pub fn` under `crates/*/src` is named outside its crate (another crate, a `tests/` dir, an example, the facade, `benchmark/`, a bin target under the same `src/`; `use` lines count) or must be `pub(crate)`; a `pub` type or `pub fn` is reached by shipped code — a type named outside its definition and impls, a method called as `Type::name` / `Self::name` / `.name(…)` with its own argument count (on a bare `self`, only of the enclosing impl's type) on a reached type, a free fn named; `use` lines never count — or carries a classed exemption; what only `benchmark/src` reaches is listed, not reported. A `pub(crate) fn` is rustc's `dead_code` |
 //!
 //! See [`rules`] for the precise scoping of each rule and the
 //! suppression syntax.

@@ -9,7 +9,9 @@
 //! file set. One scope pass per file tells every rule, per token,
 //! whether it ships (not under `#[cfg(test)]`), whether it sits in a
 //! `use` declaration, and which type (its definition or an `impl` of
-//! it) encloses it.
+//! it) encloses it. `W-DEADPUB` also counts the parameters of a method
+//! and the arguments of a call, so `.name(…)` names a method only at its
+//! own arity.
 //!
 //! # Suppressions
 //!
@@ -268,6 +270,8 @@ struct Scopes {
     owner: Vec<Option<usize>>,
     /// Names of the file modules declared `#[cfg(test)] mod name;`.
     test_mods: Vec<String>,
+    /// Names of the types with an `impl Deref` or `DerefMut`.
+    derefs: Vec<String>,
 }
 
 const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
@@ -282,6 +286,7 @@ fn scan_scopes(toks: &[Token]) -> Scopes {
         in_use: vec![false; n],
         owner: Vec::with_capacity(n),
         test_mods: Vec::new(),
+        derefs: Vec::new(),
     };
     // Open type bodies (definitions and impls): (name index, brace depth).
     let mut open: Vec<(usize, usize)> = Vec::new();
@@ -298,6 +303,10 @@ fn scan_scopes(toks: &[Token]) -> Scopes {
         let innermost = open.last().map(|o| o.0);
         if tok_is(toks, i, "impl") && (i == 0 || tok_in(toks, i - 1, &ITEM_START)) {
             pending_owner = impl_self_type(toks, i);
+            let mut header = toks[i..].iter().take_while(|t| t.text != "{");
+            if header.any(|t| t.text == "Deref" || t.text == "DerefMut") {
+                s.derefs.extend(pending_owner.map(|j| toks[j].text.clone()));
+            }
         } else if tok_in(toks, i, &TYPE_KEYWORDS) && innermost.is_none() {
             // Outside impls and traits, so not an associated `type`.
             pending_owner = ident_at(toks, i + 1);
@@ -510,9 +519,18 @@ fn crate_of(path: &str) -> &str {
 /// `benchmark/src` are shipped — that:
 ///
 /// * for a `pub` type, name it outside its definition and its impls;
-/// * for a method, call it as `.name(`, `Type::name` or, in an impl of
-///   the type, `Self::name` — and its type must be reached too;
+/// * for a method, call it as `Type::name`, in an impl of the type as
+///   `Self::name`, or as `.name(…)` — and its type must be reached too;
 /// * for a free fn, name it other than as `fn name` or `.name`.
+///
+/// A `.name(…)` call names a method only if the method takes `self` and
+/// as many other parameters as the call has top-level arguments, and a
+/// call on a bare `self` names only a method of the enclosing impl's
+/// type, unless that type implements `Deref`. No other receiver is
+/// resolved: a call with the right argument count names every method of
+/// its spelling, so a zero-argument `.len()` anywhere keeps every
+/// `pub fn len(&self)` named. Only the compiler can close that gap
+/// (one library crate, where `dead_code` sees every caller).
 ///
 /// A dead type's finding covers its methods, so an exemption on the
 /// type covers its impls. An item that only `benchmark/src` reaches is
@@ -586,10 +604,24 @@ fn rule_deadpub(
     };
     let type_reach = |ty: &str| reach(ty, &|k, i| owner(k, i) != Some(ty));
     let fn_shape = |k: usize, i: usize| !before(k, i, 1, "fn") && !before(k, i, 1, ".");
-    let method_shape = |ty: &str, k: usize, i: usize| {
-        (before(k, i, 1, ".") && (is(k, i + 1, "(") || is(k, i + 1, ":")))
-            || (before(k, i, 1, ":") && before(k, i, 2, ":"))
-                && (before(k, i, 3, ty) || before(k, i, 3, "Self") && owner(k, i) == Some(ty))
+    // Types that deref to another: a call on their `self` is unresolved.
+    let derefs: HashSet<&str> = scopes
+        .iter()
+        .flat_map(|s| &s.derefs)
+        .map(String::as_str)
+        .collect();
+    // `params` is the method's (parameter count, has a receiver), if its
+    // signature parses. A `.name(…)` call must match both; on a bare
+    // `self` it names only a method of the enclosing impl's type.
+    let method_shape = |ty: &str, params: Option<(usize, bool)>, k: usize, i: usize| {
+        if before(k, i, 1, ".") {
+            let other = |u: &str| u != ty && !derefs.contains(u);
+            let other_self = before(k, i, 2, "self") && owner(k, i).is_some_and(other);
+            let arity = call_arity(&lexed[k].tokens, i);
+            return !other_self && arity.is_some_and(|n| params.is_none_or(|p| p == (n, true)));
+        }
+        (before(k, i, 1, ":") && before(k, i, 2, ":"))
+            && (before(k, i, 3, ty) || before(k, i, 3, "Self") && owner(k, i) == Some(ty))
     };
 
     let crates: Vec<&str> = files.iter().map(|f| crate_of(&f.path)).collect();
@@ -606,7 +638,8 @@ fn rule_deadpub(
             (true, Some(ty)) => {
                 let ty = lexed[k].tokens[ty].text.as_str();
                 let t = type_reach(ty);
-                let shape = |k, i| method_shape(ty, k, i);
+                let params = fn_params(&lexed[k].tokens, kw);
+                let shape = |k, i| method_shape(ty, params, k, i);
                 let called = reach(name, &shape);
                 // The type's own finding or pinned entry covers the method.
                 let r = t.min(called);
@@ -647,6 +680,74 @@ fn rule_deadpub(
         }
     }
     found
+}
+
+/// The parameter count of the fn whose `fn` keyword is at `kw`, not
+/// counting a receiver, and whether it has one; `None` if no parameter
+/// list follows its name and generics.
+fn fn_params(toks: &[Token], kw: usize) -> Option<(usize, bool)> {
+    let open = after_generics(toks, kw + 2);
+    let items = tok_is(toks, open, "(").then(|| list_items(toks, open, true).0)?;
+    let lead = |t: &&Token| t.text == "&" || t.text == "mut" || t.kind == TokenKind::Lifetime;
+    let receiver = items
+        .first()
+        .is_some_and(|&s| tok_is(toks, s + toks[s..].iter().take_while(lead).count(), "self"));
+    Some((items.len() - usize::from(receiver), receiver))
+}
+
+/// The argument count of the method call whose name is at `at`,
+/// `.name(…)` or `.name::<…>(…)`; `None` if no argument list follows.
+fn call_arity(toks: &[Token], at: usize) -> Option<usize> {
+    let turbofish = seq_at(toks, at + 1, &[":", ":"]);
+    let open = after_generics(toks, at + 1 + 2 * usize::from(turbofish));
+    tok_is(toks, open, "(").then(|| list_items(toks, open, false).0.len())
+}
+
+/// The index after the generics that open at `at`, or `at` if none do.
+fn after_generics(toks: &[Token], at: usize) -> usize {
+    if tok_is(toks, at, "<") {
+        list_items(toks, at, true).1 + 1
+    } else {
+        at
+    }
+}
+
+/// Tokens after which a `|` in an argument list opens a closure's
+/// parameters, not an operator (`a | b`, `a || b`).
+const CLOSURE_AFTER: [&str; 5] = ["(", ",", "&", "mut", "move"];
+
+/// Where each item of the list that the bracket at `open` opens starts,
+/// and the index of its closing bracket. Top-level commas split it, and
+/// a trailing comma opens no item. In a signature every `<` opens
+/// generics; in a call only a turbofish `::<` does, and a closure's
+/// `|…|` parameters are skipped.
+fn list_items(toks: &[Token], open: usize, sig: bool) -> (Vec<usize>, usize) {
+    let (mut depth, mut angle) = (0usize, 0usize);
+    let (mut items, mut start, mut i) = (Vec::new(), open + 1, open + 1);
+    while let Some(t) = toks.get(i) {
+        let generic = sig || angle > 0;
+        let punct = (t.kind == TokenKind::Punct).then_some(t.text.as_str());
+        match punct.unwrap_or("") {
+            "<" if generic || tok_is(toks, i - 1, ":") => (depth, angle) = (depth + 1, angle + 1),
+            ">" if !generic || tok_is(toks, i - 1, "-") => {}
+            ">" | ")" | "]" | "}" if depth == 0 => break,
+            ">" => (depth, angle) = (depth - 1, angle.saturating_sub(1)),
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            "|" if !sig && tok_in(toks, i - 1, &CLOSURE_AFTER) => {
+                let params = toks[i + 1..].iter().take_while(|t| t.text != "|");
+                i += 1 + params.count();
+            }
+            "," if depth == 0 => {
+                items.extend((start < i).then_some(start));
+                start = i + 1;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    items.extend((start < i).then_some(start));
+    (items, i)
 }
 
 // ---------------------------------------------------------------------------
@@ -918,6 +1019,38 @@ mod tests {
         assert!(out.findings[0]
             .message
             .contains("no shipped code reaches it"));
+    }
+
+    #[test]
+    fn deadpub_method_calls_need_its_arity_and_receiver() {
+        let def = "pub struct Tree;\nimpl Tree {\n    pub fn walk(&self, depth: usize) {}\n    pub fn step(&mut self) {}\n    pub fn seen<T: Into<(u8, u8)>>(&self, a: T, b: &dyn Fn(u8, u8) -> u8) {}\n    pub fn path(&self) {}\n    pub fn make(n: u8) -> Self { Tree }\n}";
+        let home = "fn f(mut t: Tree) { t.walk(1); t.step(); t.seen((1, 2), &|a, b| a | b); t.path(); Tree::make(1); }";
+        // Outside its crate: `walk` only with another argument count,
+        // `step` only on the `self` of another type, `make` (no
+        // receiver) only as a method call.
+        let outside = "struct Other;\nimpl Other {\n    fn f(&mut self, t: Tree) {\n        t.walk();\n        self.step();\n        t.make(1);\n        t.seen::<(u8, u8)>(vec![1, 2].into(), &|a: Vec<u8>, b| b);\n        Tree::path(&t);\n    }\n}";
+        let out = run_set(&[
+            ("crates/core/src/a.rs", def),
+            ("crates/core/src/b.rs", home),
+            ("crates/grid/src/c.rs", outside),
+        ]);
+        let got: Vec<_> = out.findings.iter().map(|f| f.line).collect();
+        assert_eq!(got, [3, 4, 7], "{:?}", out.findings);
+        assert!(out
+            .findings
+            .iter()
+            .all(|f| f.message.ends_with("make it `pub(crate)`")));
+        // A matching call on an unresolved receiver, or on the `self` of
+        // a type that derefs, names it; no method call names `make`.
+        let resolved = "struct W(Tree);\nimpl std::ops::Deref for W {\n    type Target = Tree;\n    fn deref(&self) -> &Tree { &self.0 }\n}\nimpl W {\n    fn f(&mut self, t: Tree) { self.step(); t.walk(2,); self.0.make::<>(3); }\n}";
+        let out = run_set(&[
+            ("crates/core/src/a.rs", def),
+            ("crates/core/src/b.rs", home),
+            ("crates/grid/src/c.rs", outside),
+            ("crates/grid/src/d.rs", resolved),
+        ]);
+        let got: Vec<_> = out.findings.iter().map(|f| f.line).collect();
+        assert_eq!(got, [7], "{:?}", out.findings);
     }
 
     // ----- W-ENV -----

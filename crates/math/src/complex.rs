@@ -59,12 +59,6 @@ impl Complex64 {
         self.norm_sq().sqrt()
     }
 
-    /// Argument in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplicative inverse. Panics in debug builds on zero.
     #[inline]
     pub(crate) fn inv(self) -> Self {
@@ -86,7 +80,8 @@ impl Complex64 {
     }
 
     /// Integer power by repeated squaring.
-    pub fn powi(self, mut n: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn powi(self, mut n: u32) -> Self {
         let mut base = self;
         let mut acc = Complex64::ONE;
         while n > 0 {
@@ -262,10 +257,10 @@ mod tests {
         let t = 0.7324;
         let z = Complex64::cis(t);
         assert!((z.abs() - 1.0).abs() < EPS);
-        assert!((z.arg() - t).abs() < EPS);
+        assert!((z.im.atan2(z.re) - t).abs() < EPS);
         let p = Complex64::cis(-1.1) * 2.5;
         assert!((p.abs() - 2.5).abs() < EPS);
-        assert!((p.arg() + 1.1).abs() < EPS);
+        assert!((p.im.atan2(p.re) + 1.1).abs() < EPS);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! `u128` binomials.
 
 /// Largest `n` with `n!` finite in `f64`.
-pub const MAX_F64_FACTORIAL: usize = 170;
+#[cfg(test)]
+const MAX_F64_FACTORIAL: usize = 170;
 
 /// `n!` as `f64`; exact for `n <= 22` (fits in 53-bit mantissa region up
 /// to 18!, and correctly rounded beyond), finite up to `n = 170`. The
@@ -45,7 +46,7 @@ pub(crate) fn binomial_u128(n: u64, k: u64) -> u128 {
 
 /// A reusable table of `ln(n!)` values, the workhorse for Wigner symbols.
 #[derive(Clone, Debug)]
-pub struct LnFactorialTable {
+pub(crate) struct LnFactorialTable {
     table: Vec<f64>,
 }
 
@@ -63,7 +64,7 @@ impl LnFactorialTable {
     }
 
     #[inline]
-    pub fn get(&self, n: usize) -> f64 {
+    pub(crate) fn get(&self, n: usize) -> f64 {
         self.table[n]
     }
 }

@@ -399,7 +399,7 @@ impl Mesh3 {
 
     /// Row-major index of a cell in either half of [`Mesh3::split`].
     #[inline]
-    pub fn index(&self, i: usize, j: usize, k: usize) -> usize {
+    pub(crate) fn index(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.n && j < self.n && k < self.n);
         (i * self.n + j) * self.n + k
     }

@@ -7,11 +7,11 @@
 //! * complex arithmetic ([`complex`]),
 //! * a radix-2 complex FFT, 1-D and 3-D, shared by the mock generators
 //!   and the gridded a_ℓm estimator ([`fft`]),
-//! * factorials and binomial coefficients ([`factorial`]),
+//! * factorials and binomial coefficients (`factorial`),
 //! * Legendre polynomials and associated Legendre functions ([`legendre`]),
 //! * complex spherical harmonics evaluated directly ([`sphharm`]),
 //! * sparse trivariate polynomial algebra used to expand spherical
-//!   harmonics into Cartesian monomials ([`poly3`]),
+//!   harmonics into Cartesian monomials (`poly3`),
 //! * the monomial basis `(Δx/r)^k (Δy/r)^p (Δz/r)^q`, `k+p+q ≤ ℓmax`,
 //!   together with the 2-FLOP/monomial update schedule that the Galactos
 //!   multipole kernel executes ([`monomial`]),
@@ -31,12 +31,12 @@
 
 pub mod complex;
 pub mod cosmology;
-pub mod factorial;
+mod factorial;
 pub mod fft;
 pub mod legendre;
 pub mod linalg;
 pub mod monomial;
-pub mod poly3;
+mod poly3;
 pub mod rotation;
 pub mod sphharm;
 pub mod vec3;

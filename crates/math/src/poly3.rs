@@ -9,11 +9,11 @@ use crate::complex::Complex64;
 use std::collections::BTreeMap;
 
 /// Exponent triple `(k, p, q)` for the monomial `x^k y^p z^q`.
-pub type Exponents = (u32, u32, u32);
+pub(crate) type Exponents = (u32, u32, u32);
 
 /// A sparse polynomial `Σ c_{kpq} x^k y^p z^q` with complex coefficients.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Poly3 {
+pub(crate) struct Poly3 {
     terms: BTreeMap<Exponents, Complex64>,
 }
 
@@ -47,7 +47,7 @@ impl Poly3 {
     }
 
     /// Iterate over `((k, p, q), coefficient)` pairs in exponent order.
-    pub fn terms(&self) -> impl Iterator<Item = (Exponents, Complex64)> + '_ {
+    pub(crate) fn terms(&self) -> impl Iterator<Item = (Exponents, Complex64)> + '_ {
         self.terms.iter().map(|(&e, &c)| (e, c))
     }
 
@@ -56,7 +56,7 @@ impl Poly3 {
         self.terms.keys().all(|&(k, p, q)| k + p + q == d)
     }
 
-    pub fn add(&self, o: &Poly3) -> Poly3 {
+    pub(crate) fn add(&self, o: &Poly3) -> Poly3 {
         let mut out = self.clone();
         for (e, c) in o.terms() {
             out.add_term(e, c);
@@ -83,7 +83,7 @@ impl Poly3 {
     }
 
     /// `self^n` by repeated multiplication.
-    pub fn pow(&self, n: u32) -> Poly3 {
+    pub(crate) fn pow(&self, n: u32) -> Poly3 {
         let mut acc = Poly3::constant(Complex64::ONE);
         for _ in 0..n {
             acc = acc.mul(self);
@@ -92,7 +92,8 @@ impl Poly3 {
     }
 
     /// Evaluate at a point.
-    pub fn eval(&self, x: f64, y: f64, z: f64) -> Complex64 {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, x: f64, y: f64, z: f64) -> Complex64 {
         let mut acc = Complex64::ZERO;
         for ((k, p, q), c) in self.terms() {
             acc += c * (x.powi(k as i32) * y.powi(p as i32) * z.powi(q as i32));

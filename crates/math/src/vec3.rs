@@ -97,13 +97,13 @@ impl Vec3 {
 
     /// Component-wise minimum.
     #[inline]
-    pub fn min(self, o: Vec3) -> Vec3 {
+    pub(crate) fn min(self, o: Vec3) -> Vec3 {
         Vec3::new(self.x.min(o.x), self.y.min(o.y), self.z.min(o.z))
     }
 
     /// Component-wise maximum.
     #[inline]
-    pub fn max(self, o: Vec3) -> Vec3 {
+    pub(crate) fn max(self, o: Vec3) -> Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
@@ -247,8 +247,8 @@ impl Aabb {
         }
     }
 
-    #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.lo.x > self.hi.x || self.lo.y > self.hi.y || self.lo.z > self.hi.z
     }
 

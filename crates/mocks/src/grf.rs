@@ -23,16 +23,14 @@ pub struct GaussianField {
 
 impl GaussianField {
     /// Synthesize a field with the target spectrum.
-    pub fn generate(spectrum: &dyn PowerSpectrum, n: usize, box_len: f64, seed: u64) -> Self {
-        let mut mesh = Self::noise_k_space(n, seed);
-        Self::apply_transfer(&mut mesh, spectrum, n, box_len);
-        mesh.fft3(Direction::Inverse);
-        debug_assert!(mesh.max_imag() < 1e-8, "imag {}", mesh.max_imag());
-        GaussianField {
-            n,
-            box_len,
-            delta: mesh.to_real(),
-        }
+    #[cfg(test)]
+    pub(crate) fn generate(
+        spectrum: &dyn PowerSpectrum,
+        n: usize,
+        box_len: f64,
+        seed: u64,
+    ) -> Self {
+        Self::generate_with_displacement(spectrum, n, box_len, seed).0
     }
 
     /// Synthesize the field together with the three components of the
@@ -72,6 +70,7 @@ impl GaussianField {
             psi.push(m.to_real());
         }
         delta_k.fft3(Direction::Inverse);
+        debug_assert!(delta_k.max_imag() < 1e-8, "imag {}", delta_k.max_imag());
         let field = GaussianField {
             n,
             box_len,
@@ -124,11 +123,6 @@ impl GaussianField {
                 }
             }
         }
-    }
-
-    #[inline]
-    pub fn box_len(&self) -> f64 {
-        self.box_len
     }
 
     #[inline]

@@ -9,7 +9,8 @@
 //! A disabled registry hands out one shared sink per metric kind, so
 //! hot-path `counter("x").add(1)` calls cost a mutex-free branch and an
 //! atomic add into a value nobody reads. Gate per-item work on
-//! [`Registry::is_enabled`] when even that is too much.
+//! [`ObsSession::is_enabled`](crate::ObsSession::is_enabled) when even
+//! that is too much.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,11 +29,11 @@ impl Counter {
         }
     }
 
-    pub fn add(&self, v: u64) {
+    pub(crate) fn add(&self, v: u64) {
         self.value.fetch_add(v, Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -54,7 +55,7 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -103,10 +104,6 @@ impl Registry {
             sink_counter: Arc::new(Counter::new()),
             sink_gauge: Arc::new(Gauge::new()),
         }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Get or create a counter by name.

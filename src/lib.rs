@@ -55,14 +55,12 @@ pub mod prelude {
     pub use galactos_core::bins::RadialBins;
     pub use galactos_core::config::{EngineConfig, TreePrecision};
     pub use galactos_core::engine::Engine;
-    pub use galactos_core::estimator::{EstimatorChoice, EstimatorKind};
-    pub use galactos_core::kernel::{BackendChoice, BackendKind};
+    pub use galactos_core::estimator::EstimatorChoice;
     pub use galactos_core::pipeline::{
         compute_distributed_supervised, compute_distributed_supervised_observed, RetryPolicy,
     };
     pub use galactos_core::result::{AnisotropicZeta, IsotropicZeta};
     pub use galactos_core::survey::{SurveyCompute, SurveyConfig, SurveyZeta};
-    pub use galactos_core::traversal::{TraversalChoice, TraversalKind};
     pub use galactos_grid::{GridConfig, MassAssignment};
     pub use galactos_math::cosmology::FiducialCosmology;
     pub use galactos_math::{LineOfSight, Vec3};

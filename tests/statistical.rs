@@ -100,12 +100,11 @@ fn anisotropic_null_on_uniform_random_catalog() {
 #[test]
 fn lognormal_mock_power_spectrum_matches_input() {
     // The Gaussian field driving the mocks must realize the input P(k).
-    use galactos::mocks::GaussianField;
     let p = PowerLawSpectrum {
         amplitude: 50.0,
         index: -1.0,
     };
-    let field = GaussianField::generate(&p, 32, 64.0, 5);
+    let field = galactos::mocks::lognormal::generate(&p, 32, 64.0, 1000, 5, None).field;
     let measured = field.measure_power(8);
     let mut checked = 0;
     for (k, pk, n) in measured {
